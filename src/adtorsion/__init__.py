@@ -20,8 +20,6 @@ from .foxcalc import (
     GroupRingElt,
     fox_derivative,
     fundamental_identity_holds,
-    ring_add,
-    ring_mul,
 )
 from .intlaurent import IntLaurent
 from .laurent import (
@@ -40,7 +38,6 @@ from .reps import (
     adjoint_images,
     adjoint_of_matrix,
     build_rep,
-    make_rep,
     near_transition,
     riley_assignment,
     riley_polynomial,
@@ -50,6 +47,7 @@ from .reps import (
 from .torsion import (
     RegularityError,
     Tolerances,
+    TorsionPolynomial,
     TorsionResult,
     alexander_block_matrix,
     boundary_factor,
@@ -58,6 +56,7 @@ from .torsion import (
     homology_torsion,
     phi_of,
     regularity_diagnostics,
+    torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,
     twisted_alexander_invariant,

@@ -42,6 +42,7 @@ from .torsion import (
     Tolerances,
     compute_torsion,
     dihedral_class_count,
+    torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,
     twisted_alexander_invariant,
@@ -132,6 +133,14 @@ def rep_at(p: Presentation, theta: float, u: float, tol: Tolerances) -> Rep:
     return build_rep(p, s, u, sqrt_s=cmath.exp(0.5j * theta), tol=tol.relation)
 
 
+def _two_bridge_phi(p: Presentation, task: str) -> RileyPoly:
+    """Riley polynomial of a two-bridge presentation; PresentationError
+    naming ``task`` for any other presentation."""
+    if p.bridge_word is None:
+        raise PresentationError(f"{task} needs a two-bridge presentation")
+    return riley_polynomial(p.bridge_word)
+
+
 def theta_grid(lo: float, hi: float, samples: int) -> list[float]:
     if samples == 1:
         return [lo]
@@ -139,9 +148,7 @@ def theta_grid(lo: float, hi: float, samples: int) -> list[float]:
 
 
 def sweep_rows(p: Presentation, config: SweepConfig) -> list[dict]:
-    phi = riley_polynomial(p.bridge_word) if p.bridge_word is not None else None
-    if phi is None:
-        raise PresentationError("sweep needs a two-bridge presentation")
+    phi = _two_bridge_phi(p, "sweep")
     tol = config.tolerances
     rows: list[dict] = []
     for theta in theta_grid(config.theta_lo, config.theta_hi, config.samples):
@@ -200,7 +207,7 @@ def _torsion_on_branch(
         raise BranchTrackingError(
             f"branch jump {abs(u - u_guess):.3f} at theta={theta:.6f}"
         )
-    value = torsion_via_limit(rep_at(p, theta, u, tol), tol)
+    value = torsion_via_limit(torsion_polynomial(rep_at(p, theta, u, tol), tol=tol))
     return value.real, u
 
 
@@ -232,9 +239,7 @@ def find_critical_points(
     bisection; each zero is annotated with the binary-dihedral test
     |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
     """
-    if p.bridge_word is None:
-        raise PresentationError("critical-point search needs a two-bridge presentation")
-    phi = riley_polynomial(p.bridge_word)
+    phi = _two_bridge_phi(p, "critical")
     notes: list[str] = []
     grid = theta_grid(theta_lo, theta_hi, samples)
     # roots move at |du/dtheta| = O(1) along a branch, so the pairing radius
@@ -488,8 +493,9 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
         thetas = theta_grid(lo + 0.05, min(hi, math.pi), 8)
         samples = _sample_reps(p, thetas, tol, exclude_band=thresholds)
         for theta, sigma, u, rep in samples:
-            tf = torsion_via_formula(rep, tol)
-            tl = torsion_via_limit(rep, tol)
+            tp = torsion_polynomial(rep, tol=tol)
+            tf = torsion_via_formula(tp)
+            tl = torsion_via_limit(tp)
             consistency_worst = max(
                 consistency_worst, abs(tf - tl) / max(1.0, abs(tl))
             )
@@ -503,17 +509,14 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
                 tai0.numerator * tai1.denominator, tai1.numerator * tai0.denominator
             ),
         )
+        base = torsion_via_limit(torsion_polynomial(rep, tol=tol))
         for _ in range(3):
-            g = _random_su2(rng)
-            conj = rep.conjugated(g)
-            tc = torsion_via_limit(conj, tol)
-            tl = torsion_via_limit(rep, tol)
-            conj_worst = max(conj_worst, abs(tc - tl) / max(1.0, abs(tl)))
+            conj = rep.conjugated(_random_su2(rng))
+            tc = torsion_via_limit(torsion_polynomial(conj, tol=tol))
+            conj_worst = max(conj_worst, abs(tc - base) / max(1.0, abs(base)))
         flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s, tol=tol.relation)
-        twist_worst = max(
-            twist_worst,
-            abs(torsion_via_limit(flipped, tol) - torsion_via_limit(rep, tol)),
-        )
+        tflip = torsion_via_limit(torsion_polynomial(flipped, tol=tol))
+        twist_worst = max(twist_worst, abs(tflip - base))
     rows.append(
         CheckRow("torsion: limit vs derivative formula", consistency_worst, tol.consistency,
                  consistency_worst <= tol.consistency)
@@ -532,7 +535,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
         signs = set()
         worst = 0.0
         for theta, sigma, u, rep in samples:
-            value = torsion_via_formula(rep, tol).real
+            value = torsion_via_formula(torsion_polynomial(rep, tol=tol)).real
             target = closed_form_5_2(sigma, u)
             signs.add(1 if value * target > 0 else -1)
             worst = max(worst, abs(abs(value) - abs(target)) / max(1.0, abs(target)))
@@ -603,7 +606,7 @@ def _emit(text: str, args) -> None:
 
 
 def _rep_from_args(args, p: Presentation, tol: Tolerances) -> Rep:
-    phi = riley_polynomial(p.bridge_word)
+    phi = _two_bridge_phi(p, args.command)
     sols = su2_solutions(phi, args.theta, tol.relation, multiplicity_threshold=tol.multiplicity)
     if not sols.roots:
         raise RepresentationError(f"no SU(2) solutions at theta={args.theta}")
@@ -616,13 +619,9 @@ def _rep_from_args(args, p: Presentation, tol: Tolerances) -> Rep:
 
 def cmd_riley_poly(args) -> int:
     if getattr(args, "word", None) is not None:
-        w = parse_word(args.word, ("x", "y"))
+        phi = riley_polynomial(parse_word(args.word, ("x", "y")))
     else:
-        p = _resolve_presentation(args)
-        if p.bridge_word is None:
-            raise PresentationError("presentation has no two-bridge word")
-        w = p.bridge_word
-    phi = riley_polynomial(w)
+        phi = _two_bridge_phi(_resolve_presentation(args), "riley-poly")
     if args.format == "json":
         _emit(json.dumps(phi.to_json(), indent=2) + "\n", args)
         return 0
@@ -696,7 +695,7 @@ def cmd_sweep(args) -> int:
 def cmd_critical(args) -> int:
     p = _resolve_presentation(args)
     tol = _tolerances_from(args)
-    phi = riley_polynomial(p.bridge_word)
+    phi = _two_bridge_phi(p, "critical")
     if args.theta_lo is None or args.theta_hi is None:
         lo, hi = auto_theta_range(phi)
     else:

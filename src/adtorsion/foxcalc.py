@@ -91,14 +91,6 @@ class GroupRingElt:
         return " ".join(parts).lstrip("+ ")
 
 
-def ring_add(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a + b
-
-
-def ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a * b
-
-
 def fox_derivative(r: Word, j: int) -> GroupRingElt:
     """Derivative of a freely reduced word with respect to generator ``j``.
 

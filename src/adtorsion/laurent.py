@@ -288,20 +288,6 @@ class LaurentMatrix:
         self.entries: tuple[tuple[LaurentPoly, ...], ...] = tuple(rows)
         self.size = n
 
-    @classmethod
-    def identity(cls, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_complex(cls, m: np.ndarray, t_exponent: int = 0) -> "LaurentMatrix":
-        """Scalar matrix times ``t^e`` as a Laurent matrix."""
-        n = m.shape[0]
-        return cls(
-            [[LaurentPoly.term(complex(m[i, j]), t_exponent) for j in range(n)] for i in range(n)]
-        )
-
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries[i][j]
 
@@ -321,10 +307,8 @@ class LaurentMatrix:
         """Determinant; cofactor expansion for small sizes, otherwise
         evaluation at roots of unity + FFT interpolation with a certified
         degree bound (sum over rows of the row's maximal degree span)."""
-        if self.size == 0:
-            return LaurentPoly.one()
         if self.size <= _COFACTOR_MAX:
-            det = _det_cofactor(self.entries)
+            det = _det_cofactor(self.entries, LaurentPoly)
             return LaurentPoly(det.offset, det.coeffs, cleanup=cleanup)
         return self._det_interpolation(cleanup)
 
@@ -358,19 +342,24 @@ class LaurentMatrix:
         return f"LaurentMatrix(size={self.size})"
 
 
-def _det_cofactor(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
+def _det_cofactor(rows: Sequence[Sequence], ring: type):
+    """Cofactor expansion along the first row over ``ring`` (LaurentPoly or
+    IntLaurent): exact for integer entries, and a fixed floating-point
+    operation order for complex ones."""
     n = len(rows)
+    if n == 0:
+        return ring.one()
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LaurentPoly.zero()
+    acc = ring.zero()
     rest = rows[1:]
     for j, top in enumerate(rows[0]):
         if top.is_zero:
             continue
         minor = tuple(tuple(r[c] for c in range(n) if c != j) for r in rest)
-        term = top * _det_cofactor(minor)
+        term = top * _det_cofactor(minor, ring)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
 

@@ -479,9 +479,9 @@ def _mat_inverse(m: np.ndarray) -> np.ndarray:
 class Rep:
     """A matrix representation of a presentation's group, with diagnostics.
 
-    Construct through :func:`make_rep` or :func:`build_rep`; `images` holds
-    one 2x2 complex matrix per generator.  Values are immutable by
-    convention.
+    Construct from one 2x2 complex matrix per generator, or through
+    :func:`build_rep` for Riley's parametrization; `images` holds the
+    matrices.  Values are immutable by convention.
     """
 
     __slots__ = (
@@ -554,9 +554,6 @@ class Rep:
         sigma = 2.0 * self.s.real / abs(self.s)
         return sigma - 2.0 - INTERVAL_SLACK <= self.u.real <= INTERVAL_SLACK
 
-    def image(self, index: int) -> np.ndarray:
-        return self.images[index]
-
     def of_word(self, w: Word) -> np.ndarray:
         acc = np.eye(2, dtype=complex)
         for g, e in w.letters:
@@ -579,19 +576,6 @@ class Rep:
             tol=max(tol, 10 * max(self.relator_residuals, default=0.0)),
             check=False,
         )
-
-
-def make_rep(
-    p: Presentation,
-    images: Sequence[np.ndarray],
-    *,
-    tol: float = 1e-9,
-    check: bool = True,
-    s: complex | None = None,
-    u: complex | None = None,
-    sqrt_s: complex | None = None,
-) -> Rep:
-    return Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=check)
 
 
 def build_rep(

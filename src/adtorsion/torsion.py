@@ -8,7 +8,8 @@ det Phi(x_j - 1) is the twisted Alexander invariant (a rational function up
 to +-t^m), and the torsion number is recovered either from the second
 derivative of the numerator at t = 1 or from the limit of the invariant
 divided by (t - 1).  Both routes are kept so they can cross-check each other
-at runtime.
+at runtime; they and the diagnostics read one :class:`TorsionPolynomial`,
+so the polynomial is built once per representation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
+    _det_cofactor,
     divide_out_simple_roots,
 )
 from .presentation import Presentation, PresentationError
@@ -169,111 +171,123 @@ def twisted_alexander_invariant(
     return RationalFunction(num, den)
 
 
-def _drop_or_meridian(rep: Rep, drop: int | None) -> int:
-    j = rep.presentation.meridian if drop is None else drop
-    if rep.presentation.alpha[j] != 1:
+@dataclass(frozen=True)
+class TorsionPolynomial:
+    """The torsion polynomial of one representation, built once by
+    :func:`torsion_polynomial`, with everything both torsion routes and the
+    diagnostics read from it.
+
+    ``quotient`` and ``remainders`` come from the double synthetic division
+    of ``delta`` by (t - 1)^2; ``parity`` is the sign that makes values
+    independent of which meridian was dropped.
+    """
+
+    rep: Rep
+    drop: int
+    tol: Tolerances
+    adj: AdjointImage
+    delta: LaurentPoly
+    trace_sq: complex  # Tr(rho(x_drop^2))
+    parity: float
+    quotient: LaurentPoly
+    remainders: tuple[float, ...]
+
+
+def torsion_polynomial(
+    rep: Rep, drop: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
+) -> TorsionPolynomial:
+    """Build Delta_1 for ``rep``, dropping the meridian by default; raises
+    RegularityError when the dropped generator is not a meridian."""
+    p = rep.presentation
+    j = p.meridian if drop is None else drop
+    if p.alpha[j] != 1:
         raise RegularityError(
             "dropped generator must be a meridian (abelianization exponent 1)"
         )
-    return j
-
-
-def _boundary_trace(rep: Rep, j: int) -> complex:
+    adj = adjoint_images(rep)
+    delta = homology_torsion(rep, drop=j, adj=adj, cleanup=tol.cleanup)
+    quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
     m = rep.images[j]
-    return complex(np.trace(m @ m))
-
-
-def _check_boundary_trace(rep: Rep, j: int, tol: Tolerances) -> complex:
-    tr = _boundary_trace(rep, j)
-    if abs(tr - 2.0) <= tol.relation:
-        raise RegularityError("parabolic/degenerate boundary trace: Tr(rho(x1^2)) = 2")
-    return tr
-
-
-def _drop_parity(rep: Rep, j: int) -> float:
     # swapping the dropped generator moves an odd number (3) of columns
     # through the block matrix, so the determinant ratio alternates sign;
     # normalizing to the meridian drop makes the value drop-independent
-    return -1.0 if (j - rep.presentation.meridian) % 2 else 1.0
+    parity = -1.0 if (j - p.meridian) % 2 else 1.0
+    return TorsionPolynomial(
+        rep=rep,
+        drop=j,
+        tol=tol,
+        adj=adj,
+        delta=delta,
+        trace_sq=complex(np.trace(m @ m)),
+        parity=parity,
+        quotient=quotient,
+        remainders=tuple(remainders),
+    )
 
 
-def torsion_via_formula(
-    rep: Rep, tol: Tolerances = DEFAULT_TOLERANCES, drop: int | None = None
-) -> complex:
+def _boundary_denominator(tp: TorsionPolynomial) -> complex:
+    if abs(tp.trace_sq - 2.0) <= tp.tol.relation:
+        raise RegularityError("parabolic/degenerate boundary trace: Tr(rho(x1^2)) = 2")
+    return tp.trace_sq - 2.0
+
+
+def torsion_via_formula(tp: TorsionPolynomial) -> complex:
     """Torsion from the second derivative of the torsion polynomial at 1:
-    (Delta''(1)/2) / (Tr(rho(x1^2)) - 2), dropping the meridian by default."""
-    j = _drop_or_meridian(rep, drop)
-    tr = _check_boundary_trace(rep, j, tol)
-    delta = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
-    half_second = delta.derivative(2).evaluate(1.0) / 2.0
-    return _drop_parity(rep, j) * half_second / (tr - 2.0)
+    (Delta''(1)/2) / (Tr(rho(x1^2)) - 2)."""
+    denominator = _boundary_denominator(tp)
+    half_second = tp.delta.derivative(2).evaluate(1.0) / 2.0
+    return tp.parity * half_second / denominator
 
 
-def torsion_via_limit(
-    rep: Rep, tol: Tolerances = DEFAULT_TOLERANCES, drop: int | None = None
-) -> complex:
+def torsion_via_limit(tp: TorsionPolynomial) -> complex:
     """Torsion as minus the limit of the twisted Alexander invariant over
-    (t - 1) at t = 1, via exact double synthetic division of the numerator.
+    (t - 1) at t = 1, read off the exact double synthetic division.
 
     Raises RegularityError when the division remainders show the invariant
     does not have a (simple) zero at t = 1.
     """
-    j = _drop_or_meridian(rep, drop)
-    tr = _check_boundary_trace(rep, j, tol)
-    delta = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
-    scale = delta.max_abs
+    denominator = _boundary_denominator(tp)
+    scale = tp.delta.max_abs
     if scale == 0.0:
         raise RegularityError("torsion polynomial is identically zero")
-    quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
-    if max(remainders) > tol.simple_zero * scale:
+    if max(tp.remainders) > tp.tol.simple_zero * scale:
         raise RegularityError("not a simple zero: rho may not be lambda-regular")
-    return _drop_parity(rep, j) * quotient.evaluate(1.0) / (tr - 2.0)
+    return tp.parity * tp.quotient.evaluate(1.0) / denominator
 
 
-def naive_limit(
-    rep: Rep,
-    step: float = 1e-5,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    drop: int | None = None,
-) -> complex:
-    """First-order numeric version of the limit, for diagnostics only."""
-    tai = twisted_alexander_invariant(rep, drop=drop, cleanup=tol.cleanup)
-    return -tai.evaluate(1.0 + step) / step
+def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
+    """First-order numeric version of the limit, for diagnostics only; the
+    only reading that needs the boundary factor det Phi(x_drop - 1)."""
+    den = boundary_factor(tp.rep, j=tp.drop, adj=tp.adj, cleanup=tp.tol.cleanup)
+    return -RationalFunction(tp.delta, den).evaluate(1.0 + step) / step
 
 
-def regularity_diagnostics(
-    rep: Rep,
-    drop: int | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> dict:
+def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     """Numerical proxies for the hypotheses behind the torsion value.
 
     A simple zero of the invariant at t = 1 plus irreducibility plus a
     non-parabolic boundary trace is only a proxy for lambda-regularity, and
     is labeled as such.
     """
-    j = _drop_or_meridian(rep, drop)
-    delta = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
+    delta = tp.delta
+    tol = tp.tol
     scale = delta.max_abs
-    d_at_1 = abs(delta.evaluate(1.0))
-    dprime_at_1 = abs(delta.derivative(1).evaluate(1.0))
-    quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
-    reduced_at_1 = abs(quotient.evaluate(1.0))
-    divides = scale > 0.0 and max(remainders) <= tol.simple_zero * scale
+    reduced_at_1 = abs(tp.quotient.evaluate(1.0))
+    divides = scale > 0.0 and max(tp.remainders) <= tol.simple_zero * scale
     simple_zero = divides and reduced_at_1 > tol.regular_floor * scale
-    tr = _boundary_trace(rep, j)
-    denominator_ok = abs(tr - 2.0) > tol.relation
+    denominator_ok = abs(tp.trace_sq - 2.0) > tol.relation
+    irreducible = tp.rep.irreducible
     return {
         "scale": scale,
-        "delta1_at_1": d_at_1,
-        "delta1_prime_at_1": dprime_at_1,
+        "delta1_at_1": abs(delta.evaluate(1.0)),
+        "delta1_prime_at_1": abs(delta.derivative(1).evaluate(1.0)),
         "reduced_at_1": reduced_at_1,
-        "division_remainders": list(remainders),
+        "division_remainders": list(tp.remainders),
         "simple_zero": simple_zero,
-        "trace_x1_sq": tr,
+        "trace_x1_sq": tp.trace_sq,
         "denominator_ok": denominator_ok,
-        "irreducible": rep.irreducible,
-        "lambda_regular_proxy": simple_zero and denominator_ok and rep.irreducible,
+        "irreducible": irreducible,
+        "lambda_regular_proxy": simple_zero and denominator_ok and irreducible,
     }
 
 
@@ -307,30 +321,33 @@ def compute_torsion(
     tol: Tolerances = DEFAULT_TOLERANCES,
     drop: int | None = None,
 ) -> TorsionResult:
-    """Run both torsion routes with diagnostics; never raises on regularity
-    failures (the diagnostics record them), only on structural errors.
+    """Run both torsion routes with diagnostics, all read from one
+    :class:`TorsionPolynomial`; never raises on regularity failures (the
+    diagnostics record them), only on structural errors and a dropped
+    generator that is not a meridian.
 
     The limit route is the preferred value; the formula route cross-checks
     it whenever both are available.
     """
-    diagnostics = regularity_diagnostics(rep, drop=drop, tol=tol)
+    tp = torsion_polynomial(rep, drop=drop, tol=tol)
+    diagnostics = regularity_diagnostics(tp)
 
     formula_value: complex | None
     limit_value: complex | None
     try:
-        formula_value = torsion_via_formula(rep, tol, drop=drop)
+        formula_value = torsion_via_formula(tp)
     except RegularityError:
         formula_value = None
     try:
-        limit_value = torsion_via_limit(rep, tol, drop=drop)
+        limit_value = torsion_via_limit(tp)
     except RegularityError:
         limit_value = None
 
     step = 1e-5
     try:
-        naive = naive_limit(rep, step=step, tol=tol, drop=drop)
+        naive = naive_limit(tp, step=step)
         tai_near_1 = abs(naive) * step
-    except (RegularityError, ZeroDivisionError):
+    except ZeroDivisionError:
         naive = None
         tai_near_1 = float("nan")
 
@@ -346,7 +363,6 @@ def compute_torsion(
         err = abs(formula_value - limit_value)
         consistency_ok = err <= tol.consistency * max(1.0, abs(limit_value))
 
-    diagnostics = dict(diagnostics)
     diagnostics["tai_at_1"] = tai_near_1
     diagnostics["naive_limit"] = naive
     diagnostics["consistency_ok"] = consistency_ok
@@ -370,23 +386,6 @@ def _abelianized(elt: GroupRingElt, p: Presentation) -> IntLaurent:
     return acc
 
 
-def _int_det(rows: tuple[tuple[IntLaurent, ...], ...]) -> IntLaurent:
-    n = len(rows)
-    if n == 0:
-        return IntLaurent.one()
-    if n == 1:
-        return rows[0][0]
-    acc = IntLaurent.zero()
-    rest = rows[1:]
-    for j, top in enumerate(rows[0]):
-        if top.is_zero:
-            continue
-        minor = tuple(tuple(r[c] for c in range(n) if c != j) for r in rest)
-        term = top * _int_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def untwisted_alexander(p: Presentation, drop: int | None = None) -> IntLaurent:
     """Classical Alexander polynomial from the abelianized Fox matrix,
     exact and unit-normalized (lowest exponent 0, positive lowest term)."""
@@ -399,7 +398,7 @@ def untwisted_alexander(p: Presentation, drop: int | None = None) -> IntLaurent:
     matrix = tuple(
         tuple(_abelianized(fox_derivative(r, i), p) for r in p.relators) for i in rows
     )
-    return _int_det(matrix).unit_normalized()
+    return _det_cofactor(matrix, IntLaurent).unit_normalized()
 
 
 def alexander_at_minus_one(p: Presentation) -> int:

@@ -36,6 +36,7 @@ from adtorsion.torsion import (
     boundary_factor,
     dihedral_class_count,
     homology_torsion,
+    torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,
     twisted_alexander_invariant,
@@ -53,6 +54,10 @@ def _report(n: int, detail: str) -> None:
 
 def _su2_rep(p, theta, u):
     return build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), tol=TOL.relation)
+
+
+def _limit(rep):
+    return torsion_via_limit(torsion_polynomial(rep, tol=TOL))
 
 
 def _five_two_samples(minimum=60):
@@ -99,7 +104,7 @@ def test_acceptance_2_five_two_closed_form():
     samples = _five_two_samples(60)
     ratios = []
     for theta, sigma, u, rep in samples:
-        value = torsion_via_formula(rep, TOL).real
+        value = torsion_via_formula(torsion_polynomial(rep, tol=TOL)).real
         target = (
             -(5 * sigma + 3) * u * u
             + (5 * sigma * sigma - 7 * sigma + 1) * u
@@ -129,12 +134,14 @@ def test_acceptance_3_limit_equals_derivative():
             samples.append((theta, 2 * math.cos(theta), u, _su2_rep(trefoil, theta, u)))
     worst_consistency = 0.0
     for theta, sigma, u, rep in samples:
-        tl = torsion_via_limit(rep, TOL)
-        tf = torsion_via_formula(rep, TOL)
+        tp = torsion_polynomial(rep, tol=TOL)
+        tl = torsion_via_limit(tp)
+        tf = torsion_via_formula(tp)
         worst_consistency = max(
             worst_consistency, abs(tl - tf) / max(1.0, abs(tl))
         )
-        delta = homology_torsion(rep, cleanup=TOL.cleanup)
+        delta = tp.delta
+        assert delta == homology_torsion(rep, cleanup=TOL.cleanup)
         scale = delta.max_abs
         assert abs(delta.evaluate(1.0)) <= 1e-9 * scale
         assert abs(delta.derivative().evaluate(1.0)) <= 1e-9 * scale
@@ -218,7 +225,7 @@ def test_acceptance_6_critical_points():
         assert len(sols.roots) == expected_count
         for u in sols.roots:
             value, _ = (
-                torsion_via_limit(_su2_rep(p, math.pi, u), TOL).real,
+                _limit(_su2_rep(p, math.pi, u)).real,
                 u,
             )
             deriv = _branch_derivative(p, phi, math.pi, u, TOL)
@@ -265,7 +272,7 @@ def test_acceptance_7_property_suites():
     theta = 3.0
     for u in su2_solutions(phi, theta, TOL.relation).roots:
         rep = _su2_rep(p, theta, u)
-        base = torsion_via_limit(rep, TOL)
+        base = _limit(rep)
         for _ in range(3):
             a, b, c, d = (rng.gauss(0, 1) for _ in range(4))
             n = math.sqrt(a * a + b * b + c * c + d * d)
@@ -274,7 +281,7 @@ def test_acceptance_7_property_suites():
             )
             conj_worst = max(
                 conj_worst,
-                abs(torsion_via_limit(rep.conjugated(g), TOL) - base) / max(1.0, abs(base)),
+                abs(_limit(rep.conjugated(g)) - base) / max(1.0, abs(base)),
             )
     assert conj_worst <= 1e-8
 
@@ -282,8 +289,8 @@ def test_acceptance_7_property_suites():
     u = su2_solutions(phi, theta, TOL.relation).roots[1]
     rep = _su2_rep(p, theta, u)
     flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s, tol=TOL.relation)
-    assert torsion_via_limit(flipped, TOL) == torsion_via_limit(rep, TOL)
-    branch_err = abs(torsion_via_limit(flipped, TOL) - torsion_via_limit(rep, TOL))
+    assert _limit(flipped) == _limit(rep)
+    branch_err = abs(_limit(flipped) - _limit(rep))
 
     # t^m-invariance of the derivative at a zero (exact up to 1e-12)
     tm_worst = 0.0

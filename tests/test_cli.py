@@ -206,3 +206,14 @@ def test_verify_passes(capsys):
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
+
+
+def test_commands_reject_non_two_bridge_presentation(tmp_path, capsys):
+    path = tmp_path / "wirtinger.txt"
+    path.write_text("gens: x y\nrel: x y x y^-1 x^-1 y^-1\n", encoding="utf-8")
+    point = ("--theta", "2.5")
+    window = ("--theta-lo", "2.0", "--theta-hi", "3.0")
+    for command, extra in (("tai", point), ("torsion", point), ("critical", ()), ("sweep", window)):
+        code, _, err = run_cli(capsys, command, "--presentation", str(path), *extra)
+        assert code == 1
+        assert err == f"error: {command} needs a two-bridge presentation\n"

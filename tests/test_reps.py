@@ -9,12 +9,12 @@ from adtorsion import catalog
 from adtorsion.intlaurent import IntLaurent
 from adtorsion.presentation import Presentation
 from adtorsion.reps import (
+    Rep,
     RepresentationError,
     RileyPoly,
     adjoint_images,
     adjoint_of_matrix,
     build_rep,
-    make_rep,
     near_transition,
     riley_assignment,
     riley_polynomial,
@@ -325,14 +325,14 @@ def test_zero_set_matches_representations():
                     build_rep(p, cmath.exp(1j * theta), u + 2e-3, cmath.exp(0.5j * theta))
 
 
-def test_make_rep_from_raw_matrices():
+def test_rep_from_raw_matrices():
     p = catalog.knot("trefoil")
     phi = riley_polynomial(p.bridge_word)
     theta = 2.2
     u = su2_solutions(phi, theta).roots[0]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-    again = make_rep(p, rep.images)
+    again = Rep(p, rep.images)
     assert max(again.relator_residuals) <= 1e-10
     assert again.irreducible
     with pytest.raises(RepresentationError):
-        make_rep(p, [np.eye(2), np.array([[1, 1], [0, 1]])])
+        Rep(p, [np.eye(2), np.array([[1, 1], [0, 1]])])

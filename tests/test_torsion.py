@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from adtorsion import catalog
+from adtorsion import catalog, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
 from adtorsion.intlaurent import IntLaurent
 from adtorsion.laurent import LaurentPoly, divide_out_simple_roots, unit_aligned_distance
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator
-from adtorsion.reps import adjoint_images, build_rep, make_rep, riley_polynomial, su2_solutions
+from adtorsion.reps import Rep, adjoint_images, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
     RegularityError,
     Tolerances,
@@ -22,6 +22,7 @@ from adtorsion.torsion import (
     naive_limit,
     phi_of,
     regularity_diagnostics,
+    torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,
     twisted_alexander_invariant,
@@ -30,6 +31,14 @@ from adtorsion.torsion import (
 from adtorsion.words import Word, parse_word
 
 TOL = Tolerances()
+
+
+def formula(rep, drop=None):
+    return torsion_via_formula(torsion_polynomial(rep, drop=drop, tol=TOL))
+
+
+def limit(rep, drop=None):
+    return torsion_via_limit(torsion_polynomial(rep, drop=drop, tol=TOL))
 
 
 def closed_form_5_2(sigma, u):
@@ -93,7 +102,7 @@ def test_block_matrix_five_two_is_single_block():
 
 def test_block_matrix_requires_deficiency_one():
     p = Presentation(("x", "y"), ())
-    rep = make_rep(p, [np.eye(2), np.eye(2)])
+    rep = Rep(p, [np.eye(2), np.eye(2)])
     with pytest.raises(PresentationError):
         alexander_block_matrix(rep)
 
@@ -113,7 +122,7 @@ def test_homology_torsion_double_zero_at_su2_points():
 def test_homology_torsion_reducible_point_fails_simple_zero():
     p = catalog.knot("5_2")
     rep = build_rep(p, 1.0, 0.0, sqrt_s=1.0, check=False)
-    diag = regularity_diagnostics(rep)
+    diag = regularity_diagnostics(torsion_polynomial(rep))
     assert not diag["simple_zero"]
     assert not diag["lambda_regular_proxy"]
 
@@ -139,7 +148,7 @@ def test_tai_denominator_and_evaluation():
 def test_torsion_formula_matches_closed_form_up_to_global_sign():
     values = []
     for rep, sigma, u in sample_five_two():
-        got = torsion_via_formula(rep, TOL).real
+        got = formula(rep).real
         want = closed_form_5_2(sigma, u)
         values.append(got / want)
     signs = {1 if v > 0 else -1 for v in values}
@@ -160,7 +169,7 @@ def test_torsion_at_dihedral_points_frozen_values():
     }
     for u in sols.roots:
         rep = build_rep(p, cmath.exp(1j * math.pi), u, sqrt_s=1j)
-        value = torsion_via_formula(rep, TOL).real
+        value = formula(rep).real
         want = min(frozen.items(), key=lambda kv: abs(kv[0] - u))[1]
         assert abs(abs(value) - abs(want)) <= 1e-8 * abs(want)
         assert abs(7 * (u * u + 5 * u + 3) - want) <= 1e-8 * abs(want)
@@ -173,8 +182,9 @@ def test_limit_and_formula_agree():
         rep, _, u = su2_rep(t, theta)
         samples.append((rep, None, u))
     for rep, _, _ in samples:
-        tf = torsion_via_formula(rep, TOL)
-        tl = torsion_via_limit(rep, TOL)
+        tp = torsion_polynomial(rep, tol=TOL)
+        tf = torsion_via_formula(tp)
+        tl = torsion_via_limit(tp)
         assert abs(tf - tl) <= 1e-6 * max(1.0, abs(tl))
 
 
@@ -183,10 +193,11 @@ def test_naive_limit_first_order_control():
     # cancellation in the numerator dominates (coefficients O(10^3) versus a
     # value O(step^2)); the 1e-3 control holds where roundoff permits
     for rep, _, _ in sample_five_two(thetas=(2.75,), all_roots=True):
-        exact = torsion_via_limit(rep, TOL)
-        approx = naive_limit(rep, step=1e-4)
+        tp = torsion_polynomial(rep, tol=TOL)
+        exact = torsion_via_limit(tp)
+        approx = naive_limit(tp, step=1e-4)
         assert abs(approx - exact) <= 1e-3 * max(1.0, abs(exact))
-        noisy = naive_limit(rep, step=1e-5)
+        noisy = naive_limit(tp, step=1e-5)
         assert abs(noisy - exact) <= 5e-2 * max(1.0, abs(exact))
 
 
@@ -221,7 +232,7 @@ def _tietze_extended_trefoil(rng, extra_generators):
             acc = acc @ (images[g] if e == 1 else np.linalg.inv(images[g]))
         images.append(acc @ images[target] @ np.linalg.inv(acc))
     p_ext = Presentation(tuple(gens), tuple(relators), meridian=0)
-    return make_rep(p_ext, images, tol=1e-8), base
+    return Rep(p_ext, images, tol=1e-8), base
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3])
@@ -240,6 +251,10 @@ def test_wada_invariance_across_dropped_generators(extra):
         lhs = ratios[0][0] * ratios[i][1]
         rhs = ratios[i][0] * ratios[0][1]
         assert unit_aligned_distance(lhs, rhs) <= 1e-8
+    # the classical polynomial of the same presentation: exact integer
+    # determinants of size k - 1, whichever generator is dropped
+    for j in range(k):
+        assert untwisted_alexander(rep.presentation, drop=j) == untwisted_alexander(base.presentation)
 
 
 def test_wada_invariance_across_presentations():
@@ -257,7 +272,7 @@ def test_wada_invariance_across_presentations():
 def test_conjugation_invariance():
     rng = random.Random(41)
     for rep, _, _ in sample_five_two(thetas=(2.85,), all_roots=True):
-        base = torsion_via_limit(rep, TOL)
+        base = limit(rep)
         for _ in range(3):
             a, b, c, d = (rng.gauss(0, 1) for _ in range(4))
             n = math.sqrt(a * a + b * b + c * c + d * d)
@@ -265,7 +280,7 @@ def test_conjugation_invariance():
                 [[complex(a, b) / n, complex(c, d) / n], [complex(-c, d) / n, complex(a, -b) / n]]
             )
             conj = rep.conjugated(g)
-            assert abs(torsion_via_limit(conj, TOL) - base) <= 1e-8 * max(1.0, abs(base))
+            assert abs(limit(conj) - base) <= 1e-8 * max(1.0, abs(base))
 
 
 def test_sign_twist_invariance_exact():
@@ -273,25 +288,27 @@ def test_sign_twist_invariance_exact():
     # (all exponent sums vanish) and leaves the adjoint untouched
     p = catalog.knot("5_2")
     rep, _, _ = su2_rep(p, 2.95)
-    twisted = make_rep(p, [-m for m in rep.images], s=rep.s, u=rep.u)
-    assert torsion_via_limit(twisted, TOL) == torsion_via_limit(rep, TOL)
+    twisted = Rep(p, [-m for m in rep.images], s=rep.s, u=rep.u)
+    assert limit(twisted) == limit(rep)
     # the -sqrt(s) branch is the same twist
     flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s)
-    assert torsion_via_limit(flipped, TOL) == torsion_via_limit(rep, TOL)
+    assert limit(flipped) == limit(rep)
 
 
 def test_formula_requires_nonparabolic_boundary():
     p = catalog.knot("5_2")
     rep = build_rep(p, 1.0, 0.0, sqrt_s=1.0, check=False)  # trace of x^2 is 2
     with pytest.raises(RegularityError, match="parabolic"):
-        torsion_via_formula(rep, TOL)
+        formula(rep)
+    with pytest.raises(RegularityError, match="parabolic"):
+        limit(rep)
 
 
 def test_limit_rejects_non_simple_zero():
     p = catalog.knot("5_2")
     rep = build_rep(p, 1.0, 0.25, sqrt_s=1.0, check=False)
     with pytest.raises(RegularityError):
-        torsion_via_limit(rep, TOL)
+        limit(rep)
 
 
 def test_compute_torsion_result_payload():
@@ -309,6 +326,32 @@ def test_compute_torsion_result_payload():
     assert isinstance(payload["diagnostics"]["simple_zero"], bool)
 
 
+def test_compute_torsion_builds_delta_once(monkeypatch):
+    rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
+    calls = {"homology_torsion": 0, "adjoint_images": 0}
+    for name in calls:
+        original = getattr(torsion, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(torsion, name, counted)
+    compute_torsion(rep, TOL)
+    assert calls == {"homology_torsion": 1, "adjoint_images": 1}
+
+
+def test_compute_torsion_reads_the_standalone_routes():
+    for rep, _, _ in sample_five_two(thetas=(2.6, math.pi), all_roots=True):
+        tp = torsion_polynomial(rep, tol=TOL)
+        result = compute_torsion(rep, TOL)
+        assert result.formula_value == torsion_via_formula(tp)
+        assert result.limit_value == torsion_via_limit(tp)
+        diagnostics = regularity_diagnostics(tp)
+        assert {k: result.diagnostics[k] for k in diagnostics} == diagnostics
+        assert result.diagnostics["naive_limit"] == naive_limit(tp)
+
+
 def test_compute_torsion_degenerate_point_is_not_an_error():
     p = catalog.knot("5_2")
     rep = build_rep(p, 1.0, 0.0, sqrt_s=1.0, check=False)
@@ -323,18 +366,20 @@ def test_torsion_value_independent_of_dropped_meridian():
     # both generators of a two-bridge presentation are meridians, so either
     # drop gives the same torsion value
     rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
-    v0 = torsion_via_limit(rep, TOL, drop=0)
-    v1 = torsion_via_limit(rep, TOL, drop=1)
+    v0 = limit(rep, drop=0)
+    v1 = limit(rep, drop=1)
     assert abs(v0 - v1) <= 1e-8 * max(1.0, abs(v0))
-    f1 = torsion_via_formula(rep, TOL, drop=1)
+    f1 = formula(rep, drop=1)
     assert abs(f1 - v0) <= 1e-6 * max(1.0, abs(v0))
 
 
 def test_drop_requires_meridian_weight():
     skew = Presentation(("a", "b"), (parse_word("a b a^-1 b^-1", ["a", "b"]),), alpha=(2, -2))
-    skew_rep = make_rep(skew, [np.diag([1.3, 1 / 1.3]), np.diag([0.7, 1 / 0.7])])
+    skew_rep = Rep(skew, [np.diag([1.3, 1 / 1.3]), np.diag([0.7, 1 / 0.7])])
     with pytest.raises(RegularityError, match="meridian"):
-        torsion_via_formula(skew_rep, TOL)
+        torsion_polynomial(skew_rep, tol=TOL)
+    with pytest.raises(RegularityError, match="meridian"):
+        compute_torsion(skew_rep, TOL)
 
 
 def test_sl2c_nonunitary_point():
@@ -350,8 +395,8 @@ def test_sl2c_nonunitary_point():
         rep = build_rep(p, s, complex(u), math.sqrt(s))
         assert max(rep.relator_residuals) <= 1e-9
         assert rep.special_linear and not rep.su2_params
-        tf = torsion_via_formula(rep, TOL)
-        tl = torsion_via_limit(rep, TOL)
+        tf = formula(rep)
+        tl = limit(rep)
         assert abs(tf - tl) <= 1e-6 * max(1.0, abs(tl))
 
 
