@@ -55,6 +55,11 @@ class BranchTrackingError(RuntimeError):
     """Root continuation lost the branch (typically across a root merge)."""
 
 
+# what one branch evaluation can raise; a critical search drops the sample or
+# the sign change and notes why, and keeps going
+_BRANCH_ERRORS = (BranchTrackingError, RegularityError, RepresentationError)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -289,7 +294,7 @@ def find_critical_points(
             try:
                 g = _branch_derivative(p, phi, theta, u, tol)
                 v = _torsion_on_branch(p, phi, theta, u, tol)[0]
-            except (BranchTrackingError, RegularityError, RepresentationError):
+            except _BRANCH_ERRORS:
                 derivs.append(None)
                 continue
             derivs.append(g)
@@ -310,15 +315,28 @@ def find_critical_points(
             )
             if theta_lo_b <= math.pi <= theta_hi_b:
                 u_guess = min(branch, key=lambda tu: abs(tu[0] - math.pi))[1]
-                points.append(_critical_point(p, phi, math.pi, u_guess, tol))
+                try:
+                    points.append(_critical_point(p, phi, math.pi, u_guess, tol))
+                except _BRANCH_ERRORS as exc:
+                    notes.append(
+                        f"dropped the flat-branch point over [{theta_lo_b:.4f}, "
+                        f"{theta_hi_b:.4f}]: {exc}"
+                    )
             continue
         for i1, i2 in zip(usable, usable[1:]):
             ga, gb = derivs[i1], derivs[i2]
             if ga * gb < 0.0:
-                theta_star, u_star = _bisect_derivative_zero(
-                    p, phi, branch[i1][0], branch[i2][0], branch[i1][1], tol
-                )
-                pt = _critical_point(p, phi, theta_star, u_star, tol)
+                theta_a, theta_b = branch[i1][0], branch[i2][0]
+                try:
+                    theta_star, u_star = _bisect_derivative_zero(
+                        p, phi, theta_a, theta_b, branch[i1][1], tol
+                    )
+                    pt = _critical_point(p, phi, theta_star, u_star, tol)
+                except _BRANCH_ERRORS as exc:
+                    notes.append(
+                        f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {exc}"
+                    )
+                    continue
                 # report invariant: the derivative estimate at a reported
                 # point must sit below the critical threshold
                 if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
@@ -486,9 +504,10 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     wada_worst = 0.0
     conj_worst = 0.0
     twist_worst = 0.0
+    thresholds_of: dict[str, list[float]] = {}
     for name, p in presentations.items():
         phi = riley_polynomial(p.bridge_word)
-        thresholds = su2_root_count_thresholds(phi)
+        thresholds = thresholds_of[name] = su2_root_count_thresholds(phi)
         lo, hi = auto_theta_range(phi)
         thetas = theta_grid(lo + 0.05, min(hi, math.pi), 8)
         samples = _sample_reps(p, thetas, tol, exclude_band=thresholds)
@@ -528,10 +547,8 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     # 5_2 closed form up to one global sign
     if "5_2" in presentations:
         p = presentations["5_2"]
-        phi = riley_polynomial(p.bridge_word)
-        thresholds = su2_root_count_thresholds(phi)
         thetas = theta_grid(0.76, math.pi, 40)
-        samples = _sample_reps(p, thetas, tol, exclude_band=thresholds)
+        samples = _sample_reps(p, thetas, tol, exclude_band=thresholds_of["5_2"])
         signs = set()
         worst = 0.0
         for theta, sigma, u, rep in samples:
@@ -805,6 +822,7 @@ def main(argv=None) -> int:
     except (
         PresentationError,
         RepresentationError,
+        BranchTrackingError,
         WordError,
         RegularityError,
         KeyError,

@@ -9,9 +9,13 @@ d(x_j^-1)/d(x_j) = -x_j^-1.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .words import Word
+
+#: distinct (word, generator) pairs whose derivative stays memoized per process
+FOX_CACHE_SIZE = 1024
 
 
 class GroupRingElt:
@@ -91,11 +95,14 @@ class GroupRingElt:
         return " ".join(parts).lstrip("+ ")
 
 
+@functools.lru_cache(maxsize=FOX_CACHE_SIZE)
 def fox_derivative(r: Word, j: int) -> GroupRingElt:
     """Derivative of a freely reduced word with respect to generator ``j``.
 
     Single left-to-right scan accumulating prefixes: a positive letter x_j
     after prefix u contributes +u, a negative one contributes -u·x_j^-1.
+    Memoized per ``(r, j)``: equal arguments return the same shared
+    element, which callers must not mutate.
     """
     if j < 0:
         raise IndexError(f"generator index {j} out of range")

@@ -13,8 +13,9 @@ trace-zero matrices is taken in the ordered basis (E, H, F).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ from .words import Word
 REALITY_TOL = 1e-9
 INTERVAL_SLACK = 1e-9
 MULTIPLICITY_THRESHOLD = 1e-5
+
+#: distinct words whose obstruction polynomial stays memoized per process
+RILEY_CACHE_SIZE = 256
 
 BASIS_E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 BASIS_H = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -308,8 +312,13 @@ def _poly_in_u_str(form: list[list[int]], uvar: str, svar: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+@functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
 def riley_polynomial(w: Word) -> RileyPoly:
-    """Exact obstruction polynomial W_11 + (1-s) W_12 of a two-generator word."""
+    """Exact obstruction polynomial W_11 + (1-s) W_12 of a two-generator word.
+
+    Memoized per word: every call with an equal word returns the same shared
+    :class:`RileyPoly`, which callers must not mutate.
+    """
     if w.max_index() > 1:
         raise RepresentationError("word uses more than two generators")
     acc = ((_u_const(_ONE), []), ([], _u_const(_ONE)))  # identity
@@ -625,16 +634,39 @@ def adjoint_of_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjointImage:
-    """Per-generator 3x3 adjoint matrices (and inverses) of a representation."""
+    """Per-generator 3x3 adjoint matrices (and inverses) of a representation.
+
+    ``of_word`` memoizes every prefix it forms in a letter trie, so the Fox
+    terms of a relator (all prefixes of it) cost one product per letter in
+    total.  Each product is still ``eye(3)`` right-multiplied letter by
+    letter, so values do not depend on the order of the calls.  Returned
+    matrices are shared and read-only.
+    """
 
     matrices: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
+    # trie node: (Ad(rho(prefix)), {letter: child node}); the root is the empty word
+    _prefixes: tuple = field(
+        default_factory=lambda: (_read_only(np.eye(3, dtype=complex)), {}),
+        init=False, repr=False, compare=False,
+    )
 
     def of_word(self, w: Word) -> np.ndarray:
-        acc = np.eye(3, dtype=complex)
-        for g, e in w.letters:
-            acc = acc @ (self.matrices[g] if e == 1 else self.inverses[g])
-        return acc
+        node = self._prefixes
+        for letter in w.letters:
+            child = node[1].get(letter)
+            if child is None:
+                g, e = letter
+                step = self.matrices[g] if e == 1 else self.inverses[g]
+                child = (_read_only(node[0] @ step), {})
+                node[1][letter] = child
+            node = child
+        return node[0]
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def adjoint_images(rep: Rep) -> AdjointImage:

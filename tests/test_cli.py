@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from adtorsion import cli
 from adtorsion.cli import (
+    BranchTrackingError,
     SweepConfig,
     auto_theta_range,
     find_critical_points,
@@ -12,8 +18,11 @@ from adtorsion.cli import (
     sweep_rows,
 )
 from adtorsion import catalog
-from adtorsion.reps import riley_polynomial
-from adtorsion.torsion import Tolerances
+from adtorsion.foxcalc import fox_derivative
+from adtorsion.reps import RepresentationError, riley_polynomial
+from adtorsion.torsion import RegularityError, Tolerances
+
+from test_torsion import schubert_knot
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +226,70 @@ def test_commands_reject_non_two_bridge_presentation(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--presentation", str(path), *extra)
         assert code == 1
         assert err == f"error: {command} needs a two-bridge presentation\n"
+
+
+def test_branch_tracking_error_exits_1(monkeypatch, capsys):
+    def lose_branch(*args, **kwargs):
+        raise BranchTrackingError("branch jump 0.914 at theta=3.637154")
+
+    monkeypatch.setattr(cli, "find_critical_points", lose_branch)
+    code, out, err = run_cli(capsys, "critical", "--knot", "5_2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: branch jump 0.914 at theta=3.637154\n"
+
+
+@pytest.mark.parametrize("error", [BranchTrackingError, RegularityError, RepresentationError])
+def test_critical_search_drops_failed_bisection(monkeypatch, error):
+    def fail(p, phi, theta_a, theta_b, u_guess, tol):
+        raise error(f"lost at theta={theta_a:.6f}")
+
+    monkeypatch.setattr(cli, "_bisect_derivative_zero", fail)
+    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
+    # 5_2 has three dihedral sign changes on this window, each now a note
+    assert len(dropped) == 3
+    for note in dropped:
+        assert ": lost at theta=" in note
+    assert report.dihedral_count == 0
+
+
+def test_critical_search_completes_across_a_branch_jump():
+    # b(13,9): the bisection between theta 2.15 and 4.13 loses its branch;
+    # that sign change is dropped and the rest of the search still reports
+    p = schubert_knot(13, 9)
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    report = find_critical_points(p, lo, hi, 33, Tolerances())
+    assert any("branch jump" in n and n.startswith("dropped sign change") for n in report.notes)
+    assert 0 < report.dihedral_count <= 6
+    for pt in report.points:
+        assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
+
+
+def test_presentation_objects_computed_once_per_word():
+    p = catalog.knot("5_2")
+    riley_polynomial.cache_clear()
+    fox_derivative.cache_clear()
+    # the sweep drops y and the critical search drops x, so both derivatives are used
+    sweep_rows(p, SweepConfig("5_2", 2.6, 3.7, 9, drop=1))
+    find_critical_points(p, 2.7, 3.58, 9, Tolerances())
+    riley = riley_polynomial.cache_info()
+    assert riley.misses == 1  # the bridge word
+    assert riley.hits > 0
+    fox = fox_derivative.cache_info()
+    assert fox.misses == len(p.relators) * p.k  # one per (relator, generator)
+    assert fox.hits > 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-m", "adtorsion", "--version"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("adtorsion ")

@@ -9,7 +9,7 @@ from adtorsion import catalog, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
 from adtorsion.intlaurent import IntLaurent
 from adtorsion.laurent import LaurentPoly, divide_out_simple_roots, unit_aligned_distance
-from adtorsion.presentation import Presentation, PresentationError, conjugation_relator
+from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
 from adtorsion.reps import Rep, adjoint_images, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
     RegularityError,
@@ -427,3 +427,50 @@ def test_untwisted_alexander_drop_choice_is_unit():
     for name in catalog.knot_names():
         p = catalog.knot(name)
         assert untwisted_alexander(p, drop=0).equal_up_to_unit(untwisted_alexander(p, drop=1))
+
+
+def schubert_knot(p, q):
+    """b(p, q) from its Schubert word: x^e1 y^e2 ..., e_i = (-1)^floor(i q / p)."""
+    word = " ".join(
+        ("x" if i % 2 else "y") + ("^-1" if (i * q // p) % 2 else "") for i in range(1, p)
+    )
+    return two_bridge(word)
+
+
+def test_phi_of_prefix_reuse_is_exact():
+    # the prefix memo must give the very products of a from-scratch scan:
+    # eye(3) right-multiplied letter by letter, summed in term order
+    p = schubert_knot(41, 11)
+    r = p.relators[0]
+    theta = 2.3
+    u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[0]
+    rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
+    adj = adjoint_images(rep)
+    for i in (1, 0):  # the memo is filled in another order than it is read
+        elt = fox_derivative(r, i)
+        per_exponent = {}
+        for coeff, w in elt.terms:
+            m = np.eye(3, dtype=complex)
+            for g, e in w.letters:
+                m = m @ (adj.matrices[g] if e == 1 else adj.inverses[g])
+            k = p.alpha_of(w)
+            per_exponent[k] = per_exponent[k] + coeff * m if k in per_exponent else coeff * m
+        for shared in (adj, None):
+            got = phi_of(elt, rep, adj=shared)
+            for a in range(3):
+                for b in range(3):
+                    expected = LaurentPoly.from_dict(
+                        {k: mat[a, b] for k, mat in per_exponent.items()}
+                    )
+                    assert got.entry(a, b) == expected
+
+
+def test_adjoint_prefixes_are_shared_and_read_only():
+    p = catalog.knot("5_2")
+    u = su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[0]
+    adj = adjoint_images(build_rep(p, cmath.exp(2.5j), u, cmath.exp(1.25j)))
+    w = p.relators[0]
+    m = adj.of_word(w)
+    assert adj.of_word(Word(w.letters)) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
