@@ -35,6 +35,7 @@ from .reps import (
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
+    su2_root_counts,
     su2_solutions,
 )
 from .torsion import (
@@ -389,18 +390,12 @@ def _critical_point(p, phi, theta_star, u_guess, tol) -> CriticalPoint:
 
 def auto_theta_range(phi: RileyPoly, margin: float = 0.02) -> tuple[float, float]:
     """Widest theta window on which SU(2) roots exist, probed on a grid."""
-    lo = None
-    hi = None
     n = 600
-    for i in range(n):
-        theta = 0.02 + (2 * math.pi - 0.04) * i / (n - 1)
-        if su2_solutions(phi, theta).roots:
-            if lo is None:
-                lo = theta
-            hi = theta
-    if lo is None or hi is None or hi - lo < 4 * margin:
+    thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
+    found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
+    if not found or found[-1] - found[0] < 4 * margin:
         raise RepresentationError("no SU(2) representations found on the probe grid")
-    return lo + margin, hi - margin
+    return found[0] + margin, found[-1] - margin
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +485,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
             ]
             for i in range(3)
         ]
-        det = LaurentMatrix(entries).determinant()
+        det = LaurentMatrix.from_entries(entries).determinant()
         sigma = s + 1 / s
         expected = LaurentPoly(0, [-1.0, sigma + 1.0, -(sigma + 1.0), 1.0])
         lo = min(det.lo, expected.lo)

@@ -9,15 +9,11 @@ nonzero first and last coefficients.  Exact integer work lives in
 
 from __future__ import annotations
 
-import cmath
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 DEFAULT_CLEANUP = 1e-12
-
-#: cofactor expansion up to this size, evaluation-interpolation beyond
-_COFACTOR_MAX = 6
 
 
 class LaurentPoly:
@@ -274,78 +270,89 @@ def divide_out_simple_roots(
 
 
 class LaurentMatrix:
-    """Square matrix of Laurent polynomials."""
+    """Square matrix of Laurent polynomials held as one coefficient stack:
+    ``coeffs[k]`` is the n x n complex matrix multiplying ``t^(offset + k)``.
 
-    __slots__ = ("entries", "size")
+    Like :class:`LaurentPoly`, the constructor applies the relative cleanup,
+    here entry by entry: a coefficient of modulus <= cleanup * (the largest
+    modulus in its entry) is zeroed.
+    """
 
-    def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset: int, coeffs: np.ndarray, cleanup: float = DEFAULT_CLEANUP):
+        coeffs = np.array(coeffs, dtype=complex)
+        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+            raise ValueError("coefficient stack must have shape (span, n, n)")
+        if cleanup > 0.0 and coeffs.size:
+            modulus = np.abs(coeffs)
+            coeffs[modulus <= cleanup * modulus.max(axis=0)] = 0.0
+        self.offset = offset
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[Sequence[LaurentPoly]]) -> "LaurentMatrix":
         n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(tuple(row))
-        self.entries: tuple[tuple[LaurentPoly, ...], ...] = tuple(rows)
-        self.size = n
+        if any(len(row) != n for row in entries):
+            raise ValueError("matrix must be square")
+        nonzero = [p for row in entries for p in row if not p.is_zero]
+        lo = min((p.lo for p in nonzero), default=0)
+        hi = max((p.hi for p in nonzero), default=0)
+        coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, p in enumerate(row):
+                coeffs[p.lo - lo : p.lo - lo + len(p.coeffs), i, j] = p.coeffs
+        return cls(lo, coeffs, cleanup=0.0)
+
+    @property
+    def size(self) -> int:
+        return self.coeffs.shape[1]
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
+        return LaurentPoly(self.offset, self.coeffs[:, i, j], cleanup=0.0)
 
     def evaluate(self, z: complex) -> np.ndarray:
-        out = np.empty((self.size, self.size), dtype=complex)
-        for i in range(self.size):
-            for j in range(self.size):
-                out[i, j] = self.entries[i][j].evaluate(z)
-        return out
+        powers = complex(z) ** np.arange(self.offset, self.offset + len(self.coeffs))
+        return np.tensordot(powers, self.coeffs, axes=1)
 
     def with_swapped_rows(self, i: int, j: int) -> "LaurentMatrix":
-        rows = list(self.entries)
-        rows[i], rows[j] = rows[j], rows[i]
-        return LaurentMatrix(rows)
+        order = list(range(self.size))
+        order[i], order[j] = j, i
+        return LaurentMatrix(self.offset, self.coeffs[:, order], cleanup=0.0)
 
     def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> LaurentPoly:
-        """Determinant; cofactor expansion for small sizes, otherwise
-        evaluation at roots of unity + FFT interpolation with a certified
-        degree bound (sum over rows of the row's maximal degree span)."""
-        if self.size <= _COFACTOR_MAX:
-            det = _det_cofactor(self.entries, LaurentPoly)
-            return LaurentPoly(det.offset, det.coeffs, cleanup=cleanup)
-        return self._det_interpolation(cleanup)
+        """Determinant by evaluation at roots of unity and FFT interpolation.
 
-    def _det_interpolation(self, cleanup: float) -> LaurentPoly:
+        Row i has terms between t^(offset + lo_i) and t^(offset + hi_i), so
+        det is t^(n offset + sum lo_i) times a polynomial of degree at most
+        D = sum (hi_i - lo_i), the certified bound.  The stack with each row
+        shifted down by its lo_i is evaluated at the D + 1 roots of unity by
+        one FFT (t = 1 is the first sample), one batched LU determinant is
+        taken there, and one inverse FFT returns the coefficients.
+        """
         n = self.size
-        row_offsets = []
-        row_degrees = []
-        for row in self.entries:
-            los = [p.lo for p in row if not p.is_zero]
-            if not los:
-                return LaurentPoly.zero()
-            o = min(los)
-            row_offsets.append(o)
-            row_degrees.append(max(p.hi - o for p in row if not p.is_zero))
-        total_offset = sum(row_offsets)
-        bound = sum(row_degrees)
-        npts = bound + 1
-        points = [cmath.exp(2j * cmath.pi * q / npts) for q in range(npts)]
-        values = np.empty(npts, dtype=complex)
-        for q, z in enumerate(points):
-            m = np.empty((n, n), dtype=complex)
-            for i in range(n):
-                zo = z ** (-row_offsets[i])
-                for j in range(n):
-                    m[i, j] = self.entries[i][j].evaluate(z) * zo
-            values[q] = np.linalg.det(m)
-        coeffs = np.fft.fft(values) / npts
-        return LaurentPoly(total_offset, [complex(c) for c in coeffs], cleanup=cleanup)
+        if n == 0:
+            return LaurentPoly.one()
+        support = np.any(self.coeffs != 0, axis=2)  # (span, n): row i has a t^k term
+        if not support.any(axis=0).all():
+            return LaurentPoly.zero()
+        lo = support.argmax(axis=0)
+        hi = len(support) - 1 - support[::-1].argmax(axis=0)
+        shifted = np.zeros((int((hi - lo).sum()) + 1, n, n), dtype=complex)
+        for i in range(n):
+            shifted[: hi[i] - lo[i] + 1, i] = self.coeffs[lo[i] : hi[i] + 1, i]
+        values = np.linalg.det(np.fft.fft(shifted, axis=0))
+        offset = n * self.offset + int(lo.sum())
+        return LaurentPoly(offset, np.fft.ifft(values), cleanup=cleanup)
 
     def __repr__(self) -> str:
-        return f"LaurentMatrix(size={self.size})"
+        return f"LaurentMatrix(size={self.size}, offset={self.offset}, span={len(self.coeffs)})"
 
 
 def _det_cofactor(rows: Sequence[Sequence], ring: type):
-    """Cofactor expansion along the first row over ``ring`` (LaurentPoly or
-    IntLaurent): exact for integer entries, and a fixed floating-point
-    operation order for complex ones."""
+    """Cofactor expansion along the first row over ``ring``: exact for
+    IntLaurent entries (the classical Alexander polynomial); over LaurentPoly
+    it is the reference the array determinant is tested against."""
     n = len(rows)
     if n == 0:
         return ring.one()

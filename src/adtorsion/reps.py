@@ -31,10 +31,6 @@ MULTIPLICITY_THRESHOLD = 1e-5
 #: distinct words whose obstruction polynomial stays memoized per process
 RILEY_CACHE_SIZE = 256
 
-BASIS_E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-BASIS_H = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-BASIS_F = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
 
 class RepresentationError(ValueError):
     """(s, u) off the representation variety, or unusable presentation."""
@@ -411,19 +407,12 @@ def _real_roots(
     for i in range(d):
         companion[i, d - 1] = -monic[i]
     eig = np.linalg.eigvals(companion)
-
-    def horner(z, cs):
-        acc = 0.0 * z
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     dcoeffs = [i * coeffs[i] for i in range(1, d + 1)]
     out = []
     borderline = []
     for z in eig:
-        pz = horner(z, coeffs)
-        dz = horner(z, dcoeffs)
+        pz = _horner(coeffs, z)
+        dz = _horner(dcoeffs, z)
         if abs(dz) > 1e-30:
             z = z - pz / dz
         if abs(z.imag) <= reality_tol:
@@ -431,6 +420,69 @@ def _real_roots(
         elif abs(z.imag) <= borderline_tol:
             borderline.append(float(z.real))
     return out, borderline
+
+
+def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
+    """``len(su2_solutions(phi, theta).roots)`` for every theta, batched.
+
+    The same steps with the same default tolerances as :func:`su2_solutions`:
+    the specialization with its reality check (which raises), trailing
+    coefficient trimming, companion eigenvalues (one ``eigvals`` call per
+    degree), one Newton polish, the reality filter and the slack window.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((0.0 < thetas) & (thetas < 2.0 * math.pi)):
+        raise ValueError("theta must lie strictly between 0 and 2*pi")
+    if phi.is_zero:
+        raise ValueError("zero polynomial")
+    z = np.exp(1j * thetas)
+    values = np.stack([_horner(c.coeffs, z) * z**c.offset for c in phi.coeffs], axis=1)
+    scale = np.abs(values).max(axis=1)
+    if not np.all(scale > 0.0):
+        raise ValueError("zero polynomial after specialization")
+    ref = values[np.arange(len(values)), np.abs(values).argmax(axis=1)]
+    aligned = values / (ref / np.abs(ref))[:, None]
+    worst = np.abs(aligned.imag).max(axis=1)
+    bad = np.flatnonzero(worst > REALITY_TOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"specialized polynomial is not real within tolerance "
+            f"(residual {worst[i]:.3e} vs scale {scale[i]:.3e})"
+        )
+    coeffs = aligned.real
+    # degree after trimming trailing coefficients <= 1e-12 * top, as in su2_solutions
+    kept = np.abs(coeffs) > 1e-12 * np.abs(coeffs).max(axis=1, keepdims=True)
+    degrees = coeffs.shape[1] - 1 - kept[:, :0:-1].argmax(axis=1)
+    degrees[~kept[:, 1:].any(axis=1)] = 0
+    lo = np.array([2.0 * math.cos(t) for t in thetas]) - 2.0
+    counts = np.zeros(len(thetas), dtype=int)
+    for d in np.unique(degrees[degrees > 0]):
+        rows = np.flatnonzero(degrees == d)
+        cs = coeffs[rows, : d + 1]
+        companion = np.zeros((len(rows), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, d - 1] = -cs[:, :d] / cs[:, d:]
+        roots = np.linalg.eigvals(companion).astype(complex)
+        pz = _horner(cs.T[:, :, None], roots)
+        dz = _horner((np.arange(1, d + 1) * cs[:, 1:]).T[:, :, None], roots)
+        step = np.abs(dz) > 1e-30
+        roots[step] -= pz[step] / dz[step]
+        inside = (
+            (np.abs(roots.imag) <= REALITY_TOL)
+            & (roots.real >= lo[rows, None] - INTERVAL_SLACK)
+            & (roots.real <= INTERVAL_SLACK)
+        )
+        counts[rows] = inside.sum(axis=1)
+    return counts.tolist()
+
+
+def _horner(coeffs, z):
+    """sum_i coeffs[i] z^i by Horner's rule, lowest degree first; broadcasts."""
+    acc = 0.0 * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def su2_root_count_thresholds(
@@ -442,14 +494,15 @@ def su2_root_count_thresholds(
     """Sigma values where the SU(2) root count changes, by bisection on the
     count over a grid in sigma = 2cos(theta)."""
 
-    def count(sig: float) -> int:
+    def theta_of(sig: float) -> float:
         theta = math.acos(max(-1.0, min(1.0, sig / 2.0)))
-        if theta <= 0.0:
-            theta = 1e-9
-        return len(su2_solutions(phi, theta).roots)
+        return 1e-9 if theta <= 0.0 else theta
+
+    def count(sig: float) -> int:
+        return len(su2_solutions(phi, theta_of(sig)).roots)
 
     grid = [sigma_lo + (sigma_hi - sigma_lo) * i / (samples - 1) for i in range(samples)]
-    counts = [count(s) for s in grid]
+    counts = su2_root_counts(phi, [theta_of(s) for s in grid])
     thresholds = []
     for i in range(samples - 1):
         if counts[i] == counts[i + 1]:
@@ -623,13 +676,19 @@ def build_rep(
 
 
 def adjoint_of_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix of V -> m V m^-1 on trace-zero 2x2 matrices, basis (E, H, F)."""
-    minv = _mat_inverse(np.asarray(m, dtype=complex))
-    cols = []
-    for basis in (BASIS_E, BASIS_H, BASIS_F):
-        c = m @ basis @ minv
-        cols.append((c[0, 1], c[0, 0], c[1, 0]))
-    return np.array(cols, dtype=complex).T
+    """Matrix of V -> m V m^-1 on trace-zero 2x2 matrices, basis (E, H, F).
+
+    Column j holds the (E, H, F) coordinates of m B_j m^-1 in closed form:
+    for m = [[a, b], [c, d]], m E m^-1 = (a^2 E - ac H - c^2 F) / det m, and
+    likewise for H and F.
+    """
+    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
+    det = a * d - b * c
+    if abs(det) < 1e-300:
+        raise RepresentationError("singular image matrix")
+    return np.array(
+        [[a * a, -2 * a * b, -b * b], [-a * c, a * d + b * c, b * d], [-c * c, 2 * c * d, d * d]]
+    ) / det
 
 
 @dataclass(frozen=True)

@@ -62,25 +62,19 @@ def phi_of(
     """3x3 Laurent matrix sum_i c_i t^{alpha(w_i)} Ad(rho(w_i))."""
     if adj is None:
         adj = adjoint_images(rep)
+    if elt.is_zero:
+        return LaurentMatrix(0, np.zeros((1, 3, 3)))
     p = rep.presentation
-    per_exponent: dict[int, np.ndarray] = {}
-    for coeff, w in elt.terms:
-        e = p.alpha_of(w)
-        m = adj.of_word(w)
-        if e in per_exponent:
-            per_exponent[e] = per_exponent[e] + coeff * m
-        else:
-            per_exponent[e] = coeff * m
-    entries = [
-        [
-            LaurentPoly.from_dict(
-                {e: mat[a, b] for e, mat in per_exponent.items()}, cleanup=cleanup
-            )
-            for b in range(3)
-        ]
-        for a in range(3)
-    ]
-    return LaurentMatrix(entries)
+    exponents = [p.alpha_of(w) for _, w in elt.terms]
+    lo = min(exponents)
+    terms = np.array([c for c, _ in elt.terms])[:, None, None] * np.array(
+        [adj.of_word(w) for _, w in elt.terms]
+    )
+    coeffs = np.zeros((max(exponents) - lo + 1, 3, 3), dtype=complex)
+    # unbuffered and in term order: each exponent's sum is accumulated in
+    # the order of elt.terms
+    np.add.at(coeffs, np.subtract(exponents, lo), terms)
+    return LaurentMatrix(lo, coeffs, cleanup=cleanup)
 
 
 def _generator_minus_one(j: int) -> GroupRingElt:
@@ -130,16 +124,19 @@ def alexander_block_matrix(
     if adj is None:
         adj = adjoint_images(rep)
     rows = [i for i in range(k) if i != drop]
+    blocks = [
+        (3 * ri, 3 * li, phi_of(fox_derivative(r, i), rep, adj=adj, cleanup=cleanup))
+        for ri, i in enumerate(rows)
+        for li, r in enumerate(p.relators)
+    ]
+    lo = min(b.offset for _, _, b in blocks)
+    span = max(b.offset + len(b.coeffs) for _, _, b in blocks) - lo
     n = 3 * (k - 1)
-    zero = LaurentPoly.zero()
-    entries = [[zero] * n for _ in range(n)]
-    for ri, i in enumerate(rows):
-        for li, r in enumerate(p.relators):
-            block = phi_of(fox_derivative(r, i), rep, adj=adj, cleanup=cleanup)
-            for a in range(3):
-                for b in range(3):
-                    entries[3 * ri + a][3 * li + b] = block.entry(b, a)
-    return LaurentMatrix(entries)
+    coeffs = np.zeros((span, n, n), dtype=complex)
+    for row, col, b in blocks:
+        k0 = b.offset - lo
+        coeffs[k0 : k0 + len(b.coeffs), row : row + 3, col : col + 3] = b.coeffs.transpose(0, 2, 1)
+    return LaurentMatrix(lo, coeffs, cleanup=0.0)
 
 
 def homology_torsion(
@@ -149,8 +146,11 @@ def homology_torsion(
     cleanup: float = DEFAULT_CLEANUP,
 ) -> LaurentPoly:
     """Torsion polynomial: determinant of the dropped-generator block matrix,
-    normalized to lowest exponent 0 (the +-t^m unit is immaterial)."""
-    a = alexander_block_matrix(rep, drop=drop, adj=adj, cleanup=cleanup)
+    normalized to lowest exponent 0 (the +-t^m unit is immaterial).  Only the
+    determinant is cleaned: cleaning each entry would move Delta_1 by up to
+    cleanup times an entry's scale, and the simple-zero test reads those digits.
+    """
+    a = alexander_block_matrix(rep, drop=drop, adj=adj, cleanup=0.0)
     return a.determinant(cleanup=cleanup).with_offset_zero()
 
 

@@ -164,7 +164,7 @@ def test_acceptance_4_denominator_identity():
         u = complex(rng.uniform(-4, 1), rng.uniform(-1, 1))
         x, _ = riley_assignment(s, u)
         ad = adjoint_of_matrix(x / cmath.exp(0.5j * theta))
-        phi_x_minus_1 = LaurentMatrix(
+        phi_x_minus_1 = LaurentMatrix.from_entries(
             [
                 [LaurentPoly.from_dict({1: ad[i, j], 0: -1.0 if i == j else 0.0}) for j in range(3)]
                 for i in range(3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,8 +20,8 @@ from adtorsion.cli import (
 )
 from adtorsion import catalog
 from adtorsion.foxcalc import fox_derivative
-from adtorsion.reps import RepresentationError, riley_polynomial
-from adtorsion.torsion import RegularityError, Tolerances
+from adtorsion.reps import RepresentationError, riley_polynomial, su2_root_count_thresholds
+from adtorsion.torsion import RegularityError, Tolerances, torsion_polynomial
 
 from test_torsion import schubert_knot
 
@@ -254,16 +255,79 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
     assert report.dihedral_count == 0
 
 
-def test_critical_search_completes_across_a_branch_jump():
-    # b(13,9): the bisection between theta 2.15 and 4.13 loses its branch;
-    # that sign change is dropped and the rest of the search still reports
+def test_critical_search_completes_across_a_branch_jump(monkeypatch):
+    # b(13,9): at the first bisection midpoint su2_solutions sees only a root
+    # far from the branch, so that sign change is dropped with a branch-jump
+    # note and the rest of the search still reports
     p = schubert_knot(13, 9)
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    first_mid = []
+    bisect, solutions = cli._bisect_derivative_zero, cli.su2_solutions
+
+    def bisect_spy(p, phi, theta_a, theta_b, u_guess, tol):
+        if not first_mid:
+            first_mid.append(0.5 * (theta_a + theta_b))
+        return bisect(p, phi, theta_a, theta_b, u_guess, tol)
+
+    def far_root_at_first_mid(phi, theta, *args, **kwargs):
+        sols = solutions(phi, theta, *args, **kwargs)
+        if first_mid and theta == first_mid[0]:
+            return dataclasses.replace(sols, roots=(10.0,), near_multiple=(False,))
+        return sols
+
+    monkeypatch.setattr(cli, "_bisect_derivative_zero", bisect_spy)
+    monkeypatch.setattr(cli, "su2_solutions", far_root_at_first_mid)
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert any("branch jump" in n and n.startswith("dropped sign change") for n in report.notes)
     assert 0 < report.dihedral_count <= 6
     for pt in report.points:
         assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
+
+
+@pytest.mark.parametrize("p, q", [(11, 7), (13, 9)])
+def test_critical_search_finds_every_dihedral_point(p, q):
+    # b(11,7) lost its theta = pi point to "not a simple zero", and b(13,9)
+    # one to a branch jump, while Delta_1 came from a cofactor expansion
+    knot = schubert_knot(p, q)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert report.dihedral_count == (p - 1) // 2
+    assert not [n for n in report.notes if n.startswith("dropped")]
+
+
+def test_simple_zero_remainder_on_the_edge_branch():
+    # b(11,7) at theta = pi, on the branch nearest the window edge
+    # u = 2cos(theta) - 2: the remainders of the division by (t - 1)^2 sit
+    # well inside the simple-zero tolerance (1e-9 of the scale)
+    p = schubert_knot(11, 7)
+    sols = cli.su2_solutions(riley_polynomial(p.bridge_word), math.pi)
+    u = min(sols.roots, key=lambda r: abs(r - (sols.sigma - 2.0)))
+    tp = torsion_polynomial(cli.rep_at(p, math.pi, u, Tolerances()))
+    assert max(tp.remainders) <= 1e-10 * tp.delta.max_abs
+
+
+@pytest.mark.parametrize(
+    "knot, window, thresholds",
+    [
+        (
+            "5_2",
+            (0.7487422385445941, 5.534443068634992),
+            [-1.484435331765883, 1.500000000874974],
+        ),
+        (
+            (15, 7),
+            (0.5298659589940578, 5.753319348185529),
+            [-1.8865648418894923, -1.2024578825383911, 0.03893294855904777, 1.7500000007812548],
+        ),
+    ],
+)
+def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):
+    # the values the per-point su2_solutions probes gave before the probe
+    # grids were batched, to the last bit
+    p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
+    phi = riley_polynomial(p.bridge_word)
+    assert auto_theta_range(phi) == window
+    assert su2_root_count_thresholds(phi) == thresholds
 
 
 def test_presentation_objects_computed_once_per_word():

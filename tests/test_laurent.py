@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from adtorsion.laurent import (
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
+    _det_cofactor,
     divide_out_simple_roots,
     unit_aligned_distance,
 )
+from adtorsion.reps import build_rep, riley_polynomial, su2_solutions
+from adtorsion.torsion import alexander_block_matrix
+
+from test_torsion import schubert_knot
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -135,9 +141,9 @@ def test_cleanup_invariants():
 
 def test_determinant_examples():
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    identity = LaurentMatrix([[one if i == j else zero for j in range(3)] for i in range(3)])
+    identity = LaurentMatrix.from_entries([[one if i == j else zero for j in range(3)] for i in range(3)])
     assert identity.determinant() == LaurentPoly.one()
-    diag = LaurentMatrix(
+    diag = LaurentMatrix.from_entries(
         [
             [LaurentPoly.term(1, 1), LaurentPoly.zero(), LaurentPoly.zero()],
             [LaurentPoly.zero(), LaurentPoly.term(1, -1), LaurentPoly.zero()],
@@ -145,12 +151,12 @@ def test_determinant_examples():
         ]
     )
     assert diag.determinant().approx_eq(LaurentPoly.one(), 1e-14)
-    assert LaurentMatrix([]).determinant() == LaurentPoly.one()
+    assert LaurentMatrix.from_entries([]).determinant() == LaurentPoly.one()
 
 
 def test_determinant_alternating():
     rng = random.Random(12)
-    m = LaurentMatrix([[random_poly(rng, span=3) for _ in range(4)] for _ in range(4)])
+    m = LaurentMatrix.from_entries([[random_poly(rng, span=3) for _ in range(4)] for _ in range(4)])
     d = m.determinant()
     d_swapped = m.with_swapped_rows(0, 2).determinant()
     assert (d + d_swapped).max_abs <= 1e-12 * max(1.0, d.max_abs)
@@ -159,7 +165,7 @@ def test_determinant_alternating():
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
 def test_determinant_matches_scalar_determinant(n):
     rng = random.Random(100 + n)
-    m = LaurentMatrix([[random_poly(rng, span=5) for _ in range(n)] for _ in range(n)])
+    m = LaurentMatrix.from_entries([[random_poly(rng, span=5) for _ in range(n)] for _ in range(n)])
     d = m.determinant()
     for k in range(50):
         z = cmath.exp(2j * cmath.pi * (k + 0.37) / 50)
@@ -169,17 +175,72 @@ def test_determinant_matches_scalar_determinant(n):
 
 
 def test_determinant_routes_agree():
-    # cofactor vs evaluation-interpolation on the same 5x5 matrix
+    # the array determinant against the ring cofactor expansion, on a random
+    # 5x5 matrix and on the twisted Fox block of b(41,11), the widest span
+    # the benchmark builds
     rng = random.Random(55)
-    m = LaurentMatrix([[random_poly(rng, span=4) for _ in range(5)] for _ in range(5)])
-    assert m.determinant().approx_eq(m._det_interpolation(1e-12), 1e-9)
+    entries = [[random_poly(rng, span=4) for _ in range(5)] for _ in range(5)]
+    m = LaurentMatrix.from_entries(entries)
+    assert m.determinant().approx_eq(_det_cofactor(entries, LaurentPoly), 1e-9)
+
+    block = fox_block_41_11(2.3, 4)
+    assert block.size == 3 and len(block.coeffs) == 7
+    entries = [[block.entry(i, j) for j in range(3)] for i in range(3)]
+    assert block.determinant().approx_eq(_det_cofactor(entries, LaurentPoly), 1e-9)
+
+
+def fox_block_41_11(theta, root):
+    p = schubert_knot(41, 11)
+    u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[root]
+    rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
+    return alexander_block_matrix(rep, cleanup=0.0)
+
+
+def exact_determinant_3x3(m):
+    """{exponent: coefficient} of det m, summed over the six permutations in
+    exact rational arithmetic on the float coefficients, rounded once."""
+    def entry(i, j):
+        return {
+            m.offset + k: (Fraction(c.real), Fraction(c.imag))
+            for k, c in enumerate(m.coeffs[:, i, j].tolist())
+            if c
+        }
+
+    def mul(p, q):
+        out = {}
+        for e1, (a, b) in p.items():
+            for e2, (c, d) in q.items():
+                re, im = out.get(e1 + e2, (0, 0))
+                out[e1 + e2] = (re + a * c - b * d, im + a * d + b * c)
+        return out
+
+    total = {}
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = mul(mul(entry(0, perm[0]), entry(1, perm[1])), entry(2, perm[2]))
+        for e, (re, im) in term.items():
+            r0, i0 = total.get(e, (0, 0))
+            total[e] = (r0 + sign * re, i0 + sign * im)
+    return {e: complex(float(re), float(im)) for e, (re, im) in total.items()}
+
+
+def test_determinant_is_accurate_on_an_ill_conditioned_block():
+    # the b(41,11) root nearest the window edge at theta = pi: entries reach
+    # 2e4 while det stays near 1e2, so the products cancel in 8 digits
+    block = fox_block_41_11(math.pi, 0)
+    exact = exact_determinant_3x3(block)
+    got = block.determinant()
+    scale = max(abs(c) for c in exact.values())
+    assert np.abs(block.coeffs).max() > 1e2 * scale
+    err = max(abs(got.coefficient(e) - c) for e, c in exact.items())
+    assert err <= 1e-9 * scale
 
 
 def test_determinant_zero_row():
     rng = random.Random(66)
     rows = [[random_poly(rng) for _ in range(7)] for _ in range(7)]
     rows[3] = [LaurentPoly.zero()] * 7
-    assert LaurentMatrix(rows).determinant().is_zero
+    assert LaurentMatrix.from_entries(rows).determinant().is_zero
 
 
 def test_rational_function_normalization():

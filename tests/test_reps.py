@@ -19,9 +19,12 @@ from adtorsion.reps import (
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
+    su2_root_counts,
     su2_solutions,
 )
 from adtorsion.words import Word, parse_word
+
+from test_torsion import schubert_knot
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
 
@@ -183,6 +186,38 @@ def test_su2_root_count_thresholds():
     assert any(abs(t - 1.5) < 1e-6 for t in thresholds)
     assert near_transition(SIGMA_STAR + 5e-4, thresholds)
     assert not near_transition(SIGMA_STAR + 5e-3, thresholds)
+
+
+def test_batched_root_counts_match_su2_solutions():
+    # every probe point of su2_root_count_thresholds (2000 sigma values) and
+    # of auto_theta_range (600 thetas), on the 24 knots b(p, q) with odd
+    # p <= 15 that the critical benchmark searches
+    lo, hi = -2.0, 1.995
+    sigmas = [lo + (hi - lo) * i / 1999 for i in range(2000)]
+    thetas = [math.acos(max(-1.0, min(1.0, s / 2.0))) for s in sigmas]
+    thetas += [0.02 + (2 * math.pi - 0.04) * i / 599 for i in range(600)]
+    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(knots) == 24
+    for p, q in knots:
+        phi = riley_polynomial(schubert_knot(p, q).bridge_word)
+        expected = [len(su2_solutions(phi, theta).roots) for theta in thetas]
+        assert su2_root_counts(phi, thetas) == expected, (p, q)
+
+
+def test_batched_root_counts_argument_checks():
+    phi = riley_polynomial(_two_gen_word("x^-1 y^-1 x y x^-1 y^-1"))
+    with pytest.raises(ValueError):
+        su2_root_counts(phi, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        su2_root_counts(phi, [7.0])
+    with pytest.raises(ValueError):
+        su2_root_counts(RileyPoly([]), [1.0])
+    # a unit that is not a power of s leaves no common real phase
+    skewed = RileyPoly([IntLaurent(0, (1,)), IntLaurent(0, (1, 1))])
+    with pytest.raises(ValueError, match="not real"):
+        su2_solutions(skewed, 1.0)
+    with pytest.raises(ValueError, match="not real"):
+        su2_root_counts(skewed, [0.5, 1.0])
 
 
 def test_build_rep_residuals_on_variety():
