@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ from .words import Word, WordError, parse_word
 
 class BranchTrackingError(RuntimeError):
     """Root continuation lost the branch (typically across a root merge)."""
+
+
+class BracketError(ArithmeticError):
+    """The refinement derivative has one sign at both ends of a sign change."""
 
 
 # what one branch evaluation can raise; a critical search drops the sample or
@@ -196,40 +201,56 @@ def format_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _torsion_on_branch(
-    p: Presentation,
-    phi: RileyPoly,
-    theta: float,
-    u_guess: float,
-    tol: Tolerances,
-    max_jump: float = 0.3,
-) -> tuple[float, float]:
-    """Torsion value and continued root nearest to u_guess at this theta."""
-    sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
-    if not sols.roots:
+def _follow_branch(
+    roots: tuple[float, ...], theta: float, u_guess: float, max_jump: float = 0.3
+) -> float:
+    """The root at this theta nearest to u_guess, continuing its branch."""
+    if not roots:
         raise BranchTrackingError(f"no roots at theta={theta:.6f}")
-    u = min(sols.roots, key=lambda r: abs(r - u_guess))
+    u = min(roots, key=lambda r: abs(r - u_guess))
     if abs(u - u_guess) > max_jump:
         raise BranchTrackingError(
             f"branch jump {abs(u - u_guess):.3f} at theta={theta:.6f}"
         )
-    value = torsion_via_limit(torsion_polynomial(rep_at(p, theta, u, tol), tol=tol))
-    return value.real, u
+    return u
 
 
-def _branch_derivative(
-    p: Presentation,
-    phi: RileyPoly,
-    theta: float,
-    u_guess: float,
-    tol: Tolerances,
-    h: float | None = None,
-) -> float:
-    if h is None:
-        h = tol.fd_step
-    plus, _ = _torsion_on_branch(p, phi, theta + h, u_guess, tol)
-    minus, _ = _torsion_on_branch(p, phi, theta - h, u_guess, tol)
-    return (plus - minus) / (2.0 * h)
+class _BranchTorsion:
+    """Torsion along the root branches of one presentation.
+
+    A critical search evaluates all its branches at the same theta +- h, so
+    the SU(2) roots at each theta are computed once and shared by every
+    branch of the search.
+    """
+
+    def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances):
+        self.p, self.phi, self.tol = p, phi, tol
+        self._roots: dict[float, tuple[float, ...]] = {}
+
+    def roots(self, theta: float) -> tuple[float, ...]:
+        roots = self._roots.get(theta)
+        if roots is None:
+            roots = self._roots[theta] = su2_solutions(
+                self.phi, theta, self.tol.relation, multiplicity_threshold=self.tol.multiplicity
+            ).roots
+        return roots
+
+    def value(self, theta: float, u_guess: float) -> tuple[float, float]:
+        """Torsion value and continued root nearest to u_guess at this theta."""
+        u = _follow_branch(self.roots(theta), theta, u_guess)
+        tp = torsion_polynomial(rep_at(self.p, theta, u, self.tol), tol=self.tol)
+        return torsion_via_limit(tp).real, u
+
+    def derivative(
+        self, theta: float, u_guess: float, h: float | None = None
+    ) -> tuple[float, float]:
+        """Central difference with step h (default fd_step) and the mean of
+        the two torsion values it used."""
+        if h is None:
+            h = self.tol.fd_step
+        plus, _ = self.value(theta + h, u_guess)
+        minus, _ = self.value(theta - h, u_guess)
+        return (plus - minus) / (2.0 * h), 0.5 * (plus + minus)
 
 
 def find_critical_points(
@@ -241,8 +262,9 @@ def find_critical_points(
 ) -> CriticalReport:
     """Locate zeros of d(torsion)/d(theta) per root branch.
 
-    Central finite differences on a theta grid, sign changes refined by
-    bisection; each zero is annotated with the binary-dihedral test
+    Central finite differences on a theta grid; each sign change is refined
+    by Brent's method on a wide-step difference (``_refine_derivative_zero``)
+    and each zero is annotated with the binary-dihedral test
     |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
     """
     phi = _two_bridge_phi(p, "critical")
@@ -285,21 +307,32 @@ def find_critical_points(
                 new_active.append(len(branches) - 1)
         active = new_active
 
+    torsion = _BranchTorsion(p, phi, tol)
     points: list[CriticalPoint] = []
     for branch in branches:
         if len(branch) < 3:
             continue
+        theta_lo_b, theta_hi_b = branch[0][0], branch[-1][0]
         derivs: list[float | None] = []
         values: list[float] = []
+        failures: list[Exception] = []
         for theta, u in branch:
             try:
-                g = _branch_derivative(p, phi, theta, u, tol)
-                v = _torsion_on_branch(p, phi, theta, u, tol)[0]
-            except _BRANCH_ERRORS:
+                g, v = torsion.derivative(theta, u)
+            except _BRANCH_ERRORS as exc:
                 derivs.append(None)
+                failures.append(exc)
                 continue
             derivs.append(g)
             values.append(v)
+        span = f"[{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
+        if failures:
+            notes.append(
+                f"{len(failures)} of {len(branch)} derivative samples failed on the "
+                f"branch over {span}, the first with: {failures[0]}"
+            )
+        if not values:
+            continue
 
         # derivative values below the evaluation-noise floor carry no sign
         # information; a branch that is flat everywhere has constant torsion,
@@ -309,31 +342,24 @@ def find_critical_points(
             i for i, g in enumerate(derivs) if g is not None and abs(g) > floor
         ]
         if not usable:
-            theta_lo_b, theta_hi_b = branch[0][0], branch[-1][0]
-            notes.append(
-                "branch torsion is constant at the numerical noise floor "
-                f"over [{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
-            )
+            notes.append(f"branch torsion is constant at the numerical noise floor over {span}")
             if theta_lo_b <= math.pi <= theta_hi_b:
                 u_guess = min(branch, key=lambda tu: abs(tu[0] - math.pi))[1]
                 try:
-                    points.append(_critical_point(p, phi, math.pi, u_guess, tol))
+                    points.append(_critical_point(torsion, math.pi, u_guess))
                 except _BRANCH_ERRORS as exc:
-                    notes.append(
-                        f"dropped the flat-branch point over [{theta_lo_b:.4f}, "
-                        f"{theta_hi_b:.4f}]: {exc}"
-                    )
+                    notes.append(f"dropped the flat-branch point over {span}: {exc}")
             continue
         for i1, i2 in zip(usable, usable[1:]):
             ga, gb = derivs[i1], derivs[i2]
             if ga * gb < 0.0:
                 theta_a, theta_b = branch[i1][0], branch[i2][0]
                 try:
-                    theta_star, u_star = _bisect_derivative_zero(
-                        p, phi, theta_a, theta_b, branch[i1][1], tol
+                    theta_star, u_star = _refine_derivative_zero(
+                        torsion, branch[i1], branch[i2]
                     )
-                    pt = _critical_point(p, phi, theta_star, u_star, tol)
-                except _BRANCH_ERRORS as exc:
+                    pt = _critical_point(torsion, theta_star, u_star)
+                except (*_BRANCH_ERRORS, BracketError) as exc:
                     notes.append(
                         f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {exc}"
                     )
@@ -352,32 +378,92 @@ def find_critical_points(
     return CriticalReport(points=points, notes=notes, thresholds=thresholds)
 
 
-def _bisect_derivative_zero(p, phi, theta_a, theta_b, u_guess, tol):
-    # A wider step is used for the refinement: the central difference of a
-    # smooth function has a zero crossing at the critical point to first
-    # order for ANY step, while the evaluation-noise floor of the sign scales
-    # like 1/step.  The reported derivative estimate still uses tol.fd_step.
-    h = max(tol.fd_step, 2e-3)
-    ga = _branch_derivative(p, phi, theta_a, u_guess, tol, h=h)
-    u = u_guess
-    for _ in range(60):
-        mid = 0.5 * (theta_a + theta_b)
-        _, u = _torsion_on_branch(p, phi, mid, u, tol)
-        gm = _branch_derivative(p, phi, mid, u, tol, h=h)
-        if gm == 0.0:
-            return mid, u
-        if (ga < 0) == (gm < 0):
-            theta_a, ga = mid, gm
-        else:
-            theta_b = mid
-        if theta_b - theta_a < 1e-11:
-            break
-    return 0.5 * (theta_a + theta_b), u
+def _refine_derivative_zero(
+    torsion: _BranchTorsion, end_a: tuple[float, float], end_b: tuple[float, float]
+) -> tuple[float, float]:
+    """(theta, u) of the derivative zero between two branch samples (theta, u)
+    whose derivatives differ in sign.
+
+    A wider step is used for the refinement: the central difference of a
+    smooth function has a zero crossing at the critical point to first order
+    for ANY step, while the evaluation-noise floor of its sign scales like
+    1/step.  The reported derivative estimate still uses tol.fd_step.  Each
+    trial theta continues the root from the nearest theta already evaluated.
+    """
+    h = max(torsion.tol.fd_step, 2e-3)
+    branch = dict((end_a, end_b))
+
+    def slope(theta: float) -> float:
+        if theta not in branch:
+            nearest = min(branch, key=lambda t: abs(t - theta))
+            branch[theta] = _follow_branch(torsion.roots(theta), theta, branch[nearest])
+        return torsion.derivative(theta, branch[theta], h)[0]
+
+    (theta_a, _), (theta_b, _) = end_a, end_b
+    ga, gb = slope(theta_a), slope(theta_b)
+    if ga * gb > 0.0:
+        raise BracketError(
+            f"the derivative with step {h:g} has one sign at both ends "
+            f"({ga:.3e}, {gb:.3e})"
+        )
+    theta_star = _bracketed_zero(slope, theta_a, ga, theta_b, gb, xtol=1e-11)
+    return theta_star, branch[theta_star]
 
 
-def _critical_point(p, phi, theta_star, u_guess, tol) -> CriticalPoint:
-    value, u = _torsion_on_branch(p, phi, theta_star, u_guess, tol)
-    deriv = abs(_branch_derivative(p, phi, theta_star, u, tol))
+def _bracketed_zero(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, xtol: float
+) -> float:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
+    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4).
+
+    Every step stays inside the current sign bracket: an inverse quadratic
+    or secant step when it shrinks the bracket fast enough, else bisection.
+    Returns the bracket end with the smaller |f| once f is exactly 0 there
+    or the bracket is narrower than xtol.
+    """
+    if fa * fb > 0.0:
+        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # keep c on the other side of the zero from b
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or abs(c - b) < xtol:
+            return b
+        m = 0.5 * (c - b)
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
+        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
+        if not bisect:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                bisect = True
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+def _critical_point(torsion: _BranchTorsion, theta_star: float, u_guess: float) -> CriticalPoint:
+    value, u = torsion.value(theta_star, u_guess)
+    deriv = abs(torsion.derivative(theta_star, u)[0])
     trace_mu = abs(2.0 * math.cos(theta_star / 2.0))
     return CriticalPoint(
         theta=theta_star,

@@ -42,7 +42,7 @@ from adtorsion.torsion import (
     twisted_alexander_invariant,
 )
 from adtorsion.words import Word
-from adtorsion.cli import _branch_derivative, find_critical_points
+from adtorsion.cli import _BranchTorsion, find_critical_points
 
 TOL = Tolerances()
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
@@ -228,7 +228,7 @@ def test_acceptance_6_critical_points():
                 _limit(_su2_rep(p, math.pi, u)).real,
                 u,
             )
-            deriv = _branch_derivative(p, phi, math.pi, u, TOL)
+            deriv = _BranchTorsion(p, phi, TOL).derivative(math.pi, u)[0]
             scale = max(1.0, abs(value))
             assert abs(deriv) <= 1e-4 * scale, f"{name} u={u}"
             details.append(f"{name}:|dT/dtheta|={abs(deriv):.1e}")

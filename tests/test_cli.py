@@ -242,10 +242,11 @@ def test_branch_tracking_error_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("error", [BranchTrackingError, RegularityError, RepresentationError])
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
-    def fail(p, phi, theta_a, theta_b, u_guess, tol):
-        raise error(f"lost at theta={theta_a:.6f}")
+    # the refinement of each sign change fails
+    def fail(torsion, end_a, end_b):
+        raise error(f"lost at theta={end_a[0]:.6f}")
 
-    monkeypatch.setattr(cli, "_bisect_derivative_zero", fail)
+    monkeypatch.setattr(cli, "_refine_derivative_zero", fail)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
     # 5_2 has three dihedral sign changes on this window, each now a note
@@ -256,27 +257,30 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
 
 
 def test_critical_search_completes_across_a_branch_jump(monkeypatch):
-    # b(13,9): at the first bisection midpoint su2_solutions sees only a root
-    # far from the branch, so that sign change is dropped with a branch-jump
-    # note and the rest of the search still reports
+    # b(13,9): at the first trial theta of the refinement su2_solutions sees
+    # only a root far from the branch, so that sign change is dropped with a
+    # branch-jump note and the rest of the search still reports
     p = schubert_knot(13, 9)
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    first_mid = []
-    bisect, solutions = cli._bisect_derivative_zero, cli.su2_solutions
+    first_trial = []
+    solve, solutions = cli._bracketed_zero, cli.su2_solutions
 
-    def bisect_spy(p, phi, theta_a, theta_b, u_guess, tol):
-        if not first_mid:
-            first_mid.append(0.5 * (theta_a + theta_b))
-        return bisect(p, phi, theta_a, theta_b, u_guess, tol)
+    def solve_spy(f, *args, **kwargs):
+        def f_spy(theta):
+            if not first_trial:
+                first_trial.append(theta)
+            return f(theta)
 
-    def far_root_at_first_mid(phi, theta, *args, **kwargs):
+        return solve(f_spy, *args, **kwargs)
+
+    def far_root_at_first_trial(phi, theta, *args, **kwargs):
         sols = solutions(phi, theta, *args, **kwargs)
-        if first_mid and theta == first_mid[0]:
+        if first_trial and theta == first_trial[0]:
             return dataclasses.replace(sols, roots=(10.0,), near_multiple=(False,))
         return sols
 
-    monkeypatch.setattr(cli, "_bisect_derivative_zero", bisect_spy)
-    monkeypatch.setattr(cli, "su2_solutions", far_root_at_first_mid)
+    monkeypatch.setattr(cli, "_bracketed_zero", solve_spy)
+    monkeypatch.setattr(cli, "su2_solutions", far_root_at_first_trial)
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert any("branch jump" in n and n.startswith("dropped sign change") for n in report.notes)
     assert 0 < report.dihedral_count <= 6
@@ -284,15 +288,135 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
         assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
 
 
-@pytest.mark.parametrize("p, q", [(11, 7), (13, 9)])
+@pytest.mark.parametrize("p, q", [(9, 5), (11, 7), (13, 9)])
 def test_critical_search_finds_every_dihedral_point(p, q):
     # b(11,7) lost its theta = pi point to "not a simple zero", and b(13,9)
-    # one to a branch jump, while Delta_1 came from a cofactor expansion
+    # one to a branch jump, while Delta_1 came from a cofactor expansion;
+    # on the flat u = -3 branch of b(9,5) a bisection of the wide-step
+    # derivative stopped at theta = 3.1415915, too far from pi to count
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if n.startswith("dropped")]
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_critical_search_on_b15_drops_only_the_residual_sign_change(q):
+    # the one point still missing is the sign change around pi, whose root
+    # fails the relator check by a residual just above 1e-9
+    knot = schubert_knot(15, q)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert report.dihedral_count == 6
+    dropped = [n for n in report.notes if n.startswith("dropped")]
+    assert len(dropped) == 1
+    assert dropped[0].startswith(
+        "dropped sign change in theta [2.978360, 3.304826]: relator residual"
+    )
+
+
+def test_critical_search_evaluation_budget(monkeypatch):
+    # one torsion per theta +- fd_step per branch sample, and about ten
+    # wide-step derivatives per sign change; a bisection that built a
+    # torsion at each midpoint only for its root made 697
+    calls = []
+    torsion_polynomial = cli.torsion_polynomial
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return torsion_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "torsion_polynomial", counted)
+    p = catalog.knot("5_2")
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    report = find_critical_points(p, lo, hi, 33, Tolerances())
+    assert report.dihedral_count == 3
+    assert len(calls) <= 250
+
+
+def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
+    # every torsion evaluation on the branch near u = -3.8 raises: the branch
+    # is noted with its failure count and first reason, not as a flat branch
+    value = cli._BranchTorsion.value
+
+    def fail_low_branch(self, theta, u_guess):
+        if u_guess < -3.3:
+            raise RegularityError(f"not a simple zero at theta={theta:.6f}")
+        return value(self, theta, u_guess)
+
+    monkeypatch.setattr(cli._BranchTorsion, "value", fail_low_branch)
+    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    failed = [n for n in report.notes if "derivative samples failed" in n]
+    assert failed == [
+        "17 of 17 derivative samples failed on the branch over [2.7000, 3.5800], "
+        "the first with: not a simple zero at theta=2.700100"
+    ]
+    assert not [n for n in report.notes if "constant" in n]
+    assert report.dihedral_count == 2
+    assert all(pt.u > -3.3 for pt in report.points)
+
+
+def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
+    # the refinement's wide-step derivative has one sign at both ends of
+    # every sign change the fd_step samples found
+    derivative = cli._BranchTorsion.derivative
+
+    def one_signed_wide_step(self, theta, u_guess, h=None):
+        g, mean = derivative(self, theta, u_guess, h)
+        return (g if h is None else abs(g)), mean
+
+    monkeypatch.setattr(cli._BranchTorsion, "derivative", one_signed_wide_step)
+    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
+    assert len(dropped) == 3
+    for note in dropped:
+        assert ": the derivative with step 0.002 has one sign at both ends (" in note
+    assert report.dihedral_count == 0
+
+
+def test_bracketed_zero_converges_on_a_cubic():
+    calls = []
+
+    def cubic(x):
+        calls.append(x)
+        return x**3 - 2.0 * x - 5.0
+
+    root = 2.0945514815423265
+    x = cli._bracketed_zero(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
+    assert abs(x - root) <= 1e-11
+    # bisection needs 37 halvings of [2, 3] to get below 1e-11
+    assert len(calls) - 2 <= 10
+
+
+def test_bracketed_zero_returns_an_exact_zero_at_an_end():
+    def f(x):
+        raise AssertionError("no evaluation needed")
+
+    assert cli._bracketed_zero(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
+    assert cli._bracketed_zero(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
+    with pytest.raises(ValueError):
+        cli._bracketed_zero(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
+
+
+def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
+    # +-1e-9 deterministic noise on a line through 0.7: the noisy function may
+    # change sign anywhere within ~1e-9 of the root, and the result must sit
+    # between two evaluated points of opposite sign less than xtol apart
+    seen = {}
+
+    def noisy(x):
+        y = (x - 0.7) + 1e-9 * (1.0 if int(x * 1e13) % 2 else -1.0)
+        seen[x] = y
+        return y
+
+    a, b = 0.0, 1.5
+    x = cli._bracketed_zero(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
+    assert abs(x - 0.7) <= 1e-9 + 1e-11
+    partners = [
+        t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
+    ]
+    assert partners or seen[x] == 0.0
 
 
 def test_simple_zero_remainder_on_the_edge_branch():
