@@ -21,8 +21,8 @@ from .foxcalc import (
     fox_derivative,
     fundamental_identity_holds,
 )
-from .intlaurent import IntLaurent
 from .laurent import (
+    IntLaurent,
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,

@@ -65,6 +65,12 @@ class BracketError(ArithmeticError):
 # the sign change and notes why, and keeps going
 _BRANCH_ERRORS = (BranchTrackingError, RegularityError, RepresentationError)
 
+#: largest step in u that continuing a branch to a new theta may take
+MAX_BRANCH_JUMP = 0.3
+
+#: distance kept from each end of the probed SU(2) window by auto_theta_range
+AUTO_THETA_MARGIN = 0.02
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -201,14 +207,12 @@ def format_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _follow_branch(
-    roots: tuple[float, ...], theta: float, u_guess: float, max_jump: float = 0.3
-) -> float:
+def _follow_branch(roots: tuple[float, ...], theta: float, u_guess: float) -> float:
     """The root at this theta nearest to u_guess, continuing its branch."""
     if not roots:
         raise BranchTrackingError(f"no roots at theta={theta:.6f}")
     u = min(roots, key=lambda r: abs(r - u_guess))
-    if abs(u - u_guess) > max_jump:
+    if abs(u - u_guess) > MAX_BRANCH_JUMP:
         raise BranchTrackingError(
             f"branch jump {abs(u - u_guess):.3f} at theta={theta:.6f}"
         )
@@ -474,14 +478,14 @@ def _critical_point(torsion: _BranchTorsion, theta_star: float, u_guess: float) 
     )
 
 
-def auto_theta_range(phi: RileyPoly, margin: float = 0.02) -> tuple[float, float]:
+def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
     """Widest theta window on which SU(2) roots exist, probed on a grid."""
     n = 600
     thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
     found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
-    if not found or found[-1] - found[0] < 4 * margin:
+    if not found or found[-1] - found[0] < 4 * AUTO_THETA_MARGIN:
         raise RepresentationError("no SU(2) representations found on the probe grid")
-    return found[0] + margin, found[-1] - margin
+    return found[0] + AUTO_THETA_MARGIN, found[-1] - AUTO_THETA_MARGIN
 
 
 # ---------------------------------------------------------------------------

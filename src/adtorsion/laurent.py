@@ -1,10 +1,16 @@
-"""One-variable Laurent polynomials over C, matrices of them, determinants.
+"""One-variable Laurent polynomials over Z and over C, matrices of them,
+determinants.
 
-Coefficients are double-precision complex.  Every constructor applies a
-relative cleanup: coefficients of modulus <= threshold * max-modulus are
-zeroed and the support is trimmed, so a nonzero polynomial always has
-nonzero first and last coefficients.  Exact integer work lives in
-:mod:`adtorsion.intlaurent`.
+Both rings share one storage, trimming and ring arithmetic (:class:`_Laurent`).
+:class:`IntLaurent` has arbitrary-precision integer coefficients, never
+cleaned: the two-bridge representation polynomial (exact in s) and the
+classical Alexander polynomial oracle (exact in t) live there.
+:class:`LaurentPoly` has double-precision complex coefficients, and its
+constructor applies a relative cleanup: coefficients of modulus <= threshold
+* max-modulus are zeroed.  Either way the support is trimmed, so a nonzero
+polynomial always has nonzero first and last coefficients.  Matrix entries
+are never cleaned; only polynomials are, a determinant through
+``LaurentMatrix.determinant(cleanup=...)``.
 """
 
 from __future__ import annotations
@@ -16,23 +22,37 @@ import numpy as np
 DEFAULT_CLEANUP = 1e-12
 
 
-class LaurentPoly:
-    """``sum_i coeffs[i] * t^(offset + i)`` with complex coefficients."""
+def _signed_sum_str(terms: Iterable[tuple[int, int]], var: str) -> str:
+    """``(exponent, integer coefficient)`` pairs, in the order given, as
+    ``2*s^2 - s + 3``; zero coefficients are skipped, an empty sum is "0"."""
+    parts = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        if e == 0:
+            body = str(abs(c))
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+class _Laurent:
+    """``sum_i coeffs[i] * var^(offset + i)`` with trimmed coefficients.
+
+    A subclass names its ring zero ``_zero`` and has a constructor
+    ``(offset, coeffs)`` that brings coefficients into the ring and calls
+    ``_store``; sums and products come back through that constructor.
+    """
 
     __slots__ = ("offset", "coeffs")
+    _zero = 0
 
-    def __init__(
-        self,
-        offset: int = 0,
-        coeffs: Iterable[complex] = (),
-        cleanup: float = DEFAULT_CLEANUP,
-    ):
-        cs = [complex(c) for c in coeffs]
-        if cs:
-            top = max(abs(c) for c in cs)
-            if top > 0.0 and cleanup > 0.0:
-                bound = cleanup * top
-                cs = [0j if abs(c) <= bound else c for c in cs]
+    def _store(self, offset: int, cs: Sequence) -> None:
         lo = 0
         while lo < len(cs) and cs[lo] == 0:
             lo += 1
@@ -41,24 +61,169 @@ class LaurentPoly:
             hi -= 1
         if lo == hi:
             self.offset = 0
-            self.coeffs: tuple[complex, ...] = ()
+            self.coeffs: tuple = ()
         else:
             self.offset = offset + lo
             self.coeffs = tuple(cs[lo:hi])
 
+    @classmethod
+    def _raw(cls, offset: int, cs: Sequence):
+        """Coefficients already in the ring: trimmed, neither coerced nor cleaned."""
+        p = cls.__new__(cls)
+        p._store(offset, cs)
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(0, (1.0,))
+    def one(cls):
+        return cls(0, (1,))
 
     @classmethod
-    def term(cls, coeff: complex, exponent: int = 0) -> "LaurentPoly":
+    def term(cls, coeff, exponent: int = 0):
         return cls(exponent, (coeff,))
+
+    # -- structure ----------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lo(self) -> int:
+        """Lowest exponent with nonzero coefficient (0 for the zero poly)."""
+        return self.offset
+
+    @property
+    def hi(self) -> int:
+        """Highest exponent with nonzero coefficient (0 for the zero poly)."""
+        return self.offset + len(self.coeffs) - 1 if self.coeffs else 0
+
+    def coefficient(self, exponent: int):
+        i = exponent - self.offset
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self._zero
+
+    def shift(self, k: int):
+        """Multiply by ``var^k``."""
+        if self.is_zero:
+            return self
+        return self._raw(self.offset + k, self.coeffs)
+
+    def with_offset_zero(self):
+        """Drop the monomial unit: same coefficients, lowest exponent 0."""
+        return self.shift(-self.offset)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        lo = min(self.offset, other.offset)
+        hi = max(self.hi, other.hi)
+        out = [self._zero] * (hi - lo + 1)
+        for i, c in enumerate(self.coeffs):
+            out[self.offset - lo + i] += c
+        for i, c in enumerate(other.coeffs):
+            out[other.offset - lo + i] += c
+        return type(self)(lo, out)
+
+    def __neg__(self):
+        return self._raw(self.offset, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero or other.is_zero:
+            return type(self)()
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return type(self)(self.offset + other.offset, out)
+
+    # -- evaluation and identity --------------------------------------
+
+    def evaluate(self, z):
+        """Horner evaluation of ``z^offset * sum c_i z^i``; exact when the
+        coefficients and ``z`` are integers and lo >= 0."""
+        if z == 0 and self.offset < 0:
+            raise ValueError("evaluation at 0 with negative offset")
+        acc = self._zero
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        if self.offset == 0:
+            return acc
+        return acc * z**self.offset
+
+    __call__ = evaluate
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.offset == other.offset
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.coeffs))
+
+
+class IntLaurent(_Laurent):
+    """Exact Laurent polynomial with arbitrary-precision integer coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, offset: int = 0, coeffs: Iterable[int] = ()):
+        self._store(offset, [int(c) for c in coeffs])
+
+    def __repr__(self) -> str:
+        return f"IntLaurent({self.offset}, {self.coeffs!r})"
+
+    def to_str(self, var: str = "s") -> str:
+        return _signed_sum_str(((self.offset + i, c) for i, c in enumerate(self.coeffs)), var)
+
+    def unit_normalized(self) -> "IntLaurent":
+        """Canonical representative up to ``±var^k``: lo = 0, lowest coeff > 0."""
+        if self.is_zero:
+            return self
+        shifted = self.with_offset_zero()
+        return -shifted if shifted.coeffs[0] < 0 else shifted
+
+    def equal_up_to_unit(self, other: "IntLaurent") -> bool:
+        return self.unit_normalized() == other.unit_normalized()
+
+    def is_palindromic(self) -> bool:
+        """Coefficient sequence reads the same in both directions."""
+        return self.coeffs == tuple(reversed(self.coeffs))
+
+
+class LaurentPoly(_Laurent):
+    """Laurent polynomial in t with double-precision complex coefficients,
+    cleaned relative to the largest modulus by every public constructor."""
+
+    __slots__ = ()
+    _zero = 0j
+
+    def __init__(
+        self,
+        offset: int = 0,
+        coeffs: Iterable[complex] = (),
+        cleanup: float = DEFAULT_CLEANUP,
+    ):
+        cs = [complex(c) for c in coeffs]
+        if cs and cleanup > 0.0:
+            bound = cleanup * max(abs(c) for c in cs)
+            cs = [0j if abs(c) <= bound else c for c in cs]
+        self._store(offset, cs)
 
     @classmethod
     def variable(cls) -> "LaurentPoly":
@@ -75,20 +240,6 @@ class LaurentPoly:
             cs[e - lo] = complex(c)
         return cls(lo, cs, cleanup=cleanup)
 
-    # -- structure ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lo(self) -> int:
-        return self.offset
-
-    @property
-    def hi(self) -> int:
-        return self.offset + len(self.coeffs) - 1 if self.coeffs else 0
-
     @property
     def span(self) -> int:
         """Degree span hi - lo (0 for the zero polynomial)."""
@@ -97,71 +248,6 @@ class LaurentPoly:
     @property
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def coefficient(self, exponent: int) -> complex:
-        i = exponent - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0j
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by ``t^k``."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.offset + k, self.coeffs, cleanup=0.0)
-
-    def with_offset_zero(self) -> "LaurentPoly":
-        """Drop the monomial unit: same coefficients, lowest exponent 0."""
-        return self.shift(-self.offset)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.hi, other.hi)
-        out = [0j] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return LaurentPoly(lo, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, [-c for c in self.coeffs], cleanup=0.0)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(self.offset + other.offset, out)
-
-    def scale(self, c: complex) -> "LaurentPoly":
-        return LaurentPoly(self.offset, [c * a for a in self.coeffs])
-
-    # -- analysis -----------------------------------------------------
-
-    def evaluate(self, z: complex) -> complex:
-        """Horner evaluation of ``t^offset * sum c_i z^i``."""
-        if self.is_zero:
-            return 0j
-        if z == 0 and self.offset < 0:
-            raise ValueError("evaluation at 0 with negative offset")
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        if self.offset == 0:
-            return acc
-        return acc * z**self.offset
 
     def derivative(self, order: int = 1) -> "LaurentPoly":
         """Formal derivative, respecting negative exponents."""
@@ -193,8 +279,6 @@ class LaurentPoly:
         remainder = self.coeffs[0] + acc * root
         return LaurentPoly(self.offset, quotient, cleanup=0.0), remainder
 
-    # -- misc ---------------------------------------------------------
-
     def approx_eq(self, other: "LaurentPoly", tol: float) -> bool:
         """Coefficientwise comparison, tolerance relative to the larger scale."""
         scale = max(self.max_abs, other.max_abs, 1.0)
@@ -214,16 +298,6 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
         return cls(int(data["offset"]), [complex(re, im) for re, im in data["coeffs"]], cleanup=0.0)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.offset == other.offset
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.offset, self.coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -273,20 +347,16 @@ class LaurentMatrix:
     """Square matrix of Laurent polynomials held as one coefficient stack:
     ``coeffs[k]`` is the n x n complex matrix multiplying ``t^(offset + k)``.
 
-    Like :class:`LaurentPoly`, the constructor applies the relative cleanup,
-    here entry by entry: a coefficient of modulus <= cleanup * (the largest
-    modulus in its entry) is zeroed.
+    Entries are never cleaned and keep every digit; only polynomials are,
+    the determinant through ``determinant(cleanup=...)``.
     """
 
     __slots__ = ("offset", "coeffs")
 
-    def __init__(self, offset: int, coeffs: np.ndarray, cleanup: float = DEFAULT_CLEANUP):
+    def __init__(self, offset: int, coeffs: np.ndarray):
         coeffs = np.array(coeffs, dtype=complex)
         if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
             raise ValueError("coefficient stack must have shape (span, n, n)")
-        if cleanup > 0.0 and coeffs.size:
-            modulus = np.abs(coeffs)
-            coeffs[modulus <= cleanup * modulus.max(axis=0)] = 0.0
         self.offset = offset
         self.coeffs = coeffs
 
@@ -302,7 +372,7 @@ class LaurentMatrix:
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
                 coeffs[p.lo - lo : p.lo - lo + len(p.coeffs), i, j] = p.coeffs
-        return cls(lo, coeffs, cleanup=0.0)
+        return cls(lo, coeffs)
 
     @property
     def size(self) -> int:
@@ -318,7 +388,7 @@ class LaurentMatrix:
     def with_swapped_rows(self, i: int, j: int) -> "LaurentMatrix":
         order = list(range(self.size))
         order[i], order[j] = j, i
-        return LaurentMatrix(self.offset, self.coeffs[:, order], cleanup=0.0)
+        return LaurentMatrix(self.offset, self.coeffs[:, order])
 
     def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> LaurentPoly:
         """Determinant by evaluation at roots of unity and FFT interpolation.

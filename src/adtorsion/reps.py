@@ -20,13 +20,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .intlaurent import IntLaurent
+from .laurent import IntLaurent, _signed_sum_str
 from .presentation import Presentation
 from .words import Word
 
 REALITY_TOL = 1e-9
 INTERVAL_SLACK = 1e-9
 MULTIPLICITY_THRESHOLD = 1e-5
+
+#: the sigma grid on which su2_root_count_thresholds probes the root count
+THRESHOLD_SIGMA_LO = -2.0
+THRESHOLD_SIGMA_HI = 1.995
+THRESHOLD_SAMPLES = 2000
 
 #: distinct words whose obstruction polynomial stays memoized per process
 RILEY_CACHE_SIZE = 256
@@ -219,24 +224,12 @@ class RileyPoly:
         form = self.sigma_form()
         if form is None:
             return None
-        return _poly_in_u_str(form, uvar, svar)
+        return _poly_in_u_str(
+            [_signed_sum_str(reversed(list(enumerate(c))), svar) for c in form], uvar
+        )
 
     def to_str(self, uvar: str = "u", svar: str = "s") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for d in range(self.u_degree, -1, -1):
-            c = self.coefficient(d)
-            if c.is_zero:
-                continue
-            cstr = c.to_str(svar)
-            if d == 0:
-                parts.append(f"({cstr})")
-            elif d == 1:
-                parts.append(f"({cstr})*{uvar}")
-            else:
-                parts.append(f"({cstr})*{uvar}^{d}")
-        return " + ".join(parts)
+        return _poly_in_u_str([c.to_str(svar) for c in self.coeffs], uvar)
 
     def __repr__(self) -> str:
         return f"RileyPoly({self.to_str()})"
@@ -275,30 +268,14 @@ def _palindromic_to_sigma(p: IntLaurent) -> list[int]:
     return out
 
 
-def _sigma_poly_str(coeffs: Sequence[int], svar: str) -> str:
-    if not coeffs or all(c == 0 for c in coeffs):
-        return "0"
+def _poly_in_u_str(coeff_strs: Sequence[str], uvar: str) -> str:
+    """``(c_d)*u^d + ... + (c_0)`` from the printed coefficients, indexed by
+    u-degree; a coefficient printed as "0" is left out."""
     parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
+    for d in range(len(coeff_strs) - 1, -1, -1):
+        cstr = coeff_strs[d]
+        if cstr == "0":
             continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            power = svar if e == 1 else f"{svar}^{e}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def _poly_in_u_str(form: list[list[int]], uvar: str, svar: str) -> str:
-    parts = []
-    for d in range(len(form) - 1, -1, -1):
-        if not form[d] or all(c == 0 for c in form[d]):
-            continue
-        cstr = _sigma_poly_str(form[d], svar)
         if d == 0:
             parts.append(f"({cstr})")
         elif d == 1:
@@ -359,8 +336,6 @@ def su2_solutions(
     theta: float,
     tol: float = REALITY_TOL,
     *,
-    reality_tol: float = REALITY_TOL,
-    interval_slack: float = INTERVAL_SLACK,
     multiplicity_threshold: float = MULTIPLICITY_THRESHOLD,
 ) -> Su2Solutions:
     """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0].
@@ -379,16 +354,16 @@ def su2_solutions(
     if len(coeffs) == 1:
         return Su2Solutions(theta, sigma, (), ())
 
-    roots, borderline = _real_roots(coeffs, reality_tol, multiplicity_threshold)
+    roots, borderline = _real_roots(coeffs, REALITY_TOL, multiplicity_threshold)
     lo = sigma - 2.0
-    kept = sorted(r for r in roots if lo - interval_slack <= r <= interval_slack)
+    kept = sorted(r for r in roots if lo - INTERVAL_SLACK <= r <= INTERVAL_SLACK)
     flags = [False] * len(kept)
     for i in range(len(kept) - 1):
         if kept[i + 1] - kept[i] < multiplicity_threshold:
             flags[i] = True
             flags[i + 1] = True
     edge = tuple(
-        sorted(r for r in borderline if lo - interval_slack <= r <= interval_slack)
+        sorted(r for r in borderline if lo - INTERVAL_SLACK <= r <= INTERVAL_SLACK)
     )
     return Su2Solutions(theta, sigma, tuple(kept), tuple(flags), edge)
 
@@ -485,14 +460,10 @@ def _horner(coeffs, z):
     return acc
 
 
-def su2_root_count_thresholds(
-    phi: RileyPoly,
-    sigma_lo: float = -2.0,
-    sigma_hi: float = 1.995,
-    samples: int = 2000,
-) -> list[float]:
+def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     """Sigma values where the SU(2) root count changes, by bisection on the
-    count over a grid in sigma = 2cos(theta)."""
+    count over a THRESHOLD_SAMPLES grid in sigma = 2cos(theta) from
+    THRESHOLD_SIGMA_LO to THRESHOLD_SIGMA_HI."""
 
     def theta_of(sig: float) -> float:
         theta = math.acos(max(-1.0, min(1.0, sig / 2.0)))
@@ -501,7 +472,8 @@ def su2_root_count_thresholds(
     def count(sig: float) -> int:
         return len(su2_solutions(phi, theta_of(sig)).roots)
 
-    grid = [sigma_lo + (sigma_hi - sigma_lo) * i / (samples - 1) for i in range(samples)]
+    lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
+    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     counts = su2_root_counts(phi, [theta_of(s) for s in grid])
     thresholds = []
     for i in range(samples - 1):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foxcalc import GroupRingElt, fox_derivative
-from .intlaurent import IntLaurent
 from .laurent import (
     DEFAULT_CLEANUP,
+    IntLaurent,
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
@@ -57,7 +57,6 @@ def phi_of(
     elt: GroupRingElt,
     rep: Rep,
     adj: AdjointImage | None = None,
-    cleanup: float = DEFAULT_CLEANUP,
 ) -> LaurentMatrix:
     """3x3 Laurent matrix sum_i c_i t^{alpha(w_i)} Ad(rho(w_i))."""
     if adj is None:
@@ -74,7 +73,7 @@ def phi_of(
     # unbuffered and in term order: each exponent's sum is accumulated in
     # the order of elt.terms
     np.add.at(coeffs, np.subtract(exponents, lo), terms)
-    return LaurentMatrix(lo, coeffs, cleanup=cleanup)
+    return LaurentMatrix(lo, coeffs)
 
 
 def _generator_minus_one(j: int) -> GroupRingElt:
@@ -91,7 +90,7 @@ def boundary_factor(
     p = rep.presentation
     if j is None:
         j = p.meridian
-    m = phi_of(_generator_minus_one(j), rep, adj=adj, cleanup=cleanup)
+    m = phi_of(_generator_minus_one(j), rep, adj=adj)
     return m.determinant(cleanup=cleanup)
 
 
@@ -99,7 +98,6 @@ def alexander_block_matrix(
     rep: Rep,
     drop: int | None = None,
     adj: AdjointImage | None = None,
-    cleanup: float = DEFAULT_CLEANUP,
 ) -> LaurentMatrix:
     """Square block matrix of the twisted second boundary map over
     generators i != drop.
@@ -125,7 +123,7 @@ def alexander_block_matrix(
         adj = adjoint_images(rep)
     rows = [i for i in range(k) if i != drop]
     blocks = [
-        (3 * ri, 3 * li, phi_of(fox_derivative(r, i), rep, adj=adj, cleanup=cleanup))
+        (3 * ri, 3 * li, phi_of(fox_derivative(r, i), rep, adj=adj))
         for ri, i in enumerate(rows)
         for li, r in enumerate(p.relators)
     ]
@@ -136,7 +134,7 @@ def alexander_block_matrix(
     for row, col, b in blocks:
         k0 = b.offset - lo
         coeffs[k0 : k0 + len(b.coeffs), row : row + 3, col : col + 3] = b.coeffs.transpose(0, 2, 1)
-    return LaurentMatrix(lo, coeffs, cleanup=0.0)
+    return LaurentMatrix(lo, coeffs)
 
 
 def homology_torsion(
@@ -146,11 +144,12 @@ def homology_torsion(
     cleanup: float = DEFAULT_CLEANUP,
 ) -> LaurentPoly:
     """Torsion polynomial: determinant of the dropped-generator block matrix,
-    normalized to lowest exponent 0 (the +-t^m unit is immaterial).  Only the
-    determinant is cleaned: cleaning each entry would move Delta_1 by up to
-    cleanup times an entry's scale, and the simple-zero test reads those digits.
+    normalized to lowest exponent 0 (the +-t^m unit is immaterial).  The
+    matrix entries are never cleaned, only the determinant is: cleaning each
+    entry would move Delta_1 by up to cleanup times an entry's scale, and the
+    simple-zero test reads those digits.
     """
-    a = alexander_block_matrix(rep, drop=drop, adj=adj, cleanup=0.0)
+    a = alexander_block_matrix(rep, drop=drop, adj=adj)
     return a.determinant(cleanup=cleanup).with_offset_zero()
 
 
@@ -403,9 +402,7 @@ def untwisted_alexander(p: Presentation, drop: int | None = None) -> IntLaurent:
 
 def alexander_at_minus_one(p: Presentation) -> int:
     """Exact determinant |Delta(-1)| of the knot."""
-    delta = untwisted_alexander(p)
-    value = delta(-1)
-    return abs(int(round(value.real if isinstance(value, complex) else value)))
+    return abs(untwisted_alexander(p)(-1))
 
 
 def dihedral_class_count(p: Presentation) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from adtorsion import catalog
 from adtorsion.foxcalc import fundamental_identity_holds
-from adtorsion.intlaurent import IntLaurent
+from adtorsion.laurent import IntLaurent
 from adtorsion.laurent import (
     LaurentMatrix,
     LaurentPoly,

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adtorsion import catalog
 from adtorsion.laurent import (
+    IntLaurent,
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
@@ -193,7 +195,7 @@ def fox_block_41_11(theta, root):
     p = schubert_knot(41, 11)
     u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[root]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
-    return alexander_block_matrix(rep, cleanup=0.0)
+    return alexander_block_matrix(rep)
 
 
 def exact_determinant_3x3(m):
@@ -267,3 +269,58 @@ def test_unit_aligned_distance():
 def test_json_roundtrip():
     p = LaurentPoly(-2, [1 + 2j, 0, 3])
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+def test_int_laurent_stays_exact_past_double_precision():
+    big = 10**20
+    p = IntLaurent(-1, (big, 1))
+    q = IntLaurent(0, (big, -1))
+    assert (p + q).coeffs == (big, big + 1, -1)
+    assert (p - q).coeffs == (big, 1 - big, 1)
+    assert (p * q).coeffs == (big * big, 0, -1) and (p * q).offset == -1
+    assert all(type(c) is int for c in (p * q).coeffs)
+
+
+def test_int_laurent_evaluates_to_an_int():
+    value = IntLaurent(0, (2, -3, 2))(-1)
+    assert type(value) is int and value == 7
+    value = IntLaurent(2, (10**20 + 1, 1))(-1)
+    assert type(value) is int and value == 10**20
+    assert type(IntLaurent.zero()(-1)) is int
+
+
+def test_uncleaned_complex_poly_keeps_its_small_coefficient():
+    p = LaurentPoly(-3, [1.0, 1e-14, 2.0], cleanup=0.0)
+    assert p.coefficient(-2) == 1e-14
+    for q in (p.shift(5), p.with_offset_zero(), -p):
+        assert len(q.coeffs) == 3 and abs(q.coeffs[1]) == 1e-14
+    assert LaurentPoly(-3, [1.0, 1e-14, 2.0]).coefficient(-2) == 0  # the default cleans
+
+
+def test_coefficient_outside_support_is_the_ring_zero():
+    zero = IntLaurent(1, (5, 7)).coefficient(9)
+    assert type(zero) is int and zero == 0
+    zero = LaurentPoly(1, [5, 7]).coefficient(-4)
+    assert type(zero) is complex and zero == 0
+    assert type(IntLaurent.zero().coefficient(0)) is int
+    assert type(LaurentPoly.zero().coefficient(0)) is complex
+
+
+def test_rings_never_compare_equal():
+    assert IntLaurent(0, (1,)) != LaurentPoly(0, (1,))
+    assert LaurentPoly(0, (1,)) != IntLaurent(0, (1,))
+    assert IntLaurent.one() == IntLaurent(0, (1,))
+
+
+def test_int_laurent_and_riley_strings():
+    assert IntLaurent(-2, (-1, 0, 0, 2, 1)).to_str("t") == "-t^-2 + 2*t + t^2"
+    assert IntLaurent(0, (3, -1, -4)).to_str() == "3 - s - 4*s^2"
+    assert IntLaurent.zero().to_str() == "0"
+    phi = riley_polynomial(catalog.knot("5_2").bridge_word)
+    assert phi.to_str() == (
+        "(s^2)*u^3 + (-2*s + 3*s^2 - 2*s^3)*u^2 "
+        "+ (1 - 3*s + 6*s^2 - 3*s^3 + s^4)*u + (-2*s + 3*s^2 - 2*s^3)"
+    )
+    assert phi.sigma_form_str() == (
+        "(1)*u^3 + (-2*sigma + 3)*u^2 + (sigma^2 - 3*sigma + 4)*u + (-2*sigma + 3)"
+    )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adtorsion import catalog
-from adtorsion.intlaurent import IntLaurent
+from adtorsion.laurent import IntLaurent
 from adtorsion.presentation import Presentation
 from adtorsion.reps import (
     Rep,

@@ -7,7 +7,7 @@ import pytest
 
 from adtorsion import catalog, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
-from adtorsion.intlaurent import IntLaurent
+from adtorsion.laurent import IntLaurent
 from adtorsion.laurent import LaurentPoly, divide_out_simple_roots, unit_aligned_distance
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
 from adtorsion.reps import Rep, adjoint_images, build_rep, riley_polynomial, su2_solutions
