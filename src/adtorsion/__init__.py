@@ -64,5 +64,7 @@ from .torsion import (
     untwisted_alexander,
 )
 from .catalog import knot, knot_names
+from .locus import auto_theta_range, find_critical_points, sweep_rows
+from .verify import run_verification
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,0 +1,427 @@
+"""The torsion along the SU(2) locus of a two-bridge knot: theta grids,
+sweeps, the SU(2) window, and critical points of the torsion per root
+branch.
+
+Roots are paired into branches in one place only, the nearest-u pairing on
+the theta grid of a critical search.  Everywhere else (theta +- h, a trial
+theta of the refinement) a branch is its rank among the sorted SU(2) roots,
+keyed by the root count: between two grid samples whose root counts agree
+the real roots cannot cross, so the rank identifies the root.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from .presentation import Presentation, PresentationError
+from .reps import (
+    Rep,
+    RepresentationError,
+    RileyPoly,
+    build_rep,
+    riley_polynomial,
+    su2_root_count_thresholds,
+    su2_root_counts,
+    su2_solutions,
+)
+from .torsion import (
+    DEFAULT_TOLERANCES,
+    RegularityError,
+    Tolerances,
+    compute_torsion,
+    torsion_polynomial,
+    torsion_via_limit,
+)
+
+
+class BracketError(ArithmeticError):
+    """The refinement derivative has one sign at both ends of a sign change."""
+
+
+# what one branch evaluation can raise; a critical search drops the sample or
+# the sign change and notes why, and keeps going
+_BRANCH_ERRORS = (RegularityError, RepresentationError)
+
+#: distance kept from each end of the probed SU(2) window by auto_theta_range
+AUTO_THETA_MARGIN = 0.02
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    theta: float
+    u: float
+    torsion: complex
+    derivative_estimate: float
+    is_dihedral: bool
+
+
+@dataclass
+class CriticalReport:
+    points: list[CriticalPoint]
+    notes: list[str]
+    thresholds: list[float]
+
+    @property
+    def dihedral_count(self) -> int:
+        return sum(1 for pt in self.points if pt.is_dihedral)
+
+    def to_json(self) -> dict:
+        return {
+            "points": [
+                {
+                    "theta": pt.theta,
+                    "u": pt.u,
+                    "torsion": [pt.torsion.real, pt.torsion.imag],
+                    "derivative_estimate": pt.derivative_estimate,
+                    "is_dihedral": pt.is_dihedral,
+                }
+                for pt in self.points
+            ],
+            "notes": self.notes,
+            "sigma_thresholds": self.thresholds,
+            "dihedral_count": self.dihedral_count,
+        }
+
+
+def rep_at(p: Presentation, theta: float, u: float, tol: Tolerances) -> Rep:
+    """SU(2)-conjugate representation at s = e^{i theta} with the continuous
+    square-root branch e^{i theta / 2}."""
+    s = cmath.exp(1j * theta)
+    return build_rep(p, s, u, sqrt_s=cmath.exp(0.5j * theta), tol=tol.relation)
+
+
+def _two_bridge_phi(p: Presentation, task: str) -> RileyPoly:
+    """Riley polynomial of a two-bridge presentation; PresentationError
+    naming ``task`` for any other presentation."""
+    if p.bridge_word is None:
+        raise PresentationError(f"{task} needs a two-bridge presentation")
+    return riley_polynomial(p.bridge_word)
+
+
+def theta_grid(lo: float, hi: float, samples: int) -> list[float]:
+    """``samples`` evenly spaced thetas from lo to hi, both included;
+    ValueError unless 0 < lo < hi < 2 pi and samples >= 2."""
+    problems = []
+    if not (0.0 < lo < hi < 2.0 * math.pi):
+        problems.append("need 0 < theta-lo < theta-hi < 2*pi")
+    if samples < 2:
+        problems.append("samples must be >= 2")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+
+
+def sweep_rows(
+    p: Presentation,
+    theta_lo: float,
+    theta_hi: float,
+    samples: int,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    drop: int | None = None,
+) -> list[dict]:
+    """One row per SU(2) root at each theta of the grid: sigma, u, the
+    torsion, the simple-zero diagnostic and Tr rho(mu)."""
+    grid = theta_grid(theta_lo, theta_hi, samples)
+    phi = _two_bridge_phi(p, "sweep")
+    rows: list[dict] = []
+    for theta in grid:
+        sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
+        for u in sols.roots:
+            rep = rep_at(p, theta, u, tol)
+            result = compute_torsion(rep, tol, drop=drop)
+            rows.append(
+                {
+                    "theta": theta,
+                    "sigma": sols.sigma,
+                    "u": u,
+                    "torsion_re": result.value.real,
+                    "torsion_im": result.value.imag,
+                    "tai_simple_zero": bool(result.diagnostics["simple_zero"]),
+                    "trace_mu": rep.trace_meridian.real,
+                }
+            )
+    return rows
+
+
+def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
+    """Widest theta window on which SU(2) roots exist, probed on a grid."""
+    n = 600
+    thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
+    found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
+    if not found or found[-1] - found[0] < 4 * AUTO_THETA_MARGIN:
+        raise RepresentationError("no SU(2) representations found on the probe grid")
+    return found[0] + AUTO_THETA_MARGIN, found[-1] - AUTO_THETA_MARGIN
+
+
+class _BranchTorsion:
+    """Torsion along the root branches of one presentation.
+
+    A branch is given by ``ranks``: its rank among the sorted SU(2) roots,
+    keyed by the root count at which that rank is known (one grid sample, or
+    the two ends of a bracket).  A critical search evaluates all its
+    branches at the same theta +- h, so the SU(2) roots at each theta are
+    computed once and shared by every branch of the search.
+    """
+
+    def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances):
+        self.p, self.phi, self.tol = p, phi, tol
+        self._roots: dict[float, tuple[float, ...]] = {}
+
+    def roots(self, theta: float) -> tuple[float, ...]:
+        roots = self._roots.get(theta)
+        if roots is None:
+            roots = self._roots[theta] = su2_solutions(
+                self.phi, theta, self.tol.relation, multiplicity_threshold=self.tol.multiplicity
+            ).roots
+        return roots
+
+    def value(self, theta: float, ranks: dict[int, int]) -> tuple[float, float]:
+        """Torsion value and root of the branch at this theta; a
+        RepresentationError when no end of the bracket has this theta's
+        root count."""
+        roots = self.roots(theta)
+        rank = ranks.get(len(roots))
+        if rank is None:
+            raise RepresentationError(
+                f"root count {len(roots)} at theta={theta:.6f} matches no bracket end"
+            )
+        u = roots[rank]
+        tp = torsion_polynomial(rep_at(self.p, theta, u, self.tol), tol=self.tol)
+        return torsion_via_limit(tp).real, u
+
+    def derivative(
+        self, theta: float, ranks: dict[int, int], h: float | None = None
+    ) -> tuple[float, float]:
+        """Central difference with step h (default fd_step) and the mean of
+        the two torsion values it used."""
+        if h is None:
+            h = self.tol.fd_step
+        plus, _ = self.value(theta + h, ranks)
+        minus, _ = self.value(theta - h, ranks)
+        return (plus - minus) / (2.0 * h), 0.5 * (plus + minus)
+
+
+def find_critical_points(
+    p: Presentation,
+    theta_lo: float,
+    theta_hi: float,
+    samples: int,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> CriticalReport:
+    """Locate zeros of d(torsion)/d(theta) per root branch.
+
+    Central finite differences on a theta grid; each sign change is refined
+    by Brent's method on a wide-step difference (``_refine_derivative_zero``)
+    and each zero is annotated with the binary-dihedral test
+    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
+    """
+    grid = theta_grid(theta_lo, theta_hi, samples)
+    phi = _two_bridge_phi(p, "critical")
+    notes: list[str] = []
+    # roots move at |du/dtheta| = O(1) along a branch, so the pairing radius
+    # must scale with the grid spacing
+    spacing = (theta_hi - theta_lo) / (samples - 1)
+    max_jump = max(0.35, 3.0 * spacing)
+
+    # branch pairing: nearest-u continuation, birth/death noted; a sample is
+    # (theta, u, {root count: rank of u})
+    branches: list[list[tuple[float, float, dict[int, int]]]] = []
+    active: list[int] = []
+    prev_count = None
+    for theta in grid:
+        sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
+        roots = list(sols.roots)
+        if sols.any_near_multiple:
+            notes.append(f"near-multiple roots at theta={theta:.6f}; branch pairing ambiguous")
+        if prev_count is not None and len(roots) != prev_count:
+            notes.append(f"root count changed {prev_count} -> {len(roots)} at theta={theta:.6f}")
+        prev_count = len(roots)
+
+        new_active: list[int] = []
+        used = set()
+        for rank, u in enumerate(roots):
+            best = None
+            for idx in active:
+                if idx in used:
+                    continue
+                last_u = branches[idx][-1][1]
+                if best is None or abs(u - last_u) < abs(u - branches[best][-1][1]):
+                    best = idx
+            sample = (theta, u, {len(roots): rank})
+            if best is not None and abs(u - branches[best][-1][1]) <= max_jump:
+                used.add(best)
+                branches[best].append(sample)
+                new_active.append(best)
+            else:
+                branches.append([sample])
+                new_active.append(len(branches) - 1)
+        active = new_active
+
+    torsion = _BranchTorsion(p, phi, tol)
+    points: list[CriticalPoint] = []
+    for branch in branches:
+        if len(branch) < 3:
+            continue
+        theta_lo_b, theta_hi_b = branch[0][0], branch[-1][0]
+        derivs: list[float | None] = []
+        values: list[float] = []
+        failures: list[Exception] = []
+        for theta, _, ranks in branch:
+            try:
+                g, v = torsion.derivative(theta, ranks)
+            except _BRANCH_ERRORS as exc:
+                derivs.append(None)
+                failures.append(exc)
+                continue
+            derivs.append(g)
+            values.append(v)
+        span = f"[{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
+        if failures:
+            notes.append(
+                f"{len(failures)} of {len(branch)} derivative samples failed on the "
+                f"branch over {span}, the first with: {failures[0]}"
+            )
+        if not values:
+            continue
+
+        # derivative values below the evaluation-noise floor carry no sign
+        # information; a branch that is flat everywhere has constant torsion,
+        # so every point is critical and the dihedral one is reported
+        floor = 1e-11 * max([1.0] + [abs(v) for v in values]) / tol.fd_step
+        usable = [i for i, g in enumerate(derivs) if g is not None and abs(g) > floor]
+        if not usable:
+            notes.append(f"branch torsion is constant at the numerical noise floor over {span}")
+            if theta_lo_b <= math.pi <= theta_hi_b:
+                ranks = min(branch, key=lambda sample: abs(sample[0] - math.pi))[2]
+                try:
+                    points.append(_critical_point(torsion, math.pi, ranks))
+                except _BRANCH_ERRORS as exc:
+                    notes.append(f"dropped the flat-branch point over {span}: {exc}")
+            continue
+        for i1, i2 in zip(usable, usable[1:]):
+            ga, gb = derivs[i1], derivs[i2]
+            if ga * gb < 0.0:
+                (theta_a, _, ranks_a), (theta_b, _, ranks_b) = branch[i1], branch[i2]
+                try:
+                    theta_star, ranks = _refine_derivative_zero(
+                        torsion, (theta_a, ranks_a), (theta_b, ranks_b)
+                    )
+                    pt = _critical_point(torsion, theta_star, ranks)
+                except (*_BRANCH_ERRORS, BracketError) as exc:
+                    notes.append(
+                        f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {exc}"
+                    )
+                    continue
+                # report invariant: the derivative estimate at a reported
+                # point must sit below the critical threshold
+                if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
+                    points.append(pt)
+                else:
+                    notes.append(
+                        f"discarded sign change near theta={theta_star:.6f}: "
+                        f"derivative estimate {pt.derivative_estimate:.2e} too large"
+                    )
+
+    thresholds = su2_root_count_thresholds(phi)
+    return CriticalReport(points=points, notes=notes, thresholds=thresholds)
+
+
+def _refine_derivative_zero(
+    torsion: _BranchTorsion,
+    end_a: tuple[float, dict[int, int]],
+    end_b: tuple[float, dict[int, int]],
+) -> tuple[float, dict[int, int]]:
+    """(theta, ranks) of the derivative zero between two branch ends
+    (theta, ranks) whose derivatives differ in sign.
+
+    A wider step is used for the refinement: the central difference of a
+    smooth function has a zero crossing at the critical point to first order
+    for ANY step, while the evaluation-noise floor of its sign scales like
+    1/step.  The reported derivative estimate still uses tol.fd_step.  Every
+    theta evaluated takes its root by rank from the end with its root count,
+    from end a when both ends have it.
+    """
+    h = max(torsion.tol.fd_step, 2e-3)
+    (theta_a, ranks_a), (theta_b, ranks_b) = end_a, end_b
+    ranks = {**ranks_b, **ranks_a}
+
+    def slope(theta: float) -> float:
+        return torsion.derivative(theta, ranks, h)[0]
+
+    ga, gb = slope(theta_a), slope(theta_b)
+    if ga * gb > 0.0:
+        raise BracketError(
+            f"the derivative with step {h:g} has one sign at both ends "
+            f"({ga:.3e}, {gb:.3e})"
+        )
+    return _bracketed_zero(slope, theta_a, ga, theta_b, gb, xtol=1e-11), ranks
+
+
+def _bracketed_zero(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, xtol: float
+) -> float:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
+    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4).
+
+    Every step stays inside the current sign bracket: an inverse quadratic
+    or secant step when it shrinks the bracket fast enough, else bisection.
+    Returns the bracket end with the smaller |f| once f is exactly 0 there
+    or the bracket is narrower than xtol.
+    """
+    if fa * fb > 0.0:
+        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # keep c on the other side of the zero from b
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or abs(c - b) < xtol:
+            return b
+        m = 0.5 * (c - b)
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
+        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
+        if not bisect:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                bisect = True
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+def _critical_point(
+    torsion: _BranchTorsion, theta_star: float, ranks: dict[int, int]
+) -> CriticalPoint:
+    value, u = torsion.value(theta_star, ranks)
+    deriv = abs(torsion.derivative(theta_star, ranks)[0])
+    trace_mu = abs(2.0 * math.cos(theta_star / 2.0))
+    return CriticalPoint(
+        theta=theta_star,
+        u=u,
+        torsion=complex(value),
+        derivative_estimate=deriv,
+        is_dihedral=trace_mu <= 1e-6,
+    )

@@ -35,7 +35,7 @@ from .words import Word
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numerical thresholds for the torsion pipeline."""
+    """Numerical thresholds for the torsion pipeline; each must be positive."""
 
     relation: float = 1e-9       # relator residuals, boundary-trace floor
     consistency: float = 1e-6    # formula-vs-limit relative agreement
@@ -44,6 +44,10 @@ class Tolerances:
     fd_step: float = 1e-4        # finite-difference step in theta
     simple_zero: float = 1e-9    # synthetic-division remainders, relative
     regular_floor: float = 1e-6  # |(Delta/(t-1)^2)(1)| must exceed this * scale
+
+    def __post_init__(self):
+        if not all(value > 0.0 for value in vars(self).values()):
+            raise ValueError("tolerances must be positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()

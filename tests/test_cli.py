@@ -8,16 +8,9 @@ import sys
 
 import pytest
 
-from adtorsion import cli
-from adtorsion.cli import (
-    BranchTrackingError,
-    SweepConfig,
-    auto_theta_range,
-    find_critical_points,
-    format_sweep_csv,
-    main,
-    sweep_rows,
-)
+from adtorsion import cli, locus
+from adtorsion.cli import format_sweep_csv, main
+from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
 from adtorsion.foxcalc import fox_derivative
 from adtorsion.reps import RepresentationError, riley_polynomial, su2_root_count_thresholds
@@ -133,17 +126,25 @@ def test_sweep_rejects_bad_config(capsys):
     assert "theta" in err
 
 
-def test_sweep_config_problems():
-    bad = SweepConfig("5_2", 1.0, 2.0, 1, Tolerances(), None, "yaml")
-    problems = bad.problems()
-    assert any("samples" in p for p in problems)
-    assert any("format" in p for p in problems)
+def test_sweep_input_checks(capsys):
+    # one sample and an unknown output format: the grid rejects the first
+    # for every caller, argparse the second
+    with pytest.raises(ValueError, match="^samples must be >= 2$"):
+        theta_grid(1.0, 2.0, 1)
+    with pytest.raises(ValueError, match="^samples must be >= 2$"):
+        sweep_rows(catalog.knot("5_2"), 1.0, 2.0, 1)
+    code, out, err = run_cli(
+        capsys, "sweep", "--knot", "5_2", "--theta-lo", "1.0", "--theta-hi", "2.0",
+        "--samples", "1", "--format", "yaml",
+    )
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'yaml'" in err
 
 
 def test_sweep_torsion_column_real(capsys):
     p = catalog.knot("5_2")
-    config = SweepConfig("5_2", 2.5, 3.7, 9)
-    rows = sweep_rows(p, config)
+    rows = sweep_rows(p, 2.5, 3.7, 9)
     assert all(abs(r["torsion_im"]) <= 1e-8 for r in rows)
     text = format_sweep_csv(rows)
     assert text.count("\n") == len(rows) + 2
@@ -229,24 +230,59 @@ def test_commands_reject_non_two_bridge_presentation(tmp_path, capsys):
         assert err == f"error: {command} needs a two-bridge presentation\n"
 
 
-def test_branch_tracking_error_exits_1(monkeypatch, capsys):
-    def lose_branch(*args, **kwargs):
-        raise BranchTrackingError("branch jump 0.914 at theta=3.637154")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("riley-poly", "--knot", "5_2", "--tol-relation", "-1"),
+        ("tai", "--knot", "5_2", "--theta", "2.5", "--tol-multiplicity", "0"),
+        ("torsion", "--knot", "5_2", "--theta", "2.5", "--tol-relation", "-1"),
+        ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7", "--tol-cleanup", "0"),
+        ("critical", "--knot", "5_2", "--tol-cleanup", "0"),
+        ("verify", "--tol-consistency", "-1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_reject_non_positive_tolerances(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: tolerances must be positive\n")
 
-    monkeypatch.setattr(cli, "find_critical_points", lose_branch)
-    code, out, err = run_cli(capsys, "critical", "--knot", "5_2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: branch jump 0.914 at theta=3.637154\n"
+
+def test_tolerances_must_be_positive():
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="^tolerances must be positive$"):
+            Tolerances(fd_step=bad)
+    assert Tolerances(relation=1e-12).relation == 1e-12
 
 
-@pytest.mark.parametrize("error", [BranchTrackingError, RegularityError, RepresentationError])
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (("--theta-lo", "2.7"), "need 0 < theta-lo < theta-hi < 2*pi"),
+        (("--theta-hi", "3.5"), "need 0 < theta-lo < theta-hi < 2*pi"),
+        (("--theta-lo", "3.5", "--theta-hi", "2.7"), "need 0 < theta-lo < theta-hi < 2*pi"),
+        (("--samples", "1"), "samples must be >= 2"),
+        (("--samples", "0"), "samples must be >= 2"),
+        (("--samples", "-3"), "samples must be >= 2"),
+        (
+            ("--theta-lo", "3.5", "--theta-hi", "2.7", "--samples", "1"),
+            "need 0 < theta-lo < theta-hi < 2*pi; samples must be >= 2",
+        ),
+    ],
+)
+def test_critical_rejects_a_bad_window_like_the_sweep(capsys, window, message):
+    code, out, err = run_cli(capsys, "critical", "--knot", "5_2", *window)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    if "--theta-lo" in window and "--theta-hi" in window:
+        assert run_cli(capsys, "sweep", "--knot", "5_2", *window) == (code, out, err)
+
+
+@pytest.mark.parametrize("error", [RegularityError, RepresentationError])
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
     # the refinement of each sign change fails
     def fail(torsion, end_a, end_b):
         raise error(f"lost at theta={end_a[0]:.6f}")
 
-    monkeypatch.setattr(cli, "_refine_derivative_zero", fail)
+    monkeypatch.setattr(locus, "_refine_derivative_zero", fail)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
     # 5_2 has three dihedral sign changes on this window, each now a note
@@ -257,32 +293,39 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
 
 
 def test_critical_search_completes_across_a_branch_jump(monkeypatch):
-    # b(13,9): at the first trial theta of the refinement su2_solutions sees
-    # only a root far from the branch, so that sign change is dropped with a
-    # branch-jump note and the rest of the search still reports
+    # b(13,9): at the first trial theta of the first refinement whose ends
+    # have more than one root, su2_solutions sees only a root far from the
+    # branch.  One root is a count neither end of the bracket has, so that
+    # sign change is dropped with a note naming the count, and the rest of
+    # the search still reports
     p = schubert_knot(13, 9)
-    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    phi = riley_polynomial(p.bridge_word)
+    lo, hi = auto_theta_range(phi)
     first_trial = []
-    solve, solutions = cli._bracketed_zero, cli.su2_solutions
+    solve, solutions = locus._bracketed_zero, locus.su2_solutions
 
-    def solve_spy(f, *args, **kwargs):
+    def solve_spy(f, a, fa, b, fb, **kwargs):
         def f_spy(theta):
-            if not first_trial:
+            if not first_trial and len(solutions(phi, a).roots) > 1:
                 first_trial.append(theta)
             return f(theta)
 
-        return solve(f_spy, *args, **kwargs)
+        return solve(f_spy, a, fa, b, fb, **kwargs)
 
     def far_root_at_first_trial(phi, theta, *args, **kwargs):
         sols = solutions(phi, theta, *args, **kwargs)
-        if first_trial and theta == first_trial[0]:
+        # the wide-step derivative evaluates the trial theta at theta +- 2e-3
+        if first_trial and theta in (first_trial[0] + 2e-3, first_trial[0] - 2e-3):
             return dataclasses.replace(sols, roots=(10.0,), near_multiple=(False,))
         return sols
 
-    monkeypatch.setattr(cli, "_bracketed_zero", solve_spy)
-    monkeypatch.setattr(cli, "su2_solutions", far_root_at_first_trial)
+    monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
+    monkeypatch.setattr(locus, "su2_solutions", far_root_at_first_trial)
     report = find_critical_points(p, lo, hi, 33, Tolerances())
-    assert any("branch jump" in n and n.startswith("dropped sign change") for n in report.notes)
+    dropped = [n for n in report.notes if n.startswith("dropped sign change")]
+    assert [n.partition(": ")[2] for n in dropped] == [
+        f"root count 1 at theta={first_trial[0] + 2e-3:.6f} matches no bracket end"
+    ]
     assert 0 < report.dihedral_count <= 6
     for pt in report.points:
         assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
@@ -316,18 +359,36 @@ def test_critical_search_on_b15_drops_only_the_residual_sign_change(q):
     )
 
 
+def test_critical_search_drops_a_bracket_whose_ends_disagree_on_rank():
+    # b(11,3): the grid pairing joins root 1 of 3 at theta = 4.226731 to
+    # root 0 of 3 at 4.335245.  The refinement takes both ends on one rank,
+    # where the wide-step derivative has one sign, so the sign change is
+    # dropped instead of refined to a point whose derivative is too large
+    knot = schubert_knot(11, 3)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert report.dihedral_count == 5
+    assert not [n for n in report.notes if n.startswith("discarded")]
+    dropped = [n for n in report.notes if n.startswith("dropped")]
+    assert len(dropped) == 1
+    assert dropped[0].startswith(
+        "dropped sign change in theta [4.226731, 4.335245]: "
+        "the derivative with step 0.002 has one sign at both ends ("
+    )
+
+
 def test_critical_search_evaluation_budget(monkeypatch):
     # one torsion per theta +- fd_step per branch sample, and about ten
     # wide-step derivatives per sign change; a bisection that built a
     # torsion at each midpoint only for its root made 697
     calls = []
-    torsion_polynomial = cli.torsion_polynomial
+    torsion_polynomial = locus.torsion_polynomial
 
     def counted(*args, **kwargs):
         calls.append(None)
         return torsion_polynomial(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "torsion_polynomial", counted)
+    monkeypatch.setattr(locus, "torsion_polynomial", counted)
     p = catalog.knot("5_2")
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
     report = find_critical_points(p, lo, hi, 33, Tolerances())
@@ -336,16 +397,17 @@ def test_critical_search_evaluation_budget(monkeypatch):
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
-    # every torsion evaluation on the branch near u = -3.8 raises: the branch
-    # is noted with its failure count and first reason, not as a flat branch
-    value = cli._BranchTorsion.value
+    # every torsion evaluation on the branch near u = -3.8, the lowest of the
+    # three roots, raises: the branch is noted with its failure count and
+    # first reason, not as a flat branch
+    value = locus._BranchTorsion.value
 
-    def fail_low_branch(self, theta, u_guess):
-        if u_guess < -3.3:
+    def fail_low_branch(self, theta, ranks):
+        if ranks.get(3) == 0:
             raise RegularityError(f"not a simple zero at theta={theta:.6f}")
-        return value(self, theta, u_guess)
+        return value(self, theta, ranks)
 
-    monkeypatch.setattr(cli._BranchTorsion, "value", fail_low_branch)
+    monkeypatch.setattr(locus._BranchTorsion, "value", fail_low_branch)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
@@ -360,13 +422,13 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
 def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     # the refinement's wide-step derivative has one sign at both ends of
     # every sign change the fd_step samples found
-    derivative = cli._BranchTorsion.derivative
+    derivative = locus._BranchTorsion.derivative
 
-    def one_signed_wide_step(self, theta, u_guess, h=None):
-        g, mean = derivative(self, theta, u_guess, h)
+    def one_signed_wide_step(self, theta, ranks, h=None):
+        g, mean = derivative(self, theta, ranks, h)
         return (g if h is None else abs(g)), mean
 
-    monkeypatch.setattr(cli._BranchTorsion, "derivative", one_signed_wide_step)
+    monkeypatch.setattr(locus._BranchTorsion, "derivative", one_signed_wide_step)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
     assert len(dropped) == 3
@@ -383,7 +445,7 @@ def test_bracketed_zero_converges_on_a_cubic():
         return x**3 - 2.0 * x - 5.0
 
     root = 2.0945514815423265
-    x = cli._bracketed_zero(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
+    x = locus._bracketed_zero(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
     assert abs(x - root) <= 1e-11
     # bisection needs 37 halvings of [2, 3] to get below 1e-11
     assert len(calls) - 2 <= 10
@@ -393,10 +455,10 @@ def test_bracketed_zero_returns_an_exact_zero_at_an_end():
     def f(x):
         raise AssertionError("no evaluation needed")
 
-    assert cli._bracketed_zero(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
-    assert cli._bracketed_zero(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
+    assert locus._bracketed_zero(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
+    assert locus._bracketed_zero(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
     with pytest.raises(ValueError):
-        cli._bracketed_zero(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
+        locus._bracketed_zero(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
 
 
 def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
@@ -411,7 +473,7 @@ def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
         return y
 
     a, b = 0.0, 1.5
-    x = cli._bracketed_zero(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
+    x = locus._bracketed_zero(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
     assert abs(x - 0.7) <= 1e-9 + 1e-11
     partners = [
         t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
@@ -424,9 +486,9 @@ def test_simple_zero_remainder_on_the_edge_branch():
     # u = 2cos(theta) - 2: the remainders of the division by (t - 1)^2 sit
     # well inside the simple-zero tolerance (1e-9 of the scale)
     p = schubert_knot(11, 7)
-    sols = cli.su2_solutions(riley_polynomial(p.bridge_word), math.pi)
+    sols = locus.su2_solutions(riley_polynomial(p.bridge_word), math.pi)
     u = min(sols.roots, key=lambda r: abs(r - (sols.sigma - 2.0)))
-    tp = torsion_polynomial(cli.rep_at(p, math.pi, u, Tolerances()))
+    tp = torsion_polynomial(locus.rep_at(p, math.pi, u, Tolerances()))
     assert max(tp.remainders) <= 1e-10 * tp.delta.max_abs
 
 
@@ -459,7 +521,7 @@ def test_presentation_objects_computed_once_per_word():
     riley_polynomial.cache_clear()
     fox_derivative.cache_clear()
     # the sweep drops y and the critical search drops x, so both derivatives are used
-    sweep_rows(p, SweepConfig("5_2", 2.6, 3.7, 9, drop=1))
+    sweep_rows(p, 2.6, 3.7, 9, drop=1)
     find_critical_points(p, 2.7, 3.58, 9, Tolerances())
     riley = riley_polynomial.cache_info()
     assert riley.misses == 1  # the bridge word
@@ -469,15 +531,30 @@ def test_presentation_objects_computed_once_per_word():
     assert fox.hits > 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this source tree first on its path."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    done = subprocess.run(
-        [sys.executable, "-m", "adtorsion", "--version"],
+    return subprocess.run(
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python("-m", "adtorsion", "--version")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("adtorsion ")
+
+
+def test_library_imports_without_the_cli():
+    done = _python(
+        "-c",
+        "import sys, adtorsion, adtorsion.locus, adtorsion.verify; "
+        "print(sorted({'adtorsion.cli', 'argparse'} & set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
