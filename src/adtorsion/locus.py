@@ -2,11 +2,11 @@
 sweeps, the SU(2) window, and critical points of the torsion per root
 branch.
 
-Roots are paired into branches in one place only, the nearest-u pairing on
-the theta grid of a critical search.  Everywhere else (theta +- h, a trial
-theta of the refinement) a branch is its rank among the sorted SU(2) roots,
-keyed by the root count: between two grid samples whose root counts agree
-the real roots cannot cross, so the rank identifies the root.
+A branch is its rank among the sorted SU(2) roots, keyed by the root
+count: where the root count does not change the real roots cannot cross, so
+the rank identifies the root.  This holds between grid samples with equal
+counts, at theta +- h and at a trial theta of the refinement.  Only across a
+change of the root count does the grid pairing fall back to nearest u.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ _BRANCH_ERRORS = (RegularityError, RepresentationError)
 
 #: distance kept from each end of the probed SU(2) window by auto_theta_range
 AUTO_THETA_MARGIN = 0.02
+
+#: central-difference step in theta of the reported derivative estimates
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -194,12 +197,10 @@ class _BranchTorsion:
         return torsion_via_limit(tp).real, u
 
     def derivative(
-        self, theta: float, ranks: dict[int, int], h: float | None = None
+        self, theta: float, ranks: dict[int, int], h: float = FD_STEP
     ) -> tuple[float, float]:
-        """Central difference with step h (default fd_step) and the mean of
-        the two torsion values it used."""
-        if h is None:
-            h = self.tol.fd_step
+        """Central difference with step h and the mean of the two torsion
+        values it used."""
         plus, _ = self.value(theta + h, ranks)
         minus, _ = self.value(theta - h, ranks)
         return (plus - minus) / (2.0 * h), 0.5 * (plus + minus)
@@ -214,10 +215,12 @@ def find_critical_points(
 ) -> CriticalReport:
     """Locate zeros of d(torsion)/d(theta) per root branch.
 
-    Central finite differences on a theta grid; each sign change is refined
-    by Brent's method on a wide-step difference (``_refine_derivative_zero``)
-    and each zero is annotated with the binary-dihedral test
-    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
+    The torsion is symmetric about theta = pi on every branch, so when the
+    window contains pi every SU(2) root there is a critical point, the
+    binary dihedral one.  Elsewhere, central finite differences on a theta
+    grid; each sign change is refined by Brent's method on a wide-step
+    difference (``_refine_derivative_zero``).  Each zero is annotated with
+    the binary-dihedral test |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
     """
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
@@ -227,23 +230,29 @@ def find_critical_points(
     spacing = (theta_hi - theta_lo) / (samples - 1)
     max_jump = max(0.35, 3.0 * spacing)
 
-    # branch pairing: nearest-u continuation, birth/death noted; a sample is
-    # (theta, u, {root count: rank of u})
+    # branch pairing: a sample is (theta, u, {root count: rank of u}).  At
+    # an equal root count each branch keeps its rank; across a count change,
+    # nearest-u continuation within max_jump, birth/death noted
     branches: list[list[tuple[float, float, dict[int, int]]]] = []
-    active: list[int] = []
+    active: list[int] = []  # the branch of each root of the last sample, by rank
     prev_count = None
     for theta in grid:
         sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
         roots = list(sols.roots)
+        new_samples = [(theta, u, {len(roots): rank}) for rank, u in enumerate(roots)]
         if sols.any_near_multiple:
             notes.append(f"near-multiple roots at theta={theta:.6f}; branch pairing ambiguous")
-        if prev_count is not None and len(roots) != prev_count:
+        if len(roots) == prev_count:
+            for idx, sample in zip(active, new_samples):
+                branches[idx].append(sample)
+            continue
+        if prev_count is not None:
             notes.append(f"root count changed {prev_count} -> {len(roots)} at theta={theta:.6f}")
         prev_count = len(roots)
 
         new_active: list[int] = []
         used = set()
-        for rank, u in enumerate(roots):
+        for sample, u in zip(new_samples, roots):
             best = None
             for idx in active:
                 if idx in used:
@@ -251,7 +260,6 @@ def find_critical_points(
                 last_u = branches[idx][-1][1]
                 if best is None or abs(u - last_u) < abs(u - branches[best][-1][1]):
                     best = idx
-            sample = (theta, u, {len(roots): rank})
             if best is not None and abs(u - branches[best][-1][1]) <= max_jump:
                 used.add(best)
                 branches[best].append(sample)
@@ -263,6 +271,17 @@ def find_critical_points(
 
     torsion = _BranchTorsion(p, phi, tol)
     points: list[CriticalPoint] = []
+
+    def report(pt: CriticalPoint, what: str) -> None:
+        # report invariant: the derivative estimate at a reported point must
+        # sit below the critical threshold
+        if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
+            points.append(pt)
+        else:
+            notes.append(
+                f"discarded {what}: derivative estimate {pt.derivative_estimate:.2e} too large"
+            )
+
     for branch in branches:
         if len(branch) < 3:
             continue
@@ -289,23 +308,18 @@ def find_critical_points(
             continue
 
         # derivative values below the evaluation-noise floor carry no sign
-        # information; a branch that is flat everywhere has constant torsion,
-        # so every point is critical and the dihedral one is reported
-        floor = 1e-11 * max([1.0] + [abs(v) for v in values]) / tol.fd_step
+        # information; a branch that is flat everywhere has constant torsion
+        floor = 1e-11 * max([1.0] + [abs(v) for v in values]) / FD_STEP
         usable = [i for i, g in enumerate(derivs) if g is not None and abs(g) > floor]
         if not usable:
             notes.append(f"branch torsion is constant at the numerical noise floor over {span}")
-            if theta_lo_b <= math.pi <= theta_hi_b:
-                ranks = min(branch, key=lambda sample: abs(sample[0] - math.pi))[2]
-                try:
-                    points.append(_critical_point(torsion, math.pi, ranks))
-                except _BRANCH_ERRORS as exc:
-                    notes.append(f"dropped the flat-branch point over {span}: {exc}")
             continue
         for i1, i2 in zip(usable, usable[1:]):
             ga, gb = derivs[i1], derivs[i2]
             if ga * gb < 0.0:
                 (theta_a, _, ranks_a), (theta_b, _, ranks_b) = branch[i1], branch[i2]
+                if theta_a <= math.pi <= theta_b:
+                    continue  # the dihedral point, reported below
                 try:
                     theta_star, ranks = _refine_derivative_zero(
                         torsion, (theta_a, ranks_a), (theta_b, ranks_b)
@@ -316,15 +330,20 @@ def find_critical_points(
                         f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {exc}"
                     )
                     continue
-                # report invariant: the derivative estimate at a reported
-                # point must sit below the critical threshold
-                if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
-                    points.append(pt)
-                else:
-                    notes.append(
-                        f"discarded sign change near theta={theta_star:.6f}: "
-                        f"derivative estimate {pt.derivative_estimate:.2e} too large"
-                    )
+                report(pt, f"sign change near theta={theta_star:.6f}")
+
+    # T(theta) = T(2 pi - theta) on every branch, so dT/dtheta vanishes at pi
+    # on each: every root there is a critical point, with no refinement
+    if theta_lo <= math.pi <= theta_hi:
+        roots = torsion.roots(math.pi)
+        for rank in range(len(roots)):
+            what = f"the dihedral point of root {rank} of {len(roots)}"
+            try:
+                pt = _critical_point(torsion, math.pi, {len(roots): rank})
+            except _BRANCH_ERRORS as exc:
+                notes.append(f"dropped {what}: {exc}")
+                continue
+            report(pt, what)
 
     thresholds = su2_root_count_thresholds(phi)
     return CriticalReport(points=points, notes=notes, thresholds=thresholds)
@@ -341,11 +360,11 @@ def _refine_derivative_zero(
     A wider step is used for the refinement: the central difference of a
     smooth function has a zero crossing at the critical point to first order
     for ANY step, while the evaluation-noise floor of its sign scales like
-    1/step.  The reported derivative estimate still uses tol.fd_step.  Every
+    1/step.  The reported derivative estimate still uses FD_STEP.  Every
     theta evaluated takes its root by rank from the end with its root count,
     from end a when both ends have it.
     """
-    h = max(torsion.tol.fd_step, 2e-3)
+    h = 2e-3
     (theta_a, ranks_a), (theta_b, ranks_b) = end_a, end_b
     ranks = {**ranks_b, **ranks_a}
 

@@ -515,7 +515,7 @@ class Rep:
 
     Construct from one 2x2 complex matrix per generator, or through
     :func:`build_rep` for Riley's parametrization; `images` holds the
-    matrices.  Values are immutable by convention.
+    matrices.  Values are immutable by convention; ``adjoint`` is built on first use.
     """
 
     __slots__ = (
@@ -530,6 +530,7 @@ class Rep:
         "su2_params",
         "irreducible",
         "trace_meridian",
+        "_adjoint",
     )
 
     def __init__(
@@ -551,6 +552,7 @@ class Rep:
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
+        self._adjoint = None
 
         residuals = []
         for r in presentation.relators:
@@ -593,6 +595,13 @@ class Rep:
         for g, e in w.letters:
             acc = acc @ (self.images[g] if e == 1 else self.inverses[g])
         return acc
+
+    @property
+    def adjoint(self) -> "AdjointImage":
+        """Adjoint images of the generators, shared by every twisted matrix."""
+        if self._adjoint is None:
+            self._adjoint = adjoint_images(self)
+        return self._adjoint
 
     @property
     def trace_meridian_sq(self) -> complex:

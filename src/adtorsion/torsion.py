@@ -29,8 +29,7 @@ from .laurent import (
     divide_out_simple_roots,
 )
 from .presentation import Presentation, PresentationError
-from .reps import AdjointImage, Rep, adjoint_images
-from .words import Word
+from .reps import Rep
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,6 @@ class Tolerances:
     consistency: float = 1e-6    # formula-vs-limit relative agreement
     cleanup: float = 1e-12       # Laurent coefficient cleanup
     multiplicity: float = 1e-5   # near-double-root flag distance in u
-    fd_step: float = 1e-4        # finite-difference step in theta
-    simple_zero: float = 1e-9    # synthetic-division remainders, relative
-    regular_floor: float = 1e-6  # |(Delta/(t-1)^2)(1)| must exceed this * scale
 
     def __post_init__(self):
         if not all(value > 0.0 for value in vars(self).values()):
@@ -52,26 +48,23 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+SIMPLE_ZERO = 1e-9    # synthetic-division remainders at t = 1, relative to max |Delta_1|
+REGULAR_FLOOR = 1e-6  # |(Delta_1/(t-1)^2)(1)| must exceed this * max |Delta_1|
+
 
 class RegularityError(ArithmeticError):
     """The representation fails a hypothesis the torsion value needs."""
 
 
-def phi_of(
-    elt: GroupRingElt,
-    rep: Rep,
-    adj: AdjointImage | None = None,
-) -> LaurentMatrix:
+def phi_of(elt: GroupRingElt, rep: Rep) -> LaurentMatrix:
     """3x3 Laurent matrix sum_i c_i t^{alpha(w_i)} Ad(rho(w_i))."""
-    if adj is None:
-        adj = adjoint_images(rep)
     if elt.is_zero:
         return LaurentMatrix(0, np.zeros((1, 3, 3)))
     p = rep.presentation
     exponents = [p.alpha_of(w) for _, w in elt.terms]
     lo = min(exponents)
     terms = np.array([c for c, _ in elt.terms])[:, None, None] * np.array(
-        [adj.of_word(w) for _, w in elt.terms]
+        [rep.adjoint.of_word(w) for _, w in elt.terms]
     )
     coeffs = np.zeros((max(exponents) - lo + 1, 3, 3), dtype=complex)
     # unbuffered and in term order: each exponent's sum is accumulated in
@@ -80,29 +73,23 @@ def phi_of(
     return LaurentMatrix(lo, coeffs)
 
 
-def _generator_minus_one(j: int) -> GroupRingElt:
-    return GroupRingElt([(1, Word.gen(j)), (-1, Word())])
-
-
-def boundary_factor(
-    rep: Rep,
-    j: int | None = None,
-    adj: AdjointImage | None = None,
-    cleanup: float = DEFAULT_CLEANUP,
-) -> LaurentPoly:
-    """det Phi(x_j - 1); for a meridian this is (t-1)(t^2 - Tr(rho(x_j^2)) t + 1)."""
+def boundary_factor(rep: Rep, j: int | None = None) -> LaurentPoly:
+    """det Phi(x_j - 1) in closed form: (t^a - 1)(t^2a - tau t^a + 1) with
+    a = alpha(x_j) and tau = Tr(rho(x_j)^2) / det rho(x_j), as Ad rho(x_j) has
+    eigenvalues 1 and lambda^(+-2), lambda^2 the eigenvalue ratio of rho(x_j).
+    For a meridian of an SL(2) representation this is
+    (t - 1)(t^2 - Tr(rho(x_j^2)) t + 1); for a = 0 it is the zero polynomial.
+    """
     p = rep.presentation
-    if j is None:
-        j = p.meridian
-    m = phi_of(_generator_minus_one(j), rep, adj=adj)
-    return m.determinant(cleanup=cleanup)
+    j = p.meridian if j is None else j
+    m = rep.images[j]
+    tau = complex(np.trace(m @ m)) / complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    one = LaurentPoly.one()
+    t_a = LaurentPoly.term(1.0, p.alpha[j])
+    return (t_a - one) * (t_a * t_a - LaurentPoly.term(tau, p.alpha[j]) + one)
 
 
-def alexander_block_matrix(
-    rep: Rep,
-    drop: int | None = None,
-    adj: AdjointImage | None = None,
-) -> LaurentMatrix:
+def alexander_block_matrix(rep: Rep, drop: int | None = None) -> LaurentMatrix:
     """Square block matrix of the twisted second boundary map over
     generators i != drop.
 
@@ -123,11 +110,9 @@ def alexander_block_matrix(
         drop = p.meridian
     if not (0 <= drop < k):
         raise IndexError(f"invalid drop index {drop}")
-    if adj is None:
-        adj = adjoint_images(rep)
     rows = [i for i in range(k) if i != drop]
     blocks = [
-        (3 * ri, 3 * li, phi_of(fox_derivative(r, i), rep, adj=adj))
+        (3 * ri, 3 * li, phi_of(fox_derivative(r, i), rep))
         for ri, i in enumerate(rows)
         for li, r in enumerate(p.relators)
     ]
@@ -142,10 +127,7 @@ def alexander_block_matrix(
 
 
 def homology_torsion(
-    rep: Rep,
-    drop: int | None = None,
-    adj: AdjointImage | None = None,
-    cleanup: float = DEFAULT_CLEANUP,
+    rep: Rep, drop: int | None = None, cleanup: float = DEFAULT_CLEANUP
 ) -> LaurentPoly:
     """Torsion polynomial: determinant of the dropped-generator block matrix,
     normalized to lowest exponent 0 (the +-t^m unit is immaterial).  The
@@ -153,25 +135,16 @@ def homology_torsion(
     entry would move Delta_1 by up to cleanup times an entry's scale, and the
     simple-zero test reads those digits.
     """
-    a = alexander_block_matrix(rep, drop=drop, adj=adj)
+    a = alexander_block_matrix(rep, drop=drop)
     return a.determinant(cleanup=cleanup).with_offset_zero()
 
 
 def twisted_alexander_invariant(
-    rep: Rep,
-    drop: int | None = None,
-    adj: AdjointImage | None = None,
-    cleanup: float = DEFAULT_CLEANUP,
+    rep: Rep, drop: int | None = None, cleanup: float = DEFAULT_CLEANUP
 ) -> RationalFunction:
     """det(block matrix) / det Phi(x_drop - 1) with sign convention +1."""
-    p = rep.presentation
-    if drop is None:
-        drop = p.meridian
-    if adj is None:
-        adj = adjoint_images(rep)
-    num = homology_torsion(rep, drop=drop, adj=adj, cleanup=cleanup)
-    den = boundary_factor(rep, j=drop, adj=adj, cleanup=cleanup)
-    return RationalFunction(num, den)
+    num = homology_torsion(rep, drop=drop, cleanup=cleanup)
+    return RationalFunction(num, boundary_factor(rep, j=drop))
 
 
 @dataclass(frozen=True)
@@ -188,7 +161,6 @@ class TorsionPolynomial:
     rep: Rep
     drop: int
     tol: Tolerances
-    adj: AdjointImage
     delta: LaurentPoly
     trace_sq: complex  # Tr(rho(x_drop^2))
     parity: float
@@ -207,8 +179,7 @@ def torsion_polynomial(
         raise RegularityError(
             "dropped generator must be a meridian (abelianization exponent 1)"
         )
-    adj = adjoint_images(rep)
-    delta = homology_torsion(rep, drop=j, adj=adj, cleanup=tol.cleanup)
+    delta = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
     quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
     m = rep.images[j]
     # swapping the dropped generator moves an odd number (3) of columns
@@ -219,7 +190,6 @@ def torsion_polynomial(
         rep=rep,
         drop=j,
         tol=tol,
-        adj=adj,
         delta=delta,
         trace_sq=complex(np.trace(m @ m)),
         parity=parity,
@@ -253,7 +223,7 @@ def torsion_via_limit(tp: TorsionPolynomial) -> complex:
     scale = tp.delta.max_abs
     if scale == 0.0:
         raise RegularityError("torsion polynomial is identically zero")
-    if max(tp.remainders) > tp.tol.simple_zero * scale:
+    if max(tp.remainders) > SIMPLE_ZERO * scale:
         raise RegularityError("not a simple zero: rho may not be lambda-regular")
     return tp.parity * tp.quotient.evaluate(1.0) / denominator
 
@@ -261,8 +231,7 @@ def torsion_via_limit(tp: TorsionPolynomial) -> complex:
 def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
     """First-order numeric version of the limit, for diagnostics only; the
     only reading that needs the boundary factor det Phi(x_drop - 1)."""
-    den = boundary_factor(tp.rep, j=tp.drop, adj=tp.adj, cleanup=tp.tol.cleanup)
-    return -RationalFunction(tp.delta, den).evaluate(1.0 + step) / step
+    return -RationalFunction(tp.delta, boundary_factor(tp.rep, tp.drop)).evaluate(1.0 + step) / step
 
 
 def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
@@ -276,8 +245,8 @@ def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     tol = tp.tol
     scale = delta.max_abs
     reduced_at_1 = abs(tp.quotient.evaluate(1.0))
-    divides = scale > 0.0 and max(tp.remainders) <= tol.simple_zero * scale
-    simple_zero = divides and reduced_at_1 > tol.regular_floor * scale
+    divides = scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
+    simple_zero = divides and reduced_at_1 > REGULAR_FLOOR * scale
     denominator_ok = abs(tp.trace_sq - 2.0) > tol.relation
     irreducible = tp.rep.irreducible
     return {

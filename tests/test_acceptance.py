@@ -22,7 +22,6 @@ from adtorsion.laurent import (
 )
 from adtorsion.reps import (
     RileyPoly,
-    adjoint_images,
     adjoint_of_matrix,
     build_rep,
     near_transition,
@@ -254,8 +253,7 @@ def test_acceptance_7_property_suites():
         theta = 2.8
         u = su2_solutions(phi, theta, TOL.relation).roots[0]
         rep = _su2_rep(p, theta, u)
-        adj = adjoint_images(rep)
-        tai = [twisted_alexander_invariant(rep, drop=j, adj=adj) for j in range(2)]
+        tai = [twisted_alexander_invariant(rep, drop=j) for j in range(2)]
         wada_worst = max(
             wada_worst,
             unit_aligned_distance(

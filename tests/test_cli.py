@@ -250,7 +250,7 @@ def test_commands_reject_non_positive_tolerances(capsys, argv):
 def test_tolerances_must_be_positive():
     for bad in (0.0, -1e-9, math.nan):
         with pytest.raises(ValueError, match="^tolerances must be positive$"):
-            Tolerances(fd_step=bad)
+            Tolerances(consistency=bad)
     assert Tolerances(relation=1e-12).relation == 1e-12
 
 
@@ -276,6 +276,12 @@ def test_critical_rejects_a_bad_window_like_the_sweep(capsys, window, message):
         assert run_cli(capsys, "sweep", "--knot", "5_2", *window) == (code, out, err)
 
 
+def _five_two_auto_window():
+    p = catalog.knot("5_2")
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    return p, lo, hi
+
+
 @pytest.mark.parametrize("error", [RegularityError, RepresentationError])
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
     # the refinement of each sign change fails
@@ -283,13 +289,16 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
         raise error(f"lost at theta={end_a[0]:.6f}")
 
     monkeypatch.setattr(locus, "_refine_derivative_zero", fail)
-    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    p, lo, hi = _five_two_auto_window()
+    report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
-    # 5_2 has three dihedral sign changes on this window, each now a note
-    assert len(dropped) == 3
+    # the whole 5_2 window has two sign changes away from pi, each now a
+    # note; the dihedral points at pi need no refinement
+    assert len(dropped) == 2
     for note in dropped:
         assert ": lost at theta=" in note
-    assert report.dihedral_count == 0
+    assert report.dihedral_count == 3
+    assert all(pt.is_dihedral for pt in report.points)
 
 
 def test_critical_search_completes_across_a_branch_jump(monkeypatch):
@@ -331,50 +340,48 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
         assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
 
 
-@pytest.mark.parametrize("p, q", [(9, 5), (11, 7), (13, 9)])
+@pytest.mark.parametrize("p, q", [(9, 5), (11, 7), (13, 9), (15, 7), (15, 11), (15, 13)])
 def test_critical_search_finds_every_dihedral_point(p, q):
     # b(11,7) lost its theta = pi point to "not a simple zero", and b(13,9)
     # one to a branch jump, while Delta_1 came from a cofactor expansion;
     # on the flat u = -3 branch of b(9,5) a bisection of the wide-step
-    # derivative stopped at theta = 3.1415915, too far from pi to count
+    # derivative stopped at theta = 3.1415915, too far from pi to count.
+    # The three b(15,q) lost theta = pi to a bisection theta near pi whose
+    # root failed the relator check by a residual just above 1e-9; the
+    # dihedral points are now taken at pi itself
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if n.startswith("dropped")]
+    for pt in report.points:
+        assert pt.theta == math.pi if pt.is_dihedral else abs(pt.theta - math.pi) > 1e-3
 
 
-@pytest.mark.parametrize("q", [7, 13])
-def test_critical_search_on_b15_drops_only_the_residual_sign_change(q):
-    # the one point still missing is the sign change around pi, whose root
-    # fails the relator check by a residual just above 1e-9
-    knot = schubert_knot(15, q)
+@pytest.mark.parametrize("p, q", [(11, 3), (13, 3)])
+def test_critical_search_pairs_equal_root_counts_by_rank(monkeypatch, p, q):
+    # nearest-u pairing joined root 1 of 3 at theta = 4.226731 to root 0 of
+    # 3 at 4.335245 on b(11,3), and root 2 of 4 to root 1 of 4 twice on
+    # b(13,3); the sign changes on those hops were artefacts.  At an equal
+    # root count a branch now keeps its rank, so the ends of every refined
+    # bracket that share a count share the rank, and nothing is dropped
+    ends = []
+    refine = locus._refine_derivative_zero
+
+    def spy(torsion, end_a, end_b):
+        ends.append((end_a[1], end_b[1]))
+        return refine(torsion, end_a, end_b)
+
+    monkeypatch.setattr(locus, "_refine_derivative_zero", spy)
+    knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
-    assert report.dihedral_count == 6
-    dropped = [n for n in report.notes if n.startswith("dropped")]
-    assert len(dropped) == 1
-    assert dropped[0].startswith(
-        "dropped sign change in theta [2.978360, 3.304826]: relator residual"
-    )
-
-
-def test_critical_search_drops_a_bracket_whose_ends_disagree_on_rank():
-    # b(11,3): the grid pairing joins root 1 of 3 at theta = 4.226731 to
-    # root 0 of 3 at 4.335245.  The refinement takes both ends on one rank,
-    # where the wide-step derivative has one sign, so the sign change is
-    # dropped instead of refined to a point whose derivative is too large
-    knot = schubert_knot(11, 3)
-    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
-    assert report.dihedral_count == 5
-    assert not [n for n in report.notes if n.startswith("discarded")]
-    dropped = [n for n in report.notes if n.startswith("dropped")]
-    assert len(dropped) == 1
-    assert dropped[0].startswith(
-        "dropped sign change in theta [4.226731, 4.335245]: "
-        "the derivative with step 0.002 has one sign at both ends ("
-    )
+    assert report.dihedral_count == (p - 1) // 2
+    assert not [n for n in report.notes if n.startswith(("dropped", "discarded"))]
+    assert ends
+    for ranks_a, ranks_b in ends:
+        for count in ranks_a.keys() & ranks_b.keys():
+            assert ranks_a[count] == ranks_b[count]
 
 
 def test_critical_search_evaluation_budget(monkeypatch):
@@ -421,20 +428,22 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
 
 def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     # the refinement's wide-step derivative has one sign at both ends of
-    # every sign change the fd_step samples found
+    # every sign change the FD_STEP samples found
     derivative = locus._BranchTorsion.derivative
 
-    def one_signed_wide_step(self, theta, ranks, h=None):
+    def one_signed_wide_step(self, theta, ranks, h=locus.FD_STEP):
         g, mean = derivative(self, theta, ranks, h)
-        return (g if h is None else abs(g)), mean
+        return (g if h == locus.FD_STEP else abs(g)), mean
 
     monkeypatch.setattr(locus._BranchTorsion, "derivative", one_signed_wide_step)
-    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    p, lo, hi = _five_two_auto_window()
+    report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
-    assert len(dropped) == 3
+    assert len(dropped) == 2
     for note in dropped:
         assert ": the derivative with step 0.002 has one sign at both ends (" in note
-    assert report.dihedral_count == 0
+    assert report.dihedral_count == 3
+    assert all(pt.is_dihedral for pt in report.points)
 
 
 def test_bracketed_zero_converges_on_a_cubic():

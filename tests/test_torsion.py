@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from adtorsion import catalog, torsion
+from adtorsion import catalog, reps, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
-from adtorsion.laurent import IntLaurent
+from adtorsion.laurent import IntLaurent, LaurentMatrix
 from adtorsion.laurent import LaurentPoly, divide_out_simple_roots, unit_aligned_distance
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
-from adtorsion.reps import Rep, adjoint_images, build_rep, riley_polynomial, su2_solutions
+from adtorsion.reps import Rep, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
     RegularityError,
     Tolerances,
@@ -241,11 +241,11 @@ def test_wada_invariance_across_dropped_generators(extra):
     rep, base = _tietze_extended_trefoil(rng, extra)
     k = rep.presentation.k
     assert k == 2 + extra
-    adj = adjoint_images(rep)
     ratios = []
     for j in range(k):
-        num = homology_torsion(rep, drop=j, adj=adj)
-        den = boundary_factor(rep, j=j, adj=adj)
+        _assert_closed_form_is_the_determinant(rep, j)
+        num = homology_torsion(rep, drop=j)
+        den = boundary_factor(rep, j=j)
         ratios.append((num, den))
     for i in range(1, k):
         lhs = ratios[0][0] * ratios[i][1]
@@ -326,19 +326,91 @@ def test_compute_torsion_result_payload():
     assert isinstance(payload["diagnostics"]["simple_zero"], bool)
 
 
-def test_compute_torsion_builds_delta_once(monkeypatch):
-    rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
-    calls = {"homology_torsion": 0, "adjoint_images": 0}
-    for name in calls:
-        original = getattr(torsion, name)
+def _count_calls(monkeypatch, owners):
+    """Replace each ``(owner, name)`` with a counting wrapper; the counts by name."""
+    calls = {name: 0 for _, name in owners}
+    for owner, name in owners:
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(torsion, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compute_torsion_builds_delta_once(monkeypatch):
+    # Delta_1 is the only determinant; det Phi(x_j - 1) is the closed form
+    rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
+    calls = _count_calls(
+        monkeypatch,
+        [(torsion, "homology_torsion"), (reps, "adjoint_images"), (LaurentMatrix, "determinant")],
+    )
     compute_torsion(rep, TOL)
-    assert calls == {"homology_torsion": 1, "adjoint_images": 1}
+    assert calls == {"homology_torsion": 1, "adjoint_images": 1, "determinant": 1}
+
+
+def test_adjoint_images_built_once_per_rep(monkeypatch):
+    rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
+    calls = _count_calls(monkeypatch, [(reps, "adjoint_images")])
+    for drop in (0, 1):
+        twisted_alexander_invariant(rep, drop=drop)
+    assert calls == {"adjoint_images": 1}
+    assert rep.adjoint is rep.adjoint
+
+
+def _boundary_by_determinant(rep, j):
+    """det Phi(x_j - 1) as a 3x3 Laurent determinant, the closed form's reference."""
+    elt = GroupRingElt([(1, Word.gen(j)), (-1, Word())])
+    return phi_of(elt, rep).determinant()
+
+
+def _assert_closed_form_is_the_determinant(rep, j):
+    got = boundary_factor(rep, j=j)
+    expected = _boundary_by_determinant(rep, j)
+    assert got.lo == expected.lo and got.hi == expected.hi
+    assert got.approx_eq(expected, 1e-12)
+
+
+def test_boundary_factor_closed_form_is_the_determinant():
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    checked = 0
+    for theta in (0.9, 2.3, math.pi, 4.1, 5.4):
+        for u in su2_solutions(phi, theta).roots:
+            checked += 1
+            rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
+            for j in range(2):
+                _assert_closed_form_is_the_determinant(rep, j)
+            # a non-SL representation: Ad is unchanged, tau reads the trace
+            # of the square over the determinant
+            scaled = Rep(p, [2.0 * m for m in rep.images], check=False)
+            assert not scaled.special_linear
+            for j in range(2):
+                _assert_closed_form_is_the_determinant(scaled, j)
+                assert boundary_factor(scaled, j=j).approx_eq(boundary_factor(rep, j=j), 1e-12)
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("alpha", [(2, 2), (-1, -1), (0, 0)])
+def test_boundary_factor_closed_form_at_other_exponents(alpha):
+    # each weight kills the trefoil relator xyx y^-1 x^-1 y^-1 (exponent sum 0
+    # in each generator), so alpha is a homomorphism; terms sit at 3a, 2a, a
+    # and 0.  At a = 0, Ad rho(x_j) - 1 is singular: the determinant vanishes
+    # to rounding, the closed form exactly
+    base = catalog.knot("trefoil")
+    rep, _, _ = su2_rep(base, 2.5)
+    rep = Rep(Presentation(base.generators, base.relators, alpha=alpha), rep.images)
+    for j in range(2):
+        _assert_closed_form_is_the_determinant(rep, j)
+        a = alpha[j]
+        got = boundary_factor(rep, j=j)
+        assert (got.lo, got.hi) == (min(0, 3 * a), max(0, 3 * a))
+        assert got.is_zero == (a == 0)
+    if alpha == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            twisted_alexander_invariant(rep)
 
 
 def test_compute_torsion_reads_the_standalone_routes():
@@ -445,7 +517,7 @@ def test_phi_of_prefix_reuse_is_exact():
     theta = 2.3
     u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[0]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
-    adj = adjoint_images(rep)
+    adj = rep.adjoint
     for i in (1, 0):  # the memo is filled in another order than it is read
         elt = fox_derivative(r, i)
         per_exponent = {}
@@ -455,8 +527,10 @@ def test_phi_of_prefix_reuse_is_exact():
                 m = m @ (adj.matrices[g] if e == 1 else adj.inverses[g])
             k = p.alpha_of(w)
             per_exponent[k] = per_exponent[k] + coeff * m if k in per_exponent else coeff * m
-        for shared in (adj, None):
-            got = phi_of(elt, rep, adj=shared)
+        # the memo shared with the other derivative, and a fresh one
+        fresh = Rep(p, rep.images, check=False)
+        for target in (rep, fresh):
+            got = phi_of(elt, target)
             for a in range(3):
                 for b in range(3):
                     expected = LaurentPoly.from_dict(
@@ -468,7 +542,7 @@ def test_phi_of_prefix_reuse_is_exact():
 def test_adjoint_prefixes_are_shared_and_read_only():
     p = catalog.knot("5_2")
     u = su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[0]
-    adj = adjoint_images(build_rep(p, cmath.exp(2.5j), u, cmath.exp(1.25j)))
+    adj = build_rep(p, cmath.exp(2.5j), u, cmath.exp(1.25j)).adjoint
     w = p.relators[0]
     m = adj.of_word(w)
     assert adj.of_word(Word(w.letters)) is m
