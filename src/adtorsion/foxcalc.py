@@ -10,9 +10,14 @@ d(x_j^-1)/d(x_j) = -x_j^-1.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from .words import Word
+
+if TYPE_CHECKING:
+    from .presentation import Presentation
 
 #: distinct (word, generator) pairs whose derivative stays memoized per process
 FOX_CACHE_SIZE = 1024
@@ -116,6 +121,31 @@ def fox_derivative(r: Word, j: int) -> GroupRingElt:
                 terms.append((-1, Word(prefix + [(g, -1)])))
         prefix.append((g, e))
     return GroupRingElt(terms)
+
+
+@functools.lru_cache(maxsize=FOX_CACHE_SIZE)
+def term_table(elt: GroupRingElt, p: "Presentation"):
+    """Where ``phi_of`` puts each term of ``elt`` under the abelianization of
+    ``p``: ``(lo, span, slots, coefficients, spines, positions)``, with the
+    t-exponent of term i at ``lo + slots[i]`` and its word the prefix of
+    length ``positions[i][1]`` of ``spines[positions[i][0]]``.
+
+    Memoized per ``(elt, p)``.  Every term of a Fox derivative is a prefix of
+    its relator, so one spine serves them all, and neither the exponents nor
+    the prefixes are recomputed per representation.
+    """
+    exponents = [p.alpha_of(w) for _, w in elt.terms]
+    spines: list[Word] = []
+    positions = [(0, 0)] * len(elt.terms)
+    for i in sorted(range(len(elt.terms)), key=lambda i: -len(elt.terms[i][1])):
+        w = elt.terms[i][1]
+        c = next((c for c, s in enumerate(spines) if s.letters[: len(w)] == w.letters), len(spines))
+        if c == len(spines):
+            spines.append(w)
+        positions[i] = (c, len(w))
+    lo = min(exponents)
+    return (lo, max(exponents) - lo + 1, np.subtract(exponents, lo),
+            np.array([c for c, _ in elt.terms]), spines, positions)
 
 
 def fundamental_identity_holds(r: Word) -> bool:

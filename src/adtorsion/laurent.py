@@ -155,7 +155,7 @@ class _Laurent:
     def evaluate(self, z):
         """Horner evaluation of ``z^offset * sum c_i z^i``; exact when the
         coefficients and ``z`` are integers and lo >= 0."""
-        if z == 0 and self.offset < 0:
+        if self.offset < 0 and np.any(z == 0):
             raise ValueError("evaluation at 0 with negative offset")
         acc = self._zero
         for c in reversed(self.coeffs):
@@ -346,6 +346,8 @@ def divide_out_simple_roots(
 class LaurentMatrix:
     """Square matrix of Laurent polynomials held as one coefficient stack:
     ``coeffs[k]`` is the n x n complex matrix multiplying ``t^(offset + k)``.
+    At a stack of N points the array is (N, span, n, n), one matrix per
+    point, and ``determinant`` returns one polynomial per point.
 
     Entries are never cleaned and keep every digit; only polynomials are,
     the determinant through ``determinant(cleanup=...)``.
@@ -355,8 +357,8 @@ class LaurentMatrix:
 
     def __init__(self, offset: int, coeffs: np.ndarray):
         coeffs = np.array(coeffs, dtype=complex)
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-            raise ValueError("coefficient stack must have shape (span, n, n)")
+        if coeffs.ndim not in (3, 4) or coeffs.shape[-1] != coeffs.shape[-2]:
+            raise ValueError("coefficient stack must have shape (span, n, n) or (N, span, n, n)")
         self.offset = offset
         self.coeffs = coeffs
 
@@ -376,21 +378,16 @@ class LaurentMatrix:
 
     @property
     def size(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return LaurentPoly(self.offset, self.coeffs[:, i, j], cleanup=0.0)
 
     def evaluate(self, z: complex) -> np.ndarray:
-        powers = complex(z) ** np.arange(self.offset, self.offset + len(self.coeffs))
-        return np.tensordot(powers, self.coeffs, axes=1)
+        powers = complex(z) ** np.arange(self.offset, self.offset + self.coeffs.shape[-3])
+        return np.tensordot(powers, self.coeffs, axes=([0], [-3]))
 
-    def with_swapped_rows(self, i: int, j: int) -> "LaurentMatrix":
-        order = list(range(self.size))
-        order[i], order[j] = j, i
-        return LaurentMatrix(self.offset, self.coeffs[:, order])
-
-    def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> LaurentPoly:
+    def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> LaurentPoly | list[LaurentPoly]:
         """Determinant by evaluation at roots of unity and FFT interpolation.
 
         Row i has terms between t^(offset + lo_i) and t^(offset + hi_i), so
@@ -398,25 +395,29 @@ class LaurentMatrix:
         D = sum (hi_i - lo_i), the certified bound.  The stack with each row
         shifted down by its lo_i is evaluated at the D + 1 roots of unity by
         one FFT (t = 1 is the first sample), one batched LU determinant is
-        taken there, and one inverse FFT returns the coefficients.
+        taken there, and one inverse FFT returns the coefficients.  At a
+        stack of points the row supports are those of all points together,
+        and the three steps run once for all of them.
         """
         n = self.size
-        if n == 0:
-            return LaurentPoly.one()
-        support = np.any(self.coeffs != 0, axis=2)  # (span, n): row i has a t^k term
-        if not support.any(axis=0).all():
-            return LaurentPoly.zero()
-        lo = support.argmax(axis=0)
-        hi = len(support) - 1 - support[::-1].argmax(axis=0)
-        shifted = np.zeros((int((hi - lo).sum()) + 1, n, n), dtype=complex)
-        for i in range(n):
-            shifted[: hi[i] - lo[i] + 1, i] = self.coeffs[lo[i] : hi[i] + 1, i]
-        values = np.linalg.det(np.fft.fft(shifted, axis=0))
-        offset = n * self.offset + int(lo.sum())
-        return LaurentPoly(offset, np.fft.ifft(values), cleanup=cleanup)
+        points = self.coeffs if self.coeffs.ndim == 4 else self.coeffs[None]
+        # (span, n): row i has a t^k term at some point
+        support = np.any(points != 0, axis=(0, 3))
+        if n == 0 or not support.any(axis=0).all():
+            polys = [LaurentPoly.one() if n == 0 else LaurentPoly.zero()] * len(points)
+        else:
+            lo = support.argmax(axis=0)
+            hi = len(support) - 1 - support[::-1].argmax(axis=0)
+            shifted = np.zeros((len(points), int((hi - lo).sum()) + 1, n, n), dtype=complex)
+            for i in range(n):
+                shifted[:, : hi[i] - lo[i] + 1, i] = points[:, lo[i] : hi[i] + 1, i]
+            values = np.fft.ifft(np.linalg.det(np.fft.fft(shifted, axis=1)), axis=1)
+            offset = n * self.offset + int(lo.sum())
+            polys = [LaurentPoly(offset, row, cleanup=cleanup) for row in values]
+        return polys if self.coeffs.ndim == 4 else polys[0]
 
     def __repr__(self) -> str:
-        return f"LaurentMatrix(size={self.size}, offset={self.offset}, span={len(self.coeffs)})"
+        return f"LaurentMatrix(size={self.size}, offset={self.offset}, span={self.coeffs.shape[-3]})"
 
 
 def _det_cofactor(rows: Sequence[Sequence], ring: type):

@@ -11,11 +11,12 @@ change of the root count does the grid pairing fall back to nearest u.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .presentation import Presentation, PresentationError
 from .reps import (
@@ -92,9 +93,10 @@ class CriticalReport:
 
 def rep_at(p: Presentation, theta: float, u: float, tol: Tolerances) -> Rep:
     """SU(2)-conjugate representation at s = e^{i theta} with the continuous
-    square-root branch e^{i theta / 2}."""
-    s = cmath.exp(1j * theta)
-    return build_rep(p, s, u, sqrt_s=cmath.exp(0.5j * theta), tol=tol.relation)
+    square-root branch e^{i theta / 2}; for arrays of theta and u, one Rep
+    of that stack of points."""
+    theta = np.asarray(theta, dtype=float)
+    return build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), tol=tol.relation)
 
 
 def _two_bridge_phi(p: Presentation, task: str) -> RileyPoly:
@@ -127,27 +129,29 @@ def sweep_rows(
     drop: int | None = None,
 ) -> list[dict]:
     """One row per SU(2) root at each theta of the grid: sigma, u, the
-    torsion, the simple-zero diagnostic and Tr rho(mu)."""
+    torsion, the simple-zero diagnostic and Tr rho(mu).  All roots at all
+    thetas are one stack of points: one representation, one assembly and
+    one determinant for the whole sweep."""
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "sweep")
-    rows: list[dict] = []
-    for theta in grid:
-        sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
-        for u in sols.roots:
-            rep = rep_at(p, theta, u, tol)
-            result = compute_torsion(rep, tol, drop=drop)
-            rows.append(
-                {
-                    "theta": theta,
-                    "sigma": sols.sigma,
-                    "u": u,
-                    "torsion_re": result.value.real,
-                    "torsion_im": result.value.imag,
-                    "tai_simple_zero": bool(result.diagnostics["simple_zero"]),
-                    "trace_mu": rep.trace_meridian.real,
-                }
-            )
-    return rows
+    solutions = su2_solutions(phi, grid, tol.relation, multiplicity_threshold=tol.multiplicity)
+    points = [(sols, u) for sols in solutions for u in sols.roots]
+    if not points:
+        return []
+    rep = rep_at(p, [sols.theta for sols, _ in points], [u for _, u in points], tol)
+    results = compute_torsion(rep, tol, drop=drop)
+    return [
+        {
+            "theta": sols.theta,
+            "sigma": sols.sigma,
+            "u": u,
+            "torsion_re": result.value.real,
+            "torsion_im": result.value.imag,
+            "tai_simple_zero": bool(result.diagnostics["simple_zero"]),
+            "trace_mu": trace,
+        }
+        for (sols, u), result, trace in zip(points, results, rep.trace_meridian.real.tolist())
+    ]
 
 
 def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
@@ -170,9 +174,9 @@ class _BranchTorsion:
     computed once and shared by every branch of the search.
     """
 
-    def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances):
+    def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
         self.p, self.phi, self.tol = p, phi, tol
-        self._roots: dict[float, tuple[float, ...]] = {}
+        self._roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
 
     def roots(self, theta: float) -> tuple[float, ...]:
         roots = self._roots.get(theta)
@@ -182,17 +186,20 @@ class _BranchTorsion:
             ).roots
         return roots
 
-    def value(self, theta: float, ranks: dict[int, int]) -> tuple[float, float]:
-        """Torsion value and root of the branch at this theta; a
-        RepresentationError when no end of the bracket has this theta's
-        root count."""
+    def root(self, theta: float, ranks: dict[int, int]) -> float:
+        """The branch's root at this theta; a RepresentationError when no end
+        of the bracket has this theta's root count."""
         roots = self.roots(theta)
         rank = ranks.get(len(roots))
         if rank is None:
             raise RepresentationError(
                 f"root count {len(roots)} at theta={theta:.6f} matches no bracket end"
             )
-        u = roots[rank]
+        return roots[rank]
+
+    def value(self, theta: float, ranks: dict[int, int]) -> tuple[float, float]:
+        """Torsion value and root of the branch at this theta."""
+        u = self.root(theta, ranks)
         tp = torsion_polynomial(rep_at(self.p, theta, u, self.tol), tol=self.tol)
         return torsion_via_limit(tp).real, u
 
@@ -201,9 +208,46 @@ class _BranchTorsion:
     ) -> tuple[float, float]:
         """Central difference with step h and the mean of the two torsion
         values it used."""
-        plus, _ = self.value(theta + h, ranks)
-        minus, _ = self.value(theta - h, ranks)
-        return (plus - minus) / (2.0 * h), 0.5 * (plus + minus)
+        result = self.derivatives([(theta, ranks)], h)[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def derivatives(self, samples: list[tuple[float, dict[int, int]]], h: float = FD_STEP) -> list:
+        """``derivative(theta, ranks, h)`` of every sample, or the branch
+        error it raises (at theta + h first), with the roots of all thetas
+        +- h found in one call and all their points evaluated as one stack.
+        When a point is off the variety every end is evaluated on its own."""
+        ends = [(theta + d, ranks) for theta, ranks in samples for d in (h, -h)]
+        if new := sorted({theta for theta, _ in ends} - self._roots.keys()):
+            self._roots.update((s.theta, s.roots) for s in su2_solutions(
+                self.phi, new, self.tol.relation, multiplicity_threshold=self.tol.multiplicity))
+        roots = [_attempt(self.root, theta, ranks) for theta, ranks in ends]
+        points = [(theta, u) for (theta, _), u in zip(ends, roots) if not isinstance(u, Exception)]
+        try:
+            tps = iter(torsion_polynomial(
+                rep_at(self.p, [t for t, _ in points], [u for _, u in points], self.tol), tol=self.tol
+            ) if points else ())
+        except RepresentationError:  # a point off the variety: every end on its own
+            values = [_attempt(lambda t, r: self.value(t, r)[0], t, r) for t, r in ends]
+        else:
+            values = [
+                u if isinstance(u, Exception) else _attempt(lambda tp: torsion_via_limit(tp).real, next(tps))
+                for u in roots
+            ]
+        out = []
+        for plus, minus in zip(values[::2], values[1::2]):
+            failed = next((v for v in (plus, minus) if isinstance(v, Exception)), None)
+            out.append(failed or ((plus - minus) / (2.0 * h), 0.5 * (plus + minus)))
+        return out
+
+
+def _attempt(f, *args):
+    """f(*args), or the branch error it raises."""
+    try:
+        return f(*args)
+    except _BRANCH_ERRORS as exc:
+        return exc
 
 
 def find_critical_points(
@@ -236,8 +280,8 @@ def find_critical_points(
     branches: list[list[tuple[float, float, dict[int, int]]]] = []
     active: list[int] = []  # the branch of each root of the last sample, by rank
     prev_count = None
-    for theta in grid:
-        sols = su2_solutions(phi, theta, tol.relation, multiplicity_threshold=tol.multiplicity)
+    solutions = su2_solutions(phi, grid, tol.relation, multiplicity_threshold=tol.multiplicity)
+    for theta, sols in zip(grid, solutions):
         roots = list(sols.roots)
         new_samples = [(theta, u, {len(roots): rank}) for rank, u in enumerate(roots)]
         if sols.any_near_multiple:
@@ -269,7 +313,7 @@ def find_critical_points(
                 new_active.append(len(branches) - 1)
         active = new_active
 
-    torsion = _BranchTorsion(p, phi, tol)
+    torsion = _BranchTorsion(p, phi, tol, solutions)
     points: list[CriticalPoint] = []
 
     def report(pt: CriticalPoint, what: str) -> None:
@@ -282,22 +326,21 @@ def find_critical_points(
                 f"discarded {what}: derivative estimate {pt.derivative_estimate:.2e} too large"
             )
 
+    branches = [branch for branch in branches if len(branch) >= 3]
+    differences = iter(torsion.derivatives([(theta, ranks) for b in branches for theta, _, ranks in b]))
     for branch in branches:
-        if len(branch) < 3:
-            continue
         theta_lo_b, theta_hi_b = branch[0][0], branch[-1][0]
         derivs: list[float | None] = []
         values: list[float] = []
         failures: list[Exception] = []
-        for theta, _, ranks in branch:
-            try:
-                g, v = torsion.derivative(theta, ranks)
-            except _BRANCH_ERRORS as exc:
+        for _ in branch:
+            result = next(differences)
+            if isinstance(result, Exception):
                 derivs.append(None)
-                failures.append(exc)
+                failures.append(result)
                 continue
-            derivs.append(g)
-            values.append(v)
+            derivs.append(result[0])
+            values.append(result[1])
         span = f"[{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
         if failures:
             notes.append(

@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,9 +43,13 @@ class RepresentationError(ValueError):
 
 
 def riley_assignment(s: complex, u: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The generator matrices X = [[s,1],[0,1]], Y = [[s,0],[-su,1]]."""
-    x = np.array([[s, 1.0], [0.0, 1.0]], dtype=complex)
-    y = np.array([[s, 0.0], [-s * u, 1.0]], dtype=complex)
+    """The generator matrices X = [[s,1],[0,1]], Y = [[s,0],[-su,1]]; for
+    arrays of s and u, stacks (..., 2, 2) of them."""
+    x = np.zeros(np.broadcast(s, u).shape + (2, 2), dtype=complex)
+    y = np.zeros_like(x)
+    x[..., 0, 0] = y[..., 0, 0] = s
+    x[..., 0, 1] = x[..., 1, 1] = y[..., 1, 1] = 1.0
+    y[..., 1, 0] = -s * u
     return x, y
 
 
@@ -119,9 +124,10 @@ class RileyPoly:
     u-coefficient, so structural equality is equality up to units.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_table")
 
     def __init__(self, coeffs: Iterable[IntLaurent]):
+        self._table = None  # the coefficients as one float array, built on first specialization
         cs = _u_trim([c for c in coeffs])
         if not cs:
             self.coeffs: tuple[IntLaurent, ...] = ()
@@ -166,33 +172,72 @@ class RileyPoly:
         total = 0.0
         for d, c in enumerate(self.coeffs):
             total += abs(c(s)) * abs(u) ** d
-        return max(total, 1e-300)
+        return np.maximum(total, 1e-300)
 
-    def specialize_real(self, theta: float, tol: float = REALITY_TOL) -> list[float]:
-        """Real coefficients of phi(e^{i theta}, u), lowest u-degree first.
+    def specialize_real(self, theta, tol: float = REALITY_TOL):
+        """Real coefficients of phi(e^{i theta}, u), lowest u-degree first: a
+        list for one theta, one array row per theta for an array of them.
 
         The unit class only fixes the coefficients up to a common complex
         phase, so the phase of the largest coefficient is divided out; if the
         remaining imaginary parts exceed tol * scale the word is outside the
-        expected symmetry class and a ValueError is raised.
+        expected symmetry class and a ValueError names the first such theta.
+        The array form rounds every step as Python's complex arithmetic does,
+        so a row does not depend on the other thetas it is computed with.
         """
         if self.is_zero:
             raise ValueError("zero polynomial")
-        z = cmath.exp(1j * theta)
-        values = [c(z) for c in self.coeffs]
-        scale = max(abs(v) for v in values)
-        if scale == 0.0:
-            raise ValueError("zero polynomial after specialization")
-        ref = max(values, key=abs)
-        phase = ref / abs(ref)
-        aligned = [v / phase for v in values]
-        worst = max(abs(v.imag) for v in aligned)
-        if worst > tol * scale:
+        if np.ndim(theta) == 0:
+            values = [c(cmath.exp(1j * theta)) for c in self.coeffs]
+            scale = max(abs(v) for v in values)
+            if scale == 0.0:
+                raise ValueError("zero polynomial after specialization")
+            ref = max(values, key=abs)
+            phase = ref / abs(ref)
+            aligned = [v / phase for v in values]
+            re, worst = [v.real for v in aligned], np.array([max(abs(v.imag) for v in aligned)])
+        else:
+            re, worst, scale = self._specialized(np.asarray(theta, dtype=float))
+        for i in np.flatnonzero(worst > tol * np.atleast_1d(scale))[:1]:
             raise ValueError(
                 f"specialized polynomial is not real within tolerance "
-                f"(residual {worst:.3e} vs scale {scale:.3e})"
+                f"(residual {worst[i]:.3e} vs scale {np.atleast_1d(scale)[i]:.3e})"
             )
-        return [v.real for v in aligned]
+        return re
+
+    def _specialized(self, thetas: np.ndarray):
+        if self._table is None:
+            width = max(len(c.coeffs) for c in self.coeffs)
+            self._table = np.array([c.coeffs + (0,) * (width - len(c.coeffs)) for c in self.coeffs],
+                                   dtype=float), np.array([c.offset for c in self.coeffs])
+        table, n = self._table
+        z = np.exp(1j * thetas)[:, None]
+        zr, zi = z.real, z.imag
+        re = im = np.zeros((len(z), len(n)))
+        for column in table.T[::-1]:  # Horner's rule in s for every u-degree at once
+            re, im = re * zr - im * zi + column, re * zi + im * zr
+        # times s^offset, the power formed by binary powering as complex.__pow__ forms it
+        rr, ri = np.ones_like(re), np.zeros_like(im)
+        while n.any():
+            odd = (n & 1).astype(bool)
+            rr, ri = np.where(odd, rr * zr - ri * zi, rr), np.where(odd, rr * zi + ri * zr, ri)
+            zr, zi, n = zr * zr - zi * zi, zr * zi + zi * zr, n >> 1
+        re, im = re * rr - im * ri, re * ri + im * rr
+        size = np.hypot(re, im)
+        scale = size.max(axis=1)
+        if not np.all(scale > 0.0):
+            raise ValueError("zero polynomial after specialization")
+        # divide by the phase p = ref / |ref| with Python's (Smith's) formula; where
+        # |Im p| > |Re p| it runs with the parts of p and of every value swapped,
+        # which gives the real part and minus the imaginary part
+        ref = np.arange(len(z)), size.argmax(axis=1)
+        p = re[ref][:, None] / scale[:, None], im[ref][:, None] / scale[:, None]
+        flip = np.abs(p[0]) < np.abs(p[1])
+        a, b = np.where(flip, p[1], p[0]), np.where(flip, p[0], p[1])
+        ratio = b / a
+        denom = a + b * ratio
+        vr, vi = np.where(flip, im, re), np.where(flip, re, im)
+        return (vr + vi * ratio) / denom, np.abs((vi - vr * ratio) / denom).max(axis=1), scale
 
     def sigma_form(self) -> list[list[int]] | None:
         """Coefficients as integer polynomials in sigma = s + 1/s, or None.
@@ -333,131 +378,128 @@ class Su2Solutions:
 
 def su2_solutions(
     phi: RileyPoly,
-    theta: float,
+    theta: float | Sequence[float],
     tol: float = REALITY_TOL,
     *,
     multiplicity_threshold: float = MULTIPLICITY_THRESHOLD,
-) -> Su2Solutions:
-    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0].
+) -> Su2Solutions | list[Su2Solutions]:
+    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]; for a
+    sequence of thetas, one :class:`Su2Solutions` per theta.
 
     Companion-matrix eigenvalues with one Newton polish per root; roots with
     |Im| above the reality filter are discarded, the window gets a small
     slack at both endpoints, and near-multiple roots are flagged.
     """
-    if not (0.0 < theta < 2.0 * math.pi):
-        raise ValueError("theta must lie strictly between 0 and 2*pi")
-    coeffs = phi.specialize_real(theta, tol)
-    top = max(abs(c) for c in coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-12 * top:
-        coeffs.pop()
-    sigma = 2.0 * math.cos(theta)
-    if len(coeffs) == 1:
-        return Su2Solutions(theta, sigma, (), ())
-
-    roots, borderline = _real_roots(coeffs, REALITY_TOL, multiplicity_threshold)
-    lo = sigma - 2.0
-    kept = sorted(r for r in roots if lo - INTERVAL_SLACK <= r <= INTERVAL_SLACK)
-    flags = [False] * len(kept)
-    for i in range(len(kept) - 1):
-        if kept[i + 1] - kept[i] < multiplicity_threshold:
-            flags[i] = True
-            flags[i + 1] = True
-    edge = tuple(
-        sorted(r for r in borderline if lo - INTERVAL_SLACK <= r <= INTERVAL_SLACK)
-    )
-    return Su2Solutions(theta, sigma, tuple(kept), tuple(flags), edge)
-
-
-def _real_roots(
-    coeffs: Sequence[float], reality_tol: float, borderline_tol: float
-) -> tuple[list[float], list[float]]:
-    """Real roots of a real polynomial (ascending coefficients), plus the real
-    parts of near-real roots that only just failed the reality filter."""
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs[:-1]]
-    companion = np.zeros((d, d))
-    for i in range(1, d):
-        companion[i, i - 1] = 1.0
-    for i in range(d):
-        companion[i, d - 1] = -monic[i]
-    eig = np.linalg.eigvals(companion)
-    dcoeffs = [i * coeffs[i] for i in range(1, d + 1)]
+    stacked = np.ndim(theta) > 0
+    thetas = [float(t) for t in theta] if stacked else [float(theta)]
+    found = [((), ())] * len(thetas)
+    for rows, re, real, edge in _su2_roots(phi, thetas, tol, multiplicity_threshold):
+        for row, values, r, e in zip(rows, re, real, edge):
+            found[row] = tuple(sorted(map(float, compress(values, mask))) for mask in (r, e))
     out = []
-    borderline = []
-    for z in eig:
-        pz = _horner(coeffs, z)
-        dz = _horner(dcoeffs, z)
-        if abs(dz) > 1e-30:
-            z = z - pz / dz
-        if abs(z.imag) <= reality_tol:
-            out.append(float(z.real))
-        elif abs(z.imag) <= borderline_tol:
-            borderline.append(float(z.real))
-    return out, borderline
+    for t, (kept, edge) in zip(thetas, found):
+        close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
+        flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
+        out.append(Su2Solutions(t, 2.0 * math.cos(t), tuple(kept), flags, tuple(edge)))
+    return out if stacked else out[0]
 
 
 def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
-    """``len(su2_solutions(phi, theta).roots)`` for every theta, batched.
-
-    The same steps with the same default tolerances as :func:`su2_solutions`:
-    the specialization with its reality check (which raises), trailing
-    coefficient trimming, companion eigenvalues (one ``eigvals`` call per
-    degree), one Newton polish, the reality filter and the slack window.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all((0.0 < thetas) & (thetas < 2.0 * math.pi)):
-        raise ValueError("theta must lie strictly between 0 and 2*pi")
-    if phi.is_zero:
-        raise ValueError("zero polynomial")
-    z = np.exp(1j * thetas)
-    values = np.stack([_horner(c.coeffs, z) * z**c.offset for c in phi.coeffs], axis=1)
-    scale = np.abs(values).max(axis=1)
-    if not np.all(scale > 0.0):
-        raise ValueError("zero polynomial after specialization")
-    ref = values[np.arange(len(values)), np.abs(values).argmax(axis=1)]
-    aligned = values / (ref / np.abs(ref))[:, None]
-    worst = np.abs(aligned.imag).max(axis=1)
-    bad = np.flatnonzero(worst > REALITY_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"specialized polynomial is not real within tolerance "
-            f"(residual {worst[i]:.3e} vs scale {scale[i]:.3e})"
-        )
-    coeffs = aligned.real
-    # degree after trimming trailing coefficients <= 1e-12 * top, as in su2_solutions
-    kept = np.abs(coeffs) > 1e-12 * np.abs(coeffs).max(axis=1, keepdims=True)
-    degrees = coeffs.shape[1] - 1 - kept[:, :0:-1].argmax(axis=1)
-    degrees[~kept[:, 1:].any(axis=1)] = 0
-    lo = np.array([2.0 * math.cos(t) for t in thetas]) - 2.0
+    """``len(su2_solutions(phi, theta).roots)`` for every theta, without
+    building the solution objects."""
+    thetas = [float(t) for t in thetas]
     counts = np.zeros(len(thetas), dtype=int)
-    for d in np.unique(degrees[degrees > 0]):
-        rows = np.flatnonzero(degrees == d)
-        cs = coeffs[rows, : d + 1]
-        companion = np.zeros((len(rows), d, d))
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        companion[:, :, d - 1] = -cs[:, :d] / cs[:, d:]
-        roots = np.linalg.eigvals(companion).astype(complex)
-        pz = _horner(cs.T[:, :, None], roots)
-        dz = _horner((np.arange(1, d + 1) * cs[:, 1:]).T[:, :, None], roots)
-        step = np.abs(dz) > 1e-30
-        roots[step] -= pz[step] / dz[step]
-        inside = (
-            (np.abs(roots.imag) <= REALITY_TOL)
-            & (roots.real >= lo[rows, None] - INTERVAL_SLACK)
-            & (roots.real <= INTERVAL_SLACK)
-        )
-        counts[rows] = inside.sum(axis=1)
+    for rows, _, real, _ in _su2_roots(phi, thetas, REALITY_TOL, 0.0):
+        counts[rows] = np.sum(real, axis=1)
     return counts.tolist()
 
 
-def _horner(coeffs, z):
-    """sum_i coeffs[i] z^i by Horner's rule, lowest degree first; broadcasts."""
-    acc = 0.0 * z
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+#: stacks of up to this many thetas are solved one theta at a time in Python
+#: scalars, where numpy's cost per call would dominate; both kernels round
+#: every step the same way, so the roots do not depend on the choice
+SCALAR_STACK = 4
+
+
+def _su2_roots(phi: RileyPoly, thetas: list[float], tol: float, borderline_tol: float):
+    """The one root finder behind su2_solutions and su2_root_counts.
+
+    Per block of thetas (one theta, or all thetas whose trimmed specialized
+    polynomial has degree d, one ``eigvals`` call each): their rows, the real
+    parts of the polished roots, and two masks of the roots inside the slack
+    window: real within REALITY_TOL, and near-real (|Im| <= borderline_tol),
+    the signature of a double root at the edge of the real locus.
+    """
+    if not all(0.0 < t < 2.0 * math.pi for t in thetas):
+        raise ValueError("theta must lie strictly between 0 and 2*pi")
+    lo = [2.0 * math.cos(t) - 2.0 for t in thetas]
+    if len(thetas) <= SCALAR_STACK:
+        for row, theta in enumerate(thetas):
+            roots = _polished_roots(phi.specialize_real(theta, tol))
+            window = [lo[row] - INTERVAL_SLACK <= z.real <= INTERVAL_SLACK for z in roots]
+            real = [w and abs(z.imag) <= REALITY_TOL for z, w in zip(roots, window)]
+            edge = [w and REALITY_TOL < abs(z.imag) <= borderline_tol for z, w in zip(roots, window)]
+            yield [row], [[z.real for z in roots]], [real], [edge]
+        return
+    coeffs = phi.specialize_real(thetas, tol)
+    kept = np.abs(coeffs) > 1e-12 * np.abs(coeffs).max(axis=1, keepdims=True)
+    degrees = coeffs.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
+    for d in sorted(set(degrees.tolist()) - {0}):
+        rows = np.flatnonzero(degrees == d)
+        roots = _polished_roots(coeffs[rows, : d + 1])
+        imag = np.abs(roots.imag)
+        lows = np.array(lo)[rows, None] - INTERVAL_SLACK
+        window = (roots.real >= lows) & (roots.real <= INTERVAL_SLACK)
+        real = imag <= REALITY_TOL
+        yield rows, roots.real, real & window, ~real & (imag <= borderline_tol) & window
+
+
+def _polished_roots(coeffs):
+    """Companion eigenvalues, each after one Newton step, of the polynomial
+    with these ascending real coefficients (a list, trimmed of trailing
+    coefficients <= 1e-12 * max first) or of each row of a (G, d + 1) array;
+    both forms round as numpy's scalars do."""
+    if isinstance(coeffs, list):
+        top = max(abs(c) for c in coeffs)
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-12 * top:
+            coeffs.pop()
+        d = len(coeffs) - 1
+        if d == 0:
+            return []
+        companion = np.zeros((d, d))
+        companion[np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, d - 1] = [-(c / coeffs[-1]) for c in coeffs[:-1]]
+        out = []
+        for z in np.linalg.eigvals(companion):  # real or complex numpy scalars
+            pz = dz = 0.0 * z
+            for k in range(d, -1, -1):
+                pz = pz * z + coeffs[k]
+                if k:
+                    dz = dz * z + k * coeffs[k]
+            out.append(z - pz / dz if abs(dz) > 1e-30 else z)
+        return out
+    g, d = coeffs.shape[0], coeffs.shape[1] - 1
+    companion = np.zeros((g, d, d))
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, d - 1] = -(coeffs[:, :d] / coeffs[:, d:])
+    eig = np.linalg.eigvals(companion)
+    roots = eig.astype(complex)
+    # p and p' in one Horner pass, p' padded with a leading zero coefficient,
+    # products rounded as numpy's scalars round them (the array product fuses
+    # a multiply and an add)
+    both = np.zeros((2 * g, d + 1))
+    both[:g], both[g:, :d] = coeffs, np.arange(1, d + 1) * coeffs[:, 1:]
+    zr, zi = np.concatenate([roots.real, roots.real]), np.concatenate([roots.imag, roots.imag])
+    re = im = np.zeros(zr.shape)
+    for column in both.T[::-1, :, None]:
+        re, im = re * zr - im * zi + column, re * zi + im * zr
+    pz, dz = np.split(re + 1j * im, 2)
+    # numpy hands back one polynomial's eigenvalues as reals when all are
+    # real, and its Newton step is then a real division
+    real_rows = np.all(eig.imag == 0.0, axis=1)[:, None]
+    step = np.abs(dz) > 1e-30
+    roots[step & real_rows] -= pz[step & real_rows].real / dz[step & real_rows].real
+    roots[step & ~real_rows] -= pz[step & ~real_rows] / dz[step & ~real_rows]
+    return roots
 
 
 def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
@@ -470,7 +512,7 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
         return 1e-9 if theta <= 0.0 else theta
 
     def count(sig: float) -> int:
-        return len(su2_solutions(phi, theta_of(sig)).roots)
+        return su2_root_counts(phi, [theta_of(sig)])[0]
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
@@ -503,19 +545,57 @@ def near_transition(sigma: float, thresholds: Sequence[float], band: float = 1e-
 # ---------------------------------------------------------------------------
 
 
-def _mat_inverse(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-300:
+_EYE2 = np.eye(2, dtype=complex)
+_EYE2.flags.writeable = False
+
+
+def _mat_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of each 2x2 matrix of a stack (..., 2, 2), the
+    inverse as adjugate over determinant.  The determinants are formed in
+    Python complex arithmetic, which rounds like numpy's scalars; numpy's
+    array product fuses a multiply and an add."""
+    det = np.array([a * d - b * c for a, b, c, d in m.reshape(-1, 4).tolist()]).reshape(m.shape[:-2])
+    if (np.abs(det) < 1e-300).any():
         raise RepresentationError("singular image matrix")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    adjugate = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
+    return adjugate.reshape(m.shape) / det[..., None, None], det
+
+
+def _points(*values):
+    """Python complex numbers for one point, equal-length complex arrays for a stack."""
+    if not any(np.ndim(v) for v in values):
+        return [complex(v) for v in values]
+    return np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
+
+
+def _unstack(a):
+    """A Python scalar for one point, the array of per-point values for a stack."""
+    return a.item() if a.ndim == 0 else a
+
+
+def _raise_first(failures) -> None:
+    """Raise the RepresentationError of the first failing point, in stack
+    order, for the first check it fails; ``failures`` holds a mask over the
+    points and a message for point i per check."""
+    if not any(np.count_nonzero(mask) for mask, _ in failures):
+        return
+    masks = np.broadcast_arrays(*(np.atleast_1d(mask) for mask, _ in failures))
+    for i in np.flatnonzero(np.logical_or.reduce(masks))[:1]:
+        for mask, (_, message) in zip(masks, failures):
+            if mask[i]:
+                raise RepresentationError(message(i))
 
 
 class Rep:
-    """A matrix representation of a presentation's group, with diagnostics.
+    """A matrix representation of a presentation's group, with diagnostics,
+    at one point or at a stack of N points.
 
-    Construct from one 2x2 complex matrix per generator, or through
-    :func:`build_rep` for Riley's parametrization; `images` holds the
-    matrices.  Values are immutable by convention; ``adjoint`` is built on first use.
+    Construct from one complex matrix per generator, 2x2 for one point and
+    (N, 2, 2) for a stack, or through :func:`build_rep` for Riley's
+    parametrization; `images` holds the matrices.  At a stack the per-point
+    attributes (s, u, sqrt_s, the residuals, the flags and the traces) are
+    length-N arrays.  Values are immutable by convention; ``adjoint`` is
+    built on first use.
     """
 
     __slots__ = (
@@ -548,50 +628,65 @@ class Rep:
             raise RepresentationError("one image matrix per generator required")
         self.presentation = presentation
         self.images = tuple(np.asarray(m, dtype=complex) for m in images)
-        self.inverses = tuple(_mat_inverse(m) for m in self.images)
+        inverses, dets = _mat_inverse(np.stack(self.images))
+        self.inverses = tuple(inverses)
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
         self._adjoint = None
 
-        residuals = []
-        for r in presentation.relators:
-            diff = self.of_word(r) - np.eye(2)
-            residuals.append(float(np.max(np.abs(diff))))
-        self.relator_residuals = tuple(residuals)
-        if check and any(res > tol for res in residuals):
-            raise RepresentationError(
-                f"relator residual {max(residuals):.3e} exceeds tolerance {tol:.1e}: "
-                "(s, u) may be off the representation variety"
-            )
+        self.relator_residuals = tuple(
+            _unstack(np.abs(self.of_word(r) - _EYE2).max(axis=(-2, -1)))
+            for r in presentation.relators
+        )
+        if check:
+            _raise_first([self._relator_failure(tol)])
 
-        dets = [m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in self.images]
-        self.special_linear = all(abs(d - 1.0) <= tol for d in dets)
-        self.trace_meridian = complex(np.trace(self.images[presentation.meridian]))
+        self.special_linear = _unstack((np.abs(dets - 1.0) <= tol).all(axis=0))
+        self.trace_meridian = _unstack(np.trace(self.images[presentation.meridian], axis1=-2, axis2=-1))
         self.irreducible = self._irreducibility_heuristic()
         self.su2_params = self._su2_params_hold()
+
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a stack of points rather than one point."""
+        return self.images[0].ndim == 3
+
+    def _relator_failure(self, tol: float):
+        worst = functools.reduce(np.maximum, self.relator_residuals, 0.0)
+        return worst > tol, lambda i: (
+            f"relator residual {np.atleast_1d(worst)[i]:.3e} exceeds tolerance {tol:.1e}: "
+            "(s, u) may be off the representation variety"
+        )
 
     def _irreducibility_heuristic(self, threshold: float = 1e-8) -> bool:
         # a pair of invertible 2x2 matrices shares an eigenvector iff the
         # trace of their commutator is 2
         n = len(self.images)
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j]
-                if abs(complex(np.trace(comm)) - 2.0) > threshold:
-                    return True
-        return False
+        far = [
+            np.abs(np.trace(
+                self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j],
+                axis1=-2, axis2=-1,
+            ) - 2.0) > threshold
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        return _unstack(np.any(far, axis=0))
 
     def _su2_params_hold(self) -> bool:
-        if self.s is None or self.u is None:
+        s, u = self.s, self.u
+        if s is None or u is None:
             return False
-        if abs(abs(self.s) - 1.0) > REALITY_TOL or abs(self.u.imag) > REALITY_TOL:
-            return False
-        sigma = 2.0 * self.s.real / abs(self.s)
-        return sigma - 2.0 - INTERVAL_SLACK <= self.u.real <= INTERVAL_SLACK
+        sigma = 2.0 * s.real / abs(s)
+        return (
+            (abs(abs(s) - 1.0) <= REALITY_TOL)
+            & (abs(u.imag) <= REALITY_TOL)
+            & (sigma - 2.0 - INTERVAL_SLACK <= u.real)
+            & (u.real <= INTERVAL_SLACK)
+        )
 
     def of_word(self, w: Word) -> np.ndarray:
-        acc = np.eye(2, dtype=complex)
+        acc = _EYE2
         for g, e in w.letters:
             acc = acc @ (self.images[g] if e == 1 else self.inverses[g])
         return acc
@@ -606,17 +701,17 @@ class Rep:
     @property
     def trace_meridian_sq(self) -> complex:
         m = self.images[self.presentation.meridian]
-        return complex(np.trace(m @ m))
+        return _unstack(np.trace(m @ m, axis1=-2, axis2=-1))
 
     def conjugated(self, g: np.ndarray, tol: float = 1e-9) -> "Rep":
-        ginv = _mat_inverse(np.asarray(g, dtype=complex))
+        ginv = _mat_inverse(np.asarray(g, dtype=complex))[0]
         return Rep(
             self.presentation,
             [g @ m @ ginv for m in self.images],
             s=self.s,
             u=self.u,
             sqrt_s=self.sqrt_s,
-            tol=max(tol, 10 * max(self.relator_residuals, default=0.0)),
+            tol=max(tol, 10 * float(np.max(self.relator_residuals, initial=0.0))),
             check=False,
         )
 
@@ -629,54 +724,70 @@ def build_rep(
     tol: float = 1e-9,
     check: bool = True,
 ) -> Rep:
-    """Riley-parametrized representation (X/sqrt(s), Y/sqrt(s)).
+    """Riley-parametrized representation (X/sqrt(s), Y/sqrt(s)); for arrays
+    of s and u (and sqrt_s), one Rep of that stack of points.
 
     Verifies sqrt_s^2 = s, that (s, u) lies on the zero set of the bridge
     word's obstruction polynomial, and that the relator maps to the identity
-    within tol.  With check=False the object is built regardless and the
+    within tol.  A stack raises the error its first failing point raises on
+    its own.  With check=False the object is built regardless and the
     residuals are left in the diagnostics.
     """
     if p.bridge_word is None or p.k != 2:
         raise RepresentationError("non-2-bridge presentation: no bridge word available")
-    s = complex(s)
-    u = complex(u)
-    if sqrt_s is None:
-        sqrt_s = cmath.sqrt(s)
-    if abs(sqrt_s * sqrt_s - s) > tol * max(1.0, abs(s)):
-        raise RepresentationError("sqrt_s is not a square root of s")
+    s, u, sqrt_s = _points(s, u, np.sqrt(np.asarray(s, dtype=complex)) if sqrt_s is None else sqrt_s)
+    failures = [(
+        abs(sqrt_s * sqrt_s - s) > tol * np.maximum(1.0, abs(s)),
+        lambda i: "sqrt_s is not a square root of s",
+    )]
     phi = riley_polynomial(p.bridge_word)
     if check and not phi.is_zero:
         residual = abs(phi.evaluate(s, u))
-        if residual > max(tol, 1e-9) * phi.magnitude_at(s, u):
-            raise RepresentationError(
-                f"phi(s, u) = {residual:.3e} does not vanish: "
-                "(s, u) off the representation variety"
-            )
+        failures.append((
+            residual > max(tol, 1e-9) * phi.magnitude_at(s, u),
+            lambda i: f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
+            "(s, u) off the representation variety",
+        ))
     x, y = riley_assignment(s, u)
-    return Rep(p, (x / sqrt_s, y / sqrt_s), s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=check)
+    root = np.asarray(sqrt_s)[..., None, None]
+    if np.ndim(s) == 0:  # one point fails at its first failing check
+        _raise_first(failures)
+        return Rep(p, (x / root, y / root), s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=check)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sqrt_s fails its check
+        rep = Rep(p, (x / root, y / root), s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False)
+    if check:
+        failures.append(rep._relator_failure(tol))
+    _raise_first(failures)
+    return rep
 
 
 def adjoint_of_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix of V -> m V m^-1 on trace-zero 2x2 matrices, basis (E, H, F).
+    """Matrix of V -> m V m^-1 on trace-zero 2x2 matrices, basis (E, H, F);
+    for a stack (..., 2, 2) of matrices a stack (..., 3, 3).
 
     Column j holds the (E, H, F) coordinates of m B_j m^-1 in closed form:
     for m = [[a, b], [c, d]], m E m^-1 = (a^2 E - ac H - c^2 F) / det m, and
     likewise for H and F.
     """
-    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
-    det = a * d - b * c
-    if abs(det) < 1e-300:
+    m = np.asarray(m, dtype=complex)
+    entries, dets = [], []
+    for a, b, c, d in m.reshape(-1, 4).tolist():  # Python complex arithmetic, as in _mat_inverse
+        dets.append(a * d - b * c)
+        entries.append(
+            [a * a, -2 * a * b, -b * b, -a * c, a * d + b * c, b * d, -c * c, 2 * c * d, d * d]
+        )
+    det = np.array(dets).reshape(m.shape[:-2])
+    if np.any(np.abs(det) < 1e-300):
         raise RepresentationError("singular image matrix")
-    return np.array(
-        [[a * a, -2 * a * b, -b * b], [-a * c, a * d + b * c, b * d], [-c * c, 2 * c * d, d * d]]
-    ) / det
+    return np.array(entries).reshape(m.shape[:-2] + (3, 3)) / det[..., None, None]
 
 
 @dataclass(frozen=True)
 class AdjointImage:
-    """Per-generator 3x3 adjoint matrices (and inverses) of a representation.
+    """Per-generator 3x3 adjoint matrices (and inverses) of a representation,
+    (N, 3, 3) at a stack of points.
 
-    ``of_word`` memoizes every prefix it forms in a letter trie, so the Fox
+    ``prefixes`` memoizes every prefix it forms in a letter trie, so the Fox
     terms of a relator (all prefixes of it) cost one product per letter in
     total.  Each product is still ``eye(3)`` right-multiplied letter by
     letter, so values do not depend on the order of the calls.  Returned
@@ -691,8 +802,10 @@ class AdjointImage:
         init=False, repr=False, compare=False,
     )
 
-    def of_word(self, w: Word) -> np.ndarray:
+    def prefixes(self, w: Word) -> list[np.ndarray]:
+        """Ad(rho) of every prefix of w, the empty prefix first."""
         node = self._prefixes
+        out = [node[0]]
         for letter in w.letters:
             child = node[1].get(letter)
             if child is None:
@@ -701,7 +814,11 @@ class AdjointImage:
                 child = (_read_only(node[0] @ step), {})
                 node[1][letter] = child
             node = child
-        return node[0]
+            out.append(node[0])
+        return out
+
+    def of_word(self, w: Word) -> np.ndarray:
+        return self.prefixes(w)[-1]
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -711,6 +828,6 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 def adjoint_images(rep: Rep) -> AdjointImage:
     """Adjoint matrices of all generator images; sign of the 2x2 lift cancels."""
-    mats = tuple(adjoint_of_matrix(m) for m in rep.images)
-    invs = tuple(adjoint_of_matrix(m) for m in rep.inverses)
-    return AdjointImage(mats, invs)
+    ad = adjoint_of_matrix(np.stack(rep.images + rep.inverses))
+    k = len(rep.images)
+    return AdjointImage(tuple(ad[:k]), tuple(ad[k:]))

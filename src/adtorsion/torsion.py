@@ -9,7 +9,10 @@ to +-t^m), and the torsion number is recovered either from the second
 derivative of the numerator at t = 1 or from the limit of the invariant
 divided by (t - 1).  Both routes are kept so they can cross-check each other
 at runtime; they and the diagnostics read one :class:`TorsionPolynomial`,
-so the polynomial is built once per representation.
+so the polynomial is built once per representation.  At a stack of points
+(a :class:`Rep` of (N, 2, 2) images) every matrix is assembled and the
+determinant taken once for all points, and each function returns one result
+per point.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foxcalc import GroupRingElt, fox_derivative
+from .foxcalc import GroupRingElt, fox_derivative, term_table
 from .laurent import (
     DEFAULT_CLEANUP,
     IntLaurent,
@@ -57,20 +60,20 @@ class RegularityError(ArithmeticError):
 
 
 def phi_of(elt: GroupRingElt, rep: Rep) -> LaurentMatrix:
-    """3x3 Laurent matrix sum_i c_i t^{alpha(w_i)} Ad(rho(w_i))."""
+    """3x3 Laurent matrix sum_i c_i t^{alpha(w_i)} Ad(rho(w_i)); its
+    coefficient array is (N, span, 3, 3) at a stack of N points."""
+    batch = rep.images[0].shape[:-2]
     if elt.is_zero:
-        return LaurentMatrix(0, np.zeros((1, 3, 3)))
-    p = rep.presentation
-    exponents = [p.alpha_of(w) for _, w in elt.terms]
-    lo = min(exponents)
-    terms = np.array([c for c, _ in elt.terms])[:, None, None] * np.array(
-        [rep.adjoint.of_word(w) for _, w in elt.terms]
-    )
-    coeffs = np.zeros((max(exponents) - lo + 1, 3, 3), dtype=complex)
+        return LaurentMatrix(0, np.zeros(batch + (1, 3, 3)))
+    lo, span, slots, coefficients, spines, positions = term_table(elt, rep.presentation)
+    chains = [rep.adjoint.prefixes(w) for w in spines]
+    terms = np.array([chains[c][k] for c, k in positions])
+    terms = coefficients.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms
+    coeffs = np.zeros((span,) + terms.shape[1:], dtype=complex)
     # unbuffered and in term order: each exponent's sum is accumulated in
     # the order of elt.terms
-    np.add.at(coeffs, np.subtract(exponents, lo), terms)
-    return LaurentMatrix(lo, coeffs)
+    np.add.at(coeffs, slots, terms)
+    return LaurentMatrix(lo, np.moveaxis(coeffs, 0, -3))
 
 
 def boundary_factor(rep: Rep, j: int | None = None) -> LaurentPoly:
@@ -117,12 +120,13 @@ def alexander_block_matrix(rep: Rep, drop: int | None = None) -> LaurentMatrix:
         for li, r in enumerate(p.relators)
     ]
     lo = min(b.offset for _, _, b in blocks)
-    span = max(b.offset + len(b.coeffs) for _, _, b in blocks) - lo
+    span = max(b.offset + b.coeffs.shape[-3] for _, _, b in blocks) - lo
     n = 3 * (k - 1)
-    coeffs = np.zeros((span, n, n), dtype=complex)
+    coeffs = np.zeros(rep.images[0].shape[:-2] + (span, n, n), dtype=complex)
     for row, col, b in blocks:
         k0 = b.offset - lo
-        coeffs[k0 : k0 + len(b.coeffs), row : row + 3, col : col + 3] = b.coeffs.transpose(0, 2, 1)
+        span_b = b.coeffs.shape[-3]
+        coeffs[..., k0 : k0 + span_b, row : row + 3, col : col + 3] = b.coeffs.swapaxes(-1, -2)
     return LaurentMatrix(lo, coeffs)
 
 
@@ -135,8 +139,8 @@ def homology_torsion(
     entry would move Delta_1 by up to cleanup times an entry's scale, and the
     simple-zero test reads those digits.
     """
-    a = alexander_block_matrix(rep, drop=drop)
-    return a.determinant(cleanup=cleanup).with_offset_zero()
+    det = alexander_block_matrix(rep, drop=drop).determinant(cleanup=cleanup)
+    return [d.with_offset_zero() for d in det] if rep.stacked else det.with_offset_zero()
 
 
 def twisted_alexander_invariant(
@@ -155,22 +159,24 @@ class TorsionPolynomial:
 
     ``quotient`` and ``remainders`` come from the double synthetic division
     of ``delta`` by (t - 1)^2; ``parity`` is the sign that makes values
-    independent of which meridian was dropped.
+    independent of which meridian was dropped; ``tau`` and ``irreducible``
+    are the point's boundary trace ratio and irreducibility flag.
     """
 
-    rep: Rep
     drop: int
     tol: Tolerances
     delta: LaurentPoly
     trace_sq: complex  # Tr(rho(x_drop^2))
+    tau: complex  # Tr(rho(x_drop)^2) / det rho(x_drop)
     parity: float
+    irreducible: bool
     quotient: LaurentPoly
     remainders: tuple[float, ...]
 
 
 def torsion_polynomial(
     rep: Rep, drop: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
-) -> TorsionPolynomial:
+) -> TorsionPolynomial | list[TorsionPolynomial]:
     """Build Delta_1 for ``rep``, dropping the meridian by default; raises
     RegularityError when the dropped generator is not a meridian."""
     p = rep.presentation
@@ -179,23 +185,33 @@ def torsion_polynomial(
         raise RegularityError(
             "dropped generator must be a meridian (abelianization exponent 1)"
         )
-    delta = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
-    quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
+    deltas = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
     m = rep.images[j]
+    traces = np.trace(m @ m, axis1=-2, axis2=-1)
     # swapping the dropped generator moves an odd number (3) of columns
     # through the block matrix, so the determinant ratio alternates sign;
     # normalizing to the meridian drop makes the value drop-independent
     parity = -1.0 if (j - p.meridian) % 2 else 1.0
-    return TorsionPolynomial(
-        rep=rep,
-        drop=j,
-        tol=tol,
-        delta=delta,
-        trace_sq=complex(np.trace(m @ m)),
-        parity=parity,
-        quotient=quotient,
-        remainders=tuple(remainders),
-    )
+    out = []
+    for delta, trace_sq, (a, b, c, d), irreducible in zip(
+        deltas if rep.stacked else [deltas],
+        np.atleast_1d(traces).tolist(),
+        m.reshape(-1, 4).tolist(),
+        np.atleast_1d(rep.irreducible).tolist(),
+    ):
+        quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
+        out.append(TorsionPolynomial(
+            drop=j,
+            tol=tol,
+            delta=delta,
+            trace_sq=trace_sq,
+            tau=trace_sq / (a * d - b * c),
+            parity=parity,
+            irreducible=irreducible,
+            quotient=quotient,
+            remainders=tuple(remainders),
+        ))
+    return out if rep.stacked else out[0]
 
 
 def _boundary_denominator(tp: TorsionPolynomial) -> complex:
@@ -208,8 +224,19 @@ def torsion_via_formula(tp: TorsionPolynomial) -> complex:
     """Torsion from the second derivative of the torsion polynomial at 1:
     (Delta''(1)/2) / (Tr(rho(x1^2)) - 2)."""
     denominator = _boundary_denominator(tp)
-    half_second = tp.delta.derivative(2).evaluate(1.0) / 2.0
+    half_second = _derivative_at_1(tp.delta, 2) / 2.0
     return tp.parity * half_second / denominator
+
+
+def _derivative_at_1(delta: LaurentPoly, order: int) -> complex:
+    """The order-th derivative of delta at t = 1, read off its coefficients
+    and summed from the highest exponent down, as Horner's rule at 1 sums it."""
+    acc = 0j
+    for e, c in zip(range(delta.hi, delta.lo - 1, -1), reversed(delta.coeffs)):
+        for k in range(order):
+            c = c * (e - k)
+        acc = acc + c
+    return acc
 
 
 def torsion_via_limit(tp: TorsionPolynomial) -> complex:
@@ -230,8 +257,11 @@ def torsion_via_limit(tp: TorsionPolynomial) -> complex:
 
 def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
     """First-order numeric version of the limit, for diagnostics only; the
-    only reading that needs the boundary factor det Phi(x_drop - 1)."""
-    return -RationalFunction(tp.delta, boundary_factor(tp.rep, tp.drop)).evaluate(1.0 + step) / step
+    only reading that needs the boundary factor det Phi(x_drop - 1), here its
+    closed form (t - 1)(t^2 - tau t + 1) at t = 1 + step (x_drop is a
+    meridian)."""
+    t = 1.0 + step
+    return -(tp.delta.evaluate(t) / ((t - 1.0) * (t * t - tp.tau * t + 1.0))) / step
 
 
 def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
@@ -248,11 +278,11 @@ def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     divides = scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
     simple_zero = divides and reduced_at_1 > REGULAR_FLOOR * scale
     denominator_ok = abs(tp.trace_sq - 2.0) > tol.relation
-    irreducible = tp.rep.irreducible
+    irreducible = tp.irreducible
     return {
         "scale": scale,
         "delta1_at_1": abs(delta.evaluate(1.0)),
-        "delta1_prime_at_1": abs(delta.derivative(1).evaluate(1.0)),
+        "delta1_prime_at_1": abs(_derivative_at_1(delta, 1)),
         "reduced_at_1": reduced_at_1,
         "division_remainders": list(tp.remainders),
         "simple_zero": simple_zero,
@@ -292,7 +322,7 @@ def compute_torsion(
     rep: Rep,
     tol: Tolerances = DEFAULT_TOLERANCES,
     drop: int | None = None,
-) -> TorsionResult:
+) -> TorsionResult | list[TorsionResult]:
     """Run both torsion routes with diagnostics, all read from one
     :class:`TorsionPolynomial`; never raises on regularity failures (the
     diagnostics record them), only on structural errors and a dropped
@@ -301,7 +331,12 @@ def compute_torsion(
     The limit route is the preferred value; the formula route cross-checks
     it whenever both are available.
     """
-    tp = torsion_polynomial(rep, drop=drop, tol=tol)
+    tps = torsion_polynomial(rep, drop=drop, tol=tol)
+    return [_torsion_result(tp) for tp in tps] if rep.stacked else _torsion_result(tps)
+
+
+def _torsion_result(tp: TorsionPolynomial) -> TorsionResult:
+    tol = tp.tol
     diagnostics = regularity_diagnostics(tp)
 
     formula_value: complex | None

@@ -13,8 +13,14 @@ from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
 from adtorsion.foxcalc import fox_derivative
-from adtorsion.reps import RepresentationError, riley_polynomial, su2_root_count_thresholds
-from adtorsion.torsion import RegularityError, Tolerances, torsion_polynomial
+from adtorsion.laurent import LaurentMatrix
+from adtorsion.reps import (
+    RepresentationError,
+    riley_polynomial,
+    su2_root_count_thresholds,
+    su2_solutions,
+)
+from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 
 from test_torsion import schubert_knot
 
@@ -322,6 +328,8 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
         return solve(f_spy, a, fa, b, fb, **kwargs)
 
     def far_root_at_first_trial(phi, theta, *args, **kwargs):
+        if not isinstance(theta, float):  # a batch of thetas: each one as if alone
+            return [far_root_at_first_trial(phi, t, *args, **kwargs) for t in theta]
         sols = solutions(phi, theta, *args, **kwargs)
         # the wide-step derivative evaluates the trial theta at theta +- 2e-3
         if first_trial and theta in (first_trial[0] + 2e-3, first_trial[0] - 2e-3):
@@ -387,34 +395,40 @@ def test_critical_search_pairs_equal_root_counts_by_rank(monkeypatch, p, q):
 def test_critical_search_evaluation_budget(monkeypatch):
     # one torsion per theta +- fd_step per branch sample, and about ten
     # wide-step derivatives per sign change; a bisection that built a
-    # torsion at each midpoint only for its root made 697
-    calls = []
+    # torsion at each midpoint only for its root made 697.  The grid's
+    # differences are one stack and each later difference a stack of two,
+    # so the calls are far fewer than the points
+    calls, points = [], []
     torsion_polynomial = locus.torsion_polynomial
 
     def counted(*args, **kwargs):
+        result = torsion_polynomial(*args, **kwargs)
         calls.append(None)
-        return torsion_polynomial(*args, **kwargs)
+        points.extend(result if isinstance(result, list) else [result])
+        return result
 
     monkeypatch.setattr(locus, "torsion_polynomial", counted)
     p = catalog.knot("5_2")
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert report.dihedral_count == 3
-    assert len(calls) <= 250
+    assert len(points) <= 250
+    assert len(calls) <= 40
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
     # every torsion evaluation on the branch near u = -3.8, the lowest of the
     # three roots, raises: the branch is noted with its failure count and
-    # first reason, not as a flat branch
-    value = locus._BranchTorsion.value
+    # first reason, not as a flat branch.  The fault sits where every
+    # evaluation takes its root, single or stacked
+    root = locus._BranchTorsion.root
 
     def fail_low_branch(self, theta, ranks):
         if ranks.get(3) == 0:
             raise RegularityError(f"not a simple zero at theta={theta:.6f}")
-        return value(self, theta, ranks)
+        return root(self, theta, ranks)
 
-    monkeypatch.setattr(locus._BranchTorsion, "value", fail_low_branch)
+    monkeypatch.setattr(locus._BranchTorsion, "root", fail_low_branch)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
@@ -567,3 +581,52 @@ def test_library_imports_without_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "knot, drop",
+    [("5_2", None), ("trefoil", None), ((13, 5), None), ((15, 7), None), ("5_2", 1)],
+)
+def test_sweep_stack_matches_single_points(knot, drop):
+    # the sweep evaluates all its points as one stack; every row must be what
+    # the one-point path gives for that point alone
+    p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
+    tol = Tolerances()
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    rows = sweep_rows(p, lo, hi, 13, tol, drop)
+    assert len(rows) >= 13
+    json.dumps({"rows": rows})
+    for row in rows:
+        assert all(type(row[k]) is float for k in row if k != "tai_simple_zero")
+        assert type(row["tai_simple_zero"]) is bool
+        roots = su2_solutions(riley_polynomial(p.bridge_word), row["theta"], tol.relation,
+                              multiplicity_threshold=tol.multiplicity).roots
+        u = min(roots, key=lambda r: abs(r - row["u"]))
+        assert abs(u - row["u"]) <= 1e-12
+        rep = locus.rep_at(p, row["theta"], u, tol)
+        single = compute_torsion(rep, tol, drop=drop)
+        value = complex(row["torsion_re"], row["torsion_im"])
+        assert abs(value - single.value) <= 1e-9 * max(1.0, abs(single.value))
+        assert row["tai_simple_zero"] is single.diagnostics["simple_zero"]
+        assert abs(row["trace_mu"] - rep.trace_meridian.real) <= 1e-12
+
+
+def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
+    # one stacked build_rep and one FFT determinant for the whole sweep; the
+    # per-row sweep made one of each per row
+    calls = {"build_rep": 0, "determinant": 0}
+    build_rep, determinant = locus.build_rep, LaurentMatrix.determinant
+
+    def counted_build(*args, **kwargs):
+        calls["build_rep"] += 1
+        return build_rep(*args, **kwargs)
+
+    def counted_determinant(*args, **kwargs):
+        calls["determinant"] += 1
+        return determinant(*args, **kwargs)
+
+    monkeypatch.setattr(locus, "build_rep", counted_build)
+    monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
+    rows = sweep_rows(catalog.knot("5_2"), 0.8, 5.4, 31)
+    assert len(rows) > 31
+    assert calls == {"build_rep": 1, "determinant": 1}

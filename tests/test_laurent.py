@@ -160,7 +160,7 @@ def test_determinant_alternating():
     rng = random.Random(12)
     m = LaurentMatrix.from_entries([[random_poly(rng, span=3) for _ in range(4)] for _ in range(4)])
     d = m.determinant()
-    d_swapped = m.with_swapped_rows(0, 2).determinant()
+    d_swapped = LaurentMatrix(m.offset, m.coeffs[:, [2, 1, 0, 3]]).determinant()
     assert (d + d_swapped).max_abs <= 1e-12 * max(1.0, d.max_abs)
 
 
@@ -324,3 +324,20 @@ def test_int_laurent_and_riley_strings():
     assert phi.sigma_form_str() == (
         "(1)*u^3 + (-2*sigma + 3)*u^2 + (sigma^2 - 3*sigma + 4)*u + (-2*sigma + 3)"
     )
+
+
+def test_stacked_determinant_is_per_point():
+    # one FFT, one batched det and one inverse FFT for a stack of matrices,
+    # one polynomial per point
+    rng = random.Random(77)
+    mats = [LaurentMatrix.from_entries([[random_poly(rng, span=3) for _ in range(3)] for _ in range(3)])
+            for _ in range(4)]
+    lo = min(m.offset for m in mats)
+    span = max(m.offset + len(m.coeffs) for m in mats) - lo
+    stack = np.zeros((4, span, 3, 3), dtype=complex)
+    for i, m in enumerate(mats):
+        stack[i, m.offset - lo : m.offset - lo + len(m.coeffs)] = m.coeffs
+    dets = LaurentMatrix(lo, stack).determinant()
+    assert len(dets) == 4
+    for d, m in zip(dets, mats):
+        assert d.approx_eq(m.determinant(), 1e-12)

@@ -371,3 +371,64 @@ def test_rep_from_raw_matrices():
     assert again.irreducible
     with pytest.raises(RepresentationError):
         Rep(p, [np.eye(2), np.array([[1, 1], [0, 1]])])
+
+
+@pytest.mark.parametrize("p, q", [(5, 3), (15, 7), (21, 5), (31, 7), (41, 11)])
+def test_stacked_roots_are_the_single_theta_roots(p, q):
+    # one root finder: a stack of thetas (one eigvals call per degree) gives
+    # every theta the very roots it gets alone, and the counts are their
+    # lengths; b(21,5) and larger are ill-conditioned, so any difference in
+    # rounding would show
+    phi = riley_polynomial(schubert_knot(p, q).bridge_word)
+    rng = random.Random(p * 100 + q)
+    thetas = [rng.uniform(0.05, 2 * math.pi - 0.05) for _ in range(40)] + [math.pi]
+    single = [su2_solutions(phi, theta) for theta in thetas]
+    assert su2_solutions(phi, thetas) == single
+    assert su2_root_counts(phi, thetas) == [len(s.roots) for s in single]
+
+
+def test_stacked_build_rep_matches_single_points():
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    points = [(theta, u) for theta in (0.9, 2.3, math.pi, 4.1) for u in su2_solutions(phi, theta).roots]
+    thetas = np.array([theta for theta, _ in points])
+    stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas))
+    assert stack.stacked and stack.images[0].shape == (len(points), 2, 2)
+    for i, (theta, u) in enumerate(points):
+        single = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
+        assert not single.stacked
+        for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
+            assert np.array_equal(a[i], b)
+        for a, b in zip(stack.adjoint.matrices, single.adjoint.matrices):
+            assert np.array_equal(a[i], b)
+        assert stack.relator_residuals[0][i] == single.relator_residuals[0]
+        assert stack.trace_meridian[i] == single.trace_meridian
+        assert stack.irreducible[i] == single.irreducible
+        assert stack.su2_params[i] == single.su2_params
+
+
+def test_stack_raises_the_first_failing_points_error():
+    # a stack fails like its first failing point fails on its own, naming
+    # the first check that point fails
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    thetas = [2.3, 2.6, math.pi, 3.6, 4.0]
+    s = [cmath.exp(1j * t) for t in thetas]
+    sq = [cmath.exp(0.5j * t) for t in thetas]
+    u = [su2_solutions(phi, t).roots[0] for t in thetas]
+    u[2] += 1e-3  # off the variety
+    u[4] += 2e-3
+    with pytest.raises(RepresentationError) as alone:
+        build_rep(p, s[2], u[2], sq[2])
+    with pytest.raises(RepresentationError) as stacked:
+        build_rep(p, np.array(s), np.array(u), np.array(sq))
+    assert "does not vanish" in str(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    sq[1] = 1.0  # an earlier point with the wrong square root fails first
+    with pytest.raises(RepresentationError, match="^sqrt_s is not a square root of s$"):
+        build_rep(p, np.array(s), np.array(u), np.array(sq))
+    # without checks (the square root is always checked) the stack is built
+    # and keeps the residuals
+    sq[1] = cmath.exp(0.5j * thetas[1])
+    rep = build_rep(p, np.array(s), np.array(u), np.array(sq), check=False)
+    assert rep.relator_residuals[0][2] > 1e-6 >= rep.relator_residuals[0][0]

@@ -548,3 +548,51 @@ def test_adjoint_prefixes_are_shared_and_read_only():
     assert adj.of_word(Word(w.letters)) is m
     with pytest.raises(ValueError):
         m[0, 0] = 0.0
+
+
+def test_phi_of_reads_exponents_from_the_term_table(monkeypatch):
+    # the t-exponent and prefix of every Fox term are computed once per
+    # (element, presentation); a second phi_of, at another representation,
+    # calls alpha_of no more
+    from adtorsion import foxcalc
+
+    p = schubert_knot(13, 5)
+    elt = fox_derivative(p.relators[0], 1)
+    foxcalc.term_table.cache_clear()
+    calls = _count_calls(monkeypatch, [(Presentation, "alpha_of")])
+    phi = riley_polynomial(p.bridge_word)
+    reps_ = [build_rep(p, cmath.exp(1j * t), su2_solutions(phi, t).roots[0], cmath.exp(0.5j * t))
+             for t in (2.4, 3.0)]
+    phi_of(elt, reps_[0])
+    assert calls == {"alpha_of": len(elt.terms)}
+    block = phi_of(elt, reps_[1])
+    assert calls == {"alpha_of": len(elt.terms)}
+    assert foxcalc.term_table.cache_info().hits == 1
+    # every term of a Fox derivative is a prefix of the relator: one spine
+    assert len(foxcalc.term_table(elt, p)[4]) == 1
+    # against the exponent sums read term by term
+    for a in range(3):
+        for b in range(3):
+            expected = LaurentPoly.from_dict({}, cleanup=0.0)
+            for c, w in elt.terms:
+                m = reps_[1].adjoint.of_word(w)
+                expected = expected + LaurentPoly.term(c * m[a, b], sum(p.alpha[g] * e for g, e in w.letters))
+            assert block.entry(a, b).approx_eq(expected, 1e-12)
+
+
+def test_stacked_torsion_is_per_point():
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    points = [(theta, u) for theta in (2.5, math.pi, 3.7) for u in su2_solutions(phi, theta).roots]
+    thetas = np.array([theta for theta, _ in points])
+    stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas))
+    for drop in (None, 1):
+        results = compute_torsion(stack, TOL, drop=drop)
+        tps = torsion_polynomial(stack, drop=drop, tol=TOL)
+        assert len(results) == len(tps) == len(points)
+        for (theta, u), result, tp in zip(points, results, tps):
+            single = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
+            alone = compute_torsion(single, TOL, drop=drop)
+            assert abs(result.value - alone.value) <= 1e-12 * max(1.0, abs(alone.value))
+            assert result.diagnostics["simple_zero"] is alone.diagnostics["simple_zero"]
+            assert tp.delta.approx_eq(torsion_polynomial(single, drop=drop, tol=TOL).delta, 1e-12)
