@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"adtorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = Tolerances()
 
     def common(sp, theta_root=False):
         sp.add_argument("--knot", help="catalog knot name (e.g. 5_2, trefoil)")
@@ -207,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--drop", help="generator name to drop from the block matrix")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
-        sp.add_argument("--tol-relation", type=float, default=1e-9)
-        sp.add_argument("--tol-consistency", type=float, default=1e-6)
-        sp.add_argument("--tol-cleanup", type=float, default=1e-12)
-        sp.add_argument("--tol-multiplicity", type=float, default=1e-5)
+        sp.add_argument("--tol-relation", type=float, default=defaults.relation)
+        sp.add_argument("--tol-consistency", type=float, default=defaults.consistency)
+        sp.add_argument("--tol-cleanup", type=float, default=defaults.cleanup)
+        sp.add_argument("--tol-multiplicity", type=float, default=defaults.multiplicity)
         if theta_root:
             sp.add_argument("--theta", type=float, required=True)
             sp.add_argument("--root", type=int, default=0, help="index into the sorted SU(2) roots")

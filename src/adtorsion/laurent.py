@@ -1,7 +1,8 @@
 """One-variable Laurent polynomials over Z and over C, matrices of them,
 determinants.
 
-Both rings share one storage, trimming and ring arithmetic (:class:`_Laurent`).
+Both rings share one storage, trimming and ring arithmetic (:class:`_Laurent`),
+and so do the polynomials in u over Z[s, s^-1] behind Riley's polynomial.
 :class:`IntLaurent` has arbitrary-precision integer coefficients, never
 cleaned: the two-bridge representation polynomial (exact in s) and the
 classical Alexander polynomial oracle (exact in t) live there.
@@ -44,20 +45,23 @@ def _signed_sum_str(terms: Iterable[tuple[int, int]], var: str) -> str:
 class _Laurent:
     """``sum_i coeffs[i] * var^(offset + i)`` with trimmed coefficients.
 
-    A subclass names its ring zero ``_zero`` and has a constructor
-    ``(offset, coeffs)`` that brings coefficients into the ring and calls
-    ``_store``; sums and products come back through that constructor.
+    A subclass names its ring zero ``_zero`` (coefficients equal to it are
+    trimmed) and has a constructor ``(offset, coeffs)`` that brings
+    coefficients into the ring and calls ``_store``; sums and products come
+    back through that constructor.  The coefficients may themselves be
+    polynomials, as in the u-polynomials over Z[s, s^-1] of ``reps``.
     """
 
     __slots__ = ("offset", "coeffs")
     _zero = 0
 
     def _store(self, offset: int, cs: Sequence) -> None:
+        zero = self._zero
         lo = 0
-        while lo < len(cs) and cs[lo] == 0:
+        while lo < len(cs) and cs[lo] == zero:
             lo += 1
         hi = len(cs)
-        while hi > lo and cs[hi - 1] == 0:
+        while hi > lo and cs[hi - 1] == zero:
             hi -= 1
         if lo == hi:
             self.offset = 0

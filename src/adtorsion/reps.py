@@ -21,12 +21,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laurent import IntLaurent, _signed_sum_str
+from .laurent import IntLaurent, _Laurent, _signed_sum_str
 from .presentation import Presentation
 from .words import Word
 
+#: default bound on relator residuals (``Tolerances.relation``, ``--tol-relation``)
+RELATION_TOL = 1e-9
 REALITY_TOL = 1e-9
 INTERVAL_SLACK = 1e-9
+#: default near-double-root distance in u (``Tolerances.multiplicity``)
 MULTIPLICITY_THRESHOLD = 1e-5
 
 #: the sigma grid on which su2_root_count_thresholds probes the root count
@@ -57,62 +60,25 @@ def riley_assignment(s: complex, u: complex) -> tuple[np.ndarray, np.ndarray]:
 # exact obstruction polynomial over Z[s, s^-1][u]
 # ---------------------------------------------------------------------------
 
-# a polynomial in u is a list of IntLaurent coefficients, index = u-degree
 
-_UPoly = list
+class _UPoly(_Laurent):
+    """Polynomial in u with exact IntLaurent coefficients in s: the ring
+    Z[s, s^-1][u] in which Riley's polynomial is formed."""
 
+    __slots__ = ()
+    _zero = IntLaurent.zero()
 
-def _u_trim(a: list[IntLaurent]) -> list[IntLaurent]:
-    while a and a[-1].is_zero:
-        a.pop()
-    return a
+    def __init__(self, offset: int = 0, coeffs: Sequence[IntLaurent] = ()):
+        self._store(offset, coeffs)
 
-
-def _u_add(a: Sequence[IntLaurent], b: Sequence[IntLaurent]) -> list[IntLaurent]:
-    out = [IntLaurent.zero()] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _u_trim(out)
-
-def _u_mul(a: Sequence[IntLaurent], b: Sequence[IntLaurent]) -> list[IntLaurent]:
-    if not a or not b:
-        return []
-    out = [IntLaurent.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _u_trim(out)
+    def by_u_degree(self) -> list[IntLaurent]:
+        """The coefficients of u^0, ..., u^hi, zeros included."""
+        return [self.coefficient(d) for d in range(self.hi + 1)] if self.coeffs else []
 
 
-def _u_const(c: IntLaurent) -> list[IntLaurent]:
-    return [] if c.is_zero else [c]
-
-
-_S = IntLaurent.term(1, 1)
-_S_INV = IntLaurent.term(1, -1)
-_ONE = IntLaurent.one()
-
-# 2x2 matrices over Z[s,s^-1][u] for the letters x, x^-1, y, y^-1
-_LETTER_MATRICES = {
-    (0, 1): ((_u_const(_S), _u_const(_ONE)), ([], _u_const(_ONE))),
-    (0, -1): ((_u_const(_S_INV), _u_const(-_S_INV)), ([], _u_const(_ONE))),
-    (1, 1): ((_u_const(_S), []), ([IntLaurent.zero(), -_S], _u_const(_ONE))),
-    (1, -1): ((_u_const(_S_INV), []), ([IntLaurent.zero(), _ONE], _u_const(_ONE))),
-}
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(
-            _u_add(_u_mul(a[i][0], b[0][j]), _u_mul(a[i][1], b[1][j]))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+_S = _UPoly.term(IntLaurent.term(1, 1))
+_S_INV = _UPoly.term(IntLaurent.term(1, -1))
+_ONE_MINUS_S = _UPoly.term(IntLaurent(0, (1, -1)))
 
 
 class RileyPoly:
@@ -128,7 +94,7 @@ class RileyPoly:
 
     def __init__(self, coeffs: Iterable[IntLaurent]):
         self._table = None  # the coefficients as one float array, built on first specialization
-        cs = _u_trim([c for c in coeffs])
+        cs = _UPoly(0, tuple(coeffs)).by_u_degree()
         if not cs:
             self.coeffs: tuple[IntLaurent, ...] = ()
             return
@@ -154,25 +120,21 @@ class RileyPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RileyPoly) and self.coeffs == other.coeffs
 
-    def equal_up_to_unit(self, other: "RileyPoly") -> bool:
-        # constructors already canonicalize, so units are quotiented out
-        return self == other
-
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def evaluate(self, s: complex, u: complex) -> complex:
+    def residual_and_scale(self, s: complex, u: complex) -> tuple[float, float]:
+        """|phi(s, u)| by Horner's rule in u, and the sum of the term
+        magnitudes, the scale for near-zero testing, from one evaluation of
+        each coefficient at s (arrays of s and u give arrays of both)."""
+        values = [c(s) for c in self.coeffs]
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * u + c(s)
-        return acc
-
-    def magnitude_at(self, s: complex, u: complex) -> float:
-        """Sum of term magnitudes; tolerance scale for near-zero testing."""
         total = 0.0
-        for d, c in enumerate(self.coeffs):
-            total += abs(c(s)) * abs(u) ** d
-        return np.maximum(total, 1e-300)
+        for v in reversed(values):
+            acc = acc * u + v
+        for d, v in enumerate(values):
+            total += abs(v) * abs(u) ** d
+        return abs(acc), np.maximum(total, 1e-300)
 
     def specialize_real(self, theta, tol: float = REALITY_TOL):
         """Real coefficients of phi(e^{i theta}, u), lowest u-degree first: a
@@ -291,26 +253,14 @@ class RileyPoly:
 
 
 def _palindromic_to_sigma(p: IntLaurent) -> list[int]:
-    # p symmetric about 0: p = a_0 + sum_{j>=1} a_j (s^j + s^-j); the bracket
-    # satisfies P_1 = sigma, P_2 = sigma^2 - 2, P_j = sigma*P_{j-1} - P_{j-2}
-    top = p.hi
-    out = [0] * (top + 1)
-    out[0] = p.coefficient(0)
-    prev = [2]               # P_0
-    cur = [0, 1]             # P_1
-    for j in range(1, top + 1):
-        aj = p.coefficient(j)
-        if aj != 0:
-            for i, ci in enumerate(cur):
-                out[i] += aj * ci
-        # advance: P_{j+1} = sigma*P_j - P_{j-1}
-        nxt = [0] + cur
-        for i, ci in enumerate(prev):
-            nxt[i] -= ci
-        prev, cur = cur, nxt
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    # p symmetric about 0: p = a_0 + sum_{j>=1} a_j (s^j + s^-j), where
+    # s^j + s^-j = P_j(sigma) for P_0 = 2, P_1 = sigma, P_{j+1} = sigma*P_j - P_{j-1}
+    out = IntLaurent.term(p.coefficient(0))
+    prev, cur = IntLaurent.term(2), IntLaurent.term(1, 1)
+    for j in range(1, p.hi + 1):
+        out = out + IntLaurent.term(p.coefficient(j)) * cur
+        prev, cur = cur, cur.shift(1) - prev
+    return [out.coefficient(i) for i in range(out.hi + 1)]
 
 
 def _poly_in_u_str(coeff_strs: Sequence[str], uvar: str) -> str:
@@ -339,12 +289,20 @@ def riley_polynomial(w: Word) -> RileyPoly:
     """
     if w.max_index() > 1:
         raise RepresentationError("word uses more than two generators")
-    acc = ((_u_const(_ONE), []), ([], _u_const(_ONE)))  # identity
-    for letter in w.letters:
-        acc = _mat_mul(acc, _LETTER_MATRICES[letter])
-    one_minus_s = _u_const(_ONE - _S)
-    phi = _u_add(acc[0][0], _u_mul(one_minus_s, acc[0][1]))
-    return RileyPoly(phi)
+    # phi reads only the first row (a, b) of W: right-multiply it by one
+    # letter matrix at a time; a factor u shifts the u-degree
+    a, b = _UPoly.term(IntLaurent.one()), _UPoly()
+    for g, e in w.letters:
+        if g == 0 and e == 1:    # x = [[s, 1], [0, 1]]
+            a, b = a * _S, a + b
+        elif g == 0:             # x^-1 = [[1/s, -1/s], [0, 1]]
+            a = a * _S_INV
+            b = b - a
+        elif e == 1:             # y = [[s, 0], [-s u, 1]]
+            a = (a - b.shift(1)) * _S
+        else:                    # y^-1 = [[1/s, 0], [u, 1]]
+            a = a * _S_INV + b.shift(1)
+    return RileyPoly((a + _ONE_MINUS_S * b).by_u_degree())
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +579,7 @@ class Rep:
         s: complex | None = None,
         u: complex | None = None,
         sqrt_s: complex | None = None,
-        tol: float = 1e-9,
+        tol: float = RELATION_TOL,
         check: bool = True,
     ):
         if len(images) != presentation.k:
@@ -703,7 +661,7 @@ class Rep:
         m = self.images[self.presentation.meridian]
         return _unstack(np.trace(m @ m, axis1=-2, axis2=-1))
 
-    def conjugated(self, g: np.ndarray, tol: float = 1e-9) -> "Rep":
+    def conjugated(self, g: np.ndarray, tol: float = RELATION_TOL) -> "Rep":
         ginv = _mat_inverse(np.asarray(g, dtype=complex))[0]
         return Rep(
             self.presentation,
@@ -721,7 +679,7 @@ def build_rep(
     s: complex,
     u: complex,
     sqrt_s: complex | None = None,
-    tol: float = 1e-9,
+    tol: float = RELATION_TOL,
     check: bool = True,
 ) -> Rep:
     """Riley-parametrized representation (X/sqrt(s), Y/sqrt(s)); for arrays
@@ -742,17 +700,14 @@ def build_rep(
     )]
     phi = riley_polynomial(p.bridge_word)
     if check and not phi.is_zero:
-        residual = abs(phi.evaluate(s, u))
+        residual, scale = phi.residual_and_scale(s, u)
         failures.append((
-            residual > max(tol, 1e-9) * phi.magnitude_at(s, u),
+            residual > max(tol, RELATION_TOL) * scale,
             lambda i: f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
             "(s, u) off the representation variety",
         ))
     x, y = riley_assignment(s, u)
     root = np.asarray(sqrt_s)[..., None, None]
-    if np.ndim(s) == 0:  # one point fails at its first failing check
-        _raise_first(failures)
-        return Rep(p, (x / root, y / root), s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=check)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero sqrt_s fails its check
         rep = Rep(p, (x / root, y / root), s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False)
     if check:

@@ -32,17 +32,17 @@ from .laurent import (
     divide_out_simple_roots,
 )
 from .presentation import Presentation, PresentationError
-from .reps import Rep
+from .reps import MULTIPLICITY_THRESHOLD, RELATION_TOL, Rep
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds for the torsion pipeline; each must be positive."""
 
-    relation: float = 1e-9       # relator residuals, boundary-trace floor
-    consistency: float = 1e-6    # formula-vs-limit relative agreement
-    cleanup: float = 1e-12       # Laurent coefficient cleanup
-    multiplicity: float = 1e-5   # near-double-root flag distance in u
+    relation: float = RELATION_TOL                # relator residuals, boundary-trace floor
+    consistency: float = 1e-6                     # formula-vs-limit relative agreement
+    cleanup: float = DEFAULT_CLEANUP              # Laurent coefficient cleanup
+    multiplicity: float = MULTIPLICITY_THRESHOLD  # near-double-root flag distance in u
 
     def __post_init__(self):
         if not all(value > 0.0 for value in vars(self).values()):

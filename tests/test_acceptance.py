@@ -93,7 +93,6 @@ def test_acceptance_1_riley_polynomial_exact():
     )
     elapsed = time.perf_counter() - start
     assert phi == expected, "coefficients must match exactly (zero tolerance)"
-    assert phi.equal_up_to_unit(expected)
     assert elapsed < 1.0
     _report(1, f"exact integer match, {elapsed * 1e3:.1f} ms")
 

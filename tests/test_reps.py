@@ -12,6 +12,7 @@ from adtorsion.reps import (
     Rep,
     RepresentationError,
     RileyPoly,
+    _UPoly,
     adjoint_images,
     adjoint_of_matrix,
     build_rep,
@@ -24,6 +25,7 @@ from adtorsion.reps import (
 )
 from adtorsion.words import Word, parse_word
 
+from adtorsion.torsion import alexander_at_minus_one, untwisted_alexander
 from test_torsion import schubert_knot
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
@@ -78,7 +80,6 @@ def test_riley_assignment_trefoil_root_diagonal_y():
 def test_riley_polynomial_five_two_exact():
     phi = riley_polynomial(_two_gen_word("x^-1 y^-1 x y x^-1 y^-1"))
     assert phi == five_two_cubic()
-    assert phi.equal_up_to_unit(five_two_cubic())
 
 
 def test_riley_polynomial_empty_word():
@@ -92,7 +93,7 @@ def test_riley_polynomial_trefoil():
     # s*u - (s^2 - s + 1), up to unit: multiply X*Y symbolically and read
     # W_11 + (1-s) W_12 = s^2 - s u + 1 - s; the canonical form negates it
     expected = RileyPoly([-IntLaurent(0, (1, -1, 1)), IntLaurent.term(1, 1)])
-    assert phi.equal_up_to_unit(expected)
+    assert phi == expected
     assert phi.sigma_form_str() == "(1)*u + (-sigma + 1)"
 
 
@@ -119,8 +120,58 @@ def test_riley_polynomial_matches_numeric_matrix_product():
         for letter in w.letters:
             acc = acc @ mats[letter]
         direct = acc[0, 0] + (1 - s) * acc[0, 1]
-        value = phi.evaluate(s, u)
-        assert abs(abs(value) - abs(direct)) <= 1e-9 * max(1.0, abs(direct))
+        residual, _ = phi.residual_and_scale(s, u)
+        assert abs(residual - abs(direct)) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_u_polynomials_trim_and_multiply():
+    zero, one, s = IntLaurent.zero(), IntLaurent.one(), IntLaurent.term(1, 1)
+    trimmed = _UPoly(3, [zero, zero, s, zero, s, zero])
+    assert (trimmed.offset, trimmed.coeffs) == (5, (s, zero, s))
+    assert trimmed.by_u_degree() == [zero] * 5 + [s, zero, s]
+    assert _UPoly(0, [zero, zero]).is_zero and _UPoly().by_u_degree() == []
+    # (1 + s u)(1/s - u) = 1/s + (-1 + 1) u - s u^2, by hand
+    a = _UPoly(0, [one, s])
+    b = _UPoly(0, [IntLaurent.term(1, -1), -one])
+    assert (a * b).by_u_degree() == [IntLaurent.term(1, -1), zero, IntLaurent.term(-1, 1)]
+    assert (a - a).is_zero
+
+
+def test_two_bridge_family_exact_oracles():
+    # every b(p, q) with odd p <= 41 and odd q in (0, p) coprime to p:
+    # |Delta(-1)| = p, phi(s, 0) = Delta_K up to a unit +-s^k, u-degree
+    # (p - 1)/2, and a monic sigma-form
+    family = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(family) == 178
+    for p, q in family:
+        knot = schubert_knot(p, q)
+        phi = riley_polynomial(knot.bridge_word)
+        assert alexander_at_minus_one(knot) == p, (p, q)
+        assert phi.coefficient(0).equal_up_to_unit(untwisted_alexander(knot)), (p, q)
+        assert phi.u_degree == (p - 1) // 2, (p, q)
+        form = phi.sigma_form()
+        assert form is not None and form[-1] == [1], (p, q)
+
+
+def test_residual_and_scale_are_the_term_by_term_sums():
+    # one evaluation of each coefficient gives |phi| and the scale, bit for
+    # bit as Horner's rule and the sum of term magnitudes give them
+    for knot in (catalog.knot("5_2"), schubert_knot(41, 11)):
+        phi = riley_polynomial(knot.bridge_word)
+        points = [(sols.theta, u) for sols in su2_solutions(phi, [1.1, 2.3, math.pi, 4.0, 5.2])
+                  for u in sols.roots]
+        s = np.exp(1j * np.array([t for t, _ in points]))
+        u = np.array([u for _, u in points], dtype=complex)
+        value = 0j
+        for c in reversed(phi.coeffs):
+            value = value * u + c(s)
+        total = 0.0
+        for d, c in enumerate(phi.coeffs):
+            total += abs(c(s)) * abs(u) ** d
+        residual, scale = phi.residual_and_scale(s, u)
+        assert len(points) >= 5
+        assert np.array_equal(residual, abs(value))
+        assert np.array_equal(scale, np.maximum(total, 1e-300))
 
 
 def test_sigma_form_five_two():
@@ -353,7 +404,8 @@ def test_zero_set_matches_representations():
                 continue
             u = rng.choice(sols.roots)
             rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-            assert abs(phi.evaluate(rep.s, rep.u)) <= 1e-8 * phi.magnitude_at(rep.s, rep.u)
+            residual, scale = phi.residual_and_scale(rep.s, rep.u)
+            assert residual <= 1e-8 * scale
             built += 1
             if rng.random() < 0.2:
                 with pytest.raises(RepresentationError):
