@@ -12,7 +12,6 @@ trace-zero matrices is taken in the ordered basis (E, H, F).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +35,13 @@ MULTIPLICITY_THRESHOLD = 1e-5
 THRESHOLD_SIGMA_LO = -2.0
 THRESHOLD_SIGMA_HI = 1.995
 THRESHOLD_SAMPLES = 2000
+#: sigma values probed inside each bracket of a count change per refinement round
+THRESHOLD_PROBES = 15
+
+#: trailing Chebyshev coefficients at most this fraction of the largest are
+#: rounding noise of the fit (at most 8e-15 on the two-bridge knots up to
+#: p = 41) and are dropped before the colleague matrix
+CHEBYSHEV_TRIM = 1e-13
 
 #: distinct words whose obstruction polynomial stays memoized per process
 RILEY_CACHE_SIZE = 256
@@ -88,21 +94,33 @@ class RileyPoly:
     canonical representative of the ±s^k unit class has lowest s-exponent 0
     across all coefficients and a positive lowest s-term in the leading
     u-coefficient, so structural equality is equality up to units.
+
+    ``word`` is the two-generator word the polynomial was built from (None
+    when built from coefficients); the SU(2) root finder evaluates phi from
+    it.  phi(e^{i theta}, u) is a unit times a real polynomial exactly when
+    every nonzero u-coefficient is palindromic about one common s-power;
+    ``_centre`` holds twice that power, their common lo + hi (None when
+    there is none).
     """
 
-    __slots__ = ("coeffs", "_table")
+    __slots__ = ("coeffs", "word", "_centre", "_shift")
 
-    def __init__(self, coeffs: Iterable[IntLaurent]):
-        self._table = None  # the coefficients as one float array, built on first specialization
+    def __init__(self, coeffs: Iterable[IntLaurent], word: Word | None = None):
+        self.word = word
+        self._centre = None
+        self._shift = 0  # the s-power divided out of the word's own polynomial
         cs = _UPoly(0, tuple(coeffs)).by_u_degree()
         if not cs:
             self.coeffs: tuple[IntLaurent, ...] = ()
             return
-        k = min(c.lo for c in cs if not c.is_zero)
-        cs = [c.shift(-k) for c in cs]
+        self._shift = min(c.lo for c in cs if not c.is_zero)
+        cs = [c.shift(-self._shift) for c in cs]
         if cs[-1].coeffs[0] < 0:
             cs = [-c for c in cs]
         self.coeffs = tuple(cs)
+        centres = {c.lo + c.hi for c in cs if not c.is_zero}
+        if len(centres) == 1 and all(c.is_palindromic() for c in cs):
+            (self._centre,) = centres
 
     @property
     def is_zero(self) -> bool:
@@ -136,71 +154,6 @@ class RileyPoly:
             total += abs(v) * abs(u) ** d
         return abs(acc), np.maximum(total, 1e-300)
 
-    def specialize_real(self, theta, tol: float = REALITY_TOL):
-        """Real coefficients of phi(e^{i theta}, u), lowest u-degree first: a
-        list for one theta, one array row per theta for an array of them.
-
-        The unit class only fixes the coefficients up to a common complex
-        phase, so the phase of the largest coefficient is divided out; if the
-        remaining imaginary parts exceed tol * scale the word is outside the
-        expected symmetry class and a ValueError names the first such theta.
-        The array form rounds every step as Python's complex arithmetic does,
-        so a row does not depend on the other thetas it is computed with.
-        """
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        if np.ndim(theta) == 0:
-            values = [c(cmath.exp(1j * theta)) for c in self.coeffs]
-            scale = max(abs(v) for v in values)
-            if scale == 0.0:
-                raise ValueError("zero polynomial after specialization")
-            ref = max(values, key=abs)
-            phase = ref / abs(ref)
-            aligned = [v / phase for v in values]
-            re, worst = [v.real for v in aligned], np.array([max(abs(v.imag) for v in aligned)])
-        else:
-            re, worst, scale = self._specialized(np.asarray(theta, dtype=float))
-        for i in np.flatnonzero(worst > tol * np.atleast_1d(scale))[:1]:
-            raise ValueError(
-                f"specialized polynomial is not real within tolerance "
-                f"(residual {worst[i]:.3e} vs scale {np.atleast_1d(scale)[i]:.3e})"
-            )
-        return re
-
-    def _specialized(self, thetas: np.ndarray):
-        if self._table is None:
-            width = max(len(c.coeffs) for c in self.coeffs)
-            self._table = np.array([c.coeffs + (0,) * (width - len(c.coeffs)) for c in self.coeffs],
-                                   dtype=float), np.array([c.offset for c in self.coeffs])
-        table, n = self._table
-        z = np.exp(1j * thetas)[:, None]
-        zr, zi = z.real, z.imag
-        re = im = np.zeros((len(z), len(n)))
-        for column in table.T[::-1]:  # Horner's rule in s for every u-degree at once
-            re, im = re * zr - im * zi + column, re * zi + im * zr
-        # times s^offset, the power formed by binary powering as complex.__pow__ forms it
-        rr, ri = np.ones_like(re), np.zeros_like(im)
-        while n.any():
-            odd = (n & 1).astype(bool)
-            rr, ri = np.where(odd, rr * zr - ri * zi, rr), np.where(odd, rr * zi + ri * zr, ri)
-            zr, zi, n = zr * zr - zi * zi, zr * zi + zi * zr, n >> 1
-        re, im = re * rr - im * ri, re * ri + im * rr
-        size = np.hypot(re, im)
-        scale = size.max(axis=1)
-        if not np.all(scale > 0.0):
-            raise ValueError("zero polynomial after specialization")
-        # divide by the phase p = ref / |ref| with Python's (Smith's) formula; where
-        # |Im p| > |Re p| it runs with the parts of p and of every value swapped,
-        # which gives the real part and minus the imaginary part
-        ref = np.arange(len(z)), size.argmax(axis=1)
-        p = re[ref][:, None] / scale[:, None], im[ref][:, None] / scale[:, None]
-        flip = np.abs(p[0]) < np.abs(p[1])
-        a, b = np.where(flip, p[1], p[0]), np.where(flip, p[0], p[1])
-        ratio = b / a
-        denom = a + b * ratio
-        vr, vi = np.where(flip, im, re), np.where(flip, re, im)
-        return (vr + vi * ratio) / denom, np.abs((vi - vr * ratio) / denom).max(axis=1), scale
-
     def sigma_form(self) -> list[list[int]] | None:
         """Coefficients as integer polynomials in sigma = s + 1/s, or None.
 
@@ -209,23 +162,10 @@ class RileyPoly:
         """
         if self.is_zero:
             return []
-        centers = {c.lo + c.hi for c in self.coeffs if not c.is_zero}
-        if len(centers) != 1:
+        if self._centre is None or self._centre % 2:
             return None
-        (m,) = centers
-        if m % 2 != 0:
-            return None
-        k = m // 2
-        out: list[list[int]] = []
-        for c in self.coeffs:
-            if c.is_zero:
-                out.append([])
-                continue
-            centered = c.shift(-k)
-            if not centered.is_palindromic():
-                return None
-            out.append(_palindromic_to_sigma(centered))
-        return out
+        k = self._centre // 2
+        return [_palindromic_to_sigma(c.shift(-k)) if not c.is_zero else [] for c in self.coeffs]
 
     def sigma_form_str(self, uvar: str = "u", svar: str = "sigma") -> str | None:
         form = self.sigma_form()
@@ -280,6 +220,25 @@ def _poly_in_u_str(coeff_strs: Sequence[str], uvar: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _first_row(w: Word, one, s, s_inv, times_u):
+    """The first row (W_11, W_12) of the product W of Riley's letter matrices
+    along w, the row phi reads: (1, 0) right-multiplied by one letter matrix
+    at a time, in any ring where ``one`` is 1, ``s`` and ``s_inv`` are s and
+    1/s, and ``times_u`` multiplies by u."""
+    a, b = one, one - one
+    for g, e in w.letters:
+        if g == 0 and e == 1:    # x = [[s, 1], [0, 1]]
+            a, b = a * s, a + b
+        elif g == 0:             # x^-1 = [[1/s, -1/s], [0, 1]]
+            a = a * s_inv
+            b = b - a
+        elif e == 1:             # y = [[s, 0], [-s u, 1]]
+            a = (a - times_u(b)) * s
+        else:                    # y^-1 = [[1/s, 0], [u, 1]]
+            a = a * s_inv + times_u(b)
+    return a, b
+
+
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
 def riley_polynomial(w: Word) -> RileyPoly:
     """Exact obstruction polynomial W_11 + (1-s) W_12 of a two-generator word.
@@ -289,20 +248,9 @@ def riley_polynomial(w: Word) -> RileyPoly:
     """
     if w.max_index() > 1:
         raise RepresentationError("word uses more than two generators")
-    # phi reads only the first row (a, b) of W: right-multiply it by one
-    # letter matrix at a time; a factor u shifts the u-degree
-    a, b = _UPoly.term(IntLaurent.one()), _UPoly()
-    for g, e in w.letters:
-        if g == 0 and e == 1:    # x = [[s, 1], [0, 1]]
-            a, b = a * _S, a + b
-        elif g == 0:             # x^-1 = [[1/s, -1/s], [0, 1]]
-            a = a * _S_INV
-            b = b - a
-        elif e == 1:             # y = [[s, 0], [-s u, 1]]
-            a = (a - b.shift(1)) * _S
-        else:                    # y^-1 = [[1/s, 0], [u, 1]]
-            a = a * _S_INV + b.shift(1)
-    return RileyPoly((a + _ONE_MINUS_S * b).by_u_degree())
+    # a factor u shifts the u-degree
+    a, b = _first_row(w, _UPoly.term(IntLaurent.one()), _S, _S_INV, lambda p: p.shift(1))
+    return RileyPoly((a + _ONE_MINUS_S * b).by_u_degree(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -344,153 +292,142 @@ def su2_solutions(
     """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]; for a
     sequence of thetas, one :class:`Su2Solutions` per theta.
 
-    Companion-matrix eigenvalues with one Newton polish per root; roots with
-    |Im| above the reality filter are discarded, the window gets a small
-    slack at both endpoints, and near-multiple roots are flagged.
+    phi is evaluated from its word by the letter product at Chebyshev points
+    of the window and fitted in the Chebyshev basis; the roots are the
+    eigenvalues of the colleague matrix.  Roots with |Im u| above
+    REALITY_TOL are discarded, the window gets a small slack at both
+    endpoints, and near-multiple roots are flagged.  A theta gets the same
+    roots in any stack.  ``tol`` is accepted and not read: whether
+    phi(e^{i theta}, u) is real up to a unit is decided exactly, once per
+    polynomial, from its coefficients.
     """
     stacked = np.ndim(theta) > 0
     thetas = [float(t) for t in theta] if stacked else [float(theta)]
-    found = [((), ())] * len(thetas)
-    for rows, re, real, edge in _su2_roots(phi, thetas, tol, multiplicity_threshold):
-        for row, values, r, e in zip(rows, re, real, edge):
-            found[row] = tuple(sorted(map(float, compress(values, mask))) for mask in (r, e))
+    roots, real, edge = _su2_roots(phi, thetas, multiplicity_threshold)
     out = []
-    for t, (kept, edge) in zip(thetas, found):
+    for t, values, r, e in zip(thetas, roots.tolist(), real.tolist(), edge.tolist()):
+        kept = tuple(sorted(compress(values, r)))
         close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
         flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
-        out.append(Su2Solutions(t, 2.0 * math.cos(t), tuple(kept), flags, tuple(edge)))
+        edge = tuple(sorted(compress(values, e)))
+        out.append(Su2Solutions(t, 2.0 * math.cos(t), kept, flags, edge))
     return out if stacked else out[0]
 
 
 def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
     """``len(su2_solutions(phi, theta).roots)`` for every theta, without
     building the solution objects."""
-    thetas = [float(t) for t in thetas]
-    counts = np.zeros(len(thetas), dtype=int)
-    for rows, _, real, _ in _su2_roots(phi, thetas, REALITY_TOL, 0.0):
-        counts[rows] = np.sum(real, axis=1)
-    return counts.tolist()
+    return _su2_roots(phi, [float(t) for t in thetas], 0.0)[1].sum(axis=1).tolist()
 
 
-#: stacks of up to this many thetas are solved one theta at a time in Python
-#: scalars, where numpy's cost per call would dominate; both kernels round
-#: every step the same way, so the roots do not depend on the choice
-SCALAR_STACK = 4
+@functools.lru_cache(maxsize=None)
+def _chebyshev_basis(d: int):
+    """For u-degree d: x - 1 at the 2(d + 1) Chebyshev points x of the first
+    kind, the (d + 1, 2(d + 1)) matrix that turns values at those points into
+    the Chebyshev coefficients of degree 0..d, and per degree n = 1..d the
+    colleague matrix of T_n with the weights of the coefficients in its last
+    column (as ``numpy.polynomial.chebyshev.chebcompanion`` forms it)."""
+    nodes = 2 * (d + 1)
+    angles = np.pi * (np.arange(nodes) + 0.5) / nodes
+    fit = np.cos(np.outer(np.arange(d + 1), angles)) * (2.0 / nodes)
+    fit[0] /= 2.0
+    colleagues = []
+    for n in range(1, d + 1):
+        base = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+        last = np.zeros((n, n))
+        last[:, -1] = 0.5
+        if n == 1:  # T_1 = x
+            last[0, 0] = 1.0
+        else:
+            base[0, 1] = base[1, 0] = last[0, -1] = math.sqrt(0.5)
+        colleagues.append((base, last))
+    return np.cos(angles) - 1.0 + 0j, fit, colleagues
 
 
-def _su2_roots(phi: RileyPoly, thetas: list[float], tol: float, borderline_tol: float):
+def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
     """The one root finder behind su2_solutions and su2_root_counts.
 
-    Per block of thetas (one theta, or all thetas whose trimmed specialized
-    polynomial has degree d, one ``eigvals`` call each): their rows, the real
-    parts of the polished roots, and two masks of the roots inside the slack
-    window: real within REALITY_TOL, and near-real (|Im| <= borderline_tol),
-    the signature of a double root at the edge of the real locus.
+    For each theta (a row), the real parts of the roots u, padded with NaN,
+    and two masks of the roots inside the slack window: real within
+    REALITY_TOL, and near-real (|Im| <= borderline_tol), the signature of a
+    double root at the edge of the real locus.  Every step is elementwise or
+    one LAPACK call per matrix, so a row does not depend on its stack.
     """
     if not all(0.0 < t < 2.0 * math.pi for t in thetas):
         raise ValueError("theta must lie strictly between 0 and 2*pi")
-    lo = [2.0 * math.cos(t) - 2.0 for t in thetas]
-    if len(thetas) <= SCALAR_STACK:
-        for row, theta in enumerate(thetas):
-            roots = _polished_roots(phi.specialize_real(theta, tol))
-            window = [lo[row] - INTERVAL_SLACK <= z.real <= INTERVAL_SLACK for z in roots]
-            real = [w and abs(z.imag) <= REALITY_TOL for z, w in zip(roots, window)]
-            edge = [w and REALITY_TOL < abs(z.imag) <= borderline_tol for z, w in zip(roots, window)]
-            yield [row], [[z.real for z in roots]], [real], [edge]
-        return
-    coeffs = phi.specialize_real(thetas, tol)
-    kept = np.abs(coeffs) > 1e-12 * np.abs(coeffs).max(axis=1, keepdims=True)
-    degrees = coeffs.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
-    for d in sorted(set(degrees.tolist()) - {0}):
-        rows = np.flatnonzero(degrees == d)
-        roots = _polished_roots(coeffs[rows, : d + 1])
-        imag = np.abs(roots.imag)
-        lows = np.array(lo)[rows, None] - INTERVAL_SLACK
-        window = (roots.real >= lows) & (roots.real <= INTERVAL_SLACK)
-        real = imag <= REALITY_TOL
-        yield rows, roots.real, real & window, ~real & (imag <= borderline_tol) & window
-
-
-def _polished_roots(coeffs):
-    """Companion eigenvalues, each after one Newton step, of the polynomial
-    with these ascending real coefficients (a list, trimmed of trailing
-    coefficients <= 1e-12 * max first) or of each row of a (G, d + 1) array;
-    both forms round as numpy's scalars do."""
-    if isinstance(coeffs, list):
-        top = max(abs(c) for c in coeffs)
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-12 * top:
-            coeffs.pop()
-        d = len(coeffs) - 1
-        if d == 0:
-            return []
-        companion = np.zeros((d, d))
-        companion[np.arange(1, d), np.arange(d - 1)] = 1.0
-        companion[:, d - 1] = [-(c / coeffs[-1]) for c in coeffs[:-1]]
-        out = []
-        for z in np.linalg.eigvals(companion):  # real or complex numpy scalars
-            pz = dz = 0.0 * z
-            for k in range(d, -1, -1):
-                pz = pz * z + coeffs[k]
-                if k:
-                    dz = dz * z + k * coeffs[k]
-            out.append(z - pz / dz if abs(dz) > 1e-30 else z)
-        return out
-    g, d = coeffs.shape[0], coeffs.shape[1] - 1
-    companion = np.zeros((g, d, d))
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, :, d - 1] = -(coeffs[:, :d] / coeffs[:, d:])
-    eig = np.linalg.eigvals(companion)
-    roots = eig.astype(complex)
-    # p and p' in one Horner pass, p' padded with a leading zero coefficient,
-    # products rounded as numpy's scalars round them (the array product fuses
-    # a multiply and an add)
-    both = np.zeros((2 * g, d + 1))
-    both[:g], both[g:, :d] = coeffs, np.arange(1, d + 1) * coeffs[:, 1:]
-    zr, zi = np.concatenate([roots.real, roots.real]), np.concatenate([roots.imag, roots.imag])
-    re = im = np.zeros(zr.shape)
-    for column in both.T[::-1, :, None]:
-        re, im = re * zr - im * zi + column, re * zi + im * zr
-    pz, dz = np.split(re + 1j * im, 2)
-    # numpy hands back one polynomial's eigenvalues as reals when all are
-    # real, and its Newton step is then a real division
-    real_rows = np.all(eig.imag == 0.0, axis=1)[:, None]
-    step = np.abs(dz) > 1e-30
-    roots[step & real_rows] -= pz[step & real_rows].real / dz[step & real_rows].real
-    roots[step & ~real_rows] -= pz[step & ~real_rows] / dz[step & ~real_rows]
-    return roots
+    if phi.is_zero:
+        raise ValueError("zero polynomial")
+    if phi._centre is None:
+        raise ValueError("phi(e^{i theta}, u) is not real up to a unit: its u-coefficients "
+                         "are not palindromic about one common s-power")
+    if phi.word is None:
+        raise ValueError("SU(2) roots are evaluated from the word phi was built from")
+    d = phi.u_degree
+    t = np.array(thetas)[:, None]
+    s = np.exp(1j * t)
+    h = 1.0 - s.real  # u = h (x - 1) maps [-1, 1] onto the window [sigma - 2, 0]
+    x_minus_1, fit, colleagues = _chebyshev_basis(d)
+    u = h * x_minus_1
+    # with |s| = 1 and u in the window the letter matrices are
+    # SU(2)-conjugate, so the product does not cancel
+    a, b = _first_row(phi.word, 1.0, s, s.conj(), lambda p: u * p)
+    # phi of the word is a sign times s^shift times the canonical phi, which
+    # is s^(_centre / 2) times a real polynomial
+    values = ((a + (1.0 - s) * b) * np.exp(-0.5j * (2 * phi._shift + phi._centre) * t)).real
+    # an elementwise sum over the points, not a matrix product: BLAS may
+    # round a row differently depending on the stack it sits in
+    coeffs = np.add.reduce(values[:, None, :] * fit, axis=-1)
+    size = np.abs(coeffs)
+    top = np.maximum.reduce(size, axis=1)[:, None]
+    if not top.all():
+        theta = thetas[np.flatnonzero(top == 0.0)[0]]
+        raise ValueError(f"phi(e^{{i theta}}, u) vanishes identically at theta={theta!r}")
+    degrees = d - (size > CHEBYSHEV_TRIM * top)[:, ::-1].argmax(axis=1)
+    x = np.full((len(thetas), d), np.nan, dtype=complex)
+    for n in set(degrees.tolist()) - {0}:
+        rows = degrees == n
+        c = coeffs[rows]
+        base, last = colleagues[n - 1]
+        x[rows, :n] = np.linalg.eigvals(base - c[:, :n, None] / c[:, n, None, None] * last)
+    roots = h * (x - 1.0)
+    imag = np.abs(roots.imag)
+    window = (roots.real >= -2.0 * h - INTERVAL_SLACK) & (roots.real <= INTERVAL_SLACK)
+    real = imag <= REALITY_TOL
+    return roots.real, real & window, ~real & (imag <= borderline_tol) & window
 
 
 def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
-    """Sigma values where the SU(2) root count changes, by bisection on the
-    count over a THRESHOLD_SAMPLES grid in sigma = 2cos(theta) from
-    THRESHOLD_SIGMA_LO to THRESHOLD_SIGMA_HI."""
+    """Sigma values where the SU(2) root count changes: the count on a
+    THRESHOLD_SAMPLES grid in sigma = 2cos(theta) from THRESHOLD_SIGMA_LO to
+    THRESHOLD_SIGMA_HI, then every bracket of a change cut into
+    THRESHOLD_PROBES + 1 parts per round, all brackets in one stack, down to
+    a width below 1e-13."""
 
-    def theta_of(sig: float) -> float:
-        theta = math.acos(max(-1.0, min(1.0, sig / 2.0)))
-        return 1e-9 if theta <= 0.0 else theta
-
-    def count(sig: float) -> int:
-        return su2_root_counts(phi, [theta_of(sig)])[0]
+    def thetas_of(sigmas) -> list[float]:
+        return [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    counts = su2_root_counts(phi, [theta_of(s) for s in grid])
-    thresholds = []
-    for i in range(samples - 1):
-        if counts[i] == counts[i + 1]:
-            continue
-        a, b = grid[i], grid[i + 1]
-        ca = counts[i]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if count(mid) == ca:
-                a = mid
-            else:
-                b = mid
-            if b - a < 1e-13:
-                break
-        thresholds.append(0.5 * (a + b))
-    return thresholds
+    counts = su2_root_counts(phi, thetas_of(grid))
+    # (a, b, count at a) with the count changing between a and b
+    brackets = [(a, b, ca) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
+    pending = [i for i, (a, b, _) in enumerate(brackets) if b - a >= 1e-13]
+    while pending:
+        probes = [
+            [a + (b - a) * j / (THRESHOLD_PROBES + 1) for j in range(1, THRESHOLD_PROBES + 1)]
+            for a, b, _ in (brackets[i] for i in pending)
+        ]
+        probe_counts = su2_root_counts(phi, thetas_of(sig for row in probes for sig in row))
+        for k, (i, row) in enumerate(zip(pending, probes)):
+            a, b, ca = brackets[i]
+            for sig, c in zip(row, probe_counts[k * THRESHOLD_PROBES:(k + 1) * THRESHOLD_PROBES]):
+                if c != ca:
+                    b = sig
+                    break
+                a = sig
+            brackets[i] = a, b, ca
+        pending = [i for i in pending if brackets[i][1] - brackets[i][0] >= 1e-13]
+    return [0.5 * (a + b) for a, b, _ in brackets]
 
 
 def near_transition(sigma: float, thresholds: Sequence[float], band: float = 1e-3) -> bool:

@@ -521,22 +521,36 @@ def test_simple_zero_remainder_on_the_edge_branch():
         (
             "5_2",
             (0.7487422385445941, 5.534443068634992),
-            [-1.484435331765883, 1.500000000874974],
+            [-1.484435331765868, 1.5000000008749894],
         ),
         (
             (15, 7),
             (0.5298659589940578, 5.753319348185529),
-            [-1.8865648418894923, -1.2024578825383911, 0.03893294855904777, 1.7500000007812548],
+            [-1.8865648418890122, -1.2024578825382601, 0.03893294855903323, 1.7500000007812408],
         ),
     ],
 )
 def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):
-    # the values the per-point su2_solutions probes gave before the probe
-    # grids were batched, to the last bit
+    # to the last bit: the windows are the ones the per-point su2_solutions
+    # probes gave before the probe grids were batched; the thresholds are
+    # those of the Chebyshev root kernel, within 4.8e-13 of the companion
+    # kernel's
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     phi = riley_polynomial(p.bridge_word)
     assert auto_theta_range(phi) == window
     assert su2_root_count_thresholds(phi) == thresholds
+
+
+@pytest.mark.parametrize("p, q", [(17, 1), (21, 5), (31, 7), (41, 11)])
+def test_sweep_over_the_auto_window_of_long_words_returns_rows(p, q):
+    # 41 samples over the whole SU(2) window: every root lies on the variety
+    # within the relator tolerance, so the sweep writes one row per root
+    knot = schubert_knot(p, q)
+    phi = riley_polynomial(knot.bridge_word)
+    lo, hi = auto_theta_range(phi)
+    rows = sweep_rows(knot, lo, hi, 41)
+    solutions = su2_solutions(phi, theta_grid(lo, hi, 41))
+    assert len(rows) == sum(len(s.roots) for s in solutions) > 0
 
 
 def test_presentation_objects_computed_once_per_word():

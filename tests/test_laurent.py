@@ -191,9 +191,12 @@ def test_determinant_routes_agree():
     assert block.determinant().approx_eq(_det_cofactor(entries, LaurentPoly), 1e-9)
 
 
-def fox_block_41_11(theta, root):
+def fox_block_41_11(theta, root=None, u=None):
+    """The twisted Fox block of b(41,11) at SU(2) root ``root`` of theta, or
+    at the given u, built without the variety checks."""
     p = schubert_knot(41, 11)
-    u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[root]
+    if u is None:
+        u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[root]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
     return alexander_block_matrix(rep)
 
@@ -227,9 +230,11 @@ def exact_determinant_3x3(m):
 
 
 def test_determinant_is_accurate_on_an_ill_conditioned_block():
-    # the b(41,11) root nearest the window edge at theta = pi: entries reach
-    # 2e4 while det stays near 1e2, so the products cancel in 8 digits
-    block = fox_block_41_11(math.pi, 0)
+    # b(41,11) at theta = pi, u frozen 1.2e-3 below the root nearest the
+    # window edge (off the variety, so built unchecked): entries reach 1.5e4
+    # while det stays near 1.7e2, so the products cancel in 8 digits; at the
+    # root itself the ratio is only 89
+    block = fox_block_41_11(math.pi, u=-3.9953127872016485)
     exact = exact_determinant_3x3(block)
     got = block.determinant()
     scale = max(abs(c) for c in exact.values())

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from adtorsion import catalog
 from adtorsion.laurent import IntLaurent
 from adtorsion.presentation import Presentation
 from adtorsion.reps import (
+    RELATION_TOL,
     Rep,
     RepresentationError,
     RileyPoly,
@@ -141,9 +144,8 @@ def test_two_bridge_family_exact_oracles():
     # every b(p, q) with odd p <= 41 and odd q in (0, p) coprime to p:
     # |Delta(-1)| = p, phi(s, 0) = Delta_K up to a unit +-s^k, u-degree
     # (p - 1)/2, and a monic sigma-form
-    family = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(family) == 178
-    for p, q in family:
+    assert len(FAMILY) == 178
+    for p, q in FAMILY:
         knot = schubert_knot(p, q)
         phi = riley_polynomial(knot.bridge_word)
         assert alexander_at_minus_one(knot) == p, (p, q)
@@ -151,6 +153,72 @@ def test_two_bridge_family_exact_oracles():
         assert phi.u_degree == (p - 1) // 2, (p, q)
         form = phi.sigma_form()
         assert form is not None and form[-1] == [1], (p, q)
+
+
+FAMILY = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+@functools.lru_cache(maxsize=None)
+def family_roots_at_pi():
+    """(knot, phi, roots at theta = pi) for every b(p, q) of FAMILY."""
+    out = []
+    for p, q in FAMILY:
+        knot = schubert_knot(p, q)
+        phi = riley_polynomial(knot.bridge_word)
+        out.append((knot, phi, su2_solutions(phi, math.pi).roots))
+    return out
+
+
+def test_family_has_every_binary_dihedral_root_at_pi():
+    # (|Delta(-1)| - 1)/2 = (p - 1)/2 binary dihedral classes per knot, at
+    # u = -4 sin^2(pi m / p) for m = 1 .. (p - 1)/2
+    found = [len(roots) for _, _, roots in family_roots_at_pi()]
+    assert found == [(p - 1) // 2 for p, _ in FAMILY]
+    assert sum(found) == 2415
+    for (_, _, roots), (p, q) in zip(family_roots_at_pi(), FAMILY):
+        closed = sorted(-4.0 * math.sin(math.pi * m / p) ** 2 for m in range(1, (p + 1) // 2))
+        assert max(abs(a - b) for a, b in zip(roots, closed)) <= 1e-12, (p, q)
+
+
+def test_family_roots_at_pi_bracket_a_sign_change_of_the_exact_polynomial():
+    # phi(-1, u) has integer coefficients: evaluated exactly in Fractions, it
+    # changes sign within 1e-12 max(1, |u|) of every root
+    for (knot, phi, roots), pq in zip(family_roots_at_pi(), FAMILY):
+        ints = [c(-1) for c in phi.coeffs]
+        assert all(v.imag == 0.0 and v.real == int(v.real) for v in ints), pq
+        ints = [int(v.real) for v in ints]
+
+        def sign(u):
+            acc, x = 0, Fraction(u)
+            for c in reversed(ints):
+                acc = acc * x + c
+            return (acc > 0) - (acc < 0)
+
+        for u in roots:
+            delta = 1e-12 * max(1.0, abs(u))
+            assert sign(u - delta) * sign(u + delta) < 0, (pq, u)
+
+
+def test_family_roots_at_pi_build_as_one_stack_per_knot():
+    for knot, _, roots in family_roots_at_pi():
+        theta = np.full(len(roots), math.pi)
+        rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
+        assert max(map(np.max, rep.relator_residuals)) <= RELATION_TOL
+
+
+@pytest.mark.parametrize("word", ["x y^-1", "x x y"])
+def test_non_symmetric_word_is_not_real_at_any_theta(word):
+    # phi(x y^-1) = u + 2 - s has coefficients with different centres;
+    # phi(x x y) = (s + s^2) u - 1 + s^2 - s^3 has one centre, but its
+    # constant coefficient is no palindrome.  No theta gives a real
+    # polynomial, theta = pi (s = -1) included
+    phi = riley_polynomial(_two_gen_word(word))
+    assert phi.sigma_form() is None
+    for theta in (math.pi, 2.0):
+        with pytest.raises(ValueError, match="not real"):
+            su2_solutions(phi, theta)
+        with pytest.raises(ValueError, match="not real"):
+            su2_root_counts(phi, [theta])
 
 
 def test_residual_and_scale_are_the_term_by_term_sums():
