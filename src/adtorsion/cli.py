@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -192,7 +193,10 @@ def cmd_verify(args, tol: Tolerances) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and starts every call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="adtorsion",
         description="Twisted Alexander invariants and adjoint Reidemeister torsion "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +50,14 @@ _BRANCH_ERRORS = (RegularityError, RepresentationError)
 #: distance kept from each end of the probed SU(2) window by auto_theta_range
 AUTO_THETA_MARGIN = 0.02
 
+#: thetas per root-count stack of the auto_theta_range scan from each end
+AUTO_THETA_CHUNK = 48
+
 #: central-difference step in theta of the reported derivative estimates
 FD_STEP = 1e-4
+
+# a theta and the branch's {root count: rank} there
+_Sample = tuple[float, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,27 @@ def sweep_rows(
 
 
 def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
-    """Widest theta window on which SU(2) roots exist, probed on a grid."""
+    """Widest theta window on which SU(2) roots exist, probed on a grid.
+
+    The grid is scanned from each end in chunks of AUTO_THETA_CHUNK thetas
+    up to the first theta with a root; a theta's root count does not depend
+    on its stack, so the window is that of the whole grid."""
     n = 600
     thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
-    found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
-    if not found or found[-1] - found[0] < 4 * AUTO_THETA_MARGIN:
+
+    def first_with_roots(order: list[float]) -> float | None:
+        for start in range(0, n, AUTO_THETA_CHUNK):
+            chunk = order[start:start + AUTO_THETA_CHUNK]
+            for theta, count in zip(chunk, su2_root_counts(phi, chunk)):
+                if count:
+                    return theta
+        return None
+
+    lo = first_with_roots(thetas)
+    hi = None if lo is None else first_with_roots(thetas[::-1])
+    if lo is None or hi - lo < 4 * AUTO_THETA_MARGIN:
         raise RepresentationError("no SU(2) representations found on the probe grid")
-    return found[0] + AUTO_THETA_MARGIN, found[-1] - AUTO_THETA_MARGIN
+    return lo + AUTO_THETA_MARGIN, hi - AUTO_THETA_MARGIN
 
 
 class _BranchTorsion:
@@ -170,26 +190,25 @@ class _BranchTorsion:
     A branch is given by ``ranks``: its rank among the sorted SU(2) roots,
     keyed by the root count at which that rank is known (one grid sample, or
     the two ends of a bracket).  A critical search evaluates all its
-    branches at the same theta +- h, so the SU(2) roots at each theta are
-    computed once and shared by every branch of the search.
+    branches together: the SU(2) roots of each theta are found once and
+    shared by every branch, and each batch of points is one stack.
     """
 
     def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
         self.p, self.phi, self.tol = p, phi, tol
-        self._roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
+        #: the sorted SU(2) roots of every theta solved so far
+        self.roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
 
-    def roots(self, theta: float) -> tuple[float, ...]:
-        roots = self._roots.get(theta)
-        if roots is None:
-            roots = self._roots[theta] = su2_solutions(
-                self.phi, theta, self.tol.relation, multiplicity_threshold=self.tol.multiplicity
-            ).roots
-        return roots
+    def solve(self, thetas) -> None:
+        """Find the SU(2) roots of every theta not solved before, in one call."""
+        if new := sorted(set(thetas) - self.roots.keys()):
+            self.roots.update((s.theta, s.roots) for s in su2_solutions(
+                self.phi, new, self.tol.relation, multiplicity_threshold=self.tol.multiplicity))
 
     def root(self, theta: float, ranks: dict[int, int]) -> float:
-        """The branch's root at this theta; a RepresentationError when no end
-        of the bracket has this theta's root count."""
-        roots = self.roots(theta)
+        """The branch's root at a solved theta; a RepresentationError when no
+        end of the bracket has this theta's root count."""
+        roots = self.roots[theta]
         rank = ranks.get(len(roots))
         if rank is None:
             raise RepresentationError(
@@ -197,49 +216,37 @@ class _BranchTorsion:
             )
         return roots[rank]
 
-    def value(self, theta: float, ranks: dict[int, int]) -> tuple[float, float]:
-        """Torsion value and root of the branch at this theta."""
-        u = self.root(theta, ranks)
-        tp = torsion_polynomial(rep_at(self.p, theta, u, self.tol), tol=self.tol)
-        return torsion_via_limit(tp).real, u
-
-    def derivative(
-        self, theta: float, ranks: dict[int, int], h: float = FD_STEP
-    ) -> tuple[float, float]:
-        """Central difference with step h and the mean of the two torsion
-        values it used."""
-        result = self.derivatives([(theta, ranks)], h)[0]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def derivatives(self, samples: list[tuple[float, dict[int, int]]], h: float = FD_STEP) -> list:
-        """``derivative(theta, ranks, h)`` of every sample, or the branch
-        error it raises (at theta + h first), with the roots of all thetas
-        +- h found in one call and all their points evaluated as one stack.
-        When a point is off the variety every end is evaluated on its own."""
-        ends = [(theta + d, ranks) for theta, ranks in samples for d in (h, -h)]
-        if new := sorted({theta for theta, _ in ends} - self._roots.keys()):
-            self._roots.update((s.theta, s.roots) for s in su2_solutions(
-                self.phi, new, self.tol.relation, multiplicity_threshold=self.tol.multiplicity))
-        roots = [_attempt(self.root, theta, ranks) for theta, ranks in ends]
-        points = [(theta, u) for (theta, _), u in zip(ends, roots) if not isinstance(u, Exception)]
+    def values(self, samples: list[_Sample]) -> list:
+        """Torsion value of the branch at every (theta, ranks), or the branch
+        error it raises, with the roots of all new thetas found in one call
+        and all points evaluated as one stack.  When a point is off the
+        variety every point is evaluated on its own."""
+        self.solve(theta for theta, _ in samples)
+        roots = [_attempt(self.root, theta, ranks) for theta, ranks in samples]
+        points = [(theta, u) for (theta, _), u in zip(samples, roots) if not isinstance(u, Exception)]
         try:
             tps = iter(torsion_polynomial(
                 rep_at(self.p, [t for t, _ in points], [u for _, u in points], self.tol), tol=self.tol
             ) if points else ())
-        except RepresentationError:  # a point off the variety: every end on its own
-            values = [_attempt(lambda t, r: self.value(t, r)[0], t, r) for t, r in ends]
-        else:
-            values = [
-                u if isinstance(u, Exception) else _attempt(lambda tp: torsion_via_limit(tp).real, next(tps))
-                for u in roots
+        except RepresentationError as exc:
+            if len(points) == 1:
+                return [u if isinstance(u, Exception) else exc for u in roots]
+            # a point off the variety: every point on its own
+            return [
+                u if isinstance(u, Exception) else self.values([sample])[0]
+                for sample, u in zip(samples, roots)
             ]
-        out = []
-        for plus, minus in zip(values[::2], values[1::2]):
-            failed = next((v for v in (plus, minus) if isinstance(v, Exception)), None)
-            out.append(failed or ((plus - minus) / (2.0 * h), 0.5 * (plus + minus)))
-        return out
+        return [
+            u if isinstance(u, Exception) else _attempt(lambda tp: torsion_via_limit(tp).real, next(tps))
+            for u in roots
+        ]
+
+    def derivatives(self, samples: list[_Sample], h: float = FD_STEP) -> list:
+        """Central difference with step h at every (theta, ranks) and the
+        mean of the two torsion values it used, or the branch error it
+        raises (at theta + h first), all thetas +- h as one stack."""
+        values = self.values([(theta + d, ranks) for theta, ranks in samples for d in (h, -h)])
+        return [_difference(plus, minus, h) for plus, minus in zip(values[::2], values[1::2])]
 
 
 def _attempt(f, *args):
@@ -248,6 +255,13 @@ def _attempt(f, *args):
         return f(*args)
     except _BRANCH_ERRORS as exc:
         return exc
+
+
+def _difference(plus, minus, h: float):
+    """(plus - minus) / 2h and the mean of the two values, or the first
+    branch error among them."""
+    failed = next((v for v in (plus, minus) if isinstance(v, Exception)), None)
+    return failed or ((plus - minus) / (2.0 * h), 0.5 * (plus + minus))
 
 
 def find_critical_points(
@@ -262,9 +276,12 @@ def find_critical_points(
     The torsion is symmetric about theta = pi on every branch, so when the
     window contains pi every SU(2) root there is a critical point, the
     binary dihedral one.  Elsewhere, central finite differences on a theta
-    grid; each sign change is refined by Brent's method on a wide-step
-    difference (``_refine_derivative_zero``).  Each zero is annotated with
-    the binary-dihedral test |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.
+    grid; every sign change is refined by Brent's method on a wide-step
+    difference, all sign changes in lockstep (``_refine_derivative_zeros``).
+    Each zero is annotated with the binary-dihedral test
+    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.  The search is a fixed number
+    of stacks: the grid's differences, the wide-step end slopes, one per
+    Brent round, and the reported points.
     """
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
@@ -314,17 +331,10 @@ def find_critical_points(
         active = new_active
 
     torsion = _BranchTorsion(p, phi, tol, solutions)
-    points: list[CriticalPoint] = []
-
-    def report(pt: CriticalPoint, what: str) -> None:
-        # report invariant: the derivative estimate at a reported point must
-        # sit below the critical threshold
-        if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
-            points.append(pt)
-        else:
-            notes.append(
-                f"discarded {what}: derivative estimate {pt.derivative_estimate:.2e} too large"
-            )
+    # per branch in order: a note, or the index of a sign change to refine;
+    # emitted once every sign change is refined and every point evaluated
+    events: list[str | int] = []
+    brackets: list[tuple[_Sample, _Sample]] = []
 
     branches = [branch for branch in branches if len(branch) >= 3]
     differences = iter(torsion.derivatives([(theta, ranks) for b in branches for theta, _, ranks in b]))
@@ -343,7 +353,7 @@ def find_critical_points(
             values.append(result[1])
         span = f"[{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
         if failures:
-            notes.append(
+            events.append(
                 f"{len(failures)} of {len(branch)} derivative samples failed on the "
                 f"branch over {span}, the first with: {failures[0]}"
             )
@@ -355,50 +365,69 @@ def find_critical_points(
         floor = 1e-11 * max([1.0] + [abs(v) for v in values]) / FD_STEP
         usable = [i for i, g in enumerate(derivs) if g is not None and abs(g) > floor]
         if not usable:
-            notes.append(f"branch torsion is constant at the numerical noise floor over {span}")
+            events.append(f"branch torsion is constant at the numerical noise floor over {span}")
             continue
         for i1, i2 in zip(usable, usable[1:]):
-            ga, gb = derivs[i1], derivs[i2]
-            if ga * gb < 0.0:
+            if derivs[i1] * derivs[i2] < 0.0:
                 (theta_a, _, ranks_a), (theta_b, _, ranks_b) = branch[i1], branch[i2]
                 if theta_a <= math.pi <= theta_b:
                     continue  # the dihedral point, reported below
-                try:
-                    theta_star, ranks = _refine_derivative_zero(
-                        torsion, (theta_a, ranks_a), (theta_b, ranks_b)
-                    )
-                    pt = _critical_point(torsion, theta_star, ranks)
-                except (*_BRANCH_ERRORS, BracketError) as exc:
-                    notes.append(
-                        f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {exc}"
-                    )
-                    continue
-                report(pt, f"sign change near theta={theta_star:.6f}")
+                events.append(len(brackets))
+                brackets.append(((theta_a, ranks_a), (theta_b, ranks_b)))
 
+    refined = _refine_derivative_zeros(torsion, brackets)
+    targets = [zero for zero in refined if not isinstance(zero, Exception)]
     # T(theta) = T(2 pi - theta) on every branch, so dT/dtheta vanishes at pi
     # on each: every root there is a critical point, with no refinement
-    if theta_lo <= math.pi <= theta_hi:
-        roots = torsion.roots(math.pi)
-        for rank in range(len(roots)):
-            what = f"the dihedral point of root {rank} of {len(roots)}"
-            try:
-                pt = _critical_point(torsion, math.pi, {len(roots): rank})
-            except _BRANCH_ERRORS as exc:
-                notes.append(f"dropped {what}: {exc}")
-                continue
+    at_pi = theta_lo <= math.pi <= theta_hi
+    centres = [theta for theta, _ in targets] + ([math.pi] if at_pi else [])
+    # the roots of every reported theta in one call; the count at pi sets
+    # the dihedral points
+    torsion.solve(theta + d for theta in centres for d in (0.0, FD_STEP, -FD_STEP))
+    count_at_pi = len(torsion.roots[math.pi]) if at_pi else 0
+    found = iter(_critical_points(
+        torsion, targets + [(math.pi, {count_at_pi: rank}) for rank in range(count_at_pi)]
+    ))
+    points: list[CriticalPoint] = []
+
+    def report(pt: CriticalPoint, what: str) -> None:
+        # report invariant: the derivative estimate at a reported point must
+        # sit below the critical threshold
+        if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
+            points.append(pt)
+        else:
+            notes.append(
+                f"discarded {what}: derivative estimate {pt.derivative_estimate:.2e} too large"
+            )
+
+    for event in events:
+        if isinstance(event, str):
+            notes.append(event)
+            continue
+        (theta_a, _), (theta_b, _) = brackets[event]
+        pt = refined[event] if isinstance(refined[event], Exception) else next(found)
+        if isinstance(pt, Exception):
+            notes.append(f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {pt}")
+        else:
+            report(pt, f"sign change near theta={pt.theta:.6f}")
+    for rank, pt in enumerate(found):
+        what = f"the dihedral point of root {rank} of {count_at_pi}"
+        if isinstance(pt, Exception):
+            notes.append(f"dropped {what}: {pt}")
+        else:
             report(pt, what)
 
     thresholds = su2_root_count_thresholds(phi)
     return CriticalReport(points=points, notes=notes, thresholds=thresholds)
 
 
-def _refine_derivative_zero(
+def _refine_derivative_zeros(
     torsion: _BranchTorsion,
-    end_a: tuple[float, dict[int, int]],
-    end_b: tuple[float, dict[int, int]],
-) -> tuple[float, dict[int, int]]:
-    """(theta, ranks) of the derivative zero between two branch ends
-    (theta, ranks) whose derivatives differ in sign.
+    brackets: list[tuple[_Sample, _Sample]],
+) -> list:
+    """(theta, ranks) of the derivative zero between the two branch ends
+    (theta, ranks) of every bracket, whose derivatives differ in sign, or
+    the error that drops the bracket.
 
     A wider step is used for the refinement: the central difference of a
     smooth function has a zero crossing at the critical point to first order
@@ -406,34 +435,64 @@ def _refine_derivative_zero(
     1/step.  The reported derivative estimate still uses FD_STEP.  Every
     theta evaluated takes its root by rank from the end with its root count,
     from end a when both ends have it.
+
+    All brackets advance in lockstep: one stack of differences takes the
+    slopes at every end, then each Brent round is one stack holding the
+    trial theta of every bracket not yet done.
     """
     h = 2e-3
-    (theta_a, ranks_a), (theta_b, ranks_b) = end_a, end_b
-    ranks = {**ranks_b, **ranks_a}
+    ranks = [{**ranks_b, **ranks_a} for (_, ranks_a), (_, ranks_b) in brackets]
+    ends = torsion.derivatives(
+        [(end[0], r) for bracket, r in zip(brackets, ranks) for end in bracket], h
+    )
+    out: list = [None] * len(brackets)
+    trials: dict[int, tuple[float, Generator[float, float, float]]] = {}
 
-    def slope(theta: float) -> float:
-        return torsion.derivative(theta, ranks, h)[0]
+    def advance(i: int, steps: Generator[float, float, float], slope: float | None) -> None:
+        try:
+            trials[i] = steps.send(slope), steps
+        except StopIteration as stop:
+            out[i] = stop.value, ranks[i]
 
-    ga, gb = slope(theta_a), slope(theta_b)
-    if ga * gb > 0.0:
-        raise BracketError(
-            f"the derivative with step {h:g} has one sign at both ends "
-            f"({ga:.3e}, {gb:.3e})"
-        )
-    return _bracketed_zero(slope, theta_a, ga, theta_b, gb, xtol=1e-11), ranks
+    for i, (((theta_a, _), (theta_b, _)), end_a, end_b) in enumerate(
+        zip(brackets, ends[::2], ends[1::2])
+    ):
+        failed = next((g for g in (end_a, end_b) if isinstance(g, Exception)), None)
+        if failed is not None:
+            out[i] = failed
+            continue
+        ga, gb = end_a[0], end_b[0]
+        if ga * gb > 0.0:
+            out[i] = BracketError(
+                f"the derivative with step {h:g} has one sign at both ends "
+                f"({ga:.3e}, {gb:.3e})"
+            )
+            continue
+        advance(i, _bracketed_zero(theta_a, ga, theta_b, gb, xtol=1e-11), None)
+    while trials:
+        batch = list(trials.items())
+        trials.clear()
+        slopes = torsion.derivatives([(theta, ranks[i]) for i, (theta, _) in batch], h)
+        for (i, (_, steps)), slope in zip(batch, slopes):
+            if isinstance(slope, Exception):
+                out[i] = slope
+            else:
+                advance(i, steps, slope[0])
+    return out
 
 
 def _bracketed_zero(
-    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, xtol: float
-) -> float:
+    a: float, fa: float, b: float, fb: float, xtol: float
+) -> Generator[float, float, float]:
     """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
     a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
     without Derivatives*, ch. 4).
 
-    Every step stays inside the current sign bracket: an inverse quadratic
-    or secant step when it shrinks the bracket fast enough, else bisection.
-    Returns the bracket end with the smaller |f| once f is exactly 0 there
-    or the bracket is narrower than xtol.
+    A generator: it yields each trial x and is sent f(x) there, and it
+    returns the zero.  Every step stays inside the current sign bracket: an
+    inverse quadratic or secant step when it shrinks the bracket fast
+    enough, else bisection.  The zero is the bracket end with the smaller
+    |f| once f is exactly 0 there or the bracket is narrower than xtol.
     """
     if fa * fb > 0.0:
         raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
@@ -471,19 +530,25 @@ def _bracketed_zero(
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
+        fb = yield b
 
 
-def _critical_point(
-    torsion: _BranchTorsion, theta_star: float, ranks: dict[int, int]
-) -> CriticalPoint:
-    value, u = torsion.value(theta_star, ranks)
-    deriv = abs(torsion.derivative(theta_star, ranks)[0])
-    trace_mu = abs(2.0 * math.cos(theta_star / 2.0))
-    return CriticalPoint(
-        theta=theta_star,
-        u=u,
-        torsion=complex(value),
-        derivative_estimate=deriv,
-        is_dihedral=trace_mu <= 1e-6,
+def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:
+    """The critical point at every (theta, ranks), or the branch error it
+    raises (its value first, then theta + FD_STEP, then theta - FD_STEP):
+    the values and the differences of all targets as one stack."""
+    values = torsion.values(
+        [(theta + d, ranks) for theta, ranks in targets for d in (0.0, FD_STEP, -FD_STEP)]
     )
+    out = []
+    for (theta, ranks), value, plus, minus in zip(targets, values[::3], values[1::3], values[2::3]):
+        difference = _difference(plus, minus, FD_STEP)
+        failed = next((v for v in (value, difference) if isinstance(v, Exception)), None)
+        out.append(failed or CriticalPoint(
+            theta=theta,
+            u=torsion.root(theta, ranks),
+            torsion=complex(value),
+            derivative_estimate=abs(difference[0]),
+            is_dihedral=abs(2.0 * math.cos(theta / 2.0)) <= 1e-6,
+        ))
+    return out

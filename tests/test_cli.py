@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from adtorsion import cli, locus
@@ -18,6 +19,7 @@ from adtorsion.reps import (
     RepresentationError,
     riley_polynomial,
     su2_root_count_thresholds,
+    su2_root_counts,
     su2_solutions,
 )
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
@@ -291,10 +293,10 @@ def _five_two_auto_window():
 @pytest.mark.parametrize("error", [RegularityError, RepresentationError])
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
     # the refinement of each sign change fails
-    def fail(torsion, end_a, end_b):
-        raise error(f"lost at theta={end_a[0]:.6f}")
+    def fail(torsion, brackets):
+        return [error(f"lost at theta={end_a[0]:.6f}") for end_a, _ in brackets]
 
-    monkeypatch.setattr(locus, "_refine_derivative_zero", fail)
+    monkeypatch.setattr(locus, "_refine_derivative_zeros", fail)
     p, lo, hi = _five_two_auto_window()
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
@@ -319,13 +321,16 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
     first_trial = []
     solve, solutions = locus._bracketed_zero, locus.su2_solutions
 
-    def solve_spy(f, a, fa, b, fb, **kwargs):
-        def f_spy(theta):
-            if not first_trial and len(solutions(phi, a).roots) > 1:
-                first_trial.append(theta)
-            return f(theta)
-
-        return solve(f_spy, a, fa, b, fb, **kwargs)
+    def solve_spy(a, fa, b, fb, **kwargs):
+        steps, slope = solve(a, fa, b, fb, **kwargs), None
+        try:
+            while True:
+                theta = steps.send(slope)
+                if not first_trial and len(solutions(phi, a).roots) > 1:
+                    first_trial.append(theta)
+                slope = yield theta
+        except StopIteration as stop:
+            return stop.value
 
     def far_root_at_first_trial(phi, theta, *args, **kwargs):
         if not isinstance(theta, float):  # a batch of thetas: each one as if alone
@@ -374,13 +379,13 @@ def test_critical_search_pairs_equal_root_counts_by_rank(monkeypatch, p, q):
     # root count a branch now keeps its rank, so the ends of every refined
     # bracket that share a count share the rank, and nothing is dropped
     ends = []
-    refine = locus._refine_derivative_zero
+    refine = locus._refine_derivative_zeros
 
-    def spy(torsion, end_a, end_b):
-        ends.append((end_a[1], end_b[1]))
-        return refine(torsion, end_a, end_b)
+    def spy(torsion, brackets):
+        ends.extend((end_a[1], end_b[1]) for end_a, end_b in brackets)
+        return refine(torsion, brackets)
 
-    monkeypatch.setattr(locus, "_refine_derivative_zero", spy)
+    monkeypatch.setattr(locus, "_refine_derivative_zeros", spy)
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
@@ -395,9 +400,9 @@ def test_critical_search_pairs_equal_root_counts_by_rank(monkeypatch, p, q):
 def test_critical_search_evaluation_budget(monkeypatch):
     # one torsion per theta +- fd_step per branch sample, and about ten
     # wide-step derivatives per sign change; a bisection that built a
-    # torsion at each midpoint only for its root made 697.  The grid's
-    # differences are one stack and each later difference a stack of two,
-    # so the calls are far fewer than the points
+    # torsion at each midpoint only for its root made 697.  The search is a
+    # fixed number of stacks: the grid's differences, the end slopes, one
+    # per Brent round of all sign changes, and the reported points
     calls, points = [], []
     torsion_polynomial = locus.torsion_polynomial
 
@@ -413,7 +418,7 @@ def test_critical_search_evaluation_budget(monkeypatch):
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert report.dihedral_count == 3
     assert len(points) <= 250
-    assert len(calls) <= 40
+    assert len(calls) <= 11
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
@@ -443,13 +448,15 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
 def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     # the refinement's wide-step derivative has one sign at both ends of
     # every sign change the FD_STEP samples found
-    derivative = locus._BranchTorsion.derivative
+    derivatives = locus._BranchTorsion.derivatives
 
-    def one_signed_wide_step(self, theta, ranks, h=locus.FD_STEP):
-        g, mean = derivative(self, theta, ranks, h)
-        return (g if h == locus.FD_STEP else abs(g)), mean
+    def one_signed_wide_step(self, samples, h=locus.FD_STEP):
+        results = derivatives(self, samples, h)
+        if h == locus.FD_STEP:
+            return results
+        return [r if isinstance(r, Exception) else (abs(r[0]), r[1]) for r in results]
 
-    monkeypatch.setattr(locus._BranchTorsion, "derivative", one_signed_wide_step)
+    monkeypatch.setattr(locus._BranchTorsion, "derivatives", one_signed_wide_step)
     p, lo, hi = _five_two_auto_window()
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
@@ -460,6 +467,17 @@ def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     assert all(pt.is_dihedral for pt in report.points)
 
 
+def _brent(f, a, fa, b, fb, xtol):
+    """Drive the Brent generator over one bracket with f."""
+    steps = locus._bracketed_zero(a, fa, b, fb, xtol=xtol)
+    try:
+        theta = next(steps)
+        while True:
+            theta = steps.send(f(theta))
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_bracketed_zero_converges_on_a_cubic():
     calls = []
 
@@ -468,7 +486,7 @@ def test_bracketed_zero_converges_on_a_cubic():
         return x**3 - 2.0 * x - 5.0
 
     root = 2.0945514815423265
-    x = locus._bracketed_zero(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
+    x = _brent(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
     assert abs(x - root) <= 1e-11
     # bisection needs 37 halvings of [2, 3] to get below 1e-11
     assert len(calls) - 2 <= 10
@@ -478,10 +496,10 @@ def test_bracketed_zero_returns_an_exact_zero_at_an_end():
     def f(x):
         raise AssertionError("no evaluation needed")
 
-    assert locus._bracketed_zero(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
-    assert locus._bracketed_zero(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
+    assert _brent(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
+    assert _brent(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
     with pytest.raises(ValueError):
-        locus._bracketed_zero(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
+        _brent(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
 
 
 def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
@@ -496,12 +514,141 @@ def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
         return y
 
     a, b = 0.0, 1.5
-    x = locus._bracketed_zero(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
+    x = _brent(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
     assert abs(x - 0.7) <= 1e-9 + 1e-11
     partners = [
         t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
     ]
     assert partners or seen[x] == 0.0
+
+
+@pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 6), (15, 7, 4)])
+def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_changes):
+    # all sign changes advance together, one stack per Brent round; each
+    # theta* must have the bits of its bracket refined alone, with a
+    # one-theta slope per step
+    searched = []
+    refine = locus._refine_derivative_zeros
+
+    def spy(torsion, brackets):
+        searched.append((torsion, brackets))
+        return refine(torsion, brackets)
+
+    monkeypatch.setattr(locus, "_refine_derivative_zeros", spy)
+    knot = schubert_knot(p, q)
+    phi = riley_polynomial(knot.bridge_word)
+    lo, hi = auto_theta_range(phi)
+    find_critical_points(knot, lo, hi, 33, Tolerances())
+    [(torsion, brackets)] = searched
+    assert len(brackets) == sign_changes
+    alone = locus._BranchTorsion(knot, phi, Tolerances())
+    for ((theta_a, ranks_a), (theta_b, ranks_b)), zero in zip(brackets, refine(torsion, brackets)):
+        ranks = {**ranks_b, **ranks_a}
+
+        def slope(theta):
+            [(g, _)] = alone.derivatives([(theta, ranks)], 2e-3)
+            return g
+
+        theta_star = _brent(slope, theta_a, slope(theta_a), theta_b, slope(theta_b), xtol=1e-11)
+        assert zero == (theta_star, ranks)
+
+
+def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
+    # when the stacked representation raises, every point is evaluated on
+    # its own: the offending point carries the error and the others keep
+    # the bits the stack gives them
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    samples = [(theta, {3: rank}) for theta in (2.9, 3.0, 3.3) for rank in range(3)]
+    stacked = locus._BranchTorsion(p, phi, Tolerances()).values(samples)
+    assert all(type(v) is float for v in stacked)
+    rep_at = locus.rep_at
+
+    def off_variety_at_3(p, theta, u, tol):
+        if 3.0 in np.atleast_1d(theta):
+            raise RepresentationError("relator residual too large at theta=3.0")
+        return rep_at(p, theta, u, tol)
+
+    monkeypatch.setattr(locus, "rep_at", off_variety_at_3)
+    alone = locus._BranchTorsion(p, phi, Tolerances()).values(samples)
+    for (theta, _), value, result in zip(samples, stacked, alone):
+        if theta == 3.0:
+            assert str(result) == "relator residual too large at theta=3.0"
+        else:
+            assert result == value
+
+
+def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
+    # b(11,5): theta, u and torsion of every point as the search reported
+    # them when it refined one sign change at a time and evaluated one
+    # point per call
+    word = " ".join(
+        ("x" if i % 2 else "y") + ("^-1" if (i * 5 // 11) % 2 else "") for i in range(1, 11)
+    )
+    path = tmp_path / "b11_5.txt"
+    path.write_text(f"twobridge w: {word}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "critical", "--presentation", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    points = [
+        (repr(pt["theta"]), repr(pt["u"]), repr(pt["torsion"][0]), repr(pt["torsion"][1]))
+        for pt in json.loads(out)["points"]
+    ]
+    assert points == [
+        ("1.1663048319930482", "-1.0163007960744144", "22.7493651138514", "0.0"),
+        ("5.116880475194851", "-1.0163007960576318", "22.749365113853706", "0.0"),
+        ("2.094407226714995", "-2.000031499636428", "8.999999999338643", "0.0"),
+        ("2.327310759985356", "-2.5218601398287603", "8.950647372776062", "0.0"),
+        ("3.9558745472142127", "-2.5218601397902187", "8.950647372775926", "0.0"),
+        ("4.188778080462948", "-2.0000314996406963", "8.999999999338606", "0.0"),
+        ("3.141592653589793", "-3.9189859472289945", "36.87132442514197", "0.0"),
+        ("3.141592653589793", "-3.3097214678905695", "9.289886883247044", "0.0"),
+        ("3.141592653589793", "-2.28462967654657", "79.15428573061351", "0.0"),
+        ("3.141592653589793", "-1.1691699739962274", "5.629301696456562", "0.0"),
+        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948192", "0.0"),
+    ]
+
+
+def test_auto_theta_range_is_the_window_of_the_whole_probe_grid():
+    # the scan from each end stops at the first theta with a root; the
+    # window must be the one every theta of the 600-theta grid gives, on
+    # the 24 knots b(p, q) with odd p <= 15 and three long words
+    n = 600
+    thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
+    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(knots) == 24
+    for p, q in knots + [(21, 5), (31, 7), (41, 11)]:
+        phi = riley_polynomial(schubert_knot(p, q).bridge_word)
+        found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
+        margin = locus.AUTO_THETA_MARGIN
+        assert auto_theta_range(phi) == (found[0] + margin, found[-1] - margin), (p, q)
+
+
+def test_main_calls_share_one_parser_and_no_flags(capsys):
+    # the parser is built once per process; each call must print what a
+    # call with a freshly built parser prints, so no flag or default of one
+    # call reaches the next
+    calls = [
+        ("critical", "--knot", "trefoil", "--theta-lo", "2.0", "--theta-hi", "4.3", "--samples", "9",
+         "--format", "json"),
+        ("critical", "--knot", "trefoil", "--theta-lo", "2.0", "--theta-hi", "4.3"),
+        ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7", "--samples", "5",
+         "--drop", "y", "--format", "json"),
+        ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7"),
+        ("torsion", "--knot", "5_2", "--theta", "2.5", "--root", "1"),
+        ("torsion", "--knot", "5_2", "--theta", "2.5"),
+        ("riley-poly", "--knot", "5_2", "--tol-relation", "-1"),
+        ("riley-poly", "--knot", "5_2"),
+        ("tai", "--knot", "5_2"),
+        ("--version",),
+    ]
+    back_to_back = [run_cli(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert back_to_back == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 1, 0, 1, 0]
 
 
 def test_simple_zero_remainder_on_the_edge_branch():
