@@ -82,7 +82,7 @@ def _emit(text: str, args) -> None:
 
 def _rep_from_args(args, p: Presentation, tol: Tolerances) -> Rep:
     phi = _two_bridge_phi(p, args.command)
-    sols = su2_solutions(phi, args.theta, tol.relation, multiplicity_threshold=tol.multiplicity)
+    sols = su2_solutions(phi, args.theta, multiplicity_threshold=tol.multiplicity)
     if not sols.roots:
         raise RepresentationError(f"no SU(2) solutions at theta={args.theta}")
     if not (0 <= args.root < len(sols.roots)):

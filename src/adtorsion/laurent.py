@@ -267,22 +267,6 @@ class LaurentPoly(_Laurent):
             p = LaurentPoly.from_dict(d, cleanup=0.0)
         return p
 
-    def divide_once(self, root: complex) -> tuple["LaurentPoly", complex]:
-        """Synthetic division by ``(t - root)``; returns (quotient, remainder).
-
-        The monomial unit ``t^offset`` carries over to the quotient, so the
-        division is performed on the plain-polynomial part.
-        """
-        if self.is_zero:
-            return LaurentPoly.zero(), 0j
-        quotient = [0j] * (len(self.coeffs) - 1)
-        acc = 0j
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = self.coeffs[i] + acc * root
-            quotient[i - 1] = acc
-        remainder = self.coeffs[0] + acc * root
-        return LaurentPoly(self.offset, quotient, cleanup=0.0), remainder
-
     def approx_eq(self, other: "LaurentPoly", tol: float) -> bool:
         """Coefficientwise comparison, tolerance relative to the larger scale."""
         scale = max(self.max_abs, other.max_abs, 1.0)
@@ -334,16 +318,25 @@ def divide_out_simple_roots(
 ) -> tuple[LaurentPoly, list[float]]:
     """Synthetic-divide ``multiplicity`` times by ``(t - root)``.
 
-    Returns the final quotient and the modulus of each round's remainder;
-    the caller decides whether the remainders pass its tolerance.
+    The monomial unit ``t^offset`` carries over to each quotient, so every
+    round divides the plain-polynomial part; each quotient is trimmed before
+    the next round.  Returns the final quotient and the modulus of each
+    round's remainder; the caller decides whether the remainders pass its
+    tolerance.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     remainders: list[float] = []
     q = p
     for _ in range(multiplicity):
-        q, rem = q.divide_once(root)
-        remainders.append(abs(rem))
+        acc = 0j
+        quotient = []
+        for c in reversed(q.coeffs):
+            acc = c + acc * root
+            quotient.append(acc)
+        # the last sum is the remainder; a zero polynomial leaves none
+        remainders.append(abs(quotient.pop()) if quotient else 0.0)
+        q = LaurentPoly._raw(q.offset, quotient[::-1])
     return q, remainders
 
 

@@ -140,7 +140,7 @@ def sweep_rows(
     one determinant for the whole sweep."""
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "sweep")
-    solutions = su2_solutions(phi, grid, tol.relation, multiplicity_threshold=tol.multiplicity)
+    solutions = su2_solutions(phi, grid, multiplicity_threshold=tol.multiplicity)
     points = [(sols, u) for sols in solutions for u in sols.roots]
     if not points:
         return []
@@ -203,7 +203,7 @@ class _BranchTorsion:
         """Find the SU(2) roots of every theta not solved before, in one call."""
         if new := sorted(set(thetas) - self.roots.keys()):
             self.roots.update((s.theta, s.roots) for s in su2_solutions(
-                self.phi, new, self.tol.relation, multiplicity_threshold=self.tol.multiplicity))
+                self.phi, new, multiplicity_threshold=self.tol.multiplicity))
 
     def root(self, theta: float, ranks: dict[int, int]) -> float:
         """The branch's root at a solved theta; a RepresentationError when no
@@ -297,7 +297,7 @@ def find_critical_points(
     branches: list[list[tuple[float, float, dict[int, int]]]] = []
     active: list[int] = []  # the branch of each root of the last sample, by rank
     prev_count = None
-    solutions = su2_solutions(phi, grid, tol.relation, multiplicity_threshold=tol.multiplicity)
+    solutions = su2_solutions(phi, grid, multiplicity_threshold=tol.multiplicity)
     for theta, sols in zip(grid, solutions):
         roots = list(sols.roots)
         new_samples = [(theta, u, {len(roots): rank}) for rank, u in enumerate(roots)]

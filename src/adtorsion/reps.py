@@ -297,9 +297,10 @@ def su2_solutions(
     eigenvalues of the colleague matrix.  Roots with |Im u| above
     REALITY_TOL are discarded, the window gets a small slack at both
     endpoints, and near-multiple roots are flagged.  A theta gets the same
-    roots in any stack.  ``tol`` is accepted and not read: whether
-    phi(e^{i theta}, u) is real up to a unit is decided exactly, once per
-    polynomial, from its coefficients.
+    roots in any stack.  ``tol`` is not read: whether phi(e^{i theta}, u) is
+    real up to a unit is decided exactly, once per polynomial, from its
+    coefficients.  The parameter stays because callers outside the package
+    pass it positionally; the package's own callers leave it out.
     """
     stacked = np.ndim(theta) > 0
     thetas = [float(t) for t in theta] if stacked else [float(theta)]
@@ -444,16 +445,16 @@ _EYE2 = np.eye(2, dtype=complex)
 _EYE2.flags.writeable = False
 
 
-def _mat_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of each 2x2 matrix of a stack (..., 2, 2), the
-    inverse as adjugate over determinant.  The determinants are formed in
-    Python complex arithmetic, which rounds like numpy's scalars; numpy's
-    array product fuses a multiply and an add."""
+def _mat_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of each 2x2 matrix of a stack (..., 2, 2), as adjugate over
+    determinant.  The determinants are formed in Python complex arithmetic,
+    which rounds like numpy's scalars; numpy's array product fuses a
+    multiply and an add."""
     det = np.array([a * d - b * c for a, b, c, d in m.reshape(-1, 4).tolist()]).reshape(m.shape[:-2])
     if (np.abs(det) < 1e-300).any():
         raise RepresentationError("singular image matrix")
     adjugate = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
-    return adjugate.reshape(m.shape) / det[..., None, None], det
+    return adjugate.reshape(m.shape) / det[..., None, None]
 
 
 def _points(*values):
@@ -488,9 +489,9 @@ class Rep:
     Construct from one complex matrix per generator, 2x2 for one point and
     (N, 2, 2) for a stack, or through :func:`build_rep` for Riley's
     parametrization; `images` holds the matrices.  At a stack the per-point
-    attributes (s, u, sqrt_s, the residuals, the flags and the traces) are
-    length-N arrays.  Values are immutable by convention; ``adjoint`` is
-    built on first use.
+    attributes (s, u, sqrt_s, the residuals, the irreducibility flag and
+    the meridian trace) are length-N arrays.  Values are immutable by
+    convention; ``adjoint`` is built on first use.
     """
 
     __slots__ = (
@@ -501,8 +502,6 @@ class Rep:
         "u",
         "sqrt_s",
         "relator_residuals",
-        "special_linear",
-        "su2_params",
         "irreducible",
         "trace_meridian",
         "_adjoint",
@@ -523,8 +522,7 @@ class Rep:
             raise RepresentationError("one image matrix per generator required")
         self.presentation = presentation
         self.images = tuple(np.asarray(m, dtype=complex) for m in images)
-        inverses, dets = _mat_inverse(np.stack(self.images))
-        self.inverses = tuple(inverses)
+        self.inverses = tuple(_mat_inverse(np.stack(self.images)))
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
@@ -537,10 +535,8 @@ class Rep:
         if check:
             _raise_first([self._relator_failure(tol)])
 
-        self.special_linear = _unstack((np.abs(dets - 1.0) <= tol).all(axis=0))
         self.trace_meridian = _unstack(np.trace(self.images[presentation.meridian], axis1=-2, axis2=-1))
         self.irreducible = self._irreducibility_heuristic()
-        self.su2_params = self._su2_params_hold()
 
     @property
     def stacked(self) -> bool:
@@ -568,18 +564,6 @@ class Rep:
         ]
         return _unstack(np.any(far, axis=0))
 
-    def _su2_params_hold(self) -> bool:
-        s, u = self.s, self.u
-        if s is None or u is None:
-            return False
-        sigma = 2.0 * s.real / abs(s)
-        return (
-            (abs(abs(s) - 1.0) <= REALITY_TOL)
-            & (abs(u.imag) <= REALITY_TOL)
-            & (sigma - 2.0 - INTERVAL_SLACK <= u.real)
-            & (u.real <= INTERVAL_SLACK)
-        )
-
     def of_word(self, w: Word) -> np.ndarray:
         acc = _EYE2
         for g, e in w.letters:
@@ -593,20 +577,14 @@ class Rep:
             self._adjoint = adjoint_images(self)
         return self._adjoint
 
-    @property
-    def trace_meridian_sq(self) -> complex:
-        m = self.images[self.presentation.meridian]
-        return _unstack(np.trace(m @ m, axis1=-2, axis2=-1))
-
-    def conjugated(self, g: np.ndarray, tol: float = RELATION_TOL) -> "Rep":
-        ginv = _mat_inverse(np.asarray(g, dtype=complex))[0]
+    def conjugated(self, g: np.ndarray) -> "Rep":
+        ginv = _mat_inverse(np.asarray(g, dtype=complex))
         return Rep(
             self.presentation,
             [g @ m @ ginv for m in self.images],
             s=self.s,
             u=self.u,
             sqrt_s=self.sqrt_s,
-            tol=max(tol, 10 * float(np.max(self.relator_residuals, initial=0.0))),
             check=False,
         )
 

@@ -157,8 +157,10 @@ class TorsionPolynomial:
     :func:`torsion_polynomial`, with everything both torsion routes and the
     diagnostics read from it.
 
-    ``quotient`` and ``remainders`` come from the double synthetic division
-    of ``delta`` by (t - 1)^2; ``parity`` is the sign that makes values
+    Delta_1 is read at t = 1 once, here: ``scale`` is its largest
+    coefficient modulus; ``remainders`` and ``reduced``, the value at 1 of
+    Delta_1 / (t - 1)^2, come from the double synthetic division of
+    ``delta`` by (t - 1)^2.  ``parity`` is the sign that makes values
     independent of which meridian was dropped; ``tau`` and ``irreducible``
     are the point's boundary trace ratio and irreducibility flag.
     """
@@ -170,8 +172,9 @@ class TorsionPolynomial:
     tau: complex  # Tr(rho(x_drop)^2) / det rho(x_drop)
     parity: float
     irreducible: bool
-    quotient: LaurentPoly
+    scale: float
     remainders: tuple[float, ...]
+    reduced: complex
 
 
 def torsion_polynomial(
@@ -208,8 +211,9 @@ def torsion_polynomial(
             tau=trace_sq / (a * d - b * c),
             parity=parity,
             irreducible=irreducible,
-            quotient=quotient,
+            scale=delta.max_abs,
             remainders=tuple(remainders),
+            reduced=quotient.evaluate(1.0),
         ))
     return out if rep.stacked else out[0]
 
@@ -247,12 +251,11 @@ def torsion_via_limit(tp: TorsionPolynomial) -> complex:
     does not have a (simple) zero at t = 1.
     """
     denominator = _boundary_denominator(tp)
-    scale = tp.delta.max_abs
-    if scale == 0.0:
+    if tp.scale == 0.0:
         raise RegularityError("torsion polynomial is identically zero")
-    if max(tp.remainders) > SIMPLE_ZERO * scale:
+    if max(tp.remainders) > SIMPLE_ZERO * tp.scale:
         raise RegularityError("not a simple zero: rho may not be lambda-regular")
-    return tp.parity * tp.quotient.evaluate(1.0) / denominator
+    return tp.parity * tp.reduced / denominator
 
 
 def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
@@ -271,18 +274,18 @@ def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     non-parabolic boundary trace is only a proxy for lambda-regularity, and
     is labeled as such.
     """
-    delta = tp.delta
-    tol = tp.tol
-    scale = delta.max_abs
-    reduced_at_1 = abs(tp.quotient.evaluate(1.0))
+    scale = tp.scale
+    reduced_at_1 = abs(tp.reduced)
     divides = scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
     simple_zero = divides and reduced_at_1 > REGULAR_FLOOR * scale
-    denominator_ok = abs(tp.trace_sq - 2.0) > tol.relation
+    denominator_ok = abs(tp.trace_sq - 2.0) > tp.tol.relation
     irreducible = tp.irreducible
     return {
         "scale": scale,
-        "delta1_at_1": abs(delta.evaluate(1.0)),
-        "delta1_prime_at_1": abs(_derivative_at_1(delta, 1)),
+        # the first division's remainder is Delta_1(1): it adds the same
+        # coefficients in the same order as Horner's rule at 1
+        "delta1_at_1": tp.remainders[0],
+        "delta1_prime_at_1": abs(_derivative_at_1(tp.delta, 1)),
         "reduced_at_1": reduced_at_1,
         "division_remainders": list(tp.remainders),
         "simple_zero": simple_zero,

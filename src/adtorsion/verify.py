@@ -69,7 +69,7 @@ def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_
     phi = riley_polynomial(p.bridge_word)
     out = []
     for theta in thetas:
-        sols = su2_solutions(phi, theta, tol.relation)
+        sols = su2_solutions(phi, theta)
         if exclude_band is not None and near_transition(sols.sigma, exclude_band, 1e-3):
             continue
         for u in sols.roots:
@@ -199,7 +199,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]
     phi = riley_polynomial(p.bridge_word)
-    sols = su2_solutions(phi, math.pi, tol.relation)
+    sols = su2_solutions(phi, math.pi)
     caught = False
     try:
         build_rep(p, cmath.exp(1j * math.pi), sols.roots[0] + 1e-3,

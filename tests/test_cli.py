@@ -87,6 +87,202 @@ def test_tai_payload(capsys):
     assert data["denominator"]["offset"] == 0
 
 
+# `torsion` and `tai` on 5_2 as the CLI printed them, every number to the
+# last bit: the value, both routes and every diagnostic
+FIVE_TWO_PAYLOADS = {
+    ("2.5", 0): {
+        "torsion": {
+            "value": [10.333805806232805, -2.1431216247653125e-12],
+            "formula_value": [10.333805806232805, -2.1431216247653117e-12],
+            "limit_value": [10.333805806232805, -2.1431216247653125e-12],
+            "diagnostics": {
+                "scale": 7.216374340362719,
+                "delta1_at_1": 1.1963492123931796e-12,
+                "delta1_prime_at_1": 2.9491726725201428e-12,
+                "reduced_at_1": 37.2253367043961,
+                "division_remainders": [1.1963492123931796e-12, 2.948286226118608e-12],
+                "simple_zero": True,
+                "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
+                "denominator_ok": True,
+                "irreducible": True,
+                "lambda_regular_proxy": True,
+                "tai_at_1": 0.00010337197886999634,
+                "naive_limit": [10.337197877560309, -0.0004417604961945193],
+                "consistency_ok": True,
+            },
+        },
+        "tai": {
+            "numerator": {
+                "offset": 0,
+                "coeffs": [
+                    [-3.2418593388392694, 3.0948825684969416e-13],
+                    [-2.5607582745016773, 1.5072965166389564e-12],
+                    [2.1944304431603796, -5.326878811890961e-13],
+                    [7.216374340362719, -2.1842892327940578e-12],
+                    [2.194430443156199, -7.782986850883532e-13],
+                    [-2.5607582745022444, 1.617549857707611e-12],
+                    [-3.241859338837293, 2.2007573730082102e-13],
+                ],
+            },
+            "denominator": {
+                "offset": 0,
+                "coeffs": [
+                    [-1.0, 0.0],
+                    [-0.6022872310938672, 2.2077493661350635e-17],
+                    [0.6022872310938672, -2.2077493661350635e-17],
+                    [1.0, 0.0],
+                ],
+            },
+        },
+    },
+    ("2.5", 1): {
+        "torsion": {
+            "value": [11.824289089628964, -5.54136047114602e-15],
+            "formula_value": [11.824289089628962, -5.5413604711460205e-15],
+            "limit_value": [11.824289089628964, -5.54136047114602e-15],
+            "diagnostics": {
+                "scale": 9.24775252530223,
+                "delta1_at_1": 1.7622956091305793e-14,
+                "delta1_prime_at_1": 6.17530975586693e-14,
+                "reduced_at_1": 42.594485604332945,
+                "division_remainders": [1.7622956091305793e-14, 6.619233271195129e-14],
+                "simple_zero": True,
+                "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
+                "denominator_ok": True,
+                "irreducible": True,
+                "lambda_regular_proxy": True,
+                "tai_at_1": 0.00011824385999754872,
+                "naive_limit": [11.824385999679372, -4.225460193054092e-05],
+                "consistency_ok": True,
+            },
+        },
+        "tai": {
+            "numerator": {
+                "offset": 0,
+                "coeffs": [
+                    [-3.095626045445714, -4.048402917771669e-16],
+                    [-4.401866992705416, 3.4311375079849598e-15],
+                    [2.873616775500012, 5.266755444658707e-15],
+                    [9.24775252530223, 2.216785171927044e-15],
+                    [2.873616775500015, 6.2939505735004026e-15],
+                    [-4.40186699270541, 9.332909744238095e-16],
+                    [-3.0956260454457087, -2.5159594851913158e-15],
+                ],
+            },
+            "denominator": {
+                "offset": 0,
+                "coeffs": [
+                    [-1.0, 0.0],
+                    [-0.6022872310938672, 2.2077493661350635e-17],
+                    [0.6022872310938672, -2.2077493661350635e-17],
+                    [1.0, 0.0],
+                ],
+            },
+        },
+    },
+    ("3.141592653589793", 0): {
+        "torsion": {
+            "value": [10.884706924616857, 8.534773032399222e-13],
+            "formula_value": [10.884706924616859, 8.534773032399224e-13],
+            "limit_value": [10.884706924616857, 8.534773032399222e-13],
+            "diagnostics": {
+                "scale": 9.32974879252402,
+                "delta1_at_1": 2.7133850721838826e-12,
+                "delta1_prime_at_1": 7.63539775818788e-12,
+                "reduced_at_1": 43.53882769846743,
+                "division_remainders": [2.7133850721838826e-12, 7.633637872460616e-12],
+                "simple_zero": True,
+                "trace_x1_sq": [-2.0, 0.0],
+                "denominator_ok": True,
+                "irreducible": True,
+                "lambda_regular_proxy": True,
+                "tai_at_1": 0.00010891599729758175,
+                "naive_limit": [10.891599729758175, 2.59318704226964e-08],
+                "consistency_ok": True,
+            },
+        },
+        "tai": {
+            "numerator": {
+                "offset": 0,
+                "coeffs": [
+                    [-3.109916264176551, -9.489234794760441e-14],
+                    [-4.664874396262111, 2.1625441675289137e-13],
+                    [3.1099162641753626, 1.941511790342551e-13],
+                    [9.32974879252402, -1.9701416325248277e-14],
+                    [3.1099162641748253, -7.26157355744223e-14],
+                    [-4.664874396262016, -4.6935941905280624e-14],
+                    [-3.109916264176243, -1.762601540345906e-13],
+                ],
+            },
+            "denominator": {
+                "offset": 0,
+                "coeffs": [
+                    [-1.0, 0.0],
+                    [-1.0, 0.0],
+                    [1.0, 0.0],
+                    [1.0, 0.0],
+                ],
+            },
+        },
+    },
+    ("3.141592653589793", 1): {
+        "torsion": {
+            "value": [22.728857226022583, 1.3555743108881854e-13],
+            "formula_value": [22.728857226022573, 1.3555743108881854e-13],
+            "limit_value": [22.728857226022583, 1.3555743108881854e-13],
+            "diagnostics": {
+                "scale": 19.481877622304765,
+                "delta1_at_1": 2.566835632933362e-13,
+                "delta1_prime_at_1": 7.634473856737977e-13,
+                "reduced_at_1": 90.91542890409033,
+                "division_remainders": [2.566835632933362e-13, 7.77080783080344e-13],
+                "simple_zero": True,
+                "trace_x1_sq": [-2.0, 0.0],
+                "denominator_ok": True,
+                "irreducible": True,
+                "lambda_regular_proxy": True,
+                "tai_at_1": 0.00022729721736138145,
+                "naive_limit": [22.729721736138142, 5.433443944023567e-09],
+                "consistency_ok": True,
+            },
+        },
+        "tai": {
+            "numerator": {
+                "offset": 0,
+                "coeffs": [
+                    [-6.493959207434977, 1.4496340635819896e-14],
+                    [-9.74093881115244, 2.272662757859885e-14],
+                    [6.493959207434898, 1.8048735242041985e-14],
+                    [19.481877622304765, 3.1706105066209423e-15],
+                    [6.493959207434906, -1.8072808725705176e-14],
+                    [-9.740938811152434, -2.8837827959539987e-14],
+                    [-6.493959207434973, -1.1531677277836537e-14],
+                ],
+            },
+            "denominator": {
+                "offset": 0,
+                "coeffs": [
+                    [-1.0, 0.0],
+                    [-1.0, 0.0],
+                    [1.0, 0.0],
+                    [1.0, 0.0],
+                ],
+            },
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("theta, root", list(FIVE_TWO_PAYLOADS))
+def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
+    # json.dumps writes each float by repr, so equal text means equal bits
+    for command, expected in FIVE_TWO_PAYLOADS[(theta, root)].items():
+        argv = (command, "--knot", "5_2", "--theta", theta, "--root", str(root))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.dumps(json.loads(out)) == json.dumps(expected)
+
+
 def test_sweep_csv_deterministic(capsys):
     args = ("sweep", "--knot", "5_2", "--theta-lo", "2.8", "--theta-hi", "3.2", "--samples", "4")
     code1, out1, _ = run_cli(capsys, *args)

@@ -243,6 +243,26 @@ def test_determinant_is_accurate_on_an_ill_conditioned_block():
     assert err <= 1e-9 * scale
 
 
+def test_determinant_is_accurate_on_a_block_on_the_variety():
+    # b(41,3) at theta = pi, root 0, a representation the pipeline builds:
+    # entries reach 628 times the largest coefficient of det; the same block
+    # at the eight floats nearest u keeps the bound from holding at one point
+    # by luck (errors there run from 5.9e-10 to 1.51e-9 times the scale)
+    p = schubert_knot(41, 3)
+    root = su2_solutions(riley_polynomial(p.bridge_word), math.pi).roots[0]
+    assert root == -3.9941316023674824
+    for k in range(-4, 5):
+        u = root + k * math.ulp(root)
+        rep = build_rep(p, cmath.exp(1j * math.pi), u, cmath.exp(0.5j * math.pi), check=False)
+        block = alexander_block_matrix(rep)
+        exact = exact_determinant_3x3(block)
+        got = block.determinant()
+        scale = max(abs(c) for c in exact.values())
+        assert np.abs(block.coeffs).max() > 6e2 * scale
+        err = max(abs(got.coefficient(e) - c) for e, c in exact.items())
+        assert err <= 5e-9 * scale
+
+
 def test_determinant_zero_row():
     rng = random.Random(66)
     rows = [[random_poly(rng) for _ in range(7)] for _ in range(7)]

@@ -28,7 +28,7 @@ from adtorsion.reps import (
 )
 from adtorsion.words import Word, parse_word
 
-from adtorsion.torsion import alexander_at_minus_one, untwisted_alexander
+from adtorsion.torsion import alexander_at_minus_one, torsion_polynomial, untwisted_alexander
 from test_torsion import schubert_knot
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
@@ -350,8 +350,7 @@ def test_build_rep_residuals_on_variety():
             for u in sols.roots:
                 rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
                 assert max(rep.relator_residuals) <= 1e-10
-                assert rep.special_linear
-                assert rep.su2_params
+                assert all(abs(np.linalg.det(m) - 1.0) <= RELATION_TOL for m in rep.images)
 
 
 def test_build_rep_trace_identities():
@@ -363,7 +362,7 @@ def test_build_rep_trace_identities():
     u = su2_solutions(phi, theta).roots[0]
     rep = build_rep(p, s, u, sq)
     assert abs(rep.trace_meridian - (sq + 1 / sq)) < 1e-12
-    assert abs(rep.trace_meridian_sq - (s + 1 / s)) < 1e-12
+    assert abs(torsion_polynomial(rep).trace_sq - (s + 1 / s)) < 1e-12
 
 
 def test_build_rep_dihedral_trace_zero():
@@ -524,7 +523,6 @@ def test_stacked_build_rep_matches_single_points():
         assert stack.relator_residuals[0][i] == single.relator_residuals[0]
         assert stack.trace_meridian[i] == single.trace_meridian
         assert stack.irreducible[i] == single.irreducible
-        assert stack.su2_params[i] == single.su2_params
 
 
 def test_stack_raises_the_first_failing_points_error():

@@ -386,7 +386,7 @@ def test_boundary_factor_closed_form_is_the_determinant():
             # a non-SL representation: Ad is unchanged, tau reads the trace
             # of the square over the determinant
             scaled = Rep(p, [2.0 * m for m in rep.images], check=False)
-            assert not scaled.special_linear
+            assert all(abs(np.linalg.det(m) - 1.0) > 1e-9 for m in scaled.images)
             for j in range(2):
                 _assert_closed_form_is_the_determinant(scaled, j)
                 assert boundary_factor(scaled, j=j).approx_eq(boundary_factor(rep, j=j), 1e-12)
@@ -466,7 +466,7 @@ def test_sl2c_nonunitary_point():
     for u in roots:
         rep = build_rep(p, s, complex(u), math.sqrt(s))
         assert max(rep.relator_residuals) <= 1e-9
-        assert rep.special_linear and not rep.su2_params
+        assert all(abs(np.linalg.det(m) - 1.0) <= 1e-9 for m in rep.images)
         tf = formula(rep)
         tl = limit(rep)
         assert abs(tf - tl) <= 1e-6 * max(1.0, abs(tl))
