@@ -35,6 +35,11 @@ MULTIPLICITY_THRESHOLD = 1e-5
 THRESHOLD_SIGMA_LO = -2.0
 THRESHOLD_SIGMA_HI = 1.995
 THRESHOLD_SAMPLES = 2000
+#: the first scan counts roots on every THRESHOLD_STRIDE-th grid point; on the
+#: 178 two-bridge knots up to p = 41, 5_2 and the trefoil the count on the
+#: whole grid never rises with sigma (changes come as close as one grid step,
+#: but none is undone), and strides 4 to 64 all give the whole grid's brackets
+THRESHOLD_STRIDE = 16
 #: sigma values probed inside each bracket of a count change per refinement round
 THRESHOLD_PROBES = 15
 
@@ -398,20 +403,34 @@ def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
 
 
 def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
-    """Sigma values where the SU(2) root count changes: the count on a
-    THRESHOLD_SAMPLES grid in sigma = 2cos(theta) from THRESHOLD_SIGMA_LO to
-    THRESHOLD_SIGMA_HI, then every bracket of a change cut into
+    """Sigma values where the SU(2) root count changes.
+
+    The grid is THRESHOLD_SAMPLES points in sigma = 2cos(theta) from
+    THRESHOLD_SIGMA_LO to THRESHOLD_SIGMA_HI.  One stack counts roots on
+    every THRESHOLD_STRIDE-th point and the last; a second counts them on
+    the points inside each of those intervals whose end counts differ.  Each
+    change between neighbouring grid points is a bracket, cut into
     THRESHOLD_PROBES + 1 parts per round, all brackets in one stack, down to
-    a width below 1e-13."""
+    a width below 1e-13.  A count that leaves and regains its value within
+    one interval of THRESHOLD_STRIDE grid steps is not seen."""
 
     def thetas_of(sigmas) -> list[float]:
         return [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    counts = su2_root_counts(phi, thetas_of(grid))
-    # (a, b, count at a) with the count changing between a and b
-    brackets = [(a, b, ca) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
+    coarse = [*range(0, samples - 1, THRESHOLD_STRIDE), samples - 1]
+    counts = dict(zip(coarse, su2_root_counts(phi, thetas_of(grid[i] for i in coarse))))
+    changed = [(i, j) for i, j in zip(coarse, coarse[1:]) if counts[i] != counts[j]]
+    inner = [k for i, j in changed for k in range(i + 1, j)]
+    counts.update(zip(inner, su2_root_counts(phi, thetas_of(grid[k] for k in inner))))
+    # (a, b, count at a) with the count changing between neighbours a and b
+    brackets = [
+        (grid[k], grid[k + 1], counts[k])
+        for i, j in changed
+        for k in range(i, j)
+        if counts[k] != counts[k + 1]
+    ]
     pending = [i for i, (a, b, _) in enumerate(brackets) if b - a >= 1e-13]
     while pending:
         probes = [

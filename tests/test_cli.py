@@ -871,6 +871,16 @@ def test_simple_zero_remainder_on_the_edge_branch():
             (0.5298659589940578, 5.753319348185529),
             [-1.8865648418890122, -1.2024578825382601, 0.03893294855903323, 1.7500000007812408],
         ),
+        (
+            (41, 11),
+            (0.7070515186302062, 5.57613378854938),
+            [
+                -1.9854707830540081, -1.8684222660044902, -1.8669204010773526,
+                -1.6166221079418133, -1.5973095205326646, -1.3537155899598776,
+                -0.796394206750376, -0.7053200668338293, -0.39259506888837714,
+                0.19806226513169847, 1.5549581351420891,
+            ],
+        ),
     ],
 )
 def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):

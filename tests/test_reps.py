@@ -12,6 +12,9 @@ from adtorsion.laurent import IntLaurent
 from adtorsion.presentation import Presentation
 from adtorsion.reps import (
     RELATION_TOL,
+    THRESHOLD_SAMPLES,
+    THRESHOLD_SIGMA_HI,
+    THRESHOLD_SIGMA_LO,
     Rep,
     RepresentationError,
     RileyPoly,
@@ -307,10 +310,34 @@ def test_su2_root_count_thresholds():
     assert not near_transition(SIGMA_STAR + 5e-3, thresholds)
 
 
+def test_thresholds_match_the_count_changes_of_the_whole_grid():
+    # the whole grid counted in one stack is the oracle of the two-level
+    # scan: every change between neighbouring grid points holds exactly one
+    # threshold, and every threshold lies in one change, on the 24 knots
+    # b(p, q) with odd p <= 15 that the critical benchmark searches
+    lo, hi, n = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, s / 2.0)))) for s in grid]
+    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(knots) == 24
+    for p, q in knots:
+        phi = riley_polynomial(schubert_knot(p, q).bridge_word)
+        counts = su2_root_counts(phi, thetas)
+        changes = [(a, b) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
+        thresholds = su2_root_count_thresholds(phi)
+        assert changes, (p, q)
+        for a, b in changes:
+            assert sum(a <= t <= b for t in thresholds) == 1, (p, q, a, b)
+        for t in thresholds:
+            assert sum(a <= t <= b for a, b in changes) == 1, (p, q, t)
+
+
 def test_batched_root_counts_match_su2_solutions():
-    # every probe point of su2_root_count_thresholds (2000 sigma values) and
-    # of auto_theta_range (600 thetas), on the 24 knots b(p, q) with odd
-    # p <= 15 that the critical benchmark searches
+    # every sigma value that the two grid levels of
+    # su2_root_count_thresholds can count (its whole 2000-point grid; a call
+    # counts only a subset of it) and every probe of auto_theta_range (600
+    # thetas), on the 24 knots b(p, q) with odd p <= 15 that the critical
+    # benchmark searches
     lo, hi = -2.0, 1.995
     sigmas = [lo + (hi - lo) * i / 1999 for i in range(2000)]
     thetas = [math.acos(max(-1.0, min(1.0, s / 2.0))) for s in sigmas]
