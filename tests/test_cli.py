@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from adtorsion import cli, locus
+from adtorsion import __version__, cli, laurent, locus
 from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
@@ -352,6 +352,22 @@ def test_sweep_torsion_column_real(capsys):
     assert all(abs(r["torsion_im"]) <= 1e-8 for r in rows)
     text = format_sweep_csv(rows)
     assert text.count("\n") == len(rows) + 2
+
+
+def test_sweep_csv_cells():
+    # NaN of either sign, infinities and -0.0 print as ".12g" writes them
+    rows = [
+        {"theta": math.nan, "sigma": math.inf, "u": -0.0, "torsion_re": -math.inf,
+         "torsion_im": -math.nan, "tai_simple_zero": True, "trace_mu": 1 / 3},
+        {"theta": 2.5, "sigma": -1.0, "u": 1e-20, "torsion_re": 12.0, "torsion_im": 0.0,
+         "tai_simple_zero": False, "trace_mu": -0.0},
+    ]
+    assert format_sweep_csv(rows) == (
+        f"# adtorsion {__version__}\n"
+        "theta,sigma,u,torsion_re,torsion_im,tai_simple_zero,trace_mu\n"
+        "nan,inf,-0,-inf,nan,true,0.333333333333\n"
+        "2.5,-1,1e-20,12,0,false,-0\n"
+    )
 
 
 def test_sweep_crosses_root_count_threshold(capsys):
@@ -979,10 +995,11 @@ def test_sweep_stack_matches_single_points(knot, drop):
 
 
 def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
-    # one stacked build_rep and one FFT determinant for the whole sweep; the
-    # per-row sweep made one of each per row
-    calls = {"build_rep": 0, "determinant": 0}
+    # one stacked build_rep, one FFT determinant and one double division by
+    # (t - 1) for the whole sweep; the per-row sweep made one of each per row
+    calls = {"build_rep": 0, "determinant": 0, "divide_out_simple_roots": 0}
     build_rep, determinant = locus.build_rep, LaurentMatrix.determinant
+    divide = laurent.divide_out_simple_roots
 
     def counted_build(*args, **kwargs):
         calls["build_rep"] += 1
@@ -992,8 +1009,13 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
         calls["determinant"] += 1
         return determinant(*args, **kwargs)
 
+    def counted_divide(*args, **kwargs):
+        calls["divide_out_simple_roots"] += 1
+        return divide(*args, **kwargs)
+
     monkeypatch.setattr(locus, "build_rep", counted_build)
     monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
+    monkeypatch.setattr(laurent, "divide_out_simple_roots", counted_divide)
     rows = sweep_rows(catalog.knot("5_2"), 0.8, 5.4, 31)
     assert len(rows) > 31
-    assert calls == {"build_rep": 1, "determinant": 1}
+    assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1}

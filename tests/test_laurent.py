@@ -13,13 +13,14 @@ from adtorsion.laurent import (
     LaurentPoly,
     RationalFunction,
     _det_cofactor,
+    coefficient_stack,
     divide_out_simple_roots,
     unit_aligned_distance,
 )
 from adtorsion.reps import build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import alexander_block_matrix
 
-from test_torsion import schubert_knot
+from test_torsion import _bits, divide_alone, schubert_knot
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -112,13 +113,52 @@ def test_monomial_shift_invariance_of_derivative_at_zero():
 
 
 def test_divide_out_simple_roots_examples():
-    q, rems = divide_out_simple_roots(LaurentPoly(0, [1, -2, 1]), 1.0, 2)
+    q, rems = divide_alone(LaurentPoly(0, [1, -2, 1]), 2)
     assert q.approx_eq(LaurentPoly.one(), 1e-14)
     assert max(rems) < 1e-14
-    q, rems = divide_out_simple_roots(LaurentPoly(0, [-2, 1]), 1.0, 1)
+    q, rems = divide_alone(LaurentPoly(0, [-2, 1]), 1)
     assert abs(rems[0] - 1.0) < 1e-15  # remainder -1: division fails the tolerance test
     with pytest.raises(ValueError):
-        divide_out_simple_roots(LaurentPoly.one(), 1.0, 0)
+        divide_out_simple_roots(coefficient_stack([LaurentPoly.one()]), 0)
+
+
+def test_divide_out_a_stack_as_each_polynomial_alone():
+    rng = random.Random(12)
+    square = LaurentPoly(0, [1, -2, 1])
+    polys = [
+        LaurentPoly.zero(),
+        LaurentPoly(4, [3]),
+        LaurentPoly(-2, [2, 1, -1]),  # first quotient -t: its zero constant term is trimmed
+        LaurentPoly(0, [0.5, -1, 0.5]),
+    ]
+    polys += [square * random_poly(rng, span=rng.randint(1, 8)) for _ in range(20)]
+    polys += [random_poly(rng, span=rng.randint(1, 8)) for _ in range(20)]
+    for multiplicity in (1, 2, 3):
+        quotients, remainders = divide_out_simple_roots(coefficient_stack(polys), multiplicity)
+        assert remainders.shape == (len(polys), multiplicity)
+        for p, row, rems in zip(polys, quotients, remainders.tolist()):
+            q, alone = divide_alone(p, multiplicity)
+            assert _bits(rems) == _bits(alone)
+            # the stack's row without its zero padding at the top and its
+            # trailing zeros is the quotient's coefficient list
+            assert _bits(LaurentPoly._raw(0, row[::-1].tolist()).coeffs) == _bits(q.coeffs)
+    assert divide_alone(LaurentPoly(-2, [2, 1, -1]), 1)[0] == LaurentPoly(-1, [-1])
+
+
+def test_hypot_is_python_abs_to_the_bit():
+    # the array cleanup and the remainders take moduli with np.hypot because
+    # it returns abs(complex) bit for bit; np.abs does not on every build
+    rng = np.random.default_rng(13)
+    n = 100_000
+    # huge parts stay below 2^1022: abs(complex) raises where hypot overflows
+    exponents = rng.integers(-1080, 1023, size=(2, n))
+    parts = np.ldexp(rng.uniform(-1.0, 1.0, size=(2, n)), exponents)
+    parts[:, :8] = [[0.0, -0.0, 5e-324, -5e-324, 8.9e307, -8.9e307, 1.0, 3.0],
+                    [-0.0, 5e-324, 8.9e307, 0.0, -8.9e307, 2.2e-308, 1e-300, 4.0]]
+    z = parts[0] + 1j * parts[1]
+    assert np.count_nonzero(np.abs(z.real) < 2.2250738585072014e-308) > 1000  # subnormal parts
+    expected = np.array([abs(complex(v)) for v in z.tolist()])
+    assert np.array_equal(np.hypot(z.real, z.imag).view(np.uint64), expected.view(np.uint64))
 
 
 def test_divide_out_cross_checks_second_derivative():
@@ -127,7 +167,7 @@ def test_divide_out_cross_checks_second_derivative():
     for _ in range(50):
         f = random_poly(rng, span=6)
         p = square * f
-        q, rems = divide_out_simple_roots(p, 1.0, 2)
+        q, rems = divide_alone(p, 2)
         assert max(rems) <= 1e-10 * max(1.0, p.max_abs)
         direct = p.derivative(2).evaluate(1.0) / 2.0
         assert abs(q.evaluate(1.0) - direct) <= 1e-8 * max(1.0, abs(direct))

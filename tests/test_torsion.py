@@ -7,8 +7,10 @@ import pytest
 
 from adtorsion import catalog, reps, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
-from adtorsion.laurent import IntLaurent, LaurentMatrix
-from adtorsion.laurent import LaurentPoly, divide_out_simple_roots, unit_aligned_distance
+from adtorsion.laurent import DEFAULT_CLEANUP, IntLaurent, LaurentMatrix
+from adtorsion.laurent import LaurentPoly, coefficient_stack, divide_out_simple_roots
+from adtorsion.laurent import readings_at_1, unit_aligned_distance
+from adtorsion.locus import auto_theta_range
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
 from adtorsion.reps import Rep, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
@@ -114,7 +116,7 @@ def test_homology_torsion_double_zero_at_su2_points():
         assert delta.offset == 0
         assert abs(delta.evaluate(1.0)) <= 1e-9 * scale
         assert abs(delta.derivative().evaluate(1.0)) <= 1e-9 * scale
-        quotient, rems = divide_out_simple_roots(delta, 1.0, 2)
+        quotient, rems = divide_alone(delta, 2)
         assert max(rems) <= 1e-9 * scale
         assert abs(quotient.evaluate(1.0)) > 1e-6 * scale
 
@@ -204,8 +206,8 @@ def test_naive_limit_first_order_control():
 def test_monomial_shift_leaves_limit_value_unchanged():
     rep, _, _ = su2_rep(catalog.knot("5_2"), 3.0)
     delta = homology_torsion(rep)
-    q1, _ = divide_out_simple_roots(delta, 1.0, 2)
-    q2, _ = divide_out_simple_roots(delta.shift(3), 1.0, 2)
+    q1, _ = divide_alone(delta, 2)
+    q2, _ = divide_alone(delta.shift(3), 2)
     assert q1.evaluate(1.0) == q2.evaluate(1.0)
 
 
@@ -596,3 +598,140 @@ def test_stacked_torsion_is_per_point():
             assert abs(result.value - alone.value) <= 1e-12 * max(1.0, abs(alone.value))
             assert result.diagnostics["simple_zero"] is alone.diagnostics["simple_zero"]
             assert tp.delta.approx_eq(torsion_polynomial(single, drop=drop, tol=TOL).delta, 1e-12)
+
+
+def divide_alone(p, multiplicity):
+    """``p`` divided by (t - 1)^multiplicity as a stack of one: the quotient,
+    its unit restored from p's highest exponent (each round lowers it by
+    one), and the list of remainder moduli."""
+    quotients, remainders = divide_out_simple_roots(coefficient_stack([p]), multiplicity)
+    q = LaurentPoly._raw(0, quotients[0, ::-1].tolist())
+    return q.shift(p.hi - multiplicity - q.hi), remainders[0].tolist()
+
+
+def _bits(values):
+    """The IEEE bits of each value, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def _readings_one_at_a_time(raw, cleanup):
+    """Delta_1 and its readings at t = 1 from the uncleaned determinant
+    ``raw``, one polynomial at a time in Python scalars: LaurentPoly's
+    cleanup and trim, two synthetic divisions by (t - 1) with ``_raw``
+    trimming between them, max |c|, and Delta'(1) and Delta''(1) summed from
+    the highest exponent down."""
+    cs = [complex(c) for c in raw.coeffs]
+    if cs and cleanup > 0.0:
+        bound = cleanup * max(abs(c) for c in cs)
+        cs = [0j if abs(c) <= bound else c for c in cs]
+    delta = LaurentPoly._raw(raw.offset, cs).with_offset_zero()
+    remainders = []
+    q = delta
+    for _ in range(2):
+        acc = 0j
+        quotient = []
+        for c in reversed(q.coeffs):
+            acc = c + acc * 1.0
+            quotient.append(acc)
+        remainders.append(abs(quotient.pop()) if quotient else 0.0)
+        q = LaurentPoly._raw(q.offset, quotient[::-1])
+
+    def derivative(order):
+        acc = 0j
+        for e, c in zip(range(delta.hi, delta.lo - 1, -1), reversed(delta.coeffs)):
+            for k in range(order):
+                c = c * (e - k)
+            acc = acc + c
+        return acc
+
+    scale = max((abs(c) for c in delta.coeffs), default=0.0)
+    return delta, (scale, remainders, q.evaluate(1.0), derivative(1), derivative(2))
+
+
+def _assert_stacked_readings_are_exact(raws, cleanup, deltas):
+    """``deltas``, cleaned from ``raws`` as one stack, and their stacked
+    readings equal the one-at-a-time reference bit for bit."""
+    stacked = list(zip(*readings_at_1(deltas)))
+    assert len(stacked) == len(raws)
+    for raw, delta, (scale, rems, reduced, prime, second) in zip(raws, deltas, stacked):
+        ref_delta, (ref_scale, ref_rems, ref_reduced, ref_prime, ref_second) = (
+            _readings_one_at_a_time(raw, cleanup)
+        )
+        assert delta.offset == ref_delta.offset == 0
+        assert _bits(delta.coeffs) == _bits(ref_delta.coeffs)
+        assert _bits([scale, *rems, reduced, prime, second]) == _bits(
+            [ref_scale, *ref_rems, ref_reduced, ref_prime, ref_second]
+        )
+
+
+def _assert_determinant_readings_are_exact(matrix, cleanups=(0.0, DEFAULT_CLEANUP)):
+    # the determinant uncleaned, then cleaned as one stack at each cleanup
+    raws = matrix.determinant(cleanup=0.0)
+    for cleanup in cleanups:
+        deltas = [d.with_offset_zero() for d in matrix.determinant(cleanup=cleanup)]
+        _assert_stacked_readings_are_exact(raws, cleanup, deltas)
+
+
+@pytest.mark.parametrize("pq", [
+    (p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1
+] + [(41, 11)])
+def test_stacked_readings_match_the_per_polynomial_loops(pq):
+    # every SU(2) root at 5 thetas across the knot's window, as one stack
+    p = schubert_knot(*pq)
+    phi = riley_polynomial(p.bridge_word)
+    lo, hi = auto_theta_range(phi)
+    points = [
+        (sols.theta, u)
+        for sols in su2_solutions(phi, [lo + (hi - lo) * k / 4 for k in range(5)])
+        for u in sols.roots
+    ]
+    thetas = np.array([theta for theta, _ in points])
+    rep = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas), check=False)
+    _assert_determinant_readings_are_exact(alexander_block_matrix(rep))
+    raws = alexander_block_matrix(rep).determinant(cleanup=0.0)
+    for raw, tp in zip(raws, torsion_polynomial(rep, tol=TOL)):
+        delta, (scale, rems, reduced, prime, second) = _readings_one_at_a_time(raw, TOL.cleanup)
+        assert _bits(tp.delta.coeffs) == _bits(delta.coeffs)
+        assert _bits([tp.scale, *tp.remainders, tp.reduced, tp.prime, tp.half_second]) == _bits(
+            [scale, *rems, reduced, prime, second / 2.0]
+        )
+
+
+def test_stacked_readings_of_edge_polynomials():
+    # the zero polynomial; 2 + t - t^2, whose first quotient -t + 0 has an
+    # exactly zero lowest coefficient that the next round must not divide;
+    # a constant; (t - 1)^2 (1 + 2t); and complex coefficients of comparable
+    # real and imaginary parts, whose moduli np.abs would round differently
+    rng = np.random.default_rng(14)
+    polys = [
+        LaurentPoly.zero(),
+        LaurentPoly(0, [2, 1, -1]),
+        LaurentPoly(0, [5]),
+        LaurentPoly(0, [1, 0, -3, 2]),
+    ] + [LaurentPoly(0, rng.normal(size=(k, 2)) @ [1, 1j]) for k in range(1, 30)]
+    _assert_stacked_readings_are_exact(polys, 0.0, polys)
+    _, (_, rems, reduced, _, _) = _readings_one_at_a_time(polys[1], 0.0)
+    assert rems == [2.0, 1.0] and reduced == 0j
+    # a 1x1 stack whose first row has both ends cleaned to zero
+    rows = np.array([[1e-14, 1.0, -3.0, 2.0, 1e-15], [1.0, 2.0, 0.5, -1.0, 3.0]], dtype=complex)
+    matrix = LaurentMatrix(-1, rows[:, :, None, None])
+    cleaned = matrix.determinant()
+    assert (cleaned[0].lo, cleaned[0].hi) == (0, 2) and cleaned[1].span == 4
+    _assert_determinant_readings_are_exact(matrix)
+    # a coefficient whose modulus is exactly the cleanup bound is cleaned;
+    # in the complex case its np.abs is one ulp above its abs(complex), so
+    # only moduli equal to abs(complex) clean it
+    def bound_case(low):
+        matrix = LaurentMatrix(0, np.array([[low, 8.0, 3.0]])[:, :, None, None])
+        return matrix, matrix.determinant(cleanup=0.0)[0].coeffs
+
+    cases = (bound_case(z) for z in rng.normal(size=(200, 2)) @ [1, 1j])
+    complex_case = next((m, raw) for m, raw in cases
+                        if np.abs(raw[0]) > abs(raw[0]) and abs(raw[0]) < max(abs(c) for c in raw))
+    for matrix, raw in (bound_case(-2.0), complex_case):
+        small, large = abs(raw[0]), max(abs(c) for c in raw)
+        ratio = small / large
+        cleanup = next(c for c in (ratio, math.nextafter(ratio, 0.0), math.nextafter(ratio, 1.0))
+                       if c * large == small)
+        assert matrix.determinant(cleanup=cleanup)[0].lo == 1
+        _assert_determinant_readings_are_exact(matrix, cleanups=(0.0, cleanup, DEFAULT_CLEANUP))
