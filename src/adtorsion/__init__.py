@@ -26,7 +26,6 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
-    coefficient_stack,
     divide_out_simple_roots,
     unit_aligned_distance,
 )

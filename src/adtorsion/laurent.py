@@ -10,15 +10,16 @@ classical Alexander polynomial oracle (exact in t) live there.
 constructor applies a relative cleanup: coefficients of modulus <= threshold
 * max-modulus are zeroed.  Either way the support is trimmed, so a nonzero
 polynomial always has nonzero first and last coefficients.  Matrix entries
-are never cleaned; only polynomials are, a determinant through
+are never cleaned; only a determinant is, by
 ``LaurentMatrix.determinant(cleanup=...)``, which cleans all its rows in one
 array pass by the constructor's rule.
 
-Array passes over many polynomials read a :func:`coefficient_stack`, one row
-per polynomial from the highest coefficient down.  A running sum along a row
-adds the coefficients in the order Horner's rule at t = 1 adds them, so
-:func:`divide_out_simple_roots` divides a whole stack by (t - 1) with one
-running sum per round and gives every row the bits it gets alone, and
+A determinant is a coefficient stack, one complex array with one row per
+point: highest coefficient first, each row ending at its lowest nonzero
+coefficient, below at least one column of zeros, no unit t^k.  A running
+sum along a row adds the coefficients as Horner's rule at t = 1 adds them,
+so :func:`divide_out_simple_roots` divides a whole stack by (t - 1) with
+one running sum per round and gives every row the bits it gets alone, and
 :func:`readings_at_1` takes every reading of the torsion routes at t = 1
 from one stack.  Moduli come from ``np.hypot``, which is Python's
 ``abs(complex)`` to the bit.
@@ -323,32 +324,25 @@ def unit_aligned_distance(p: LaurentPoly, q: LaurentPoly) -> float:
     return min(d_plus, d_minus) / scale
 
 
-def coefficient_stack(polys: Sequence[LaurentPoly]) -> np.ndarray:
-    """Polynomials as the rows of one complex array, each from its highest
-    coefficient down to its lowest, which ends the row; the unit t^offset is
-    dropped and the rows are padded with zeros at the top, at least one
-    column of them.  This is the stack :func:`divide_out_simple_roots`
-    divides, and reading a row from the left sums it as Horner's rule at 1
-    does."""
-    width = max((len(p.coeffs) for p in polys), default=0) + 1
-    stack = np.zeros((len(polys), width), dtype=complex)
-    for i, p in enumerate(polys):
-        stack[i, width - len(p.coeffs) :] = p.coeffs[::-1]
-    return stack
+def _end_at_lowest(rows: np.ndarray) -> np.ndarray:
+    """Roll each row of a stack in place until it ends at its lowest
+    nonzero coefficient: the low zeros move to the top.  Returns ``rows``."""
+    if np.count_nonzero(rows[:, -1]) < len(rows):
+        for i in np.flatnonzero(rows[:, -1] == 0):
+            rows[i] = np.roll(rows[i], len(rows[i]) - len(np.trim_zeros(rows[i], "b")))
+    return rows
 
 
 def divide_out_simple_roots(rows: np.ndarray, multiplicity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic-divide every row of a :func:`coefficient_stack`
-    ``multiplicity`` times by ``(t - 1)``.
+    """Synthetic-divide every row of a coefficient stack ``multiplicity``
+    times by ``(t - 1)``.
 
     Each round is one running sum per row from the highest coefficient
-    down; the last sum is the remainder and the others are the quotient.
-    The monomial unit carries over, so every round divides the
-    plain-polynomial part: a quotient whose lowest coefficients are exactly
-    zero is trimmed before the next round.  Returns the final quotients, a
-    stack in the same layout, and the modulus of each round's remainder, an
-    (N, multiplicity) array; the caller decides whether the remainders pass
-    its tolerance.
+    down; the last sum is the remainder and the others are the quotient,
+    which ends at its lowest nonzero coefficient again before the next
+    round.  Returns the final quotients, a stack in the same layout, and
+    the modulus of each round's remainder, an (N, multiplicity) array; the
+    caller decides whether the remainders pass its tolerance.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -358,32 +352,27 @@ def divide_out_simple_roots(rows: np.ndarray, multiplicity: int) -> tuple[np.nda
         ends[:, k] = sums[:, -1]
         # a one-column stack divides to the zero polynomial
         rows = sums[:, :-1] if sums.shape[1] > 1 else np.zeros_like(sums)
-        if k + 1 < multiplicity and np.count_nonzero(rows[:, -1]) < len(rows):
-            for i in np.flatnonzero(rows[:, -1] == 0):
-                # the low zeros move to the top: the row ends at its lowest
-                # nonzero coefficient again
-                rows[i] = np.roll(rows[i], len(rows[i]) - len(np.trim_zeros(rows[i], "b")))
+        if k + 1 < multiplicity:
+            _end_at_lowest(rows)
     return rows, np.hypot(ends.real, ends.imag)
 
 
-def readings_at_1(polys: Sequence[LaurentPoly]) -> tuple[list, ...]:
-    """What the torsion routes read of each polynomial at t = 1, one list
-    each: max |c|, the moduli of the two remainders of the double division
-    by (t - 1), the value at 1 of the quotient, and the first and second
-    derivatives at 1.  The unit t^offset is dropped, as
-    :func:`coefficient_stack` drops it, so the derivatives are those of the
-    polynomial moved to offset 0.
+def readings_at_1(rows: np.ndarray) -> tuple[list, ...]:
+    """What the torsion routes read of each row of a coefficient stack at
+    t = 1, one list each: max |c|, the moduli of the two remainders of the
+    double division by (t - 1), the value at 1 of the quotient, and the
+    first and second derivatives at 1.  The stack carries no unit t^k, so
+    the derivatives are those of the polynomial whose lowest exponent is 0.
 
-    Each reading is one array pass over the coefficient stack of all
-    polynomials.  Every sum runs from the highest coefficient down, as
-    Horner's rule at 1 sums, so a polynomial's readings have the same bits
-    in any stack: P'(1) sums c_e * e and P''(1) sums (c_e * e) * (e - 1),
-    rounded in that order.
+    Each reading is one array pass over the stack.  Every sum runs from the
+    highest coefficient down, as Horner's rule at 1 sums, so a row's
+    readings have the same bits in any stack: P'(1) sums c_e * e and P''(1)
+    sums (c_e * e) * (e - 1), rounded in that order.
     """
-    rows = coefficient_stack(polys)
     quotients, remainders = divide_out_simple_roots(rows, 2)
-    # the column exponents e, width - 1 down to 0, then e - 1
-    exponents = np.arange(rows.shape[1] - 1, -2, -1.0)
+    # the column exponents e, width - 1 down to 0, then e - 1, complex so
+    # that no product casts them
+    exponents = np.arange(rows.shape[1] - 1, -2, -1, dtype=complex)
     first = rows * exponents[:-1]
     # a running sum's last column is its value at 1
     derivatives = np.add.accumulate([first, first * exponents[1:]], axis=2)[:, :, -1]
@@ -399,10 +388,10 @@ class LaurentMatrix:
     """Square matrix of Laurent polynomials held as one coefficient stack:
     ``coeffs[k]`` is the n x n complex matrix multiplying ``t^(offset + k)``.
     At a stack of N points the array is (N, span, n, n), one matrix per
-    point, and ``determinant`` returns one polynomial per point.
+    point, and ``determinant`` returns one row per point.
 
-    Entries are never cleaned and keep every digit; only polynomials are,
-    the determinant through ``determinant(cleanup=...)``.
+    Entries are never cleaned and keep every digit; only the determinant
+    is, through ``determinant(cleanup=...)``.
     """
 
     __slots__ = ("offset", "coeffs")
@@ -439,8 +428,9 @@ class LaurentMatrix:
         powers = complex(z) ** np.arange(self.offset, self.offset + self.coeffs.shape[-3])
         return np.tensordot(powers, self.coeffs, axes=([0], [-3]))
 
-    def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> LaurentPoly | list[LaurentPoly]:
-        """Determinant by evaluation at roots of unity and FFT interpolation.
+    def determinant(self, cleanup: float = DEFAULT_CLEANUP) -> np.ndarray:
+        """Determinant by evaluation at roots of unity and FFT interpolation:
+        a coefficient stack, one row per point (one matrix gives one row).
 
         Row i has terms between t^(offset + lo_i) and t^(offset + hi_i), so
         det is t^(n offset + sum lo_i) times a polynomial of degree at most
@@ -449,29 +439,26 @@ class LaurentMatrix:
         one FFT (t = 1 is the first sample), one batched LU determinant is
         taken there, and one inverse FFT returns the coefficients.  At a
         stack of points the row supports are those of all points together,
-        and the three steps run once for all of them.
+        and the three steps run once for all of them.  Each row is cleaned
+        by the LaurentPoly constructor's rule; the unit t^k is dropped.
         """
         n = self.size
         points = self.coeffs if self.coeffs.ndim == 4 else self.coeffs[None]
         # (span, n): row i has a t^k term at some point
         support = points.any(axis=(0, 3))
-        if n == 0 or not support.any(axis=0).all():
-            polys = [LaurentPoly.one() if n == 0 else LaurentPoly.zero()] * len(points)
-        else:
-            lo = support.argmax(axis=0).tolist()
-            hi = [len(support) - 1 - k for k in support[::-1].argmax(axis=0).tolist()]
-            shifted = np.zeros((len(points), sum(hi) - sum(lo) + 1, n, n), dtype=complex)
-            for i in range(n):
-                shifted[:, : hi[i] - lo[i] + 1, i] = points[:, lo[i] : hi[i] + 1, i]
-            values = np.fft.ifft(np.linalg.det(np.fft.fft(shifted, axis=1)), axis=1)
-            if cleanup > 0.0:
-                # LaurentPoly's cleanup, all rows at once; np.abs differs
-                # from abs(complex) in the last bit, np.hypot does not
-                moduli = np.hypot(values.real, values.imag)
-                values[moduli <= cleanup * moduli.max(axis=1, keepdims=True)] = 0
-            offset = n * self.offset + sum(lo)
-            polys = [LaurentPoly._raw(offset, row) for row in values.tolist()]
-        return polys if self.coeffs.ndim == 4 else polys[0]
+        lo = support.argmax(axis=0).tolist()
+        hi = [len(support) - 1 - k for k in support[::-1].argmax(axis=0).tolist()]
+        shifted = np.zeros((len(points), sum(hi) - sum(lo) + 1, n, n), dtype=complex)
+        for i in range(n):
+            shifted[:, : hi[i] - lo[i] + 1, i] = points[:, lo[i] : hi[i] + 1, i]
+        values = np.fft.ifft(np.linalg.det(np.fft.fft(shifted, axis=1)), axis=1)
+        if cleanup > 0.0:
+            # np.abs differs from abs(complex) in the last bit, np.hypot does not
+            moduli = np.hypot(values.real, values.imag)
+            values[moduli <= cleanup * moduli.max(axis=1, keepdims=True)] = 0
+        rows = np.zeros((len(points), values.shape[1] + 1), dtype=complex)
+        rows[:, 1:] = values[:, ::-1]
+        return _end_at_lowest(rows)
 
     def __repr__(self) -> str:
         return f"LaurentMatrix(size={self.size}, offset={self.offset}, span={self.coeffs.shape[-3]})"

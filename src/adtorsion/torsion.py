@@ -12,8 +12,9 @@ at runtime; they and the diagnostics read one :class:`TorsionPolynomial`,
 so the polynomial is built once per representation.  At a stack of points
 (a :class:`Rep` of (N, 2, 2) images) every matrix is assembled and the
 determinant taken once for all points, Delta_1 is read at t = 1 for all
-points in one array pass over their coefficient stack, and each function
-returns one result per point, with the bits that point gets on its own.
+points in one array pass over the determinant's coefficient stack, and
+each function returns one result per point, with the bits that point gets
+on its own.  Delta_1 is a LaurentPoly only in the printed invariant.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .reps import MULTIPLICITY_THRESHOLD, RELATION_TOL, Rep
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds for the torsion pipeline; each must be positive."""
+    """Numerical thresholds for the torsion pipeline; each must be positive,
+    the cleanup below 1 (from 1 up it zeroes all of Delta_1)."""
 
     relation: float = RELATION_TOL                # relator residuals, boundary-trace floor
     consistency: float = 1e-6                     # formula-vs-limit relative agreement
@@ -48,6 +50,8 @@ class Tolerances:
     def __post_init__(self):
         if not all(value > 0.0 for value in vars(self).values()):
             raise ValueError("tolerances must be positive")
+        if self.cleanup >= 1.0:
+            raise ValueError("cleanup tolerance must be below 1")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -133,22 +137,24 @@ def alexander_block_matrix(rep: Rep, drop: int | None = None) -> LaurentMatrix:
 
 def homology_torsion(
     rep: Rep, drop: int | None = None, cleanup: float = DEFAULT_CLEANUP
-) -> LaurentPoly:
-    """Torsion polynomial: determinant of the dropped-generator block matrix,
-    normalized to lowest exponent 0 (the +-t^m unit is immaterial).  The
-    matrix entries are never cleaned, only the determinant is: cleaning each
-    entry would move Delta_1 by up to cleanup times an entry's scale, and the
+) -> np.ndarray:
+    """Torsion polynomial Delta_1: the determinant of the dropped-generator
+    block matrix as a coefficient stack, one row per point of ``rep`` (one
+    row for a single point), without the immaterial +-t^m unit.  The matrix
+    entries are never cleaned, only the determinant is: cleaning each entry
+    would move Delta_1 by up to cleanup times an entry's scale, and the
     simple-zero test reads those digits.
     """
-    det = alexander_block_matrix(rep, drop=drop).determinant(cleanup=cleanup)
-    return [d.with_offset_zero() for d in det] if rep.stacked else det.with_offset_zero()
+    return alexander_block_matrix(rep, drop=drop).determinant(cleanup=cleanup)
 
 
 def twisted_alexander_invariant(
     rep: Rep, drop: int | None = None, cleanup: float = DEFAULT_CLEANUP
 ) -> RationalFunction:
-    """det(block matrix) / det Phi(x_drop - 1) with sign convention +1."""
-    num = homology_torsion(rep, drop=drop, cleanup=cleanup)
+    """det(block matrix) / det Phi(x_drop - 1) with sign convention +1, at
+    one point; the numerator has lowest exponent 0."""
+    (row,) = homology_torsion(rep, drop=drop, cleanup=cleanup)
+    num = LaurentPoly._raw(0, row[::-1].tolist())
     return RationalFunction(num, boundary_factor(rep, j=drop))
 
 
@@ -158,7 +164,9 @@ class TorsionPolynomial:
     :func:`torsion_polynomial`, with everything both torsion routes and the
     diagnostics read from it.
 
-    Delta_1 is read at t = 1 once, here: ``scale`` is its largest
+    ``delta`` is the point's row of the coefficient stack of Delta_1,
+    highest coefficient first (see :func:`homology_torsion`).  Delta_1 is
+    read at t = 1 once, here: ``scale`` is its largest
     coefficient modulus; ``remainders`` and ``reduced``, the value at 1 of
     Delta_1 / (t - 1)^2, come from the double synthetic division of
     ``delta`` by (t - 1)^2; ``prime`` and ``half_second`` are Delta_1'(1)
@@ -170,7 +178,7 @@ class TorsionPolynomial:
 
     drop: int
     tol: Tolerances
-    delta: LaurentPoly
+    delta: np.ndarray
     trace_sq: complex  # Tr(rho(x_drop^2))
     tau: complex  # Tr(rho(x_drop)^2) / det rho(x_drop)
     parity: float
@@ -195,8 +203,6 @@ def torsion_polynomial(
             "dropped generator must be a meridian (abelianization exponent 1)"
         )
     deltas = homology_torsion(rep, drop=j, cleanup=tol.cleanup)
-    if not rep.stacked:
-        deltas = [deltas]
     # Delta_1 is read before the matmul below on purpose.  A small complex
     # matmul leaves the CPU in a state in which pure-Python code runs about
     # 1.45x slower until the next vectorized numpy loop, and the benchmark's
@@ -268,9 +274,13 @@ def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
     """First-order numeric version of the limit, for diagnostics only; the
     only reading that needs the boundary factor det Phi(x_drop - 1), here its
     closed form (t - 1)(t^2 - tau t + 1) at t = 1 + step (x_drop is a
-    meridian)."""
+    meridian).  Delta_1(t) is Horner's rule over the row from 0j, highest
+    coefficient first, as ``LaurentPoly.evaluate`` runs it."""
     t = 1.0 + step
-    return -(tp.delta.evaluate(t) / ((t - 1.0) * (t * t - tp.tau * t + 1.0))) / step
+    delta = 0j
+    for c in tp.delta.tolist():
+        delta = delta * t + c
+    return -(delta / ((t - 1.0) * (t * t - tp.tau * t + 1.0))) / step
 
 
 def regularity_diagnostics(tp: TorsionPolynomial) -> dict:

@@ -119,7 +119,8 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
             ]
             for i in range(3)
         ]
-        det = LaurentMatrix.from_entries(entries).determinant()
+        (row,) = LaurentMatrix.from_entries(entries).determinant()
+        det = LaurentPoly._raw(0, row[::-1].tolist())
         sigma = s + 1 / s
         expected = LaurentPoly(0, [-1.0, sigma + 1.0, -(sigma + 1.0), 1.0])
         lo = min(det.lo, expected.lo)

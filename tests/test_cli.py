@@ -14,7 +14,7 @@ from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
 from adtorsion.foxcalc import fox_derivative
-from adtorsion.laurent import LaurentMatrix
+from adtorsion.laurent import LaurentMatrix, LaurentPoly
 from adtorsion.reps import (
     RepresentationError,
     riley_polynomial,
@@ -24,7 +24,7 @@ from adtorsion.reps import (
 )
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 
-from test_torsion import schubert_knot
+from test_torsion import as_poly, schubert_knot
 
 
 def run_cli(capsys, *argv):
@@ -273,9 +273,23 @@ FIVE_TWO_PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("theta, root", list(FIVE_TWO_PAYLOADS))
+# the compute_torsion payloads of every root of b(41,11) at theta = pi,
+# evaluated as one stack, one JSON object per line in root order
+B41_11_STACK = "b(41,11) stack"
+B41_11_PAYLOADS = pathlib.Path(__file__).with_name("b41_11_pi_payloads.json")
+
+
+@pytest.mark.parametrize("theta, root", [*FIVE_TWO_PAYLOADS, ("3.141592653589793", B41_11_STACK)])
 def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
     # json.dumps writes each float by repr, so equal text means equal bits
+    if root == B41_11_STACK:
+        p = schubert_knot(41, 11)
+        roots = su2_solutions(riley_polynomial(p.bridge_word), float(theta)).roots
+        rep = locus.rep_at(p, np.full(len(roots), float(theta)), roots, Tolerances())
+        payloads = [result.to_json() for result in compute_torsion(rep, Tolerances())]
+        assert len(payloads) == 20
+        assert json.dumps(payloads) == json.dumps(json.loads(B41_11_PAYLOADS.read_text()))
+        return
     for command, expected in FIVE_TWO_PAYLOADS[(theta, root)].items():
         argv = (command, "--knot", "5_2", "--theta", theta, "--root", str(root))
         code, out, err = run_cli(capsys, *argv)
@@ -472,6 +486,19 @@ def test_tolerances_must_be_positive():
         with pytest.raises(ValueError, match="^tolerances must be positive$"):
             Tolerances(consistency=bad)
     assert Tolerances(relation=1e-12).relation == 1e-12
+
+
+def test_cleanup_tolerance_must_be_below_one(capsys):
+    # a relative cleanup of 1 or more zeroes every coefficient of Delta_1
+    for bad in (1.0, 2.0, math.inf):
+        with pytest.raises(ValueError, match="^cleanup tolerance must be below 1$"):
+            Tolerances(cleanup=bad)
+    assert Tolerances(cleanup=math.nextafter(1.0, 0.0)).cleanup < 1.0
+    for argv in (
+        ("torsion", "--knot", "5_2", "--theta", "2.5", "--tol-cleanup", "2", "--format", "json"),
+        ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7", "--tol-cleanup", "1.0"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", "error: cleanup tolerance must be below 1\n")
 
 
 @pytest.mark.parametrize(
@@ -871,7 +898,7 @@ def test_simple_zero_remainder_on_the_edge_branch():
     sols = locus.su2_solutions(riley_polynomial(p.bridge_word), math.pi)
     u = min(sols.roots, key=lambda r: abs(r - (sols.sigma - 2.0)))
     tp = torsion_polynomial(locus.rep_at(p, math.pi, u, Tolerances()))
-    assert max(tp.remainders) <= 1e-10 * tp.delta.max_abs
+    assert max(tp.remainders) <= 1e-10 * as_poly(tp.delta).max_abs
 
 
 @pytest.mark.parametrize(
@@ -996,10 +1023,21 @@ def test_sweep_stack_matches_single_points(knot, drop):
 
 def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     # one stacked build_rep, one FFT determinant and one double division by
-    # (t - 1) for the whole sweep; the per-row sweep made one of each per row
-    calls = {"build_rep": 0, "determinant": 0, "divide_out_simple_roots": 0}
+    # (t - 1) for the whole sweep; the per-row sweep made one of each per row.
+    # Delta_1 stays one array from the determinant to the readings: the sweep
+    # builds no LaurentPoly, neither by its constructor nor by _raw
+    calls = {"build_rep": 0, "determinant": 0, "divide_out_simple_roots": 0, "LaurentPoly": 0}
     build_rep, determinant = locus.build_rep, LaurentMatrix.determinant
     divide = laurent.divide_out_simple_roots
+    poly_init, poly_raw = LaurentPoly.__init__, LaurentPoly._raw.__func__
+
+    def counted_init(self, *args, **kwargs):
+        calls["LaurentPoly"] += 1
+        poly_init(self, *args, **kwargs)
+
+    def counted_raw(cls, *args, **kwargs):
+        calls["LaurentPoly"] += 1
+        return poly_raw(cls, *args, **kwargs)
 
     def counted_build(*args, **kwargs):
         calls["build_rep"] += 1
@@ -1016,6 +1054,11 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     monkeypatch.setattr(locus, "build_rep", counted_build)
     monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
     monkeypatch.setattr(laurent, "divide_out_simple_roots", counted_divide)
+    monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
+    monkeypatch.setattr(LaurentPoly, "_raw", classmethod(counted_raw))
     rows = sweep_rows(catalog.knot("5_2"), 0.8, 5.4, 31)
     assert len(rows) > 31
-    assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1}
+    assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1, "LaurentPoly": 0}
+    # the counters see the constructions they count
+    LaurentPoly(0, [1.0]).shift(1)
+    assert calls["LaurentPoly"] == 2

@@ -13,14 +13,13 @@ from adtorsion.laurent import (
     LaurentPoly,
     RationalFunction,
     _det_cofactor,
-    coefficient_stack,
     divide_out_simple_roots,
     unit_aligned_distance,
 )
 from adtorsion.reps import build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import alexander_block_matrix
 
-from test_torsion import _bits, divide_alone, schubert_knot
+from test_torsion import _bits, as_poly, divide_alone, schubert_knot, stack_of
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -119,7 +118,7 @@ def test_divide_out_simple_roots_examples():
     q, rems = divide_alone(LaurentPoly(0, [-2, 1]), 1)
     assert abs(rems[0] - 1.0) < 1e-15  # remainder -1: division fails the tolerance test
     with pytest.raises(ValueError):
-        divide_out_simple_roots(coefficient_stack([LaurentPoly.one()]), 0)
+        divide_out_simple_roots(stack_of([LaurentPoly.one()]), 0)
 
 
 def test_divide_out_a_stack_as_each_polynomial_alone():
@@ -134,7 +133,7 @@ def test_divide_out_a_stack_as_each_polynomial_alone():
     polys += [square * random_poly(rng, span=rng.randint(1, 8)) for _ in range(20)]
     polys += [random_poly(rng, span=rng.randint(1, 8)) for _ in range(20)]
     for multiplicity in (1, 2, 3):
-        quotients, remainders = divide_out_simple_roots(coefficient_stack(polys), multiplicity)
+        quotients, remainders = divide_out_simple_roots(stack_of(polys), multiplicity)
         assert remainders.shape == (len(polys), multiplicity)
         for p, row, rems in zip(polys, quotients, remainders.tolist()):
             q, alone = divide_alone(p, multiplicity)
@@ -184,7 +183,7 @@ def test_cleanup_invariants():
 def test_determinant_examples():
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     identity = LaurentMatrix.from_entries([[one if i == j else zero for j in range(3)] for i in range(3)])
-    assert identity.determinant() == LaurentPoly.one()
+    assert as_poly(identity.determinant()) == LaurentPoly.one()
     diag = LaurentMatrix.from_entries(
         [
             [LaurentPoly.term(1, 1), LaurentPoly.zero(), LaurentPoly.zero()],
@@ -192,15 +191,15 @@ def test_determinant_examples():
             [LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.one()],
         ]
     )
-    assert diag.determinant().approx_eq(LaurentPoly.one(), 1e-14)
-    assert LaurentMatrix.from_entries([]).determinant() == LaurentPoly.one()
+    assert as_poly(diag.determinant()).approx_eq(LaurentPoly.one(), 1e-14)
+    assert as_poly(LaurentMatrix.from_entries([]).determinant()) == LaurentPoly.one()
 
 
 def test_determinant_alternating():
     rng = random.Random(12)
     m = LaurentMatrix.from_entries([[random_poly(rng, span=3) for _ in range(4)] for _ in range(4)])
-    d = m.determinant()
-    d_swapped = LaurentMatrix(m.offset, m.coeffs[:, [2, 1, 0, 3]]).determinant()
+    d = as_poly(m.determinant())
+    d_swapped = as_poly(LaurentMatrix(m.offset, m.coeffs[:, [2, 1, 0, 3]]).determinant())
     assert (d + d_swapped).max_abs <= 1e-12 * max(1.0, d.max_abs)
 
 
@@ -208,12 +207,17 @@ def test_determinant_alternating():
 def test_determinant_matches_scalar_determinant(n):
     rng = random.Random(100 + n)
     m = LaurentMatrix.from_entries([[random_poly(rng, span=5) for _ in range(n)] for _ in range(n)])
-    d = m.determinant()
-    for k in range(50):
-        z = cmath.exp(2j * cmath.pi * (k + 0.37) / 50)
-        want = complex(np.linalg.det(m.evaluate(z)))
-        got = d.evaluate(z)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    d = as_poly(m.determinant())
+    # the determinant drops its unit: det(z) = d(z) z^k for one integer k at
+    # every z; entry exponents run from -4 to 6, so -4n <= k <= 6n
+    zs = [cmath.exp(2j * cmath.pi * (k + 0.37) / 50) for k in range(50)]
+    wants = [complex(np.linalg.det(m.evaluate(z))) for z in zs]
+    units = [
+        k for k in range(-4 * n, 6 * n + 1)
+        if all(abs(d.evaluate(z) * z**k - want) <= 1e-9 * max(1.0, abs(want))
+               for z, want in zip(zs, wants))
+    ]
+    assert len(units) == 1
 
 
 def test_determinant_routes_agree():
@@ -223,12 +227,16 @@ def test_determinant_routes_agree():
     rng = random.Random(55)
     entries = [[random_poly(rng, span=4) for _ in range(5)] for _ in range(5)]
     m = LaurentMatrix.from_entries(entries)
-    assert m.determinant().approx_eq(_det_cofactor(entries, LaurentPoly), 1e-9)
+    assert as_poly(m.determinant()).approx_eq(
+        _det_cofactor(entries, LaurentPoly).with_offset_zero(), 1e-9
+    )
 
     block = fox_block_41_11(2.3, 4)
     assert block.size == 3 and len(block.coeffs) == 7
     entries = [[block.entry(i, j) for j in range(3)] for i in range(3)]
-    assert block.determinant().approx_eq(_det_cofactor(entries, LaurentPoly), 1e-9)
+    assert as_poly(block.determinant()).approx_eq(
+        _det_cofactor(entries, LaurentPoly).with_offset_zero(), 1e-9
+    )
 
 
 def fox_block_41_11(theta, root=None, u=None):
@@ -269,6 +277,12 @@ def exact_determinant_3x3(m):
     return {e: complex(float(re), float(im)) for e, (re, im) in total.items()}
 
 
+def unit_restored(rows, exact):
+    """The determinant's one row as a LaurentPoly whose lowest exponent is
+    that of the exact ``{exponent: coefficient}``."""
+    return as_poly(rows).shift(min(e for e, c in exact.items() if c))
+
+
 def test_determinant_is_accurate_on_an_ill_conditioned_block():
     # b(41,11) at theta = pi, u frozen 1.2e-3 below the root nearest the
     # window edge (off the variety, so built unchecked): entries reach 1.5e4
@@ -276,7 +290,7 @@ def test_determinant_is_accurate_on_an_ill_conditioned_block():
     # root itself the ratio is only 89
     block = fox_block_41_11(math.pi, u=-3.9953127872016485)
     exact = exact_determinant_3x3(block)
-    got = block.determinant()
+    got = unit_restored(block.determinant(), exact)
     scale = max(abs(c) for c in exact.values())
     assert np.abs(block.coeffs).max() > 1e2 * scale
     err = max(abs(got.coefficient(e) - c) for e, c in exact.items())
@@ -296,7 +310,7 @@ def test_determinant_is_accurate_on_a_block_on_the_variety():
         rep = build_rep(p, cmath.exp(1j * math.pi), u, cmath.exp(0.5j * math.pi), check=False)
         block = alexander_block_matrix(rep)
         exact = exact_determinant_3x3(block)
-        got = block.determinant()
+        got = unit_restored(block.determinant(), exact)
         scale = max(abs(c) for c in exact.values())
         assert np.abs(block.coeffs).max() > 6e2 * scale
         err = max(abs(got.coefficient(e) - c) for e, c in exact.items())
@@ -307,7 +321,7 @@ def test_determinant_zero_row():
     rng = random.Random(66)
     rows = [[random_poly(rng) for _ in range(7)] for _ in range(7)]
     rows[3] = [LaurentPoly.zero()] * 7
-    assert LaurentMatrix.from_entries(rows).determinant().is_zero
+    assert as_poly(LaurentMatrix.from_entries(rows).determinant()).is_zero
 
 
 def test_rational_function_normalization():
@@ -393,7 +407,7 @@ def test_int_laurent_and_riley_strings():
 
 def test_stacked_determinant_is_per_point():
     # one FFT, one batched det and one inverse FFT for a stack of matrices,
-    # one polynomial per point
+    # one row per point
     rng = random.Random(77)
     mats = [LaurentMatrix.from_entries([[random_poly(rng, span=3) for _ in range(3)] for _ in range(3)])
             for _ in range(4)]
@@ -405,4 +419,4 @@ def test_stacked_determinant_is_per_point():
     dets = LaurentMatrix(lo, stack).determinant()
     assert len(dets) == 4
     for d, m in zip(dets, mats):
-        assert d.approx_eq(m.determinant(), 1e-12)
+        assert as_poly(d).approx_eq(as_poly(m.determinant()), 1e-12)

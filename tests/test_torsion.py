@@ -8,7 +8,7 @@ import pytest
 from adtorsion import catalog, reps, torsion
 from adtorsion.foxcalc import GroupRingElt, fox_derivative
 from adtorsion.laurent import DEFAULT_CLEANUP, IntLaurent, LaurentMatrix
-from adtorsion.laurent import LaurentPoly, coefficient_stack, divide_out_simple_roots
+from adtorsion.laurent import LaurentPoly, divide_out_simple_roots
 from adtorsion.laurent import readings_at_1, unit_aligned_distance
 from adtorsion.locus import auto_theta_range
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
@@ -97,7 +97,7 @@ def test_block_matrix_five_two_is_single_block():
     for i in range(3):
         for j in range(3):
             assert a.entry(i, j).approx_eq(block.entry(j, i), 1e-14)
-    assert a.determinant().approx_eq(block.determinant(), 1e-10)
+    assert as_poly(a.determinant()).approx_eq(as_poly(block.determinant()), 1e-10)
     with pytest.raises(IndexError):
         alexander_block_matrix(rep, drop=5)
 
@@ -111,9 +111,11 @@ def test_block_matrix_requires_deficiency_one():
 
 def test_homology_torsion_double_zero_at_su2_points():
     for rep, sigma, u in sample_five_two():
-        delta = homology_torsion(rep)
+        row = homology_torsion(rep)[0]
+        delta = as_poly(row)
         scale = delta.max_abs
-        assert delta.offset == 0
+        # the row ends at its lowest nonzero coefficient, below a zero column
+        assert row[0] == 0 and delta.offset == 0
         assert abs(delta.evaluate(1.0)) <= 1e-9 * scale
         assert abs(delta.derivative().evaluate(1.0)) <= 1e-9 * scale
         quotient, rems = divide_alone(delta, 2)
@@ -131,7 +133,7 @@ def test_homology_torsion_reducible_point_fails_simple_zero():
 
 def test_trefoil_torsion_polynomial_span():
     rep, _, _ = su2_rep(catalog.knot("trefoil"), 2.3)
-    delta = homology_torsion(rep)
+    delta = as_poly(homology_torsion(rep))
     assert delta.span <= 6
 
 
@@ -141,7 +143,7 @@ def test_tai_denominator_and_evaluation():
         assert tai.numerator.offset >= 0 and tai.denominator.offset >= 0
         assert min(tai.numerator.offset, tai.denominator.offset) == 0
         # evaluate numerator and denominator separately at t = -1
-        delta = homology_torsion(rep)
+        delta = as_poly(homology_torsion(rep))
         lhs = tai.evaluate(-1.0)
         rhs = delta.evaluate(-1.0) / ((-2.0) * (2.0 + sigma))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
@@ -205,7 +207,7 @@ def test_naive_limit_first_order_control():
 
 def test_monomial_shift_leaves_limit_value_unchanged():
     rep, _, _ = su2_rep(catalog.knot("5_2"), 3.0)
-    delta = homology_torsion(rep)
+    delta = as_poly(homology_torsion(rep))
     q1, _ = divide_alone(delta, 2)
     q2, _ = divide_alone(delta.shift(3), 2)
     assert q1.evaluate(1.0) == q2.evaluate(1.0)
@@ -246,7 +248,7 @@ def test_wada_invariance_across_dropped_generators(extra):
     ratios = []
     for j in range(k):
         _assert_closed_form_is_the_determinant(rep, j)
-        num = homology_torsion(rep, drop=j)
+        num = as_poly(homology_torsion(rep, drop=j))
         den = boundary_factor(rep, j=j)
         ratios.append((num, den))
     for i in range(1, k):
@@ -363,16 +365,17 @@ def test_adjoint_images_built_once_per_rep(monkeypatch):
 
 
 def _boundary_by_determinant(rep, j):
-    """det Phi(x_j - 1) as a 3x3 Laurent determinant, the closed form's reference."""
+    """det Phi(x_j - 1) as a 3x3 Laurent determinant, the closed form's
+    reference; the determinant drops the unit t^k, so its lowest exponent is 0."""
     elt = GroupRingElt([(1, Word.gen(j)), (-1, Word())])
-    return phi_of(elt, rep).determinant()
+    return as_poly(phi_of(elt, rep).determinant())
 
 
 def _assert_closed_form_is_the_determinant(rep, j):
     got = boundary_factor(rep, j=j)
     expected = _boundary_by_determinant(rep, j)
-    assert got.lo == expected.lo and got.hi == expected.hi
-    assert got.approx_eq(expected, 1e-12)
+    assert got.span == expected.span
+    assert got.with_offset_zero().approx_eq(expected, 1e-12)
 
 
 def test_boundary_factor_closed_form_is_the_determinant():
@@ -597,15 +600,34 @@ def test_stacked_torsion_is_per_point():
             alone = compute_torsion(single, TOL, drop=drop)
             assert abs(result.value - alone.value) <= 1e-12 * max(1.0, abs(alone.value))
             assert result.diagnostics["simple_zero"] is alone.diagnostics["simple_zero"]
-            assert tp.delta.approx_eq(torsion_polynomial(single, drop=drop, tol=TOL).delta, 1e-12)
+            tp_alone = torsion_polynomial(single, drop=drop, tol=TOL)
+            assert as_poly(tp.delta).approx_eq(as_poly(tp_alone.delta), 1e-12)
+
+
+def as_poly(rows):
+    """The row of a coefficient stack, or the stack of one row, as the
+    LaurentPoly it holds, with lowest exponent 0."""
+    (row,) = np.atleast_2d(rows)
+    return LaurentPoly._raw(0, row[::-1].tolist())
+
+
+def stack_of(polys):
+    """Polynomials as the rows of a coefficient stack: each from its highest
+    coefficient down to its lowest, which ends the row, the unit t^offset
+    dropped, below one column of zeros over the longest row."""
+    width = max((len(p.coeffs) for p in polys), default=0) + 1
+    stack = np.zeros((len(polys), width), dtype=complex)
+    for i, p in enumerate(polys):
+        stack[i, width - len(p.coeffs) :] = p.coeffs[::-1]
+    return stack
 
 
 def divide_alone(p, multiplicity):
     """``p`` divided by (t - 1)^multiplicity as a stack of one: the quotient,
     its unit restored from p's highest exponent (each round lowers it by
     one), and the list of remainder moduli."""
-    quotients, remainders = divide_out_simple_roots(coefficient_stack([p]), multiplicity)
-    q = LaurentPoly._raw(0, quotients[0, ::-1].tolist())
+    quotients, remainders = divide_out_simple_roots(stack_of([p]), multiplicity)
+    q = as_poly(quotients)
     return q.shift(p.hi - multiplicity - q.hi), remainders[0].tolist()
 
 
@@ -649,15 +671,17 @@ def _readings_one_at_a_time(raw, cleanup):
 
 
 def _assert_stacked_readings_are_exact(raws, cleanup, deltas):
-    """``deltas``, cleaned from ``raws`` as one stack, and their stacked
-    readings equal the one-at-a-time reference bit for bit."""
+    """``deltas``, a coefficient stack cleaned from the polynomials ``raws``,
+    and its stacked readings equal the one-at-a-time reference bit for bit."""
     stacked = list(zip(*readings_at_1(deltas)))
     assert len(stacked) == len(raws)
-    for raw, delta, (scale, rems, reduced, prime, second) in zip(raws, deltas, stacked):
+    for raw, row, (scale, rems, reduced, prime, second) in zip(raws, deltas, stacked):
         ref_delta, (ref_scale, ref_rems, ref_reduced, ref_prime, ref_second) = (
             _readings_one_at_a_time(raw, cleanup)
         )
-        assert delta.offset == ref_delta.offset == 0
+        # the row ends at its lowest nonzero coefficient, below a zero column
+        delta = as_poly(row)
+        assert row[0] == 0 and delta.offset == ref_delta.offset == 0
         assert _bits(delta.coeffs) == _bits(ref_delta.coeffs)
         assert _bits([scale, *rems, reduced, prime, second]) == _bits(
             [ref_scale, *ref_rems, ref_reduced, ref_prime, ref_second]
@@ -666,10 +690,9 @@ def _assert_stacked_readings_are_exact(raws, cleanup, deltas):
 
 def _assert_determinant_readings_are_exact(matrix, cleanups=(0.0, DEFAULT_CLEANUP)):
     # the determinant uncleaned, then cleaned as one stack at each cleanup
-    raws = matrix.determinant(cleanup=0.0)
+    raws = [as_poly(row) for row in matrix.determinant(cleanup=0.0)]
     for cleanup in cleanups:
-        deltas = [d.with_offset_zero() for d in matrix.determinant(cleanup=cleanup)]
-        _assert_stacked_readings_are_exact(raws, cleanup, deltas)
+        _assert_stacked_readings_are_exact(raws, cleanup, matrix.determinant(cleanup=cleanup))
 
 
 @pytest.mark.parametrize("pq", [
@@ -690,8 +713,8 @@ def test_stacked_readings_match_the_per_polynomial_loops(pq):
     _assert_determinant_readings_are_exact(alexander_block_matrix(rep))
     raws = alexander_block_matrix(rep).determinant(cleanup=0.0)
     for raw, tp in zip(raws, torsion_polynomial(rep, tol=TOL)):
-        delta, (scale, rems, reduced, prime, second) = _readings_one_at_a_time(raw, TOL.cleanup)
-        assert _bits(tp.delta.coeffs) == _bits(delta.coeffs)
+        delta, (scale, rems, reduced, prime, second) = _readings_one_at_a_time(as_poly(raw), TOL.cleanup)
+        assert _bits(as_poly(tp.delta).coeffs) == _bits(delta.coeffs)
         assert _bits([tp.scale, *tp.remainders, tp.reduced, tp.prime, tp.half_second]) == _bits(
             [scale, *rems, reduced, prime, second / 2.0]
         )
@@ -709,21 +732,23 @@ def test_stacked_readings_of_edge_polynomials():
         LaurentPoly(0, [5]),
         LaurentPoly(0, [1, 0, -3, 2]),
     ] + [LaurentPoly(0, rng.normal(size=(k, 2)) @ [1, 1j]) for k in range(1, 30)]
-    _assert_stacked_readings_are_exact(polys, 0.0, polys)
+    _assert_stacked_readings_are_exact(polys, 0.0, stack_of(polys))
     _, (_, rems, reduced, _, _) = _readings_one_at_a_time(polys[1], 0.0)
     assert rems == [2.0, 1.0] and reduced == 0j
     # a 1x1 stack whose first row has both ends cleaned to zero
     rows = np.array([[1e-14, 1.0, -3.0, 2.0, 1e-15], [1.0, 2.0, 0.5, -1.0, 3.0]], dtype=complex)
     matrix = LaurentMatrix(-1, rows[:, :, None, None])
     cleaned = matrix.determinant()
-    assert (cleaned[0].lo, cleaned[0].hi) == (0, 2) and cleaned[1].span == 4
+    # both ends of the first row are gone: 1 - 3t + 2t^2 is left
+    assert [as_poly(row).span for row in cleaned] == [2, 4]
+    assert as_poly(cleaned[0]).approx_eq(LaurentPoly(0, [1, -3, 2]), 1e-12)
     _assert_determinant_readings_are_exact(matrix)
     # a coefficient whose modulus is exactly the cleanup bound is cleaned;
     # in the complex case its np.abs is one ulp above its abs(complex), so
     # only moduli equal to abs(complex) clean it
     def bound_case(low):
         matrix = LaurentMatrix(0, np.array([[low, 8.0, 3.0]])[:, :, None, None])
-        return matrix, matrix.determinant(cleanup=0.0)[0].coeffs
+        return matrix, as_poly(matrix.determinant(cleanup=0.0)).coeffs
 
     cases = (bound_case(z) for z in rng.normal(size=(200, 2)) @ [1, 1j])
     complex_case = next((m, raw) for m, raw in cases
@@ -733,5 +758,6 @@ def test_stacked_readings_of_edge_polynomials():
         ratio = small / large
         cleanup = next(c for c in (ratio, math.nextafter(ratio, 0.0), math.nextafter(ratio, 1.0))
                        if c * large == small)
-        assert matrix.determinant(cleanup=cleanup)[0].lo == 1
+        # the lowest coefficient is cleaned, the others keep every bit
+        assert as_poly(matrix.determinant(cleanup=cleanup)).coeffs == raw[1:]
         _assert_determinant_readings_are_exact(matrix, cleanups=(0.0, cleanup, DEFAULT_CLEANUP))
