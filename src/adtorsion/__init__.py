@@ -30,12 +30,10 @@ from .laurent import (
     unit_aligned_distance,
 )
 from .reps import (
-    AdjointImage,
     Rep,
     RepresentationError,
     RileyPoly,
     Su2Solutions,
-    adjoint_images,
     adjoint_of_matrix,
     build_rep,
     near_transition,

@@ -126,13 +126,16 @@ def fox_derivative(r: Word, j: int) -> GroupRingElt:
 @functools.lru_cache(maxsize=FOX_CACHE_SIZE)
 def term_table(elt: GroupRingElt, p: "Presentation"):
     """Where ``phi_of`` puts each term of ``elt`` under the abelianization of
-    ``p``: ``(lo, span, slots, coefficients, spines, positions)``, with the
-    t-exponent of term i at ``lo + slots[i]`` and its word the prefix of
-    length ``positions[i][1]`` of ``spines[positions[i][0]]``.
+    ``p``: ``(lo, span, slots, coefficients, spines, index)``, with the
+    t-exponent of term i at ``lo + slots[i]`` and its word the prefix at
+    ``index[i]`` of the prefix chains of ``spines``, one after another (the
+    chain of a spine of length L holds its L + 1 prefixes, the empty one
+    first).
 
     Memoized per ``(elt, p)``.  Every term of a Fox derivative is a prefix of
-    its relator, so one spine serves them all, and neither the exponents nor
-    the prefixes are recomputed per representation.
+    its relator, which is then the one spine: the representation has formed
+    that chain for its relator check.  Neither the exponents nor the
+    prefixes are recomputed per representation.
     """
     exponents = [p.alpha_of(w) for _, w in elt.terms]
     spines: list[Word] = []
@@ -141,11 +144,13 @@ def term_table(elt: GroupRingElt, p: "Presentation"):
         w = elt.terms[i][1]
         c = next((c for c, s in enumerate(spines) if s.letters[: len(w)] == w.letters), len(spines))
         if c == len(spines):
-            spines.append(w)
+            spines.append(next((r for r in p.relators if r.letters[: len(w)] == w.letters), w))
         positions[i] = (c, len(w))
+    starts = np.cumsum([0] + [len(s.letters) + 1 for s in spines])
     lo = min(exponents)
     return (lo, max(exponents) - lo + 1, np.subtract(exponents, lo),
-            np.array([c for c, _ in elt.terms]), spines, positions)
+            np.array([c for c, _ in elt.terms]), spines,
+            np.array([starts[c] + k for c, k in positions]))
 
 
 def fundamental_identity_holds(r: Word) -> bool:

@@ -56,6 +56,10 @@ AUTO_THETA_CHUNK = 48
 #: central-difference step in theta of the reported derivative estimates
 FD_STEP = 1e-4
 
+#: a grid theta this close to pi stands for pi: theta_grid's middle sample
+#: rounds to one ulp either side of pi on some windows
+PI_SLACK = 1e-12
+
 # a theta and the branch's {root count: rank} there
 _Sample = tuple[float, dict[int, int]]
 
@@ -370,7 +374,7 @@ def find_critical_points(
         for i1, i2 in zip(usable, usable[1:]):
             if derivs[i1] * derivs[i2] < 0.0:
                 (theta_a, _, ranks_a), (theta_b, _, ranks_b) = branch[i1], branch[i2]
-                if theta_a <= math.pi <= theta_b:
+                if theta_a - PI_SLACK <= math.pi <= theta_b + PI_SLACK:
                     continue  # the dihedral point, reported below
                 events.append(len(brackets))
                 brackets.append(((theta_a, ranks_a), (theta_b, ranks_b)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -510,7 +510,9 @@ class Rep:
     parametrization; `images` holds the matrices.  At a stack the per-point
     attributes (s, u, sqrt_s, the residuals, the irreducibility flag and
     the meridian trace) are length-N arrays.  Values are immutable by
-    convention; ``adjoint`` is built on first use.
+    convention.  ``prefixes`` and ``adjoint_prefixes`` memoize, per word,
+    the images of all its prefixes; the relator check forms each relator's
+    chain, and every Fox term of that relator reads it.
     """
 
     __slots__ = (
@@ -523,7 +525,8 @@ class Rep:
         "relator_residuals",
         "irreducible",
         "trace_meridian",
-        "_adjoint",
+        "_prefixes",
+        "_adjoints",
     )
 
     def __init__(
@@ -545,7 +548,8 @@ class Rep:
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
-        self._adjoint = None
+        self._prefixes: dict[Word, np.ndarray] = {}
+        self._adjoints: dict[Word, np.ndarray] = {}
 
         self.relator_residuals = tuple(
             _unstack(np.abs(self.of_word(r) - _EYE2).max(axis=(-2, -1)))
@@ -583,18 +587,30 @@ class Rep:
         ]
         return _unstack(np.any(far, axis=0))
 
-    def of_word(self, w: Word) -> np.ndarray:
-        acc = _EYE2
-        for g, e in w.letters:
-            acc = acc @ (self.images[g] if e == 1 else self.inverses[g])
-        return acc
+    def prefixes(self, w: Word) -> np.ndarray:
+        """rho of every prefix of w, the empty prefix first: one read-only
+        (len(w) + 1, *batch, 2, 2) stack, formed once per word by
+        right-multiplying the identity letter by letter."""
+        chain = self._prefixes.get(w)
+        if chain is None:
+            chain = np.empty((len(w.letters) + 1,) + self.images[0].shape, dtype=complex)
+            chain[0] = _EYE2
+            for k, (g, e) in enumerate(w.letters):
+                np.matmul(chain[k], self.images[g] if e == 1 else self.inverses[g], out=chain[k + 1])
+            self._prefixes[w] = chain = _read_only(chain)
+        return chain
 
-    @property
-    def adjoint(self) -> "AdjointImage":
-        """Adjoint images of the generators, shared by every twisted matrix."""
-        if self._adjoint is None:
-            self._adjoint = adjoint_images(self)
-        return self._adjoint
+    def of_word(self, w: Word) -> np.ndarray:
+        return self.prefixes(w)[-1]
+
+    def adjoint_prefixes(self, w: Word) -> np.ndarray:
+        """Ad rho of every prefix of w, the empty prefix first: one
+        read-only (len(w) + 1, *batch, 3, 3) stack, the closed form of
+        :func:`adjoint_of_matrix` over :meth:`prefixes`, formed once per word."""
+        ad = self._adjoints.get(w)
+        if ad is None:
+            self._adjoints[w] = ad = _read_only(adjoint_of_matrix(self.prefixes(w)))
+        return ad
 
     def conjugated(self, g: np.ndarray) -> "Rep":
         ginv = _mat_inverse(np.asarray(g, dtype=complex))
@@ -656,67 +672,21 @@ def adjoint_of_matrix(m: np.ndarray) -> np.ndarray:
 
     Column j holds the (E, H, F) coordinates of m B_j m^-1 in closed form:
     for m = [[a, b], [c, d]], m E m^-1 = (a^2 E - ac H - c^2 F) / det m, and
-    likewise for H and F.
+    likewise for H and F.  One elementwise pass over the flattened stack:
+    numpy's array loops give an entry the same bits at every length and
+    position, so a matrix's adjoint does not depend on its stack.
     """
     m = np.asarray(m, dtype=complex)
-    entries, dets = [], []
-    for a, b, c, d in m.reshape(-1, 4).tolist():  # Python complex arithmetic, as in _mat_inverse
-        dets.append(a * d - b * c)
-        entries.append(
-            [a * a, -2 * a * b, -b * b, -a * c, a * d + b * c, b * d, -c * c, 2 * c * d, d * d]
-        )
-    det = np.array(dets).reshape(m.shape[:-2])
+    a, b, c, d = m.reshape(-1, 4).T
+    det = a * d - b * c
     if np.any(np.abs(det) < 1e-300):
         raise RepresentationError("singular image matrix")
-    return np.array(entries).reshape(m.shape[:-2] + (3, 3)) / det[..., None, None]
-
-
-@dataclass(frozen=True)
-class AdjointImage:
-    """Per-generator 3x3 adjoint matrices (and inverses) of a representation,
-    (N, 3, 3) at a stack of points.
-
-    ``prefixes`` memoizes every prefix it forms in a letter trie, so the Fox
-    terms of a relator (all prefixes of it) cost one product per letter in
-    total.  Each product is still ``eye(3)`` right-multiplied letter by
-    letter, so values do not depend on the order of the calls.  Returned
-    matrices are shared and read-only.
-    """
-
-    matrices: tuple[np.ndarray, ...]
-    inverses: tuple[np.ndarray, ...]
-    # trie node: (Ad(rho(prefix)), {letter: child node}); the root is the empty word
-    _prefixes: tuple = field(
-        default_factory=lambda: (_read_only(np.eye(3, dtype=complex)), {}),
-        init=False, repr=False, compare=False,
+    entries = np.stack(
+        [a * a, -2 * a * b, -b * b, -a * c, a * d + b * c, b * d, -c * c, 2 * c * d, d * d], axis=-1
     )
-
-    def prefixes(self, w: Word) -> list[np.ndarray]:
-        """Ad(rho) of every prefix of w, the empty prefix first."""
-        node = self._prefixes
-        out = [node[0]]
-        for letter in w.letters:
-            child = node[1].get(letter)
-            if child is None:
-                g, e = letter
-                step = self.matrices[g] if e == 1 else self.inverses[g]
-                child = (_read_only(node[0] @ step), {})
-                node[1][letter] = child
-            node = child
-            out.append(node[0])
-        return out
-
-    def of_word(self, w: Word) -> np.ndarray:
-        return self.prefixes(w)[-1]
+    return (entries / det[:, None]).reshape(m.shape[:-2] + (3, 3))
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
-
-
-def adjoint_images(rep: Rep) -> AdjointImage:
-    """Adjoint matrices of all generator images; sign of the 2x2 lift cancels."""
-    ad = adjoint_of_matrix(np.stack(rep.images + rep.inverses))
-    k = len(rep.images)
-    return AdjointImage(tuple(ad[:k]), tuple(ad[k:]))

@@ -70,9 +70,8 @@ def phi_of(elt: GroupRingElt, rep: Rep) -> LaurentMatrix:
     batch = rep.images[0].shape[:-2]
     if elt.is_zero:
         return LaurentMatrix(0, np.zeros(batch + (1, 3, 3)))
-    lo, span, slots, coefficients, spines, positions = term_table(elt, rep.presentation)
-    chains = [rep.adjoint.prefixes(w) for w in spines]
-    terms = np.array([chains[c][k] for c, k in positions])
+    lo, span, slots, coefficients, spines, index = term_table(elt, rep.presentation)
+    terms = np.concatenate([rep.adjoint_prefixes(w) for w in spines])[index]
     terms = coefficients.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms
     coeffs = np.zeros((span,) + terms.shape[1:], dtype=complex)
     # unbuffered and in term order: each exponent's sum is accumulated in
@@ -208,7 +207,9 @@ def torsion_polynomial(
     # 1.45x slower until the next vectorized numpy loop, and the benchmark's
     # reference loop runs in the state an operation ends in.  Reading after
     # the matmul would end that state and move the reference, not the cost
-    # of the work (ROADMAP, "reference loop").
+    # of the work (ROADMAP, "reference loop").  The Fox assembly multiplies
+    # no matrices: it takes the adjoints of the relator's prefixes in closed
+    # form from the 2x2 prefix chain that Rep's relator check formed.
     readings = readings_at_1(deltas)
     m = rep.images[j]
     traces = np.trace(m @ m, axis1=-2, axis2=-1)

@@ -1,6 +1,7 @@
 """Cross-check suite: exact identities, the two torsion routes against each
 other, invariance under Wada's column choice, conjugation and the sign twist,
-the 5_2 closed form, and rejection of a point off the variety."""
+the 5_2 closed form, the torus-knot constants, and rejection of a point off
+the variety."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from . import catalog
 from .foxcalc import fundamental_identity_holds
 from .laurent import LaurentMatrix, LaurentPoly, unit_aligned_distance
 from .locus import auto_theta_range, rep_at, theta_grid
-from .presentation import Presentation, validate
+from .presentation import Presentation, two_bridge, validate
 from .reps import (
     RepresentationError,
     adjoint_of_matrix,
@@ -28,6 +29,7 @@ from .reps import (
 )
 from .torsion import (
     Tolerances,
+    compute_torsion,
     torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,
@@ -54,15 +56,38 @@ def _random_su2(rng: random.Random) -> np.ndarray:
 
 
 def _random_reduced_word(rng: random.Random, max_len: int, num_gens: int) -> Word:
-    letters = []
-    for _ in range(rng.randrange(max_len + 1)):
-        letters.append((rng.randrange(num_gens), rng.choice((1, -1))))
-    return Word(letters)
+    return Word([(rng.randrange(num_gens), rng.choice((1, -1))) for _ in range(rng.randrange(max_len + 1))])
 
 
 def closed_form_5_2(sigma: float, u: float) -> float:
     """Known closed-form torsion of the 5_2 knot on the SU(2) locus."""
     return -(5 * sigma + 3) * u * u + (5 * sigma * sigma - 7 * sigma + 1) * u + 1 - 10 * sigma
+
+
+#: the torus-knot row's bound on the relative error; the worst over p <= 41
+#: at theta = pi, 2 and 1.3 is 1.33e-9 (b(41,1) at pi)
+TORUS_TOL = 2e-9
+
+
+def _torus_row(tol: Tolerances) -> CheckRow:
+    """b(p, 1) = T(2, p), odd p <= 41, at theta = pi, 2 and 1.3, one stack
+    each: every SU(2) torsion is one of p^2 / (4 sin^2(pi k / p)),
+    k = 1 .. (p - 1)/2 (Dubois's torus-knot formula in this normalization),
+    and the roots at pi take each constant once."""
+    errors, each_once = [], True
+    for p in range(3, 42, 2):
+        knot = two_bridge(" ".join("xy"[i % 2] for i in range(p - 1)))
+        constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
+        for theta in (math.pi, 2.0, 1.3):
+            roots = su2_solutions(riley_polynomial(knot.bridge_word), theta).roots
+            results = compute_torsion(rep_at(knot, np.full(len(roots), theta), roots, tol), tol)
+            nearest = [min(constants, key=lambda c: abs(r.value - c)) for r in results]
+            where = f"b({p},1) at theta={theta:.4f}"
+            errors += [(abs(r.value - c) / c, where) for r, c in zip(results, nearest)]
+            each_once &= theta != math.pi or sorted(nearest) == constants
+    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
+    return CheckRow(f"torus knots b(p,1), p <= 41 ({len(errors)} points)", worst, TORUS_TOL,
+                    worst <= TORUS_TOL and each_once, detail=f"worst on {where}")
 
 
 def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_band=None):
@@ -84,24 +109,15 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     presentations = {name: catalog.knot(name) for name in knot_names}
 
     # catalog integrity: validate + classical Alexander against phi(s, 0)
-    worst = 0.0
-    ok = True
-    for name, p in presentations.items():
-        report = validate(p)
-        phi = riley_polynomial(p.bridge_word)
-        alex = untwisted_alexander(p)
-        match = phi.coefficient(0).equal_up_to_unit(alex)
-        if not (report.ok and match):
-            ok = False
-            worst = 1.0
-    rows.append(CheckRow("catalog validate + Alexander oracle", worst, 0.0, ok))
+    ok = all(
+        validate(p).ok
+        and riley_polynomial(p.bridge_word).coefficient(0).equal_up_to_unit(untwisted_alexander(p))
+        for p in presentations.values()
+    )
+    rows.append(CheckRow("catalog validate + Alexander oracle", 0.0 if ok else 1.0, 0.0, ok))
 
     # Fox fundamental identity, exact
-    failures = 0
-    for _ in range(200):
-        w = _random_reduced_word(rng, 25, 3)
-        if not fundamental_identity_holds(w):
-            failures += 1
+    failures = sum(not fundamental_identity_holds(_random_reduced_word(rng, 25, 3)) for _ in range(200))
     rows.append(CheckRow("Fox fundamental identity (200 random)", float(failures), 0.0, failures == 0))
 
     # boundary-factor identity det Phi(x-1) = (t-1)(t^2 - sigma t + 1)
@@ -112,21 +128,14 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
         u = complex(rng.uniform(-4.0, 0.0), rng.uniform(-1.0, 1.0))
         x, _ = riley_assignment(s, u)
         ad = adjoint_of_matrix(x / cmath.exp(0.5j * theta))
-        entries = [
-            [
-                LaurentPoly.from_dict({1: ad[i, j], 0: -1.0 if i == j else 0.0})
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
+        entries = [[LaurentPoly.from_dict({1: ad[i, j], 0: -1.0 if i == j else 0.0}) for j in range(3)]
+                   for i in range(3)]
         (row,) = LaurentMatrix.from_entries(entries).determinant()
         det = LaurentPoly._raw(0, row[::-1].tolist())
         sigma = s + 1 / s
         expected = LaurentPoly(0, [-1.0, sigma + 1.0, -(sigma + 1.0), 1.0])
-        lo = min(det.lo, expected.lo)
-        hi = max(det.hi, expected.hi)
-        diff = max(abs(det.coefficient(e) - expected.coefficient(e)) for e in range(lo, hi + 1))
-        worst = max(worst, diff)
+        exponents = range(min(det.lo, expected.lo), max(det.hi, expected.hi) + 1)
+        worst = max([worst] + [abs(det.coefficient(e) - expected.coefficient(e)) for e in exponents])
     rows.append(CheckRow("boundary factor identity (100 random)", worst, 1e-12, worst <= 1e-12))
 
     # limit/derivative consistency, Wada invariance, conjugation, sign twist
@@ -196,6 +205,8 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
                 detail=f"global sign {'+1' if signs == {1} else '-1' if signs == {-1} else 'inconsistent'}",
             )
         )
+
+    rows.append(_torus_row(tol))
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]

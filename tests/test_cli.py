@@ -23,6 +23,7 @@ from adtorsion.reps import (
     su2_solutions,
 )
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
+from adtorsion.verify import closed_form_5_2
 
 from test_torsion import as_poly, schubert_knot
 
@@ -92,22 +93,22 @@ def test_tai_payload(capsys):
 FIVE_TWO_PAYLOADS = {
     ("2.5", 0): {
         "torsion": {
-            "value": [10.333805806232805, -2.1431216247653125e-12],
-            "formula_value": [10.333805806232805, -2.1431216247653117e-12],
-            "limit_value": [10.333805806232805, -2.1431216247653125e-12],
+            "value": [10.333805806233993, -5.558128210524382e-12],
+            "formula_value": [10.333805806233988, -5.558128210524382e-12],
+            "limit_value": [10.333805806233993, -5.558128210524382e-12],
             "diagnostics": {
-                "scale": 7.216374340362719,
-                "delta1_at_1": 1.1963492123931796e-12,
-                "delta1_prime_at_1": 2.9491726725201428e-12,
-                "reduced_at_1": 37.2253367043961,
-                "division_remainders": [1.1963492123931796e-12, 2.948286226118608e-12],
+                "scale": 7.216374340364319,
+                "delta1_at_1": 2.8156139297117203e-12,
+                "delta1_prime_at_1": 1.2077038505306987e-11,
+                "reduced_at_1": 37.22533670440038,
+                "division_remainders": [2.8156139297117203e-12, 1.2076598410064388e-11],
                 "simple_zero": True,
                 "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00010337197886999634,
-                "naive_limit": [10.337197877560309, -0.0004417604961945193],
+                "tai_at_1": 0.00010334409795031702,
+                "naive_limit": [10.334406851047186, -0.007800556144846886],
                 "consistency_ok": True,
             },
         },
@@ -115,13 +116,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.2418593388392694, 3.0948825684969416e-13],
-                    [-2.5607582745016773, 1.5072965166389564e-12],
-                    [2.1944304431603796, -5.326878811890961e-13],
-                    [7.216374340362719, -2.1842892327940578e-12],
-                    [2.194430443156199, -7.782986850883532e-13],
-                    [-2.5607582745022444, 1.617549857707611e-12],
-                    [-3.241859338837293, 2.2007573730082102e-13],
+                    [-3.2418593388391663, 2.681863816598439e-13],
+                    [-2.560758274502377, -6.065222626416407e-13],
+                    [2.1944304431584682, -3.4075495508385716e-13],
+                    [7.216374340364319, 1.5836933058900888e-12],
+                    [2.1944304431601744, 1.2747608937042878e-12],
+                    [-2.5607582745022235, 2.987396983946964e-13],
+                    [-3.2418593388393737, 3.317889503806199e-13],
                 ],
             },
             "denominator": {
@@ -137,22 +138,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("2.5", 1): {
         "torsion": {
-            "value": [11.824289089628964, -5.54136047114602e-15],
-            "formula_value": [11.824289089628962, -5.5413604711460205e-15],
-            "limit_value": [11.824289089628964, -5.54136047114602e-15],
+            "value": [11.824289089629008, 4.2202805424269923e-14],
+            "formula_value": [11.824289089629005, 4.220280542426993e-14],
+            "limit_value": [11.824289089629008, 4.2202805424269923e-14],
             "diagnostics": {
-                "scale": 9.24775252530223,
-                "delta1_at_1": 1.7622956091305793e-14,
-                "delta1_prime_at_1": 6.17530975586693e-14,
-                "reduced_at_1": 42.594485604332945,
-                "division_remainders": [1.7622956091305793e-14, 6.619233271195129e-14],
+                "scale": 9.247752525302234,
+                "delta1_at_1": 3.838186837508091e-15,
+                "delta1_prime_at_1": 5.5791075306838137e-14,
+                "reduced_at_1": 42.5944856043331,
+                "division_remainders": [3.838186837508091e-15, 5.5592769121056524e-14],
                 "simple_zero": True,
                 "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00011824385999754872,
-                "naive_limit": [11.824385999679372, -4.225460193054092e-05],
+                "tai_at_1": 0.0001182441805210468,
+                "naive_limit": [11.824418052103992, 4.033797197435589e-06],
                 "consistency_ok": True,
             },
         },
@@ -160,13 +161,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.095626045445714, -4.048402917771669e-16],
-                    [-4.401866992705416, 3.4311375079849598e-15],
-                    [2.873616775500012, 5.266755444658707e-15],
-                    [9.24775252530223, 2.216785171927044e-15],
-                    [2.873616775500015, 6.2939505735004026e-15],
-                    [-4.40186699270541, 9.332909744238095e-16],
-                    [-3.0956260454457087, -2.5159594851913158e-15],
+                    [-3.095626045445721, 3.578155008151004e-15],
+                    [-4.401866992705415, 4.130358893021479e-15],
+                    [2.873616775500011, -6.921116549144114e-16],
+                    [9.247752525302234, 3.9072446051127266e-15],
+                    [2.87361677550002, 1.6366923716973361e-15],
+                    [-4.401866992705411, -7.72594121768218e-15],
+                    [-3.095626045445721, -6.286948767350633e-15],
                 ],
             },
             "denominator": {
@@ -182,22 +183,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 0): {
         "torsion": {
-            "value": [10.884706924616857, 8.534773032399222e-13],
-            "formula_value": [10.884706924616859, 8.534773032399224e-13],
-            "limit_value": [10.884706924616857, 8.534773032399222e-13],
+            "value": [10.884706924614397, 2.6034189510852206e-12],
+            "formula_value": [10.884706924614397, 2.603418951085221e-12],
+            "limit_value": [10.884706924614397, 2.6034189510852206e-12],
             "diagnostics": {
-                "scale": 9.32974879252402,
-                "delta1_at_1": 2.7133850721838826e-12,
-                "delta1_prime_at_1": 7.63539775818788e-12,
-                "reduced_at_1": 43.53882769846743,
-                "division_remainders": [2.7133850721838826e-12, 7.633637872460616e-12],
+                "scale": 9.329748792524542,
+                "delta1_at_1": 2.715161429023283e-12,
+                "delta1_prime_at_1": 5.788338816264505e-12,
+                "reduced_at_1": 43.53882769845759,
+                "division_remainders": [2.715161429023283e-12, 5.786103386826408e-12],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00010891599729758175,
-                "naive_limit": [10.891599729758175, 2.59318704226964e-08],
+                "tai_at_1": 0.00010891604170605865,
+                "naive_limit": [10.891604170605865, 7.87367158817022e-08],
                 "consistency_ok": True,
             },
         },
@@ -205,13 +206,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.109916264176551, -9.489234794760441e-14],
-                    [-4.664874396262111, 2.1625441675289137e-13],
-                    [3.1099162641753626, 1.941511790342551e-13],
-                    [9.32974879252402, -1.9701416325248277e-14],
-                    [3.1099162641748253, -7.26157355744223e-14],
-                    [-4.664874396262016, -4.6935941905280624e-14],
-                    [-3.109916264176243, -1.762601540345906e-13],
+                    [-3.1099162641759097, -1.5533606147398261e-13],
+                    [-4.664874396263065, 4.093790889895196e-13],
+                    [3.1099162641744136, 5.121800649991588e-13],
+                    [9.329748792524542, 2.147392559921016e-13],
+                    [3.1099162641751374, -1.4774397042786128e-13],
+                    [-4.664874396262211, -3.6293317128697264e-13],
+                    [-3.1099162641756237, -4.702852067919635e-13],
                 ],
             },
             "denominator": {
@@ -227,22 +228,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 1): {
         "torsion": {
-            "value": [22.728857226022583, 1.3555743108881854e-13],
-            "formula_value": [22.728857226022573, 1.3555743108881854e-13],
-            "limit_value": [22.728857226022583, 1.3555743108881854e-13],
+            "value": [22.7288572260224, 8.854390096123479e-14],
+            "formula_value": [22.7288572260224, 8.854390096123479e-14],
+            "limit_value": [22.7288572260224, 8.854390096123479e-14],
             "diagnostics": {
-                "scale": 19.481877622304765,
-                "delta1_at_1": 2.566835632933362e-13,
-                "delta1_prime_at_1": 7.634473856737977e-13,
-                "reduced_at_1": 90.91542890409033,
-                "division_remainders": [2.566835632933362e-13, 7.77080783080344e-13],
+                "scale": 19.48187762230489,
+                "delta1_at_1": 1.0835776720341528e-13,
+                "delta1_prime_at_1": 1.9919121518202393e-13,
+                "reduced_at_1": 90.9154289040896,
+                "division_remainders": [1.0835776720341528e-13, 1.927915001422224e-13],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00022729721736138145,
-                "naive_limit": [22.729721736138142, 5.433443944023567e-09],
+                "tai_at_1": 0.0002272935980705142,
+                "naive_limit": [22.729359807051416, 3.396738373574332e-09],
                 "consistency_ok": True,
             },
         },
@@ -250,13 +251,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-6.493959207434977, 1.4496340635819896e-14],
-                    [-9.74093881115244, 2.272662757859885e-14],
-                    [6.493959207434898, 1.8048735242041985e-14],
-                    [19.481877622304765, 3.1706105066209423e-15],
-                    [6.493959207434906, -1.8072808725705176e-14],
-                    [-9.740938811152434, -2.8837827959539987e-14],
-                    [-6.493959207434973, -1.1531677277836537e-14],
+                    [-6.493959207434983, 1.0689861694247946e-14],
+                    [-9.74093881115249, 1.1757058741346498e-14],
+                    [6.493959207434915, 5.530986931385508e-15],
+                    [19.48187762230489, 5.806141932295104e-15],
+                    [6.493959207434978, -3.3617048048305835e-15],
+                    [-9.740938811152441, -1.9876075934487913e-14],
+                    [-6.493959207434976, -1.054626855995649e-14],
                 ],
             },
             "denominator": {
@@ -277,6 +278,15 @@ FIVE_TWO_PAYLOADS = {
 # evaluated as one stack, one JSON object per line in root order
 B41_11_STACK = "b(41,11) stack"
 B41_11_PAYLOADS = pathlib.Path(__file__).with_name("b41_11_pi_payloads.json")
+# their torsion in 50-digit arithmetic, (Delta_1''(1)/2) / (Tr rho(x^2) - 2)
+# from the exact Fox matrix at each root of phi(-1, u) polished to 50 digits
+B41_11_REFERENCE = (
+    1042.7262586233257, -574.2521982958707, -371.4244367377917, 198.9075379112924,
+    31.642031819771475, 499.47898587996224, 4.442889448111597, -83.62538497618466,
+    105.8133815323985, 253.0322549159938, -86.00870511063239, 84.4147171414987,
+    -114.09115235215202, -290.20423723636657, 267.35460223322383, 232.99020108183964,
+    -165.72247401317418, -110.4759251473072, -105.08914615721558, 246.09079943927708,
+)
 
 
 @pytest.mark.parametrize("theta, root", [*FIVE_TWO_PAYLOADS, ("3.141592653589793", B41_11_STACK)])
@@ -289,12 +299,18 @@ def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
         payloads = [result.to_json() for result in compute_torsion(rep, Tolerances())]
         assert len(payloads) == 20
         assert json.dumps(payloads) == json.dumps(json.loads(B41_11_PAYLOADS.read_text()))
+        for payload, reference in zip(payloads, B41_11_REFERENCE):
+            assert abs(complex(*payload["value"]) - reference) <= 1e-9 * abs(reference)
         return
     for command, expected in FIVE_TWO_PAYLOADS[(theta, root)].items():
         argv = (command, "--knot", "5_2", "--theta", theta, "--root", str(root))
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert json.dumps(json.loads(out)) == json.dumps(expected)
+    # the pinned torsion against the closed form, whose global sign is -1
+    sols = su2_solutions(riley_polynomial(catalog.knot("5_2").bridge_word), float(theta))
+    closed = closed_form_5_2(sols.sigma, sols.roots[root])
+    assert abs(complex(*FIVE_TWO_PAYLOADS[(theta, root)]["torsion"]["value"]) + closed) <= 1e-12 * abs(closed)
 
 
 def test_sweep_csv_deterministic(capsys):
@@ -817,10 +833,22 @@ def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
             assert result == value
 
 
+@pytest.mark.parametrize("p, q", [(31, 17), (33, 25), (39, 19)])
+def test_critical_reports_each_dihedral_point_once(p, q):
+    # on these knots theta_grid's middle sample is one ulp off pi, and a
+    # sign change whose bracket ends there is the dihedral point again
+    knot = schubert_knot(p, q)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    assert 0.0 < abs(theta_grid(lo, hi, 33)[16] - math.pi) < 1e-15
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert report.dihedral_count <= (p - 1) // 2
+    assert all(pt.theta == math.pi for pt in report.points if pt.is_dihedral)
+
+
 def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
-    # b(11,5): theta, u and torsion of every point as the search reported
-    # them when it refined one sign change at a time and evaluated one
-    # point per call
+    # b(11,5): theta, u and torsion of every point as the search reports
+    # them; each torsion is within 4e-13 relative of its value in 50-digit
+    # arithmetic at the reported (theta, u)
     word = " ".join(
         ("x" if i % 2 else "y") + ("^-1" if (i * 5 // 11) % 2 else "") for i in range(1, 11)
     )
@@ -833,17 +861,17 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
         for pt in json.loads(out)["points"]
     ]
     assert points == [
-        ("1.1663048319930482", "-1.0163007960744144", "22.7493651138514", "0.0"),
-        ("5.116880475194851", "-1.0163007960576318", "22.749365113853706", "0.0"),
-        ("2.094407226714995", "-2.000031499636428", "8.999999999338643", "0.0"),
-        ("2.327310759985356", "-2.5218601398287603", "8.950647372776062", "0.0"),
-        ("3.9558745472142127", "-2.5218601397902187", "8.950647372775926", "0.0"),
-        ("4.188778080462948", "-2.0000314996406963", "8.999999999338606", "0.0"),
-        ("3.141592653589793", "-3.9189859472289945", "36.87132442514197", "0.0"),
-        ("3.141592653589793", "-3.3097214678905695", "9.289886883247044", "0.0"),
-        ("3.141592653589793", "-2.28462967654657", "79.15428573061351", "0.0"),
-        ("3.141592653589793", "-1.1691699739962274", "5.629301696456562", "0.0"),
-        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948192", "0.0"),
+        ("1.1663048320098255", "-1.016300796108287", "22.74936511385496", "0.0"),
+        ("5.116880475174387", "-1.0163007960989476", "22.749365113853404", "0.0"),
+        ("2.0944072267189053", "-2.000031499646586", "8.999999999338558", "0.0"),
+        ("2.3273107599664784", "-2.5218601397923472", "8.95064737277571", "0.0"),
+        ("3.9558745472260672", "-2.5218601397673512", "8.950647372776034", "0.0"),
+        ("4.188778080461343", "-2.0000314996448676", "8.999999999338504", "0.0"),
+        ("3.141592653589793", "-3.9189859472289945", "36.87132442527307", "0.0"),
+        ("3.141592653589793", "-3.3097214678905695", "9.289886883247782", "0.0"),
+        ("3.141592653589793", "-2.28462967654657", "79.15428573061291", "0.0"),
+        ("3.141592653589793", "-1.1691699739962274", "5.629301696456512", "0.0"),
+        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948057", "0.0"),
     ]
 
 

@@ -19,7 +19,6 @@ from adtorsion.reps import (
     RepresentationError,
     RileyPoly,
     _UPoly,
-    adjoint_images,
     adjoint_of_matrix,
     build_rep,
     near_transition,
@@ -31,7 +30,13 @@ from adtorsion.reps import (
 )
 from adtorsion.words import Word, parse_word
 
-from adtorsion.torsion import alexander_at_minus_one, torsion_polynomial, untwisted_alexander
+from adtorsion.torsion import (
+    Tolerances,
+    alexander_at_minus_one,
+    compute_torsion,
+    torsion_polynomial,
+    untwisted_alexander,
+)
 from test_torsion import schubert_knot
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
@@ -207,6 +212,18 @@ def test_family_roots_at_pi_build_as_one_stack_per_knot():
         theta = np.full(len(roots), math.pi)
         rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
         assert max(map(np.max, rep.relator_residuals)) <= RELATION_TOL
+
+
+def test_family_limit_route_failures_at_pi():
+    # one theta = pi stack per family knot: the limit route finds no simple
+    # zero at 99 of the 2415 binary dihedral points (the formula route gives
+    # their value), and at no more
+    failed = 0
+    for knot, _, roots in family_roots_at_pi():
+        theta = np.full(len(roots), math.pi)
+        rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
+        failed += sum(result.limit_value is None for result in compute_torsion(rep, Tolerances()))
+    assert failed <= 99
 
 
 @pytest.mark.parametrize("word", ["x y^-1", "x x y"])
@@ -436,16 +453,16 @@ def test_adjoint_matches_closed_form():
         u = rng.choice(sols.roots)
         s = cmath.exp(1j * theta)
         rep = build_rep(p, s, u, cmath.exp(0.5j * theta))
-        adj = adjoint_images(rep)
+        adj = [rep.adjoint_prefixes(Word.gen(g))[1] for g in range(2)]
         expected_x = np.array(
             [[s, -2, -1 / s], [0, 1, 1 / s], [0, 0, 1 / s]], dtype=complex
         )
         expected_y = np.array(
             [[s, 0, 0], [s * u, 1, 0], [-s * u * u, -2 * u, 1 / s]], dtype=complex
         )
-        assert np.max(np.abs(adj.matrices[0] - expected_x)) < 1e-12
-        assert np.max(np.abs(adj.matrices[1] - expected_y)) < 1e-12
-        for m in adj.matrices:
+        assert np.max(np.abs(adj[0] - expected_x)) < 1e-12
+        assert np.max(np.abs(adj[1] - expected_y)) < 1e-12
+        for m in adj:
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
 
@@ -460,10 +477,11 @@ def test_adjoint_branch_independence_exact():
     u = su2_solutions(phi, theta).roots[0]
     s = cmath.exp(1j * theta)
     sq = cmath.exp(0.5j * theta)
-    plus = adjoint_images(build_rep(p, s, u, sq))
-    minus = adjoint_images(build_rep(p, s, u, -sq))
-    for a, b in zip(plus.matrices, minus.matrices):
-        assert np.array_equal(a, b)
+    plus = build_rep(p, s, u, sq)
+    minus = build_rep(p, s, u, -sq)
+    # every prefix of the relator, the generators among them
+    for w in p.relators + (Word.gen(0), Word.gen(1, -1)):
+        assert np.array_equal(plus.adjoint_prefixes(w), minus.adjoint_prefixes(w))
 
 
 def test_adjoint_multiplicativity_random_subwords():
@@ -473,15 +491,24 @@ def test_adjoint_multiplicativity_random_subwords():
     theta = 2.8
     u = su2_solutions(phi, theta).roots[2]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-    adj = adjoint_images(rep)
+    generators = [adjoint_of_matrix(m) for m in rep.images + rep.inverses]
     for _ in range(50):
         w1 = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(8))])
         w2 = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(8))])
-        lhs = adj.of_word(w1 * w2)
-        rhs = adj.of_word(w1) @ adj.of_word(w2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
-        # Ad circ rho is multiplicative against the 2x2 route too
-        assert np.max(np.abs(adj.of_word(w1) - adjoint_of_matrix(rep.of_word(w1)))) < 1e-9
+        lhs = rep.adjoint_prefixes(w1 * w2)[-1]
+        rhs = rep.adjoint_prefixes(w1)[-1] @ rep.adjoint_prefixes(w2)[-1]
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        w = w1 * w2
+        chain = rep.adjoint_prefixes(w)
+        assert chain.shape == (len(w.letters) + 1, 3, 3)
+        assert np.array_equal(chain[0], np.eye(3))
+        product = np.eye(3, dtype=complex)
+        for k, (g, e) in enumerate(w.letters, start=1):
+            product = product @ generators[g if e == 1 else 2 + g]
+            # Ad circ rho is multiplicative: the product of the generators'
+            # adjoints, and to the bit the closed form of the 2x2 prefix
+            assert np.max(np.abs(chain[k] - product)) < 1e-12
+            assert np.array_equal(chain[k], adjoint_of_matrix(rep.of_word(Word(w.letters[:k]))))
 
 
 def test_zero_set_matches_representations():
@@ -545,8 +572,9 @@ def test_stacked_build_rep_matches_single_points():
         assert not single.stacked
         for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
             assert np.array_equal(a[i], b)
-        for a, b in zip(stack.adjoint.matrices, single.adjoint.matrices):
-            assert np.array_equal(a[i], b)
+        r = p.relators[0]
+        assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
+        assert np.array_equal(stack.adjoint_prefixes(r)[:, i], single.adjoint_prefixes(r))
         assert stack.relator_residuals[0][i] == single.relator_residuals[0]
         assert stack.trace_meridian[i] == single.trace_meridian
         assert stack.irreducible[i] == single.irreducible

@@ -10,7 +10,7 @@ from adtorsion.foxcalc import GroupRingElt, fox_derivative
 from adtorsion.laurent import DEFAULT_CLEANUP, IntLaurent, LaurentMatrix
 from adtorsion.laurent import LaurentPoly, divide_out_simple_roots
 from adtorsion.laurent import readings_at_1, unit_aligned_distance
-from adtorsion.locus import auto_theta_range
+from adtorsion.locus import auto_theta_range, rep_at
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
 from adtorsion.reps import Rep, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
@@ -349,19 +349,31 @@ def test_compute_torsion_builds_delta_once(monkeypatch):
     rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
     calls = _count_calls(
         monkeypatch,
-        [(torsion, "homology_torsion"), (reps, "adjoint_images"), (LaurentMatrix, "determinant")],
+        [(torsion, "homology_torsion"), (reps, "adjoint_of_matrix"), (LaurentMatrix, "determinant")],
     )
     compute_torsion(rep, TOL)
-    assert calls == {"homology_torsion": 1, "adjoint_images": 1, "determinant": 1}
+    assert calls == {"homology_torsion": 1, "adjoint_of_matrix": 1, "determinant": 1}
 
 
-def test_adjoint_images_built_once_per_rep(monkeypatch):
+def test_adjoint_prefixes_built_once_per_rep(monkeypatch):
+    # both Fox derivatives read the relator's one adjoint chain, taken from
+    # the 2x2 chain that the relator check formed
     rep, _, _ = su2_rep(catalog.knot("5_2"), 2.9, root_index=1)
-    calls = _count_calls(monkeypatch, [(reps, "adjoint_images")])
+    (r,) = rep.presentation.relators
+    chain = rep.prefixes(r)
+    adjoint_of_matrix = reps.adjoint_of_matrix
+    arguments = []
+
+    def spy(m):
+        arguments.append(m)
+        return adjoint_of_matrix(m)
+
+    monkeypatch.setattr(reps, "adjoint_of_matrix", spy)
     for drop in (0, 1):
         twisted_alexander_invariant(rep, drop=drop)
-    assert calls == {"adjoint_images": 1}
-    assert rep.adjoint is rep.adjoint
+    assert len(arguments) == 1 and arguments[0] is chain
+    assert rep.prefixes(r) is chain
+    assert rep.adjoint_prefixes(r) is rep.adjoint_prefixes(r)
 
 
 def _boundary_by_determinant(rep, j):
@@ -515,24 +527,22 @@ def schubert_knot(p, q):
 
 
 def test_phi_of_prefix_reuse_is_exact():
-    # the prefix memo must give the very products of a from-scratch scan:
-    # eye(3) right-multiplied letter by letter, summed in term order
+    # the shared chain must give the very matrices of a from-scratch scan:
+    # the closed-form adjoint of each term's own 2x2 product, summed in
+    # term order
     p = schubert_knot(41, 11)
     r = p.relators[0]
     theta = 2.3
     u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[0]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
-    adj = rep.adjoint
-    for i in (1, 0):  # the memo is filled in another order than it is read
+    for i in (1, 0):
         elt = fox_derivative(r, i)
         per_exponent = {}
         for coeff, w in elt.terms:
-            m = np.eye(3, dtype=complex)
-            for g, e in w.letters:
-                m = m @ (adj.matrices[g] if e == 1 else adj.inverses[g])
+            m = reps.adjoint_of_matrix(rep.of_word(w))  # w's own product
             k = p.alpha_of(w)
             per_exponent[k] = per_exponent[k] + coeff * m if k in per_exponent else coeff * m
-        # the memo shared with the other derivative, and a fresh one
+        # the chain shared with the other derivative, and a fresh one
         fresh = Rep(p, rep.images, check=False)
         for target in (rep, fresh):
             got = phi_of(elt, target)
@@ -547,12 +557,13 @@ def test_phi_of_prefix_reuse_is_exact():
 def test_adjoint_prefixes_are_shared_and_read_only():
     p = catalog.knot("5_2")
     u = su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[0]
-    adj = build_rep(p, cmath.exp(2.5j), u, cmath.exp(1.25j)).adjoint
+    rep = build_rep(p, cmath.exp(2.5j), u, cmath.exp(1.25j))
     w = p.relators[0]
-    m = adj.of_word(w)
-    assert adj.of_word(Word(w.letters)) is m
-    with pytest.raises(ValueError):
-        m[0, 0] = 0.0
+    for chain in (rep.prefixes, rep.adjoint_prefixes):
+        m = chain(w)
+        assert chain(Word(w.letters)) is m
+        with pytest.raises(ValueError):
+            m[-1, 0, 0] = 0.0
 
 
 def test_phi_of_reads_exponents_from_the_term_table(monkeypatch):
@@ -573,14 +584,15 @@ def test_phi_of_reads_exponents_from_the_term_table(monkeypatch):
     block = phi_of(elt, reps_[1])
     assert calls == {"alpha_of": len(elt.terms)}
     assert foxcalc.term_table.cache_info().hits == 1
-    # every term of a Fox derivative is a prefix of the relator: one spine
-    assert len(foxcalc.term_table(elt, p)[4]) == 1
+    # every term of a Fox derivative is a prefix of the relator: one spine,
+    # the relator
+    assert foxcalc.term_table(elt, p)[4] == [p.relators[0]]
     # against the exponent sums read term by term
     for a in range(3):
         for b in range(3):
             expected = LaurentPoly.from_dict({}, cleanup=0.0)
             for c, w in elt.terms:
-                m = reps_[1].adjoint.of_word(w)
+                m = reps.adjoint_of_matrix(reps_[1].of_word(w))
                 expected = expected + LaurentPoly.term(c * m[a, b], sum(p.alpha[g] * e for g, e in w.letters))
             assert block.entry(a, b).approx_eq(expected, 1e-12)
 
@@ -602,6 +614,41 @@ def test_stacked_torsion_is_per_point():
             assert result.diagnostics["simple_zero"] is alone.diagnostics["simple_zero"]
             tp_alone = torsion_polynomial(single, drop=drop, tol=TOL)
             assert as_poly(tp.delta).approx_eq(as_poly(tp_alone.delta), 1e-12)
+    # a long relator, where all 40 Fox terms read the relator's prefix
+    # chain: at the same (s, u, sqrt_s) the stack gives every point the very
+    # payload and Delta_1 it gets alone
+    p = schubert_knot(41, 11)
+    phi = riley_polynomial(p.bridge_word)
+    points = [(theta, u) for theta in (2.3, math.pi) for u in su2_solutions(phi, theta).roots]
+    thetas = np.array([theta for theta, _ in points])
+    stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas))
+    for drop in (None, 1):
+        results = compute_torsion(stack, TOL, drop=drop)
+        tps = torsion_polynomial(stack, drop=drop, tol=TOL)
+        for i, (result, tp) in enumerate(zip(results, tps)):
+            single = build_rep(p, stack.s[i], stack.u[i], stack.sqrt_s[i])
+            assert result.to_json() == compute_torsion(single, TOL, drop=drop).to_json()
+            assert np.array_equal(tp.delta, torsion_polynomial(single, drop=drop, tol=TOL).delta)
+
+
+def test_torus_knot_torsion_is_one_of_its_constants():
+    # b(p, 1) = T(2, p): on every SU(2) component the torsion is one of the
+    # constants p^2 / (4 sin^2(pi k / p)), k = 1 .. (p - 1)/2, and at
+    # theta = pi its (p - 1)/2 roots take each constant once.  The worst
+    # relative error over p <= 41 at these thetas is 1.33e-9 (b(41,1) at pi)
+    for p in range(3, 42, 2):
+        knot = schubert_knot(p, 1)
+        phi = riley_polynomial(knot.bridge_word)
+        constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
+        for theta in (math.pi, 2.0, 1.3):
+            roots = su2_solutions(phi, theta).roots
+            rep = rep_at(knot, np.full(len(roots), theta), roots, TOL)
+            values = [result.value for result in compute_torsion(rep, TOL)]
+            nearest = [min(constants, key=lambda c: abs(v - c)) for v in values]
+            for v, c in zip(values, nearest):
+                assert abs(v - c) <= 2e-9 * c, (p, theta, v, c)
+            if theta == math.pi:
+                assert sorted(nearest) == constants
 
 
 def as_poly(rows):
