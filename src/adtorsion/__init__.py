@@ -55,6 +55,7 @@ from .torsion import (
     homology_torsion,
     phi_of,
     regularity_diagnostics,
+    simple_zero,
     torsion_polynomial,
     torsion_via_formula,
     torsion_via_limit,

@@ -34,6 +34,7 @@ from .torsion import (
     RegularityError,
     Tolerances,
     compute_torsion,
+    simple_zero,
     torsion_polynomial,
     torsion_via_limit,
 )
@@ -157,7 +158,7 @@ def sweep_rows(
             "u": u,
             "torsion_re": result.value.real,
             "torsion_im": result.value.imag,
-            "tai_simple_zero": bool(result.diagnostics["simple_zero"]),
+            "tai_simple_zero": simple_zero(result.polynomial),
             "trace_mu": trace,
         }
         for (sols, u), result, trace in zip(points, results, rep.trace_meridian.real.tolist())

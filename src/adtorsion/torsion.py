@@ -8,18 +8,20 @@ det Phi(x_j - 1) is the twisted Alexander invariant (a rational function up
 to +-t^m), and the torsion number is recovered either from the second
 derivative of the numerator at t = 1 or from the limit of the invariant
 divided by (t - 1).  Both routes are kept so they can cross-check each other
-at runtime; they and the diagnostics read one :class:`TorsionPolynomial`,
-so the polynomial is built once per representation.  At a stack of points
-(a :class:`Rep` of (N, 2, 2) images) every matrix is assembled and the
-determinant taken once for all points, Delta_1 is read at t = 1 for all
-points in one array pass over the determinant's coefficient stack, and
-each function returns one result per point, with the bits that point gets
-on its own.  Delta_1 is a LaurentPoly only in the printed invariant.
+at runtime; both read one :class:`TorsionPolynomial`, built once per
+representation, and ``compute_torsion`` evaluates them only: each result
+keeps its polynomial and derives its diagnostics from it when they are read.
+At a stack of points (a :class:`Rep` of (N, 2, 2) images) every matrix is
+assembled and the determinant taken once for all points, Delta_1 is read at
+t = 1 for all points in one array pass over the determinant's coefficient
+stack, and each function returns one result per point, with the bits that
+point gets on its own.  Delta_1 is a LaurentPoly only in the printed invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +159,7 @@ def twisted_alexander_invariant(
     return RationalFunction(num, boundary_factor(rep, j=drop))
 
 
-@dataclass(frozen=True)
-class TorsionPolynomial:
+class TorsionPolynomial(NamedTuple):
     """The torsion polynomial of one representation, built once by
     :func:`torsion_polynomial`, with everything both torsion routes and the
     diagnostics read from it.
@@ -207,9 +208,13 @@ def torsion_polynomial(
     # 1.45x slower until the next vectorized numpy loop, and the benchmark's
     # reference loop runs in the state an operation ends in.  Reading after
     # the matmul would end that state and move the reference, not the cost
-    # of the work (ROADMAP, "reference loop").  The Fox assembly multiplies
-    # no matrices: it takes the adjoints of the relator's prefixes in closed
-    # form from the 2x2 prefix chain that Rep's relator check formed.
+    # of the work (ROADMAP, "reference loop").  So compute_torsion runs only
+    # the two routes in plain Python after it, and the diagnostics' Horner
+    # pass runs when they are read: one stacked numpy Horner pass there ran
+    # faster but moved the 5_2 sweep's reference-scaled median up 35%.  The
+    # Fox assembly multiplies no matrices: it takes the adjoints of the
+    # relator's prefixes in closed form from the 2x2 prefix chain that Rep's
+    # relator check formed.
     readings = readings_at_1(deltas)
     m = rep.images[j]
     traces = np.trace(m @ m, axis1=-2, axis2=-1)
@@ -284,6 +289,15 @@ def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
     return -(delta / ((t - 1.0) * (t * t - tp.tau * t + 1.0))) / step
 
 
+def simple_zero(tp: TorsionPolynomial) -> bool:
+    """The simple-zero test of the invariant at t = 1: the double division
+    by (t - 1)^2 leaves remainders within SIMPLE_ZERO of max |Delta_1|, and
+    Delta_1 / (t - 1)^2 at 1 exceeds REGULAR_FLOOR of it."""
+    scale = tp.scale
+    return (scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
+            and abs(tp.reduced) > REGULAR_FLOOR * scale)
+
+
 def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     """Numerical proxies for the hypotheses behind the torsion value.
 
@@ -291,44 +305,58 @@ def regularity_diagnostics(tp: TorsionPolynomial) -> dict:
     non-parabolic boundary trace is only a proxy for lambda-regularity, and
     is labeled as such.
     """
-    scale = tp.scale
-    reduced_at_1 = abs(tp.reduced)
-    divides = scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
-    simple_zero = divides and reduced_at_1 > REGULAR_FLOOR * scale
+    simple = simple_zero(tp)
     denominator_ok = abs(tp.trace_sq - 2.0) > tp.tol.relation
-    irreducible = tp.irreducible
     return {
-        "scale": scale,
+        "scale": tp.scale,
         # the first division's remainder is Delta_1(1): it adds the same
         # coefficients in the same order as Horner's rule at 1
         "delta1_at_1": tp.remainders[0],
         "delta1_prime_at_1": abs(tp.prime),
-        "reduced_at_1": reduced_at_1,
+        "reduced_at_1": abs(tp.reduced),
         "division_remainders": list(tp.remainders),
-        "simple_zero": simple_zero,
+        "simple_zero": simple,
         "trace_x1_sq": tp.trace_sq,
         "denominator_ok": denominator_ok,
-        "irreducible": irreducible,
-        "lambda_regular_proxy": simple_zero and denominator_ok and irreducible,
+        "irreducible": tp.irreducible,
+        "lambda_regular_proxy": simple and denominator_ok and tp.irreducible,
     }
 
 
 @dataclass(frozen=True)
 class TorsionResult:
-    """Torsion value (sign convention +1) plus both routes and diagnostics."""
+    """Torsion value (sign convention +1), both routes and the polynomial they read."""
 
     value: complex
     formula_value: complex | None
     limit_value: complex | None
-    diagnostics: dict
+    polynomial: TorsionPolynomial = field(compare=False)  # its delta is an array
+
+    @property
+    def diagnostics(self) -> dict:
+        """:func:`regularity_diagnostics` of the polynomial plus the naive
+        limit, the invariant's size near 1 and the formula-vs-limit check;
+        derived anew on every read."""
+        tp = self.polynomial
+        step = 1e-5
+        try:
+            naive = naive_limit(tp, step=step)
+        except ZeroDivisionError:
+            naive = None
+        consistency_ok = None
+        if self.formula_value is not None and self.limit_value is not None:
+            err = abs(self.formula_value - self.limit_value)
+            consistency_ok = err <= tp.tol.consistency * max(1.0, abs(self.limit_value))
+        return {
+            **regularity_diagnostics(tp),
+            "tai_at_1": float("nan") if naive is None else abs(naive) * step,
+            "naive_limit": naive,
+            "consistency_ok": consistency_ok,
+        }
 
     def to_json(self) -> dict:
         def enc(z):
-            if z is None:
-                return None
-            if isinstance(z, complex):
-                return [z.real, z.imag]
-            return z
+            return [z.real, z.imag] if isinstance(z, complex) else z
 
         return {
             "value": enc(self.value),
@@ -343,10 +371,11 @@ def compute_torsion(
     tol: Tolerances = DEFAULT_TOLERANCES,
     drop: int | None = None,
 ) -> TorsionResult | list[TorsionResult]:
-    """Run both torsion routes with diagnostics, all read from one
-    :class:`TorsionPolynomial`; never raises on regularity failures (the
-    diagnostics record them), only on structural errors and a dropped
-    generator that is not a meridian.
+    """Run both torsion routes on one :class:`TorsionPolynomial` per point
+    and keep it in the result, whose diagnostics are derived from it when
+    read; never raises on regularity failures (the diagnostics record
+    them), only on structural errors and a dropped generator that is not a
+    meridian.
 
     The limit route is the preferred value; the formula route cross-checks
     it whenever both are available.
@@ -356,11 +385,6 @@ def compute_torsion(
 
 
 def _torsion_result(tp: TorsionPolynomial) -> TorsionResult:
-    tol = tp.tol
-    diagnostics = regularity_diagnostics(tp)
-
-    formula_value: complex | None
-    limit_value: complex | None
     try:
         formula_value = torsion_via_formula(tp)
     except RegularityError:
@@ -369,36 +393,10 @@ def _torsion_result(tp: TorsionPolynomial) -> TorsionResult:
         limit_value = torsion_via_limit(tp)
     except RegularityError:
         limit_value = None
-
-    step = 1e-5
-    try:
-        naive = naive_limit(tp, step=step)
-        tai_near_1 = abs(naive) * step
-    except ZeroDivisionError:
-        naive = None
-        tai_near_1 = float("nan")
-
-    if limit_value is not None:
-        value = limit_value
-    elif formula_value is not None:
-        value = formula_value
-    else:
+    value = limit_value if limit_value is not None else formula_value
+    if value is None:
         value = complex(float("nan"), 0.0)
-
-    consistency_ok = None
-    if formula_value is not None and limit_value is not None:
-        err = abs(formula_value - limit_value)
-        consistency_ok = err <= tol.consistency * max(1.0, abs(limit_value))
-
-    diagnostics["tai_at_1"] = tai_near_1
-    diagnostics["naive_limit"] = naive
-    diagnostics["consistency_ok"] = consistency_ok
-    return TorsionResult(
-        value=value,
-        formula_value=formula_value,
-        limit_value=limit_value,
-        diagnostics=diagnostics,
-    )
+    return TorsionResult(value, formula_value, limit_value, tp)
 
 
 # ---------------------------------------------------------------------------

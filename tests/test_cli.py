@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from adtorsion import __version__, cli, laurent, locus
+from adtorsion import __version__, cli, laurent, locus, torsion
 from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
@@ -25,7 +25,7 @@ from adtorsion.reps import (
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 from adtorsion.verify import closed_form_5_2
 
-from test_torsion import as_poly, schubert_knot
+from test_torsion import _count_calls, as_poly, schubert_knot, schubert_word
 
 
 def run_cli(capsys, *argv):
@@ -1021,13 +1021,22 @@ def test_library_imports_without_the_cli():
     assert done.stdout == "[]\n"
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """a and b are the same float to the bit, any NaN matching any NaN;
+    repr round-trips every other float and tells -0.0 from 0.0."""
+    return repr(a) == repr(b)
+
+
 @pytest.mark.parametrize(
     "knot, drop",
-    [("5_2", None), ("trefoil", None), ((13, 5), None), ((15, 7), None), ("5_2", 1)],
+    [
+        ("5_2", None), ("trefoil", None), ((13, 5), None), ((15, 7), None), ("5_2", 1),
+        ((31, 7), None), ((41, 11), None),
+    ],
 )
 def test_sweep_stack_matches_single_points(knot, drop):
     # the sweep evaluates all its points as one stack; every row must be what
-    # the one-point path gives for that point alone
+    # the one-point path gives for that point alone, to the bit
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     tol = Tolerances()
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
@@ -1039,14 +1048,13 @@ def test_sweep_stack_matches_single_points(knot, drop):
         assert type(row["tai_simple_zero"]) is bool
         roots = su2_solutions(riley_polynomial(p.bridge_word), row["theta"], tol.relation,
                               multiplicity_threshold=tol.multiplicity).roots
-        u = min(roots, key=lambda r: abs(r - row["u"]))
-        assert abs(u - row["u"]) <= 1e-12
-        rep = locus.rep_at(p, row["theta"], u, tol)
+        assert min(abs(r - row["u"]) for r in roots) <= 1e-12
+        rep = locus.rep_at(p, row["theta"], row["u"], tol)
         single = compute_torsion(rep, tol, drop=drop)
-        value = complex(row["torsion_re"], row["torsion_im"])
-        assert abs(value - single.value) <= 1e-9 * max(1.0, abs(single.value))
+        assert _same_bits(row["torsion_re"], single.value.real)
+        assert _same_bits(row["torsion_im"], single.value.imag)
         assert row["tai_simple_zero"] is single.diagnostics["simple_zero"]
-        assert abs(row["trace_mu"] - rep.trace_meridian.real) <= 1e-12
+        assert _same_bits(row["trace_mu"], float(rep.trace_meridian.real))
 
 
 def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
@@ -1055,6 +1063,11 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     # Delta_1 stays one array from the determinant to the readings: the sweep
     # builds no LaurentPoly, neither by its constructor nor by _raw
     calls = {"build_rep": 0, "determinant": 0, "divide_out_simple_roots": 0, "LaurentPoly": 0}
+    # nor does it build any result's diagnostics: a row reads the simple-zero
+    # rule on the result's polynomial
+    diagnostics = _count_calls(
+        monkeypatch, [(torsion, "regularity_diagnostics"), (torsion, "naive_limit")]
+    )
     build_rep, determinant = locus.build_rep, LaurentMatrix.determinant
     divide = laurent.divide_out_simple_roots
     poly_init, poly_raw = LaurentPoly.__init__, LaurentPoly._raw.__func__
@@ -1087,6 +1100,56 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     rows = sweep_rows(catalog.knot("5_2"), 0.8, 5.4, 31)
     assert len(rows) > 31
     assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1, "LaurentPoly": 0}
+    assert diagnostics == {"regularity_diagnostics": 0, "naive_limit": 0}
     # the counters see the constructions they count
     LaurentPoly(0, [1.0]).shift(1)
     assert calls["LaurentPoly"] == 2
+
+
+def test_diagnostics_are_derived_on_each_read(monkeypatch):
+    # the critical search reads no diagnostics, so it builds none (the sweep
+    # is counted with its determinants above); a result derives them anew
+    # from its polynomial on every read
+    calls = _count_calls(
+        monkeypatch, [(torsion, "regularity_diagnostics"), (torsion, "naive_limit")]
+    )
+    p, tol = catalog.knot("5_2"), Tolerances()
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    assert find_critical_points(p, lo, hi, 33, tol).dihedral_count == 3
+    u = su2_solutions(riley_polynomial(p.bridge_word), 2.9).roots[1]
+    result = compute_torsion(locus.rep_at(p, 2.9, u, tol), tol)
+    assert result == compute_torsion(locus.rep_at(p, 2.9, u, tol), tol)
+    assert calls == {"regularity_diagnostics": 0, "naive_limit": 0}
+    first = result.diagnostics
+    assert calls == {"regularity_diagnostics": 1, "naive_limit": 1}
+    second = result.diagnostics
+    assert calls == {"regularity_diagnostics": 2, "naive_limit": 2}
+    assert first == second and first is not second
+    assert first["simple_zero"] is torsion.simple_zero(result.polynomial) is True
+
+
+# adtorsion sweep output, pinned byte for byte: 5_2 over its auto window
+# with 61 samples as CSV and JSON, and b(41,11) over its auto window with
+# 33 samples, dropping y, as CSV; recorded with numpy 2.4.6
+@pytest.mark.parametrize(
+    "fixture, knot, samples, extra",
+    [
+        ("sweep_5_2.csv", "5_2", 61, ()),
+        ("sweep_5_2.json", "5_2", 61, ("--format", "json")),
+        ("sweep_b41_11_drop_y.csv", (41, 11), 33, ("--drop", "y")),
+    ],
+)
+def test_sweep_output_keeps_every_byte(capsys, tmp_path, fixture, knot, samples, extra):
+    if isinstance(knot, str):
+        source = ("--knot", knot)
+        p = catalog.knot(knot)
+    else:
+        path = tmp_path / "knot.txt"
+        path.write_text(f"twobridge w: {schubert_word(*knot)}\n", encoding="utf-8")
+        source = ("--presentation", str(path))
+        p = schubert_knot(*knot)
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    argv = ("--theta-lo", repr(lo), "--theta-hi", repr(hi), "--samples", str(samples))
+    code, out, err = run_cli(capsys, "sweep", *source, *argv, *extra)
+    assert (code, err) == (0, "")
+    assert out.encode() == pathlib.Path(__file__).with_name(fixture).read_bytes()

@@ -518,12 +518,16 @@ def test_untwisted_alexander_drop_choice_is_unit():
         assert untwisted_alexander(p, drop=0).equal_up_to_unit(untwisted_alexander(p, drop=1))
 
 
-def schubert_knot(p, q):
-    """b(p, q) from its Schubert word: x^e1 y^e2 ..., e_i = (-1)^floor(i q / p)."""
-    word = " ".join(
+def schubert_word(p, q):
+    """The Schubert word of b(p, q): x^e1 y^e2 ..., e_i = (-1)^floor(i q / p)."""
+    return " ".join(
         ("x" if i % 2 else "y") + ("^-1" if (i * q // p) % 2 else "") for i in range(1, p)
     )
-    return two_bridge(word)
+
+
+def schubert_knot(p, q):
+    """b(p, q) from its Schubert word."""
+    return two_bridge(schubert_word(p, q))
 
 
 def test_phi_of_prefix_reuse_is_exact():
