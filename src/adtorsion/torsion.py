@@ -189,6 +189,16 @@ class TorsionPolynomial(NamedTuple):
     prime: complex
     half_second: complex
 
+    def __eq__(self, other: object) -> bool:
+        """Field by field: ``delta`` by :func:`numpy.array_equal`, the others by ==."""
+        return isinstance(other, TorsionPolynomial) and all(
+            np.array_equal(a, b) if name == "delta" else a == b
+            for name, a, b in zip(self._fields, self, other)
+        )
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
 
 def torsion_polynomial(
     rep: Rep, drop: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
@@ -330,7 +340,7 @@ class TorsionResult:
     value: complex
     formula_value: complex | None
     limit_value: complex | None
-    polynomial: TorsionPolynomial = field(compare=False)  # its delta is an array
+    polynomial: TorsionPolynomial = field(compare=False)  # unhashable: its delta is an array
 
     @property
     def diagnostics(self) -> dict:

@@ -32,9 +32,11 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 
 class Word:
-    """A freely reduced word; ``letters`` is a tuple of ``(index, ±1)``."""
+    """A freely reduced word; ``letters`` is a tuple of ``(index, ±1)``.
+    Its hash is computed once: memoized functions hash their word arguments
+    on every call."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         checked = []
@@ -46,6 +48,7 @@ class Word:
                 raise WordError(f"letter exponent must be +1 or -1, got {e!r}")
             checked.append((g, e))
         self.letters: tuple[Letter, ...] = free_reduce(checked)
+        self._hash = hash(self.letters)
 
     @classmethod
     def gen(cls, index: int, exponent: int = 1) -> "Word":
@@ -79,7 +82,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Word({list(self.letters)!r})"

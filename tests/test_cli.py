@@ -93,22 +93,22 @@ def test_tai_payload(capsys):
 FIVE_TWO_PAYLOADS = {
     ("2.5", 0): {
         "torsion": {
-            "value": [10.333805806233993, -5.558128210524382e-12],
-            "formula_value": [10.333805806233988, -5.558128210524382e-12],
-            "limit_value": [10.333805806233993, -5.558128210524382e-12],
+            "value": [10.333805806234796, 3.60153264213764e-15],
+            "formula_value": [10.3338058062348, 3.6015326421376406e-15],
+            "limit_value": [10.333805806234796, 3.60153264213764e-15],
             "diagnostics": {
-                "scale": 7.216374340364319,
-                "delta1_at_1": 2.8156139297117203e-12,
-                "delta1_prime_at_1": 1.2077038505306987e-11,
-                "reduced_at_1": 37.22533670440038,
-                "division_remainders": [2.8156139297117203e-12, 1.2076598410064388e-11],
+                "scale": 7.216374340364524,
+                "delta1_at_1": 1.0480751279681101e-13,
+                "delta1_prime_at_1": 3.349116204344026e-13,
+                "reduced_at_1": 37.22533670440327,
+                "division_remainders": [1.0480751279681101e-13, 3.3402362377587296e-13],
                 "simple_zero": True,
-                "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
+                "trace_x1_sq": [-1.6022872310938674, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00010334409795031702,
-                "naive_limit": [10.334406851047186, -0.007800556144846886],
+                "tai_at_1": 0.00010334199743072903,
+                "naive_limit": [10.33419974307271, 1.9932886902677898e-06],
                 "consistency_ok": True,
             },
         },
@@ -116,21 +116,21 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.2418593388391663, 2.681863816598439e-13],
-                    [-2.560758274502377, -6.065222626416407e-13],
-                    [2.1944304431584682, -3.4075495508385716e-13],
-                    [7.216374340364319, 1.5836933058900888e-12],
-                    [2.1944304431601744, 1.2747608937042878e-12],
-                    [-2.5607582745022235, 2.987396983946964e-13],
-                    [-3.2418593388393737, 3.317889503806199e-13],
+                    [-3.2418593388391566, 5.635653352775206e-16],
+                    [-2.56075827450244, 5.026305440691279e-16],
+                    [2.194430443159287, -4.778051785093988e-16],
+                    [7.216374340364524, -7.560358229345079e-17],
+                    [2.1944304431592845, -2.984259585679831e-16],
+                    [-2.560758274502444, -7.01304874907981e-16],
+                    [-3.2418593388391597, -2.3103564155084793e-16],
                 ],
             },
             "denominator": {
                 "offset": 0,
                 "coeffs": [
                     [-1.0, 0.0],
-                    [-0.6022872310938672, 2.2077493661350635e-17],
-                    [0.6022872310938672, -2.2077493661350635e-17],
+                    [-0.6022872310938674, 0.0],
+                    [0.6022872310938674, 0.0],
                     [1.0, 0.0],
                 ],
             },
@@ -138,22 +138,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("2.5", 1): {
         "torsion": {
-            "value": [11.824289089629008, 4.2202805424269923e-14],
-            "formula_value": [11.824289089629005, 4.220280542426993e-14],
-            "limit_value": [11.824289089629008, 4.2202805424269923e-14],
+            "value": [11.824289089628992, -1.1926484813307818e-14],
+            "formula_value": [11.824289089628996, -1.1926484813307818e-14],
+            "limit_value": [11.824289089628992, -1.1926484813307818e-14],
             "diagnostics": {
-                "scale": 9.247752525302234,
-                "delta1_at_1": 3.838186837508091e-15,
-                "delta1_prime_at_1": 5.5791075306838137e-14,
-                "reduced_at_1": 42.5944856043331,
-                "division_remainders": [3.838186837508091e-15, 5.5592769121056524e-14],
+                "scale": 9.247752525302227,
+                "delta1_at_1": 3.6923178202527846e-16,
+                "delta1_prime_at_1": 1.7528376140842107e-14,
+                "reduced_at_1": 42.594485604333045,
+                "division_remainders": [3.6923178202527846e-16, 1.7072397372086404e-14],
                 "simple_zero": True,
-                "trace_x1_sq": [-1.6022872310938672, 1.1102230246251565e-16],
+                "trace_x1_sq": [-1.6022872310938674, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.0001182441805210468,
-                "naive_limit": [11.824418052103992, 4.033797197435589e-06],
+                "tai_at_1": 0.00011824408189819537,
+                "naive_limit": [11.824408189819492, 1.024518804053135e-06],
                 "consistency_ok": True,
             },
         },
@@ -161,21 +161,21 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.095626045445721, 3.578155008151004e-15],
-                    [-4.401866992705415, 4.130358893021479e-15],
-                    [2.873616775500011, -6.921116549144114e-16],
-                    [9.247752525302234, 3.9072446051127266e-15],
-                    [2.87361677550002, 1.6366923716973361e-15],
-                    [-4.401866992705411, -7.72594121768218e-15],
-                    [-3.095626045445721, -6.286948767350633e-15],
+                    [-3.0956260454457096, -1.3651896158283498e-15],
+                    [-4.401866992705413, -2.3197285308427983e-15],
+                    [2.873616775500011, -5.858647487560658e-16],
+                    [9.247752525302227, 2.3418095941500005e-16],
+                    [2.8736167755000093, 4.1866254480425927e-16],
+                    [-4.401866992705415, 1.6793287162481916e-15],
+                    [-3.0956260454457096, 1.5693788929344845e-15],
                 ],
             },
             "denominator": {
                 "offset": 0,
                 "coeffs": [
                     [-1.0, 0.0],
-                    [-0.6022872310938672, 2.2077493661350635e-17],
-                    [0.6022872310938672, -2.2077493661350635e-17],
+                    [-0.6022872310938674, 0.0],
+                    [0.6022872310938674, 0.0],
                     [1.0, 0.0],
                 ],
             },
@@ -183,22 +183,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 0): {
         "torsion": {
-            "value": [10.884706924614397, 2.6034189510852206e-12],
-            "formula_value": [10.884706924614397, 2.603418951085221e-12],
-            "limit_value": [10.884706924614397, 2.6034189510852206e-12],
+            "value": [10.884706924611576, 2.821014312997645e-15],
+            "formula_value": [10.884706924611574, 2.8210143129976443e-15],
+            "limit_value": [10.884706924611576, 2.821014312997645e-15],
             "diagnostics": {
-                "scale": 9.329748792524542,
-                "delta1_at_1": 2.715161429023283e-12,
-                "delta1_prime_at_1": 5.788338816264505e-12,
-                "reduced_at_1": 43.53882769845759,
-                "division_remainders": [2.715161429023283e-12, 5.786103386826408e-12],
+                "scale": 9.329748792524256,
+                "delta1_at_1": 3.8191672047105385e-14,
+                "delta1_prime_at_1": 1.2090869373563628e-13,
+                "reduced_at_1": 43.538827698446305,
+                "division_remainders": [3.8191672047105385e-14, 1.2268336479294578e-13],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00010891604170605865,
-                "naive_limit": [10.891604170605865, 7.87367158817022e-08],
+                "tai_at_1": 0.00010884720856686546,
+                "naive_limit": [10.884720856686545, 1.3262152981315104e-10],
                 "consistency_ok": True,
             },
         },
@@ -206,13 +206,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.1099162641759097, -1.5533606147398261e-13],
-                    [-4.664874396263065, 4.093790889895196e-13],
-                    [3.1099162641744136, 5.121800649991588e-13],
-                    [9.329748792524542, 2.147392559921016e-13],
-                    [3.1099162641751374, -1.4774397042786128e-13],
-                    [-4.664874396262211, -3.6293317128697264e-13],
-                    [-3.1099162641756237, -4.702852067919635e-13],
+                    [-3.109916264174746, 4.599495387732791e-16],
+                    [-4.664874396262121, 7.595532071829767e-16],
+                    [3.109916264174757, 3.460031968304733e-16],
+                    [9.329748792524256, -2.1874085658910737e-16],
+                    [3.109916264174757, -6.746220182304663e-16],
+                    [-4.66487439626212, -6.312080499672801e-16],
+                    [-3.1099162641747444, -4.093501799987534e-17],
                 ],
             },
             "denominator": {
@@ -228,22 +228,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 1): {
         "torsion": {
-            "value": [22.7288572260224, 8.854390096123479e-14],
-            "formula_value": [22.7288572260224, 8.854390096123479e-14],
-            "limit_value": [22.7288572260224, 8.854390096123479e-14],
+            "value": [22.728857226022306, -8.258576741000623e-15],
+            "formula_value": [22.728857226022313, -8.258576741000624e-15],
+            "limit_value": [22.728857226022306, -8.258576741000623e-15],
             "diagnostics": {
-                "scale": 19.48187762230489,
-                "delta1_at_1": 1.0835776720341528e-13,
-                "delta1_prime_at_1": 1.9919121518202393e-13,
-                "reduced_at_1": 90.9154289040896,
-                "division_remainders": [1.0835776720341528e-13, 1.927915001422224e-13],
+                "scale": 19.481877622304797,
+                "delta1_at_1": 2.7533531010703882e-14,
+                "delta1_prime_at_1": 9.513451261247642e-14,
+                "reduced_at_1": 90.91542890408923,
+                "division_remainders": [2.7533531010703882e-14, 9.337694527998124e-14],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.0002272935980705142,
-                "naive_limit": [22.729359807051416, 3.396738373574332e-09],
+                "tai_at_1": 0.00022729157748481533,
+                "naive_limit": [22.72915774848153, -3.4181469164601723e-10],
                 "consistency_ok": True,
             },
         },
@@ -251,13 +251,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-6.493959207434983, 1.0689861694247946e-14],
-                    [-9.74093881115249, 1.1757058741346498e-14],
-                    [6.493959207434915, 5.530986931385508e-15],
-                    [19.48187762230489, 5.806141932295104e-15],
-                    [6.493959207434978, -3.3617048048305835e-15],
-                    [-9.740938811152441, -1.9876075934487913e-14],
-                    [-6.493959207434976, -1.054626855995649e-14],
+                    [-6.493959207434936, -5.075305255429287e-16],
+                    [-9.740938811152404, -1.329655323997314e-15],
+                    [6.493959207434929, -2.6758382656851423e-15],
+                    [19.481877622304797, -4.1253978733753245e-16],
+                    [6.493959207434929, 2.8744968130509e-15],
+                    [-9.740938811152407, 2.213044525857084e-15],
+                    [-6.493959207434937, -1.6197743634506722e-16],
                 ],
             },
             "denominator": {
@@ -300,7 +300,7 @@ def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
         assert len(payloads) == 20
         assert json.dumps(payloads) == json.dumps(json.loads(B41_11_PAYLOADS.read_text()))
         for payload, reference in zip(payloads, B41_11_REFERENCE):
-            assert abs(complex(*payload["value"]) - reference) <= 1e-9 * abs(reference)
+            assert abs(complex(*payload["value"]) - reference) <= 1e-11 * abs(reference)
         return
     for command, expected in FIVE_TWO_PAYLOADS[(theta, root)].items():
         argv = (command, "--knot", "5_2", "--theta", theta, "--root", str(root))
@@ -861,33 +861,41 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
         for pt in json.loads(out)["points"]
     ]
     assert points == [
-        ("1.1663048320098255", "-1.016300796108287", "22.74936511385496", "0.0"),
-        ("5.116880475174387", "-1.0163007960989476", "22.749365113853404", "0.0"),
-        ("2.0944072267189053", "-2.000031499646586", "8.999999999338558", "0.0"),
-        ("2.3273107599664784", "-2.5218601397923472", "8.95064737277571", "0.0"),
-        ("3.9558745472260672", "-2.5218601397673512", "8.950647372776034", "0.0"),
-        ("4.188778080461343", "-2.0000314996448676", "8.999999999338504", "0.0"),
-        ("3.141592653589793", "-3.9189859472289945", "36.87132442527307", "0.0"),
-        ("3.141592653589793", "-3.3097214678905695", "9.289886883247782", "0.0"),
-        ("3.141592653589793", "-2.28462967654657", "79.15428573061291", "0.0"),
-        ("3.141592653589793", "-1.1691699739962274", "5.629301696456512", "0.0"),
-        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948057", "0.0"),
+        ("1.1663048319983322", "-1.0163007960850823", "22.74936511385303", "0.0"),
+        ("5.116880475180239", "-1.0163007960871315", "22.749365113852893", "0.0"),
+        ("2.0944072267175615", "-2.0000314996430943", "8.999999999338538", "0.0"),
+        ("2.327310759975044", "-2.521860139808869", "8.950647372775874", "0.0"),
+        ("3.9558745472110584", "-2.5218601397963036", "8.950647372776", "0.0"),
+        ("4.188778080460952", "-2.000031499645883", "8.999999999338543", "0.0"),
+        ("3.141592653589793", "-3.9189859472289945", "36.87132442528644", "0.0"),
+        ("3.141592653589793", "-3.3097214678905695", "9.289886883248016", "0.0"),
+        ("3.141592653589793", "-2.28462967654657", "79.15428573061342", "0.0"),
+        ("3.141592653589793", "-1.1691699739962274", "5.6293016964565465", "0.0"),
+        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948072", "0.0"),
     ]
 
 
 def test_auto_theta_range_is_the_window_of_the_whole_probe_grid():
-    # the scan from each end stops at the first theta with a root; the
-    # window must be the one every theta of the 600-theta grid gives, on
-    # the 24 knots b(p, q) with odd p <= 15 and three long words
+    # the scan from the low end stops at the first theta with a root and
+    # takes its mirror grid point as the high end; the window must be the
+    # one every theta of the 600-theta grid gives, on the 178 knots b(p, q)
+    # with odd p <= 41, 5_2 and the trefoil: no theta outside it has a root
+    # and both its grid ends do
     n = 600
     thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
-    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(knots) == 24
-    for p, q in knots + [(21, 5), (31, 7), (41, 11)]:
-        phi = riley_polynomial(schubert_knot(p, q).bridge_word)
-        found = [t for t, count in zip(thetas, su2_root_counts(phi, thetas)) if count]
-        margin = locus.AUTO_THETA_MARGIN
-        assert auto_theta_range(phi) == (found[0] + margin, found[-1] - margin), (p, q)
+    knots = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(knots) == 178
+    margin = locus.AUTO_THETA_MARGIN
+    for knot in knots + ["5_2", "trefoil"]:
+        p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
+        phi = riley_polynomial(p.bridge_word)
+        lo, hi = auto_theta_range(phi)
+        i = next(k for k, theta in enumerate(thetas) if theta + margin == lo)
+        assert hi == thetas[n - 1 - i] - margin, knot
+        # the grid's first i + 1 and last i + 1 thetas
+        counts = su2_root_counts(phi, thetas[:i + 1] + thetas[n - 1 - i:])
+        assert counts[i] > 0 and counts[i + 1] > 0, knot
+        assert not any(counts[:i] + counts[i + 2:]), knot
 
 
 def test_main_calls_share_one_parser_and_no_flags(capsys):

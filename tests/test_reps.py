@@ -9,8 +9,10 @@ import pytest
 
 from adtorsion import catalog
 from adtorsion.laurent import IntLaurent
+from adtorsion.locus import rep_at
 from adtorsion.presentation import Presentation
 from adtorsion.reps import (
+    INTERVAL_SLACK,
     RELATION_TOL,
     THRESHOLD_SAMPLES,
     THRESHOLD_SIGMA_HI,
@@ -224,6 +226,24 @@ def test_family_limit_route_failures_at_pi():
         rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
         failed += sum(result.limit_value is None for result in compute_torsion(rep, Tolerances()))
     assert failed <= 99
+
+
+def test_family_limit_route_in_the_unitary_frame():
+    # the family's SU(2) points as rep_at builds them, one stack per knot and
+    # theta: the limit route finds a simple zero at all but 9 of the 2415
+    # binary dihedral points and at every point at theta = 2 and 1.3, and
+    # the torsion is real up to 1e-11 of max(1, |T|) everywhere
+    tol = Tolerances()
+    failed = {math.pi: 0, 2.0: 0, 1.3: 0}
+    for knot, phi, _ in family_roots_at_pi():
+        for theta, solutions in zip(failed, su2_solutions(phi, list(failed))):
+            if not solutions.roots:
+                continue
+            rep = rep_at(knot, np.full(len(solutions), theta), solutions.roots, tol)
+            for result in compute_torsion(rep, tol):
+                failed[theta] += result.limit_value is None
+                assert abs(result.value.imag) <= 1e-11 * max(1.0, abs(result.value))
+    assert failed[math.pi] <= 9 and failed[2.0] == failed[1.3] == 0
 
 
 @pytest.mark.parametrize("word", ["x y^-1", "x x y"])
@@ -561,23 +581,25 @@ def test_stacked_roots_are_the_single_theta_roots(p, q):
 
 
 def test_stacked_build_rep_matches_single_points():
+    # in both frames
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
     points = [(theta, u) for theta in (0.9, 2.3, math.pi, 4.1) for u in su2_solutions(phi, theta).roots]
     thetas = np.array([theta for theta, _ in points])
-    stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas))
-    assert stack.stacked and stack.images[0].shape == (len(points), 2, 2)
-    for i, (theta, u) in enumerate(points):
-        single = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-        assert not single.stacked
-        for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
-            assert np.array_equal(a[i], b)
-        r = p.relators[0]
-        assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
-        assert np.array_equal(stack.adjoint_prefixes(r)[:, i], single.adjoint_prefixes(r))
-        assert stack.relator_residuals[0][i] == single.relator_residuals[0]
-        assert stack.trace_meridian[i] == single.trace_meridian
-        assert stack.irreducible[i] == single.irreducible
+    for frame in ("riley", "su2"):
+        stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas), frame=frame)
+        assert stack.stacked and stack.images[0].shape == (len(points), 2, 2)
+        for i, (theta, u) in enumerate(points):
+            single = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), frame=frame)
+            assert not single.stacked
+            for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
+                assert np.array_equal(a[i], b)
+            r = p.relators[0]
+            assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
+            assert np.array_equal(stack.adjoint_prefixes(r)[:, i], single.adjoint_prefixes(r))
+            assert stack.relator_residuals[0][i] == single.relator_residuals[0]
+            assert stack.trace_meridian[i] == single.trace_meridian
+            assert stack.irreducible[i] == single.irreducible
 
 
 def test_stack_raises_the_first_failing_points_error():
@@ -605,3 +627,121 @@ def test_stack_raises_the_first_failing_points_error():
     sq[1] = cmath.exp(0.5j * thetas[1])
     rep = build_rep(p, np.array(s), np.array(u), np.array(sq), check=False)
     assert rep.relator_residuals[0][2] > 1e-6 >= rep.relator_residuals[0][0]
+
+
+def _frames(knot, thetas, roots):
+    """The Riley and the su2 frame of one stack of SU(2) points."""
+    s, sq = np.exp(1j * thetas), np.exp(0.5j * thetas)
+    return build_rep(knot, s, roots, sq), build_rep(knot, s, roots, sq, frame="su2")
+
+
+def test_su2_frame_images_are_unit_quaternions_with_riley_traces():
+    # unitary with determinant 1 within 1e-15, and conjugate to Riley's pair:
+    # the traces of x, y and xy agree within 1e-14; on the catalog knots
+    # across their windows and on every family knot at pi
+    stacks = []
+    for name in ("5_2", "trefoil"):
+        p = catalog.knot(name)
+        sols = su2_solutions(riley_polynomial(p.bridge_word), [0.9, 1.3, 2.0, 2.7, math.pi, 4.1, 5.5])
+        points = [(s.theta, u) for s in sols for u in s.roots]
+        stacks.append((p, np.array([t for t, _ in points]), [u for _, u in points]))
+    stacks += [(knot, np.full(len(roots), math.pi), roots) for knot, _, roots in family_roots_at_pi()]
+    for knot, thetas, roots in stacks:
+        riley, su2 = _frames(knot, thetas, roots)
+        assert su2.unitary and not riley.unitary
+        for m in su2.images:
+            assert m.shape == (len(roots), 2, 2)
+            assert np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max() <= 1e-15
+            assert np.abs(np.linalg.det(m) - 1.0).max() <= 1e-15
+        for a, b in zip(riley.images + (riley.images[0] @ riley.images[1],),
+                        su2.images + (su2.images[0] @ su2.images[1],)):
+            assert np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(b, axis1=-2, axis2=-1)).max() <= 1e-14
+
+
+def test_su2_frame_sign_twist_is_exact():
+    # -sqrt_s gives exactly -x and -y, so Ad keeps every bit
+    p = catalog.knot("5_2")
+    for theta in (0.9, 2.7, math.pi, 4.1):
+        for u in su2_solutions(riley_polynomial(p.bridge_word), theta).roots:
+            s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
+            plus = build_rep(p, s, u, sq, frame="su2")
+            minus = build_rep(p, s, u, -sq, frame="su2")
+            for a, b in zip(plus.images, minus.images):
+                assert np.array_equal(b, -a)
+            for w in p.relators:
+                assert np.array_equal(plus.adjoint_prefixes(w), minus.adjoint_prefixes(w))
+
+
+def test_su2_frame_builds_a_root_within_the_slack_and_rejects_points_off_su2():
+    # su2_solutions keeps the trefoil's root u = 3.3e-16 at theta = pi/3,
+    # just above the window [sigma - 2, 0]; it is the abelian point
+    # Delta(s) = 0, so phi(s, u) fails its relative check in either frame.
+    # Unchecked, the su2 frame builds it clamped to u = 0, where y = x
+    p = catalog.knot("trefoil")
+    theta = math.pi / 3
+    (u,) = su2_solutions(riley_polynomial(p.bridge_word), theta).roots
+    assert 0.0 < u <= INTERVAL_SLACK
+    s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
+    for frame in ("riley", "su2"):
+        with pytest.raises(RepresentationError, match="does not vanish"):
+            build_rep(p, s, u, sq, frame=frame)
+    rep = build_rep(p, s, u, sq, check=False, frame="su2")
+    assert rep.u == u and np.array_equal(rep.images[0], rep.images[1])
+    # and below the window: clamped to u = sigma - 2, where y = x^-1
+    s, sq = cmath.exp(2j), cmath.exp(1j)
+    rep = build_rep(p, s, 2 * s.real - 2 - INTERVAL_SLACK / 2, sq, check=False, frame="su2")
+    assert np.abs(rep.images[1] - rep.inverses[0]).max() <= 1e-15
+    # off SU(2): past the slack, |s| != 1, a complex u; checked even without
+    # the variety checks
+    s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
+    for point in ((s, 3 * INTERVAL_SLACK, sq), (4.0, 0.5, 2.0), (s, u + 1e-3j, sq)):
+        with pytest.raises(RepresentationError, match="not an SU.2. point"):
+            build_rep(p, *point, frame="su2", check=False)
+    with pytest.raises(ValueError, match="frame"):
+        build_rep(p, s, u, sq, frame="unitary")
+
+
+def test_unitary_rep_needs_unit_quaternion_images():
+    p = catalog.knot("5_2")
+    theta = 2.7
+    u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[0]
+    su2 = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), frame="su2")
+    again = Rep(p, su2.images, unitary=True)
+    assert np.array_equal(again.prefixes(p.relators[0]), su2.prefixes(p.relators[0]))
+    riley = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
+    with pytest.raises(RepresentationError, match="not in SU.2."):
+        Rep(p, riley.images, unitary=True)
+
+
+def test_su2_prefix_chain_is_the_quaternion_row_product(monkeypatch):
+    # no matmul: each prefix's first row (a, b) goes to
+    # (a g - b conj(d), a d + b conj(g)) per letter (g, d), with the letter's
+    # inverse (conj(g), -d), and an x letter (d = 0) gives the same bits as
+    # one product; the chain agrees with the matrix products to rounding
+    def no_matmul(*args, **kwargs):
+        raise AssertionError("np.matmul called")
+
+    knot = schubert_knot(41, 11)
+    roots = np.array(su2_solutions(riley_polynomial(knot.bridge_word), 2.0).roots)
+    thetas = np.full(len(roots), 2.0)
+    riley, _ = _frames(knot, thetas, roots)
+    words = [knot.relators[0], Word([(0, 1)] * 5 + [(1, -1), (0, -1), (1, 1)] * 3)]
+    monkeypatch.setattr(np, "matmul", no_matmul)
+    su2 = rep_at(knot, thetas, roots, Tolerances())
+    single = rep_at(knot, 2.0, roots[3], Tolerances())
+    chains = [su2.prefixes(w) for w in words]
+    monkeypatch.undo()
+    for w, chain in zip(words, chains):
+        a, b = np.ones(len(roots), dtype=complex), np.zeros(len(roots), dtype=complex)
+        for k, (g, e) in enumerate(w.letters, start=1):
+            gamma, delta = su2.images[g][:, 0, 0], su2.images[g][:, 0, 1]
+            if e == -1:
+                gamma, delta = gamma.conj(), -delta
+            a, b = a * gamma - b * delta.conj(), a * delta + b * gamma.conj()
+            assert np.array_equal(chain[k, :, 0, 0], a) and np.array_equal(chain[k, :, 0, 1], b)
+        assert np.array_equal(chain[:, :, 1, 0], -chain[:, :, 0, 1].conj())
+        assert np.array_equal(chain[:, :, 1, 1], chain[:, :, 0, 0].conj())
+        assert np.array_equal(single.prefixes(w), chain[:, 3])
+        matrices = Rep(knot, su2.images, check=False).prefixes(w)
+        assert np.abs(matrices - chain).max() <= 1e-13
+    assert np.abs(riley.relator_residuals[0]).max() > np.abs(su2.relator_residuals[0]).max()

@@ -639,7 +639,8 @@ def test_torus_knot_torsion_is_one_of_its_constants():
     # b(p, 1) = T(2, p): on every SU(2) component the torsion is one of the
     # constants p^2 / (4 sin^2(pi k / p)), k = 1 .. (p - 1)/2, and at
     # theta = pi its (p - 1)/2 roots take each constant once.  The worst
-    # relative error over p <= 41 at these thetas is 1.33e-9 (b(41,1) at pi)
+    # relative error over p <= 41 at these thetas is 4.58e-12 (b(37,1) at
+    # pi), built in the unitary frame
     for p in range(3, 42, 2):
         knot = schubert_knot(p, 1)
         phi = riley_polynomial(knot.bridge_word)
@@ -650,7 +651,7 @@ def test_torus_knot_torsion_is_one_of_its_constants():
             values = [result.value for result in compute_torsion(rep, TOL)]
             nearest = [min(constants, key=lambda c: abs(v - c)) for v in values]
             for v, c in zip(values, nearest):
-                assert abs(v - c) <= 2e-9 * c, (p, theta, v, c)
+                assert abs(v - c) <= 1e-11 * c, (p, theta, v, c)
             if theta == math.pi:
                 assert sorted(nearest) == constants
 
@@ -812,3 +813,15 @@ def test_stacked_readings_of_edge_polynomials():
         # the lowest coefficient is cleaned, the others keep every bit
         assert as_poly(matrix.determinant(cleanup=cleanup)).coeffs == raw[1:]
         _assert_determinant_readings_are_exact(matrix, cleanups=(0.0, cleanup, DEFAULT_CLEANUP))
+
+
+def test_torsion_polynomials_compare_field_by_field():
+    # delta is an array: equal polynomials compare equal instead of raising
+    p = catalog.knot("5_2")
+    u = su2_solutions(riley_polynomial(p.bridge_word), 2.9).roots[1]
+    tp1, tp2 = (torsion_polynomial(rep_at(p, 2.9, u, TOL)) for _ in range(2))
+    assert tp1 is not tp2 and tp1 == tp2 and not tp1 != tp2
+    changed = tp1._replace(delta=tp1.delta * (1.0 + 1e-15))
+    assert changed != tp1 and not changed == tp1
+    assert tp1._replace(scale=tp1.scale + 1.0) != tp1
+    assert tp1 != tuple(tp1)

@@ -98,3 +98,10 @@ def test_invalid_letters_rejected():
         Word([(0, 2)])
     with pytest.raises(WordError):
         Word([(-1, 1)])
+
+
+def test_hash_is_computed_once_and_is_the_letters_hash():
+    w = parse_word("x y^-1 x^2", ["x", "y"])
+    assert hash(w) == hash(w.letters) == hash(Word(w.letters))
+    assert w._hash == hash(w.letters)
+    assert len({w, Word(w.letters), w * Word()}) == 1
