@@ -12,7 +12,6 @@ change of the root count does the grid pairing fall back to nearest u.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .reps import (
     Rep,
     RepresentationError,
     RileyPoly,
+    _bracketed_zero,
     build_rep,
     riley_polynomial,
     su2_root_count_thresholds,
@@ -484,58 +484,6 @@ def _refine_derivative_zeros(
             else:
                 advance(i, steps, slope[0])
     return out
-
-
-def _bracketed_zero(
-    a: float, fa: float, b: float, fb: float, xtol: float
-) -> Generator[float, float, float]:
-    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
-    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
-    without Derivatives*, ch. 4).
-
-    A generator: it yields each trial x and is sent f(x) there, and it
-    returns the zero.  Every step stays inside the current sign bracket: an
-    inverse quadratic or secant step when it shrinks the bracket fast
-    enough, else bisection.  The zero is the bracket end with the smaller
-    |f| once f is exactly 0 there or the bracket is narrower than xtol.
-    """
-    if fa * fb > 0.0:
-        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            # keep c on the other side of the zero from b
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0.0 or abs(c - b) < xtol:
-            return b
-        m = 0.5 * (c - b)
-        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
-        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
-        if not bisect:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                bisect = True
-        if bisect:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = yield b
 
 
 def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:

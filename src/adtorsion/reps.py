@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -42,8 +44,6 @@ THRESHOLD_SAMPLES = 2000
 #: whole grid never rises with sigma (changes come as close as one grid step,
 #: but none is undone), and strides 4 to 64 all give the whole grid's brackets
 THRESHOLD_STRIDE = 16
-#: sigma values probed inside each bracket of a count change per refinement round
-THRESHOLD_PROBES = 15
 
 #: trailing Chebyshev coefficients at most this fraction of the largest are
 #: rounding noise of the fit (at most 8e-15 on the two-bridge knots up to
@@ -313,7 +313,7 @@ def su2_solutions(
     thetas = [float(t) for t in theta] if stacked else [float(theta)]
     roots, real, edge = _su2_roots(phi, thetas, multiplicity_threshold)
     out = []
-    for t, values, r, e in zip(thetas, roots.tolist(), real.tolist(), edge.tolist()):
+    for t, values, r, e in zip(thetas, roots.real.tolist(), real.tolist(), edge.tolist()):
         kept = tuple(sorted(compress(values, r)))
         close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
         flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
@@ -355,9 +355,9 @@ def _chebyshev_basis(d: int):
 def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
     """The one root finder behind su2_solutions and su2_root_counts.
 
-    For each theta (a row), the real parts of the roots u, padded with NaN,
-    and two masks of the roots inside the slack window: real within
-    REALITY_TOL, and near-real (|Im| <= borderline_tol), the signature of a
+    For each theta (a row), the roots u, padded with NaN, and two masks of
+    the roots inside the slack window: real within REALITY_TOL, and
+    near-real (|Im| <= borderline_tol), the signature of a
     double root at the edge of the real locus.  Every step is elementwise or
     one LAPACK call per matrix, so a row does not depend on its stack.
     """
@@ -401,7 +401,7 @@ def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
     imag = np.abs(roots.imag)
     window = (roots.real >= -2.0 * h - INTERVAL_SLACK) & (roots.real <= INTERVAL_SLACK)
     real = imag <= REALITY_TOL
-    return roots.real, real & window, ~real & (imag <= borderline_tol) & window
+    return roots, real & window, ~real & (imag <= borderline_tol) & window
 
 
 def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
@@ -410,46 +410,206 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     The grid is THRESHOLD_SAMPLES points in sigma = 2cos(theta) from
     THRESHOLD_SIGMA_LO to THRESHOLD_SIGMA_HI.  One stack counts roots on
     every THRESHOLD_STRIDE-th point and the last; a second counts them on
-    the points inside each of those intervals whose end counts differ.  Each
-    change between neighbouring grid points is a bracket, cut into
-    THRESHOLD_PROBES + 1 parts per round, all brackets in one stack, down to
-    a width below 1e-13.  A count that leaves and regains its value within
-    one interval of THRESHOLD_STRIDE grid steps is not seen."""
+    the points inside each of those intervals whose end counts differ.  A
+    count that leaves and regains its value within one interval of
+    THRESHOLD_STRIDE grid steps is not seen.
 
-    def thetas_of(sigmas) -> list[float]:
-        return [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
+    Each change between neighbouring grid points is a bracket with an event
+    function of its roots (see :func:`_threshold_event`), whose zero Brent's
+    method finds to 1e-13, all brackets in lockstep, one root stack per
+    round.  One more stack checks every zero t: the count at t - 1e-9 must
+    be the bracket's low-end count, and the count at t + 1e-9 must differ.
+    A bracket whose event function has one sign at both ends, or whose zero
+    fails the check, is refined the same way on a step function of the
+    count: +1/2 where it is the low end's, -1/2 elsewhere."""
+
+    def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
+        thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
+        roots, inside, _ = _su2_roots(phi, thetas, 0.0)
+        return roots, inside.sum(axis=1).tolist()
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
-    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+
+    def grid(i: int) -> float:
+        return lo + (hi - lo) * i / (samples - 1)
+
+    roots: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
+
+    def count(indices: list[int]) -> None:
+        found, found_counts = roots_at([grid(i) for i in indices])
+        roots.update(zip(indices, found))
+        counts.update(zip(indices, found_counts))
+
     coarse = [*range(0, samples - 1, THRESHOLD_STRIDE), samples - 1]
-    counts = dict(zip(coarse, su2_root_counts(phi, thetas_of(grid[i] for i in coarse))))
+    count(coarse)
     changed = [(i, j) for i, j in zip(coarse, coarse[1:]) if counts[i] != counts[j]]
-    inner = [k for i, j in changed for k in range(i + 1, j)]
-    counts.update(zip(inner, su2_root_counts(phi, thetas_of(grid[k] for k in inner))))
-    # (a, b, count at a) with the count changing between neighbours a and b
+    count([k for i, j in changed for k in range(i + 1, j)])
+    # (a, b, count at a, count at b, roots at a, roots at b) with the count
+    # changing between neighbours a and b
     brackets = [
-        (grid[k], grid[k + 1], counts[k])
+        (grid(k), grid(k + 1), counts[k], counts[k + 1], roots[k], roots[k + 1])
         for i, j in changed
         for k in range(i, j)
         if counts[k] != counts[k + 1]
     ]
-    pending = [i for i, (a, b, _) in enumerate(brackets) if b - a >= 1e-13]
-    while pending:
-        probes = [
-            [a + (b - a) * j / (THRESHOLD_PROBES + 1) for j in range(1, THRESHOLD_PROBES + 1)]
-            for a, b, _ in (brackets[i] for i in pending)
-        ]
-        probe_counts = su2_root_counts(phi, thetas_of(sig for row in probes for sig in row))
-        for k, (i, row) in enumerate(zip(pending, probes)):
-            a, b, ca = brackets[i]
-            for sig, c in zip(row, probe_counts[k * THRESHOLD_PROBES:(k + 1) * THRESHOLD_PROBES]):
-                if c != ca:
-                    b = sig
-                    break
-                a = sig
-            brackets[i] = a, b, ca
-        pending = [i for i in pending if brackets[i][1] - brackets[i][0] >= 1e-13]
-    return [0.5 * (a + b) for a, b, _ in brackets]
+    jobs = {i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))}
+    zeros = _lockstep_zeros(roots_at, jobs)
+    checked = list(zeros)
+    _, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
+    for i, below, above in zip(checked, near[::2], near[1::2]):
+        if below != brackets[i][2] or above == below:
+            del zeros[i]
+    # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
+    # at every trial Brent's method bisects, and the zero is where the count
+    # leaves the low end's, also across a second change inside the bracket
+    steps = {
+        i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
+        for i, (a, b, ca, *_) in enumerate(brackets)
+        if i not in zeros
+    }
+    zeros.update(_lockstep_zeros(roots_at, steps))
+    return [zeros[i] for i in range(len(brackets))]
+
+
+def _threshold_event(a, b, ca, cb, roots_a, roots_b):
+    """The event function of the root count change between neighbouring
+    sigma values a < b, with the counts ca != cb and the roots there, as
+    (function, a, its value at a, b, its value at b), or None when no
+    candidate changes sign.  A function is called with (sigma, the roots
+    there, the count there) and follows its roots from call to call.
+
+    An odd change is a root crossing a window end: the event is the
+    crossing root's Re u - INTERVAL_SLACK at u = 0, or its
+    Re u - (sigma - 2 - INTERVAL_SLACK) at the lower end.  An even change is
+    a pair of real roots merging into a conjugate pair: the event is
+    Re((u1 - u2)^2), positive while the pair is real and -4 Im^2 after.
+    """
+    if (ca - cb) % 2:
+        real = roots_a[np.abs(roots_a.imag) <= REALITY_TOL].tolist()
+        for bound in (lambda sig: INTERVAL_SLACK, lambda sig: sig - 2.0 - INTERVAL_SLACK):
+            for u in sorted(real, key=lambda u: abs(u.real - bound(a))):
+                event = _crossing_event(bound, u)
+                fa, fb = event(a, roots_a, ca), event(b, roots_b, cb)
+                if fa * fb <= 0.0:
+                    return event, a, fa, b, fb
+        return None
+    # a conjugate pair inside the window at the end with fewer real roots,
+    # nearest the real axis first; the event is read there first
+    (few, roots_few, c_few), (many, roots_many, c_many) = sorted(
+        [(a, roots_a, ca), (b, roots_b, cb)], key=lambda end: end[2]
+    )
+    pairs = roots_few[
+        (roots_few.imag > REALITY_TOL)
+        & (roots_few.real <= INTERVAL_SLACK)
+        & (roots_few.real >= few - 2.0 - INTERVAL_SLACK)
+    ]
+    for mid in pairs[np.argsort(pairs.imag)].real.tolist():
+        event = _fold_event(mid)
+        values = {few: event(few, roots_few, c_few), many: event(many, roots_many, c_many)}
+        if values[a] * values[b] <= 0.0:
+            return event, a, values[a], b, values[b]
+    return None
+
+
+def _crossing_event(bound, u: complex):
+    """Re u - bound(sigma) of the root nearest the one of the last call."""
+
+    def event(sigma: float, roots: np.ndarray, count: int) -> float:
+        nonlocal u
+        u = roots[np.nanargmin(np.abs(roots - u))]
+        return float(u.real - bound(sigma))
+
+    return event
+
+
+def _fold_event(mid: complex):
+    """Re((u1 - u2)^2) of the two roots nearest the mean of the last call's pair."""
+
+    def event(sigma: float, roots: np.ndarray, count: int) -> float:
+        nonlocal mid
+        u1, u2 = roots[np.argsort(np.abs(roots - mid))[:2]]
+        mid = 0.5 * (u1 + u2)
+        return float(((u1 - u2) ** 2).real)
+
+    return event
+
+
+def _lockstep_zeros(roots_at, jobs) -> dict[int, float]:
+    """The zero of every job's function, by Brent's method to 1e-13: jobs
+    maps a key to (function, a, its value at a, b, its value at b), and
+    each round solves the trial sigma of every job not yet done in one
+    root stack."""
+    zeros: dict[int, float] = {}
+    trials: dict[int, tuple[float, Generator[float, float, float]]] = {}
+
+    def advance(i: int, steps: Generator[float, float, float], value: float | None) -> None:
+        try:
+            trials[i] = steps.send(value), steps
+        except StopIteration as stop:
+            zeros[i] = float(stop.value)
+
+    for i, (_, a, fa, b, fb) in jobs.items():
+        advance(i, _bracketed_zero(a, fa, b, fb, xtol=1e-13), None)
+    while trials:
+        batch = list(trials.items())
+        trials.clear()
+        rows, row_counts = roots_at([sigma for _, (sigma, _) in batch])
+        for (i, (sigma, steps)), row, c in zip(batch, rows, row_counts):
+            advance(i, steps, jobs[i][0](sigma, row, c))
+    return zeros
+
+
+def _bracketed_zero(
+    a: float, fa: float, b: float, fb: float, xtol: float
+) -> Generator[float, float, float]:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
+    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4).
+
+    A generator: it yields each trial x and is sent f(x) there, and it
+    returns the zero.  Every step stays inside the current sign bracket: an
+    inverse quadratic or secant step when it shrinks the bracket fast
+    enough, else bisection.  The zero is the bracket end with the smaller
+    |f| once f is exactly 0 there or the bracket is narrower than xtol.
+    """
+    if fa * fb > 0.0:
+        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # keep c on the other side of the zero from b
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or abs(c - b) < xtol:
+            return b
+        m = 0.5 * (c - b)
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
+        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
+        if not bisect:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                bisect = True
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = yield b
 
 
 def near_transition(sigma: float, thresholds: Sequence[float], band: float = 1e-3) -> bool:

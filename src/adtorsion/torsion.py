@@ -345,8 +345,9 @@ class TorsionResult:
     @property
     def diagnostics(self) -> dict:
         """:func:`regularity_diagnostics` of the polynomial plus the naive
-        limit, the invariant's size near 1 and the formula-vs-limit check;
-        derived anew on every read."""
+        limit, the invariant's size near 1, the formula-vs-limit check and
+        the route ``value`` came from ("limit", "formula" or None); derived
+        anew on every read."""
         tp = self.polynomial
         step = 1e-5
         try:
@@ -362,6 +363,8 @@ class TorsionResult:
             "tai_at_1": float("nan") if naive is None else abs(naive) * step,
             "naive_limit": naive,
             "consistency_ok": consistency_ok,
+            "route": "limit" if self.limit_value is not None
+            else "formula" if self.formula_value is not None else None,
         }
 
     def to_json(self) -> dict:

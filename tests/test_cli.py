@@ -25,6 +25,7 @@ from adtorsion.reps import (
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 from adtorsion.verify import closed_form_5_2
 
+from test_reps import _brent
 from test_torsion import _count_calls, as_poly, schubert_knot, schubert_word
 
 
@@ -110,6 +111,7 @@ FIVE_TWO_PAYLOADS = {
                 "tai_at_1": 0.00010334199743072903,
                 "naive_limit": [10.33419974307271, 1.9932886902677898e-06],
                 "consistency_ok": True,
+                "route": "limit",
             },
         },
         "tai": {
@@ -155,6 +157,7 @@ FIVE_TWO_PAYLOADS = {
                 "tai_at_1": 0.00011824408189819537,
                 "naive_limit": [11.824408189819492, 1.024518804053135e-06],
                 "consistency_ok": True,
+                "route": "limit",
             },
         },
         "tai": {
@@ -200,6 +203,7 @@ FIVE_TWO_PAYLOADS = {
                 "tai_at_1": 0.00010884720856686546,
                 "naive_limit": [10.884720856686545, 1.3262152981315104e-10],
                 "consistency_ok": True,
+                "route": "limit",
             },
         },
         "tai": {
@@ -245,6 +249,7 @@ FIVE_TWO_PAYLOADS = {
                 "tai_at_1": 0.00022729157748481533,
                 "naive_limit": [22.72915774848153, -3.4181469164601723e-10],
                 "consistency_ok": True,
+                "route": "limit",
             },
         },
         "tai": {
@@ -722,61 +727,6 @@ def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     assert all(pt.is_dihedral for pt in report.points)
 
 
-def _brent(f, a, fa, b, fb, xtol):
-    """Drive the Brent generator over one bracket with f."""
-    steps = locus._bracketed_zero(a, fa, b, fb, xtol=xtol)
-    try:
-        theta = next(steps)
-        while True:
-            theta = steps.send(f(theta))
-    except StopIteration as stop:
-        return stop.value
-
-
-def test_bracketed_zero_converges_on_a_cubic():
-    calls = []
-
-    def cubic(x):
-        calls.append(x)
-        return x**3 - 2.0 * x - 5.0
-
-    root = 2.0945514815423265
-    x = _brent(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
-    assert abs(x - root) <= 1e-11
-    # bisection needs 37 halvings of [2, 3] to get below 1e-11
-    assert len(calls) - 2 <= 10
-
-
-def test_bracketed_zero_returns_an_exact_zero_at_an_end():
-    def f(x):
-        raise AssertionError("no evaluation needed")
-
-    assert _brent(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
-    assert _brent(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
-    with pytest.raises(ValueError):
-        _brent(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
-
-
-def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
-    # +-1e-9 deterministic noise on a line through 0.7: the noisy function may
-    # change sign anywhere within ~1e-9 of the root, and the result must sit
-    # between two evaluated points of opposite sign less than xtol apart
-    seen = {}
-
-    def noisy(x):
-        y = (x - 0.7) + 1e-9 * (1.0 if int(x * 1e13) % 2 else -1.0)
-        seen[x] = y
-        return y
-
-    a, b = 0.0, 1.5
-    x = _brent(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
-    assert abs(x - 0.7) <= 1e-9 + 1e-11
-    partners = [
-        t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
-    ]
-    assert partners or seen[x] == 0.0
-
-
 @pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 6), (15, 7, 4)])
 def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_changes):
     # all sign changes advance together, one stack per Brent round; each
@@ -943,21 +893,21 @@ def test_simple_zero_remainder_on_the_edge_branch():
         (
             "5_2",
             (0.7487422385445941, 5.534443068634992),
-            [-1.484435331765868, 1.5000000008749894],
+            [-1.484435331765857, 1.5000000008749994],
         ),
         (
             (15, 7),
             (0.5298659589940578, 5.753319348185529),
-            [-1.8865648418890122, -1.2024578825382601, 0.03893294855903323, 1.7500000007812408],
+            [-1.886564841889004, -1.202457882538248, 0.038932948559044174, 1.750000000781255],
         ),
         (
             (41, 11),
             (0.7070515186302062, 5.57613378854938),
             [
-                -1.9854707830540081, -1.8684222660044902, -1.8669204010773526,
-                -1.6166221079418133, -1.5973095205326646, -1.3537155899598776,
-                -0.796394206750376, -0.7053200668338293, -0.39259506888837714,
-                0.19806226513169847, 1.5549581351420891,
+                -1.9854707830540137, -1.8684222660044838, -1.86692040107734,
+                -1.616622107941816, -1.5973095205326633, -1.353715589959868,
+                -0.7963942067503725, -0.7053200668338434, -0.3925950688883926,
+                0.1980622651317023, 1.5549581351421,
             ],
         ),
     ],
@@ -965,8 +915,8 @@ def test_simple_zero_remainder_on_the_edge_branch():
 def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):
     # to the last bit: the windows are the ones the per-point su2_solutions
     # probes gave before the probe grids were batched; the thresholds are
-    # those of the Chebyshev root kernel, within 4.8e-13 of the companion
-    # kernel's
+    # the zeros of the event functions refined by Brent's method, within
+    # 1.6e-14 of the bracket bisection's
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     phi = riley_polynomial(p.bridge_word)
     assert auto_theta_range(phi) == window

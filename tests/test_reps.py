@@ -1,4 +1,5 @@
 import cmath
+import bisect
 import functools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adtorsion import catalog
+from adtorsion import catalog, reps
 from adtorsion.laurent import IntLaurent
 from adtorsion.locus import rep_at
 from adtorsion.presentation import Presentation
@@ -21,6 +22,7 @@ from adtorsion.reps import (
     RepresentationError,
     RileyPoly,
     _UPoly,
+    _bracketed_zero,
     adjoint_of_matrix,
     build_rep,
     near_transition,
@@ -347,6 +349,17 @@ def test_su2_root_count_thresholds():
     assert not near_transition(SIGMA_STAR + 5e-3, thresholds)
 
 
+def _sigma_thetas(sigmas):
+    return [max(1e-9, math.acos(max(-1.0, min(1.0, s / 2.0)))) for s in sigmas]
+
+
+def _critical_family():
+    """The 24 knots b(p, q) with odd p <= 15 that the critical benchmark searches."""
+    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(knots) == 24
+    return knots
+
+
 def test_thresholds_match_the_count_changes_of_the_whole_grid():
     # the whole grid counted in one stack is the oracle of the two-level
     # scan: every change between neighbouring grid points holds exactly one
@@ -354,10 +367,8 @@ def test_thresholds_match_the_count_changes_of_the_whole_grid():
     # b(p, q) with odd p <= 15 that the critical benchmark searches
     lo, hi, n = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, s / 2.0)))) for s in grid]
-    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(knots) == 24
-    for p, q in knots:
+    thetas = _sigma_thetas(grid)
+    for p, q in _critical_family():
         phi = riley_polynomial(schubert_knot(p, q).bridge_word)
         counts = su2_root_counts(phi, thetas)
         changes = [(a, b) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
@@ -367,6 +378,107 @@ def test_thresholds_match_the_count_changes_of_the_whole_grid():
             assert sum(a <= t <= b for t in thresholds) == 1, (p, q, a, b)
         for t in thresholds:
             assert sum(a <= t <= b for a, b in changes) == 1, (p, q, t)
+
+
+def test_thresholds_are_count_verified():
+    # on the 178 knots b(p, q) with odd p <= 41, 5_2 and the trefoil, every
+    # threshold t sits where the count leaves the one at the low end of its
+    # grid bracket: the count at t - 1e-9 is that count, at t + 1e-9 it is
+    # not.  Brent's method on the event function alone would put four of
+    # them (b(25,3), b(25,17), b(37,11), b(37,21)) on a second count change
+    # inside the same grid step, up to 1.4e-3 away
+    lo, hi, n = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    knots = [catalog.knot("5_2"), catalog.knot("trefoil")] + [
+        schubert_knot(p, q)
+        for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1
+    ]
+    assert len(knots) == 180
+    checked = 0
+    for knot in knots:
+        phi = riley_polynomial(knot.bridge_word)
+        thresholds = su2_root_count_thresholds(phi)
+        sigmas = []
+        for t in thresholds:
+            sigmas += [grid[bisect.bisect_right(grid, t) - 1], t - 1e-9, t + 1e-9]
+        counts = su2_root_counts(phi, _sigma_thetas(sigmas))
+        for t, low_end, below, above in zip(thresholds, counts[::3], counts[1::3], counts[2::3]):
+            assert low_end == below != above, (knot.bridge_word, t, low_end, below, above)
+            checked += 1
+    assert checked == 1405
+
+
+def test_thresholds_of_the_critical_family_keep_a_root_solve_budget(monkeypatch):
+    # every threshold costs a few root stacks: the 24 searches' thresholds
+    # solve 4 541 theta in all, where 9 rounds of 15 count probes per
+    # threshold solved 14 424
+    solved = []
+    solve = reps._su2_roots
+
+    def counted(phi, thetas, *args):
+        solved.append(len(thetas))
+        return solve(phi, thetas, *args)
+
+    monkeypatch.setattr(reps, "_su2_roots", counted)
+    for p, q in _critical_family():
+        su2_root_count_thresholds(riley_polynomial(schubert_knot(p, q).bridge_word))
+    assert sum(solved) <= 6000
+
+
+def _brent(f, a, fa, b, fb, xtol):
+    """Drive the Brent generator over one bracket with f."""
+    steps = _bracketed_zero(a, fa, b, fb, xtol=xtol)
+    try:
+        theta = next(steps)
+        while True:
+            theta = steps.send(f(theta))
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_bracketed_zero_converges_on_a_cubic():
+    calls = []
+
+    def cubic(x):
+        calls.append(x)
+        return x**3 - 2.0 * x - 5.0
+
+    root = 2.0945514815423265
+    x = _brent(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
+    assert abs(x - root) <= 1e-11
+    # bisection needs 37 halvings of [2, 3] to get below 1e-11
+    assert len(calls) - 2 <= 10
+
+
+def test_bracketed_zero_returns_an_exact_zero_at_an_end():
+    def f(x):
+        raise AssertionError("no evaluation needed")
+
+    assert _brent(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
+    assert _brent(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
+    with pytest.raises(ValueError):
+        _brent(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
+
+
+def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
+    # +-1e-9 deterministic noise on a line through 0.7: the noisy function may
+    # change sign anywhere within ~1e-9 of the root, and the result must sit
+    # between two evaluated points of opposite sign less than xtol apart
+    seen = {}
+
+    def noisy(x):
+        y = (x - 0.7) + 1e-9 * (1.0 if int(x * 1e13) % 2 else -1.0)
+        seen[x] = y
+        return y
+
+    a, b = 0.0, 1.5
+    x = _brent(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
+    assert abs(x - 0.7) <= 1e-9 + 1e-11
+    partners = [
+        t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
+    ]
+    assert partners or seen[x] == 0.0
+
 
 
 def test_batched_root_counts_match_su2_solutions():
@@ -379,9 +491,7 @@ def test_batched_root_counts_match_su2_solutions():
     sigmas = [lo + (hi - lo) * i / 1999 for i in range(2000)]
     thetas = [math.acos(max(-1.0, min(1.0, s / 2.0))) for s in sigmas]
     thetas += [0.02 + (2 * math.pi - 0.04) * i / 599 for i in range(600)]
-    knots = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(knots) == 24
-    for p, q in knots:
+    for p, q in _critical_family():
         phi = riley_polynomial(schubert_knot(p, q).bridge_word)
         expected = [len(su2_solutions(phi, theta).roots) for theta in thetas]
         assert su2_root_counts(phi, thetas) == expected, (p, q)

@@ -449,6 +449,25 @@ def test_compute_torsion_degenerate_point_is_not_an_error():
     assert result.limit_value is None
     assert math.isnan(result.value.real)
     assert not result.diagnostics["simple_zero"]
+    assert result.diagnostics["route"] is None
+
+
+def test_diagnostics_name_the_route_of_the_value():
+    # b(37,1) at theta = pi: the two roots next to u = 0 have no simple zero
+    # for the limit route, so their value is the formula route's
+    p = schubert_knot(37, 1)
+    roots = su2_solutions(riley_polynomial(p.bridge_word), math.pi).roots
+    results = compute_torsion(rep_at(p, np.full(2, math.pi), roots[16:18], TOL), TOL)
+    for result in results:
+        assert result.limit_value is None
+        assert result.value == result.formula_value
+        assert result.diagnostics["route"] == "formula"
+        assert result.to_json()["diagnostics"]["route"] == "formula"
+    p = catalog.knot("5_2")
+    u = su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[0]
+    result = compute_torsion(rep_at(p, 2.5, u, TOL), TOL)
+    assert result.value == result.limit_value
+    assert result.diagnostics["route"] == "limit"
 
 
 def test_torsion_value_independent_of_dropped_meridian():
