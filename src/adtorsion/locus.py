@@ -2,17 +2,20 @@
 sweeps, the SU(2) window, and critical points of the torsion per root
 branch.
 
-A branch is its rank among the sorted SU(2) roots, keyed by the root
-count: where the root count does not change the real roots cannot cross, so
-the rank identifies the root.  This holds between grid samples with equal
-counts, at theta +- h and at a trial theta of the refinement.  Only across a
-change of the root count does the grid pairing fall back to nearest u.
+The SU(2) roots of phi(e^{i theta}, u) depend on theta only through
+sigma = 2 cos(theta), so on every branch T(theta) = T(2 pi - theta), and a
+critical search runs on the half window theta <= pi.  The root count
+changes only at the thresholds of ``su2_root_count_thresholds``; between
+two of them the real roots cannot cross, so the rank among the sorted roots
+identifies the root.  A branch is therefore a threshold interval and a
+rank, and no root is paired with another across samples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from collections.abc import Generator
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .reps import (
     RepresentationError,
     RileyPoly,
     _bracketed_zero,
+    _lockstep_zeros,
     build_rep,
     riley_polynomial,
     su2_root_count_thresholds,
@@ -57,12 +61,24 @@ AUTO_THETA_CHUNK = 48
 #: central-difference step in theta of the reported derivative estimates
 FD_STEP = 1e-4
 
-#: a grid theta this close to pi stands for pi: theta_grid's middle sample
-#: rounds to one ulp either side of pi on some windows
+#: central-difference step in theta of the refinement's slopes
+WIDE_STEP = 2e-3
+
+#: distance of a cut sample from its threshold theta: more than
+#: WIDE_STEP + FD_STEP, so every theta +- WIDE_STEP of a refinement and
+#: theta +- FD_STEP of a reported point stays inside the interval
+CUT_OFFSET = WIDE_STEP + 2.0 * FD_STEP
+
+#: folded grid thetas this close are one sample, and one this close to pi
+#: stands for pi: theta_grid's middle sample rounds to one ulp either side
+#: of pi on some windows
 PI_SLACK = 1e-12
 
-# a theta and the branch's {root count: rank} there
-_Sample = tuple[float, dict[int, int]]
+# a root branch: the root count of its threshold interval and its rank among
+# the sorted roots there
+_Branch = tuple[int, int]
+# a theta and a branch
+_Sample = tuple[float, _Branch]
 
 
 @dataclass(frozen=True)
@@ -192,11 +208,11 @@ def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
 class _BranchTorsion:
     """Torsion along the root branches of one presentation.
 
-    A branch is given by ``ranks``: its rank among the sorted SU(2) roots,
-    keyed by the root count at which that rank is known (one grid sample, or
-    the two ends of a bracket).  A critical search evaluates all its
-    branches together: the SU(2) roots of each theta are found once and
-    shared by every branch, and each batch of points is one stack.
+    A branch is given by (count, rank): the root count of its threshold
+    interval and its rank among the sorted SU(2) roots there.  A critical
+    search evaluates all its branches together: the SU(2) roots of each
+    theta are found once and shared by every branch, and each batch of
+    points is one stack.
     """
 
     def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
@@ -210,24 +226,24 @@ class _BranchTorsion:
             self.roots.update((s.theta, s.roots) for s in su2_solutions(
                 self.phi, new, multiplicity_threshold=self.tol.multiplicity))
 
-    def root(self, theta: float, ranks: dict[int, int]) -> float:
-        """The branch's root at a solved theta; a RepresentationError when no
-        end of the bracket has this theta's root count."""
+    def root(self, theta: float, branch: _Branch) -> float:
+        """The branch's root at a solved theta; a RepresentationError when
+        the theta's root count is not the branch's."""
+        count, rank = branch
         roots = self.roots[theta]
-        rank = ranks.get(len(roots))
-        if rank is None:
+        if len(roots) != count:
             raise RepresentationError(
-                f"root count {len(roots)} at theta={theta:.6f} matches no bracket end"
+                f"root count {len(roots)} at theta={theta:.6f} is not the branch's {count}"
             )
         return roots[rank]
 
     def values(self, samples: list[_Sample]) -> list:
-        """Torsion value of the branch at every (theta, ranks), or the branch
-        error it raises, with the roots of all new thetas found in one call
-        and all points evaluated as one stack.  When a point is off the
+        """Torsion value of the branch at every (theta, branch), or the
+        branch error it raises, with the roots of all new thetas found in one
+        call and all points evaluated as one stack.  When a point is off the
         variety every point is evaluated on its own."""
         self.solve(theta for theta, _ in samples)
-        roots = [_attempt(self.root, theta, ranks) for theta, ranks in samples]
+        roots = [_attempt(self.root, theta, branch) for theta, branch in samples]
         points = [(theta, u) for (theta, _), u in zip(samples, roots) if not isinstance(u, Exception)]
         try:
             tps = iter(torsion_polynomial(
@@ -247,10 +263,10 @@ class _BranchTorsion:
         ]
 
     def derivatives(self, samples: list[_Sample], h: float = FD_STEP) -> list:
-        """Central difference with step h at every (theta, ranks) and the
+        """Central difference with step h at every (theta, branch) and the
         mean of the two torsion values it used, or the branch error it
         raises (at theta + h first), all thetas +- h as one stack."""
-        values = self.values([(theta + d, ranks) for theta, ranks in samples for d in (h, -h)])
+        values = self.values([(theta + d, branch) for theta, branch in samples for d in (h, -h)])
         return [_difference(plus, minus, h) for plus, minus in zip(values[::2], values[1::2])]
 
 
@@ -269,6 +285,31 @@ def _difference(plus, minus, h: float):
     return failed or ((plus - minus) / (2.0 * h), 0.5 * (plus + minus))
 
 
+def _half_window_intervals(grid: list[float], thresholds: list[float]) -> list[list[float]]:
+    """The sample thetas of every interval of the half window theta <= pi
+    between the cuts at acos(sigma / 2) of the threshold sigmas, in
+    ascending theta.
+
+    The grid is folded by theta -> min(theta, 2 pi - theta), with points
+    within PI_SLACK merged.  Each interval gets the folded points more than
+    CUT_OFFSET inside its cuts, and one sample CUT_OFFSET inside each cut
+    that lies in the half window; an interval narrower than 2 CUT_OFFSET
+    gets none.  Thetas within PI_SLACK of pi are left out: the dihedral
+    points are taken at pi itself."""
+    folded: list[float] = []
+    for theta in sorted(min(t, 2.0 * math.pi - t) for t in grid):
+        if not folded or theta - folded[-1] > PI_SLACK:
+            folded.append(theta)
+    lo, hi = folded[0], min(folded[-1], math.pi - PI_SLACK)
+    cuts = sorted(cut for sigma in thresholds if lo < (cut := math.acos(sigma / 2.0)) < hi)
+    intervals = []
+    for a, b in zip([-math.inf, *cuts], [*cuts, math.inf]):
+        a, b = a + CUT_OFFSET, b - CUT_OFFSET
+        thetas = [a, *(t for t in folded if a < t < b), b] if a < b else []
+        intervals.append([t for t in thetas if lo <= t <= hi])
+    return intervals
+
+
 def find_critical_points(
     p: Presentation,
     theta_lo: float,
@@ -278,112 +319,74 @@ def find_critical_points(
 ) -> CriticalReport:
     """Locate zeros of d(torsion)/d(theta) per root branch.
 
-    The torsion is symmetric about theta = pi on every branch, so when the
-    window contains pi every SU(2) root there is a critical point, the
-    binary dihedral one.  Elsewhere, central finite differences on a theta
-    grid; every sign change is refined by Brent's method on a wide-step
-    difference, all sign changes in lockstep (``_refine_derivative_zeros``).
-    Each zero is annotated with the binary-dihedral test
+    The roots depend on theta only through sigma = 2 cos(theta), so
+    T(theta) = T(2 pi - theta) on every branch and the search runs on the
+    half window theta <= pi (``_half_window_intervals``).  Each zero theta*
+    it finds is reported at theta* and at 2 pi - theta*, those of the two
+    that lie in the window, with one u, torsion and derivative estimate.
+    When the window contains pi every SU(2) root there is a critical point,
+    the binary dihedral one, taken at pi itself.
+
+    A branch is an interval between root-count thresholds and a rank among
+    its roots.  Central finite differences at the interval's samples; every
+    sign change is refined by Brent's method on a wide-step difference, all
+    sign changes in lockstep (``_refine_derivative_zeros``).  Each zero is
+    annotated with the binary-dihedral test
     |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.  The search is a fixed number
-    of stacks: the grid's differences, the wide-step end slopes, one per
+    of stacks: the samples' differences, the wide-step end slopes, one per
     Brent round, and the reported points.
     """
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
-    notes: list[str] = []
-    # roots move at |du/dtheta| = O(1) along a branch, so the pairing radius
-    # must scale with the grid spacing
-    spacing = (theta_hi - theta_lo) / (samples - 1)
-    max_jump = max(0.35, 3.0 * spacing)
-
-    # branch pairing: a sample is (theta, u, {root count: rank of u}).  At
-    # an equal root count each branch keeps its rank; across a count change,
-    # nearest-u continuation within max_jump, birth/death noted
-    branches: list[list[tuple[float, float, dict[int, int]]]] = []
-    active: list[int] = []  # the branch of each root of the last sample, by rank
-    prev_count = None
-    solutions = su2_solutions(phi, grid, multiplicity_threshold=tol.multiplicity)
-    for theta, sols in zip(grid, solutions):
-        roots = list(sols.roots)
-        new_samples = [(theta, u, {len(roots): rank}) for rank, u in enumerate(roots)]
-        if sols.any_near_multiple:
-            notes.append(f"near-multiple roots at theta={theta:.6f}; branch pairing ambiguous")
-        if len(roots) == prev_count:
-            for idx, sample in zip(active, new_samples):
-                branches[idx].append(sample)
-            continue
-        if prev_count is not None:
-            notes.append(f"root count changed {prev_count} -> {len(roots)} at theta={theta:.6f}")
-        prev_count = len(roots)
-
-        new_active: list[int] = []
-        used = set()
-        for sample, u in zip(new_samples, roots):
-            best = None
-            for idx in active:
-                if idx in used:
-                    continue
-                last_u = branches[idx][-1][1]
-                if best is None or abs(u - last_u) < abs(u - branches[best][-1][1]):
-                    best = idx
-            if best is not None and abs(u - branches[best][-1][1]) <= max_jump:
-                used.add(best)
-                branches[best].append(sample)
-                new_active.append(best)
-            else:
-                branches.append([sample])
-                new_active.append(len(branches) - 1)
-        active = new_active
-
+    thresholds = su2_root_count_thresholds(phi)
+    intervals = _half_window_intervals(grid, thresholds)
+    solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}),
+                              multiplicity_threshold=tol.multiplicity)
+    notes = [f"near-multiple roots at theta={sols.theta:.6f}" for sols in solutions
+             if sols.any_near_multiple]
     torsion = _BranchTorsion(p, phi, tol, solutions)
-    # per branch in order: a note, or the index of a sign change to refine;
-    # emitted once every sign change is refined and every point evaluated
+
+    # the interval's one root count: the count at most of its samples (a
+    # sample with another count fails the count check)
+    counted = [(thetas, statistics.mode(len(torsion.roots[t]) for t in thetas))
+               for thetas in intervals if len(thetas) >= 2]
+    differences = iter(torsion.derivatives(
+        [(t, (count, rank)) for thetas, count in counted for rank in range(count) for t in thetas]
+    ))
+    # per interval and rank in order: a note, or the index of a sign change to
+    # refine; emitted once every sign change is refined and every point evaluated
     events: list[str | int] = []
-    brackets: list[tuple[_Sample, _Sample]] = []
-
-    branches = [branch for branch in branches if len(branch) >= 3]
-    differences = iter(torsion.derivatives([(theta, ranks) for b in branches for theta, _, ranks in b]))
-    for branch in branches:
-        theta_lo_b, theta_hi_b = branch[0][0], branch[-1][0]
-        derivs: list[float | None] = []
-        values: list[float] = []
-        failures: list[Exception] = []
-        for _ in branch:
-            result = next(differences)
-            if isinstance(result, Exception):
-                derivs.append(None)
-                failures.append(result)
+    brackets: list[tuple[float, float, _Branch]] = []
+    for thetas, count in counted:
+        span = f"[{thetas[0]:.4f}, {thetas[-1]:.4f}]"
+        flat = []  # the constant torsion of every flat rank
+        for rank in range(count):
+            results = [next(differences) for _ in thetas]
+            failures = [r for r in results if isinstance(r, Exception)]
+            if failures:
+                events.append(
+                    f"{len(failures)} of {len(thetas)} derivative samples failed on root {rank} "
+                    f"of {count} over {span}, the first with: {failures[0]}"
+                )
+            kept = [(theta, r) for theta, r in zip(thetas, results) if not isinstance(r, Exception)]
+            if not kept:
                 continue
-            derivs.append(result[0])
-            values.append(result[1])
-        span = f"[{theta_lo_b:.4f}, {theta_hi_b:.4f}]"
-        if failures:
-            events.append(
-                f"{len(failures)} of {len(branch)} derivative samples failed on the "
-                f"branch over {span}, the first with: {failures[0]}"
-            )
-        if not values:
-            continue
-
-        # derivative values below the evaluation-noise floor carry no sign
-        # information; a branch that is flat everywhere has constant torsion
-        floor = 1e-11 * max([1.0] + [abs(v) for v in values]) / FD_STEP
-        usable = [i for i, g in enumerate(derivs) if g is not None and abs(g) > floor]
-        if not usable:
-            events.append(f"branch torsion is constant at the numerical noise floor over {span}")
-            continue
-        for i1, i2 in zip(usable, usable[1:]):
-            if derivs[i1] * derivs[i2] < 0.0:
-                (theta_a, _, ranks_a), (theta_b, _, ranks_b) = branch[i1], branch[i2]
-                if theta_a - PI_SLACK <= math.pi <= theta_b + PI_SLACK:
-                    continue  # the dihedral point, reported below
-                events.append(len(brackets))
-                brackets.append(((theta_a, ranks_a), (theta_b, ranks_b)))
+            # derivative values below the evaluation-noise floor carry no sign
+            # information; a branch that is flat everywhere has constant torsion
+            floor = 1e-11 * max([1.0] + [abs(v) for _, (_, v) in kept]) / FD_STEP
+            usable = [(theta, g) for theta, (g, _) in kept if abs(g) > floor]
+            if not usable:
+                flat.append(f"root {rank} at {statistics.fmean(v for _, (_, v) in kept):.12g}")
+            for (theta_a, ga), (theta_b, gb) in zip(usable, usable[1:]):
+                if ga * gb < 0.0:
+                    events.append(len(brackets))
+                    brackets.append((theta_a, theta_b, (count, rank)))
+        if flat:
+            events.append(f"branch torsion is constant at the numerical noise floor over "
+                          f"{span}: {', '.join(flat)}")
 
     refined = _refine_derivative_zeros(torsion, brackets)
     targets = [zero for zero in refined if not isinstance(zero, Exception)]
-    # T(theta) = T(2 pi - theta) on every branch, so dT/dtheta vanishes at pi
-    # on each: every root there is a critical point, with no refinement
     at_pi = theta_lo <= math.pi <= theta_hi
     centres = [theta for theta, _ in targets] + ([math.pi] if at_pi else [])
     # the roots of every reported theta in one call; the count at pi sets
@@ -391,25 +394,28 @@ def find_critical_points(
     torsion.solve(theta + d for theta in centres for d in (0.0, FD_STEP, -FD_STEP))
     count_at_pi = len(torsion.roots[math.pi]) if at_pi else 0
     found = iter(_critical_points(
-        torsion, targets + [(math.pi, {count_at_pi: rank}) for rank in range(count_at_pi)]
+        torsion, targets + [(math.pi, (count_at_pi, rank)) for rank in range(count_at_pi)]
     ))
     points: list[CriticalPoint] = []
 
     def report(pt: CriticalPoint, what: str) -> None:
         # report invariant: the derivative estimate at a reported point must
         # sit below the critical threshold
-        if pt.derivative_estimate <= 1e-3 * max(1.0, abs(pt.torsion)):
-            points.append(pt)
-        else:
+        if pt.derivative_estimate > 1e-3 * max(1.0, abs(pt.torsion)):
             notes.append(
                 f"discarded {what}: derivative estimate {pt.derivative_estimate:.2e} too large"
             )
+        elif pt.is_dihedral:
+            points.append(pt)
+        else:
+            mirror = dataclasses.replace(pt, theta=2.0 * math.pi - pt.theta)
+            points.extend(q for q in (pt, mirror) if theta_lo <= q.theta <= theta_hi)
 
     for event in events:
         if isinstance(event, str):
             notes.append(event)
             continue
-        (theta_a, _), (theta_b, _) = brackets[event]
+        theta_a, theta_b, _ = brackets[event]
         pt = refined[event] if isinstance(refined[event], Exception) else next(found)
         if isinstance(pt, Exception):
             notes.append(f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {pt}")
@@ -422,84 +428,67 @@ def find_critical_points(
         else:
             report(pt, what)
 
-    thresholds = su2_root_count_thresholds(phi)
     return CriticalReport(points=points, notes=notes, thresholds=thresholds)
 
 
 def _refine_derivative_zeros(
     torsion: _BranchTorsion,
-    brackets: list[tuple[_Sample, _Sample]],
+    brackets: list[tuple[float, float, _Branch]],
 ) -> list:
-    """(theta, ranks) of the derivative zero between the two branch ends
-    (theta, ranks) of every bracket, whose derivatives differ in sign, or
-    the error that drops the bracket.
+    """(theta, branch) of the derivative zero inside every bracket
+    (theta_a, theta_b, branch), whose derivatives at the two ends differ in
+    sign, or the error that drops the bracket.
 
-    A wider step is used for the refinement: the central difference of a
-    smooth function has a zero crossing at the critical point to first order
-    for ANY step, while the evaluation-noise floor of its sign scales like
-    1/step.  The reported derivative estimate still uses FD_STEP.  Every
-    theta evaluated takes its root by rank from the end with its root count,
-    from end a when both ends have it.
+    A wider step, WIDE_STEP, is used for the refinement: the central
+    difference of a smooth function has a zero crossing at the critical
+    point to first order for ANY step, while the evaluation-noise floor of
+    its sign scales like 1/step.  The reported derivative estimate still
+    uses FD_STEP.
 
-    All brackets advance in lockstep: one stack of differences takes the
-    slopes at every end, then each Brent round is one stack holding the
-    trial theta of every bracket not yet done.
+    All brackets advance in lockstep (``reps._lockstep_zeros``): one stack
+    of differences takes the slopes at every end, then each Brent round is
+    one stack holding the trial theta of every bracket not yet done.
     """
-    h = 2e-3
-    ranks = [{**ranks_b, **ranks_a} for (_, ranks_a), (_, ranks_b) in brackets]
     ends = torsion.derivatives(
-        [(end[0], r) for bracket, r in zip(brackets, ranks) for end in bracket], h
+        [(theta, branch) for theta_a, theta_b, branch in brackets for theta in (theta_a, theta_b)],
+        WIDE_STEP,
     )
-    out: list = [None] * len(brackets)
-    trials: dict[int, tuple[float, Generator[float, float, float]]] = {}
-
-    def advance(i: int, steps: Generator[float, float, float], slope: float | None) -> None:
-        try:
-            trials[i] = steps.send(slope), steps
-        except StopIteration as stop:
-            out[i] = stop.value, ranks[i]
-
-    for i, (((theta_a, _), (theta_b, _)), end_a, end_b) in enumerate(
-        zip(brackets, ends[::2], ends[1::2])
-    ):
+    out: list = []
+    searches = {}
+    for i, ((theta_a, theta_b, _), end_a, end_b) in enumerate(zip(brackets, ends[::2], ends[1::2])):
         failed = next((g for g in (end_a, end_b) if isinstance(g, Exception)), None)
-        if failed is not None:
-            out[i] = failed
-            continue
-        ga, gb = end_a[0], end_b[0]
-        if ga * gb > 0.0:
-            out[i] = BracketError(
-                f"the derivative with step {h:g} has one sign at both ends "
-                f"({ga:.3e}, {gb:.3e})"
+        if failed is None and end_a[0] * end_b[0] > 0.0:
+            failed = BracketError(
+                f"the derivative with step {WIDE_STEP:g} has one sign at both ends "
+                f"({end_a[0]:.3e}, {end_b[0]:.3e})"
             )
-            continue
-        advance(i, _bracketed_zero(theta_a, ga, theta_b, gb, xtol=1e-11), None)
-    while trials:
-        batch = list(trials.items())
-        trials.clear()
-        slopes = torsion.derivatives([(theta, ranks[i]) for i, (theta, _) in batch], h)
-        for (i, (_, steps)), slope in zip(batch, slopes):
-            if isinstance(slope, Exception):
-                out[i] = slope
-            else:
-                advance(i, steps, slope[0])
+        out.append(failed)
+        if failed is None:
+            searches[i] = _bracketed_zero(theta_a, end_a[0], theta_b, end_b[0], xtol=1e-11)
+
+    def slopes(batch: list[tuple[int, float]]) -> list:
+        results = torsion.derivatives([(theta, brackets[i][2]) for i, theta in batch], WIDE_STEP)
+        return [g if isinstance(g, Exception) else g[0] for g in results]
+
+    for i, zero in _lockstep_zeros(slopes, searches).items():
+        out[i] = zero if isinstance(zero, Exception) else (zero, brackets[i][2])
     return out
 
 
 def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:
-    """The critical point at every (theta, ranks), or the branch error it
+    """The critical point at every (theta, branch), or the branch error it
     raises (its value first, then theta + FD_STEP, then theta - FD_STEP):
     the values and the differences of all targets as one stack."""
     values = torsion.values(
-        [(theta + d, ranks) for theta, ranks in targets for d in (0.0, FD_STEP, -FD_STEP)]
+        [(theta + d, branch) for theta, branch in targets for d in (0.0, FD_STEP, -FD_STEP)]
     )
     out = []
-    for (theta, ranks), value, plus, minus in zip(targets, values[::3], values[1::3], values[2::3]):
+    for (theta, branch), value, plus, minus in zip(targets, values[::3], values[1::3], values[2::3]):
         difference = _difference(plus, minus, FD_STEP)
         failed = next((v for v in (value, difference) if isinstance(v, Exception)), None)
         out.append(failed or CriticalPoint(
             theta=theta,
-            u=torsion.root(theta, ranks),
+            u=torsion.root(theta, branch),
             torsion=complex(value),
             derivative_estimate=abs(difference[0]),
             is_dihedral=abs(2.0 * math.cos(theta / 2.0)) <= 1e-6,

@@ -453,8 +453,17 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
         for k in range(i, j)
         if counts[k] != counts[k + 1]
     ]
-    jobs = {i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))}
-    zeros = _lockstep_zeros(roots_at, jobs)
+
+    def event_zeros(jobs: dict) -> dict[int, float]:
+        # Brent's method to 1e-13 on every job (function, a, its value at a,
+        # b, its value at b), all in lockstep, one root stack per round
+        def values(batch):
+            rows, row_counts = roots_at([sigma for _, sigma in batch])
+            return [jobs[i][0](sigma, row, c) for (i, sigma), row, c in zip(batch, rows, row_counts)]
+
+        return _lockstep_zeros(values, {i: _bracketed_zero(*job[1:], xtol=1e-13) for i, job in jobs.items()})
+
+    zeros = event_zeros({i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))})
     checked = list(zeros)
     _, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
     for i, below, above in zip(checked, near[::2], near[1::2]):
@@ -463,12 +472,11 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
     # at every trial Brent's method bisects, and the zero is where the count
     # leaves the low end's, also across a second change inside the bracket
-    steps = {
+    zeros.update(event_zeros({
         i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
         for i, (a, b, ca, *_) in enumerate(brackets)
         if i not in zeros
-    }
-    zeros.update(_lockstep_zeros(roots_at, steps))
+    }))
     return [zeros[i] for i in range(len(brackets))]
 
 
@@ -535,29 +543,31 @@ def _fold_event(mid: complex):
     return event
 
 
-def _lockstep_zeros(roots_at, jobs) -> dict[int, float]:
-    """The zero of every job's function, by Brent's method to 1e-13: jobs
-    maps a key to (function, a, its value at a, b, its value at b), and
-    each round solves the trial sigma of every job not yet done in one
-    root stack."""
-    zeros: dict[int, float] = {}
-    trials: dict[int, tuple[float, Generator[float, float, float]]] = {}
+def _lockstep_zeros(evaluate, searches: dict) -> dict:
+    """Brent searches run in lockstep: ``searches`` maps a key to a
+    :func:`_bracketed_zero` generator, and each round makes one call
+    ``evaluate([(key, trial x), ...])`` for the searches not yet done, which
+    returns f(x) for each, or an exception that ends that search.  Returns
+    each key's zero, or the exception that ended its search."""
+    out, trials = {}, {}
 
-    def advance(i: int, steps: Generator[float, float, float], value: float | None) -> None:
+    def advance(key, steps: Generator[float, float, float], value: float | None) -> None:
         try:
-            trials[i] = steps.send(value), steps
+            trials[key] = steps.send(value), steps
         except StopIteration as stop:
-            zeros[i] = float(stop.value)
+            out[key] = stop.value
 
-    for i, (_, a, fa, b, fb) in jobs.items():
-        advance(i, _bracketed_zero(a, fa, b, fb, xtol=1e-13), None)
+    for key, steps in searches.items():
+        advance(key, steps, None)
     while trials:
         batch = list(trials.items())
         trials.clear()
-        rows, row_counts = roots_at([sigma for _, (sigma, _) in batch])
-        for (i, (sigma, steps)), row, c in zip(batch, rows, row_counts):
-            advance(i, steps, jobs[i][0](sigma, row, c))
-    return zeros
+        for (key, (_, steps)), value in zip(batch, evaluate([(key, x) for key, (x, _) in batch])):
+            if isinstance(value, Exception):
+                out[key] = value
+            else:
+                advance(key, steps, value)
+    return out
 
 
 def _bracketed_zero(

@@ -1,7 +1,7 @@
 """Cross-check suite: exact identities, the two torsion routes against each
 other, invariance under Wada's column choice, conjugation and the sign twist,
-the 5_2 closed form, the torus-knot constants, and rejection of a point off
-the variety."""
+the 5_2 closed form, the torus-knot constants, the mirror symmetry
+T(theta) = T(2 pi - theta), and rejection of a point off the variety."""
 
 from __future__ import annotations
 
@@ -68,6 +68,21 @@ def closed_form_5_2(sigma: float, u: float) -> float:
 #: at theta = pi, 2 and 1.3 is 4.58e-12 (b(37,1) at pi) in the unitary frame
 TORUS_TOL = 1e-11
 
+#: the mirror row's bound on |T(theta) - T(2 pi - theta)| / |T(theta)|; the
+#: worst over its knots is 3.9e-12 (b(23,13) at theta = 2.5)
+MIRROR_TOL = 1e-10
+
+#: the mirror row checks every b(p, q) with odd p up to this
+MIRROR_P_MAX = 25
+
+
+def _schubert_knot(p: int, q: int) -> Presentation:
+    """b(p, q) from its Schubert word: letters x, y, x, ... with the signs
+    (-1)^floor(i q / p), i = 1 .. p - 1."""
+    return two_bridge(" ".join(
+        ("x" if i % 2 else "y") + ("^-1" if (i * q // p) % 2 else "") for i in range(1, p)
+    ))
+
 
 def _torus_row(tol: Tolerances) -> CheckRow:
     """b(p, 1) = T(2, p), odd p <= 41, at theta = pi, 2 and 1.3, one stack
@@ -76,7 +91,7 @@ def _torus_row(tol: Tolerances) -> CheckRow:
     and the roots at pi take each constant once."""
     errors, each_once = [], True
     for p in range(3, 42, 2):
-        knot = two_bridge(" ".join("xy"[i % 2] for i in range(p - 1)))
+        knot = _schubert_knot(p, 1)
         constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
         for theta in (math.pi, 2.0, 1.3):
             roots = su2_solutions(riley_polynomial(knot.bridge_word), theta).roots
@@ -88,6 +103,40 @@ def _torus_row(tol: Tolerances) -> CheckRow:
     worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
     return CheckRow(f"torus knots b(p,1), p <= 41 ({len(errors)} points)", worst, TORUS_TOL,
                     worst <= TORUS_TOL and each_once, detail=f"worst on {where}")
+
+
+def _mirror_row(presentations: dict[str, Presentation], tol: Tolerances) -> CheckRow:
+    """T(theta) = T(2 pi - theta) on every branch, the symmetry the critical
+    search folds its window by.  At theta = 1.3, 2 and 2.5 the SU(2) roots
+    at theta and at 2 pi - theta are solved and evaluated on their own, one
+    stack per side through rep_at and compute_torsion, and compared by rank;
+    on the given knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
+    knots = dict(presentations)
+    knots.update(
+        (f"b({p},{q})", _schubert_knot(p, q))
+        for p in range(3, MIRROR_P_MAX + 1, 2)
+        for q in range(1, p, 2)
+        if math.gcd(p, q) == 1
+    )
+    thetas = (1.3, 2.0, 2.5)
+    errors, counts_match = [], True
+    for name, knot in knots.items():
+        phi = riley_polynomial(knot.bridge_word)
+        sides = []
+        for side in (thetas, [2.0 * math.pi - theta for theta in thetas]):
+            solutions = su2_solutions(phi, list(side))
+            points = [(sols.theta, u) for sols in solutions for u in sols.roots]
+            values = [r.value for r in compute_torsion(
+                rep_at(knot, [t for t, _ in points], [u for _, u in points], tol), tol
+            )] if points else []
+            sides.append(([len(sols) for sols in solutions], points, values))
+        (counts, points, values), (mirror_counts, _, mirror_values) = sides
+        counts_match &= counts == mirror_counts
+        errors += [(abs(a - b) / (abs(a) or 1.0), f"{name} at theta={theta:.4f}")
+                   for (theta, _), a, b in zip(points, values, mirror_values)]
+    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
+    return CheckRow(f"mirror T(theta) = T(2pi - theta), {len(knots)} knots ({len(errors)} points)",
+                    worst, MIRROR_TOL, worst <= MIRROR_TOL and counts_match, detail=f"worst on {where}")
 
 
 def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_band=None):
@@ -209,6 +258,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
         )
 
     rows.append(_torus_row(tol))
+    rows.append(_mirror_row(presentations, tol))
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]

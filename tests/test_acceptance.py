@@ -227,7 +227,7 @@ def test_acceptance_6_critical_points():
                 _limit(_su2_rep(p, math.pi, u)).real,
                 u,
             )
-            deriv = _BranchTorsion(p, phi, TOL).derivatives([(math.pi, {len(sols.roots): rank})])[0][0]
+            deriv = _BranchTorsion(p, phi, TOL).derivatives([(math.pi, (len(sols.roots), rank))])[0][0]
             scale = max(1.0, abs(value))
             assert abs(deriv) <= 1e-4 * scale, f"{name} u={u}"
             details.append(f"{name}:|dT/dtheta|={abs(deriv):.1e}")

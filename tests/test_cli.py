@@ -25,7 +25,7 @@ from adtorsion.reps import (
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 from adtorsion.verify import closed_form_5_2
 
-from test_reps import _brent
+from test_reps import _brent, _critical_family
 from test_torsion import _count_calls, as_poly, schubert_knot, schubert_word
 
 
@@ -467,6 +467,7 @@ def test_verify_passes(capsys):
     assert "RESULT: PASS" in out
     assert "FAIL" not in out.replace("RESULT: PASS", "")
     assert "global sign" in out
+    assert "mirror T(theta) = T(2pi - theta), 70 knots" in out
 
 
 def test_version_flag(capsys):
@@ -554,15 +555,15 @@ def _five_two_auto_window():
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
     # the refinement of each sign change fails
     def fail(torsion, brackets):
-        return [error(f"lost at theta={end_a[0]:.6f}") for end_a, _ in brackets]
+        return [error(f"lost at theta={theta_a:.6f}") for theta_a, _, _ in brackets]
 
     monkeypatch.setattr(locus, "_refine_derivative_zeros", fail)
     p, lo, hi = _five_two_auto_window()
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
-    # the whole 5_2 window has two sign changes away from pi, each now a
-    # note; the dihedral points at pi need no refinement
-    assert len(dropped) == 2
+    # the half window of 5_2 has one sign change away from pi, now a note;
+    # the dihedral points at pi need no refinement
+    assert len(dropped) == 1
     for note in dropped:
         assert ": lost at theta=" in note
     assert report.dihedral_count == 3
@@ -572,7 +573,7 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
 def test_critical_search_completes_across_a_branch_jump(monkeypatch):
     # b(13,9): at the first trial theta of the first refinement whose ends
     # have more than one root, su2_solutions sees only a root far from the
-    # branch.  One root is a count neither end of the bracket has, so that
+    # branch.  One root is not the count of the branch's interval, so that
     # sign change is dropped with a note naming the count, and the rest of
     # the search still reports
     p = schubert_knot(13, 9)
@@ -606,7 +607,8 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change")]
     assert [n.partition(": ")[2] for n in dropped] == [
-        f"root count 1 at theta={first_trial[0] + 2e-3:.6f} matches no bracket end"
+        f"root count 1 at theta={first_trial[0] + 2e-3:.6f} is not the branch's "
+        f"{len(solutions(phi, first_trial[0]).roots)}"
     ]
     assert 0 < report.dihedral_count <= 6
     for pt in report.points:
@@ -632,37 +634,43 @@ def test_critical_search_finds_every_dihedral_point(p, q):
 
 
 @pytest.mark.parametrize("p, q", [(11, 3), (13, 3)])
-def test_critical_search_pairs_equal_root_counts_by_rank(monkeypatch, p, q):
-    # nearest-u pairing joined root 1 of 3 at theta = 4.226731 to root 0 of
-    # 3 at 4.335245 on b(11,3), and root 2 of 4 to root 1 of 4 twice on
-    # b(13,3); the sign changes on those hops were artefacts.  At an equal
-    # root count a branch now keeps its rank, so the ends of every refined
-    # bracket that share a count share the rank, and nothing is dropped
-    ends = []
+def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch, p, q):
+    # nearest-u pairing once joined root 1 of 3 at theta = 4.226731 to root
+    # 0 of 3 at 4.335245 on b(11,3), and root 2 of 4 to root 1 of 4 twice on
+    # b(13,3); the sign changes on those hops were artefacts.  A branch is
+    # now a threshold interval and a rank, so every refined bracket, with
+    # the wide step on both sides, lies inside one interval of the half
+    # window and has the branch's root count at both ends
+    searched = []
     refine = locus._refine_derivative_zeros
 
     def spy(torsion, brackets):
-        ends.extend((end_a[1], end_b[1]) for end_a, end_b in brackets)
+        searched.extend(brackets)
         return refine(torsion, brackets)
 
     monkeypatch.setattr(locus, "_refine_derivative_zeros", spy)
     knot = schubert_knot(p, q)
-    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    phi = riley_polynomial(knot.bridge_word)
+    lo, hi = auto_theta_range(phi)
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if n.startswith(("dropped", "discarded"))]
-    assert ends
-    for ranks_a, ranks_b in ends:
-        for count in ranks_a.keys() & ranks_b.keys():
-            assert ranks_a[count] == ranks_b[count]
+    assert searched
+    cuts = [math.acos(sigma / 2.0) for sigma in report.thresholds]
+    reach = locus.WIDE_STEP + locus.FD_STEP
+    for theta_a, theta_b, (count, rank) in searched:
+        assert theta_a < theta_b < math.pi and 0 <= rank < count
+        assert not [c for c in cuts if theta_a - reach < c < theta_b + reach]
+        assert [len(su2_solutions(phi, t).roots) for t in (theta_a, theta_b)] == [count, count]
 
 
 def test_critical_search_evaluation_budget(monkeypatch):
-    # one torsion per theta +- fd_step per branch sample, and about ten
-    # wide-step derivatives per sign change; a bisection that built a
-    # torsion at each midpoint only for its root made 697.  The search is a
-    # fixed number of stacks: the grid's differences, the end slopes, one
-    # per Brent round of all sign changes, and the reported points
+    # one torsion per theta +- fd_step per branch sample of the half window,
+    # and about ten wide-step derivatives per sign change; a bisection that
+    # built a torsion at each midpoint only for its root made 697, and the
+    # search over the whole window with nearest-u pairing 145.  The search
+    # is a fixed number of stacks: the samples' differences, the end slopes,
+    # one per Brent round of all sign changes, and the reported points
     calls, points = [], []
     torsion_polynomial = locus.torsion_polynomial
 
@@ -677,27 +685,28 @@ def test_critical_search_evaluation_budget(monkeypatch):
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert report.dihedral_count == 3
-    assert len(points) <= 250
-    assert len(calls) <= 11
+    assert len(points) <= 82
+    assert len(calls) <= 8
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
     # every torsion evaluation on the branch near u = -3.8, the lowest of the
     # three roots, raises: the branch is noted with its failure count and
     # first reason, not as a flat branch.  The fault sits where every
-    # evaluation takes its root, single or stacked
+    # evaluation takes its root, single or stacked.  The window folds onto
+    # [2.7, pi]: 8 grid points, their 8 mirrors and the grid point 3.14
     root = locus._BranchTorsion.root
 
-    def fail_low_branch(self, theta, ranks):
-        if ranks.get(3) == 0:
+    def fail_low_branch(self, theta, branch):
+        if branch == (3, 0):
             raise RegularityError(f"not a simple zero at theta={theta:.6f}")
-        return root(self, theta, ranks)
+        return root(self, theta, branch)
 
     monkeypatch.setattr(locus._BranchTorsion, "root", fail_low_branch)
     report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
-        "17 of 17 derivative samples failed on the branch over [2.7000, 3.5800], "
+        "17 of 17 derivative samples failed on root 0 of 3 over [2.7000, 3.1400], "
         "the first with: not a simple zero at theta=2.700100"
     ]
     assert not [n for n in report.notes if "constant" in n]
@@ -720,18 +729,18 @@ def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
     p, lo, hi = _five_two_auto_window()
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
-    assert len(dropped) == 2
+    assert len(dropped) == 1
     for note in dropped:
         assert ": the derivative with step 0.002 has one sign at both ends (" in note
     assert report.dihedral_count == 3
     assert all(pt.is_dihedral for pt in report.points)
 
 
-@pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 6), (15, 7, 4)])
+@pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 3), (15, 7, 2)])
 def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_changes):
-    # all sign changes advance together, one stack per Brent round; each
-    # theta* must have the bits of its bracket refined alone, with a
-    # one-theta slope per step
+    # all sign changes of the half window advance together, one stack per
+    # Brent round; each theta* must have the bits of its bracket refined
+    # alone, with a one-theta slope per step
     searched = []
     refine = locus._refine_derivative_zeros
 
@@ -747,15 +756,14 @@ def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_
     [(torsion, brackets)] = searched
     assert len(brackets) == sign_changes
     alone = locus._BranchTorsion(knot, phi, Tolerances())
-    for ((theta_a, ranks_a), (theta_b, ranks_b)), zero in zip(brackets, refine(torsion, brackets)):
-        ranks = {**ranks_b, **ranks_a}
+    for (theta_a, theta_b, branch), zero in zip(brackets, refine(torsion, brackets)):
 
         def slope(theta):
-            [(g, _)] = alone.derivatives([(theta, ranks)], 2e-3)
+            [(g, _)] = alone.derivatives([(theta, branch)], 2e-3)
             return g
 
         theta_star = _brent(slope, theta_a, slope(theta_a), theta_b, slope(theta_b), xtol=1e-11)
-        assert zero == (theta_star, ranks)
+        assert zero == (theta_star, branch)
 
 
 def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
@@ -764,7 +772,7 @@ def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
     # the bits the stack gives them
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
-    samples = [(theta, {3: rank}) for theta in (2.9, 3.0, 3.3) for rank in range(3)]
+    samples = [(theta, (3, rank)) for theta in (2.9, 3.0, 3.3) for rank in range(3)]
     stacked = locus._BranchTorsion(p, phi, Tolerances()).values(samples)
     assert all(type(v) is float for v in stacked)
     rep_at = locus.rep_at
@@ -795,10 +803,55 @@ def test_critical_reports_each_dihedral_point_once(p, q):
     assert all(pt.theta == math.pi for pt in report.points if pt.is_dihedral)
 
 
+def test_critical_family_reports_mirror_pairs_and_every_dihedral_point():
+    # the 24 knots b(p, q), odd p <= 15, that the critical benchmark
+    # searches: (p - 1)/2 dihedral points at pi, and every point off pi
+    # found on the half window comes with its mirror at 2 pi - theta, with
+    # the same u and torsion.  No sample fails the count check of its branch
+    for p, q in _critical_family():
+        knot = schubert_knot(p, q)
+        lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+        report = find_critical_points(knot, lo, hi, 33, Tolerances())
+        assert report.dihedral_count == (p - 1) // 2, (p, q)
+        off_pi = [pt for pt in report.points if not pt.is_dihedral]
+        assert len(off_pi) % 2 == 0, (p, q)
+        for pt in off_pi:
+            mirrors = [m for m in off_pi if abs(m.theta + pt.theta - 2.0 * math.pi) <= 1e-12]
+            assert [(m.u, m.torsion) for m in mirrors] == [(pt.u, pt.torsion)], (p, q, pt)
+        assert not [n for n in report.notes if "is not the branch's" in n], (p, q)
+
+
+@pytest.mark.parametrize("p", range(3, 16, 2))
+def test_flat_branch_notes_name_the_torus_knot_constants(p):
+    # on b(p, 1) = T(2, p) the torsion is constant on every branch, one of
+    # p^2 / (4 sin^2(pi k / p)): each threshold interval gets one note that
+    # names the constant of each of its roots, and there is no sign change
+    # to refine
+    constants = [p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2)]
+    knot = schubert_knot(p, 1)
+    phi = riley_polynomial(knot.bridge_word)
+    lo, hi = auto_theta_range(phi)
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert all(pt.is_dihedral for pt in report.points)
+    flat = [n for n in report.notes if n.startswith("branch torsion is constant")]
+    assert flat and len(flat) == len(report.notes)
+    for note in flat:
+        span, _, entries = note.partition("over [")[2].partition("]: ")
+        ranks = []
+        for entry in entries.split(", "):
+            rank, _, value = entry.removeprefix("root ").partition(" at ")
+            ranks.append(int(rank))
+            assert min(abs(float(value) - c) / c for c in constants) <= 1e-9, note
+        theta = float(span.partition(",")[0])
+        assert ranks == list(range(len(su2_solutions(phi, theta).roots))), note
+
+
 def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
     # b(11,5): theta, u and torsion of every point as the search reports
     # them; each torsion is within 4e-13 relative of its value in 50-digit
-    # arithmetic at the reported (theta, u)
+    # arithmetic at the reported (theta, u).  Each point off pi is found at
+    # theta* <= pi and reported again at 2 pi - theta* with the same u and
+    # torsion
     word = " ".join(
         ("x" if i % 2 else "y") + ("^-1" if (i * 5 // 11) % 2 else "") for i in range(1, 11)
     )
@@ -812,11 +865,11 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
     ]
     assert points == [
         ("1.1663048319983322", "-1.0163007960850823", "22.74936511385303", "0.0"),
-        ("5.116880475180239", "-1.0163007960871315", "22.749365113852893", "0.0"),
+        ("5.116880475181254", "-1.0163007960850823", "22.74936511385303", "0.0"),
         ("2.0944072267175615", "-2.0000314996430943", "8.999999999338538", "0.0"),
+        ("4.188778080462025", "-2.0000314996430943", "8.999999999338538", "0.0"),
         ("2.327310759975044", "-2.521860139808869", "8.950647372775874", "0.0"),
-        ("3.9558745472110584", "-2.5218601397963036", "8.950647372776", "0.0"),
-        ("4.188778080460952", "-2.000031499645883", "8.999999999338543", "0.0"),
+        ("3.9558745472045422", "-2.521860139808869", "8.950647372775874", "0.0"),
         ("3.141592653589793", "-3.9189859472289945", "36.87132442528644", "0.0"),
         ("3.141592653589793", "-3.3097214678905695", "9.289886883248016", "0.0"),
         ("3.141592653589793", "-2.28462967654657", "79.15428573061342", "0.0"),
