@@ -8,7 +8,10 @@ critical search runs on the half window theta <= pi.  The root count
 changes only at the thresholds of ``su2_root_count_thresholds``; between
 two of them the real roots cannot cross, so the rank among the sorted roots
 identifies the root.  A branch is therefore a threshold interval and a
-rank, and no root is paired with another across samples.
+rank, and no root is paired with another across samples.  The search reads
+one slope, the WIDE_STEP central difference: its samples find the sign
+changes, and Brent's method refines each one from the slopes of its two
+samples.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ from .torsion import (
 )
 
 
-class BracketError(ArithmeticError):
-    """The refinement derivative has one sign at both ends of a sign change."""
-
-
 # what one branch evaluation can raise; a critical search drops the sample or
 # the sign change and notes why, and keeps going
 _BRANCH_ERRORS = (RegularityError, RepresentationError)
@@ -61,11 +60,12 @@ AUTO_THETA_CHUNK = 48
 #: central-difference step in theta of the reported derivative estimates
 FD_STEP = 1e-4
 
-#: central-difference step in theta of the refinement's slopes
+#: central-difference step in theta of the critical search's slopes, at
+#: the samples and in the refinement
 WIDE_STEP = 2e-3
 
 #: distance of a cut sample from its threshold theta: more than
-#: WIDE_STEP + FD_STEP, so every theta +- WIDE_STEP of a refinement and
+#: WIDE_STEP + FD_STEP, so every theta +- WIDE_STEP of a slope and
 #: theta +- FD_STEP of a reported point stays inside the interval
 CUT_OFFSET = WIDE_STEP + 2.0 * FD_STEP
 
@@ -79,6 +79,9 @@ PI_SLACK = 1e-12
 _Branch = tuple[int, int]
 # a theta and a branch
 _Sample = tuple[float, _Branch]
+# a sign change of a branch's slope: (theta_a, slope there, theta_b, slope
+# there, branch)
+_Bracket = tuple[float, float, float, float, _Branch]
 
 
 @dataclass(frozen=True)
@@ -262,10 +265,12 @@ class _BranchTorsion:
             for u in roots
         ]
 
-    def derivatives(self, samples: list[_Sample], h: float = FD_STEP) -> list:
-        """Central difference with step h at every (theta, branch) and the
-        mean of the two torsion values it used, or the branch error it
-        raises (at theta + h first), all thetas +- h as one stack."""
+    def derivatives(self, samples: list[_Sample]) -> list:
+        """Central difference with step WIDE_STEP at every (theta, branch)
+        and the mean of the two torsion values it used, or the branch error
+        it raises (at theta + WIDE_STEP first), all thetas +- WIDE_STEP as
+        one stack."""
+        h = WIDE_STEP
         values = self.values([(theta + d, branch) for theta, branch in samples for d in (h, -h)])
         return [_difference(plus, minus, h) for plus, minus in zip(values[::2], values[1::2])]
 
@@ -328,13 +333,15 @@ def find_critical_points(
     the binary dihedral one, taken at pi itself.
 
     A branch is an interval between root-count thresholds and a rank among
-    its roots.  Central finite differences at the interval's samples; every
-    sign change is refined by Brent's method on a wide-step difference, all
-    sign changes in lockstep (``_refine_derivative_zeros``).  Each zero is
-    annotated with the binary-dihedral test
-    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6.  The search is a fixed number
-    of stacks: the samples' differences, the wide-step end slopes, one per
-    Brent round, and the reported points.
+    its roots.  One slope serves the whole search: the central difference
+    with step WIDE_STEP.  It is taken at the interval's samples, and every
+    sign change is refined by Brent's method on it, starting from the
+    slopes of the two samples, all sign changes in lockstep
+    (``_refine_derivative_zeros``).  Each zero is annotated with the
+    binary-dihedral test |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and with
+    an FD_STEP derivative estimate, the report's check.  The search is a
+    fixed number of stacks: the samples' slopes, one per Brent round, and
+    the reported points.
     """
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
@@ -356,7 +363,7 @@ def find_critical_points(
     # per interval and rank in order: a note, or the index of a sign change to
     # refine; emitted once every sign change is refined and every point evaluated
     events: list[str | int] = []
-    brackets: list[tuple[float, float, _Branch]] = []
+    brackets: list[_Bracket] = []
     for thetas, count in counted:
         span = f"[{thetas[0]:.4f}, {thetas[-1]:.4f}]"
         flat = []  # the constant torsion of every flat rank
@@ -371,16 +378,16 @@ def find_critical_points(
             kept = [(theta, r) for theta, r in zip(thetas, results) if not isinstance(r, Exception)]
             if not kept:
                 continue
-            # derivative values below the evaluation-noise floor carry no sign
+            # slopes below the evaluation-noise floor carry no sign
             # information; a branch that is flat everywhere has constant torsion
-            floor = 1e-11 * max([1.0] + [abs(v) for _, (_, v) in kept]) / FD_STEP
+            floor = 1e-11 * max([1.0] + [abs(v) for _, (_, v) in kept]) / WIDE_STEP
             usable = [(theta, g) for theta, (g, _) in kept if abs(g) > floor]
             if not usable:
                 flat.append(f"root {rank} at {statistics.fmean(v for _, (_, v) in kept):.12g}")
             for (theta_a, ga), (theta_b, gb) in zip(usable, usable[1:]):
                 if ga * gb < 0.0:
                     events.append(len(brackets))
-                    brackets.append((theta_a, theta_b, (count, rank)))
+                    brackets.append((theta_a, ga, theta_b, gb, (count, rank)))
         if flat:
             events.append(f"branch torsion is constant at the numerical noise floor over "
                           f"{span}: {', '.join(flat)}")
@@ -415,7 +422,7 @@ def find_critical_points(
         if isinstance(event, str):
             notes.append(event)
             continue
-        theta_a, theta_b, _ = brackets[event]
+        theta_a, _, theta_b, _, _ = brackets[event]
         pt = refined[event] if isinstance(refined[event], Exception) else next(found)
         if isinstance(pt, Exception):
             notes.append(f"dropped sign change in theta [{theta_a:.6f}, {theta_b:.6f}]: {pt}")
@@ -431,48 +438,28 @@ def find_critical_points(
     return CriticalReport(points=points, notes=notes, thresholds=thresholds)
 
 
-def _refine_derivative_zeros(
-    torsion: _BranchTorsion,
-    brackets: list[tuple[float, float, _Branch]],
-) -> list:
-    """(theta, branch) of the derivative zero inside every bracket
-    (theta_a, theta_b, branch), whose derivatives at the two ends differ in
-    sign, or the error that drops the bracket.
+def _refine_derivative_zeros(torsion: _BranchTorsion, brackets: list[_Bracket]) -> list:
+    """(theta, branch) of the slope's zero inside every bracket, or the
+    branch error that drops the bracket.
 
-    A wider step, WIDE_STEP, is used for the refinement: the central
-    difference of a smooth function has a zero crossing at the critical
-    point to first order for ANY step, while the evaluation-noise floor of
-    its sign scales like 1/step.  The reported derivative estimate still
-    uses FD_STEP.
-
-    All brackets advance in lockstep (``reps._lockstep_zeros``): one stack
-    of differences takes the slopes at every end, then each Brent round is
-    one stack holding the trial theta of every bracket not yet done.
+    Brent's method starts from the two sampled slopes of each bracket, and
+    all brackets advance in lockstep (``reps._lockstep_zeros``): each round
+    is one stack of slopes at the trial theta of every bracket not yet
+    done.  The slope is the WIDE_STEP central difference of the samples:
+    the central difference of a smooth function has a zero crossing at the
+    critical point to first order for ANY step, while the evaluation-noise
+    floor of its sign scales like 1/step.
     """
-    ends = torsion.derivatives(
-        [(theta, branch) for theta_a, theta_b, branch in brackets for theta in (theta_a, theta_b)],
-        WIDE_STEP,
-    )
-    out: list = []
-    searches = {}
-    for i, ((theta_a, theta_b, _), end_a, end_b) in enumerate(zip(brackets, ends[::2], ends[1::2])):
-        failed = next((g for g in (end_a, end_b) if isinstance(g, Exception)), None)
-        if failed is None and end_a[0] * end_b[0] > 0.0:
-            failed = BracketError(
-                f"the derivative with step {WIDE_STEP:g} has one sign at both ends "
-                f"({end_a[0]:.3e}, {end_b[0]:.3e})"
-            )
-        out.append(failed)
-        if failed is None:
-            searches[i] = _bracketed_zero(theta_a, end_a[0], theta_b, end_b[0], xtol=1e-11)
 
     def slopes(batch: list[tuple[int, float]]) -> list:
-        results = torsion.derivatives([(theta, brackets[i][2]) for i, theta in batch], WIDE_STEP)
+        results = torsion.derivatives([(theta, brackets[i][4]) for i, theta in batch])
         return [g if isinstance(g, Exception) else g[0] for g in results]
 
-    for i, zero in _lockstep_zeros(slopes, searches).items():
-        out[i] = zero if isinstance(zero, Exception) else (zero, brackets[i][2])
-    return out
+    zeros = _lockstep_zeros(slopes, {
+        i: _bracketed_zero(*bracket[:4], xtol=1e-11) for i, bracket in enumerate(brackets)
+    })
+    return [zeros[i] if isinstance(zeros[i], Exception) else (zeros[i], bracket[4])
+            for i, bracket in enumerate(brackets)]
 
 
 def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:

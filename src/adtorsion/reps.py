@@ -42,7 +42,8 @@ THRESHOLD_SAMPLES = 2000
 #: the first scan counts roots on every THRESHOLD_STRIDE-th grid point; on the
 #: 178 two-bridge knots up to p = 41, 5_2 and the trefoil the count on the
 #: whole grid never rises with sigma (changes come as close as one grid step,
-#: but none is undone), and strides 4 to 64 all give the whole grid's brackets
+#: six grid steps hold two, but none is undone), and strides 4 to 64 all give
+#: the whole grid's brackets
 THRESHOLD_STRIDE = 16
 
 #: trailing Chebyshev coefficients at most this fraction of the largest are
@@ -421,7 +422,10 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     be the bracket's low-end count, and the count at t + 1e-9 must differ.
     A bracket whose event function has one sign at both ends, or whose zero
     fails the check, is refined the same way on a step function of the
-    count: +1/2 where it is the low end's, -1/2 elsewhere."""
+    count: +1/2 where it is the low end's, -1/2 elsewhere.  The count can
+    change twice inside one bracket: when the count at t + 1e-9 is not the
+    bracket's high-end count, (t + 1e-9, high end) is refined the same way,
+    and so on until every bracket reaches its high-end count."""
 
     def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
         thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
@@ -463,21 +467,35 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
 
         return _lockstep_zeros(values, {i: _bracketed_zero(*job[1:], xtol=1e-13) for i, job in jobs.items()})
 
-    zeros = event_zeros({i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))})
-    checked = list(zeros)
-    _, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
-    for i, below, above in zip(checked, near[::2], near[1::2]):
-        if below != brackets[i][2] or above == below:
-            del zeros[i]
-    # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
-    # at every trial Brent's method bisects, and the zero is where the count
-    # leaves the low end's, also across a second change inside the bracket
-    zeros.update(event_zeros({
-        i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
-        for i, (a, b, ca, *_) in enumerate(brackets)
-        if i not in zeros
-    }))
-    return [zeros[i] for i in range(len(brackets))]
+    thresholds: list[float] = []
+    while brackets:
+        zeros = event_zeros({
+            i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))
+        })
+        checked = list(zeros)
+        _, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
+        for i, below, above in zip(checked, near[::2], near[1::2]):
+            if below != brackets[i][2] or above == below:
+                del zeros[i]
+        # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
+        # at every trial Brent's method bisects to where the count leaves the
+        # low end's, also across a second change inside the bracket
+        zeros.update(event_zeros({
+            i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
+            for i, (a, b, ca, *_) in enumerate(brackets)
+            if i not in zeros
+        }))
+        found = [zeros[i] for i in range(len(brackets))]
+        thresholds += found
+        # a second change inside a bracket: the count just above its zero is
+        # not the high end's, and the rest of the bracket is refined again
+        rows, row_counts = roots_at([t + 1e-9 for t in found])
+        brackets = [
+            (t + 1e-9, b, c, cb, row, roots_b)
+            for (_, b, _, cb, _, roots_b), t, row, c in zip(brackets, found, rows, row_counts)
+            if c != cb
+        ]
+    return sorted(thresholds)
 
 
 def _threshold_event(a, b, ca, cb, roots_a, roots_b):

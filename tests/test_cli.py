@@ -555,7 +555,7 @@ def _five_two_auto_window():
 def test_critical_search_drops_failed_bisection(monkeypatch, error):
     # the refinement of each sign change fails
     def fail(torsion, brackets):
-        return [error(f"lost at theta={theta_a:.6f}") for theta_a, _, _ in brackets]
+        return [error(f"lost at theta={theta_a:.6f}") for theta_a, *_ in brackets]
 
     monkeypatch.setattr(locus, "_refine_derivative_zeros", fail)
     p, lo, hi = _five_two_auto_window()
@@ -640,7 +640,8 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     # b(13,3); the sign changes on those hops were artefacts.  A branch is
     # now a threshold interval and a rank, so every refined bracket, with
     # the wide step on both sides, lies inside one interval of the half
-    # window and has the branch's root count at both ends
+    # window and has the branch's root count at both ends, where its slopes
+    # differ in sign
     searched = []
     refine = locus._refine_derivative_zeros
 
@@ -658,19 +659,21 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     assert searched
     cuts = [math.acos(sigma / 2.0) for sigma in report.thresholds]
     reach = locus.WIDE_STEP + locus.FD_STEP
-    for theta_a, theta_b, (count, rank) in searched:
+    for theta_a, slope_a, theta_b, slope_b, (count, rank) in searched:
         assert theta_a < theta_b < math.pi and 0 <= rank < count
+        assert slope_a * slope_b < 0.0
         assert not [c for c in cuts if theta_a - reach < c < theta_b + reach]
         assert [len(su2_solutions(phi, t).roots) for t in (theta_a, theta_b)] == [count, count]
 
 
 def test_critical_search_evaluation_budget(monkeypatch):
-    # one torsion per theta +- fd_step per branch sample of the half window,
-    # and about ten wide-step derivatives per sign change; a bisection that
-    # built a torsion at each midpoint only for its root made 697, and the
-    # search over the whole window with nearest-u pairing 145.  The search
-    # is a fixed number of stacks: the samples' differences, the end slopes,
-    # one per Brent round of all sign changes, and the reported points
+    # one torsion per theta +- WIDE_STEP per branch sample of the half
+    # window, and about ten slopes per sign change; a bisection that built a
+    # torsion at each midpoint only for its root made 697, the search over
+    # the whole window with nearest-u pairing 145, and the search with a
+    # stack of slopes at every bracket end 82 in 8 calls.  The search is a fixed
+    # number of stacks: the samples' slopes, one per Brent round of all sign
+    # changes, and the reported points
     calls, points = [], []
     torsion_polynomial = locus.torsion_polynomial
 
@@ -685,8 +688,8 @@ def test_critical_search_evaluation_budget(monkeypatch):
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert report.dihedral_count == 3
-    assert len(points) <= 82
-    assert len(calls) <= 8
+    assert len(points) <= 78
+    assert len(calls) <= 7
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
@@ -707,33 +710,40 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
         "17 of 17 derivative samples failed on root 0 of 3 over [2.7000, 3.1400], "
-        "the first with: not a simple zero at theta=2.700100"
+        "the first with: not a simple zero at theta=2.702000"
     ]
     assert not [n for n in report.notes if "constant" in n]
     assert report.dihedral_count == 2
     assert all(pt.u > -3.3 for pt in report.points)
 
 
-def test_critical_search_drops_a_sign_change_the_wide_step_misses(monkeypatch):
-    # the refinement's wide-step derivative has one sign at both ends of
-    # every sign change the FD_STEP samples found
-    derivatives = locus._BranchTorsion.derivatives
+@pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (15, 7)])
+def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
+    # the samples and the refinement read one slope: each Brent search starts
+    # from the bit-equal slopes of its two sampled ends, and no slope is taken
+    # twice, so there is no stack of slopes at the bracket ends
+    taken, started = [], []
+    derivatives, solve = locus._BranchTorsion.derivatives, locus._bracketed_zero
 
-    def one_signed_wide_step(self, samples, h=locus.FD_STEP):
-        results = derivatives(self, samples, h)
-        if h == locus.FD_STEP:
-            return results
-        return [r if isinstance(r, Exception) else (abs(r[0]), r[1]) for r in results]
+    def derivatives_spy(self, samples):
+        results = derivatives(self, samples)
+        taken.append(dict(zip(samples, results)))
+        return results
 
-    monkeypatch.setattr(locus._BranchTorsion, "derivatives", one_signed_wide_step)
-    p, lo, hi = _five_two_auto_window()
-    report = find_critical_points(p, lo, hi, 33, Tolerances())
-    dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
-    assert len(dropped) == 1
-    for note in dropped:
-        assert ": the derivative with step 0.002 has one sign at both ends (" in note
-    assert report.dihedral_count == 3
-    assert all(pt.is_dihedral for pt in report.points)
+    def solve_spy(a, fa, b, fb, **kwargs):
+        started.append((a, fa, b, fb))
+        return solve(a, fa, b, fb, **kwargs)
+
+    monkeypatch.setattr(locus._BranchTorsion, "derivatives", derivatives_spy)
+    monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
+    knot = schubert_knot(p, q)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert started
+    sampled = {(theta, r[0]) for (theta, _), r in taken[0].items() if not isinstance(r, Exception)}
+    for a, fa, b, fb in started:
+        assert (a, fa) in sampled and (b, fb) in sampled
+    assert sum(map(len, taken)) == len(set().union(*taken))
 
 
 @pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 3), (15, 7, 2)])
@@ -756,10 +766,10 @@ def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_
     [(torsion, brackets)] = searched
     assert len(brackets) == sign_changes
     alone = locus._BranchTorsion(knot, phi, Tolerances())
-    for (theta_a, theta_b, branch), zero in zip(brackets, refine(torsion, brackets)):
+    for (theta_a, _, theta_b, _, branch), zero in zip(brackets, refine(torsion, brackets)):
 
         def slope(theta):
-            [(g, _)] = alone.derivatives([(theta, branch)], 2e-3)
+            [(g, _)] = alone.derivatives([(theta, branch)])
             return g
 
         theta_star = _brent(slope, theta_a, slope(theta_a), theta_b, slope(theta_b), xtol=1e-11)
