@@ -9,14 +9,16 @@ changes only at the thresholds of ``su2_root_count_thresholds``; between
 two of them the real roots cannot cross, so the rank among the sorted roots
 identifies the root.  A branch is therefore a threshold interval and a
 rank, and no root is paired with another across samples.  The search reads
-one slope, the WIDE_STEP central difference: its samples find the sign
-changes, and Brent's method refines each one from the slopes of its two
-samples.
+one slope, dT/dtheta of the exact torsion function (``exact``) by the
+chain rule at the branch's root: its samples find the sign changes, and
+Brent's method refines each one from the slopes of its two samples.  Only
+the reported points evaluate the numeric torsion.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -60,14 +62,9 @@ AUTO_THETA_CHUNK = 48
 #: central-difference step in theta of the reported derivative estimates
 FD_STEP = 1e-4
 
-#: central-difference step in theta of the critical search's slopes, at
-#: the samples and in the refinement
-WIDE_STEP = 2e-3
-
-#: distance of a cut sample from its threshold theta: more than
-#: WIDE_STEP + FD_STEP, so every theta +- WIDE_STEP of a slope and
-#: theta +- FD_STEP of a reported point stays inside the interval
-CUT_OFFSET = WIDE_STEP + 2.0 * FD_STEP
+#: distance of a cut sample from its threshold theta: more than FD_STEP,
+#: so theta +- FD_STEP of every reported point stays inside the interval
+CUT_OFFSET = 2.2e-3
 
 #: folded grid thetas this close are one sample, and one this close to pi
 #: stands for pi: theta_grid's middle sample rounds to one ulp either side
@@ -215,13 +212,22 @@ class _BranchTorsion:
     interval and its rank among the sorted SU(2) roots there.  A critical
     search evaluates all its branches together: the SU(2) roots of each
     theta are found once and shared by every branch, and each batch of
-    points is one stack.
+    points is one stack.  Slopes come from the word's exact torsion
+    function, built on the first slope; values from the numeric torsion.
     """
 
     def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
         self.p, self.phi, self.tol = p, phi, tol
         #: the sorted SU(2) roots of every theta solved so far
         self.roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
+
+    @functools.cached_property
+    def exact(self):
+        """The word's exact torsion function.  Its module is imported here,
+        on first use: a sweep or a single torsion never loads it."""
+        from .exact import torsion_function
+
+        return torsion_function(self.p.bridge_word)
 
     def solve(self, thetas) -> None:
         """Find the SU(2) roots of every theta not solved before, in one call."""
@@ -266,13 +272,18 @@ class _BranchTorsion:
         ]
 
     def derivatives(self, samples: list[_Sample]) -> list:
-        """Central difference with step WIDE_STEP at every (theta, branch)
-        and the mean of the two torsion values it used, or the branch error
-        it raises (at theta + WIDE_STEP first), all thetas +- WIDE_STEP as
-        one stack."""
-        h = WIDE_STEP
-        values = self.values([(theta + d, branch) for theta, branch in samples for d in (h, -h)])
-        return [_difference(plus, minus, h) for plus, minus in zip(values[::2], values[1::2])]
+        """dT/dtheta along the branch and T at every (theta, branch), from
+        the exact torsion function at the branch's root there, or the branch
+        error that root (or the function's build) raises; the roots of all
+        new thetas are found in one call and all points evaluated at once."""
+        exact = _attempt(lambda: self.exact)
+        if isinstance(exact, Exception):
+            return [exact] * len(samples)
+        self.solve(theta for theta, _ in samples)
+        roots = [_attempt(self.root, theta, branch) for theta, branch in samples]
+        points = [(theta, u) for (theta, _), u in zip(samples, roots) if not isinstance(u, Exception)]
+        slopes = iter(zip(*(a.tolist() for a in exact.slope(*zip(*points)))) if points else ())
+        return [u if isinstance(u, Exception) else next(slopes) for u in roots]
 
 
 def _attempt(f, *args):
@@ -284,10 +295,9 @@ def _attempt(f, *args):
 
 
 def _difference(plus, minus, h: float):
-    """(plus - minus) / 2h and the mean of the two values, or the first
-    branch error among them."""
+    """(plus - minus) / 2h, or the first branch error among the two values."""
     failed = next((v for v in (plus, minus) if isinstance(v, Exception)), None)
-    return failed or ((plus - minus) / (2.0 * h), 0.5 * (plus + minus))
+    return failed or (plus - minus) / (2.0 * h)
 
 
 def _half_window_intervals(grid: list[float], thresholds: list[float]) -> list[list[float]]:
@@ -333,15 +343,16 @@ def find_critical_points(
     the binary dihedral one, taken at pi itself.
 
     A branch is an interval between root-count thresholds and a rank among
-    its roots.  One slope serves the whole search: the central difference
-    with step WIDE_STEP.  It is taken at the interval's samples, and every
-    sign change is refined by Brent's method on it, starting from the
-    slopes of the two samples, all sign changes in lockstep
-    (``_refine_derivative_zeros``).  Each zero is annotated with the
-    binary-dihedral test |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and with
-    an FD_STEP derivative estimate, the report's check.  The search is a
-    fixed number of stacks: the samples' slopes, one per Brent round, and
-    the reported points.
+    its roots.  One slope serves the whole search: dT/dtheta of the word's
+    exact torsion function (``exact.torsion_function``, built once per word)
+    by the chain rule at the branch's root, with no numeric torsion.  It is
+    taken at the interval's samples, and every sign change is refined by
+    Brent's method on it, starting from the slopes of the two samples, all
+    sign changes in lockstep (``_refine_derivative_zeros``), one root stack
+    per Brent round.  Each zero is annotated with the binary-dihedral test
+    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and with its numeric torsion
+    and FD_STEP derivative estimate, the report's check: the reported
+    points are the search's one numeric torsion stack.
     """
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
@@ -380,7 +391,7 @@ def find_critical_points(
                 continue
             # slopes below the evaluation-noise floor carry no sign
             # information; a branch that is flat everywhere has constant torsion
-            floor = 1e-11 * max([1.0] + [abs(v) for _, (_, v) in kept]) / WIDE_STEP
+            floor = 1e-9 * max([1.0] + [abs(v) for _, (_, v) in kept])
             usable = [(theta, g) for theta, (g, _) in kept if abs(g) > floor]
             if not usable:
                 flat.append(f"root {rank} at {statistics.fmean(v for _, (_, v) in kept):.12g}")
@@ -444,11 +455,9 @@ def _refine_derivative_zeros(torsion: _BranchTorsion, brackets: list[_Bracket]) 
 
     Brent's method starts from the two sampled slopes of each bracket, and
     all brackets advance in lockstep (``reps._lockstep_zeros``): each round
-    is one stack of slopes at the trial theta of every bracket not yet
-    done.  The slope is the WIDE_STEP central difference of the samples:
-    the central difference of a smooth function has a zero crossing at the
-    critical point to first order for ANY step, while the evaluation-noise
-    floor of its sign scales like 1/step.
+    solves the roots at the trial theta of every bracket not yet done in
+    one stack and takes the exact torsion function's slope there, as at the
+    samples.
     """
 
     def slopes(batch: list[tuple[int, float]]) -> list:
@@ -477,7 +486,7 @@ def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:
             theta=theta,
             u=torsion.root(theta, branch),
             torsion=complex(value),
-            derivative_estimate=abs(difference[0]),
+            derivative_estimate=abs(difference),
             is_dihedral=abs(2.0 * math.cos(theta / 2.0)) <= 1e-6,
         ))
     return out

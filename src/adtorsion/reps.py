@@ -203,12 +203,14 @@ class RileyPoly:
 def _palindromic_to_sigma(p: IntLaurent) -> list[int]:
     # p symmetric about 0: p = a_0 + sum_{j>=1} a_j (s^j + s^-j), where
     # s^j + s^-j = P_j(sigma) for P_0 = 2, P_1 = sigma, P_{j+1} = sigma*P_j - P_{j-1}
-    out = IntLaurent.term(p.coefficient(0))
-    prev, cur = IntLaurent.term(2), IntLaurent.term(1, 1)
+    out = [p.coefficient(0)] + [0] * p.hi
+    prev, cur = [2], [0, 1]
     for j in range(1, p.hi + 1):
-        out = out + IntLaurent.term(p.coefficient(j)) * cur
-        prev, cur = cur, cur.shift(1) - prev
-    return [out.coefficient(i) for i in range(out.hi + 1)]
+        a = p.coefficient(j)
+        for i, c in enumerate(cur):
+            out[i] += a * c
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return out
 
 
 def _poly_in_u_str(coeff_strs: Sequence[str], uvar: str) -> str:
@@ -419,13 +421,15 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     function of its roots (see :func:`_threshold_event`), whose zero Brent's
     method finds to 1e-13, all brackets in lockstep, one root stack per
     round.  One more stack checks every zero t: the count at t - 1e-9 must
-    be the bracket's low-end count, and the count at t + 1e-9 must differ.
+    be the bracket's low-end count, and the count at t + 1e-9 must differ;
+    its roots at t + 1e-9 are kept.
     A bracket whose event function has one sign at both ends, or whose zero
     fails the check, is refined the same way on a step function of the
     count: +1/2 where it is the low end's, -1/2 elsewhere.  The count can
     change twice inside one bracket: when the count at t + 1e-9 is not the
     bracket's high-end count, (t + 1e-9, high end) is refined the same way,
-    and so on until every bracket reaches its high-end count."""
+    and so on until every bracket reaches its high-end count.  Only the
+    fallback zeros need a stack of their own at t + 1e-9."""
 
     def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
         thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
@@ -473,27 +477,34 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
             i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))
         })
         checked = list(zeros)
-        _, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
-        for i, below, above in zip(checked, near[::2], near[1::2]):
-            if below != brackets[i][2] or above == below:
+        near_roots, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
+        # the roots and count just above every zero that passes the check
+        above: dict[int, tuple[np.ndarray, int]] = {}
+        for i, row, below, count in zip(checked, near_roots[1::2], near[::2], near[1::2]):
+            if below != brackets[i][2] or count == below:
                 del zeros[i]
+            else:
+                above[i] = row, count
         # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
         # at every trial Brent's method bisects to where the count leaves the
         # low end's, also across a second change inside the bracket
-        zeros.update(event_zeros({
+        fallback = event_zeros({
             i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
             for i, (a, b, ca, *_) in enumerate(brackets)
             if i not in zeros
-        }))
+        })
+        zeros.update(fallback)
+        if fallback:
+            rows, row_counts = roots_at([zeros[i] + 1e-9 for i in fallback])
+            above.update(zip(fallback, zip(rows, row_counts)))
         found = [zeros[i] for i in range(len(brackets))]
         thresholds += found
         # a second change inside a bracket: the count just above its zero is
         # not the high end's, and the rest of the bracket is refined again
-        rows, row_counts = roots_at([t + 1e-9 for t in found])
         brackets = [
-            (t + 1e-9, b, c, cb, row, roots_b)
-            for (_, b, _, cb, _, roots_b), t, row, c in zip(brackets, found, rows, row_counts)
-            if c != cb
+            (t + 1e-9, b, above[i][1], cb, above[i][0], roots_b)
+            for i, ((_, b, _, cb, _, roots_b), t) in enumerate(zip(brackets, found))
+            if above[i][1] != cb
         ]
     return sorted(thresholds)
 

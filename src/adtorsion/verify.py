@@ -1,7 +1,9 @@
 """Cross-check suite: exact identities, the two torsion routes against each
 other, invariance under Wada's column choice, conjugation and the sign twist,
 the 5_2 closed form, the torus-knot constants, the mirror symmetry
-T(theta) = T(2 pi - theta), and rejection of a point off the variety."""
+T(theta) = T(2 pi - theta), the exact torsion function against both routes,
+the 5_2 closed form and the dihedral trace, and rejection of a point off the
+variety."""
 
 from __future__ import annotations
 
@@ -75,6 +77,9 @@ MIRROR_TOL = 1e-10
 #: the mirror row checks every b(p, q) with odd p up to this
 MIRROR_P_MAX = 25
 
+#: the dihedral trace row checks every b(p, q) with odd p up to this
+TRACE_P_MAX = 21
+
 
 def _schubert_knot(p: int, q: int) -> Presentation:
     """b(p, q) from its Schubert word: letters x, y, x, ... with the signs
@@ -137,6 +142,61 @@ def _mirror_row(presentations: dict[str, Presentation], tol: Tolerances) -> Chec
     worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
     return CheckRow(f"mirror T(theta) = T(2pi - theta), {len(knots)} knots ({len(errors)} points)",
                     worst, MIRROR_TOL, worst <= MIRROR_TOL and counts_match, detail=f"worst on {where}")
+
+
+def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances) -> list[CheckRow]:
+    """The exact torsion function against the numeric torsion.
+
+    - At the SU(2) roots of 8 thetas per catalog knot, one stack each, T
+      from the exact function against the formula and the limit route.
+    - On 5_2, T is minus the closed form, coefficient by coefficient: both
+      have degree at most 2 in sigma and in u, so they agree exactly on the
+      integer grid {0, 1, 2}^2.
+    - At theta = pi the SU(2) roots are the d binary dihedral points, so the
+      exact trace of T at sigma = -2 (Newton's identities) must be the sum
+      of the numeric torsions there, on the catalog knots and every b(p, q)
+      with odd p <= TRACE_P_MAX; on b(p, 1) it is p^2 (p^2 - 1) / 24, the
+      sum of the torus constants."""
+    from .exact import torsion_function  # on first use, like the critical search
+
+    errors = []
+    for name, p in presentations.items():
+        phi, function = riley_polynomial(p.bridge_word), torsion_function(p.bridge_word)
+        lo, hi = auto_theta_range(phi)
+        solutions = su2_solutions(phi, theta_grid(lo + 0.05, min(hi, math.pi), 8))
+        points = [(sols.sigma, sols.theta, u) for sols in solutions for u in sols.roots]
+        sigma, theta, u = (list(column) for column in zip(*points))
+        exact = function(sigma, u).tolist()
+        for tp, value in zip(torsion_polynomial(rep_at(p, theta, u, tol), tol=tol), exact):
+            for route in (torsion_via_formula(tp), torsion_via_limit(tp)):
+                errors.append(abs(value - route) / abs(route))
+    rows = [CheckRow(f"exact T vs both routes ({len(errors) // 2} points)", max(errors), 1e-9,
+                     max(errors) <= 1e-9)]
+
+    if "5_2" in presentations:
+        coeffs = torsion_function(presentations["5_2"].bridge_word).coeffs
+        worst = max(
+            abs(sum(c * sigma**i * u**j for j, row in enumerate(coeffs) for i, c in enumerate(row))
+                + closed_form_5_2(sigma, u))
+            for sigma in range(3) for u in range(3)
+        )
+        rows.append(CheckRow("5_2 exact T = -closed form", float(worst), 0.0, worst == 0))
+
+    # each knot with the trace it must have exactly, where one is known
+    knots = {name: (knot, None) for name, knot in presentations.items()}
+    knots.update((f"b({p},{q})", (_schubert_knot(p, q), p * p * (p * p - 1) // 24 if q == 1 else None))
+                 for p in range(3, TRACE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
+    errors, torus_ok = [], True
+    for name, (knot, torus) in knots.items():
+        trace = torsion_function(knot.bridge_word).trace(-2)
+        roots = su2_solutions(riley_polynomial(knot.bridge_word), math.pi).roots
+        values = [r.value for r in compute_torsion(rep_at(knot, [math.pi] * len(roots), roots, tol), tol)]
+        errors.append((abs(sum(values) - trace) / sum(map(abs, values)), name))
+        torus_ok &= torus is None or trace == torus
+    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
+    rows.append(CheckRow(f"dihedral trace of exact T, {len(knots)} knots", worst, 1e-10,
+                         worst <= 1e-10 and torus_ok, detail=f"worst on {where}"))
+    return rows
 
 
 def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_band=None):
@@ -259,6 +319,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
 
     rows.append(_torus_row(tol))
     rows.append(_mirror_row(presentations, tol))
+    rows += _exact_rows(presentations, tol)
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]

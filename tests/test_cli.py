@@ -13,6 +13,7 @@ from adtorsion import __version__, cli, laurent, locus, torsion
 from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
+from adtorsion.exact import torsion_function
 from adtorsion.foxcalc import fox_derivative
 from adtorsion.laurent import LaurentMatrix, LaurentPoly
 from adtorsion.reps import (
@@ -597,8 +598,8 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
         if not isinstance(theta, float):  # a batch of thetas: each one as if alone
             return [far_root_at_first_trial(phi, t, *args, **kwargs) for t in theta]
         sols = solutions(phi, theta, *args, **kwargs)
-        # the wide-step derivative evaluates the trial theta at theta +- 2e-3
-        if first_trial and theta in (first_trial[0] + 2e-3, first_trial[0] - 2e-3):
+        # the slope reads the branch's root at the trial theta itself
+        if first_trial and theta == first_trial[0]:
             return dataclasses.replace(sols, roots=(10.0,), near_multiple=(False,))
         return sols
 
@@ -607,7 +608,7 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     dropped = [n for n in report.notes if n.startswith("dropped sign change")]
     assert [n.partition(": ")[2] for n in dropped] == [
-        f"root count 1 at theta={first_trial[0] + 2e-3:.6f} is not the branch's "
+        f"root count 1 at theta={first_trial[0]:.6f} is not the branch's "
         f"{len(solutions(phi, first_trial[0]).roots)}"
     ]
     assert 0 < report.dihedral_count <= 6
@@ -639,7 +640,7 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     # 0 of 3 at 4.335245 on b(11,3), and root 2 of 4 to root 1 of 4 twice on
     # b(13,3); the sign changes on those hops were artefacts.  A branch is
     # now a threshold interval and a rank, so every refined bracket, with
-    # the wide step on both sides, lies inside one interval of the half
+    # the reported point's FD_STEP on both sides, lies inside one interval of the half
     # window and has the branch's root count at both ends, where its slopes
     # differ in sign
     searched = []
@@ -658,7 +659,7 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     assert not [n for n in report.notes if n.startswith(("dropped", "discarded"))]
     assert searched
     cuts = [math.acos(sigma / 2.0) for sigma in report.thresholds]
-    reach = locus.WIDE_STEP + locus.FD_STEP
+    reach = locus.FD_STEP
     for theta_a, slope_a, theta_b, slope_b, (count, rank) in searched:
         assert theta_a < theta_b < math.pi and 0 <= rank < count
         assert slope_a * slope_b < 0.0
@@ -667,13 +668,13 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
 
 
 def test_critical_search_evaluation_budget(monkeypatch):
-    # one torsion per theta +- WIDE_STEP per branch sample of the half
-    # window, and about ten slopes per sign change; a bisection that built a
-    # torsion at each midpoint only for its root made 697, the search over
-    # the whole window with nearest-u pairing 145, and the search with a
-    # stack of slopes at every bracket end 82 in 8 calls.  The search is a fixed
-    # number of stacks: the samples' slopes, one per Brent round of all sign
-    # changes, and the reported points
+    # the slopes come from the exact torsion function, so the only numeric
+    # torsion stack is the reported points': each sign change and each
+    # dihedral point at theta and theta +- FD_STEP.  A bisection that built
+    # a torsion at each midpoint only for its root made 697, the search over
+    # the whole window with nearest-u pairing 145, the search with a stack
+    # of slopes at every bracket end 82 in 8 calls, and the WIDE_STEP
+    # central difference 78 in 7 calls
     calls, points = [], []
     torsion_polynomial = locus.torsion_polynomial
 
@@ -688,8 +689,9 @@ def test_critical_search_evaluation_budget(monkeypatch):
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
     report = find_critical_points(p, lo, hi, 33, Tolerances())
     assert report.dihedral_count == 3
-    assert len(points) <= 78
-    assert len(calls) <= 7
+    assert len(report.points) == 3 + 2  # one sign change, reported with its mirror
+    assert len(points) == 12
+    assert len(calls) == 1
 
 
 def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
@@ -710,7 +712,7 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
         "17 of 17 derivative samples failed on root 0 of 3 over [2.7000, 3.1400], "
-        "the first with: not a simple zero at theta=2.702000"
+        "the first with: not a simple zero at theta=2.700000"
     ]
     assert not [n for n in report.notes if "constant" in n]
     assert report.dihedral_count == 2
@@ -719,16 +721,22 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
 
 @pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (15, 7)])
 def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
-    # the samples and the refinement read one slope: each Brent search starts
-    # from the bit-equal slopes of its two sampled ends, and no slope is taken
-    # twice, so there is no stack of slopes at the bracket ends
-    taken, started = [], []
+    # the samples and the refinement read one slope, the exact torsion
+    # function's: each Brent search starts from the bit-equal slopes of its
+    # two sampled ends, no slope is taken twice, so there is no stack of
+    # slopes at the bracket ends, and no slope builds a numeric torsion
+    taken, started, stacks = [], [], []
     derivatives, solve = locus._BranchTorsion.derivatives, locus._bracketed_zero
+    torsion_polynomial = locus.torsion_polynomial
 
     def derivatives_spy(self, samples):
         results = derivatives(self, samples)
         taken.append(dict(zip(samples, results)))
         return results
+
+    def stack_spy(*args, **kwargs):
+        stacks.append(len(taken))
+        return torsion_polynomial(*args, **kwargs)
 
     def solve_spy(a, fa, b, fb, **kwargs):
         started.append((a, fa, b, fb))
@@ -736,6 +744,7 @@ def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
 
     monkeypatch.setattr(locus._BranchTorsion, "derivatives", derivatives_spy)
     monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
+    monkeypatch.setattr(locus, "torsion_polynomial", stack_spy)
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     find_critical_points(knot, lo, hi, 33, Tolerances())
@@ -744,6 +753,7 @@ def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
     for a, fa, b, fb in started:
         assert (a, fa) in sampled and (b, fb) in sampled
     assert sum(map(len, taken)) == len(set().union(*taken))
+    assert stacks == [len(taken)]  # the reported points, after every slope
 
 
 @pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 3), (15, 7, 2)])
@@ -858,8 +868,9 @@ def test_flat_branch_notes_name_the_torus_knot_constants(p):
 
 def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
     # b(11,5): theta, u and torsion of every point as the search reports
-    # them; each torsion is within 4e-13 relative of its value in 50-digit
-    # arithmetic at the reported (theta, u).  Each point off pi is found at
+    # them; each torsion is within 3e-14 relative of its value in 50-digit
+    # arithmetic at the reported (theta, u), and the point near 2 pi / 3,
+    # where T = 9, lies within 5e-14 of it.  Each point off pi is found at
     # theta* <= pi and reported again at 2 pi - theta* with the same u and
     # torsion
     word = " ".join(
@@ -874,12 +885,12 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
         for pt in json.loads(out)["points"]
     ]
     assert points == [
-        ("1.1663048319983322", "-1.0163007960850823", "22.74936511385303", "0.0"),
-        ("5.116880475181254", "-1.0163007960850823", "22.74936511385303", "0.0"),
-        ("2.0944072267175615", "-2.0000314996430943", "8.999999999338538", "0.0"),
-        ("4.188778080462025", "-2.0000314996430943", "8.999999999338538", "0.0"),
-        ("2.327310759975044", "-2.521860139808869", "8.950647372775874", "0.0"),
-        ("3.9558745472045422", "-2.521860139808869", "8.950647372775874", "0.0"),
+        ("1.1663030434639226", "-1.016297185022272", "22.74936511379164", "0.0"),
+        ("5.116882263715664", "-1.016297185022272", "22.74936511379164", "0.0"),
+        ("2.0943951023932392", "-2.0000000000001137", "8.999999999999773", "0.0"),
+        ("4.188790204786347", "-2.0000000000001137", "8.999999999999773", "0.0"),
+        ("2.327310924195621", "-2.5218604565681733", "8.950647372775824", "0.0"),
+        ("3.955874382983965", "-2.5218604565681733", "8.950647372775824", "0.0"),
         ("3.141592653589793", "-3.9189859472289945", "36.87132442528644", "0.0"),
         ("3.141592653589793", "-3.3097214678905695", "9.289886883248016", "0.0"),
         ("3.141592653589793", "-2.28462967654657", "79.15428573061342", "0.0"),
@@ -1002,8 +1013,12 @@ def test_presentation_objects_computed_once_per_word():
     p = catalog.knot("5_2")
     riley_polynomial.cache_clear()
     fox_derivative.cache_clear()
-    # the sweep drops y and the critical search drops x, so both derivatives are used
+    torsion_function.cache_clear()
+    # the sweep drops y and the critical search drops x, so both derivatives
+    # are used; a critical search takes one numeric torsion stack, so it runs
+    # twice to read each object again
     sweep_rows(p, 2.6, 3.7, 9, drop=1)
+    find_critical_points(p, 2.7, 3.58, 9, Tolerances())
     find_critical_points(p, 2.7, 3.58, 9, Tolerances())
     riley = riley_polynomial.cache_info()
     assert riley.misses == 1  # the bridge word
@@ -1011,6 +1026,8 @@ def test_presentation_objects_computed_once_per_word():
     fox = fox_derivative.cache_info()
     assert fox.misses == len(p.relators) * p.k  # one per (relator, generator)
     assert fox.hits > 0
+    exact = torsion_function.cache_info()
+    assert (exact.misses, exact.hits) == (1, 1)  # the bridge word, once per search
 
 
 def _python(*argv) -> subprocess.CompletedProcess:

@@ -1,0 +1,142 @@
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from adtorsion import catalog
+from adtorsion.exact import _torsion_coefficients, torsion_function
+from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
+from adtorsion.reps import riley_polynomial, su2_solutions
+from adtorsion.torsion import Tolerances, compute_torsion
+from adtorsion.verify import closed_form_5_2
+
+from test_torsion import schubert_knot
+
+TOL = Tolerances()
+
+
+def _family(p_max):
+    return [(p, q) for p in range(3, p_max + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+def _polynomial(coeffs, sigma, u):
+    """sum coeffs[j][i] sigma^i u^j, exact for exact sigma and u."""
+    return sum(c * sigma**i * u**j for j, row in enumerate(coeffs) for i, c in enumerate(row))
+
+
+@pytest.mark.parametrize("knot", [schubert_knot(7, 3), catalog.knot("5_2")], ids=["b(7,3)", "5_2"])
+def test_torsion_function_of_5_2_is_minus_the_closed_form(knot):
+    # T has degree at most 2 in sigma and in u, as the closed form does, so
+    # equal values on the integer grid {0, 1, 2}^2 make them equal
+    # coefficient by coefficient
+    coeffs = torsion_function(knot.bridge_word).coeffs
+    assert len(coeffs) == 3 and all(len(row) == 3 for row in coeffs)
+    for sigma in range(3):
+        for u in range(3):
+            assert _polynomial(coeffs, sigma, u) == -closed_form_5_2(sigma, u)
+
+
+def test_torsion_function_is_memoized_per_word():
+    word = schubert_knot(11, 5).bridge_word
+    assert torsion_function(word) is torsion_function(schubert_knot(11, 5).bridge_word)
+
+
+@pytest.mark.parametrize("p, q", _family(21) + [(41, 11)])
+def test_torsion_function_matches_compute_torsion(p, q):
+    # every SU(2) point at theta = pi, 2 and 1.3, to 1e-9 relative; the
+    # Chebyshev form keeps the digits that monomial Horner loses on long
+    # words (6e-4 relative on b(41,11))
+    knot = schubert_knot(p, q)
+    phi, function = riley_polynomial(knot.bridge_word), torsion_function(knot.bridge_word)
+    for theta in (math.pi, 2.0, 1.3):
+        roots = su2_solutions(phi, theta).roots
+        if not roots:
+            continue
+        rep = rep_at(knot, np.full(len(roots), theta), roots, TOL)
+        values = [r.value for r in compute_torsion(rep, TOL)]
+        exact = function([2.0 * math.cos(theta)] * len(roots), roots)
+        for value, t in zip(values, exact.tolist()):
+            assert abs(t - value) <= 1e-9 * abs(value), (theta, value, t)
+
+
+@pytest.mark.parametrize("q", [q for q in range(1, 41, 2) if math.gcd(41, q) == 1])
+def test_two_primes_carry_the_coefficients(q):
+    # a third prime below 2^24 reproduces every coefficient on the p = 41
+    # knots, where they are longest, and they stay within 40 bits, far inside
+    # the symmetric range of two primes
+    word = schubert_knot(41, q).bridge_word
+    phi_sigma = riley_polynomial(word).sigma_form()
+    coeffs = torsion_function(word).coeffs
+    assert _torsion_coefficients(word, phi_sigma, (16777213, 16777199, 16777183)) == coeffs
+    assert max(abs(c).bit_length() for row in coeffs for c in row) <= 40
+
+
+@pytest.mark.parametrize("p", range(3, 22, 2))
+def test_dihedral_trace_of_the_torus_knots(p):
+    # on b(p, 1) = T(2, p) the d roots at sigma = -2 carry the torus
+    # constants p^2 / (4 sin^2(pi k / p)), whose sum is p^2 (p^2 - 1) / 24;
+    # the numeric torsions at theta = pi sum to the exact trace
+    knot = schubert_knot(p, 1)
+    trace = torsion_function(knot.bridge_word).trace(-2)
+    assert trace == Fraction(p * p * (p * p - 1), 24)
+    roots = su2_solutions(riley_polynomial(knot.bridge_word), math.pi).roots
+    rep = rep_at(knot, np.full(len(roots), math.pi), roots, TOL)
+    values = [r.value.real for r in compute_torsion(rep, TOL)]
+    assert abs(sum(values) - trace) <= 1e-11 * sum(map(abs, values))
+
+
+def test_gradient_is_the_derivative_of_the_exact_polynomial():
+    # T, dT/dsigma and dT/du of the Chebyshev form against the exact
+    # polynomial and its exact partial derivatives, in and off the window
+    coeffs = torsion_function(schubert_knot(15, 7).bridge_word).coeffs
+    sigma_u = [(-1.7, -3.2), (0.4, -0.9), (1.9, -0.05), (-0.3, -1.5)]
+    value, d_sigma, d_u = torsion_function(schubert_knot(15, 7).bridge_word).gradient(*zip(*sigma_u))
+    for (sigma, u), v, ds, du in zip(sigma_u, value, d_sigma, d_u):
+        s, w = Fraction(sigma), Fraction(u)
+        exact = _polynomial(coeffs, s, w)
+        exact_ds = sum(i * c * s ** (i - 1) * w**j for j, row in enumerate(coeffs)
+                       for i, c in enumerate(row) if i)
+        exact_du = sum(j * c * s**i * w ** (j - 1) for j, row in enumerate(coeffs)
+                       for i, c in enumerate(row) if j)
+        scale = max(1.0, abs(float(exact)), abs(float(exact_ds)), abs(float(exact_du)))
+        for got, want in ((v, exact), (ds, exact_ds), (du, exact_du)):
+            assert abs(got - float(want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (15, 7)])
+def test_slope_is_the_central_difference_of_compute_torsion(p, q):
+    # dT/dtheta along a branch, by the chain rule on the exact function,
+    # against the 1e-5 central difference of the numeric torsion at the
+    # branch's roots on either side
+    knot = schubert_knot(p, q)
+    phi, function = riley_polynomial(knot.bridge_word), torsion_function(knot.bridge_word)
+    h = 1e-5
+    checked = 0
+    for theta in (1.9, 2.2, 2.6, 2.9):
+        rows = su2_solutions(phi, [theta - h, theta, theta + h])
+        if len({len(sols.roots) for sols in rows}) != 1 or not rows[0].roots:
+            continue
+        rank = len(rows[0].roots) // 2
+        minus, at, plus = (sols.roots[rank] for sols in rows)
+        values = [r.value.real for r in compute_torsion(
+            rep_at(knot, [theta - h, theta + h], [minus, plus], TOL), TOL)]
+        difference = (values[1] - values[0]) / (2.0 * h)
+        slope, value = (a[0] for a in function.slope([theta], [at]))
+        assert abs(slope - difference) <= 1e-6 * max(1.0, abs(value)), (theta, slope, difference)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("p, q, u", [(13, 7, -1.646177208564532), (13, 11, -2.151778969894047)])
+def test_critical_search_finds_the_fold_minimum(p, q, u):
+    # next to the fold at theta = 2.06513 the WIDE_STEP central difference
+    # misplaced this minimum, and the report check discarded it as "too
+    # large"; the exact slope puts it at theta = 2.0676443630616
+    knot = schubert_knot(p, q)
+    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
+    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    assert not [n for n in report.notes if "too large" in n]
+    found = [pt for pt in report.points if abs(pt.theta - 2.06764) < 1e-4]
+    assert len(found) == 1
+    assert abs(found[0].u - u) <= 1e-9
