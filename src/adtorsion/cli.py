@@ -130,9 +130,7 @@ def cmd_torsion(args, tol: Tolerances) -> int:
 
 
 def cmd_sweep(args, tol: Tolerances) -> int:
-    p = _resolve_presentation(args)
-    drop = _drop_index(args, p)
-    rows = sweep_rows(p, args.theta_lo, args.theta_hi, args.samples, tol, drop)
+    rows = sweep_rows(_resolve_presentation(args), args.theta_lo, args.theta_hi, args.samples, tol)
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -209,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, theta_root=False):
         sp.add_argument("--knot", help="catalog knot name (e.g. 5_2, trefoil)")
         sp.add_argument("--presentation", help="presentation file path")
-        sp.add_argument("--drop", help="generator name to drop from the block matrix")
+        sp.add_argument("--drop", help="generator name to drop from the block matrix; read by "
+                        "tai and torsion only (the torsion does not depend on it)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
         sp.add_argument("--tol-relation", type=float, default=defaults.relation)

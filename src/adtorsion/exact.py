@@ -55,28 +55,46 @@ class ChebyshevForm:
 
     coeffs: np.ndarray
 
+    def __call__(self, sigma, u) -> np.ndarray:
+        """The value at every point, with the bits ``partials`` gives it."""
+        y, x = _coordinates(sigma, u)
+        inner = np.add.reduce(self.coeffs * _chebyshev(x, self.coeffs.shape[1])[:, None, :], axis=-1)
+        return np.add.reduce(_chebyshev(y, self.coeffs.shape[0]) * inner, axis=-1)
+
     def partials(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The value and the partial derivatives in y and in x at every point."""
-        y = np.asarray(sigma, dtype=float).reshape(-1) / 2.0
-        x = 1.0 + np.asarray(u, dtype=float).reshape(-1) / (1.0 - y)
-        ty, dty = _chebyshev_values(y, self.coeffs.shape[0])
-        tx, dtx = _chebyshev_values(x, self.coeffs.shape[1])
+        y, x = _coordinates(sigma, u)
+        ty, dty = _chebyshev(y, self.coeffs.shape[0]), _chebyshev_derivatives(y, self.coeffs.shape[0])
+        tx, dtx = _chebyshev(x, self.coeffs.shape[1]), _chebyshev_derivatives(x, self.coeffs.shape[1])
         inner = np.add.reduce(self.coeffs * tx[:, None, :], axis=-1)  # (point, m)
         inner_x = np.add.reduce(self.coeffs * dtx[:, None, :], axis=-1)
         return (np.add.reduce(ty * inner, axis=-1), np.add.reduce(dty * inner, axis=-1),
                 np.add.reduce(ty * inner_x, axis=-1))
 
 
-def _chebyshev_values(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_0(z) .. T_{n-1}(z) and their derivatives, (points, n) each, by the
-    three-term recurrences (T_m' = m U_{m-1})."""
-    t, dt = [np.ones_like(z), z], [np.zeros_like(z), np.ones_like(z)]
+def _coordinates(sigma, u) -> tuple[np.ndarray, np.ndarray]:
+    """y = sigma / 2 and x = 1 + u / (1 - y) at every point."""
+    y = np.asarray(sigma, dtype=float).reshape(-1) / 2.0
+    return y, 1.0 + np.asarray(u, dtype=float).reshape(-1) / (1.0 - y)
+
+
+def _chebyshev(z: np.ndarray, n: int) -> np.ndarray:
+    """T_0(z) .. T_{n-1}(z), (points, n), by the three-term recurrence."""
+    t = [np.ones_like(z), z]
+    for _ in range(2, n):
+        t.append(2.0 * z * t[-1] - t[-2])
+    return np.stack(t[:n], axis=-1)
+
+
+def _chebyshev_derivatives(z: np.ndarray, n: int) -> np.ndarray:
+    """T_0'(z) .. T_{n-1}'(z), (points, n): T_m' = m U_{m-1}, with U by its
+    three-term recurrence."""
+    dt = [np.zeros_like(z), np.ones_like(z)]
     u_prev, u_cur = np.ones_like(z), 2.0 * z  # U_0, U_1
     for m in range(2, n):
-        t.append(2.0 * z * t[-1] - t[-2])
         dt.append(m * u_cur)
         u_prev, u_cur = u_cur, 2.0 * z * u_cur - u_prev
-    return np.stack(t[:n], axis=-1), np.stack(dt[:n], axis=-1)
+    return np.stack(dt[:n], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,7 @@ class TorsionFunction:
 
     def __call__(self, sigma, u) -> np.ndarray:
         """T at every (sigma, u) of the sequences."""
-        return self.form.partials(sigma, u)[0]
+        return self.form(sigma, u)
 
     def gradient(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """T, dT/dsigma and dT/du at every (sigma, u) of the sequences."""

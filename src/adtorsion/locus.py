@@ -12,7 +12,8 @@ rank, and no root is paired with another across samples.  The search reads
 one slope, dT/dtheta of the exact torsion function (``exact``) by the
 chain rule at the branch's root: its samples find the sign changes, and
 Brent's method refines each one from the slopes of its two samples.  Only
-the reported points evaluate the numeric torsion.
+the reported points evaluate the numeric torsion.  A sweep evaluates T at
+its roots, with the numeric torsion at one point as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .reps import (
     RileyPoly,
     _bracketed_zero,
     _lockstep_zeros,
+    _raise_first,
     build_rep,
+    phi_failure,
     riley_polynomial,
     su2_root_count_thresholds,
     su2_root_counts,
@@ -43,7 +46,6 @@ from .torsion import (
     RegularityError,
     Tolerances,
     compute_torsion,
-    simple_zero,
     torsion_polynomial,
     torsion_via_limit,
 )
@@ -148,37 +150,69 @@ def theta_grid(lo: float, hi: float, samples: int) -> list[float]:
     return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
 
 
+def _torsion_function(p: Presentation):
+    """The exact torsion function of p's bridge word.  Its module is
+    imported here, on first use: a set-up or a single torsion never loads
+    it."""
+    from .exact import torsion_function
+
+    return torsion_function(p.bridge_word)
+
+
 def sweep_rows(
     p: Presentation,
     theta_lo: float,
     theta_hi: float,
     samples: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    drop: int | None = None,
 ) -> list[dict]:
     """One row per SU(2) root at each theta of the grid: sigma, u, the
-    torsion, the simple-zero diagnostic and Tr rho(mu).  All roots at all
-    thetas are one stack of points: one representation, one assembly and
-    one determinant for the whole sweep."""
+    torsion T, whether the invariant has a simple zero at t = 1, and
+    Tr rho(mu) = 2 cos(theta / 2).
+
+    T is the word's exact torsion function (``exact.torsion_function``,
+    built once per word) at every (sigma, u).  Its build proved that the
+    zero of Delta_1 at t = 1 has order at least 2 on all of phi = 0, so the
+    order is exactly 2, the invariant's simple zero, wherever T != 0.
+    Every point must pass build_rep's phi check, and the middle row is
+    checked against the numeric torsion (``rep_at`` and
+    ``compute_torsion``), last: a relative difference above
+    ``tol.consistency`` is a RegularityError.  T does not depend on the
+    dropped generator, so a sweep drops none."""
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "sweep")
     solutions = su2_solutions(phi, grid, multiplicity_threshold=tol.multiplicity)
     points = [(sols, u) for sols in solutions for u in sols.roots]
     if not points:
         return []
-    rep = rep_at(p, [sols.theta for sols, _ in points], [u for _, u in points], tol)
-    results = compute_torsion(rep, tol, drop=drop)
+    thetas = [sols.theta for sols, _ in points]
+    us = [u for _, u in points]
+    angles = np.array(thetas)
+    _raise_first([phi_failure(phi, np.exp(1j * angles), np.array(us, dtype=complex), tol.relation)])
+    values = _torsion_function(p)([sols.sigma for sols, _ in points], us).tolist()
+    traces = (2.0 * np.exp(0.5j * angles).real).tolist()
+    # the numeric cross-check runs last: the sweep then ends on the numeric
+    # route's small complex matmul, as when every row took that route (see
+    # torsion_polynomial on the state that matmul leaves the CPU in)
+    middle = len(points) // 2
+    theta, u = thetas[middle], us[middle]
+    numeric = compute_torsion(rep_at(p, theta, u, tol), tol).value
+    if not abs(values[middle] - numeric) <= tol.consistency * abs(numeric):
+        raise RegularityError(
+            f"exact torsion {values[middle]!r} and numeric torsion {numeric!r} differ at "
+            f"theta={theta!r}, u={u!r}"
+        )
     return [
         {
             "theta": sols.theta,
             "sigma": sols.sigma,
             "u": u,
-            "torsion_re": result.value.real,
-            "torsion_im": result.value.imag,
-            "tai_simple_zero": simple_zero(result.polynomial),
+            "torsion_re": value,
+            "torsion_im": 0.0,
+            "tai_simple_zero": value != 0.0,
             "trace_mu": trace,
         }
-        for (sols, u), result, trace in zip(points, results, rep.trace_meridian.real.tolist())
+        for (sols, u), value, trace in zip(points, values, traces)
     ]
 
 
@@ -223,11 +257,8 @@ class _BranchTorsion:
 
     @functools.cached_property
     def exact(self):
-        """The word's exact torsion function.  Its module is imported here,
-        on first use: a sweep or a single torsion never loads it."""
-        from .exact import torsion_function
-
-        return torsion_function(self.p.bridge_word)
+        """The word's exact torsion function."""
+        return _torsion_function(self.p)
 
     def solve(self, thetas) -> None:
         """Find the SU(2) roots of every theta not solved before, in one call."""

@@ -988,18 +988,24 @@ def build_rep(
             images = x / root, y / root
     phi = riley_polynomial(p.bridge_word)
     if check and not phi.is_zero:
-        residual, scale = phi.residual_and_scale(s, u)
-        failures.append((
-            residual > max(tol, RELATION_TOL) * scale,
-            lambda i: f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
-            "(s, u) off the representation variety",
-        ))
+        failures.append(phi_failure(phi, s, u, tol))
     with np.errstate(divide="ignore", invalid="ignore"):  # images of a point failing a check
         rep = Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False, unitary=frame == "su2")
     if check:
         failures.append(rep._relator_failure(tol))
     _raise_first(failures)
     return rep
+
+
+def phi_failure(phi: RileyPoly, s, u, tol: float):
+    """The points (s, u) where phi does not vanish: |phi| above
+    max(tol, RELATION_TOL) times the sum of its term magnitudes; the mask
+    and the message for point i, as ``_raise_first`` takes them."""
+    residual, scale = phi.residual_and_scale(s, u)
+    return residual > max(tol, RELATION_TOL) * scale, lambda i: (
+        f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
+        "(s, u) off the representation variety"
+    )
 
 
 def adjoint_of_matrix(m: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 other, invariance under Wada's column choice, conjugation and the sign twist,
 the 5_2 closed form, the torus-knot constants, the mirror symmetry
 T(theta) = T(2 pi - theta), the exact torsion function against both routes,
-the 5_2 closed form and the dihedral trace, and rejection of a point off the
-variety."""
+the 5_2 closed form, the dihedral trace and the trace over whole SL(2,C)
+fibres, and rejection of a point off the variety."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,6 +80,14 @@ MIRROR_P_MAX = 25
 
 #: the dihedral trace row checks every b(p, q) with odd p up to this
 TRACE_P_MAX = 21
+
+#: the fibre row checks every b(p, q) with odd p up to this, at these sigma
+FIBRE_P_MAX = 11
+FIBRE_SIGMAS = (Fraction(5, 2), Fraction(1), Fraction(-1, 2))
+
+#: the fibre row's bound on |sum of T - Tr T(sigma)| / sum of |T|; the worst
+#: over its knots is 2.2e-11 (b(11,1) at sigma = 5/2)
+FIBRE_TOL = 1e-10
 
 
 def _schubert_knot(p: int, q: int) -> Presentation:
@@ -196,7 +205,41 @@ def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances) -> list
     worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
     rows.append(CheckRow(f"dihedral trace of exact T, {len(knots)} knots", worst, 1e-10,
                          worst <= 1e-10 and torus_ok, detail=f"worst on {where}"))
+    rows.append(_fibre_row(presentations, tol))
     return rows
+
+
+def _fibre_row(presentations: dict[str, Presentation], tol: Tolerances) -> CheckRow:
+    """T in Z[sigma][u] / (phi) off the SU(2) locus: at each sigma of
+    FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
+    phi(sigma, u), one Riley-frame stack per fibre, is the exact trace
+    Tr T(sigma), on the given knots and every b(p, q) with odd p <=
+    FIBRE_P_MAX.  The roots are checked by their relator residuals, not by
+    build_rep's relative phi test: at sigma = 1 the trefoil and b(9,1) have
+    the reducible root u = 0, where phi's terms all vanish and the test has
+    no scale."""
+    from .exact import torsion_function
+
+    knots = dict(presentations)
+    knots.update((f"b({p},{q})", _schubert_knot(p, q))
+                 for p in range(3, FIBRE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
+    errors, residual, count = [], 0.0, 0
+    for name, knot in knots.items():
+        function = torsion_function(knot.bridge_word)
+        for sigma in FIBRE_SIGMAS:
+            phi = [float(sum(c * sigma**i for i, c in enumerate(row))) for row in function.phi_coeffs]
+            roots = np.roots(phi[::-1])
+            s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
+            rep = build_rep(knot, np.full(len(roots), s), roots, tol=tol.relation, check=False)
+            residual = max(residual, float(np.max(rep.relator_residuals)))
+            values = [r.value for r in compute_torsion(rep, tol)]
+            count += len(values)
+            errors.append((abs(sum(values) - function.trace(sigma)) / sum(map(abs, values)),
+                           f"{name} at sigma={sigma}"))
+    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
+    return CheckRow(f"SL(2,C) fibre trace of exact T, {len(knots)} knots ({count} points)", worst,
+                    FIBRE_TOL, worst <= FIBRE_TOL and residual <= tol.relation,
+                    detail=f"worst on {where}, relator residual {residual:.1e}")
 
 
 def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_band=None):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from adtorsion import __version__, cli, laurent, locus, torsion
+from adtorsion import __version__, cli, exact, laurent, locus, torsion, verify
 from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
@@ -469,6 +469,18 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out.replace("RESULT: PASS", "")
     assert "global sign" in out
     assert "mirror T(theta) = T(2pi - theta), 70 knots" in out
+    assert "SL(2,C) fibre trace of exact T, 16 knots (165 points)" in out
+
+
+def test_fibre_row_fails_on_a_wrong_trace(monkeypatch):
+    # the fibre row compares the numeric sum over each whole fibre with the
+    # exact trace; a trace off by 1e-6 fails it
+    knots = {"5_2": catalog.knot("5_2")}
+    row = verify._fibre_row(knots, Tolerances())
+    assert row.passed and 0.0 < row.max_error <= verify.FIBRE_TOL
+    trace = exact.TorsionFunction.trace
+    monkeypatch.setattr(exact.TorsionFunction, "trace", lambda self, sigma: trace(self, sigma) + 1e-6)
+    assert not verify._fibre_row(knots, Tolerances()).passed
 
 
 def test_version_flag(capsys):
@@ -931,9 +943,9 @@ def test_main_calls_share_one_parser_and_no_flags(capsys):
          "--format", "json"),
         ("critical", "--knot", "trefoil", "--theta-lo", "2.0", "--theta-hi", "4.3"),
         ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7", "--samples", "5",
-         "--drop", "y", "--format", "json"),
+         "--format", "json"),
         ("sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7"),
-        ("torsion", "--knot", "5_2", "--theta", "2.5", "--root", "1"),
+        ("torsion", "--knot", "5_2", "--theta", "2.5", "--root", "1", "--drop", "y"),
         ("torsion", "--knot", "5_2", "--theta", "2.5"),
         ("riley-poly", "--knot", "5_2", "--tol-relation", "-1"),
         ("riley-poly", "--knot", "5_2"),
@@ -1014,20 +1026,20 @@ def test_presentation_objects_computed_once_per_word():
     riley_polynomial.cache_clear()
     fox_derivative.cache_clear()
     torsion_function.cache_clear()
-    # the sweep drops y and the critical search drops x, so both derivatives
-    # are used; a critical search takes one numeric torsion stack, so it runs
-    # twice to read each object again
-    sweep_rows(p, 2.6, 3.7, 9, drop=1)
+    # the sweep's cross-check and each critical search take one numeric
+    # torsion stack, all dropping the meridian x; the sweep and each search
+    # read the exact torsion function once
+    sweep_rows(p, 2.6, 3.7, 9)
     find_critical_points(p, 2.7, 3.58, 9, Tolerances())
     find_critical_points(p, 2.7, 3.58, 9, Tolerances())
     riley = riley_polynomial.cache_info()
     assert riley.misses == 1  # the bridge word
     assert riley.hits > 0
     fox = fox_derivative.cache_info()
-    assert fox.misses == len(p.relators) * p.k  # one per (relator, generator)
+    assert fox.misses == len(p.relators)  # one per relator: the derivative by y
     assert fox.hits > 0
     exact = torsion_function.cache_info()
-    assert (exact.misses, exact.hits) == (1, 1)  # the bridge word, once per search
+    assert (exact.misses, exact.hits) == (1, 2)  # the bridge word, read by the sweep first
 
 
 def _python(*argv) -> subprocess.CompletedProcess:
@@ -1073,25 +1085,30 @@ def _same_bits(a: float, b: float) -> bool:
     ],
 )
 def test_sweep_stack_matches_single_points(knot, drop):
-    # the sweep evaluates all its points as one stack; every row must be what
-    # the one-point path gives for that point alone, to the bit
+    # the sweep evaluates the exact torsion function at all its points at
+    # once; every row must be what that function gives the point alone, to
+    # the bit, and the numeric torsion there (dropping the meridian, or
+    # ``drop``) within 1e-9
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     tol = Tolerances()
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    rows = sweep_rows(p, lo, hi, 13, tol, drop)
+    rows = sweep_rows(p, lo, hi, 13, tol)
     assert len(rows) >= 13
     json.dumps({"rows": rows})
+    function = torsion_function(p.bridge_word)
     for row in rows:
         assert all(type(row[k]) is float for k in row if k != "tai_simple_zero")
         assert type(row["tai_simple_zero"]) is bool
         roots = su2_solutions(riley_polynomial(p.bridge_word), row["theta"], tol.relation,
                               multiplicity_threshold=tol.multiplicity).roots
         assert min(abs(r - row["u"]) for r in roots) <= 1e-12
+        (alone,) = function([row["sigma"]], [row["u"]]).tolist()
+        assert _same_bits(row["torsion_re"], alone)
+        assert _same_bits(row["torsion_im"], 0.0)
         rep = locus.rep_at(p, row["theta"], row["u"], tol)
         single = compute_torsion(rep, tol, drop=drop)
-        assert _same_bits(row["torsion_re"], single.value.real)
-        assert _same_bits(row["torsion_im"], single.value.imag)
-        assert row["tai_simple_zero"] is single.diagnostics["simple_zero"]
+        assert abs(row["torsion_re"] - single.value) <= 1e-9 * abs(single.value)
+        assert row["tai_simple_zero"] is single.diagnostics["simple_zero"] is True
         assert _same_bits(row["trace_mu"], float(rep.trace_meridian.real))
 
 
@@ -1135,10 +1152,18 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     monkeypatch.setattr(laurent, "divide_out_simple_roots", counted_divide)
     monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
     monkeypatch.setattr(LaurentPoly, "_raw", classmethod(counted_raw))
+    # the rows come from the exact torsion function, looked up once; the one
+    # representation is the cross-check's single point
+    lookups = _count_calls(monkeypatch, [(exact, "torsion_function")])
+    built = []
+    monkeypatch.setattr(locus, "compute_torsion", lambda rep, *args: built.append(rep)
+                        or compute_torsion(rep, *args))
     rows = sweep_rows(catalog.knot("5_2"), 0.8, 5.4, 31)
     assert len(rows) > 31
     assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1, "LaurentPoly": 0}
     assert diagnostics == {"regularity_diagnostics": 0, "naive_limit": 0}
+    assert lookups == {"torsion_function": 1}
+    assert [rep.stacked for rep in built] == [False]
     # the counters see the constructions they count
     LaurentPoly(0, [1.0]).shift(1)
     assert calls["LaurentPoly"] == 2
@@ -1168,13 +1193,13 @@ def test_diagnostics_are_derived_on_each_read(monkeypatch):
 
 # adtorsion sweep output, pinned byte for byte: 5_2 over its auto window
 # with 61 samples as CSV and JSON, and b(41,11) over its auto window with
-# 33 samples, dropping y, as CSV; recorded with numpy 2.4.6
+# 33 samples as CSV; recorded with numpy 2.4.6
 @pytest.mark.parametrize(
     "fixture, knot, samples, extra",
     [
         ("sweep_5_2.csv", "5_2", 61, ()),
         ("sweep_5_2.json", "5_2", 61, ("--format", "json")),
-        ("sweep_b41_11_drop_y.csv", (41, 11), 33, ("--drop", "y")),
+        ("sweep_b41_11.csv", (41, 11), 33, ()),
     ],
 )
 def test_sweep_output_keeps_every_byte(capsys, tmp_path, fixture, knot, samples, extra):
@@ -1191,3 +1216,63 @@ def test_sweep_output_keeps_every_byte(capsys, tmp_path, fixture, knot, samples,
     code, out, err = run_cli(capsys, "sweep", *source, *argv, *extra)
     assert (code, err) == (0, "")
     assert out.encode() == pathlib.Path(__file__).with_name(fixture).read_bytes()
+    # the torsion does not depend on the dropped generator, so the sweep
+    # ignores --drop
+    assert run_cli(capsys, "sweep", *source, *argv, *extra, "--drop", "y") == (0, out, "")
+
+    # the oracles the fixtures were recorded against: minus the 5_2 closed
+    # form, and the numeric torsion at every point
+    rows = sweep_rows(p, lo, hi, samples)
+    if knot == "5_2":
+        for row in rows:
+            target = -closed_form_5_2(row["sigma"], row["u"])
+            assert abs(row["torsion_re"] - target) <= 1e-12 * abs(target)
+    else:
+        tol = Tolerances()
+        results = compute_torsion(locus.rep_at(p, [r["theta"] for r in rows], [r["u"] for r in rows], tol), tol)
+        for row, result in zip(rows, results):
+            assert abs(row["torsion_re"] - result.value) <= 1e-9 * abs(result.value)
+
+
+def test_sweep_cross_check_names_its_point(monkeypatch, capsys):
+    # exact values off by 1e-5 relative fail the numeric cross-check at the
+    # middle row, with both values, theta and u in the message
+    function = torsion_function(catalog.knot("5_2").bridge_word)
+    monkeypatch.setattr(exact, "torsion_function", lambda w: lambda sigma, u: function(sigma, u) * (1 + 1e-5))
+    code, out, err = run_cli(capsys, "sweep", "--knot", "5_2", "--theta-lo", "2.6", "--theta-hi", "3.7",
+                             "--samples", "5")
+    assert (code, out) == (1, "")
+    # the middle of the 15 rows: the second root at the middle theta
+    theta = theta_grid(2.6, 3.7, 5)[2]
+    u = su2_solutions(riley_polynomial(catalog.knot("5_2").bridge_word), theta).roots[1]
+    assert err.startswith("error: exact torsion ")
+    assert err.endswith(f" differ at theta={theta!r}, u={u!r}\n")
+
+
+def test_sweep_rejects_a_root_off_the_variety(monkeypatch):
+    # every row passes build_rep's phi check: a root nudged off phi = 0
+    # fails the sweep with the error its point raises alone
+    p, tol = catalog.knot("5_2"), Tolerances()
+    solve = su2_solutions
+
+    def nudged(phi, thetas, **kwargs):
+        out = solve(phi, thetas, **kwargs)
+        out[1] = dataclasses.replace(out[1], roots=(out[1].roots[0] + 1e-3, *out[1].roots[1:]))
+        return out
+
+    monkeypatch.setattr(locus, "su2_solutions", nudged)
+    theta = theta_grid(2.6, 3.7, 5)[1]
+    u = solve(riley_polynomial(p.bridge_word), theta).roots[0] + 1e-3
+    with pytest.raises(RepresentationError, match="does not vanish") as alone:
+        locus.rep_at(p, theta, u, tol)
+    with pytest.raises(RepresentationError, match="does not vanish") as swept:
+        sweep_rows(p, 2.6, 3.7, 5, tol)
+    assert str(swept.value) == str(alone.value)
+
+
+def test_sweep_without_roots_builds_no_torsion_function(monkeypatch):
+    p = catalog.knot("5_2")
+    assert not any(su2_solutions(riley_polynomial(p.bridge_word), theta_grid(0.1, 0.5, 9)))
+    lookups = _count_calls(monkeypatch, [(exact, "torsion_function")])
+    assert sweep_rows(p, 0.1, 0.5, 9) == []
+    assert lookups == {"torsion_function": 0}
