@@ -62,7 +62,7 @@ from .torsion import (
     twisted_alexander_invariant,
     untwisted_alexander,
 )
-from .catalog import knot, knot_names
+from .catalog import knot, knot_names, two_bridge_pq
 from .locus import auto_theta_range, find_critical_points, sweep_rows
 from .verify import run_verification
 

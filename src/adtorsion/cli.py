@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = Tolerances()
 
     def common(sp, theta_root=False):
-        sp.add_argument("--knot", help="catalog knot name (e.g. 5_2, trefoil)")
+        sp.add_argument("--knot", help="catalog knot name (5_2, trefoil) or b(p,q)")
         sp.add_argument("--presentation", help="presentation file path")
         sp.add_argument("--drop", help="generator name to drop from the block matrix; read by "
                         "tai and torsion only (the torsion does not depend on it)")

@@ -311,10 +311,23 @@ def su2_solutions(
     real up to a unit is decided exactly, once per polynomial, from its
     coefficients.  The parameter stays because callers outside the package
     pass it positionally; the package's own callers leave it out.
+
+    One theta is solved as a stack of one and memoized per process (at most
+    RILEY_CACHE_SIZE entries), keyed on what the root finder reads of phi
+    (its word, ``_shift``, ``_centre`` and u-degree), the float theta and
+    ``multiplicity_threshold``: every root index of one theta shares one
+    solve and the same frozen result.  A sequence of thetas neither reads
+    nor fills the memo.  ``su2_solutions.cache_info()`` and
+    ``su2_solutions.cache_clear()`` reach it; an error is never stored.
     """
-    stacked = np.ndim(theta) > 0
-    thetas = [float(t) for t in theta] if stacked else [float(theta)]
-    roots, real, edge = _su2_roots(phi, thetas, multiplicity_threshold)
+    source = _root_source(phi)
+    if np.ndim(theta) > 0:
+        return _solutions(source, [float(t) for t in theta], multiplicity_threshold)
+    return _solution_at(source, float(theta), multiplicity_threshold)
+
+
+def _solutions(source: tuple, thetas: list[float], multiplicity_threshold: float) -> list[Su2Solutions]:
+    roots, real, edge = _su2_roots(source, thetas, multiplicity_threshold)
     out = []
     for t, values, r, e in zip(thetas, roots.real.tolist(), real.tolist(), edge.tolist()):
         kept = tuple(sorted(compress(values, r)))
@@ -322,13 +335,35 @@ def su2_solutions(
         flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
         edge = tuple(sorted(compress(values, e)))
         out.append(Su2Solutions(t, 2.0 * math.cos(t), kept, flags, edge))
-    return out if stacked else out[0]
+    return out
+
+
+@functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
+def _solution_at(source: tuple, theta: float, multiplicity_threshold: float) -> Su2Solutions:
+    return _solutions(source, [theta], multiplicity_threshold)[0]
+
+
+su2_solutions.cache_info = _solution_at.cache_info
+su2_solutions.cache_clear = _solution_at.cache_clear
 
 
 def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
     """``len(su2_solutions(phi, theta).roots)`` for every theta, without
     building the solution objects."""
-    return _su2_roots(phi, [float(t) for t in thetas], 0.0)[1].sum(axis=1).tolist()
+    return _su2_roots(_root_source(phi), [float(t) for t in thetas], 0.0)[1].sum(axis=1).tolist()
+
+
+def _root_source(phi: RileyPoly) -> tuple:
+    """What the SU(2) root finder reads of phi: (word, _shift, _centre,
+    u-degree); ValueError for a polynomial it cannot solve."""
+    if phi.is_zero:
+        raise ValueError("zero polynomial")
+    if phi._centre is None:
+        raise ValueError("phi(e^{i theta}, u) is not real up to a unit: its u-coefficients "
+                         "are not palindromic about one common s-power")
+    if phi.word is None:
+        raise ValueError("SU(2) roots are evaluated from the word phi was built from")
+    return phi.word, phi._shift, phi._centre, phi.u_degree
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,8 +390,9 @@ def _chebyshev_basis(d: int):
     return np.cos(angles) - 1.0 + 0j, fit, colleagues
 
 
-def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
-    """The one root finder behind su2_solutions and su2_root_counts.
+def _su2_roots(source: tuple, thetas: list[float], borderline_tol: float):
+    """The one root finder behind su2_solutions and su2_root_counts, on the
+    ``_root_source`` of phi.
 
     For each theta (a row), the roots u, padded with NaN, and two masks of
     the roots inside the slack window: real within REALITY_TOL, and
@@ -366,14 +402,7 @@ def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
     """
     if not all(0.0 < t < 2.0 * math.pi for t in thetas):
         raise ValueError("theta must lie strictly between 0 and 2*pi")
-    if phi.is_zero:
-        raise ValueError("zero polynomial")
-    if phi._centre is None:
-        raise ValueError("phi(e^{i theta}, u) is not real up to a unit: its u-coefficients "
-                         "are not palindromic about one common s-power")
-    if phi.word is None:
-        raise ValueError("SU(2) roots are evaluated from the word phi was built from")
-    d = phi.u_degree
+    word, shift, centre, d = source
     t = np.array(thetas)[:, None]
     s = np.exp(1j * t)
     h = 1.0 - s.real  # u = h (x - 1) maps [-1, 1] onto the window [sigma - 2, 0]
@@ -381,10 +410,10 @@ def _su2_roots(phi: RileyPoly, thetas: list[float], borderline_tol: float):
     u = h * x_minus_1
     # with |s| = 1 and u in the window the letter matrices are
     # SU(2)-conjugate, so the product does not cancel
-    a, b = _first_row(phi.word, 1.0, s, s.conj(), lambda p: u * p)
+    a, b = _first_row(word, 1.0, s, s.conj(), lambda p: u * p)
     # phi of the word is a sign times s^shift times the canonical phi, which
     # is s^(_centre / 2) times a real polynomial
-    values = ((a + (1.0 - s) * b) * np.exp(-0.5j * (2 * phi._shift + phi._centre) * t)).real
+    values = ((a + (1.0 - s) * b) * np.exp(-0.5j * (2 * shift + centre) * t)).real
     # an elementwise sum over the points, not a matrix product: BLAS may
     # round a row differently depending on the stack it sits in
     coeffs = np.add.reduce(values[:, None, :] * fit, axis=-1)
@@ -431,9 +460,11 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     and so on until every bracket reaches its high-end count.  Only the
     fallback zeros need a stack of their own at t + 1e-9."""
 
+    source = _root_source(phi)
+
     def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
         thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
-        roots, inside, _ = _su2_roots(phi, thetas, 0.0)
+        roots, inside, _ = _su2_roots(source, thetas, 0.0)
         return roots, inside.sum(axis=1).tolist()
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES

@@ -19,7 +19,7 @@ from . import catalog
 from .foxcalc import fundamental_identity_holds
 from .laurent import LaurentMatrix, LaurentPoly, unit_aligned_distance
 from .locus import auto_theta_range, rep_at, theta_grid
-from .presentation import Presentation, two_bridge, validate
+from .presentation import Presentation, validate
 from .reps import (
     RepresentationError,
     adjoint_of_matrix,
@@ -90,14 +90,6 @@ FIBRE_SIGMAS = (Fraction(5, 2), Fraction(1), Fraction(-1, 2))
 FIBRE_TOL = 1e-10
 
 
-def _schubert_knot(p: int, q: int) -> Presentation:
-    """b(p, q) from its Schubert word: letters x, y, x, ... with the signs
-    (-1)^floor(i q / p), i = 1 .. p - 1."""
-    return two_bridge(" ".join(
-        ("x" if i % 2 else "y") + ("^-1" if (i * q // p) % 2 else "") for i in range(1, p)
-    ))
-
-
 def _torus_row(tol: Tolerances) -> CheckRow:
     """b(p, 1) = T(2, p), odd p <= 41, at theta = pi, 2 and 1.3, one stack
     each: every SU(2) torsion is one of p^2 / (4 sin^2(pi k / p)),
@@ -105,7 +97,7 @@ def _torus_row(tol: Tolerances) -> CheckRow:
     and the roots at pi take each constant once."""
     errors, each_once = [], True
     for p in range(3, 42, 2):
-        knot = _schubert_knot(p, 1)
+        knot = catalog.two_bridge_pq(p, 1)
         constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
         for theta in (math.pi, 2.0, 1.3):
             roots = su2_solutions(riley_polynomial(knot.bridge_word), theta).roots
@@ -127,7 +119,7 @@ def _mirror_row(presentations: dict[str, Presentation], tol: Tolerances) -> Chec
     on the given knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
     knots = dict(presentations)
     knots.update(
-        (f"b({p},{q})", _schubert_knot(p, q))
+        (f"b({p},{q})", catalog.two_bridge_pq(p, q))
         for p in range(3, MIRROR_P_MAX + 1, 2)
         for q in range(1, p, 2)
         if math.gcd(p, q) == 1
@@ -193,7 +185,7 @@ def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances) -> list
 
     # each knot with the trace it must have exactly, where one is known
     knots = {name: (knot, None) for name, knot in presentations.items()}
-    knots.update((f"b({p},{q})", (_schubert_knot(p, q), p * p * (p * p - 1) // 24 if q == 1 else None))
+    knots.update((f"b({p},{q})", (catalog.two_bridge_pq(p, q), p * p * (p * p - 1) // 24 if q == 1 else None))
                  for p in range(3, TRACE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
     errors, torus_ok = [], True
     for name, (knot, torus) in knots.items():
@@ -221,7 +213,7 @@ def _fibre_row(presentations: dict[str, Presentation], tol: Tolerances) -> Check
     from .exact import torsion_function
 
     knots = dict(presentations)
-    knots.update((f"b({p},{q})", _schubert_knot(p, q))
+    knots.update((f"b({p},{q})", catalog.two_bridge_pq(p, q))
                  for p in range(3, FIBRE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
     errors, residual, count = [], 0.0, 0
     for name, knot in knots.items():

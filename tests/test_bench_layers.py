@@ -59,3 +59,18 @@ def test_workload_layers_record_calls(monkeypatch, workload, run):
     stats, _ = tracer.layer_stats()
     silent = [layer for layer in workloads.WORKLOADS[workload].layers if not stats[layer]["calls"]]
     assert not silent
+
+
+def test_points_layer_records_memoized_calls(monkeypatch):
+    # the second request finds its theta memoized and still goes through the
+    # traced su2_solutions, so a replay of memoized points keeps the layer
+    # recording
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    api = importlib.import_module("adtorsion")
+    cli = importlib.import_module("adtorsion.cli")
+    tracing = importlib.import_module("tracing")
+    with tracing.Tracer() as tracer:
+        _point(api, cli)
+        _point(api, cli)
+    stats, _ = tracer.layer_stats()
+    assert stats["reps.su2_solutions"]["calls"] == 2

@@ -319,6 +319,43 @@ def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
     assert abs(complex(*FIVE_TWO_PAYLOADS[(theta, root)]["torsion"]["value"]) + closed) <= 1e-12 * abs(closed)
 
 
+def test_family_knot_name_is_its_presentation_file(capsys, tmp_path):
+    path = tmp_path / "b41_11.txt"
+    path.write_text(f"twobridge w: {schubert_word(41, 11)}\n", encoding="utf-8")
+    argv = ("--theta", "2.0", "--root", "3")
+    by_name = run_cli(capsys, "torsion", "--knot", "b(41,11)", *argv)
+    assert by_name[0] == 0
+    assert run_cli(capsys, "torsion", "--presentation", str(path), *argv) == by_name
+
+
+def test_critical_on_a_family_knot_name(capsys):
+    code, out, err = run_cli(capsys, "critical", "--knot", "b(41,11)")
+    assert (code, err) == (0, "")
+    assert "dihedral count: 20\n" in out
+
+
+@pytest.mark.parametrize("name", ["b(8,3)", "b(9,3)", "b(7,2)"])
+def test_knot_names_outside_the_family_are_input_errors(capsys, name):
+    code, out, err = run_cli(capsys, "torsion", "--knot", name, "--theta", "2.0")
+    assert (code, out) == (1, "")
+    assert err == f"error: {name} needs odd p >= 3 and odd q in (0, p) coprime to p\n"
+
+
+def test_single_point_requests_keep_their_bits_in_any_order(capsys):
+    # every root of b(41,11) at theta = pi, one request each in one process,
+    # in index order and again in reverse order with every root memoized:
+    # each payload is the pinned payload of that root in the one-stack
+    # evaluation
+    pinned = [json.dumps(payload) for payload in json.loads(B41_11_PAYLOADS.read_text())]
+    su2_solutions.cache_clear()
+    for root in [*range(20), *reversed(range(20))]:
+        code, out, err = run_cli(capsys, "torsion", "--knot", "b(41,11)", "--theta", repr(math.pi),
+                                 "--root", str(root))
+        assert (code, err) == (0, "")
+        assert json.dumps(json.loads(out)) == pinned[root]
+    assert su2_solutions.cache_info().misses == 1
+
+
 def test_sweep_csv_deterministic(capsys):
     args = ("sweep", "--knot", "5_2", "--theta-lo", "2.8", "--theta-hi", "3.2", "--samples", "4")
     code1, out1, _ = run_cli(capsys, *args)

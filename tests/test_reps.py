@@ -11,7 +11,7 @@ import pytest
 from adtorsion import catalog, reps
 from adtorsion.laurent import IntLaurent
 from adtorsion.locus import rep_at
-from adtorsion.presentation import Presentation
+from adtorsion.presentation import Presentation, PresentationError
 from adtorsion.reps import (
     INTERVAL_SLACK,
     RELATION_TOL,
@@ -41,7 +41,7 @@ from adtorsion.torsion import (
     torsion_polynomial,
     untwisted_alexander,
 )
-from test_torsion import schubert_knot
+from test_torsion import schubert_knot, schubert_word
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
 
@@ -155,16 +155,43 @@ def test_u_polynomials_trim_and_multiply():
 def test_two_bridge_family_exact_oracles():
     # every b(p, q) with odd p <= 41 and odd q in (0, p) coprime to p:
     # |Delta(-1)| = p, phi(s, 0) = Delta_K up to a unit +-s^k, u-degree
-    # (p - 1)/2, and a monic sigma-form
+    # (p - 1)/2, and a monic sigma-form; two_bridge_pq builds the same word
     assert len(FAMILY) == 178
     for p, q in FAMILY:
         knot = schubert_knot(p, q)
+        assert catalog.two_bridge_pq(p, q).bridge_word == knot.bridge_word
+        assert catalog.knot(f"b({p},{q})").bridge_word == knot.bridge_word
         phi = riley_polynomial(knot.bridge_word)
         assert alexander_at_minus_one(knot) == p, (p, q)
         assert phi.coefficient(0).equal_up_to_unit(untwisted_alexander(knot)), (p, q)
         assert phi.u_degree == (p - 1) // 2, (p, q)
         form = phi.sigma_form()
         assert form is not None and form[-1] == [1], (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(8, 3), (9, 3), (7, 2), (1, 1), (7, 7), (7, -1), (7, 9)])
+def test_two_bridge_pq_rejects_what_is_not_a_family_knot(p, q):
+    with pytest.raises(PresentationError, match="odd p >= 3 and odd q in"):
+        catalog.two_bridge_pq(p, q)
+
+
+@pytest.mark.parametrize(
+    "name, stand_in, oracle",
+    [
+        # another knot's word: b(5, 1) has determinant 5
+        ("schubert_word", lambda p, q: schubert_word(5, 1), r"\|Delta\(-1\)\| = 5, expected 7"),
+        # b(7, 1)'s Alexander polynomial has determinant 7 too, but is not
+        # phi(s, 0) of b(7, 3)
+        ("untwisted_alexander", lambda knot: untwisted_alexander(schubert_knot(7, 1)), "Alexander"),
+        # phi(s, 0) kept, one u-degree too many
+        ("riley_polynomial", lambda w: RileyPoly([*riley_polynomial(w).coeffs, IntLaurent.one()], w),
+         "u-degree 4, expected 3"),
+    ],
+)
+def test_two_bridge_pq_checks_its_oracles(monkeypatch, name, stand_in, oracle):
+    monkeypatch.setattr(catalog, name, stand_in)
+    with pytest.raises(RuntimeError, match=oracle):
+        catalog.two_bridge_pq(7, 3)
 
 
 FAMILY = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
@@ -335,6 +362,75 @@ def test_su2_solutions_argument_checks():
         su2_solutions(phi, 7.0)
     with pytest.raises(ValueError):
         su2_solutions(RileyPoly([]), 1.0)
+
+
+def test_one_theta_is_memoized_with_the_bits_of_any_stack():
+    # a hit is the very object the first call built as a stack of one, equal
+    # to the last bit (repr writes every float exactly) to theta's row in a
+    # stack of one and in a stack of 48; a second polynomial built from the
+    # same word shares the entry, and a stacked call leaves the memo as it is
+    phi = riley_polynomial(schubert_knot(41, 11).bridge_word)
+    thetas = [1.9 + 0.01 * k for k in range(48)]
+    theta = thetas[17]
+    su2_solutions.cache_clear()
+    first = su2_solutions(phi, theta)
+    assert su2_solutions(phi, theta) is first
+    assert su2_solutions(riley_polynomial.__wrapped__(phi.word), np.float64(theta)) is first
+    info = su2_solutions.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert len(first.roots) > 1
+    assert repr(first) == repr(su2_solutions(phi, [theta])[0])
+    assert repr(first) == repr(su2_solutions(phi, thetas)[17])
+    assert su2_solutions.cache_info() == info
+
+
+def test_memo_keys_on_the_multiplicity_threshold():
+    # two roots 0.071 apart, just below the 5_2 count threshold: flagged
+    # under a threshold of 0.1, not under the default
+    phi = riley_polynomial(_two_gen_word("x^-1 y^-1 x y x^-1 y^-1"))
+    theta = math.acos((SIGMA_STAR - 1e-3) / 2.0)
+    su2_solutions.cache_clear()
+    tight = su2_solutions(phi, theta)
+    wide = su2_solutions(phi, theta, multiplicity_threshold=0.1)
+    assert tight.roots == wide.roots
+    assert not any(tight.near_multiple) and any(wide.near_multiple)
+    assert su2_solutions.cache_info().currsize == 2
+    assert su2_solutions(phi, theta) is tight
+
+
+def test_memo_stores_no_error():
+    phi = riley_polynomial(_two_gen_word("x^-1 y^-1 x y x^-1 y^-1"))
+    su2_solutions(phi, 2.0)
+    size = su2_solutions.cache_info().currsize
+    for theta in (0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi):
+        with pytest.raises(ValueError, match="strictly between"):
+            su2_solutions(phi, theta)
+    assert su2_solutions.cache_info().currsize == size
+
+
+def test_memo_is_bounded_like_the_riley_memo():
+    assert su2_solutions.cache_info().maxsize == reps.RILEY_CACHE_SIZE
+
+
+def test_every_root_index_of_one_theta_shares_one_solve(monkeypatch):
+    # one solve for d requests, keyed without hashing every coefficient
+    solved = []
+    solve = reps._su2_roots
+
+    def counted(source, thetas, *args):
+        solved.append(len(thetas))
+        return solve(source, thetas, *args)
+
+    def unhashable(self):
+        raise AssertionError("the memo key hashes the polynomial's coefficients")
+
+    monkeypatch.setattr(reps, "_su2_roots", counted)
+    phi = riley_polynomial(schubert_knot(13, 5).bridge_word)
+    monkeypatch.setattr(RileyPoly, "__hash__", unhashable)
+    su2_solutions.cache_clear()
+    for _ in range(phi.u_degree):
+        su2_solutions(phi, 2.45)
+    assert solved == [1]
 
 
 def test_su2_root_count_thresholds():
