@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
+import re
 import string
 import sys
 
 from . import __version__, catalog
-from .locus import _two_bridge_phi, auto_theta_range, find_critical_points, rep_at, sweep_rows
+from .locus import _two_bridge_phi, find_critical_points, rep_at, sweep_rows
 from .presentation import Presentation, PresentationError, load_presentation_file
 from .reps import Rep, RepresentationError, riley_polynomial, su2_solutions
 from .torsion import (
@@ -150,16 +150,11 @@ def cmd_sweep(args, tol: Tolerances) -> int:
 
 def cmd_critical(args, tol: Tolerances) -> int:
     p = _resolve_presentation(args)
-    phi = _two_bridge_phi(p, "critical")
-    if args.theta_lo is None and args.theta_hi is None:
-        lo, hi = auto_theta_range(phi)
-    else:
-        # a missing end fails the window check like a bad one
-        lo, hi = (math.nan if t is None else t for t in (args.theta_lo, args.theta_hi))
-    report = find_critical_points(p, lo, hi, args.samples, tol)
+    report = find_critical_points(p, args.theta_lo, args.theta_hi, args.samples, tol)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args)
         return 0
+    lo, hi = report.window
     lines = [f"critical points in theta range [{lo:.6f}, {hi:.6f}]:"]
     for pt in report.points:
         lines.append(
@@ -176,7 +171,8 @@ def cmd_critical(args, tol: Tolerances) -> int:
 
 
 def cmd_verify(args, tol: Tolerances) -> int:
-    names = args.knots.split(",") if args.knots else list(catalog.knot_names())
+    # commas inside b(p,q) do not separate names
+    names = re.split(r",(?![^(]*\))", args.knots) if args.knots else list(catalog.knot_names())
     rows, exit_code = run_verification(names, tol)
     width = max(len(r.name) for r in rows) + 2
     lines = [f"verification suite ({', '.join(names)})"]
@@ -248,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the cross-check suite")
     common(sp)
-    sp.add_argument("--knots", help="comma-separated catalog names (default: all)")
+    sp.add_argument("--knots", help="comma-separated knot names, catalog or b(p,q) (default: the "
+                    "catalog)")
     sp.set_defaults(func=cmd_verify)
 
     return parser

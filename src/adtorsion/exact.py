@@ -63,9 +63,13 @@ class ChebyshevForm:
 
     def partials(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The value and the partial derivatives in y and in x at every point."""
-        y, x = _coordinates(sigma, u)
-        ty, dty = _chebyshev(y, self.coeffs.shape[0]), _chebyshev_derivatives(y, self.coeffs.shape[0])
-        tx, dtx = _chebyshev(x, self.coeffs.shape[1]), _chebyshev_derivatives(x, self.coeffs.shape[1])
+        return self._partials(_tables(*_coordinates(sigma, u), max(self.coeffs.shape)))
+
+    def _partials(self, tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``partials`` from the ``_tables`` of the points, at least as wide
+        as the form: each form reads its own slice."""
+        ((t_y, dt_y), (t_x, dt_x)), (ny, nx) = tables, self.coeffs.shape
+        ty, dty, tx, dtx = t_y[:, :ny], dt_y[:, :ny], t_x[:, :nx], dt_x[:, :nx]
         inner = np.add.reduce(self.coeffs * tx[:, None, :], axis=-1)  # (point, m)
         inner_x = np.add.reduce(self.coeffs * dtx[:, None, :], axis=-1)
         return (np.add.reduce(ty * inner, axis=-1), np.add.reduce(dty * inner, axis=-1),
@@ -76,6 +80,15 @@ def _coordinates(sigma, u) -> tuple[np.ndarray, np.ndarray]:
     """y = sigma / 2 and x = 1 + u / (1 - y) at every point."""
     y = np.asarray(sigma, dtype=float).reshape(-1) / 2.0
     return y, 1.0 + np.asarray(u, dtype=float).reshape(-1) / (1.0 - y)
+
+
+def _tables(y: np.ndarray, x: np.ndarray, n: int):
+    """(T, T') of the points at y and at x, columns 0 .. n - 1, from one run
+    of each recurrence over y and x stacked: the recurrences are
+    elementwise, so every entry has the bits of a run on its own."""
+    k, z = len(y), np.concatenate([y, x])
+    t, dt = _chebyshev(z, n), _chebyshev_derivatives(z, n)
+    return (t[:k], dt[:k]), (t[k:], dt[k:])
 
 
 def _chebyshev(z: np.ndarray, n: int) -> np.ndarray:
@@ -138,8 +151,10 @@ class TorsionFunction:
         thetas = np.asarray(theta, dtype=float).reshape(-1).tolist()
         # sigma as su2_solutions forms it, one point at a time
         sigma = [2.0 * math.cos(t) for t in thetas]
-        f, f_y, f_x = self.form.partials(sigma, u)
-        _, p_y, p_x = self.phi_form.partials(sigma, u)
+        # one table for both forms, as wide as the wider
+        tables = _tables(*_coordinates(sigma, u), max(self.form.coeffs.shape + self.phi_form.coeffs.shape))
+        f, f_y, f_x = self.form._partials(tables)
+        _, p_y, p_x = self.phi_form._partials(tables)
         return -np.array([math.sin(t) for t in thetas]) * (f_y - f_x * p_y / p_x), f
 
     def trace(self, sigma) -> Fraction:

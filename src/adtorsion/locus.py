@@ -11,13 +11,14 @@ identifies the root.  A branch is therefore a threshold interval and a
 rank, and no root is paired with another across samples.  The search reads
 one slope, dT/dtheta of the exact torsion function (``exact``) by the
 chain rule at the branch's root: its samples find the sign changes, and
-Brent's method refines each one from the slopes of its two samples.  Only
-the reported points evaluate the numeric torsion.  A sweep evaluates T at
-its roots, with the numeric torsion at one point as a cross-check.
+Brent's method refines each one from the slopes of its two samples.  A
+search reports T and the slope where it took them, and a sweep T at its
+roots; each checks one point against the numeric torsion.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -46,8 +47,6 @@ from .torsion import (
     RegularityError,
     Tolerances,
     compute_torsion,
-    torsion_polynomial,
-    torsion_via_limit,
 )
 
 
@@ -61,11 +60,9 @@ AUTO_THETA_MARGIN = 0.02
 #: thetas per root-count stack of the auto_theta_range scan from each end
 AUTO_THETA_CHUNK = 48
 
-#: central-difference step in theta of the reported derivative estimates
-FD_STEP = 1e-4
-
-#: distance of a cut sample from its threshold theta: more than FD_STEP,
-#: so theta +- FD_STEP of every reported point stays inside the interval
+#: distance of a cut sample from its threshold theta, inside its interval;
+#: the samples, and so every refined theta* and its u to the last bit,
+#: depend on it
 CUT_OFFSET = 2.2e-3
 
 #: folded grid thetas this close are one sample, and one this close to pi
@@ -97,6 +94,7 @@ class CriticalReport:
     points: list[CriticalPoint]
     notes: list[str]
     thresholds: list[float]
+    window: tuple[float, float]
 
     @property
     def dihedral_count(self) -> int:
@@ -191,17 +189,8 @@ def sweep_rows(
     _raise_first([phi_failure(phi, np.exp(1j * angles), np.array(us, dtype=complex), tol.relation)])
     values = _torsion_function(p)([sols.sigma for sols, _ in points], us).tolist()
     traces = (2.0 * np.exp(0.5j * angles).real).tolist()
-    # the numeric cross-check runs last: the sweep then ends on the numeric
-    # route's small complex matmul, as when every row took that route (see
-    # torsion_polynomial on the state that matmul leaves the CPU in)
     middle = len(points) // 2
-    theta, u = thetas[middle], us[middle]
-    numeric = compute_torsion(rep_at(p, theta, u, tol), tol).value
-    if not abs(values[middle] - numeric) <= tol.consistency * abs(numeric):
-        raise RegularityError(
-            f"exact torsion {values[middle]!r} and numeric torsion {numeric!r} differ at "
-            f"theta={theta!r}, u={u!r}"
-        )
+    _cross_check(p, thetas[middle], us[middle], values[middle], tol)
     return [
         {
             "theta": sols.theta,
@@ -216,20 +205,45 @@ def sweep_rows(
     ]
 
 
-def auto_theta_range(phi: RileyPoly) -> tuple[float, float]:
+def _cross_check(p: Presentation, theta: float, u: float, value: float, tol: Tolerances) -> None:
+    """The exact torsion ``value`` at one SU(2) point against the numeric
+    torsion there (``rep_at`` and ``compute_torsion``): a RegularityError
+    naming both when they differ by more than tol.consistency, relative.
+    A sweep and a critical search run it last: each then ends on the numeric
+    route's small complex matmul, as when every point took that route (see
+    torsion_polynomial on the state that matmul leaves the CPU in)."""
+    numeric = compute_torsion(rep_at(p, theta, u, tol), tol).value
+    if not abs(value - numeric) <= tol.consistency * abs(numeric):
+        raise RegularityError(
+            f"exact torsion {value!r} and numeric torsion {numeric!r} differ at "
+            f"theta={theta!r}, u={u!r}"
+        )
+
+
+def auto_theta_range(phi: RileyPoly, thresholds: list[float] | None = None) -> tuple[float, float]:
     """Widest theta window on which SU(2) roots exist, probed on a grid.
 
-    The grid is scanned from its low end in chunks of AUTO_THETA_CHUNK
-    thetas up to the first theta with a root, at index i; the window ends
-    at the mirror grid point n - 1 - i.  The root count depends only on
-    sigma = 2 cos(theta), and sigma(theta) = sigma(2 pi - theta), so the
-    window is that of the whole grid (on the 178 two-bridge knots up to
-    p = 41, 5_2 and the trefoil the count grid is mirror-symmetric)."""
+    The window runs from the first theta of the grid with a root, at index
+    i, to the mirror grid point n - 1 - i.  The root count depends only on
+    sigma = 2 cos(theta), and sigma(theta) = sigma(2 pi - theta), so this is
+    the window of the whole grid (on the 178 two-bridge knots up to p = 41,
+    5_2 and the trefoil the count grid is mirror-symmetric).  The half grid
+    is scanned from its low end in chunks of AUTO_THETA_CHUNK thetas; given
+    the sigmas of ``su2_root_count_thresholds(phi)``, between which the
+    count is constant, one stack counts the first two thetas of each run of
+    the half grid between two of them."""
     n = 600
     thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
+    if thresholds is None:
+        chunks = [range(start, min(start + AUTO_THETA_CHUNK, n // 2))
+                  for start in range(0, n // 2, AUTO_THETA_CHUNK)]
+    else:
+        # the run of an index: the number of thresholds above its sigma
+        runs = [len(thresholds) - bisect.bisect_right(thresholds, 2.0 * math.cos(thetas[i]))
+                for i in range(n // 2)]
+        chunks = [[i for i in range(n // 2) if i < 2 or runs[i] != runs[i - 2]]]
     lo = None
-    for start in range(0, n // 2, AUTO_THETA_CHUNK):
-        chunk = range(start, min(start + AUTO_THETA_CHUNK, n // 2))
+    for chunk in chunks:
         counts = su2_root_counts(phi, [thetas[i] for i in chunk])
         lo = next((i for i, count in zip(chunk, counts) if count), None)
         if lo is not None:
@@ -246,14 +260,16 @@ class _BranchTorsion:
     interval and its rank among the sorted SU(2) roots there.  A critical
     search evaluates all its branches together: the SU(2) roots of each
     theta are found once and shared by every branch, and each batch of
-    points is one stack.  Slopes come from the word's exact torsion
-    function, built on the first slope; values from the numeric torsion.
+    points is one stack.  Slopes and values come from the word's exact
+    torsion function, built on the first slope, once per (theta, branch).
     """
 
     def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
         self.p, self.phi, self.tol = p, phi, tol
         #: the sorted SU(2) roots of every theta solved so far
         self.roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
+        #: (dT/dtheta, T) or the branch error of every (theta, branch) so far
+        self.slopes: dict[_Sample, object] = {}
 
     @functools.cached_property
     def exact(self):
@@ -277,44 +293,22 @@ class _BranchTorsion:
             )
         return roots[rank]
 
-    def values(self, samples: list[_Sample]) -> list:
-        """Torsion value of the branch at every (theta, branch), or the
-        branch error it raises, with the roots of all new thetas found in one
-        call and all points evaluated as one stack.  When a point is off the
-        variety every point is evaluated on its own."""
-        self.solve(theta for theta, _ in samples)
-        roots = [_attempt(self.root, theta, branch) for theta, branch in samples]
-        points = [(theta, u) for (theta, _), u in zip(samples, roots) if not isinstance(u, Exception)]
-        try:
-            tps = iter(torsion_polynomial(
-                rep_at(self.p, [t for t, _ in points], [u for _, u in points], self.tol), tol=self.tol
-            ) if points else ())
-        except RepresentationError as exc:
-            if len(points) == 1:
-                return [u if isinstance(u, Exception) else exc for u in roots]
-            # a point off the variety: every point on its own
-            return [
-                u if isinstance(u, Exception) else self.values([sample])[0]
-                for sample, u in zip(samples, roots)
-            ]
-        return [
-            u if isinstance(u, Exception) else _attempt(lambda tp: torsion_via_limit(tp).real, next(tps))
-            for u in roots
-        ]
-
     def derivatives(self, samples: list[_Sample]) -> list:
         """dT/dtheta along the branch and T at every (theta, branch), from
         the exact torsion function at the branch's root there, or the branch
-        error that root (or the function's build) raises; the roots of all
-        new thetas are found in one call and all points evaluated at once."""
+        error that root (or the function's build) raises; only the samples
+        not taken before are evaluated, the roots of their new thetas found
+        in one call and their points as one stack."""
         exact = _attempt(lambda: self.exact)
         if isinstance(exact, Exception):
             return [exact] * len(samples)
-        self.solve(theta for theta, _ in samples)
-        roots = [_attempt(self.root, theta, branch) for theta, branch in samples]
-        points = [(theta, u) for (theta, _), u in zip(samples, roots) if not isinstance(u, Exception)]
-        slopes = iter(zip(*(a.tolist() for a in exact.slope(*zip(*points)))) if points else ())
-        return [u if isinstance(u, Exception) else next(slopes) for u in roots]
+        if new := [sample for sample in dict.fromkeys(samples) if sample not in self.slopes]:
+            self.solve(theta for theta, _ in new)
+            roots = [_attempt(self.root, theta, branch) for theta, branch in new]
+            points = [(theta, u) for (theta, _), u in zip(new, roots) if not isinstance(u, Exception)]
+            slopes = iter(zip(*(a.tolist() for a in exact.slope(*zip(*points)))) if points else ())
+            self.slopes.update(zip(new, [u if isinstance(u, Exception) else next(slopes) for u in roots]))
+        return [self.slopes[sample] for sample in samples]
 
 
 def _attempt(f, *args):
@@ -323,12 +317,6 @@ def _attempt(f, *args):
         return f(*args)
     except _BRANCH_ERRORS as exc:
         return exc
-
-
-def _difference(plus, minus, h: float):
-    """(plus - minus) / 2h, or the first branch error among the two values."""
-    failed = next((v for v in (plus, minus) if isinstance(v, Exception)), None)
-    return failed or (plus - minus) / (2.0 * h)
 
 
 def _half_window_intervals(grid: list[float], thresholds: list[float]) -> list[list[float]]:
@@ -358,20 +346,22 @@ def _half_window_intervals(grid: list[float], thresholds: list[float]) -> list[l
 
 def find_critical_points(
     p: Presentation,
-    theta_lo: float,
-    theta_hi: float,
+    theta_lo: float | None,
+    theta_hi: float | None,
     samples: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CriticalReport:
     """Locate zeros of d(torsion)/d(theta) per root branch.
 
-    The roots depend on theta only through sigma = 2 cos(theta), so
-    T(theta) = T(2 pi - theta) on every branch and the search runs on the
-    half window theta <= pi (``_half_window_intervals``).  Each zero theta*
-    it finds is reported at theta* and at 2 pi - theta*, those of the two
-    that lie in the window, with one u, torsion and derivative estimate.
-    When the window contains pi every SU(2) root there is a critical point,
-    the binary dihedral one, taken at pi itself.
+    Both ends None is the window of ``auto_theta_range`` on the search's
+    thresholds; one missing end fails the window check.  The roots depend
+    on theta only through sigma = 2 cos(theta), so T(theta) = T(2 pi -
+    theta) on every branch and the search runs on the half window
+    theta <= pi (``_half_window_intervals``).  Each zero theta* it finds is
+    reported at theta* and at 2 pi - theta*, those of the two in the
+    window, with one u, torsion and derivative estimate.  When the window
+    contains pi every SU(2) root there is a critical point, the binary
+    dihedral one, taken at pi itself.
 
     A branch is an interval between root-count thresholds and a rank among
     its roots.  One slope serves the whole search: dT/dtheta of the word's
@@ -380,14 +370,19 @@ def find_critical_points(
     taken at the interval's samples, and every sign change is refined by
     Brent's method on it, starting from the slopes of the two samples, all
     sign changes in lockstep (``_refine_derivative_zeros``), one root stack
-    per Brent round.  Each zero is annotated with the binary-dihedral test
-    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and with its numeric torsion
-    and FD_STEP derivative estimate, the report's check: the reported
-    points are the search's one numeric torsion stack.
+    per Brent round.  Each point is annotated with the binary-dihedral test
+    |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and reports the T and
+    |dT/dtheta| of the slope taken there; the points at pi take one slope
+    stack.  Last, the middle point off pi (else a dihedral one) is checked
+    against the numeric torsion (``_cross_check``); a representation error
+    there is a note.
     """
-    grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "critical")
     thresholds = su2_root_count_thresholds(phi)
+    if theta_lo is None and theta_hi is None:
+        theta_lo, theta_hi = auto_theta_range(phi, thresholds)
+    theta_lo, theta_hi = (math.nan if t is None else t for t in (theta_lo, theta_hi))
+    grid = theta_grid(theta_lo, theta_hi, samples)
     intervals = _half_window_intervals(grid, thresholds)
     solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}),
                               multiplicity_threshold=tol.multiplicity)
@@ -437,10 +432,8 @@ def find_critical_points(
     refined = _refine_derivative_zeros(torsion, brackets)
     targets = [zero for zero in refined if not isinstance(zero, Exception)]
     at_pi = theta_lo <= math.pi <= theta_hi
-    centres = [theta for theta, _ in targets] + ([math.pi] if at_pi else [])
-    # the roots of every reported theta in one call; the count at pi sets
-    # the dihedral points
-    torsion.solve(theta + d for theta in centres for d in (0.0, FD_STEP, -FD_STEP))
+    # the count at pi sets the dihedral points
+    torsion.solve([math.pi] if at_pi else [])
     count_at_pi = len(torsion.roots[math.pi]) if at_pi else 0
     found = iter(_critical_points(
         torsion, targets + [(math.pi, (count_at_pi, rank)) for rank in range(count_at_pi)]
@@ -477,7 +470,14 @@ def find_critical_points(
         else:
             report(pt, what)
 
-    return CriticalReport(points=points, notes=notes, thresholds=thresholds)
+    checked = [pt for pt in points if not pt.is_dihedral] or points
+    if checked:
+        pt = checked[len(checked) // 2]
+        try:
+            _cross_check(p, pt.theta, pt.u, pt.torsion.real, tol)
+        except RepresentationError as exc:
+            notes.append(f"no numeric cross-check at theta={pt.theta!r}, u={pt.u!r}: {exc}")
+    return CriticalReport(points, notes, thresholds, (theta_lo, theta_hi))
 
 
 def _refine_derivative_zeros(torsion: _BranchTorsion, brackets: list[_Bracket]) -> list:
@@ -504,20 +504,15 @@ def _refine_derivative_zeros(torsion: _BranchTorsion, brackets: list[_Bracket]) 
 
 def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:
     """The critical point at every (theta, branch), or the branch error it
-    raises (its value first, then theta + FD_STEP, then theta - FD_STEP):
-    the values and the differences of all targets as one stack."""
-    values = torsion.values(
-        [(theta + d, branch) for theta, branch in targets for d in (0.0, FD_STEP, -FD_STEP)]
-    )
-    out = []
-    for (theta, branch), value, plus, minus in zip(targets, values[::3], values[1::3], values[2::3]):
-        difference = _difference(plus, minus, FD_STEP)
-        failed = next((v for v in (value, difference) if isinstance(v, Exception)), None)
-        out.append(failed or CriticalPoint(
+    raises, with the T and |dT/dtheta| of the branch's slope there (the
+    refinement's at every theta*)."""
+    return [
+        result if isinstance(result, Exception) else CriticalPoint(
             theta=theta,
             u=torsion.root(theta, branch),
-            torsion=complex(value),
-            derivative_estimate=abs(difference),
+            torsion=complex(result[1]),
+            derivative_estimate=abs(result[0]),
             is_dihedral=abs(2.0 * math.cos(theta / 2.0)) <= 1e-6,
-        ))
-    return out
+        )
+        for (theta, branch), result in zip(targets, torsion.derivatives(targets))
+    ]

@@ -104,8 +104,10 @@ class RileyPoly:
     u-coefficient, so structural equality is equality up to units.
 
     ``word`` is the two-generator word the polynomial was built from (None
-    when built from coefficients); the SU(2) root finder evaluates phi from
-    it.  phi(e^{i theta}, u) is a unit times a real polynomial exactly when
+    when built from coefficients alone); the SU(2) root finder evaluates phi
+    from it, so ``_shift`` is the s-power divided out of the word's own
+    polynomial, whatever coefficients come with the word.
+    phi(e^{i theta}, u) is a unit times a real polynomial exactly when
     every nonzero u-coefficient is palindromic about one common s-power;
     ``_centre`` holds twice that power, their common lo + hi (None when
     there is none).
@@ -121,8 +123,9 @@ class RileyPoly:
         if not cs:
             self.coeffs: tuple[IntLaurent, ...] = ()
             return
-        self._shift = min(c.lo for c in cs if not c.is_zero)
-        cs = [c.shift(-self._shift) for c in cs]
+        shift = min(c.lo for c in cs if not c.is_zero)
+        self._shift = shift if word is None else riley_polynomial(word)._shift
+        cs = [c.shift(-shift) for c in cs]
         if cs[-1].coeffs[0] < 0:
             cs = [-c for c in cs]
         self.coeffs = tuple(cs)
@@ -150,17 +153,22 @@ class RileyPoly:
         return hash(self.coeffs)
 
     def residual_and_scale(self, s: complex, u: complex) -> tuple[float, float]:
-        """|phi(s, u)| by Horner's rule in u, and the sum of the term
-        magnitudes, the scale for near-zero testing, from one evaluation of
-        each coefficient at s (arrays of s and u give arrays of both)."""
+        """|phi(s, u)| by Horner's rule in u, and the scale for near-zero
+        testing: the sum of the term magnitudes, floored by the largest
+        |c_k(s)|, from one evaluation of each coefficient at s (arrays of s
+        and u give arrays of both).  The floor gives a scale where every
+        term vanishes: at a reducible root, Delta(s) = 0 and u = 0."""
         values = [c(s) for c in self.coeffs]
         acc = 0j
         total = 0.0
         for v in reversed(values):
             acc = acc * u + v
-        for d, v in enumerate(values):
-            total += abs(v) * abs(u) ** d
-        return abs(acc), np.maximum(total, 1e-300)
+        sizes = [abs(v) for v in values]
+        for d, size in enumerate(sizes):
+            total += size * abs(u) ** d
+        # max |c_k(s)|: Python's max at one point, one reduction over a stack
+        top = np.maximum.reduce(sizes) if np.ndim(total) else max(sizes, default=0.0)
+        return abs(acc), np.maximum(np.maximum(total, top), 1e-300)
 
     def sigma_form(self) -> list[list[int]] | None:
         """Coefficients as integer polynomials in sigma = s + 1/s, or None.
@@ -260,7 +268,9 @@ def riley_polynomial(w: Word) -> RileyPoly:
         raise RepresentationError("word uses more than two generators")
     # a factor u shifts the u-degree
     a, b = _first_row(w, _UPoly.term(IntLaurent.one()), _S, _S_INV, lambda p: p.shift(1))
-    return RileyPoly((a + _ONE_MINUS_S * b).by_u_degree(), w)
+    phi = RileyPoly((a + _ONE_MINUS_S * b).by_u_degree())  # _shift from these coefficients
+    phi.word = w
+    return phi
 
 
 # ---------------------------------------------------------------------------

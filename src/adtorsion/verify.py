@@ -206,10 +206,8 @@ def _fibre_row(presentations: dict[str, Presentation], tol: Tolerances) -> Check
     FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
     phi(sigma, u), one Riley-frame stack per fibre, is the exact trace
     Tr T(sigma), on the given knots and every b(p, q) with odd p <=
-    FIBRE_P_MAX.  The roots are checked by their relator residuals, not by
-    build_rep's relative phi test: at sigma = 1 the trefoil and b(9,1) have
-    the reducible root u = 0, where phi's terms all vanish and the test has
-    no scale."""
+    FIBRE_P_MAX.  The roots are checked by their relator residuals (at
+    sigma = 1 the trefoil and b(9,1) have the reducible root u = 0)."""
     from .exact import torsion_function
 
     knots = dict(presentations)
@@ -291,7 +289,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     for name, p in presentations.items():
         phi = riley_polynomial(p.bridge_word)
         thresholds = thresholds_of[name] = su2_root_count_thresholds(phi)
-        lo, hi = auto_theta_range(phi)
+        lo, hi = auto_theta_range(phi, thresholds)
         thetas = theta_grid(lo + 0.05, min(hi, math.pi), 8)
         samples = _sample_reps(p, thetas, tol, exclude_band=thresholds)
         for theta, sigma, u, rep in samples:

@@ -509,6 +509,13 @@ def test_verify_passes(capsys):
     assert "SL(2,C) fibre trace of exact T, 16 knots (165 points)" in out
 
 
+def test_verify_takes_two_bridge_names(capsys):
+    # commas inside b(p,q) do not separate names: "b(7,3),5_2" is two knots
+    code, out, _ = run_cli(capsys, "verify", "--knots", "b(7,3),5_2")
+    assert out.splitlines()[0] == "verification suite (b(7,3), 5_2)"
+    assert (code, out.splitlines()[-1]) == (0, "RESULT: PASS")
+
+
 def test_fibre_row_fails_on_a_wrong_trace(monkeypatch):
     # the fibre row compares the numeric sum over each whole fibre with the
     # exact trace; a trace off by 1e-6 fails it
@@ -688,10 +695,10 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     # nearest-u pairing once joined root 1 of 3 at theta = 4.226731 to root
     # 0 of 3 at 4.335245 on b(11,3), and root 2 of 4 to root 1 of 4 twice on
     # b(13,3); the sign changes on those hops were artefacts.  A branch is
-    # now a threshold interval and a rank, so every refined bracket, with
-    # the reported point's FD_STEP on both sides, lies inside one interval of the half
-    # window and has the branch's root count at both ends, where its slopes
-    # differ in sign
+    # now a threshold interval and a rank, so every refined bracket lies
+    # inside one interval of the half window, its cut samples CUT_OFFSET
+    # inside their cuts, and has the branch's root count at both ends, where
+    # its slopes differ in sign
     searched = []
     refine = locus._refine_derivative_zeros
 
@@ -708,7 +715,7 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     assert not [n for n in report.notes if n.startswith(("dropped", "discarded"))]
     assert searched
     cuts = [math.acos(sigma / 2.0) for sigma in report.thresholds]
-    reach = locus.FD_STEP
+    reach = 0.5 * locus.CUT_OFFSET
     for theta_a, slope_a, theta_b, slope_b, (count, rank) in searched:
         assert theta_a < theta_b < math.pi and 0 <= rank < count
         assert slope_a * slope_b < 0.0
@@ -717,29 +724,28 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
 
 
 def test_critical_search_evaluation_budget(monkeypatch):
-    # the slopes come from the exact torsion function, so the only numeric
-    # torsion stack is the reported points': each sign change and each
-    # dihedral point at theta and theta +- FD_STEP.  A bisection that built
-    # a torsion at each midpoint only for its root made 697, the search over
-    # the whole window with nearest-u pairing 145, the search with a stack
-    # of slopes at every bracket end 82 in 8 calls, and the WIDE_STEP
-    # central difference 78 in 7 calls
+    # the slopes and the reported values come from the exact torsion
+    # function, so the only numeric torsion is the search's one cross-check
+    # point.  A bisection that built a torsion at each midpoint only for its
+    # root made 697, the search over the whole window with nearest-u pairing
+    # 145, the search with a stack of slopes at every bracket end 82 in 8
+    # calls, the WIDE_STEP central difference 78 in 7 calls, and the
+    # reported points at theta and theta +- 1e-4 12 in 1 call
     calls, points = [], []
-    torsion_polynomial = locus.torsion_polynomial
+    compute_torsion = locus.compute_torsion
 
     def counted(*args, **kwargs):
-        result = torsion_polynomial(*args, **kwargs)
+        result = compute_torsion(*args, **kwargs)
         calls.append(None)
         points.extend(result if isinstance(result, list) else [result])
         return result
 
-    monkeypatch.setattr(locus, "torsion_polynomial", counted)
+    monkeypatch.setattr(locus, "compute_torsion", counted)
     p = catalog.knot("5_2")
-    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    report = find_critical_points(p, lo, hi, 33, Tolerances())
+    report = find_critical_points(p, None, None, 33, Tolerances())
     assert report.dihedral_count == 3
     assert len(report.points) == 3 + 2  # one sign change, reported with its mirror
-    assert len(points) == 12
+    assert len(points) == 1
     assert len(calls) == 1
 
 
@@ -770,39 +776,49 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
 
 @pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (15, 7)])
 def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
-    # the samples and the refinement read one slope, the exact torsion
-    # function's: each Brent search starts from the bit-equal slopes of its
-    # two sampled ends, no slope is taken twice, so there is no stack of
-    # slopes at the bracket ends, and no slope builds a numeric torsion
-    taken, started, stacks = [], [], []
+    # the samples, the refinement and the reported points read one slope,
+    # the exact torsion function's: each Brent search starts from the
+    # bit-equal slopes of its two sampled ends, no (theta, u) is evaluated
+    # twice, so there is no stack of slopes at the bracket ends and each
+    # point off pi reports the slope its refinement took last; the points at
+    # pi take one more slope stack, and the one numeric torsion, the
+    # cross-check, runs after every slope
+    taken, started, evaluated, numeric = [], [], [], []
     derivatives, solve = locus._BranchTorsion.derivatives, locus._bracketed_zero
-    torsion_polynomial = locus.torsion_polynomial
+    slope, compute_torsion = exact.TorsionFunction.slope, locus.compute_torsion
 
     def derivatives_spy(self, samples):
         results = derivatives(self, samples)
         taken.append(dict(zip(samples, results)))
         return results
 
-    def stack_spy(*args, **kwargs):
-        stacks.append(len(taken))
-        return torsion_polynomial(*args, **kwargs)
+    def slope_spy(self, theta, u):
+        evaluated.append(list(zip(theta, u)))
+        return slope(self, theta, u)
+
+    def numeric_spy(*args, **kwargs):
+        numeric.append(len(evaluated))
+        return compute_torsion(*args, **kwargs)
 
     def solve_spy(a, fa, b, fb, **kwargs):
         started.append((a, fa, b, fb))
         return solve(a, fa, b, fb, **kwargs)
 
     monkeypatch.setattr(locus._BranchTorsion, "derivatives", derivatives_spy)
+    monkeypatch.setattr(exact.TorsionFunction, "slope", slope_spy)
     monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
-    monkeypatch.setattr(locus, "torsion_polynomial", stack_spy)
+    monkeypatch.setattr(locus, "compute_torsion", numeric_spy)
     knot = schubert_knot(p, q)
-    lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
-    find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, None, None, 33, Tolerances())
     assert started
     sampled = {(theta, r[0]) for (theta, _), r in taken[0].items() if not isinstance(r, Exception)}
     for a, fa, b, fb in started:
         assert (a, fa) in sampled and (b, fb) in sampled
-    assert sum(map(len, taken)) == len(set().union(*taken))
-    assert stacks == [len(taken)]  # the reported points, after every slope
+    points = [point for stack in evaluated for point in stack]
+    assert len(points) == len(set(points))
+    assert evaluated[-1] == [(math.pi, pt.u) for pt in report.points if pt.is_dihedral]
+    assert all((pt.theta, pt.u) in points for pt in report.points if pt.theta <= math.pi)
+    assert len(taken) == len(evaluated) and numeric == [len(evaluated)]
 
 
 @pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 3), (15, 7, 2)])
@@ -836,28 +852,47 @@ def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_
 
 
 def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
-    # when the stacked representation raises, every point is evaluated on
-    # its own: the offending point carries the error and the others keep
-    # the bits the stack gives them
+    # the search's only numeric torsion is its cross-check point, the middle
+    # point off pi: when that point's representation raises, the error
+    # becomes a note and every point keeps the bits the search gives it
     p = catalog.knot("5_2")
-    phi = riley_polynomial(p.bridge_word)
-    samples = [(theta, (3, rank)) for theta in (2.9, 3.0, 3.3) for rank in range(3)]
-    stacked = locus._BranchTorsion(p, phi, Tolerances()).values(samples)
-    assert all(type(v) is float for v in stacked)
+    report = find_critical_points(p, None, None, 33, Tolerances())
+    checked = [pt for pt in report.points if not pt.is_dihedral][1]
     rep_at = locus.rep_at
 
-    def off_variety_at_3(p, theta, u, tol):
-        if 3.0 in np.atleast_1d(theta):
-            raise RepresentationError("relator residual too large at theta=3.0")
+    def off_variety(p, theta, u, tol):
+        if theta == checked.theta:
+            raise RepresentationError(f"relator residual too large at theta={theta!r}")
         return rep_at(p, theta, u, tol)
 
-    monkeypatch.setattr(locus, "rep_at", off_variety_at_3)
-    alone = locus._BranchTorsion(p, phi, Tolerances()).values(samples)
-    for (theta, _), value, result in zip(samples, stacked, alone):
-        if theta == 3.0:
-            assert str(result) == "relator residual too large at theta=3.0"
-        else:
-            assert result == value
+    monkeypatch.setattr(locus, "rep_at", off_variety)
+    alone = find_critical_points(p, None, None, 33, Tolerances())
+    assert alone.points == report.points
+    assert alone.notes == report.notes + [
+        f"no numeric cross-check at theta={checked.theta!r}, u={checked.u!r}: "
+        f"relator residual too large at theta={checked.theta!r}"
+    ]
+
+
+@pytest.mark.parametrize("window", [(None, None), (2.7, 3.58)])
+def test_critical_cross_check_names_both_values(monkeypatch, window):
+    # a numeric torsion that differs from T by more than tol.consistency at
+    # the cross-check point, the middle point off pi or, with none, the
+    # middle dihedral point, fails the search with both values and the point
+    p, tol = catalog.knot("5_2"), Tolerances()
+    report = find_critical_points(p, *window, 33, tol)
+    checked = [pt for pt in report.points if not pt.is_dihedral] or report.points
+    pt = checked[len(checked) // 2]
+    numeric = compute_torsion(locus.rep_at(p, pt.theta, pt.u, tol), tol).value
+    assert abs(numeric - pt.torsion) <= 1e-12 * abs(numeric)
+    monkeypatch.setattr(locus, "compute_torsion", lambda rep, tol: dataclasses.replace(
+        compute_torsion(rep, tol), value=numeric * (1.0 + 2e-6)))
+    with pytest.raises(RegularityError) as caught:
+        find_critical_points(p, *window, 33, tol)
+    assert str(caught.value) == (
+        f"exact torsion {pt.torsion.real!r} and numeric torsion {numeric * (1.0 + 2e-6)!r} differ at "
+        f"theta={pt.theta!r}, u={pt.u!r}"
+    )
 
 
 @pytest.mark.parametrize("p, q", [(31, 17), (33, 25), (39, 19)])
@@ -870,6 +905,22 @@ def test_critical_reports_each_dihedral_point_once(p, q):
     report = find_critical_points(knot, lo, hi, 33, Tolerances())
     assert report.dihedral_count <= (p - 1) // 2
     assert all(pt.theta == math.pi for pt in report.points if pt.is_dihedral)
+
+
+@pytest.mark.parametrize("p, q", [(31, 1), (33, 1), (35, 1), (35, 3), (37, 1), (37, 3), (39, 1),
+                                  (41, 1), (41, 3), (41, 5)])
+def test_critical_reports_the_dihedral_points_the_limit_route_dropped(p, q):
+    # the numeric limit route failed its simple-zero test at 14 dihedral
+    # points of these knots, and the search dropped them; every reported
+    # torsion is now T, so all (p - 1)/2 are reported and their sum is the
+    # exact trace of T at sigma = -2
+    knot = schubert_knot(p, q)
+    report = find_critical_points(knot, None, None, 33, Tolerances())
+    assert report.dihedral_count == (p - 1) // 2
+    assert not [n for n in report.notes if "not a simple zero" in n]
+    trace = float(torsion_function(knot.bridge_word).trace(-2))
+    total = sum(pt.torsion.real for pt in report.points if pt.is_dihedral)
+    assert abs(total - trace) <= 1e-10 * abs(trace)
 
 
 def test_critical_family_reports_mirror_pairs_and_every_dihedral_point():
@@ -917,11 +968,13 @@ def test_flat_branch_notes_name_the_torus_knot_constants(p):
 
 def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
     # b(11,5): theta, u and torsion of every point as the search reports
-    # them; each torsion is within 3e-14 relative of its value in 50-digit
-    # arithmetic at the reported (theta, u), and the point near 2 pi / 3,
-    # where T = 9, lies within 5e-14 of it.  Each point off pi is found at
-    # theta* <= pi and reported again at 2 pi - theta* with the same u and
-    # torsion
+    # them; each torsion is the exact torsion function's T at the reported
+    # (theta, u), within 2e-14 relative of T's integer polynomial there in
+    # 50-digit arithmetic, and the point near 2 pi / 3, where T = 9, lies
+    # within 2e-15 of it.  Each point off pi is found at theta* <= pi and
+    # reported again at 2 pi - theta* with the same u and torsion.  Theta and
+    # u have kept their bits since the reported torsion came from the
+    # numeric route
     word = " ".join(
         ("x" if i % 2 else "y") + ("^-1" if (i * 5 // 11) % 2 else "") for i in range(1, 11)
     )
@@ -934,17 +987,17 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
         for pt in json.loads(out)["points"]
     ]
     assert points == [
-        ("1.1663030434639226", "-1.016297185022272", "22.74936511379164", "0.0"),
-        ("5.116882263715664", "-1.016297185022272", "22.74936511379164", "0.0"),
-        ("2.0943951023932392", "-2.0000000000001137", "8.999999999999773", "0.0"),
-        ("4.188790204786347", "-2.0000000000001137", "8.999999999999773", "0.0"),
-        ("2.327310924195621", "-2.5218604565681733", "8.950647372775824", "0.0"),
-        ("3.955874382983965", "-2.5218604565681733", "8.950647372775824", "0.0"),
-        ("3.141592653589793", "-3.9189859472289945", "36.87132442528644", "0.0"),
-        ("3.141592653589793", "-3.3097214678905695", "9.289886883248016", "0.0"),
-        ("3.141592653589793", "-2.28462967654657", "79.15428573061342", "0.0"),
-        ("3.141592653589793", "-1.1691699739962274", "5.6293016964565465", "0.0"),
-        ("3.141592653589793", "-0.3174929343376358", "1.0552012643948072", "0.0"),
+        ("1.1663030434639226", "-1.016297185022272", "22.749365113791665", "0.0"),
+        ("5.116882263715664", "-1.016297185022272", "22.749365113791665", "0.0"),
+        ("2.0943951023932392", "-2.0000000000001137", "9.000000000000014", "0.0"),
+        ("4.188790204786347", "-2.0000000000001137", "9.000000000000014", "0.0"),
+        ("2.327310924195621", "-2.5218604565681733", "8.950647372775826", "0.0"),
+        ("3.955874382983965", "-2.5218604565681733", "8.950647372775826", "0.0"),
+        ("3.141592653589793", "-3.9189859472289945", "36.87132442528669", "0.0"),
+        ("3.141592653589793", "-3.3097214678905695", "9.289886883248132", "0.0"),
+        ("3.141592653589793", "-2.28462967654657", "79.15428573061348", "0.0"),
+        ("3.141592653589793", "-1.1691699739962274", "5.629301696456536", "0.0"),
+        ("3.141592653589793", "-0.3174929343376358", "1.0552012643955118", "0.0"),
     ]
 
 
@@ -953,7 +1006,9 @@ def test_auto_theta_range_is_the_window_of_the_whole_probe_grid():
     # takes its mirror grid point as the high end; the window must be the
     # one every theta of the 600-theta grid gives, on the 178 knots b(p, q)
     # with odd p <= 41, 5_2 and the trefoil: no theta outside it has a root
-    # and both its grid ends do
+    # and both its grid ends do.  Counting only the first two thetas of each
+    # run of the half grid between the root-count thresholds gives the same
+    # window
     n = 600
     thetas = [0.02 + (2 * math.pi - 0.04) * i / (n - 1) for i in range(n)]
     knots = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
@@ -963,6 +1018,7 @@ def test_auto_theta_range_is_the_window_of_the_whole_probe_grid():
         p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
         phi = riley_polynomial(p.bridge_word)
         lo, hi = auto_theta_range(phi)
+        assert auto_theta_range(phi, su2_root_count_thresholds(phi)) == (lo, hi), knot
         i = next(k for k, theta in enumerate(thetas) if theta + margin == lo)
         assert hi == thetas[n - 1 - i] - margin, knot
         # the grid's first i + 1 and last i + 1 thetas

@@ -292,7 +292,8 @@ def test_non_symmetric_word_is_not_real_at_any_theta(word):
 
 def test_residual_and_scale_are_the_term_by_term_sums():
     # one evaluation of each coefficient gives |phi| and the scale, bit for
-    # bit as Horner's rule and the sum of term magnitudes give them
+    # bit as Horner's rule and the sum of term magnitudes, floored by the
+    # largest |c_k(s)|, give them
     for knot in (catalog.knot("5_2"), schubert_knot(41, 11)):
         phi = riley_polynomial(knot.bridge_word)
         points = [(sols.theta, u) for sols in su2_solutions(phi, [1.1, 2.3, math.pi, 4.0, 5.2])
@@ -305,10 +306,43 @@ def test_residual_and_scale_are_the_term_by_term_sums():
         total = 0.0
         for d, c in enumerate(phi.coeffs):
             total += abs(c(s)) * abs(u) ** d
+        top = np.maximum.reduce([abs(c(s)) for c in phi.coeffs])
         residual, scale = phi.residual_and_scale(s, u)
         assert len(points) >= 5
         assert np.array_equal(residual, abs(value))
-        assert np.array_equal(scale, np.maximum(total, 1e-300))
+        assert np.array_equal(scale, np.maximum(np.maximum(total, top), 1e-300))
+
+
+@pytest.mark.parametrize("name", ["trefoil", "b(9,1)"])
+def test_phi_check_accepts_a_reducible_root(name):
+    # at sigma = 1, s = e^{i pi / 3}, Delta(s) = 0 and u = 0 is a root of
+    # phi(s, u) where every term vanishes: residual and term sum are the
+    # same rounding, 2.5e-16 on the trefoil.  The largest |c_k(s)| gives
+    # the scale, so the point builds, and u + 1e-3 is still off the variety
+    knot = catalog.knot(name)
+    phi = riley_polynomial(knot.bridge_word)
+    s = cmath.exp(1j * math.pi / 3)
+    residual, scale = phi.residual_and_scale(s, 0.0)
+    assert residual <= 1e-15 and scale >= 1.0
+    assert max(build_rep(knot, s, 0.0, tol=RELATION_TOL).relator_residuals) <= 1e-12
+    with pytest.raises(RepresentationError, match="does not vanish"):
+        build_rep(knot, s, 1e-3, tol=RELATION_TOL)
+
+
+def test_riley_poly_with_a_word_shifts_as_the_word():
+    # the root finder evaluates phi from the word, so a polynomial rebuilt
+    # from canonical coefficients and the word divides out the word's own
+    # s-power (s^-13 on b(41,11)), not none: at theta = 17 pi / 26, where
+    # cos(13 theta) = 0, the clone found 11 roots of noise instead of 8
+    phi = riley_polynomial(schubert_knot(41, 11).bridge_word)
+    clone = RileyPoly(phi.coeffs, phi.word)
+    assert (phi._shift, clone._shift) == (-13, -13)
+    theta = 17 * math.pi / 26
+    [sols] = reps.su2_solutions(phi, [theta])
+    [clone_sols] = reps.su2_solutions(clone, [theta])
+    assert len(sols.roots) == 8
+    assert clone_sols == sols
+    assert RileyPoly(phi.coeffs)._shift == 0
 
 
 def test_sigma_form_five_two():
@@ -890,16 +924,17 @@ def test_su2_frame_sign_twist_is_exact():
 def test_su2_frame_builds_a_root_within_the_slack_and_rejects_points_off_su2():
     # su2_solutions keeps the trefoil's root u = 3.3e-16 at theta = pi/3,
     # just above the window [sigma - 2, 0]; it is the abelian point
-    # Delta(s) = 0, so phi(s, u) fails its relative check in either frame.
-    # Unchecked, the su2 frame builds it clamped to u = 0, where y = x
+    # Delta(s) = 0, where every term of phi(s, u) vanishes.  The largest
+    # |c_k(s)| gives phi's check a scale there, so it passes in either frame
+    # (it failed while the scale was the term sum alone, the same rounding
+    # as the residual).  The su2 frame builds it clamped to u = 0, where y = x
     p = catalog.knot("trefoil")
     theta = math.pi / 3
     (u,) = su2_solutions(riley_polynomial(p.bridge_word), theta).roots
     assert 0.0 < u <= INTERVAL_SLACK
     s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
     for frame in ("riley", "su2"):
-        with pytest.raises(RepresentationError, match="does not vanish"):
-            build_rep(p, s, u, sq, frame=frame)
+        assert max(build_rep(p, s, u, sq, frame=frame).relator_residuals) <= 1e-15
     rep = build_rep(p, s, u, sq, check=False, frame="su2")
     assert rep.u == u and np.array_equal(rep.images[0], rep.images[1])
     # and below the window: clamped to u = sigma - 2, where y = x^-1
