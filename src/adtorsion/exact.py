@@ -26,8 +26,9 @@ Evaluation does not use the monomial coefficients, which cancel
 catastrophically on long words.  T is rewritten exactly in
 y = sigma / 2 and x = 1 + u / (1 - sigma / 2), which maps the SU(2) window
 u in [sigma - 2, 0] onto [-1, 1], and expanded in Chebyshev polynomials
-T_m(y) T_n(x); phi gets the same form.  On the box sigma in [-2, 2],
-x in [-1, 1] both forms are well conditioned.
+T_m(y) T_n(x) by ``reps._chebyshev_form``, which gives phi the same form
+(``RileyPoly.chebyshev_form``, shared with the SU(2) root finder).  On the
+box sigma in [-2, 2], x in [-1, 1] both forms are well conditioned.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reps import RILEY_CACHE_SIZE, RepresentationError, riley_polynomial
+from .reps import (RILEY_CACHE_SIZE, RepresentationError, _chebyshev, _chebyshev_form,
+                   riley_polynomial)
 from .torsion import RegularityError
 from .words import Word
 
@@ -91,14 +93,6 @@ def _tables(y: np.ndarray, x: np.ndarray, n: int):
     return (t[:k], dt[:k]), (t[k:], dt[k:])
 
 
-def _chebyshev(z: np.ndarray, n: int) -> np.ndarray:
-    """T_0(z) .. T_{n-1}(z), (points, n), by the three-term recurrence."""
-    t = [np.ones_like(z), z]
-    for _ in range(2, n):
-        t.append(2.0 * z * t[-1] - t[-2])
-    return np.stack(t[:n], axis=-1)
-
-
 def _chebyshev_derivatives(z: np.ndarray, n: int) -> np.ndarray:
     """T_0'(z) .. T_{n-1}'(z), (points, n): T_m' = m U_{m-1}, with U by its
     three-term recurrence."""
@@ -118,7 +112,8 @@ class TorsionFunction:
     i < d; T(sigma, u) is that polynomial at any (sigma, u) with
     phi(sigma, u) = 0.  ``phi_coeffs`` holds phi's coefficients the same
     way, monic of u-degree d.  ``form`` and ``phi_form`` are the Chebyshev
-    forms of T and of phi that every evaluation reads."""
+    forms of T and of phi that every evaluation reads; ``phi_form`` wraps
+    the coefficients that phi's RileyPoly holds."""
 
     word: Word
     coeffs: tuple[tuple[int, ...], ...]
@@ -189,8 +184,8 @@ def torsion_function(w: Word) -> TorsionFunction:
         raise RepresentationError("the torsion function needs a Riley polynomial in sigma of "
                                   "positive u-degree")
     coeffs = _torsion_coefficients(w, phi_sigma)
-    return TorsionFunction(w, coeffs, tuple(map(tuple, phi_sigma)), _chebyshev_form(coeffs),
-                           _chebyshev_form(phi_sigma))
+    return TorsionFunction(w, coeffs, tuple(map(tuple, phi_sigma)),
+                           ChebyshevForm(_chebyshev_form(coeffs)), ChebyshevForm(phi.chebyshev_form()))
 
 
 def _torsion_coefficients(w: Word, phi_sigma: list[list[int]],
@@ -426,44 +421,3 @@ def _powers_mod(phi_sigma: list[list[int]], sigma: np.ndarray, primes: tuple[int
     while len(blocks) * d < n:
         blocks.append(blocks[-1] @ block % prime)
     return np.concatenate(blocks, axis=-2)[..., :n, :]
-
-
-def _chebyshev_form(table) -> ChebyshevForm:
-    """The Chebyshev form of sum table[j][i] sigma^i u^j, exact in Python
-    integers until the last division.
-
-    With sigma = 2 y and u = (1 - y)(x - 1), the polynomial is
-    sum_j A_j(y) (x - 1)^j, A_j(y) = (sum_i table[j][i] 2^i y^i)(1 - y)^j;
-    z^k = 2^-n sum_m K[k, m] T_m(z) with integers K, in both variables."""
-    columns = []
-    for j, row in enumerate(table):
-        a = [c << i for i, c in enumerate(row)]
-        for _ in range(j):  # times (1 - y)
-            a = [x - y for x, y in zip(a + [0], [0] + a)]
-        columns.append(a)
-    ny, nx = max(map(len, columns)) - 1, len(table) - 1
-    a = np.array([[col[k] if k < len(col) else 0 for col in columns] for k in range(ny + 1)], dtype=object)
-    left, right = _chebyshev_maps(ny, nx)
-    scale = 1 << (ny + nx)
-    return ChebyshevForm(np.array([[v / scale for v in row] for row in (left @ a @ right).tolist()]))
-
-
-@functools.lru_cache(maxsize=None)
-def _chebyshev_maps(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """K_y^T, which takes the monomial coefficients of a polynomial of
-    degree ny in y to 2^ny times its Chebyshev coefficients, and the
-    (nx + 1, nx + 1) integers that take the coefficient of (x - 1)^j to
-    2^nx times the Chebyshev coefficients in x, with the convention
-    z^k = 2^(1-k) sum_{2j < k} C(k, j) T_{k-2j}(z) + 2^-k C(k, k/2) T_0(z)."""
-
-    def to_chebyshev(n):
-        out = np.zeros((n + 1, n + 1), dtype=object)
-        for k in range(n + 1):
-            for j in range(k // 2 + 1):
-                m = k - 2 * j
-                out[k, m] = math.comb(k, j) << (n - k + (m > 0))
-        return out
-
-    shifted = np.array([[math.comb(j, n) * (-1) ** ((j - n) % 2) for n in range(nx + 1)]
-                        for j in range(nx + 1)], dtype=object)  # (x - 1)^j in monomials
-    return to_chebyshev(ny).T, shifted @ to_chebyshev(nx)

@@ -46,9 +46,10 @@ THRESHOLD_SAMPLES = 2000
 #: the whole grid's brackets
 THRESHOLD_STRIDE = 16
 
-#: trailing Chebyshev coefficients at most this fraction of the largest are
-#: rounding noise of the fit (at most 8e-15 on the two-bridge knots up to
-#: p = 41) and are dropped before the colleague matrix
+#: trailing Chebyshev coefficients in x at most this fraction of the largest
+#: are dropped before the colleague matrix: c_n is O((1 - sigma/2)^n), so
+#: near sigma = 2 the top ones fall below the rounding of the others (on the
+#: two-bridge knots up to p = 41 they are dropped only above sigma = 1.08)
 CHEBYSHEV_TRIM = 1e-13
 
 #: distinct words whose obstruction polynomial stays memoized per process
@@ -103,35 +104,28 @@ class RileyPoly:
     across all coefficients and a positive lowest s-term in the leading
     u-coefficient, so structural equality is equality up to units.
 
-    ``word`` is the two-generator word the polynomial was built from (None
-    when built from coefficients alone); the SU(2) root finder evaluates phi
-    from it, so ``_shift`` is the s-power divided out of the word's own
-    polynomial, whatever coefficients come with the word.
     phi(e^{i theta}, u) is a unit times a real polynomial exactly when
     every nonzero u-coefficient is palindromic about one common s-power;
     ``_centre`` holds twice that power, their common lo + hi (None when
-    there is none).
+    there is none).  The hash is computed once, and the Chebyshev form (see
+    :meth:`chebyshev_form`) on first use.
     """
 
-    __slots__ = ("coeffs", "word", "_centre", "_shift")
+    __slots__ = ("coeffs", "_centre", "_hash", "_form")
 
-    def __init__(self, coeffs: Iterable[IntLaurent], word: Word | None = None):
-        self.word = word
-        self._centre = None
-        self._shift = 0  # the s-power divided out of the word's own polynomial
+    def __init__(self, coeffs: Iterable[IntLaurent]):
+        self._centre = self._form = None
         cs = _UPoly(0, tuple(coeffs)).by_u_degree()
-        if not cs:
-            self.coeffs: tuple[IntLaurent, ...] = ()
-            return
-        shift = min(c.lo for c in cs if not c.is_zero)
-        self._shift = shift if word is None else riley_polynomial(word)._shift
-        cs = [c.shift(-shift) for c in cs]
-        if cs[-1].coeffs[0] < 0:
-            cs = [-c for c in cs]
-        self.coeffs = tuple(cs)
-        centres = {c.lo + c.hi for c in cs if not c.is_zero}
-        if len(centres) == 1 and all(c.is_palindromic() for c in cs):
-            (self._centre,) = centres
+        if cs:
+            shift = min(c.lo for c in cs if not c.is_zero)
+            cs = [c.shift(-shift) for c in cs]
+            if cs[-1].coeffs[0] < 0:
+                cs = [-c for c in cs]
+            centres = {c.lo + c.hi for c in cs if not c.is_zero}
+            if len(centres) == 1 and all(c.is_palindromic() for c in cs):
+                (self._centre,) = centres
+        self.coeffs: tuple[IntLaurent, ...] = tuple(cs)
+        self._hash = hash(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -150,7 +144,7 @@ class RileyPoly:
         return isinstance(other, RileyPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return self._hash
 
     def residual_and_scale(self, s: complex, u: complex) -> tuple[float, float]:
         """|phi(s, u)| by Horner's rule in u, and the scale for near-zero
@@ -182,6 +176,21 @@ class RileyPoly:
             return None
         k = self._centre // 2
         return [_palindromic_to_sigma(c.shift(-k)) if not c.is_zero else [] for c in self.coeffs]
+
+    def chebyshev_form(self) -> np.ndarray:
+        """The Chebyshev form of the sigma form (see :func:`_chebyshev_form`),
+        built once and shared by every reader: the SU(2) root finder and the
+        exact torsion function.  ValueError when phi is zero or has no sigma
+        form, so that phi(e^{i theta}, u) is not real up to a unit."""
+        if self._form is None:
+            if self.is_zero:
+                raise ValueError("zero polynomial")
+            sigma = self.sigma_form()
+            if sigma is None:
+                raise ValueError("phi(e^{i theta}, u) is not real up to a unit: its u-coefficients "
+                                 "are not palindromic about one common even s-power")
+            self._form = _read_only(_chebyshev_form(sigma))
+        return self._form
 
     def sigma_form_str(self, uvar: str = "u", svar: str = "sigma") -> str | None:
         form = self.sigma_form()
@@ -238,25 +247,6 @@ def _poly_in_u_str(coeff_strs: Sequence[str], uvar: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _first_row(w: Word, one, s, s_inv, times_u):
-    """The first row (W_11, W_12) of the product W of Riley's letter matrices
-    along w, the row phi reads: (1, 0) right-multiplied by one letter matrix
-    at a time, in any ring where ``one`` is 1, ``s`` and ``s_inv`` are s and
-    1/s, and ``times_u`` multiplies by u."""
-    a, b = one, one - one
-    for g, e in w.letters:
-        if g == 0 and e == 1:    # x = [[s, 1], [0, 1]]
-            a, b = a * s, a + b
-        elif g == 0:             # x^-1 = [[1/s, -1/s], [0, 1]]
-            a = a * s_inv
-            b = b - a
-        elif e == 1:             # y = [[s, 0], [-s u, 1]]
-            a = (a - times_u(b)) * s
-        else:                    # y^-1 = [[1/s, 0], [u, 1]]
-            a = a * s_inv + times_u(b)
-    return a, b
-
-
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
 def riley_polynomial(w: Word) -> RileyPoly:
     """Exact obstruction polynomial W_11 + (1-s) W_12 of a two-generator word.
@@ -266,11 +256,71 @@ def riley_polynomial(w: Word) -> RileyPoly:
     """
     if w.max_index() > 1:
         raise RepresentationError("word uses more than two generators")
-    # a factor u shifts the u-degree
-    a, b = _first_row(w, _UPoly.term(IntLaurent.one()), _S, _S_INV, lambda p: p.shift(1))
-    phi = RileyPoly((a + _ONE_MINUS_S * b).by_u_degree())  # _shift from these coefficients
-    phi.word = w
-    return phi
+    # the first row (W_11, W_12) of the product W of the letter matrices:
+    # (1, 0) right-multiplied by one letter matrix at a time; a factor u
+    # shifts the u-degree
+    a, b = _UPoly.term(IntLaurent.one()), _UPoly()
+    for g, e in w.letters:
+        if g == 0 and e == 1:    # x = [[s, 1], [0, 1]]
+            a, b = a * _S, a + b
+        elif g == 0:             # x^-1 = [[1/s, -1/s], [0, 1]]
+            a = a * _S_INV
+            b = b - a
+        elif e == 1:             # y = [[s, 0], [-s u, 1]]
+            a = (a - b.shift(1)) * _S
+        else:                    # y^-1 = [[1/s, 0], [u, 1]]
+            a = a * _S_INV + b.shift(1)
+    return RileyPoly((a + _ONE_MINUS_S * b).by_u_degree())
+
+
+def _chebyshev_form(table) -> np.ndarray:
+    """The Chebyshev form of sum table[j][i] sigma^i u^j: the float
+    coefficients c[m, n] of T_m(y) T_n(x), y = sigma / 2 and
+    x = 1 + u / (1 - y), exact in Python integers until the last division.
+
+    With sigma = 2 y and u = (1 - y)(x - 1), the polynomial is
+    sum_j A_j(y) (x - 1)^j, A_j(y) = (sum_i table[j][i] 2^i y^i)(1 - y)^j;
+    z^k = 2^-n sum_m K[k, m] T_m(z) with integers K, in both variables."""
+    columns = []
+    for j, row in enumerate(table):
+        a = [c << i for i, c in enumerate(row)]
+        for _ in range(j):  # times (1 - y)
+            a = [x - y for x, y in zip(a + [0], [0] + a)]
+        columns.append(a)
+    ny, nx = max(map(len, columns)) - 1, len(table) - 1
+    a = np.array([[col[k] if k < len(col) else 0 for col in columns] for k in range(ny + 1)], dtype=object)
+    left, right = _chebyshev_maps(ny, nx)
+    scale = 1 << (ny + nx)
+    return np.array([[v / scale for v in row] for row in (left @ a @ right).tolist()])
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_maps(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_y^T, which takes the monomial coefficients of a polynomial of
+    degree ny in y to 2^ny times its Chebyshev coefficients, and the
+    (nx + 1, nx + 1) integers that take the coefficient of (x - 1)^j to
+    2^nx times the Chebyshev coefficients in x, with the convention
+    z^k = 2^(1-k) sum_{2j < k} C(k, j) T_{k-2j}(z) + 2^-k C(k, k/2) T_0(z)."""
+
+    def to_chebyshev(n):
+        out = np.zeros((n + 1, n + 1), dtype=object)
+        for k in range(n + 1):
+            for j in range(k // 2 + 1):
+                m = k - 2 * j
+                out[k, m] = math.comb(k, j) << (n - k + (m > 0))
+        return out
+
+    shifted = np.array([[math.comb(j, n) * (-1) ** ((j - n) % 2) for n in range(nx + 1)]
+                        for j in range(nx + 1)], dtype=object)  # (x - 1)^j in monomials
+    return to_chebyshev(ny).T, shifted @ to_chebyshev(nx)
+
+
+def _chebyshev(z: np.ndarray, n: int) -> np.ndarray:
+    """T_0(z) .. T_{n-1}(z), (points, n), by the three-term recurrence."""
+    t, twice = [np.ones_like(z), z], 2.0 * z
+    for _ in range(2, n):
+        t.append(twice * t[-1] - t[-2])
+    return np.stack(t[:n], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +362,45 @@ def su2_solutions(
     """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]; for a
     sequence of thetas, one :class:`Su2Solutions` per theta.
 
-    phi is evaluated from its word by the letter product at Chebyshev points
-    of the window and fitted in the Chebyshev basis; the roots are the
-    eigenvalues of the colleague matrix.  Roots with |Im u| above
-    REALITY_TOL are discarded, the window gets a small slack at both
-    endpoints, and near-multiple roots are flagged.  A theta gets the same
-    roots in any stack.  ``tol`` is not read: whether phi(e^{i theta}, u) is
-    real up to a unit is decided exactly, once per polynomial, from its
-    coefficients.  The parameter stays because callers outside the package
-    pass it positionally; the package's own callers leave it out.
+    The roots are the eigenvalues of the colleague matrix of phi's
+    Chebyshev coefficients in x at sigma = 2 cos(theta) (see
+    :func:`_su2_roots`).  Roots with |Im u| above REALITY_TOL are
+    discarded, the window gets a small slack at both endpoints, and
+    near-multiple roots are flagged.  A theta gets the same roots in any
+    stack.  ``tol`` is not read: whether phi(e^{i theta}, u) is real up to a
+    unit is decided exactly, once per polynomial, from its coefficients.
+    The parameter stays because callers outside the package pass it
+    positionally; the package's own callers leave it out.
 
     One theta is solved as a stack of one and memoized per process (at most
-    RILEY_CACHE_SIZE entries), keyed on what the root finder reads of phi
-    (its word, ``_shift``, ``_centre`` and u-degree), the float theta and
-    ``multiplicity_threshold``: every root index of one theta shares one
-    solve and the same frozen result.  A sequence of thetas neither reads
-    nor fills the memo.  ``su2_solutions.cache_info()`` and
-    ``su2_solutions.cache_clear()`` reach it; an error is never stored.
+    RILEY_CACHE_SIZE entries), keyed on phi (whose hash is computed once),
+    the float theta and ``multiplicity_threshold``: every root index of one
+    theta shares one solve and the same frozen result, also across equal
+    polynomials.  A sequence of thetas neither reads nor fills the memo.
+    ``su2_solutions.cache_info()`` and ``su2_solutions.cache_clear()`` reach
+    it; an error is never stored.
     """
-    source = _root_source(phi)
     if np.ndim(theta) > 0:
-        return _solutions(source, [float(t) for t in theta], multiplicity_threshold)
-    return _solution_at(source, float(theta), multiplicity_threshold)
+        return _solutions(phi, [float(t) for t in theta], multiplicity_threshold)
+    return _solution_at(phi, float(theta), multiplicity_threshold)
 
 
-def _solutions(source: tuple, thetas: list[float], multiplicity_threshold: float) -> list[Su2Solutions]:
-    roots, real, edge = _su2_roots(source, thetas, multiplicity_threshold)
+def _solutions(phi: RileyPoly, thetas: list[float], multiplicity_threshold: float) -> list[Su2Solutions]:
+    sigmas = _sigmas(thetas)
+    roots, real, edge = _su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold)
     out = []
-    for t, values, r, e in zip(thetas, roots.real.tolist(), real.tolist(), edge.tolist()):
+    for t, sigma, values, r, e in zip(thetas, sigmas, roots.real.tolist(), real.tolist(), edge.tolist()):
         kept = tuple(sorted(compress(values, r)))
         close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
         flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
         edge = tuple(sorted(compress(values, e)))
-        out.append(Su2Solutions(t, 2.0 * math.cos(t), kept, flags, edge))
+        out.append(Su2Solutions(t, sigma, kept, flags, edge))
     return out
 
 
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
-def _solution_at(source: tuple, theta: float, multiplicity_threshold: float) -> Su2Solutions:
-    return _solutions(source, [theta], multiplicity_threshold)[0]
+def _solution_at(phi: RileyPoly, theta: float, multiplicity_threshold: float) -> Su2Solutions:
+    return _solutions(phi, [theta], multiplicity_threshold)[0]
 
 
 su2_solutions.cache_info = _solution_at.cache_info
@@ -360,33 +410,23 @@ su2_solutions.cache_clear = _solution_at.cache_clear
 def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
     """``len(su2_solutions(phi, theta).roots)`` for every theta, without
     building the solution objects."""
-    return _su2_roots(_root_source(phi), [float(t) for t in thetas], 0.0)[1].sum(axis=1).tolist()
+    sigmas = _sigmas([float(t) for t in thetas])
+    return _su2_roots(phi.chebyshev_form(), sigmas, 0.0)[1].sum(axis=1).tolist()
 
 
-def _root_source(phi: RileyPoly) -> tuple:
-    """What the SU(2) root finder reads of phi: (word, _shift, _centre,
-    u-degree); ValueError for a polynomial it cannot solve."""
-    if phi.is_zero:
-        raise ValueError("zero polynomial")
-    if phi._centre is None:
-        raise ValueError("phi(e^{i theta}, u) is not real up to a unit: its u-coefficients "
-                         "are not palindromic about one common s-power")
-    if phi.word is None:
-        raise ValueError("SU(2) roots are evaluated from the word phi was built from")
-    return phi.word, phi._shift, phi._centre, phi.u_degree
+def _sigmas(thetas: list[float]) -> list[float]:
+    """sigma = 2 cos(theta) of every theta, as Su2Solutions holds it;
+    ValueError unless every theta lies strictly between 0 and 2 pi."""
+    if not all(0.0 < t < 2.0 * math.pi for t in thetas):
+        raise ValueError("theta must lie strictly between 0 and 2*pi")
+    return [2.0 * math.cos(t) for t in thetas]
 
 
 @functools.lru_cache(maxsize=None)
-def _chebyshev_basis(d: int):
-    """For u-degree d: x - 1 at the 2(d + 1) Chebyshev points x of the first
-    kind, the (d + 1, 2(d + 1)) matrix that turns values at those points into
-    the Chebyshev coefficients of degree 0..d, and per degree n = 1..d the
-    colleague matrix of T_n with the weights of the coefficients in its last
-    column (as ``numpy.polynomial.chebyshev.chebcompanion`` forms it)."""
-    nodes = 2 * (d + 1)
-    angles = np.pi * (np.arange(nodes) + 0.5) / nodes
-    fit = np.cos(np.outer(np.arange(d + 1), angles)) * (2.0 / nodes)
-    fit[0] /= 2.0
+def _colleagues(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per degree n = 1..d the colleague matrix of T_n with the weights of
+    the coefficients in its last column (as
+    ``numpy.polynomial.chebyshev.chebcompanion`` forms it)."""
     colleagues = []
     for n in range(1, d + 1):
         base = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
@@ -397,43 +437,38 @@ def _chebyshev_basis(d: int):
         else:
             base[0, 1] = base[1, 0] = last[0, -1] = math.sqrt(0.5)
         colleagues.append((base, last))
-    return np.cos(angles) - 1.0 + 0j, fit, colleagues
+    return colleagues
 
 
-def _su2_roots(source: tuple, thetas: list[float], borderline_tol: float):
-    """The one root finder behind su2_solutions and su2_root_counts, on the
-    ``_root_source`` of phi.
+def _su2_roots(form: np.ndarray, sigmas: list[float], borderline_tol: float):
+    """The one root finder behind su2_solutions, su2_root_counts and
+    su2_root_count_thresholds, on phi's Chebyshev form c[m, n] (see
+    :meth:`RileyPoly.chebyshev_form`).
 
-    For each theta (a row), the roots u, padded with NaN, and two masks of
-    the roots inside the slack window: real within REALITY_TOL, and
-    near-real (|Im| <= borderline_tol), the signature of a
+    At each sigma (a row) phi is sum_n c_n T_n(x), c_n = sum_m c[m, n]
+    T_m(sigma / 2), in x = 1 + u / h, h = 1 - sigma / 2, which maps the
+    window u in [sigma - 2, 0] onto [-1, 1]; its roots x are the eigenvalues
+    of the colleague matrix (Good 1961).  Returns the roots u, padded with
+    NaN, and two masks of the roots inside the slack window: real within
+    REALITY_TOL, and near-real (|Im| <= borderline_tol), the signature of a
     double root at the edge of the real locus.  Every step is elementwise or
     one LAPACK call per matrix, so a row does not depend on its stack.
     """
-    if not all(0.0 < t < 2.0 * math.pi for t in thetas):
-        raise ValueError("theta must lie strictly between 0 and 2*pi")
-    word, shift, centre, d = source
-    t = np.array(thetas)[:, None]
-    s = np.exp(1j * t)
-    h = 1.0 - s.real  # u = h (x - 1) maps [-1, 1] onto the window [sigma - 2, 0]
-    x_minus_1, fit, colleagues = _chebyshev_basis(d)
-    u = h * x_minus_1
-    # with |s| = 1 and u in the window the letter matrices are
-    # SU(2)-conjugate, so the product does not cancel
-    a, b = _first_row(word, 1.0, s, s.conj(), lambda p: u * p)
-    # phi of the word is a sign times s^shift times the canonical phi, which
-    # is s^(_centre / 2) times a real polynomial
-    values = ((a + (1.0 - s) * b) * np.exp(-0.5j * (2 * shift + centre) * t)).real
-    # an elementwise sum over the points, not a matrix product: BLAS may
-    # round a row differently depending on the stack it sits in
-    coeffs = np.add.reduce(values[:, None, :] * fit, axis=-1)
+    y = np.array(sigmas) / 2.0
+    h = (1.0 - y)[:, None]
+    # an elementwise product summed over each point's own contiguous row, not
+    # a matrix product: BLAS may round a row differently depending on the
+    # stack it sits in
+    coeffs = np.add.reduce(form.T * _chebyshev(y, len(form))[:, None, :], axis=-1)
+    d = coeffs.shape[1] - 1
     size = np.abs(coeffs)
     top = np.maximum.reduce(size, axis=1)[:, None]
     if not top.all():
-        theta = thetas[np.flatnonzero(top == 0.0)[0]]
-        raise ValueError(f"phi(e^{{i theta}}, u) vanishes identically at theta={theta!r}")
+        sigma = sigmas[np.flatnonzero(top == 0.0)[0]]
+        raise ValueError(f"phi(sigma, u) vanishes identically at sigma={sigma!r}")
     degrees = d - (size > CHEBYSHEV_TRIM * top)[:, ::-1].argmax(axis=1)
-    x = np.full((len(thetas), d), np.nan, dtype=complex)
+    x = np.full((len(sigmas), d), np.nan, dtype=complex)
+    colleagues = _colleagues(d)
     for n in set(degrees.tolist()) - {0}:
         rows = degrees == n
         c = coeffs[rows]
@@ -470,11 +505,10 @@ def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
     and so on until every bracket reaches its high-end count.  Only the
     fallback zeros need a stack of their own at t + 1e-9."""
 
-    source = _root_source(phi)
+    form = phi.chebyshev_form()
 
     def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
-        thetas = [max(1e-9, math.acos(max(-1.0, min(1.0, sig / 2.0)))) for sig in sigmas]
-        roots, inside, _ = _su2_roots(source, thetas, 0.0)
+        roots, inside, _ = _su2_roots(form, sigmas, 0.0)
         return roots, inside.sum(axis=1).tolist()
 
     lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES

@@ -2,7 +2,7 @@
 other, invariance under Wada's column choice, conjugation and the sign twist,
 the 5_2 closed form, the torus-knot constants, the mirror symmetry
 T(theta) = T(2 pi - theta), the exact torsion function against both routes,
-the 5_2 closed form, the dihedral trace and the trace over whole SL(2,C)
+its coefficients on 5_2, the dihedral trace and the trace over whole SL(2,C)
 fibres, and rejection of a point off the variety."""
 
 from __future__ import annotations
@@ -145,11 +145,14 @@ def _mirror_row(presentations: dict[str, Presentation], tol: Tolerances) -> Chec
                     worst, MIRROR_TOL, worst <= MIRROR_TOL and counts_match, detail=f"worst on {where}")
 
 
-def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances) -> list[CheckRow]:
+def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances,
+                thresholds_of: dict[str, list[float]]) -> list[CheckRow]:
     """The exact torsion function against the numeric torsion.
 
-    - At the SU(2) roots of 8 thetas per catalog knot, one stack each, T
-      from the exact function against the formula and the limit route.
+    - At the SU(2) roots of 8 thetas per catalog knot, one stack each, in
+      the window that the knot's root count thresholds (``thresholds_of``)
+      give, T from the exact function against the formula and the limit
+      route.
     - On 5_2, T is minus the closed form, coefficient by coefficient: both
       have degree at most 2 in sigma and in u, so they agree exactly on the
       integer grid {0, 1, 2}^2.
@@ -163,7 +166,7 @@ def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances) -> list
     errors = []
     for name, p in presentations.items():
         phi, function = riley_polynomial(p.bridge_word), torsion_function(p.bridge_word)
-        lo, hi = auto_theta_range(phi)
+        lo, hi = auto_theta_range(phi, thresholds_of[name])
         solutions = su2_solutions(phi, theta_grid(lo + 0.05, min(hi, math.pi), 8))
         points = [(sols.sigma, sols.theta, u) for sols in solutions for u in sols.roots]
         sigma, theta, u = (list(column) for column in zip(*points))
@@ -352,7 +355,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
 
     rows.append(_torus_row(tol))
     rows.append(_mirror_row(presentations, tol))
-    rows += _exact_rows(presentations, tol)
+    rows += _exact_rows(presentations, tol, thresholds_of)
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]

@@ -972,9 +972,7 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
     # (theta, u), within 2e-14 relative of T's integer polynomial there in
     # 50-digit arithmetic, and the point near 2 pi / 3, where T = 9, lies
     # within 2e-15 of it.  Each point off pi is found at theta* <= pi and
-    # reported again at 2 pi - theta* with the same u and torsion.  Theta and
-    # u have kept their bits since the reported torsion came from the
-    # numeric route
+    # reported again at 2 pi - theta* with the same u and torsion
     word = " ".join(
         ("x" if i % 2 else "y") + ("^-1" if (i * 5 // 11) % 2 else "") for i in range(1, 11)
     )
@@ -987,17 +985,17 @@ def test_critical_report_keeps_its_points_to_the_last_bit(tmp_path, capsys):
         for pt in json.loads(out)["points"]
     ]
     assert points == [
-        ("1.1663030434639226", "-1.016297185022272", "22.749365113791665", "0.0"),
-        ("5.116882263715664", "-1.016297185022272", "22.749365113791665", "0.0"),
-        ("2.0943951023932392", "-2.0000000000001137", "9.000000000000014", "0.0"),
-        ("4.188790204786347", "-2.0000000000001137", "9.000000000000014", "0.0"),
-        ("2.327310924195621", "-2.5218604565681733", "8.950647372775826", "0.0"),
-        ("3.955874382983965", "-2.5218604565681733", "8.950647372775826", "0.0"),
-        ("3.141592653589793", "-3.9189859472289945", "36.87132442528669", "0.0"),
+        ("1.1663030434639217", "-1.0162971850222702", "22.749365113791676", "0.0"),
+        ("5.116882263715665", "-1.0162971850222702", "22.749365113791676", "0.0"),
+        ("2.0943951023932423", "-2.0000000000001212", "9.000000000000004", "0.0"),
+        ("4.1887902047863435", "-2.0000000000001212", "9.000000000000004", "0.0"),
+        ("2.3273109241955954", "-2.521860456568123", "8.950647372775821", "0.0"),
+        ("3.955874382983991", "-2.521860456568123", "8.950647372775821", "0.0"),
+        ("3.141592653589793", "-3.9189859472289967", "36.87132442528711", "0.0"),
         ("3.141592653589793", "-3.3097214678905695", "9.289886883248132", "0.0"),
-        ("3.141592653589793", "-2.28462967654657", "79.15428573061348", "0.0"),
-        ("3.141592653589793", "-1.1691699739962274", "5.629301696456536", "0.0"),
-        ("3.141592653589793", "-0.3174929343376358", "1.0552012643955118", "0.0"),
+        ("3.141592653589793", "-2.2846296765465706", "79.15428573061347", "0.0"),
+        ("3.141592653589793", "-1.169169973996227", "5.629301696456482", "0.0"),
+        ("3.141592653589793", "-0.31749293433763515", "1.0552012643956574", "0.0"),
     ]
 
 
@@ -1072,21 +1070,21 @@ def test_simple_zero_remainder_on_the_edge_branch():
         (
             "5_2",
             (0.7487422385445941, 5.534443068634992),
-            [-1.484435331765857, 1.5000000008749994],
+            [-1.4844353317658574, 1.5000000008749996],
         ),
         (
             (15, 7),
             (0.5298659589940578, 5.753319348185529),
-            [-1.886564841889004, -1.202457882538248, 0.038932948559044174, 1.750000000781255],
+            [-1.886564841889004, -1.2024578825382486, 0.038932948559043584, 1.7500000007812548],
         ),
         (
             (41, 11),
             (0.7070515186302062, 5.57613378854938),
             [
-                -1.9854707830540137, -1.8684222660044838, -1.86692040107734,
-                -1.616622107941816, -1.5973095205326633, -1.353715589959868,
-                -0.7963942067503725, -0.7053200668338434, -0.3925950688883926,
-                0.1980622651317023, 1.5549581351421,
+                -1.985470783054013, -1.868422266004484, -1.8669204010773404,
+                -1.6166221079418137, -1.5973095205326635, -1.3537155899598687,
+                -0.7963942067503655, -0.7053200668338414, -0.3925950688884223,
+                0.19806226513170505, 1.5549581351420971,
             ],
         ),
     ],
@@ -1094,8 +1092,7 @@ def test_simple_zero_remainder_on_the_edge_branch():
 def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):
     # to the last bit: the windows are the ones the per-point su2_solutions
     # probes gave before the probe grids were batched; the thresholds are
-    # the zeros of the event functions refined by Brent's method, within
-    # 1.6e-14 of the bracket bisection's
+    # the zeros of the event functions refined by Brent's method
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     phi = riley_polynomial(p.bridge_word)
     assert auto_theta_range(phi) == window
@@ -1162,6 +1159,19 @@ def test_library_imports_without_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+    # the SU(2) roots, the window and a single torsion read phi's own
+    # Chebyshev form: none of them loads the exact torsion function
+    done = _python(
+        "-c",
+        "import sys; from adtorsion import catalog, compute_torsion, riley_polynomial, su2_solutions; "
+        "from adtorsion.locus import auto_theta_range, rep_at; from adtorsion.torsion import Tolerances; "
+        "knot = catalog.two_bridge_pq(41, 11); phi = riley_polynomial(knot.bridge_word); "
+        "lo, hi = auto_theta_range(phi); u = su2_solutions(phi, 2.0).roots[0]; "
+        "result = compute_torsion(rep_at(knot, 2.0, u, Tolerances())); "
+        "print(lo < 2.0 < hi, result.limit_value is not None, 'adtorsion.exact' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True True False\n"
 
 
 def _same_bits(a: float, b: float) -> bool:

@@ -10,7 +10,7 @@ import pytest
 
 from adtorsion import catalog, reps
 from adtorsion.laurent import IntLaurent
-from adtorsion.locus import rep_at
+from adtorsion.locus import auto_theta_range, rep_at
 from adtorsion.presentation import Presentation, PresentationError
 from adtorsion.reps import (
     INTERVAL_SLACK,
@@ -184,7 +184,7 @@ def test_two_bridge_pq_rejects_what_is_not_a_family_knot(p, q):
         # phi(s, 0) of b(7, 3)
         ("untwisted_alexander", lambda knot: untwisted_alexander(schubert_knot(7, 1)), "Alexander"),
         # phi(s, 0) kept, one u-degree too many
-        ("riley_polynomial", lambda w: RileyPoly([*riley_polynomial(w).coeffs, IntLaurent.one()], w),
+        ("riley_polynomial", lambda w: RileyPoly([*riley_polynomial(w).coeffs, IntLaurent.one()]),
          "u-degree 4, expected 3"),
     ],
 )
@@ -219,23 +219,36 @@ def test_family_has_every_binary_dihedral_root_at_pi():
         assert max(abs(a - b) for a, b in zip(roots, closed)) <= 1e-12, (p, q)
 
 
+def _sign_at(coeffs, u: float) -> int:
+    """The sign of sum coeffs[k] u^k, exact in Fractions."""
+    acc, x = 0, Fraction(u)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
 def test_family_roots_at_pi_bracket_a_sign_change_of_the_exact_polynomial():
-    # phi(-1, u) has integer coefficients: evaluated exactly in Fractions, it
-    # changes sign within 1e-12 max(1, |u|) of every root
+    # phi(-1, u) has integer coefficients, and phi(sigma, u) integer
+    # coefficients in sigma: evaluated exactly in Fractions, at theta = pi
+    # and at the float sigma = 2 cos(theta) of three thetas off pi in each
+    # knot's auto window, phi changes sign within 1e-12 max(1, |u|) of
+    # every root
+    off_pi = 0
     for (knot, phi, roots), pq in zip(family_roots_at_pi(), FAMILY):
         ints = [c(-1) for c in phi.coeffs]
         assert all(v.imag == 0.0 and v.real == int(v.real) for v in ints), pq
-        ints = [int(v.real) for v in ints]
-
-        def sign(u):
-            acc, x = 0, Fraction(u)
-            for c in reversed(ints):
-                acc = acc * x + c
-            return (acc > 0) - (acc < 0)
-
-        for u in roots:
-            delta = 1e-12 * max(1.0, abs(u))
-            assert sign(u - delta) * sign(u + delta) < 0, (pq, u)
+        at_sigma = [([int(v.real) for v in ints], roots)]
+        lo, hi = auto_theta_range(phi)
+        for sols in su2_solutions(phi, [lo + (hi - lo) * k / 8 for k in (1, 2, 3)]):
+            sigma = Fraction(sols.sigma)
+            coeffs = [sum(c * sigma**i for i, c in enumerate(row)) for row in phi.sigma_form()]
+            at_sigma.append((coeffs, sols.roots))
+            off_pi += len(sols.roots)
+        for coeffs, us in at_sigma:
+            for u in us:
+                delta = 1e-12 * max(1.0, abs(u))
+                assert _sign_at(coeffs, u - delta) * _sign_at(coeffs, u + delta) < 0, (pq, u)
+    assert off_pi > 0
 
 
 def test_family_roots_at_pi_build_as_one_stack_per_knot():
@@ -329,20 +342,18 @@ def test_phi_check_accepts_a_reducible_root(name):
         build_rep(knot, s, 1e-3, tol=RELATION_TOL)
 
 
-def test_riley_poly_with_a_word_shifts_as_the_word():
-    # the root finder evaluates phi from the word, so a polynomial rebuilt
-    # from canonical coefficients and the word divides out the word's own
-    # s-power (s^-13 on b(41,11)), not none: at theta = 17 pi / 26, where
-    # cos(13 theta) = 0, the clone found 11 roots of noise instead of 8
+def test_riley_poly_from_coefficients_alone_finds_the_roots():
+    # the root finder reads phi's coefficients, not the word it came from:
+    # on b(41,11), at theta = 17 pi / 26, where cos(13 theta) = 0, a
+    # polynomial rebuilt from the coefficients finds the same 8 roots
     phi = riley_polynomial(schubert_knot(41, 11).bridge_word)
-    clone = RileyPoly(phi.coeffs, phi.word)
-    assert (phi._shift, clone._shift) == (-13, -13)
+    clone = RileyPoly(phi.coeffs)
+    assert clone == phi and clone is not phi
     theta = 17 * math.pi / 26
     [sols] = reps.su2_solutions(phi, [theta])
     [clone_sols] = reps.su2_solutions(clone, [theta])
     assert len(sols.roots) == 8
     assert clone_sols == sols
-    assert RileyPoly(phi.coeffs)._shift == 0
 
 
 def test_sigma_form_five_two():
@@ -401,15 +412,15 @@ def test_su2_solutions_argument_checks():
 def test_one_theta_is_memoized_with_the_bits_of_any_stack():
     # a hit is the very object the first call built as a stack of one, equal
     # to the last bit (repr writes every float exactly) to theta's row in a
-    # stack of one and in a stack of 48; a second polynomial built from the
-    # same word shares the entry, and a stacked call leaves the memo as it is
+    # stack of one and in a stack of 48; an equal polynomial rebuilt from the
+    # coefficients shares the entry, and a stacked call leaves the memo as it is
     phi = riley_polynomial(schubert_knot(41, 11).bridge_word)
     thetas = [1.9 + 0.01 * k for k in range(48)]
     theta = thetas[17]
     su2_solutions.cache_clear()
     first = su2_solutions(phi, theta)
     assert su2_solutions(phi, theta) is first
-    assert su2_solutions(riley_polynomial.__wrapped__(phi.word), np.float64(theta)) is first
+    assert su2_solutions(RileyPoly(phi.coeffs), np.float64(theta)) is first
     info = su2_solutions.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     assert len(first.roots) > 1
@@ -447,7 +458,8 @@ def test_memo_is_bounded_like_the_riley_memo():
 
 
 def test_every_root_index_of_one_theta_shares_one_solve(monkeypatch):
-    # one solve for d requests, keyed without hashing every coefficient
+    # one solve for d requests, keyed on phi's hash, computed once when phi
+    # was built: no coefficient is hashed again
     solved = []
     solve = reps._su2_roots
 
@@ -460,7 +472,7 @@ def test_every_root_index_of_one_theta_shares_one_solve(monkeypatch):
 
     monkeypatch.setattr(reps, "_su2_roots", counted)
     phi = riley_polynomial(schubert_knot(13, 5).bridge_word)
-    monkeypatch.setattr(RileyPoly, "__hash__", unhashable)
+    monkeypatch.setattr(IntLaurent, "__hash__", unhashable)
     su2_solutions.cache_clear()
     for _ in range(phi.u_degree):
         su2_solutions(phi, 2.45)

@@ -14,6 +14,7 @@ from adtorsion.locus import auto_theta_range, rep_at
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
 from adtorsion.reps import Rep, build_rep, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
+    SIMPLE_ZERO,
     RegularityError,
     Tolerances,
     alexander_block_matrix,
@@ -453,12 +454,16 @@ def test_compute_torsion_degenerate_point_is_not_an_error():
 
 
 def test_diagnostics_name_the_route_of_the_value():
-    # b(37,1) at theta = pi: the two roots next to u = 0 have no simple zero
-    # for the limit route, so their value is the formula route's
-    p = schubert_knot(37, 1)
-    roots = su2_solutions(riley_polynomial(p.bridge_word), math.pi).roots
-    results = compute_torsion(rep_at(p, np.full(2, math.pi), roots[16:18], TOL), TOL)
+    # two 5_2 points at theta = 2.5, each 1e-3 off the variety in u, built as
+    # one stack without the variety checks: Delta_1(1) != 0, so the limit
+    # route finds no zero at t = 1, and the value is the formula route's
+    p = catalog.knot("5_2")
+    theta = np.full(2, 2.5)
+    u = np.array(su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[:2]) + 1e-3
+    rep = build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), check=False, frame="su2")
+    results = compute_torsion(rep, TOL)
     for result in results:
+        assert result.diagnostics["delta1_at_1"] > SIMPLE_ZERO * result.diagnostics["scale"]
         assert result.limit_value is None
         assert result.value == result.formula_value
         assert result.diagnostics["route"] == "formula"
