@@ -119,12 +119,12 @@ class CriticalReport:
 
 
 def rep_at(p: Presentation, theta: float, u: float, tol: Tolerances) -> Rep:
-    """SU(2) representation at s = e^{i theta} with the continuous
-    square-root branch e^{i theta / 2}, built in the unitary frame; for
-    arrays of theta and u, one Rep of that stack of points."""
+    """The representation at s = e^{i theta} with the continuous
+    square-root branch e^{i theta / 2} (build_rep picks the unitary frame at
+    an SU(2) point); for arrays of theta and u, one Rep of that stack of
+    points."""
     theta = np.asarray(theta, dtype=float)
-    return build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), tol=tol.relation,
-                     frame="su2")
+    return build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), tol=tol.relation)
 
 
 def _two_bridge_phi(p: Presentation, task: str) -> RileyPoly:

@@ -5,11 +5,11 @@ the pair (s, u) carries a nonabelian representation exactly when the
 obstruction polynomial phi(s, u) = W_11 + (1-s)W_12 vanishes, where W is the
 bridge word evaluated on the two matrices.  phi is computed exactly over
 Z[s, s^-1][u]; the unit-circle/real-u locus (|s| = 1, u in [2cos(theta)-2, 0])
-enumerates the SU(2)-conjugate points.  Dividing both matrices by a square
-root of s lands the representation in SL(2, C) (the Riley frame); an SU(2)
-point can instead be built in the conjugate unitary frame, where every
-image, and every product of images, is a unit quaternion.  The adjoint
-action on the trace-zero matrices is taken in the ordered basis (E, H, F).
+enumerates the SU(2)-conjugate points.  build_rep takes each point's frame
+from the point: at an SU(2) point a conjugate pair of unit quaternions, and
+elsewhere Riley's pair divided by a square root of s, which lands the
+representation in SL(2, C).  The adjoint action on the trace-zero matrices
+is taken in the ordered basis (E, H, F).
 """
 
 from __future__ import annotations
@@ -789,25 +789,18 @@ class Rep:
     convention.  ``prefixes`` and ``adjoint_prefixes`` memoize, per word,
     the images of all its prefixes; the relator check forms each relator's
     chain, and every Fox term of that relator reads it.
-
-    ``unitary=True`` declares every image a unit quaternion
-    [[g, d], [-conj(d), conj(g)]] (with ``check``, within ``tol``): the
-    inverses are then conjugate transposes, and prefix chains are formed
-    on first rows by elementwise products instead of matrix products.
     """
 
     __slots__ = (
         "presentation",
         "images",
         "inverses",
-        "unitary",
         "s",
         "u",
         "sqrt_s",
         "relator_residuals",
         "irreducible",
         "trace_meridian",
-        "_letters",
         "_prefixes",
         "_adjoints",
     )
@@ -822,18 +815,12 @@ class Rep:
         sqrt_s: complex | None = None,
         tol: float = RELATION_TOL,
         check: bool = True,
-        unitary: bool = False,
     ):
         if len(images) != presentation.k:
             raise RepresentationError("one image matrix per generator required")
         self.presentation = presentation
         self.images = tuple(np.asarray(m, dtype=complex) for m in images)
-        stack = np.stack(self.images)
-        self.unitary = unitary
-        if unitary and check:
-            _raise_first([_unitary_failure(stack, tol)])
-        self.inverses = tuple(stack.conj().swapaxes(-1, -2) if unitary else _mat_inverse(stack))
-        self._letters = _quaternion_letters(stack) if unitary else None
+        self.inverses = tuple(_mat_inverse(np.stack(self.images)))
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
@@ -864,63 +851,26 @@ class Rep:
 
     def _irreducibility_heuristic(self, threshold: float = 1e-8) -> bool:
         # a pair of invertible 2x2 matrices shares an eigenvector iff the
-        # trace of their commutator is 2; a unitary representation forms the
-        # commutator as a quaternion chain
+        # trace of their commutator is 2
         pairs = [(i, j) for i in range(len(self.images)) for j in range(i + 1, len(self.images))]
-        if self.unitary:
-            commutators = [self.of_word(Word([(i, 1), (j, 1), (i, -1), (j, -1)])) for i, j in pairs]
-        else:
-            commutators = [
-                self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j] for i, j in pairs
-            ]
+        commutators = [
+            self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j] for i, j in pairs
+        ]
         far = [np.abs(np.trace(c, axis1=-2, axis2=-1) - 2.0) > threshold for c in commutators]
         return _unstack(np.any(far, axis=0))
 
     def prefixes(self, w: Word) -> np.ndarray:
         """rho of every prefix of w, the empty prefix first: one read-only
         (len(w) + 1, *batch, 2, 2) stack, formed once per word by
-        right-multiplying the identity letter by letter (see
-        :meth:`_quaternion_chain` for a unitary representation)."""
+        right-multiplying the identity letter by letter."""
         chain = self._prefixes.get(w)
         if chain is None:
-            if self.unitary:
-                chain = self._quaternion_chain(w)
-            else:
-                chain = np.empty((len(w.letters) + 1,) + self.images[0].shape, dtype=complex)
-                chain[0] = _EYE2
-                for k, (g, e) in enumerate(w.letters):
-                    np.matmul(chain[k], self.images[g] if e == 1 else self.inverses[g], out=chain[k + 1])
+            chain = np.empty((len(w.letters) + 1,) + self.images[0].shape, dtype=complex)
+            chain[0] = _EYE2
+            for k, (g, e) in enumerate(w.letters):
+                np.matmul(chain[k], self.images[g] if e == 1 else self.inverses[g], out=chain[k + 1])
             self._prefixes[w] = chain = _read_only(chain)
         return chain
-
-    def _quaternion_chain(self, w: Word) -> np.ndarray:
-        """The prefix chain of a unitary representation from first rows.
-
-        A prefix [[a, b], [-conj(b), conj(a)]] is kept as its first row
-        (a, b); a letter [[g, d], [-conj(d), conj(g)]] maps it to
-        (a g - b conj(d), a d + b conj(g)), as the row times the letter's
-        matrix: one elementwise product and one sum per letter, and one
-        product alone for a diagonal letter (d = 0).  The rows are stored
-        component first, (2, N), so each product runs over the points.  One
-        point runs as a stack of one, so its bits do not depend on its
-        stack."""
-        letters = self._letters
-        n = math.prod(self.images[0].shape[:-2])
-        rows = np.empty((len(w.letters) + 1, 2, n), dtype=complex)
-        rows[0, 0] = 1.0
-        rows[0, 1] = 0.0
-        terms = np.empty((2, 2, n), dtype=complex)
-        for k, letter in enumerate(map(letters.__getitem__, w.letters)):
-            if letter.ndim == 2:
-                np.multiply(rows[k], letter, out=rows[k + 1])
-            else:
-                np.multiply(rows[k][:, None], letter, out=terms)
-                np.add(terms[0], terms[1], out=rows[k + 1])
-        chain = np.empty((len(rows), n, 2, 2), dtype=complex)
-        chain[..., 0, :] = rows.swapaxes(1, 2)
-        np.negative(rows[:, 1].conj(), out=chain[..., 1, 0])
-        np.conjugate(rows[:, 0], out=chain[..., 1, 1])
-        return chain.reshape((len(rows),) + self.images[0].shape)
 
     def of_word(self, w: Word) -> np.ndarray:
         return self.prefixes(w)[-1]
@@ -946,73 +896,44 @@ class Rep:
         )
 
 
-def _quaternion_letters(stack: np.ndarray) -> dict:
-    """The letters (g, +-1) of a unitary stack of images (k, *batch, 2, 2)
-    as operands of the quaternion chain, each over the N points (N = 1 for
-    one point): the (2, 2, N) matrix, or the (2, N) diagonal when the
-    generator's images are all diagonal."""
-    m = np.ascontiguousarray(np.moveaxis(stack.reshape(len(stack), -1, 2, 2), 1, -1))
-    inverse = np.ascontiguousarray(m.conj().swapaxes(1, 2))
-    letters = {}
-    for g, (image, inv) in enumerate(zip(m, inverse)):
-        if not (image[0, 1].any() or image[1, 0].any()):
-            image, inv = image.diagonal().T.copy(), inv.diagonal().T.copy()
-        letters[g, 1], letters[g, -1] = image, inv
-    return letters
-
-
-def _unitary_failure(stack: np.ndarray, tol: float):
-    """The points of a stack of images (k, *batch, 2, 2) not all of the
-    unit-quaternion form [[g, d], [-conj(d), conj(g)]] within tol."""
-    g, d, c, e = np.moveaxis(stack.reshape(stack.shape[:-2] + (4,)), -1, 0)
-    error = np.maximum.reduce([
-        np.abs(g.real * g.real + g.imag * g.imag + d.real * d.real + d.imag * d.imag - 1.0),
-        np.abs(c + d.conj()),
-        np.abs(e - g.conj()),
-    ]).max(axis=0)
-    return error > tol, lambda i: (
-        f"images are not in SU(2): unit-quaternion error {np.atleast_1d(error)[i]:.3e} "
-        f"exceeds tolerance {tol:.1e}"
-    )
-
-
 def _su2_images(s, u, sqrt_s):
-    """The SU(2) frame at every point: with h = sqrt_s, c = Re h and
-    S = Im h, x = diag(h, conj(h)) and y = [[c + ia, b], [-b, c - ia]],
-    where a = S + u/(2S) and b = sqrt(-u (u + 4S^2)) / (2S) (that is,
+    """The unitary frame at one point (Python numbers, as ``_points`` hands
+    them over) or at a stack: with h = sqrt_s, c = Re h and S = Im h,
+    x = diag(h, conj(h)) and y = [[c + ia, b], [-b, c - ia]], where
+    a = S + u/(2S) and b = sqrt(-u (u + 4S^2)) / (2S) (that is,
     sign(S) sqrt(S^2 - a^2), without its cancellation at u = 0).
 
     Tr x, Tr y and Tr xy = sigma - u are those of Riley's pair over sqrt_s,
     so the pairs are conjugate; -sqrt_s gives exactly -x and -y.  Returns
-    both image stacks, (N, 2, 2) with N = 1 for one point, and the mask of
-    points off SU(2): |sqrt_s| != 1, u not real, S = 0, or u outside the
-    window [2 Re s - 2, 0] by more than INTERVAL_SLACK, the slack
-    su2_solutions keeps roots within.  A u within the slack is clamped to
-    the window end, where b = 0."""
-    h, s, u = (np.asarray(v, dtype=complex).reshape(-1) for v in (sqrt_s, s, u))
-    c, S = h.real, h.imag
+    the images as one (2, *shape, 2, 2) array, x first, and the mask of the
+    points off SU(2), where build_rep puts Riley's pair instead:
+    |sqrt_s| != 1, u not real,
+    S = 0, or u outside the window [2 Re s - 2, 0] by more than
+    INTERVAL_SLACK, the slack su2_solutions keeps roots within.  A u within
+    the slack is clamped to the window end, where b = 0.  Each entry takes
+    the same real operations at one point and in a stack, so it gets the
+    same bits."""
+    c, S = sqrt_s.real, sqrt_s.imag
     width = 4.0 * S * S
-    ur = np.clip(u.real, -width, 0.0)
+    ur = u.real
     off = (
-        (np.abs(np.abs(h) - 1.0) > REALITY_TOL)
-        | (np.abs(u.imag) > REALITY_TOL)
+        (abs(abs(sqrt_s) - 1.0) > REALITY_TOL)
+        | (abs(u.imag) > REALITY_TOL)
         | (S == 0.0)
-        | (u.real < -2.0 * (1.0 - s.real) - INTERVAL_SLACK)
-        | (u.real > INTERVAL_SLACK)
+        | (ur < -2.0 * (1.0 - s.real) - INTERVAL_SLACK)
+        | (ur > INTERVAL_SLACK)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):  # S = 0 is off SU(2)
-        a = S + ur / (2.0 * S)
-        b = np.sqrt(np.maximum(-ur * (ur + width), 0.0)) / (2.0 * S)
-    x = np.zeros((len(h), 2, 2), dtype=complex)
-    x[:, 0, 0] = h
-    x[:, 1, 1] = h.conj()
-    y = np.zeros_like(x)
-    y.real[:, 0, 0] = y.real[:, 1, 1] = c
-    y.imag[:, 0, 0] = a
-    y.imag[:, 1, 1] = -a
-    y.real[:, 0, 1] = b
-    y.real[:, 1, 0] = -b
-    return x, y, off
+    # the clamp by exact selections, and 1 for 2S where S = 0: plain
+    # arithmetic on Python floats and on arrays alike
+    ur = (ur >= -width) * (ur <= 0.0) * ur - (ur < -width) * width
+    twice_s = 2.0 * S + (S == 0.0)
+    a = S + ur / twice_s
+    b = np.sqrt(-ur * (ur + width)) / twice_s
+    zero = c - c
+    images = np.array([[sqrt_s, zero, zero, sqrt_s.conjugate()], [c + 1j * a, b, -b, c - 1j * a]])
+    # (2, 4, *shape) to (2, *shape, 2, 2)
+    images = np.ascontiguousarray(images.swapaxes(1, -1))
+    return images.reshape(images.shape[:-1] + (2, 2)), off
 
 
 def build_rep(
@@ -1022,27 +943,23 @@ def build_rep(
     sqrt_s: complex | None = None,
     tol: float = RELATION_TOL,
     check: bool = True,
-    *,
-    frame: str = "riley",
 ) -> Rep:
     """The representation at Riley's (s, u); for arrays of s and u (and
     sqrt_s), one Rep of that stack of points.
 
-    ``frame="riley"`` builds (X/sqrt(s), Y/sqrt(s)) at any point of the
-    variety.  ``frame="su2"`` builds a conjugate unitary pair (see
-    :func:`_su2_images`) and raises a RepresentationError at a point off
-    SU(2); its prefix chains are products of unit quaternions.  Either way
-    ``s``, ``u`` and ``sqrt_s`` are Riley's.
+    Each point gets its frame from the point itself.  At an SU(2) point
+    (|sqrt_s| = 1, Im sqrt_s != 0 and a real u in [2 Re s - 2, 0], within
+    INTERVAL_SLACK) the images are a conjugate pair of unit quaternions (see
+    :func:`_su2_images`); elsewhere they are Riley's (X/sqrt(s), Y/sqrt(s)).
+    Either way ``s``, ``u`` and ``sqrt_s`` are Riley's.
 
     Verifies sqrt_s^2 = s, that (s, u) lies on the zero set of the bridge
     word's obstruction polynomial, and that the relator maps to the identity
     within tol.  A stack raises the error its first failing point raises on
     its own.  With check=False the object is built regardless and the
-    residuals are left in the diagnostics (the square root and the SU(2)
-    frame are always checked).
+    residuals are left in the diagnostics (the square root is always
+    checked).
     """
-    if frame not in ("riley", "su2"):
-        raise ValueError(f"frame must be 'riley' or 'su2', got {frame!r}")
     if p.bridge_word is None or p.k != 2:
         raise RepresentationError("non-2-bridge presentation: no bridge word available")
     s, u, sqrt_s = _points(s, u, np.sqrt(np.asarray(s, dtype=complex)) if sqrt_s is None else sqrt_s)
@@ -1050,22 +967,18 @@ def build_rep(
         abs(sqrt_s * sqrt_s - s) > tol * np.maximum(1.0, abs(s)),
         lambda i: "sqrt_s is not a square root of s",
     )]
-    if frame == "su2":
-        x, y, off = _su2_images(s, u, sqrt_s)
-        failures.append((off, lambda i: "(s, u) is not an SU(2) point: the su2 frame needs "
-                         "|sqrt_s| = 1 and a real u in [2 Re s - 2, 0]"))
-        shape = np.shape(s) + (2, 2)
-        images = x.reshape(shape), y.reshape(shape)
-    else:
-        x, y = riley_assignment(s, u)
-        root = np.asarray(sqrt_s)[..., None, None]
+    images, off = _su2_images(s, u, sqrt_s)
+    if np.count_nonzero(off):
+        # Riley's pair at the points off SU(2) only
+        at = np.flatnonzero(off)
+        s_at, u_at, root = (np.reshape(v, -1)[at] for v in (s, u, sqrt_s))
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero sqrt_s fails its check
-            images = x / root, y / root
+            images.reshape(2, -1, 2, 2)[:, at] = np.divide(riley_assignment(s_at, u_at), root[:, None, None])
     phi = riley_polynomial(p.bridge_word)
     if check and not phi.is_zero:
         failures.append(phi_failure(phi, s, u, tol))
     with np.errstate(divide="ignore", invalid="ignore"):  # images of a point failing a check
-        rep = Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False, unitary=frame == "su2")
+        rep = Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False)
     if check:
         failures.append(rep._relator_failure(tol))
     _raise_first(failures)

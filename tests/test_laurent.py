@@ -16,10 +16,10 @@ from adtorsion.laurent import (
     divide_out_simple_roots,
     unit_aligned_distance,
 )
-from adtorsion.reps import build_rep, riley_polynomial, su2_solutions
+from adtorsion.reps import riley_polynomial, su2_solutions
 from adtorsion.torsion import alexander_block_matrix
 
-from test_torsion import _bits, as_poly, divide_alone, schubert_knot, stack_of
+from test_torsion import _bits, as_poly, divide_alone, riley_rep, schubert_knot, stack_of
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -241,11 +241,12 @@ def test_determinant_routes_agree():
 
 def fox_block_41_11(theta, root=None, u=None):
     """The twisted Fox block of b(41,11) at SU(2) root ``root`` of theta, or
-    at the given u, built without the variety checks."""
+    at the given u, in Riley's pair over sqrt(s), built without the variety
+    checks."""
     p = schubert_knot(41, 11)
     if u is None:
         u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[root]
-    rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
+    rep = riley_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), check=False)
     return alexander_block_matrix(rep)
 
 
@@ -298,7 +299,7 @@ def test_determinant_is_accurate_on_an_ill_conditioned_block():
 
 
 def test_determinant_is_accurate_on_a_block_on_the_variety():
-    # b(41,3) at theta = pi, root 0, a representation the pipeline builds:
+    # b(41,3) at theta = pi, root 0, in Riley's pair over sqrt(s):
     # entries reach 628 times the largest coefficient of det; the same block
     # at the eight floats nearest u keeps the bound from holding at one point
     # by luck (errors there run from 5.9e-10 to 1.51e-9 times the scale)
@@ -307,7 +308,7 @@ def test_determinant_is_accurate_on_a_block_on_the_variety():
     assert root == -3.9941316023674824
     for k in range(-4, 5):
         u = root + k * math.ulp(root)
-        rep = build_rep(p, cmath.exp(1j * math.pi), u, cmath.exp(0.5j * math.pi), check=False)
+        rep = riley_rep(p, cmath.exp(1j * math.pi), u, cmath.exp(0.5j * math.pi), check=False)
         block = alexander_block_matrix(rep)
         exact = exact_determinant_3x3(block)
         got = unit_restored(block.determinant(), exact)

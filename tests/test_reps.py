@@ -41,7 +41,7 @@ from adtorsion.torsion import (
     torsion_polynomial,
     untwisted_alexander,
 )
-from test_torsion import schubert_knot, schubert_word
+from test_torsion import riley_rep, schubert_knot, schubert_word
 
 SIGMA_STAR = (3 - math.sqrt(13 + 16 * math.sqrt(2))) / 2
 
@@ -259,22 +259,26 @@ def test_family_roots_at_pi_build_as_one_stack_per_knot():
 
 
 def test_family_limit_route_failures_at_pi():
-    # one theta = pi stack per family knot: the limit route finds no simple
-    # zero at 99 of the 2415 binary dihedral points (the formula route gives
-    # their value), and at no more
+    # one theta = pi stack per family knot, built by build_rep, which takes
+    # the unitary frame at these SU(2) points: the limit route finds no
+    # simple zero at 9 of the 2415 binary dihedral points (the formula route
+    # gives their value), and at no more.  Riley's pair over sqrt(s) fails
+    # at 99 of them
     failed = 0
     for knot, _, roots in family_roots_at_pi():
         theta = np.full(len(roots), math.pi)
         rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
         failed += sum(result.limit_value is None for result in compute_torsion(rep, Tolerances()))
-    assert failed <= 99
+    assert failed <= 9
 
 
 def test_family_limit_route_in_the_unitary_frame():
-    # the family's SU(2) points as rep_at builds them, one stack per knot and
-    # theta: the limit route finds a simple zero at all but 9 of the 2415
-    # binary dihedral points and at every point at theta = 2 and 1.3, and
-    # the torsion is real up to 1e-11 of max(1, |T|) everywhere
+    # the family's 3801 SU(2) points at theta = pi, 2 and 1.3 as rep_at
+    # builds them, one stack per knot and theta: the limit route finds a
+    # simple zero at all but 9 of the 2415 binary dihedral points and at
+    # every point at theta = 2 and 1.3; the largest division remainder is
+    # 3.54e-9 of max |Delta_1| and |Im T| at most 3.4e-12 of |T| (Riley's
+    # pair over sqrt(s): 99/19/4 failures, 4.9e-7 and 2.4e-8)
     tol = Tolerances()
     failed = {math.pi: 0, 2.0: 0, 1.3: 0}
     for knot, phi, _ in family_roots_at_pi():
@@ -282,10 +286,27 @@ def test_family_limit_route_in_the_unitary_frame():
             if not solutions.roots:
                 continue
             rep = rep_at(knot, np.full(len(solutions), theta), solutions.roots, tol)
-            for result in compute_torsion(rep, tol):
+            for tp, result in zip(torsion_polynomial(rep, tol=tol), compute_torsion(rep, tol)):
                 failed[theta] += result.limit_value is None
-                assert abs(result.value.imag) <= 1e-11 * max(1.0, abs(result.value))
+                assert max(tp.remainders) <= 3.6e-9 * tp.scale
+                assert abs(result.value.imag) <= 5e-12 * abs(result.value)
     assert failed[math.pi] <= 9 and failed[2.0] == failed[1.3] == 0
+
+
+@pytest.mark.parametrize("p, q", [(41, 11), (37, 1)])
+def test_default_build_is_real_on_long_words(p, q):
+    # build_rep without a frame argument at every SU(2) root at theta = pi,
+    # 2 and 1.3: the torsion is real within 1e-12 of |T| (Riley's pair over
+    # sqrt(s) reads 4.8e-10 on b(41,11) and 2.6e-10 on b(37,1)), and the
+    # relator residual is below Riley's
+    knot = schubert_knot(p, q)
+    for solutions in su2_solutions(riley_polynomial(knot.bridge_word), [math.pi, 2.0, 1.3]):
+        theta = np.full(len(solutions), solutions.theta)
+        rep = build_rep(knot, np.exp(1j * theta), solutions.roots, np.exp(0.5j * theta))
+        for result in compute_torsion(rep, Tolerances()):
+            assert abs(result.value.imag) <= 1e-12 * abs(result.value), (solutions.theta, result.value)
+        riley = riley_rep(knot, np.exp(1j * theta), np.array(solutions.roots), np.exp(0.5j * theta))
+        assert riley.relator_residuals[0].max() > rep.relator_residuals[0].max()
 
 
 @pytest.mark.parametrize("word", ["x y^-1", "x x y"])
@@ -733,7 +754,7 @@ def test_adjoint_matches_closed_form():
             continue
         u = rng.choice(sols.roots)
         s = cmath.exp(1j * theta)
-        rep = build_rep(p, s, u, cmath.exp(0.5j * theta))
+        rep = riley_rep(p, s, u, cmath.exp(0.5j * theta))
         adj = [rep.adjoint_prefixes(Word.gen(g))[1] for g in range(2)]
         expected_x = np.array(
             [[s, -2, -1 / s], [0, 1, 1 / s], [0, 0, 1 / s]], dtype=complex
@@ -841,26 +862,57 @@ def test_stacked_roots_are_the_single_theta_roots(p, q):
     assert su2_root_counts(phi, thetas) == [len(s.roots) for s in single]
 
 
+def assert_stack_has_single_point_bits(p, s, u, sqrt_s):
+    """Each point of build_rep's stack at (s, u, sqrt_s) has the bits it
+    gets alone, in every per-point attribute and in the relator's chains;
+    returns the stack."""
+    stack = build_rep(p, np.array(s), np.array(u), np.array(sqrt_s))
+    assert stack.stacked and stack.images[0].shape == (len(s), 2, 2)
+    for i, point in enumerate(zip(s, u, sqrt_s)):
+        single = build_rep(p, *point)
+        assert not single.stacked
+        for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
+            assert np.array_equal(a[i], b)
+        r = p.relators[0]
+        assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
+        assert np.array_equal(stack.adjoint_prefixes(r)[:, i], single.adjoint_prefixes(r))
+        assert stack.relator_residuals[0][i] == single.relator_residuals[0]
+        assert stack.trace_meridian[i] == single.trace_meridian
+        assert stack.irreducible[i] == single.irreducible
+    return stack
+
+
 def test_stacked_build_rep_matches_single_points():
-    # in both frames
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
     points = [(theta, u) for theta in (0.9, 2.3, math.pi, 4.1) for u in su2_solutions(phi, theta).roots]
-    thetas = np.array([theta for theta, _ in points])
-    for frame in ("riley", "su2"):
-        stack = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas), frame=frame)
-        assert stack.stacked and stack.images[0].shape == (len(points), 2, 2)
-        for i, (theta, u) in enumerate(points):
-            single = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), frame=frame)
-            assert not single.stacked
-            for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
-                assert np.array_equal(a[i], b)
-            r = p.relators[0]
-            assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
-            assert np.array_equal(stack.adjoint_prefixes(r)[:, i], single.adjoint_prefixes(r))
-            assert stack.relator_residuals[0][i] == single.relator_residuals[0]
-            assert stack.trace_meridian[i] == single.trace_meridian
-            assert stack.irreducible[i] == single.irreducible
+    assert_stack_has_single_point_bits(
+        p, [cmath.exp(1j * t) for t, _ in points], [u for _, u in points], [cmath.exp(0.5j * t) for t, _ in points]
+    )
+
+
+def test_a_stack_mixing_su2_and_sl2c_points_gives_each_its_frame():
+    # all 5 roots of phi(1, u) on b(11,5), one stack at s = e^{i pi/3}: one
+    # is real and inside the window [-1, 0], four are complex.  Each
+    # point gets its single-point bits; the real ones take the unitary frame
+    # (unit quaternions) and the complex ones Riley's pair over sqrt(s), and
+    # every point carries Riley's traces of x, y and xy
+    p = schubert_knot(11, 5)
+    phi = riley_polynomial(p.bridge_word)
+    roots = np.roots([sum(row) for row in phi.sigma_form()][::-1])  # sigma = 1
+    su2 = (np.abs(roots.imag) <= 1e-9) & (roots.real >= -1.0) & (roots.real <= 0.0)
+    assert su2.tolist() == [False] * 4 + [True]
+    u = [complex(r.real) if on else complex(r) for r, on in zip(roots, su2)]
+    s, sq = [cmath.exp(1j * math.pi / 3)] * len(u), [cmath.exp(1j * math.pi / 6)] * len(u)
+    stack = assert_stack_has_single_point_bits(p, s, u, sq)
+    riley = riley_rep(p, np.array(s), np.array(u), np.array(sq))
+    x, y = stack.images
+    for m in stack.images:
+        assert np.abs(m[su2] @ m[su2].conj().swapaxes(-1, -2) - np.eye(2)).max() <= 1e-15
+        assert np.abs(m[~su2] @ m[~su2].conj().swapaxes(-1, -2) - np.eye(2)).max() > 0.1
+    for a, b in zip(riley.images + (riley.images[0] @ riley.images[1],), (x, y, x @ y)):
+        assert np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(b, axis1=-2, axis2=-1)).max() <= 1e-14
+    assert np.array_equal(x[~su2], riley.images[0][~su2]) and np.array_equal(y[~su2], riley.images[1][~su2])
 
 
 def test_stack_raises_the_first_failing_points_error():
@@ -891,9 +943,9 @@ def test_stack_raises_the_first_failing_points_error():
 
 
 def _frames(knot, thetas, roots):
-    """The Riley and the su2 frame of one stack of SU(2) points."""
+    """Riley's pair and build_rep's images at one stack of SU(2) points."""
     s, sq = np.exp(1j * thetas), np.exp(0.5j * thetas)
-    return build_rep(knot, s, roots, sq), build_rep(knot, s, roots, sq, frame="su2")
+    return riley_rep(knot, s, np.array(roots), sq), build_rep(knot, s, roots, sq)
 
 
 def test_su2_frame_images_are_unit_quaternions_with_riley_traces():
@@ -909,7 +961,6 @@ def test_su2_frame_images_are_unit_quaternions_with_riley_traces():
     stacks += [(knot, np.full(len(roots), math.pi), roots) for knot, _, roots in family_roots_at_pi()]
     for knot, thetas, roots in stacks:
         riley, su2 = _frames(knot, thetas, roots)
-        assert su2.unitary and not riley.unitary
         for m in su2.images:
             assert m.shape == (len(roots), 2, 2)
             assert np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max() <= 1e-15
@@ -925,85 +976,46 @@ def test_su2_frame_sign_twist_is_exact():
     for theta in (0.9, 2.7, math.pi, 4.1):
         for u in su2_solutions(riley_polynomial(p.bridge_word), theta).roots:
             s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
-            plus = build_rep(p, s, u, sq, frame="su2")
-            minus = build_rep(p, s, u, -sq, frame="su2")
+            plus = build_rep(p, s, u, sq)
+            minus = build_rep(p, s, u, -sq)
             for a, b in zip(plus.images, minus.images):
                 assert np.array_equal(b, -a)
             for w in p.relators:
                 assert np.array_equal(plus.adjoint_prefixes(w), minus.adjoint_prefixes(w))
 
 
-def test_su2_frame_builds_a_root_within_the_slack_and_rejects_points_off_su2():
+def test_build_rep_clamps_su2_roots_within_the_slack_and_takes_riley_off_su2():
     # su2_solutions keeps the trefoil's root u = 3.3e-16 at theta = pi/3,
     # just above the window [sigma - 2, 0]; it is the abelian point
     # Delta(s) = 0, where every term of phi(s, u) vanishes.  The largest
-    # |c_k(s)| gives phi's check a scale there, so it passes in either frame
-    # (it failed while the scale was the term sum alone, the same rounding
-    # as the residual).  The su2 frame builds it clamped to u = 0, where y = x
+    # |c_k(s)| gives phi's check a scale there, so it passes (it failed
+    # while the scale was the term sum alone, the same rounding as the
+    # residual).  It is built in the unitary frame, clamped to u = 0, where
+    # y = x
     p = catalog.knot("trefoil")
     theta = math.pi / 3
     (u,) = su2_solutions(riley_polynomial(p.bridge_word), theta).roots
     assert 0.0 < u <= INTERVAL_SLACK
     s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
-    for frame in ("riley", "su2"):
-        assert max(build_rep(p, s, u, sq, frame=frame).relator_residuals) <= 1e-15
-    rep = build_rep(p, s, u, sq, check=False, frame="su2")
+    rep = build_rep(p, s, u, sq)
+    assert max(rep.relator_residuals) <= 1e-15
     assert rep.u == u and np.array_equal(rep.images[0], rep.images[1])
     # and below the window: clamped to u = sigma - 2, where y = x^-1
-    s, sq = cmath.exp(2j), cmath.exp(1j)
-    rep = build_rep(p, s, 2 * s.real - 2 - INTERVAL_SLACK / 2, sq, check=False, frame="su2")
+    s2, sq2 = cmath.exp(2j), cmath.exp(1j)
+    rep = build_rep(p, s2, 2 * s2.real - 2 - INTERVAL_SLACK / 2, sq2, check=False)
     assert np.abs(rep.images[1] - rep.inverses[0]).max() <= 1e-15
-    # off SU(2): past the slack, |s| != 1, a complex u; checked even without
-    # the variety checks
-    s, sq = cmath.exp(1j * theta), cmath.exp(0.5j * theta)
+    # off SU(2) (past the slack, |s| != 1, a complex u) the images are
+    # Riley's pair over sqrt(s), and the phi and relator checks decide:
+    # none of these points is on the variety
     for point in ((s, 3 * INTERVAL_SLACK, sq), (4.0, 0.5, 2.0), (s, u + 1e-3j, sq)):
-        with pytest.raises(RepresentationError, match="not an SU.2. point"):
-            build_rep(p, *point, frame="su2", check=False)
-    with pytest.raises(ValueError, match="frame"):
-        build_rep(p, s, u, sq, frame="unitary")
-
-
-def test_unitary_rep_needs_unit_quaternion_images():
-    p = catalog.knot("5_2")
-    theta = 2.7
-    u = su2_solutions(riley_polynomial(p.bridge_word), theta).roots[0]
-    su2 = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta), frame="su2")
-    again = Rep(p, su2.images, unitary=True)
-    assert np.array_equal(again.prefixes(p.relators[0]), su2.prefixes(p.relators[0]))
-    riley = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-    with pytest.raises(RepresentationError, match="not in SU.2."):
-        Rep(p, riley.images, unitary=True)
-
-
-def test_su2_prefix_chain_is_the_quaternion_row_product(monkeypatch):
-    # no matmul: each prefix's first row (a, b) goes to
-    # (a g - b conj(d), a d + b conj(g)) per letter (g, d), with the letter's
-    # inverse (conj(g), -d), and an x letter (d = 0) gives the same bits as
-    # one product; the chain agrees with the matrix products to rounding
-    def no_matmul(*args, **kwargs):
-        raise AssertionError("np.matmul called")
-
-    knot = schubert_knot(41, 11)
-    roots = np.array(su2_solutions(riley_polynomial(knot.bridge_word), 2.0).roots)
-    thetas = np.full(len(roots), 2.0)
-    riley, _ = _frames(knot, thetas, roots)
-    words = [knot.relators[0], Word([(0, 1)] * 5 + [(1, -1), (0, -1), (1, 1)] * 3)]
-    monkeypatch.setattr(np, "matmul", no_matmul)
-    su2 = rep_at(knot, thetas, roots, Tolerances())
-    single = rep_at(knot, 2.0, roots[3], Tolerances())
-    chains = [su2.prefixes(w) for w in words]
-    monkeypatch.undo()
-    for w, chain in zip(words, chains):
-        a, b = np.ones(len(roots), dtype=complex), np.zeros(len(roots), dtype=complex)
-        for k, (g, e) in enumerate(w.letters, start=1):
-            gamma, delta = su2.images[g][:, 0, 0], su2.images[g][:, 0, 1]
-            if e == -1:
-                gamma, delta = gamma.conj(), -delta
-            a, b = a * gamma - b * delta.conj(), a * delta + b * gamma.conj()
-            assert np.array_equal(chain[k, :, 0, 0], a) and np.array_equal(chain[k, :, 0, 1], b)
-        assert np.array_equal(chain[:, :, 1, 0], -chain[:, :, 0, 1].conj())
-        assert np.array_equal(chain[:, :, 1, 1], chain[:, :, 0, 0].conj())
-        assert np.array_equal(single.prefixes(w), chain[:, 3])
-        matrices = Rep(knot, su2.images, check=False).prefixes(w)
-        assert np.abs(matrices - chain).max() <= 1e-13
-    assert np.abs(riley.relator_residuals[0]).max() > np.abs(su2.relator_residuals[0]).max()
+        rep = build_rep(p, *point, check=False)
+        assert all(map(np.array_equal, rep.images, riley_rep(p, *point, check=False).images))
+        with pytest.raises(RepresentationError, match="does not vanish"):
+            build_rep(p, *point)
+    # a point of the variety off SU(2) builds in Riley's frame: the
+    # trefoil's roots at s = 4 lie outside the window [2 Re s - 2, 0]
+    phi = riley_polynomial(p.bridge_word)
+    for u in np.roots([c(4.0) for c in reversed(phi.coeffs)]):
+        rep = build_rep(p, 4.0, complex(u), 2.0)
+        assert max(rep.relator_residuals) <= 1e-9
+        assert all(map(np.array_equal, rep.images, riley_rep(p, 4.0, complex(u), 2.0).images))

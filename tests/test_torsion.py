@@ -12,7 +12,7 @@ from adtorsion.laurent import LaurentPoly, divide_out_simple_roots
 from adtorsion.laurent import readings_at_1, unit_aligned_distance
 from adtorsion.locus import auto_theta_range, rep_at
 from adtorsion.presentation import Presentation, PresentationError, conjugation_relator, two_bridge
-from adtorsion.reps import Rep, build_rep, riley_polynomial, su2_solutions
+from adtorsion.reps import Rep, build_rep, riley_assignment, riley_polynomial, su2_solutions
 from adtorsion.torsion import (
     SIMPLE_ZERO,
     RegularityError,
@@ -460,7 +460,7 @@ def test_diagnostics_name_the_route_of_the_value():
     p = catalog.knot("5_2")
     theta = np.full(2, 2.5)
     u = np.array(su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[:2]) + 1e-3
-    rep = build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), check=False, frame="su2")
+    rep = build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), check=False)
     results = compute_torsion(rep, TOL)
     for result in results:
         assert result.diagnostics["delta1_at_1"] > SIMPLE_ZERO * result.diagnostics["scale"]
@@ -552,6 +552,13 @@ def schubert_word(p, q):
 def schubert_knot(p, q):
     """b(p, q) from its Schubert word."""
     return two_bridge(schubert_word(p, q))
+
+
+def riley_rep(p, s, u, sqrt_s, check=True):
+    """Riley's pair (X/sqrt(s), Y/sqrt(s)) at (s, u), one point or a stack,
+    as a Rep: the frame build_rep takes off SU(2), here at any point."""
+    root = np.asarray(sqrt_s)[..., None, None]
+    return Rep(p, [m / root for m in riley_assignment(s, u)], s=s, u=u, sqrt_s=sqrt_s, check=check)
 
 
 def test_phi_of_prefix_reuse_is_exact():
@@ -663,8 +670,8 @@ def test_torus_knot_torsion_is_one_of_its_constants():
     # b(p, 1) = T(2, p): on every SU(2) component the torsion is one of the
     # constants p^2 / (4 sin^2(pi k / p)), k = 1 .. (p - 1)/2, and at
     # theta = pi its (p - 1)/2 roots take each constant once.  The worst
-    # relative error over p <= 41 at these thetas is 4.58e-12 (b(37,1) at
-    # pi), built in the unitary frame
+    # relative error over p <= 41 at these thetas is 5.12e-12 (b(39,1) at
+    # pi)
     for p in range(3, 42, 2):
         knot = schubert_knot(p, 1)
         phi = riley_polynomial(knot.bridge_word)
