@@ -36,7 +36,6 @@ from .reps import (
     Su2Solutions,
     adjoint_of_matrix,
     build_rep,
-    near_transition,
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,

@@ -726,11 +726,6 @@ def _bracketed_zero(
         fb = yield b
 
 
-def near_transition(sigma: float, thresholds: Sequence[float], band: float = 1e-3) -> bool:
-    """Whether sigma lies within the near-threshold band of a count change."""
-    return any(abs(sigma - t) < band for t in thresholds)
-
-
 # ---------------------------------------------------------------------------
 # representations and the adjoint
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ fibres, and rejection of a point off the variety."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,13 +26,12 @@ from .reps import (
     RepresentationError,
     adjoint_of_matrix,
     build_rep,
-    near_transition,
     riley_assignment,
     riley_polynomial,
-    su2_root_count_thresholds,
     su2_solutions,
 )
 from .torsion import (
+    RegularityError,
     Tolerances,
     compute_torsion,
     torsion_polynomial,
@@ -90,92 +91,124 @@ FIBRE_SIGMAS = (Fraction(5, 2), Fraction(1), Fraction(-1, 2))
 FIBRE_TOL = 1e-10
 
 
-def _torus_row(tol: Tolerances) -> CheckRow:
+def _family(p_max: int) -> dict[str, tuple[int, int]]:
+    """(p, q) by name for every b(p, q) with odd p up to p_max."""
+    return {f"b({p},{q})": (p, q)
+            for p in range(3, p_max + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1}
+
+
+def _row(name: str, errors: list[tuple[float, str]], tolerance: float, ok: bool = True,
+         detail: str = "worst on {where}") -> CheckRow:
+    """A row over (error, where) pairs, failed by its worst error above
+    ``tolerance`` (NaN is worst) or by ``ok``.  ``detail`` is formatted with
+    the worst point's ``where``; a failing row names it in any case."""
+    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)
+    passed = worst <= tolerance and ok
+    if not passed and "{where}" not in detail:
+        detail = ", ".join(filter(None, (detail, "worst on {where}")))
+    return CheckRow(name, worst, tolerance, passed, detail.format(where=where))
+
+
+def _value(route, tp) -> tuple[complex, str]:
+    """route(tp) and "", or NaN and why the route raised."""
+    try:
+        return route(tp), ""
+    except RegularityError as exc:
+        return complex("nan"), f" ({route.__name__}: {exc})"
+
+
+#: a point of a stack with both torsion routes; ``where`` names the knot,
+#: theta and u, and the reason of a route that raised and gave NaN
+_Point = namedtuple("_Point", "where theta sigma u formula limit")
+
+
+def _su2_stack(name: str, p: Presentation, thetas: list[float], tol: Tolerances) -> list[_Point]:
+    """The SU(2) roots at ``thetas`` as one stack through rep_at and
+    torsion_polynomial, with both routes evaluated at every point: the one
+    place verify reads the routes of a stack."""
+    solutions = su2_solutions(riley_polynomial(p.bridge_word), thetas)
+    points = [(sols.theta, sols.sigma, u) for sols in solutions for u in sols.roots]
+    tps = torsion_polynomial(rep_at(p, [t for t, _, _ in points], [u for _, _, u in points], tol), tol=tol)
+    out = []
+    for (theta, sigma, u), tp in zip(points, tps):
+        (formula, why), (limit, why_not) = _value(torsion_via_formula, tp), _value(torsion_via_limit, tp)
+        where = f"{name} at theta={theta:.4f}, u={u:.4f}{why}{why_not}"
+        out.append(_Point(where, theta, sigma, u, formula, limit))
+    return out
+
+
+def _torus_row(knot, tol: Tolerances) -> CheckRow:
     """b(p, 1) = T(2, p), odd p <= 41, at theta = pi, 2 and 1.3, one stack
     each: every SU(2) torsion is one of p^2 / (4 sin^2(pi k / p)),
     k = 1 .. (p - 1)/2 (Dubois's torus-knot formula in this normalization),
-    and the roots at pi take each constant once."""
+    and the roots at pi take each constant once.  ``knot`` builds a knot
+    by name."""
     errors, each_once = [], True
     for p in range(3, 42, 2):
-        knot = catalog.two_bridge_pq(p, 1)
+        pq = knot(f"b({p},1)")
         constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
         for theta in (math.pi, 2.0, 1.3):
-            roots = su2_solutions(riley_polynomial(knot.bridge_word), theta).roots
-            results = compute_torsion(rep_at(knot, np.full(len(roots), theta), roots, tol), tol)
+            roots = su2_solutions(riley_polynomial(pq.bridge_word), theta).roots
+            results = compute_torsion(rep_at(pq, np.full(len(roots), theta), roots, tol), tol)
             nearest = [min(constants, key=lambda c: abs(r.value - c)) for r in results]
             where = f"b({p},1) at theta={theta:.4f}"
             errors += [(abs(r.value - c) / c, where) for r, c in zip(results, nearest)]
             each_once &= theta != math.pi or sorted(nearest) == constants
-    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
-    return CheckRow(f"torus knots b(p,1), p <= 41 ({len(errors)} points)", worst, TORUS_TOL,
-                    worst <= TORUS_TOL and each_once, detail=f"worst on {where}")
+    return _row(f"torus knots b(p,1), p <= 41 ({len(errors)} points)", errors, TORUS_TOL, each_once)
 
 
-def _mirror_row(presentations: dict[str, Presentation], tol: Tolerances) -> CheckRow:
+def _mirror_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
     """T(theta) = T(2 pi - theta) on every branch, the symmetry the critical
     search folds its window by.  At theta = 1.3, 2 and 2.5 the SU(2) roots
     at theta and at 2 pi - theta are solved and evaluated on their own, one
     stack per side through rep_at and compute_torsion, and compared by rank;
-    on the given knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
-    knots = dict(presentations)
-    knots.update(
-        (f"b({p},{q})", catalog.two_bridge_pq(p, q))
-        for p in range(3, MIRROR_P_MAX + 1, 2)
-        for q in range(1, p, 2)
-        if math.gcd(p, q) == 1
-    )
+    on the named knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
+    names = list(dict.fromkeys([*names, *_family(MIRROR_P_MAX)]))
     thetas = (1.3, 2.0, 2.5)
     errors, counts_match = [], True
-    for name, knot in knots.items():
-        phi = riley_polynomial(knot.bridge_word)
+    for name in names:
+        p = knot(name)
+        phi = riley_polynomial(p.bridge_word)
         sides = []
         for side in (thetas, [2.0 * math.pi - theta for theta in thetas]):
             solutions = su2_solutions(phi, list(side))
             points = [(sols.theta, u) for sols in solutions for u in sols.roots]
             values = [r.value for r in compute_torsion(
-                rep_at(knot, [t for t, _ in points], [u for _, u in points], tol), tol
+                rep_at(p, [t for t, _ in points], [u for _, u in points], tol), tol
             )] if points else []
             sides.append(([len(sols) for sols in solutions], points, values))
         (counts, points, values), (mirror_counts, _, mirror_values) = sides
         counts_match &= counts == mirror_counts
         errors += [(abs(a - b) / (abs(a) or 1.0), f"{name} at theta={theta:.4f}")
                    for (theta, _), a, b in zip(points, values, mirror_values)]
-    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
-    return CheckRow(f"mirror T(theta) = T(2pi - theta), {len(knots)} knots ({len(errors)} points)",
-                    worst, MIRROR_TOL, worst <= MIRROR_TOL and counts_match, detail=f"worst on {where}")
+    return _row(f"mirror T(theta) = T(2pi - theta), {len(names)} knots ({len(errors)} points)",
+                errors, MIRROR_TOL, counts_match)
 
 
-def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances,
-                thresholds_of: dict[str, list[float]]) -> list[CheckRow]:
+def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_Point]], knot,
+                tol: Tolerances) -> list[CheckRow]:
     """The exact torsion function against the numeric torsion.
 
-    - At the SU(2) roots of 8 thetas per catalog knot, one stack each, in
-      the window that the knot's root count thresholds (``thresholds_of``)
-      give, T from the exact function against the formula and the limit
-      route.
+    - At every point of each named knot's stack, T from the exact function
+      against the formula and the limit route.
     - On 5_2, T is minus the closed form, coefficient by coefficient: both
       have degree at most 2 in sigma and in u, so they agree exactly on the
       integer grid {0, 1, 2}^2.
     - At theta = pi the SU(2) roots are the d binary dihedral points, so the
       exact trace of T at sigma = -2 (Newton's identities) must be the sum
-      of the numeric torsions there, on the catalog knots and every b(p, q)
+      of the numeric torsions there, on the named knots and every b(p, q)
       with odd p <= TRACE_P_MAX; on b(p, 1) it is p^2 (p^2 - 1) / 24, the
-      sum of the torus constants."""
+      sum of the torus constants.
+    - The trace over whole SL(2,C) fibres (:func:`_fibre_row`)."""
     from .exact import torsion_function  # on first use, like the critical search
 
     errors = []
-    for name, p in presentations.items():
-        phi, function = riley_polynomial(p.bridge_word), torsion_function(p.bridge_word)
-        lo, hi = auto_theta_range(phi, thresholds_of[name])
-        solutions = su2_solutions(phi, theta_grid(lo + 0.05, min(hi, math.pi), 8))
-        points = [(sols.sigma, sols.theta, u) for sols in solutions for u in sols.roots]
-        sigma, theta, u = (list(column) for column in zip(*points))
-        exact = function(sigma, u).tolist()
-        for tp, value in zip(torsion_polynomial(rep_at(p, theta, u, tol), tol=tol), exact):
-            for route in (torsion_via_formula(tp), torsion_via_limit(tp)):
-                errors.append(abs(value - route) / abs(route))
-    rows = [CheckRow(f"exact T vs both routes ({len(errors) // 2} points)", max(errors), 1e-9,
-                     max(errors) <= 1e-9)]
+    for name, points in stacks.items():
+        function = torsion_function(presentations[name].bridge_word)
+        exact = function([pt.sigma for pt in points], [pt.u for pt in points]).tolist()
+        errors += [(abs(value - route) / abs(route), pt.where)
+                   for pt, value in zip(points, exact) for route in (pt.formula, pt.limit)]
+    rows = [_row(f"exact T vs both routes ({len(errors) // 2} points)", errors, 1e-9, detail="")]
 
     if "5_2" in presentations:
         coeffs = torsion_function(presentations["5_2"].bridge_word).coeffs
@@ -186,73 +219,59 @@ def _exact_rows(presentations: dict[str, Presentation], tol: Tolerances,
         )
         rows.append(CheckRow("5_2 exact T = -closed form", float(worst), 0.0, worst == 0))
 
-    # each knot with the trace it must have exactly, where one is known
-    knots = {name: (knot, None) for name, knot in presentations.items()}
-    knots.update((f"b({p},{q})", (catalog.two_bridge_pq(p, q), p * p * (p * p - 1) // 24 if q == 1 else None))
-                 for p in range(3, TRACE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
+    family = _family(TRACE_P_MAX)
+    names = list(dict.fromkeys([*presentations, *family]))
     errors, torus_ok = [], True
-    for name, (knot, torus) in knots.items():
-        trace = torsion_function(knot.bridge_word).trace(-2)
-        roots = su2_solutions(riley_polynomial(knot.bridge_word), math.pi).roots
-        values = [r.value for r in compute_torsion(rep_at(knot, [math.pi] * len(roots), roots, tol), tol)]
+    for name in names:
+        p = knot(name)
+        trace = torsion_function(p.bridge_word).trace(-2)
+        roots = su2_solutions(riley_polynomial(p.bridge_word), math.pi).roots
+        values = [r.value for r in compute_torsion(rep_at(p, [math.pi] * len(roots), roots, tol), tol)]
         errors.append((abs(sum(values) - trace) / sum(map(abs, values)), name))
-        torus_ok &= torus is None or trace == torus
-    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
-    rows.append(CheckRow(f"dihedral trace of exact T, {len(knots)} knots", worst, 1e-10,
-                         worst <= 1e-10 and torus_ok, detail=f"worst on {where}"))
-    rows.append(_fibre_row(presentations, tol))
+        # the trace each b(p, 1) must have exactly
+        n, q = family.get(name, (0, 0))
+        torus_ok &= q != 1 or trace == n * n * (n * n - 1) // 24
+    rows.append(_row(f"dihedral trace of exact T, {len(names)} knots", errors, 1e-10, torus_ok))
+    rows.append(_fibre_row(list(presentations), knot, tol))
     return rows
 
 
-def _fibre_row(presentations: dict[str, Presentation], tol: Tolerances) -> CheckRow:
+def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
     """T in Z[sigma][u] / (phi) off the SU(2) locus: at each sigma of
     FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
     phi(sigma, u), one stack per fibre (the real roots in the SU(2) window
     take the unitary frame, the others Riley's), is the exact trace
-    Tr T(sigma), on the given knots and every b(p, q) with odd p <=
-    FIBRE_P_MAX.  The roots are checked by their relator residuals (at
-    sigma = 1 the trefoil and b(9,1) have the reducible root u = 0)."""
+    Tr T(sigma), on the named knots and every b(p, q) with odd p <=
+    FIBRE_P_MAX.  The roots are checked by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
+    the reducible root u = 0)."""
     from .exact import torsion_function
 
-    knots = dict(presentations)
-    knots.update((f"b({p},{q})", catalog.two_bridge_pq(p, q))
-                 for p in range(3, FIBRE_P_MAX + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1)
+    names = list(dict.fromkeys([*names, *_family(FIBRE_P_MAX)]))
     errors, residual, count = [], 0.0, 0
-    for name, knot in knots.items():
-        function = torsion_function(knot.bridge_word)
+    for name in names:
+        p = knot(name)
+        function = torsion_function(p.bridge_word)
         for sigma in FIBRE_SIGMAS:
-            phi = [float(sum(c * sigma**i for i, c in enumerate(row))) for row in function.phi_coeffs]
-            roots = np.roots(phi[::-1])
+            phi = [sum(c * sigma**i for i, c in enumerate(row)) for row in function.phi_coeffs]
+            roots = np.roots([float(c) for c in phi[::-1]])
             s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
-            rep = build_rep(knot, np.full(len(roots), s), roots, tol=tol.relation, check=False)
+            rep = build_rep(p, np.full(len(roots), s), roots, tol=tol.relation, check=False)
             residual = max(residual, float(np.max(rep.relator_residuals)))
             values = [r.value for r in compute_torsion(rep, tol)]
             count += len(values)
             errors.append((abs(sum(values) - function.trace(sigma)) / sum(map(abs, values)),
                            f"{name} at sigma={sigma}"))
-    worst, where = max(errors, key=lambda e: e[0] if e[0] == e[0] else math.inf)  # NaN is worst
-    return CheckRow(f"SL(2,C) fibre trace of exact T, {len(knots)} knots ({count} points)", worst,
-                    FIBRE_TOL, worst <= FIBRE_TOL and residual <= tol.relation,
-                    detail=f"worst on {where}, relator residual {residual:.1e}")
-
-
-def _sample_reps(p: Presentation, thetas: list[float], tol: Tolerances, exclude_band=None):
-    phi = riley_polynomial(p.bridge_word)
-    out = []
-    for theta in thetas:
-        sols = su2_solutions(phi, theta)
-        if exclude_band is not None and near_transition(sols.sigma, exclude_band, 1e-3):
-            continue
-        for u in sols.roots:
-            out.append((theta, sols.sigma, u, rep_at(p, theta, u, tol)))
-    return out
+    return _row(f"SL(2,C) fibre trace of exact T, {len(names)} knots ({count} points)", errors, FIBRE_TOL,
+                residual <= tol.relation, detail=f"worst on {{where}}, relator residual {residual:.1e}")
 
 
 def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[CheckRow], int]:
     rng = random.Random(20260808)
     rows: list[CheckRow] = []
 
-    presentations = {name: catalog.knot(name) for name in knot_names}
+    # every knot of the run, named or of the family rows, is built once
+    knot = functools.cache(catalog.knot)
+    presentations = {name: knot(name) for name in knot_names}
 
     # catalog integrity: validate + classical Alexander against phi(s, 0)
     ok = all(
@@ -284,79 +303,47 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
         worst = max([worst] + [abs(det.coefficient(e) - expected.coefficient(e)) for e in exponents])
     rows.append(CheckRow("boundary factor identity (100 random)", worst, 1e-12, worst <= 1e-12))
 
-    # limit/derivative consistency, Wada invariance, conjugation, sign twist
-    consistency_worst = 0.0
-    wada_worst = 0.0
-    conj_worst = 0.0
-    twist_worst = 0.0
-    thresholds_of: dict[str, list[float]] = {}
+    # one stack per knot of the SU(2) roots at 8 thetas across its window,
+    # rebuilt as one point at its middle for Wada invariance (cross-multiplied
+    # numerators and denominators agree up to +-t^m), conjugation and the
+    # sign twist
+    stacks, consistency, wada, conj, twist = {}, [], [], [], []
     for name, p in presentations.items():
-        phi = riley_polynomial(p.bridge_word)
-        thresholds = thresholds_of[name] = su2_root_count_thresholds(phi)
-        lo, hi = auto_theta_range(phi, thresholds)
-        thetas = theta_grid(lo + 0.05, min(hi, math.pi), 8)
-        samples = _sample_reps(p, thetas, tol, exclude_band=thresholds)
-        for theta, sigma, u, rep in samples:
-            tp = torsion_polynomial(rep, tol=tol)
-            tf = torsion_via_formula(tp)
-            tl = torsion_via_limit(tp)
-            consistency_worst = max(
-                consistency_worst, abs(tf - tl) / max(1.0, abs(tl))
-            )
-        # Wada: cross-multiplied numerators/denominators agree up to +-t^m
-        theta, sigma, u, rep = samples[len(samples) // 2]
-        tai0 = twisted_alexander_invariant(rep, drop=0)
-        tai1 = twisted_alexander_invariant(rep, drop=1)
-        wada_worst = max(
-            wada_worst,
-            unit_aligned_distance(
-                tai0.numerator * tai1.denominator, tai1.numerator * tai0.denominator
-            ),
-        )
-        base = torsion_via_limit(torsion_polynomial(rep, tol=tol))
+        lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+        points = stacks[name] = _su2_stack(name, p, theta_grid(lo + 0.05, min(hi, math.pi), 8), tol)
+        consistency += [(abs(pt.formula - pt.limit) / max(1.0, abs(pt.limit)), pt.where) for pt in points]
+        mid = points[len(points) // 2]
+        rep = rep_at(p, mid.theta, mid.u, tol)
+        tai0, tai1 = (twisted_alexander_invariant(rep, drop=j) for j in (0, 1))
+        wada.append((unit_aligned_distance(tai0.numerator * tai1.denominator,
+                                           tai1.numerator * tai0.denominator), mid.where))
         for _ in range(3):
-            conj = rep.conjugated(_random_su2(rng))
-            tc = torsion_via_limit(torsion_polynomial(conj, tol=tol))
-            conj_worst = max(conj_worst, abs(tc - base) / max(1.0, abs(base)))
+            tc, _ = _value(torsion_via_limit, torsion_polynomial(rep.conjugated(_random_su2(rng)), tol=tol))
+            conj.append((abs(tc - mid.limit) / max(1.0, abs(mid.limit)), mid.where))
         # both builds take the unitary frame, where -sqrt_s gives exactly -x
         # and -y: Ad, and so the torsion, keep every bit, and the row reads 0
         flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s, tol=tol.relation)
-        tflip = torsion_via_limit(torsion_polynomial(flipped, tol=tol))
-        twist_worst = max(twist_worst, abs(tflip - base))
-    rows.append(
-        CheckRow("torsion: limit vs derivative formula", consistency_worst, tol.consistency,
-                 consistency_worst <= tol.consistency)
-    )
-    rows.append(CheckRow("Wada column invariance", wada_worst, 1e-8, wada_worst <= 1e-8))
-    rows.append(CheckRow("conjugation invariance", conj_worst, 1e-8, conj_worst <= 1e-8))
-    rows.append(CheckRow("sign twist (-sqrt s) invariance", twist_worst, 1e-12, twist_worst <= 1e-12))
+        tflip, _ = _value(torsion_via_limit, torsion_polynomial(flipped, tol=tol))
+        twist.append((abs(tflip - mid.limit), mid.where))
+    rows.append(_row("torsion: limit vs derivative formula", consistency, tol.consistency, detail=""))
+    rows.append(_row("Wada column invariance", wada, 1e-8, detail=""))
+    rows.append(_row("conjugation invariance", conj, 1e-8, detail=""))
+    rows.append(_row("sign twist (-sqrt s) invariance", twist, 1e-12, detail=""))
 
     # 5_2 closed form up to one global sign
     if "5_2" in presentations:
-        p = presentations["5_2"]
-        thetas = theta_grid(0.76, math.pi, 40)
-        samples = _sample_reps(p, thetas, tol, exclude_band=thresholds_of["5_2"])
-        signs = set()
-        worst = 0.0
-        for theta, sigma, u, rep in samples:
-            value = torsion_via_formula(torsion_polynomial(rep, tol=tol)).real
-            target = closed_form_5_2(sigma, u)
+        errors, signs = [], set()
+        for pt in _su2_stack("5_2", presentations["5_2"], theta_grid(0.76, math.pi, 40), tol):
+            value, target = pt.formula.real, closed_form_5_2(pt.sigma, pt.u)
             signs.add(1 if value * target > 0 else -1)
-            worst = max(worst, abs(abs(value) - abs(target)) / max(1.0, abs(target)))
-        sign_ok = len(signs) == 1
-        rows.append(
-            CheckRow(
-                f"5_2 closed form ({len(samples)} samples)",
-                worst,
-                tol.consistency,
-                worst <= tol.consistency and sign_ok,
-                detail=f"global sign {'+1' if signs == {1} else '-1' if signs == {-1} else 'inconsistent'}",
-            )
-        )
+            errors.append((abs(abs(value) - abs(target)) / max(1.0, abs(target)), pt.where))
+        sign = "+1" if signs == {1} else "-1" if signs == {-1} else "inconsistent"
+        rows.append(_row(f"5_2 closed form ({len(errors)} samples)", errors, tol.consistency,
+                         len(signs) == 1, detail=f"global sign {sign}"))
 
-    rows.append(_torus_row(tol))
-    rows.append(_mirror_row(presentations, tol))
-    rows += _exact_rows(presentations, tol, thresholds_of)
+    rows.append(_torus_row(knot, tol))
+    rows.append(_mirror_row(knot_names, knot, tol))
+    rows += _exact_rows(presentations, stacks, knot, tol)
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]

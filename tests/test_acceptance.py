@@ -23,7 +23,6 @@ from adtorsion.reps import (
     RileyPoly,
     adjoint_of_matrix,
     build_rep,
-    near_transition,
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
@@ -61,18 +60,15 @@ def _limit(rep):
 
 
 def _five_two_samples(minimum=60):
-    """(theta, sigma, u, rep) spanning all three root-count regimes, with a
-    1e-3 exclusion band around the double-root threshold."""
+    """(theta, sigma, u, rep) spanning all three root-count regimes, the
+    closest two sigmas 2e-3 from the double-root threshold."""
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
-    thresholds = su2_root_count_thresholds(phi)
     sigmas = [-2.0 + 0.5 * i / 11 for i in range(12)]    # three-root regime
     sigmas += [-1.45 + 2.9 * i / 29 for i in range(30)]  # one-root regime
     sigmas += [SIGMA_STAR - 2e-3, SIGMA_STAR + 2e-3]     # flank the threshold
     samples = []
     for sigma in sorted(sigmas):
-        if near_transition(sigma, thresholds, band=1e-3):
-            continue
         theta = math.acos(max(-1.0, min(1.0, sigma / 2.0)))
         sols = su2_solutions(phi, theta, TOL.relation)
         for u in sols.roots:
@@ -197,16 +193,12 @@ def test_acceptance_5_root_count_regimes():
     assert count(SIGMA_STAR - 0.3) == 3
     assert count(SIGMA_STAR + 0.01) == 1
     assert count(SIGMA_STAR + 0.5) == 1
-    # the near-threshold flag is raised inside the 1e-3 band and not outside
-    assert near_transition(SIGMA_STAR + 5e-4, thresholds, band=1e-3)
-    assert near_transition(SIGMA_STAR - 5e-4, thresholds, band=1e-3)
-    assert not near_transition(SIGMA_STAR + 5e-3, thresholds, band=1e-3)
     # at the threshold itself the double root trips the near-multiple signal
     assert su2_solutions(phi, math.acos(SIGMA_STAR / 2.0), TOL.relation).any_near_multiple
     _report(
         5,
         f"sigma* = {sigma_star:.6f} (radical {SIGMA_STAR:.6f}); counts 3|1 "
-        "across the threshold; band flag verified",
+        "across the threshold; the double root is flagged",
     )
 
 

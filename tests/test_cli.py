@@ -516,15 +516,27 @@ def test_verify_takes_two_bridge_names(capsys):
     assert (code, out.splitlines()[-1]) == (0, "RESULT: PASS")
 
 
+def test_verify_fails_a_row_where_a_route_raises(capsys):
+    # on b(33,1) the limit route finds no simple zero at two dihedral points
+    # (theta = pi): the rows that read it fail and name the first point
+    code, out, _ = run_cli(capsys, "verify", "--knots", "b(33,1)")
+    assert code == 2
+    failed = [line for line in out.splitlines() if "  FAIL  " in line]
+    for row in ("torsion: limit vs derivative formula", "exact T vs both routes"):
+        (line,) = [line for line in failed if row in line]
+        assert "max_err= nan" in line
+        assert "worst on b(33,1) at theta=3.1416, u=" in line
+        assert "(torsion_via_limit: not a simple zero" in line
+
+
 def test_fibre_row_fails_on_a_wrong_trace(monkeypatch):
     # the fibre row compares the numeric sum over each whole fibre with the
     # exact trace; a trace off by 1e-6 fails it
-    knots = {"5_2": catalog.knot("5_2")}
-    row = verify._fibre_row(knots, Tolerances())
+    row = verify._fibre_row(["5_2"], catalog.knot, Tolerances())
     assert row.passed and 0.0 < row.max_error <= verify.FIBRE_TOL
     trace = exact.TorsionFunction.trace
     monkeypatch.setattr(exact.TorsionFunction, "trace", lambda self, sigma: trace(self, sigma) + 1e-6)
-    assert not verify._fibre_row(knots, Tolerances()).passed
+    assert not verify._fibre_row(["5_2"], catalog.knot, Tolerances()).passed
 
 
 def test_version_flag(capsys):

@@ -25,7 +25,6 @@ from adtorsion.reps import (
     _bracketed_zero,
     adjoint_of_matrix,
     build_rep,
-    near_transition,
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
@@ -508,8 +507,6 @@ def test_su2_root_count_thresholds():
     assert abs(inner[0] - SIGMA_STAR) < 1e-6
     # the single root leaves the window near sigma = 3/2
     assert any(abs(t - 1.5) < 1e-6 for t in thresholds)
-    assert near_transition(SIGMA_STAR + 5e-4, thresholds)
-    assert not near_transition(SIGMA_STAR + 5e-3, thresholds)
 
 
 def _sigma_thetas(sigmas):
