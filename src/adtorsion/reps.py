@@ -280,18 +280,21 @@ def _chebyshev_form(table) -> np.ndarray:
 
     With sigma = 2 y and u = (1 - y)(x - 1), the polynomial is
     sum_j A_j(y) (x - 1)^j, A_j(y) = (sum_i table[j][i] 2^i y^i)(1 - y)^j;
-    z^k = 2^-n sum_m K[k, m] T_m(z) with integers K, in both variables."""
-    columns = []
+    z^k = 2^-n sum_m K[k, m] T_m(z) with integers K, in both variables.  No
+    zero entry of the two maps enters a product."""
+    ny, nx = max(len(row) + j for j, row in enumerate(table)) - 1, len(table) - 1
+    a = np.zeros((ny + 1, nx + 1), dtype=object)
     for j, row in enumerate(table):
-        a = [c << i for i, c in enumerate(row)]
-        for _ in range(j):  # times (1 - y)
-            a = [x - y for x, y in zip(a + [0], [0] + a)]
-        columns.append(a)
-    ny, nx = max(map(len, columns)) - 1, len(table) - 1
-    a = np.array([[col[k] if k < len(col) else 0 for col in columns] for k in range(ny + 1)], dtype=object)
+        a[:len(row), j] = [c << i for i, c in enumerate(row)]
+    for r in range(1, nx + 1):  # column j times (1 - y)^j
+        a[1:, r:] = a[1:, r:] - a[:-1, r:]
+    # left[m, k] = K_y[k, m] is nonzero only for k = m, m + 2, ...;
+    # right[j, n] only for n <= j
     left, right = _chebyshev_maps(ny, nx)
+    b = np.array([left[m, m::2] @ a[m::2] for m in range(ny + 1)])
+    columns = [b[:, n:] @ right[n:, n] for n in range(nx + 1)]
     scale = 1 << (ny + nx)
-    return np.array([[v / scale for v in row] for row in (left @ a @ right).tolist()])
+    return np.array([[v / scale for v in row] for row in zip(*columns)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -839,7 +842,7 @@ class Rep:
 
     def _relator_failure(self, tol: float):
         worst = functools.reduce(np.maximum, self.relator_residuals, 0.0)
-        return worst > tol, lambda i: (
+        return ~np.less_equal(worst, tol), lambda i: (
             f"relator residual {np.atleast_1d(worst)[i]:.3e} exceeds tolerance {tol:.1e}: "
             "(s, u) may be off the representation variety"
         )
@@ -950,8 +953,9 @@ def build_rep(
 
     Verifies sqrt_s^2 = s, that (s, u) lies on the zero set of the bridge
     word's obstruction polynomial, and that the relator maps to the identity
-    within tol.  A stack raises the error its first failing point raises on
-    its own.  With check=False the object is built regardless and the
+    within tol; each check asks for a value within its bound, so a NaN in
+    s, u or sqrt_s fails the first check it enters.  A stack raises the error its
+    first failing point raises on its own.  With check=False the object is built regardless and the
     residuals are left in the diagnostics (the square root is always
     checked).
     """
@@ -959,7 +963,7 @@ def build_rep(
         raise RepresentationError("non-2-bridge presentation: no bridge word available")
     s, u, sqrt_s = _points(s, u, np.sqrt(np.asarray(s, dtype=complex)) if sqrt_s is None else sqrt_s)
     failures = [(
-        abs(sqrt_s * sqrt_s - s) > tol * np.maximum(1.0, abs(s)),
+        ~np.less_equal(abs(sqrt_s * sqrt_s - s), tol * np.maximum(1.0, abs(s))),
         lambda i: "sqrt_s is not a square root of s",
     )]
     images, off = _su2_images(s, u, sqrt_s)
@@ -981,11 +985,11 @@ def build_rep(
 
 
 def phi_failure(phi: RileyPoly, s, u, tol: float):
-    """The points (s, u) where phi does not vanish: |phi| above
+    """The points (s, u) where phi does not vanish: |phi| not within
     max(tol, RELATION_TOL) times the sum of its term magnitudes; the mask
     and the message for point i, as ``_raise_first`` takes them."""
     residual, scale = phi.residual_and_scale(s, u)
-    return residual > max(tol, RELATION_TOL) * scale, lambda i: (
+    return ~np.less_equal(residual, max(tol, RELATION_TOL) * scale), lambda i: (
         f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
         "(s, u) off the representation variety"
     )

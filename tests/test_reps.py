@@ -939,6 +939,37 @@ def test_stack_raises_the_first_failing_points_error():
     assert rep.relator_residuals[0][2] > 1e-6 >= rep.relator_residuals[0][0]
 
 
+@pytest.mark.parametrize("where, message", [
+    ("s", "^sqrt_s is not a square root of s$"),
+    ("u", "^phi\\(s, u\\) = nan does not vanish"),
+    ("sqrt_s", "^sqrt_s is not a square root of s$"),
+])
+def test_build_rep_rejects_nan(where, message):
+    # every check asks for a value within its bound, so a NaN fails the
+    # first check it enters, at one point and inside a stack
+    p = catalog.knot("5_2")
+    thetas = [2.3, 2.6, 3.6]
+    point = {
+        "s": [cmath.exp(1j * t) for t in thetas],
+        "u": [su2_solutions(riley_polynomial(p.bridge_word), t).roots[0] for t in thetas],
+        "sqrt_s": [cmath.exp(0.5j * t) for t in thetas],
+    }
+    point[where][1] = complex("nan")
+    with pytest.raises(RepresentationError, match=message):
+        build_rep(p, point["s"][1], point["u"][1], point["sqrt_s"][1])
+    with pytest.raises(RepresentationError, match=message):
+        build_rep(p, *(np.array(point[k]) for k in ("s", "u", "sqrt_s")))
+
+
+def test_relator_check_rejects_nan():
+    # a NaN never reaches the relator check through build_rep (the phi check
+    # fails first); images given directly reach it
+    p = catalog.knot("5_2")
+    nan = np.full((2, 2), complex("nan"))
+    with np.errstate(invalid="ignore"), pytest.raises(RepresentationError, match="^relator residual nan "):
+        Rep(p, [nan, np.eye(2)])
+
+
 def _frames(knot, thetas, roots):
     """Riley's pair and build_rep's images at one stack of SU(2) points."""
     s, sq = np.exp(1j * thetas), np.exp(0.5j * thetas)
