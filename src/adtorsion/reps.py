@@ -842,7 +842,7 @@ class Rep:
 
     def _relator_failure(self, tol: float):
         worst = functools.reduce(np.maximum, self.relator_residuals, 0.0)
-        return ~np.less_equal(worst, tol), lambda i: (
+        return np.logical_not(worst <= tol), lambda i: (
             f"relator residual {np.atleast_1d(worst)[i]:.3e} exceeds tolerance {tol:.1e}: "
             "(s, u) may be off the representation variety"
         )
@@ -954,16 +954,16 @@ def build_rep(
     Verifies sqrt_s^2 = s, that (s, u) lies on the zero set of the bridge
     word's obstruction polynomial, and that the relator maps to the identity
     within tol; each check asks for a value within its bound, so a NaN in
-    s, u or sqrt_s fails the first check it enters.  A stack raises the error its
-    first failing point raises on its own.  With check=False the object is built regardless and the
-    residuals are left in the diagnostics (the square root is always
-    checked).
+    s, u or sqrt_s fails the first check it enters.  A stack raises the
+    error its first failing point raises on its own.  With check=False the
+    object is built regardless and the residuals are left in the
+    diagnostics (the square root is always checked).
     """
     if p.bridge_word is None or p.k != 2:
         raise RepresentationError("non-2-bridge presentation: no bridge word available")
     s, u, sqrt_s = _points(s, u, np.sqrt(np.asarray(s, dtype=complex)) if sqrt_s is None else sqrt_s)
     failures = [(
-        ~np.less_equal(abs(sqrt_s * sqrt_s - s), tol * np.maximum(1.0, abs(s))),
+        np.logical_not(abs(sqrt_s * sqrt_s - s) <= tol * np.maximum(1.0, abs(s))),
         lambda i: "sqrt_s is not a square root of s",
     )]
     images, off = _su2_images(s, u, sqrt_s)
@@ -989,7 +989,7 @@ def phi_failure(phi: RileyPoly, s, u, tol: float):
     max(tol, RELATION_TOL) times the sum of its term magnitudes; the mask
     and the message for point i, as ``_raise_first`` takes them."""
     residual, scale = phi.residual_and_scale(s, u)
-    return ~np.less_equal(residual, max(tol, RELATION_TOL) * scale), lambda i: (
+    return np.logical_not(residual <= max(tol, RELATION_TOL) * scale), lambda i: (
         f"phi(s, u) = {np.atleast_1d(residual)[i]:.3e} does not vanish: "
         "(s, u) off the representation variety"
     )

@@ -509,6 +509,29 @@ def test_su2_root_count_thresholds():
     assert any(abs(t - 1.5) < 1e-6 for t in thresholds)
 
 
+def test_chebyshev_form_is_the_dense_product_of_its_maps():
+    # _chebyshev_form skips the zero entries of its two maps; the dense
+    # product left @ a @ right in Python integers gives the same floats, for
+    # phi's sigma form and for the exact torsion function's coefficients
+    from adtorsion.exact import torsion_function
+
+    for p, q in ((3, 1), (7, 3), (21, 5), (41, 11)):
+        word = schubert_knot(p, q).bridge_word
+        for table in (riley_polynomial(word).sigma_form(), torsion_function(word).coeffs):
+            columns = []
+            for j, row in enumerate(table):
+                a = [c << i for i, c in enumerate(row)]
+                for _ in range(j):  # times (1 - y)
+                    a = [x - y for x, y in zip(a + [0], [0] + a)]
+                columns.append(a)
+            ny, nx = max(map(len, columns)) - 1, len(table) - 1
+            a = np.array([[col[k] if k < len(col) else 0 for col in columns] for k in range(ny + 1)],
+                         dtype=object)
+            left, right = reps._chebyshev_maps(ny, nx)
+            dense = [[v / (1 << (ny + nx)) for v in row] for row in (left @ a @ right).tolist()]
+            assert reps._chebyshev_form(table).tolist() == dense, (p, q)
+
+
 def _sigma_thetas(sigmas):
     return [max(1e-9, math.acos(max(-1.0, min(1.0, s / 2.0)))) for s in sigmas]
 
