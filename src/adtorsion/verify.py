@@ -237,13 +237,16 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
     return rows
 
 
-def _newton(coeffs: list[int], u: complex, steps: int = 3) -> complex:
-    """u after ``steps`` Newton steps on the integer polynomial sum
-    coeffs[j] u^j, the polynomial and its derivative evaluated exactly at
-    each float iterate: with u = U / D, D a power of two, Horner's rule runs
-    on the Gaussian integers H = D^k h and G = D^k h' of its partial sums,
-    and the step H / G is rounded once."""
-    for _ in range(steps):
+def _newton(coeffs: list[int], u: complex) -> complex:
+    """u after five Newton steps on the integer polynomial sum coeffs[j] u^j,
+    the polynomial and its derivative evaluated exactly at each float
+    iterate: with u = U / D, D a power of two, Horner's rule runs on the
+    Gaussian integers H = D^k h and G = D^k h' of its partial sums, and the
+    step H / G is rounded once.  Five steps: over the fibre row's sigma on
+    the catalog and every b(p, q) with p <= 41, ten steps move the roots of
+    one fibre of 540, while three leave b(41,3) and b(41,5) at sigma = 5/2
+    short of their roots."""
+    for _ in range(5):
         (a, m), (b, n) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
         d = max(m, n)
         ur, ui = a * (d // m), b * (d // n)
@@ -268,7 +271,9 @@ def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
     FIBRE_P_MAX.  The roots of numpy's companion matrix are polished by
     :func:`_newton` on phi(sigma, u) times a common denominator, and checked
     by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
-    the reducible root u = 0)."""
+    the reducible root u = 0).  The SU(2) root finder's Chebyshev form is
+    no start here: off [-2, 2] its top coefficient shrinks, and at sigma =
+    5/2 from p = 25 on it is trimmed, which drops a root."""
     from .exact import torsion_function
 
     names = list(dict.fromkeys([*names, *_family(FIBRE_P_MAX)]))

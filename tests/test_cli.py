@@ -541,7 +541,7 @@ def test_fibre_row_fails_on_a_wrong_trace(monkeypatch):
 
 def test_fibre_row_polishes_its_roots():
     # numpy's companion-matrix roots of phi(5/2, .) on b(17,1) give a fibre
-    # sum off by 2.3e-8; three exact Newton steps bring it within FIBRE_TOL
+    # sum off by 2.3e-8; exact Newton steps bring it within FIBRE_TOL
     row = verify._fibre_row(["b(17,1)"], catalog.knot, Tolerances())
     assert row.passed and "worst on b(17,1) at sigma=5/2" in row.detail
 
