@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reps import (RILEY_CACHE_SIZE, RepresentationError, _chebyshev, _chebyshev_form,
-                   riley_polynomial)
+from .reps import (PRIMES, RILEY_CACHE_SIZE, RepresentationError, _chebyshev, _chebyshev_form,
+                   _crt, _inverse_vandermonde, riley_polynomial)
 from .torsion import RegularityError
 from .words import Word
 
@@ -188,20 +188,12 @@ def torsion_function(w: Word) -> TorsionFunction:
                            ChebyshevForm(_chebyshev_form(coeffs)), ChebyshevForm(phi.chebyshev_form()))
 
 
-def _torsion_coefficients(w: Word, phi_sigma: list[list[int]],
-                          primes: tuple[int, ...] = (16777213, 16777199)):
+def _torsion_coefficients(w: Word, phi_sigma: list[list[int]], primes: tuple[int, ...] = PRIMES[:2]):
     """coeffs[j][i] of sigma^i u^j of T modulo phi, from the residues modulo
     each prime joined by CRT into the symmetric range of their product."""
-    residues = _torsion_residues(w, phi_sigma, primes).tolist()
-    modulus, out = 1, [[0] * len(row) for row in residues[0]]
-    for prime, res in zip(primes, residues):
-        inverse = pow(modulus, -1, prime)
-        for row, row_res in zip(out, res):
-            for i, r in enumerate(row_res):
-                row[i] += modulus * ((r - row[i]) * inverse % prime)
-        modulus *= prime
-    half = modulus // 2
-    return tuple(tuple(c - modulus if c > half else c for c in row) for row in out)
+    residues = _torsion_residues(w, phi_sigma, primes)
+    flat, width = _crt(residues.reshape(len(primes), -1).tolist(), primes), residues.shape[-1]
+    return tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
 
 
 # Ad of a prefix with entries (a, b, c, d), row-major and times its
@@ -360,34 +352,6 @@ def _evaluation(primes: tuple[int, ...], d: int, n: int) -> np.ndarray:
     values at u = 0 .. n - 1, as a right factor: (prime, 1, d, n)."""
     return np.array([[[pow(k, j, p) for k in range(n)] for j in range(d)] for p in primes],
                     dtype=np.int64)[:, None]
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_vandermonde(nodes: tuple[int, ...], p: int) -> np.ndarray:
-    """V^-1 modulo p for V[k, i] = nodes[k]^i: coefficients = V^-1 @ values.
-
-    Column k holds the coefficients of the Lagrange polynomial of node k:
-    the master polynomial prod (z - node) divided by z - nodes[k] (synthetic
-    division, all nodes at once), over its value at nodes[k]."""
-    n = len(nodes)
-    master = [1]
-    for z in nodes:
-        master = [((master[i - 1] if i else 0) - z * (master[i] if i < len(master) else 0)) % p
-                  for i in range(len(master) + 1)]
-    z = np.array(nodes, dtype=np.int64)
-    quotient = np.empty((n, n), dtype=np.int64)  # (degree, node)
-    carry = np.zeros(n, dtype=np.int64)
-    for i in range(n, 0, -1):
-        carry = (master[i] + carry * z) % p
-        quotient[i - 1] = carry
-    scale = []
-    for k in range(n):
-        value = 1
-        for j in range(n):
-            if j != k:
-                value = value * (nodes[k] - nodes[j]) % p
-        scale.append(pow(value, -1, p))
-    return quotient * np.array(scale, dtype=np.int64) % p
 
 
 def _powers_mod(phi_sigma: list[list[int]], sigma: np.ndarray, primes: tuple[int, ...],

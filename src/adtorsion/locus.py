@@ -4,10 +4,10 @@ branch.
 
 The SU(2) roots of phi(e^{i theta}, u) depend on theta only through
 sigma = 2 cos(theta), so on every branch T(theta) = T(2 pi - theta), and a
-critical search runs on the half window theta <= pi.  The root count
-changes only at the thresholds of ``su2_root_count_thresholds``; between
-two of them the real roots cannot cross, so the rank among the sorted roots
-identifies the root.  A branch is therefore a threshold interval and a
+critical search runs on the half window theta <= pi.  Between two
+consecutive breakpoints of ``su2_root_count_thresholds`` the roots keep
+their number and their order, so the rank among the sorted roots
+identifies the root.  A branch is therefore a breakpoint interval and a
 rank, and no root is paired with another across samples.  The search reads
 one slope, dT/dtheta of the exact torsion function (``exact``) by the
 chain rule at the branch's root: its samples find the sign changes, and
@@ -23,6 +23,8 @@ import dataclasses
 import functools
 import math
 import statistics
+import sys
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +34,6 @@ from .reps import (
     Rep,
     RepresentationError,
     RileyPoly,
-    _bracketed_zero,
-    _lockstep_zeros,
     _raise_first,
     build_rep,
     phi_failure,
@@ -256,7 +256,7 @@ def auto_theta_range(phi: RileyPoly, thresholds: list[float] | None = None) -> t
 class _BranchTorsion:
     """Torsion along the root branches of one presentation.
 
-    A branch is given by (count, rank): the root count of its threshold
+    A branch is given by (count, rank): the root count of its breakpoint
     interval and its rank among the sorted SU(2) roots there.  A critical
     search evaluates all its branches together: the SU(2) roots of each
     theta are found once and shared by every branch, and each batch of
@@ -363,8 +363,8 @@ def find_critical_points(
     contains pi every SU(2) root there is a critical point, the binary
     dihedral one, taken at pi itself.
 
-    A branch is an interval between root-count thresholds and a rank among
-    its roots.  One slope serves the whole search: dT/dtheta of the word's
+    A branch is an interval between breakpoints and a rank among its
+    roots.  One slope serves the whole search: dT/dtheta of the word's
     exact torsion function (``exact.torsion_function``, built once per word)
     by the chain rule at the branch's root, with no numeric torsion.  It is
     taken at the interval's samples, and every sign change is refined by
@@ -485,7 +485,7 @@ def _refine_derivative_zeros(torsion: _BranchTorsion, brackets: list[_Bracket]) 
     branch error that drops the bracket.
 
     Brent's method starts from the two sampled slopes of each bracket, and
-    all brackets advance in lockstep (``reps._lockstep_zeros``): each round
+    all brackets advance in lockstep (:func:`_lockstep_zeros`): each round
     solves the roots at the trial theta of every bracket not yet done in
     one stack and takes the exact torsion function's slope there, as at the
     samples.
@@ -516,3 +516,82 @@ def _critical_points(torsion: _BranchTorsion, targets: list[_Sample]) -> list:
         )
         for (theta, branch), result in zip(targets, torsion.derivatives(targets))
     ]
+
+
+def _lockstep_zeros(evaluate, searches: dict) -> dict:
+    """Brent searches run in lockstep: ``searches`` maps a key to a
+    :func:`_bracketed_zero` generator, and each round makes one call
+    ``evaluate([(key, trial x), ...])`` for the searches not yet done, which
+    returns f(x) for each, or an exception that ends that search.  Returns
+    each key's zero, or the exception that ended its search."""
+    out, trials = {}, {}
+
+    def advance(key, steps: Generator[float, float, float], value: float | None) -> None:
+        try:
+            trials[key] = steps.send(value), steps
+        except StopIteration as stop:
+            out[key] = stop.value
+
+    for key, steps in searches.items():
+        advance(key, steps, None)
+    while trials:
+        batch = list(trials.items())
+        trials.clear()
+        for (key, (_, steps)), value in zip(batch, evaluate([(key, x) for key, (x, _) in batch])):
+            if isinstance(value, Exception):
+                out[key] = value
+            else:
+                advance(key, steps, value)
+    return out
+
+
+def _bracketed_zero(
+    a: float, fa: float, b: float, fb: float, xtol: float
+) -> Generator[float, float, float]:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
+    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4).
+
+    A generator: it yields each trial x and is sent f(x) there, and it
+    returns the zero.  Every step stays inside the current sign bracket: an
+    inverse quadratic or secant step when it shrinks the bracket fast
+    enough, else bisection.  The zero is the bracket end with the smaller
+    |f| once f is exactly 0 there or the bracket is narrower than xtol.
+    """
+    if fa * fb > 0.0:
+        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # keep c on the other side of the zero from b
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or abs(c - b) < xtol:
+            return b
+        m = 0.5 * (c - b)
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
+        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
+        if not bisect:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                bisect = True
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = yield b

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-from collections.abc import Generator
 from dataclasses import dataclass
-from itertools import compress
+from fractions import Fraction
+from itertools import compress, zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,17 +33,6 @@ REALITY_TOL = 1e-9
 INTERVAL_SLACK = 1e-9
 #: default near-double-root distance in u (``Tolerances.multiplicity``)
 MULTIPLICITY_THRESHOLD = 1e-5
-
-#: the sigma grid on which su2_root_count_thresholds probes the root count
-THRESHOLD_SIGMA_LO = -2.0
-THRESHOLD_SIGMA_HI = 1.995
-THRESHOLD_SAMPLES = 2000
-#: the first scan counts roots on every THRESHOLD_STRIDE-th grid point; on the
-#: 178 two-bridge knots up to p = 41, 5_2 and the trefoil the count on the
-#: whole grid never rises with sigma (changes come as close as one grid step,
-#: six grid steps hold two, but none is undone), and strides 4 to 64 all give
-#: the whole grid's brackets
-THRESHOLD_STRIDE = 16
 
 #: trailing Chebyshev coefficients in x at most this fraction of the largest
 #: are dropped before the colleague matrix: c_n is O((1 - sigma/2)^n), so
@@ -444,9 +432,8 @@ def _colleagues(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _su2_roots(form: np.ndarray, sigmas: list[float], borderline_tol: float):
-    """The one root finder behind su2_solutions, su2_root_counts and
-    su2_root_count_thresholds, on phi's Chebyshev form c[m, n] (see
-    :meth:`RileyPoly.chebyshev_form`).
+    """The one root finder behind su2_solutions and su2_root_counts, on
+    phi's Chebyshev form c[m, n] (see :meth:`RileyPoly.chebyshev_form`).
 
     At each sigma (a row) phi is sum_n c_n T_n(x), c_n = sum_m c[m, n]
     T_m(sigma / 2), in x = 1 + u / h, h = 1 - sigma / 2, which maps the
@@ -484,249 +471,217 @@ def _su2_roots(form: np.ndarray, sigmas: list[float], borderline_tol: float):
     return roots, real & window, ~real & (imag <= borderline_tol) & window
 
 
+# ---------------------------------------------------------------------------
+# breakpoints of the SU(2) roots: exact integer polynomials in sigma
+# ---------------------------------------------------------------------------
+
+#: primes below 2^24, so that a product of two residues fits int64; the exact
+#: polynomials here and in ``exact`` are formed modulo them and joined by CRT
+PRIMES = (16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121,
+          16777099, 16777049, 16777027, 16776989, 16776973, 16776971, 16776967, 16776961)
+
+
 def su2_root_count_thresholds(phi: RileyPoly) -> list[float]:
-    """Sigma values where the SU(2) root count changes.
-
-    The grid is THRESHOLD_SAMPLES points in sigma = 2cos(theta) from
-    THRESHOLD_SIGMA_LO to THRESHOLD_SIGMA_HI.  One stack counts roots on
-    every THRESHOLD_STRIDE-th point and the last; a second counts them on
-    the points inside each of those intervals whose end counts differ.  A
-    count that leaves and regains its value within one interval of
-    THRESHOLD_STRIDE grid steps is not seen.
-
-    Each change between neighbouring grid points is a bracket with an event
-    function of its roots (see :func:`_threshold_event`), whose zero Brent's
-    method finds to 1e-13, all brackets in lockstep, one root stack per
-    round.  One more stack checks every zero t: the count at t - 1e-9 must
-    be the bracket's low-end count, and the count at t + 1e-9 must differ;
-    its roots at t + 1e-9 are kept.
-    A bracket whose event function has one sign at both ends, or whose zero
-    fails the check, is refined the same way on a step function of the
-    count: +1/2 where it is the low end's, -1/2 elsewhere.  The count can
-    change twice inside one bracket: when the count at t + 1e-9 is not the
-    bracket's high-end count, (t + 1e-9, high end) is refined the same way,
-    and so on until every bracket reaches its high-end count.  Only the
-    fallback zeros need a stack of their own at t + 1e-9."""
-
-    form = phi.chebyshev_form()
-
-    def roots_at(sigmas: list[float]) -> tuple[np.ndarray, list[int]]:
-        roots, inside, _ = _su2_roots(form, sigmas, 0.0)
-        return roots, inside.sum(axis=1).tolist()
-
-    lo, hi, samples = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
-
-    def grid(i: int) -> float:
-        return lo + (hi - lo) * i / (samples - 1)
-
-    roots: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-
-    def count(indices: list[int]) -> None:
-        found, found_counts = roots_at([grid(i) for i in indices])
-        roots.update(zip(indices, found))
-        counts.update(zip(indices, found_counts))
-
-    coarse = [*range(0, samples - 1, THRESHOLD_STRIDE), samples - 1]
-    count(coarse)
-    changed = [(i, j) for i, j in zip(coarse, coarse[1:]) if counts[i] != counts[j]]
-    count([k for i, j in changed for k in range(i + 1, j)])
-    # (a, b, count at a, count at b, roots at a, roots at b) with the count
-    # changing between neighbours a and b
-    brackets = [
-        (grid(k), grid(k + 1), counts[k], counts[k + 1], roots[k], roots[k + 1])
-        for i, j in changed
-        for k in range(i, j)
-        if counts[k] != counts[k + 1]
-    ]
-
-    def event_zeros(jobs: dict) -> dict[int, float]:
-        # Brent's method to 1e-13 on every job (function, a, its value at a,
-        # b, its value at b), all in lockstep, one root stack per round
-        def values(batch):
-            rows, row_counts = roots_at([sigma for _, sigma in batch])
-            return [jobs[i][0](sigma, row, c) for (i, sigma), row, c in zip(batch, rows, row_counts)]
-
-        return _lockstep_zeros(values, {i: _bracketed_zero(*job[1:], xtol=1e-13) for i, job in jobs.items()})
-
-    thresholds: list[float] = []
-    while brackets:
-        zeros = event_zeros({
-            i: job for i, bracket in enumerate(brackets) if (job := _threshold_event(*bracket))
-        })
-        checked = list(zeros)
-        near_roots, near = roots_at([zeros[i] + d for i in checked for d in (-1e-9, 1e-9)])
-        # the roots and count just above every zero that passes the check
-        above: dict[int, tuple[np.ndarray, int]] = {}
-        for i, row, below, count in zip(checked, near_roots[1::2], near[::2], near[1::2]):
-            if below != brackets[i][2] or count == below:
-                del zeros[i]
-            else:
-                above[i] = row, count
-        # +1/2 where the count is the low end's, -1/2 elsewhere: with equal |f|
-        # at every trial Brent's method bisects to where the count leaves the
-        # low end's, also across a second change inside the bracket
-        fallback = event_zeros({
-            i: (lambda sigma, row, c, ca=ca: 0.5 if c == ca else -0.5, a, 0.5, b, -0.5)
-            for i, (a, b, ca, *_) in enumerate(brackets)
-            if i not in zeros
-        })
-        zeros.update(fallback)
-        if fallback:
-            rows, row_counts = roots_at([zeros[i] + 1e-9 for i in fallback])
-            above.update(zip(fallback, zip(rows, row_counts)))
-        found = [zeros[i] for i in range(len(brackets))]
-        thresholds += found
-        # a second change inside a bracket: the count just above its zero is
-        # not the high end's, and the rest of the bracket is refined again
-        brackets = [
-            (t + 1e-9, b, above[i][1], cb, above[i][0], roots_b)
-            for i, ((_, b, _, cb, _, roots_b), t) in enumerate(zip(brackets, found))
-            if above[i][1] != cb
-        ]
-    return sorted(thresholds)
+    """The breakpoints of phi's SU(2) roots: the distinct real sigma in
+    (-2, 2), ascending, where disc_u phi, phi(sigma, 0) or phi(sigma, sigma - 2)
+    vanishes, each the float nearest it (:func:`_real_roots`).  A root
+    enters or leaves the window [sigma - 2, 0] only through an end, and two
+    roots meet before they cross or turn complex, so between two
+    consecutive breakpoints the roots in the window keep their number and
+    their order.  ValueError as for :meth:`RileyPoly.chebyshev_form`."""
+    phi.chebyshev_form()  # the ValueError where phi is zero or has no sigma form
+    table = phi.sigma_form()
+    edge: list[int] = []
+    for row in reversed(table):  # phi(sigma, sigma - 2), Horner's rule in u
+        shifted = [a - 2 * b for a, b in zip([0, *edge], [*edge, 0])]
+        edge = [a + b for a, b in zip_longest(shifted, row, fillvalue=0)]
+    return sorted({root for poly in (_discriminant(table), table[0], edge) if any(poly)
+                   for root in _real_roots(_square_free(poly))})
 
 
-def _threshold_event(a, b, ca, cb, roots_a, roots_b):
-    """The event function of the root count change between neighbouring
-    sigma values a < b, with the counts ca != cb and the roots there, as
-    (function, a, its value at a, b, its value at b), or None when no
-    candidate changes sign.  A function is called with (sigma, the roots
-    there, the count there) and follows its roots from call to call.
-
-    An odd change is a root crossing a window end: the event is the
-    crossing root's Re u - INTERVAL_SLACK at u = 0, or its
-    Re u - (sigma - 2 - INTERVAL_SLACK) at the lower end.  An even change is
-    a pair of real roots merging into a conjugate pair: the event is
-    Re((u1 - u2)^2), positive while the pair is real and -4 Im^2 after.
-    """
-    if (ca - cb) % 2:
-        real = roots_a[np.abs(roots_a.imag) <= REALITY_TOL].tolist()
-        for bound in (lambda sig: INTERVAL_SLACK, lambda sig: sig - 2.0 - INTERVAL_SLACK):
-            for u in sorted(real, key=lambda u: abs(u.real - bound(a))):
-                event = _crossing_event(bound, u)
-                fa, fb = event(a, roots_a, ca), event(b, roots_b, cb)
-                if fa * fb <= 0.0:
-                    return event, a, fa, b, fb
-        return None
-    # a conjugate pair inside the window at the end with fewer real roots,
-    # nearest the real axis first; the event is read there first
-    (few, roots_few, c_few), (many, roots_many, c_many) = sorted(
-        [(a, roots_a, ca), (b, roots_b, cb)], key=lambda end: end[2]
-    )
-    pairs = roots_few[
-        (roots_few.imag > REALITY_TOL)
-        & (roots_few.real <= INTERVAL_SLACK)
-        & (roots_few.real >= few - 2.0 - INTERVAL_SLACK)
-    ]
-    for mid in pairs[np.argsort(pairs.imag)].real.tolist():
-        event = _fold_event(mid)
-        values = {few: event(few, roots_few, c_few), many: event(many, roots_many, c_many)}
-        if values[a] * values[b] <= 0.0:
-            return event, a, values[a], b, values[b]
-    return None
+def _discriminant(table: list[list[int]]) -> list[int]:
+    """disc_u of sum table[j][i] sigma^i u^j, ascending in sigma, as
+    det [t_(i+j)], i, j < d: t_k = a_d^k s_k, with d the u-degree, a_d the
+    leading coefficient and s_k the power sums of the roots u (times
+    a_d^((d - 1)(d - 2)) where a_d != 1; phi is monic on two-bridge knots).
+    It is formed modulo one prime at a time at sigma = 0 .. n - 1 and
+    interpolated; CRT joins the primes until one more changes no
+    coefficient.  n starts at 3 d + 2 and doubles until the top two
+    coefficients vanish modulo every prime, as ``exact`` checks T's sigma^d
+    coefficient (the degree is at most 3 d - 1 on b(p, q) up to p = 41)."""
+    d = len(table) - 1
+    if d < 2:
+        return [1]
+    n, residues = 3 * d + 2, []
+    while len(residues) < len(PRIMES):
+        prime = PRIMES[len(residues)]
+        values = _hankel_determinants(table, n, prime)
+        coeffs = (_inverse_vandermonde(tuple(range(n)), prime) @ values % prime).tolist()
+        if any(coeffs[-2:]):
+            n, residues = 2 * n, []
+            continue
+        if residues:
+            known = _crt(residues, PRIMES)
+            if all((c - r) % prime == 0 for c, r in zip(known, coeffs)):
+                return _trim(known)
+        residues.append(coeffs)
+    raise ArithmeticError("the discriminant needs more primes than PRIMES holds")
 
 
-def _crossing_event(bound, u: complex):
-    """Re u - bound(sigma) of the root nearest the one of the last call."""
-
-    def event(sigma: float, roots: np.ndarray, count: int) -> float:
-        nonlocal u
-        u = roots[np.nanargmin(np.abs(roots - u))]
-        return float(u.real - bound(sigma))
-
-    return event
-
-
-def _fold_event(mid: complex):
-    """Re((u1 - u2)^2) of the two roots nearest the mean of the last call's pair."""
-
-    def event(sigma: float, roots: np.ndarray, count: int) -> float:
-        nonlocal mid
-        u1, u2 = roots[np.argsort(np.abs(roots - mid))[:2]]
-        mid = 0.5 * (u1 + u2)
-        return float(((u1 - u2) ** 2).real)
-
-    return event
-
-
-def _lockstep_zeros(evaluate, searches: dict) -> dict:
-    """Brent searches run in lockstep: ``searches`` maps a key to a
-    :func:`_bracketed_zero` generator, and each round makes one call
-    ``evaluate([(key, trial x), ...])`` for the searches not yet done, which
-    returns f(x) for each, or an exception that ends that search.  Returns
-    each key's zero, or the exception that ended its search."""
-    out, trials = {}, {}
-
-    def advance(key, steps: Generator[float, float, float], value: float | None) -> None:
-        try:
-            trials[key] = steps.send(value), steps
-        except StopIteration as stop:
-            out[key] = stop.value
-
-    for key, steps in searches.items():
-        advance(key, steps, None)
-    while trials:
-        batch = list(trials.items())
-        trials.clear()
-        for (key, (_, steps)), value in zip(batch, evaluate([(key, x) for key, (x, _) in batch])):
-            if isinstance(value, Exception):
-                out[key] = value
-            else:
-                advance(key, steps, value)
-    return out
+def _hankel_determinants(table: list[list[int]], n: int, prime: int) -> np.ndarray:
+    """det [t_(i+j)] of :func:`_discriminant` modulo ``prime`` at sigma = 0 .. n - 1.
+    Newton's identities give t_0 = d and t_k = -(sum_(i <= min(k - 1, d))
+    w_i t_(k-i) + k w_k), the last term for k <= d, w_i = a_(d-i) a_d^(i-1).
+    The elimination scales rows by the pivot instead of dividing by it: one
+    modular inverse per node is left, at the end."""
+    d, width, nodes = len(table) - 1, max(map(len, table)), np.arange(n)
+    a = np.zeros((d + 1, n), dtype=np.int64)  # (j, node) of a_j(sigma), by Horner's rule
+    for i in range(width - 1, -1, -1):
+        column = [row[i] % prime if i < len(row) else 0 for row in table]
+        a = (a * nodes + np.array(column)[:, None]) % prime
+    w, lead = np.empty((d, n), dtype=np.int64), 1
+    for i in range(d):
+        w[i] = a[d - 1 - i] * lead % prime
+        lead = lead * a[d] % prime
+    t = np.full((2 * d - 1, n), d, dtype=np.int64)
+    for k in range(1, 2 * d - 1):
+        m = min(k - 1, d)
+        t[k] = -(np.add.reduce(w[:m] * t[k - 1::-1][:m], axis=0) + (k * w[k - 1] if k <= d else 0)) % prime
+    h = t[np.add.outer(np.arange(d), np.arange(d))].transpose(2, 0, 1)  # (node, i, j)
+    det, scale, prefix = np.ones((3, n), dtype=np.int64)
+    for j in range(d):
+        r = j + np.argmax(h[:, j:, j] != 0, axis=1)  # the first nonzero pivot, j if none
+        h[nodes, j], h[nodes, r] = h[nodes, r], h[nodes, j]
+        pivot = h[:, j, j]
+        det = det * np.where(r == j, pivot, prime - pivot) % prime
+        scale = scale * prefix % prime  # row j was scaled by every pivot above it
+        prefix = prefix * pivot % prime
+        h[:, j + 1:, j + 1:] = (pivot[:, None, None] * h[:, j + 1:, j + 1:]
+                                - h[:, j + 1:, j, None] * h[:, None, j, j + 1:]) % prime
+    return det * [pow(s, -1, prime) if s else 0 for s in scale.tolist()] % prime
 
 
-def _bracketed_zero(
-    a: float, fa: float, b: float, fb: float, xtol: float
-) -> Generator[float, float, float]:
-    """Zero of f between a and b, where fa = f(a) and fb = f(b) do not share
-    a sign, by Brent's method (Brent 1973, *Algorithms for Minimization
-    without Derivatives*, ch. 4).
+def _crt(residues: list[list[int]], primes: Sequence[int]) -> list[int]:
+    """The integers in the symmetric range of the product of the primes with
+    ``residues[k]`` modulo ``primes[k]``, elementwise."""
+    modulus, out = 1, [0] * len(residues[0])
+    for prime, res in zip(primes, residues):
+        inverse = pow(modulus, -1, prime)
+        out = [c + modulus * ((r - c) * inverse % prime) for c, r in zip(out, res)]
+        modulus *= prime
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in out]
 
-    A generator: it yields each trial x and is sent f(x) there, and it
-    returns the zero.  Every step stays inside the current sign bracket: an
-    inverse quadratic or secant step when it shrinks the bracket fast
-    enough, else bisection.  The zero is the bracket end with the smaller
-    |f| once f is exactly 0 there or the bracket is narrower than xtol.
-    """
-    if fa * fb > 0.0:
-        raise ValueError(f"f has one sign at both ends ({fa:.3e}, {fb:.3e})")
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            # keep c on the other side of the zero from b
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0.0 or abs(c - b) < xtol:
-            return b
-        m = 0.5 * (c - b)
-        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.25 * xtol
-        bisect = abs(e) < tol1 or abs(fa) <= abs(fb)
-        if not bisect:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                bisect = True
-        if bisect:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = yield b
+
+@functools.lru_cache(maxsize=None)
+def _inverse_vandermonde(nodes: tuple[int, ...], p: int) -> np.ndarray:
+    """V^-1 modulo p for V[k, i] = nodes[k]^i: coefficients = V^-1 @ values.
+
+    Column k holds the coefficients of the Lagrange polynomial of node k:
+    the master polynomial prod (z - node) divided by z - nodes[k] (synthetic
+    division, all nodes at once), over its value at nodes[k]."""
+    n = len(nodes)
+    master = [1]
+    for z in nodes:
+        master = [((master[i - 1] if i else 0) - z * (master[i] if i < len(master) else 0)) % p
+                  for i in range(len(master) + 1)]
+    z = np.array(nodes, dtype=np.int64)
+    quotient = np.empty((n, n), dtype=np.int64)  # (degree, node)
+    carry = np.zeros(n, dtype=np.int64)
+    for i in range(n, 0, -1):
+        carry = (master[i] + carry * z) % p
+        quotient[i - 1] = carry
+    scale = []
+    for k in range(n):
+        value = 1
+        for j in range(n):
+            if j != k:
+                value = value * (nodes[k] - nodes[j]) % p
+        scale.append(pow(value, -1, p))
+    return _read_only(quotient * np.array(scale, dtype=np.int64) % p)
+
+
+def _square_free(poly: list[int]) -> list[int]:
+    """An integer polynomial (ascending) with the distinct roots of ``poly``:
+    poly itself when gcd(poly, poly') is 1 modulo a prime that does not
+    divide its leading coefficient, which proves it square-free; else poly
+    over the integer gcd, from the primitive remainder sequence."""
+    poly = _trim(poly)
+    derivative = [i * c for i, c in enumerate(poly)][1:]
+    prime = next(p for p in PRIMES if poly[-1] % p)
+    a, b = poly, derivative
+    while b := _trim([c % prime for c in b]):  # Euclid modulo the prime
+        a, b = b, _pseudo_divide(a, b)[1]
+    if len(a) == 1:
+        return poly
+    a, b = _primitive(poly), _primitive(derivative)
+    while b:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return _primitive(_pseudo_divide(poly, a)[0])
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """poly without its zero top coefficients."""
+    while poly and not poly[-1]:
+        poly = poly[:-1]
+    return list(poly)
+
+
+def _primitive(poly: list[int]) -> list[int]:
+    g = math.gcd(*(poly := _trim(poly))) or 1
+    return [c // g for c in poly]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """q and r with lead(b)^k a = q b + r and r of lower degree than b."""
+    q, a = [0] * max(len(a) - len(b) + 1, 0), _trim(a)
+    while len(a) >= len(b):
+        shift, f = len(a) - len(b), a[-1]
+        q = [b[-1] * c for c in q]
+        q[shift] += f
+        a = _trim([b[-1] * c - f * (b[i - shift] if i >= shift else 0) for i, c in enumerate(a)])
+    return q, a
+
+
+def _real_roots(poly: list[int]) -> list[float]:
+    """The real roots in (-2, 2) of a square-free integer polynomial, each
+    the float nearest it, ascending.  The estimates are the eigenvalues
+    within 1e-6 of the real axis of the colleague matrix of its Chebyshev
+    series in sigma / 2.  Exact signs at -2, 2, each estimate +- 1e-12 and
+    +- 1e-9 and the midpoints between estimates bracket the roots; each
+    bracket is bisected on exact signs down to a float where the value is 0,
+    or to two adjacent floats, of which the sign at their midpoint picks the
+    nearer."""
+    series = _chebyshev_form([poly])[:, 0]
+    estimates = sorted({2.0 * z.real for z in np.polynomial.chebyshev.chebroots(series).tolist()
+                        if abs(z.imag) <= 1e-6 and abs(z.real) <= 1.0 + 1e-6})
+    points = {-2.0, 2.0, *(x + dx for x in estimates for dx in (-1e-9, -1e-12, 1e-12, 1e-9)),
+              *(0.5 * (x + y) for x, y in zip(estimates, estimates[1:]))}
+    points = sorted(x for x in points if -2.0 <= x <= 2.0)
+    signs = [_sign(poly, x) for x in points]
+    roots = [x for x, s in zip(points, signs) if not s and -2.0 < x < 2.0]
+    for a, b, sa, sb in zip(points, points[1:], signs, signs[1:]):
+        while sa * sb < 0:
+            m = 0.5 * (a + b)
+            if m == a or m == b:  # adjacent floats
+                roots.append(b if _sign(poly, (Fraction(a) + Fraction(b)) / 2) == sa else a)
+                break
+            s = _sign(poly, m)
+            if not s:
+                roots.append(m)
+            a, b, sb = (m, b, sb) if s == sa else (a, m, s)
+    return sorted(roots)
+
+
+def _sign(poly: list[int], x: float | Fraction) -> int:
+    """The exact sign of the integer polynomial (ascending) at x, a float or
+    the midpoint of two, by Horner's rule in integers on x's numerator and
+    its denominator, a power of 2."""
+    num, den = x.as_integer_ratio()
+    shift, acc = den.bit_length() - 1, 0
+    for k, c in enumerate(reversed(poly)):
+        acc = acc * num + (c << shift * k)
+    return (acc > 0) - (acc < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-SIMPLE_ZERO = 1e-9    # synthetic-division remainders at t = 1, relative to max |Delta_1|
+SIMPLE_ZERO = 1e-9    # synthetic-division remainders at t = 1, relative to |Delta_1/(t-1)^2 (1)|
 REGULAR_FLOOR = 1e-6  # |(Delta_1/(t-1)^2)(1)| must exceed this * max |Delta_1|
 
 
@@ -275,13 +275,14 @@ def torsion_via_limit(tp: TorsionPolynomial) -> complex:
     """Torsion as minus the limit of the twisted Alexander invariant over
     (t - 1) at t = 1, read off the exact double synthetic division.
 
-    Raises RegularityError when the division remainders show the invariant
-    does not have a (simple) zero at t = 1.
+    Raises RegularityError unless the invariant has a simple zero at t = 1:
+    the division remainders within SIMPLE_ZERO of the value the route reads,
+    Delta_1 / (t - 1)^2 at 1, and that value not 0.
     """
     denominator = _boundary_denominator(tp)
     if tp.scale == 0.0:
         raise RegularityError("torsion polynomial is identically zero")
-    if max(tp.remainders) > SIMPLE_ZERO * tp.scale:
+    if not (tp.reduced and max(tp.remainders) <= SIMPLE_ZERO * abs(tp.reduced)):
         raise RegularityError("not a simple zero: rho may not be lambda-regular")
     return tp.parity * tp.reduced / denominator
 
@@ -300,12 +301,12 @@ def naive_limit(tp: TorsionPolynomial, step: float = 1e-5) -> complex:
 
 
 def simple_zero(tp: TorsionPolynomial) -> bool:
-    """The simple-zero test of the invariant at t = 1: the double division
-    by (t - 1)^2 leaves remainders within SIMPLE_ZERO of max |Delta_1|, and
-    Delta_1 / (t - 1)^2 at 1 exceeds REGULAR_FLOOR of it."""
-    scale = tp.scale
-    return (scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * scale
-            and abs(tp.reduced) > REGULAR_FLOOR * scale)
+    """The simple-zero test of the invariant at t = 1: Delta_1 / (t - 1)^2 at
+    1 exceeds REGULAR_FLOOR of max |Delta_1|, and the double division by
+    (t - 1)^2 leaves remainders within SIMPLE_ZERO of that value."""
+    reduced = abs(tp.reduced)
+    return (tp.scale > 0.0 and max(tp.remainders) <= SIMPLE_ZERO * reduced
+            and reduced > REGULAR_FLOOR * tp.scale)
 
 
 def regularity_diagnostics(tp: TorsionPolynomial) -> dict:

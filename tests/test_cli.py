@@ -26,7 +26,8 @@ from adtorsion.reps import (
 from adtorsion.torsion import RegularityError, Tolerances, compute_torsion, torsion_polynomial
 from adtorsion.verify import closed_form_5_2
 
-from test_reps import _brent, _critical_family
+from test_locus import _brent
+from test_reps import _critical_family
 from test_torsion import _count_calls, as_poly, schubert_knot, schubert_word
 
 
@@ -516,16 +517,17 @@ def test_verify_takes_two_bridge_names(capsys):
     assert (code, out.splitlines()[-1]) == (0, "RESULT: PASS")
 
 
-def test_verify_fails_a_row_where_a_route_raises(capsys):
-    # on b(33,1) the limit route finds no simple zero at two dihedral points
-    # (theta = pi): the rows that read it fail and name the first point
+def test_verify_fails_a_row_where_a_route_raises(capsys, monkeypatch):
+    # with a simple-zero bound no remainder meets, the limit route raises at
+    # every point: the rows that read it fail and name the first point
+    monkeypatch.setattr(torsion, "SIMPLE_ZERO", 1e-30)
     code, out, _ = run_cli(capsys, "verify", "--knots", "b(33,1)")
     assert code == 2
     failed = [line for line in out.splitlines() if "  FAIL  " in line]
     for row in ("torsion: limit vs derivative formula", "exact T vs both routes"):
         (line,) = [line for line in failed if row in line]
         assert "max_err= nan" in line
-        assert "worst on b(33,1) at theta=3.1416, u=" in line
+        assert "worst on b(33,1) at theta=0.1734, u=" in line
         assert "(torsion_via_limit: not a simple zero" in line
 
 
@@ -1089,29 +1091,29 @@ def test_simple_zero_remainder_on_the_edge_branch():
         (
             "5_2",
             (0.7487422385445941, 5.534443068634992),
-            [-1.4844353317658574, 1.5000000008749996],
+            [-1.484435331765857, 1.5],
         ),
         (
             (15, 7),
             (0.5298659589940578, 5.753319348185529),
-            [-1.886564841889004, -1.2024578825382486, 0.038932948559043584, 1.7500000007812548],
+            [-1.886564841889004, -1.2024578825382484, 0.0389329485590441, 1.75],
         ),
         (
             (41, 11),
             (0.7070515186302062, 5.57613378854938),
             [
-                -1.985470783054013, -1.868422266004484, -1.8669204010773404,
-                -1.6166221079418137, -1.5973095205326635, -1.3537155899598687,
-                -0.7963942067503655, -0.7053200668338414, -0.3925950688884223,
-                0.19806226513170505, 1.5549581351420971,
+                -1.9854707830540133, -1.8684222660044834, -1.8669204010773401,
+                -1.6166221079418148, -1.5973095205326635, -1.3537155899598672,
+                -0.7963942067503577, -0.7053200668338419, -0.39259506888839546,
+                0.19806226419516174, 1.554958132087371,
             ],
         ),
     ],
 )
 def test_probe_grids_keep_windows_and_thresholds(knot, window, thresholds):
     # to the last bit: the windows are the ones the per-point su2_solutions
-    # probes gave before the probe grids were batched; the thresholds are
-    # the zeros of the event functions refined by Brent's method
+    # probes gave before the probe grids were batched; the breakpoints are
+    # the floats nearest the exact roots, 3/2 and 7/4 themselves
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
     phi = riley_polynomial(p.bridge_word)
     assert auto_theta_range(phi) == window

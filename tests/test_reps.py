@@ -15,14 +15,14 @@ from adtorsion.presentation import Presentation, PresentationError
 from adtorsion.reps import (
     INTERVAL_SLACK,
     RELATION_TOL,
-    THRESHOLD_SAMPLES,
-    THRESHOLD_SIGMA_HI,
-    THRESHOLD_SIGMA_LO,
     Rep,
     RepresentationError,
     RileyPoly,
     _UPoly,
-    _bracketed_zero,
+    _discriminant,
+    _real_roots,
+    _sign,
+    _square_free,
     adjoint_of_matrix,
     build_rep,
     riley_assignment,
@@ -505,8 +505,9 @@ def test_su2_root_count_thresholds():
     inner = [t for t in thresholds if -2.0 < t < 0.0]
     assert len(inner) == 1
     assert abs(inner[0] - SIGMA_STAR) < 1e-6
-    # the single root leaves the window near sigma = 3/2
-    assert any(abs(t - 1.5) < 1e-6 for t in thresholds)
+    # the single root leaves the window where phi(sigma, 0) = 0, at 3/2
+    # exactly: a root that is a float is found as itself
+    assert 1.5 in thresholds
 
 
 def test_chebyshev_form_is_the_dense_product_of_its_maps():
@@ -544,11 +545,12 @@ def _critical_family():
 
 
 def test_thresholds_match_the_count_changes_of_the_whole_grid():
-    # the whole grid counted in one stack is the oracle of the two-level
-    # scan: every change between neighbouring grid points holds exactly one
-    # threshold, and every threshold lies in one change, on the 24 knots
-    # b(p, q) with odd p <= 15 that the critical benchmark searches
-    lo, hi, n = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
+    # the root count on a 2000-point sigma grid, one stack per knot, is the
+    # oracle: every change between neighbouring grid points holds a
+    # breakpoint, and between two consecutive breakpoints the count is one,
+    # on the 24 knots b(p, q) with odd p <= 15 that the critical benchmark
+    # searches
+    lo, hi, n = -2.0, 1.995, 2000
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     thetas = _sigma_thetas(grid)
     for p, q in _critical_family():
@@ -558,52 +560,17 @@ def test_thresholds_match_the_count_changes_of_the_whole_grid():
         thresholds = su2_root_count_thresholds(phi)
         assert changes, (p, q)
         for a, b in changes:
-            assert sum(a <= t <= b for t in thresholds) == 1, (p, q, a, b)
-        for t in thresholds:
-            assert sum(a <= t <= b for a, b in changes) == 1, (p, q, t)
-
-
-def test_thresholds_are_count_verified():
-    # on the 178 knots b(p, q) with odd p <= 41, 5_2 and the trefoil, every
-    # threshold t sits where the count leaves the one at the low end of its
-    # grid bracket: the count at t - 1e-9 is that count, at t + 1e-9 it is
-    # not.  Brent's method on the event function alone would put four of
-    # them (b(25,3), b(25,17), b(37,11), b(37,21)) on a second count change
-    # inside the same grid step, up to 1.4e-3 away.  Six grid steps, on
-    # b(25,3), b(25,17), b(37,7), b(37,11), b(37,21) and b(37,27), hold two
-    # changes: the second starts from the count just above the first.  The
-    # count just above each threshold is the count just below the next, so
-    # no change is missed
-    lo, hi, n = THRESHOLD_SIGMA_LO, THRESHOLD_SIGMA_HI, THRESHOLD_SAMPLES
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    knots = [catalog.knot("5_2"), catalog.knot("trefoil")] + [
-        schubert_knot(p, q)
-        for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1
-    ]
-    assert len(knots) == 180
-    checked = 0
-    for knot in knots:
-        phi = riley_polynomial(knot.bridge_word)
-        thresholds = su2_root_count_thresholds(phi)
-        steps = [bisect.bisect_right(grid, t) - 1 for t in thresholds]
-        sigmas = []
-        for t, step in zip(thresholds, steps):
-            sigmas += [grid[step], t - 1e-9, t + 1e-9]
-        counts = su2_root_counts(phi, _sigma_thetas(sigmas))
-        low_ends, below, above = counts[::3], counts[1::3], counts[2::3]
-        for k, t in enumerate(thresholds):
-            second = k > 0 and steps[k] == steps[k - 1]
-            low_end = above[k - 1] if second else low_ends[k]
-            assert low_end == below[k] != above[k], (knot.bridge_word, t, low_end, below[k], above[k])
-            checked += 1
-        assert above[:-1] == below[1:], knot.bridge_word
-    assert checked == 1411
+            assert any(a <= t <= b for t in thresholds), (p, q, a, b)
+        runs: dict[int, set[int]] = {}
+        for sigma, count in zip(grid, counts):
+            runs.setdefault(bisect.bisect(thresholds, sigma), set()).add(count)
+        assert all(len(found) == 1 for found in runs.values()), (p, q, runs)
 
 
 def test_thresholds_of_the_critical_family_keep_a_root_solve_budget(monkeypatch):
-    # every threshold costs a few root stacks: the 24 searches' thresholds
-    # solve 4 617 theta in all, where 9 rounds of 15 count probes per
-    # threshold solved 14 424
+    # the breakpoints come from exact integer polynomials: the 24 searches'
+    # breakpoints solve no root stack, where the numeric threshold search
+    # solved 4 617 theta
     solved = []
     solve = reps._su2_roots
 
@@ -614,63 +581,90 @@ def test_thresholds_of_the_critical_family_keep_a_root_solve_budget(monkeypatch)
     monkeypatch.setattr(reps, "_su2_roots", counted)
     for p, q in _critical_family():
         su2_root_count_thresholds(riley_polynomial(schubert_knot(p, q).bridge_word))
-    assert sum(solved) <= 6000
+    assert sum(solved) == 0
 
 
-def _brent(f, a, fa, b, fb, xtol):
-    """Drive the Brent generator over one bracket with f."""
-    steps = _bracketed_zero(a, fa, b, fb, xtol=xtol)
-    try:
-        theta = next(steps)
-        while True:
-            theta = steps.send(f(theta))
-    except StopIteration as stop:
-        return stop.value
+def test_discriminant_oracles():
+    # disc_u phi of b(p, 1) is the constant p^((p - 3) / 2) for odd p <= 41;
+    # those of 5_2 and b(15,7) are integer polynomials in sigma, ascending
+    for p in range(3, 42, 2):
+        phi = riley_polynomial(schubert_knot(p, 1).bridge_word)
+        assert _discriminant(phi.sigma_form()) == [p ** ((p - 3) // 2)], p
+    five_two = riley_polynomial(catalog.knot("5_2").bridge_word)
+    assert _discriminant(five_two.sigma_form()) == [-31, 6, 7, -6, 1]
+    # phi times c(sigma) = sigma + 3, no longer monic in u: t_k gains c^k,
+    # so det [t_(i+j)] gains c^(d(d - 1)), d = 3
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                for k in range(len(a) + len(b) - 1)]
 
-
-def test_bracketed_zero_converges_on_a_cubic():
-    calls = []
-
-    def cubic(x):
-        calls.append(x)
-        return x**3 - 2.0 * x - 5.0
-
-    root = 2.0945514815423265
-    x = _brent(cubic, 2.0, cubic(2.0), 3.0, cubic(3.0), xtol=1e-11)
-    assert abs(x - root) <= 1e-11
-    # bisection needs 37 halvings of [2, 3] to get below 1e-11
-    assert len(calls) - 2 <= 10
-
-
-def test_bracketed_zero_returns_an_exact_zero_at_an_end():
-    def f(x):
-        raise AssertionError("no evaluation needed")
-
-    assert _brent(f, 1.0, 0.0, 2.0, 3.0, xtol=1e-11) == 1.0
-    assert _brent(f, 1.0, -3.0, 2.0, 0.0, xtol=1e-11) == 2.0
-    with pytest.raises(ValueError):
-        _brent(f, 1.0, 2.0, 2.0, 3.0, xtol=1e-11)
-
-
-def test_bracketed_zero_keeps_a_sign_bracket_under_noise():
-    # +-1e-9 deterministic noise on a line through 0.7: the noisy function may
-    # change sign anywhere within ~1e-9 of the root, and the result must sit
-    # between two evaluated points of opposite sign less than xtol apart
-    seen = {}
-
-    def noisy(x):
-        y = (x - 0.7) + 1e-9 * (1.0 if int(x * 1e13) % 2 else -1.0)
-        seen[x] = y
-        return y
-
-    a, b = 0.0, 1.5
-    x = _brent(noisy, a, noisy(a), b, noisy(b), xtol=1e-11)
-    assert abs(x - 0.7) <= 1e-9 + 1e-11
-    partners = [
-        t for t, y in seen.items() if 0.0 < abs(t - x) < 1e-11 and (y < 0) != (seen[x] < 0)
+    expected = [-31, 6, 7, -6, 1]
+    for _ in range(6):
+        expected = times(expected, [3, 1])
+    assert _discriminant([times(row, [3, 1]) for row in five_two.sigma_form()]) == expected
+    assert _discriminant(riley_polynomial(schubert_knot(15, 7).bridge_word).sigma_form()) == [
+        122753, -3155676, -18858, 2371280, -1947187, -1268366, 1539100, 419222, -592160, 20384,
+        80285, -21056, 1568,
     ]
-    assert partners or seen[x] == 0.0
 
+
+@pytest.mark.parametrize("p, q, sigma", [(27, 5, 0.25), (27, 11, 0.25), (33, 5, 0.75), (33, 13, 0.75)])
+def test_breakpoints_hold_the_crossings(p, q, sigma):
+    # two root branches cross at a double root of disc_u phi inside the
+    # window, where the root count does not change (u = -3/4 at sigma = 1/4,
+    # u = -1/4 at sigma = 3/4); its square-free part changes sign there
+    phi = riley_polynomial(schubert_knot(p, q).bridge_word)
+    assert sigma in su2_root_count_thresholds(phi)
+    counts = su2_root_counts(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3]))
+    assert counts[0] == counts[1]
+
+
+def _at(poly, x):
+    return sum(c * x**i for i, c in enumerate(poly))
+
+
+def _sturm_count(poly):
+    """The number of distinct real roots in (-2, 2) of an integer polynomial
+    (ascending) with no root at -2 or 2, from its Sturm sequence in Fractions."""
+
+    def remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [c - f * b[i - shift] if i >= shift else c for i, c in enumerate(a)][:-1]
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    seq = [[Fraction(c) for c in poly], [Fraction(i * c) for i, c in enumerate(poly)][1:]]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in remainder(seq[-2], seq[-1])])
+
+    def changes(x):
+        signs = [v for v in (_at(a, x) for a in seq if a) if v]
+        return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
+
+    assert _at(poly, -2) and _at(poly, 2)
+    return changes(-2) - changes(2)
+
+
+def test_certified_roots_match_a_sturm_count():
+    # on the 24 knots each square-free polynomial has as many certified
+    # roots in (-2, 2) as its Sturm sequence counts, and each root is an
+    # exact zero or has opposite signs at its neighbouring floats
+    for p, q in _critical_family():
+        table = riley_polynomial(schubert_knot(p, q).bridge_word).sigma_form()
+        edge = []  # phi(sigma, sigma - 2)
+        for row in reversed(table):
+            shifted = [a - 2 * b for a, b in zip([0] + edge, edge + [0])]
+            edge = [a + b for a, b in zip(shifted + [0] * len(row), row + [0] * len(shifted))]
+        for poly in (_discriminant(table), table[0], edge):
+            free = _square_free(poly)
+            roots = _real_roots(free)
+            assert len(roots) == _sturm_count(free), (p, q, poly)
+            for r in roots:
+                below, above = _sign(free, math.nextafter(r, -3.0)), _sign(free, math.nextafter(r, 3.0))
+                assert _sign(free, r) == 0 or below * above < 0, (p, q, r)
 
 
 def test_batched_root_counts_match_su2_solutions():

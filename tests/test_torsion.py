@@ -316,6 +316,21 @@ def test_limit_rejects_non_simple_zero():
         limit(rep)
 
 
+def test_limit_route_reads_remainders_on_the_scale_of_its_value():
+    # b(33,1) at theta = pi, root 0: the remainders of the division by
+    # (t - 1)^2 exceed 1e-9 of max |Delta_1| but lie far within 1e-9 of the
+    # value the route reads, Delta_1 / (t - 1)^2 at 1; the route takes the
+    # point and matches the exact torsion function
+    from adtorsion.exact import torsion_function
+
+    p = schubert_knot(33, 1)
+    sols = su2_solutions(riley_polynomial(p.bridge_word), math.pi)
+    u = sols.roots[0]
+    value = torsion_via_limit(torsion_polynomial(rep_at(p, math.pi, u, TOL)))
+    exact = torsion_function(p.bridge_word)([sols.sigma], [u])[0]
+    assert abs(value - exact) <= 1e-9 * abs(exact)
+
+
 def test_compute_torsion_result_payload():
     rep, sigma, u = su2_rep(catalog.knot("5_2"), 3.05, root_index=1)
     result = compute_torsion(rep, TOL)
