@@ -39,7 +39,6 @@ from .reps import (
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
-    su2_root_counts,
     su2_solutions,
 )
 from .torsion import (

@@ -19,8 +19,8 @@ from .locus import _two_bridge_phi, find_critical_points, rep_at, sweep_rows
 from .presentation import Presentation, PresentationError, load_presentation_file
 from .reps import Rep, RepresentationError, riley_polynomial, su2_solutions
 from .torsion import (
+    DEFAULT_TOLERANCES,
     RegularityError,
-    Tolerances,
     compute_torsion,
     dihedral_class_count,
     twisted_alexander_invariant,
@@ -46,54 +46,36 @@ def format_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tolerances_from(args) -> Tolerances:
-    return Tolerances(
-        relation=args.tol_relation,
-        consistency=args.tol_consistency,
-        cleanup=args.tol_cleanup,
-        multiplicity=args.tol_multiplicity,
-    )
-
-
 def _resolve_presentation(args) -> Presentation:
-    if getattr(args, "presentation", None):
+    if args.presentation:
         return load_presentation_file(args.presentation)
-    if getattr(args, "knot", None):
+    if args.knot:
         return catalog.knot(args.knot)
     raise PresentationError("specify --knot or --presentation")
 
 
-def _drop_index(args, p: Presentation) -> int | None:
-    if getattr(args, "drop", None) is None:
-        return None
-    try:
-        return list(p.generators).index(args.drop)
-    except ValueError:
-        raise PresentationError(f"unknown generator {args.drop!r} for --drop") from None
-
-
 def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _rep_from_args(args, p: Presentation, tol: Tolerances) -> Rep:
+def _rep_from_args(args, p: Presentation) -> Rep:
     phi = _two_bridge_phi(p, args.command)
-    sols = su2_solutions(phi, args.theta, multiplicity_threshold=tol.multiplicity)
+    sols = su2_solutions(phi, args.theta)
     if not sols.roots:
         raise RepresentationError(f"no SU(2) solutions at theta={args.theta}")
     if not (0 <= args.root < len(sols.roots)):
         raise RepresentationError(
             f"root index {args.root} out of range: {len(sols.roots)} solutions at theta={args.theta}"
         )
-    return rep_at(p, args.theta, sols.roots[args.root], tol)
+    return rep_at(p, args.theta, sols.roots[args.root], DEFAULT_TOLERANCES)
 
 
-def cmd_riley_poly(args, tol: Tolerances) -> int:
-    if getattr(args, "word", None) is not None:
+def cmd_riley_poly(args) -> int:
+    if args.word is not None:
         phi = riley_polynomial(parse_word(args.word, ("x", "y")))
     else:
         phi = _two_bridge_phi(_resolve_presentation(args), "riley-poly")
@@ -111,26 +93,24 @@ def cmd_riley_poly(args, tol: Tolerances) -> int:
     return 0
 
 
-def cmd_tai(args, tol: Tolerances) -> int:
+def cmd_tai(args) -> int:
     p = _resolve_presentation(args)
-    rep = _rep_from_args(args, p, tol)
-    tai = twisted_alexander_invariant(rep, drop=_drop_index(args, p), cleanup=tol.cleanup)
+    tai = twisted_alexander_invariant(_rep_from_args(args, p))
     _emit(json.dumps(tai.to_json(), indent=2) + "\n", args)
     return 0
 
 
-def cmd_torsion(args, tol: Tolerances) -> int:
+def cmd_torsion(args) -> int:
     p = _resolve_presentation(args)
-    rep = _rep_from_args(args, p, tol)
-    result = compute_torsion(rep, tol, drop=_drop_index(args, p))
+    result = compute_torsion(_rep_from_args(args, p))
     if not result.diagnostics["lambda_regular_proxy"]:
         print("warning: regularity proxy failed; diagnostics follow", file=sys.stderr)
     _emit(json.dumps(result.to_json(), indent=2) + "\n", args)
     return 0
 
 
-def cmd_sweep(args, tol: Tolerances) -> int:
-    rows = sweep_rows(_resolve_presentation(args), args.theta_lo, args.theta_hi, args.samples, tol)
+def cmd_sweep(args) -> int:
+    rows = sweep_rows(_resolve_presentation(args), args.theta_lo, args.theta_hi, args.samples)
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -148,9 +128,9 @@ def cmd_sweep(args, tol: Tolerances) -> int:
     return 0
 
 
-def cmd_critical(args, tol: Tolerances) -> int:
+def cmd_critical(args) -> int:
     p = _resolve_presentation(args)
-    report = find_critical_points(p, args.theta_lo, args.theta_hi, args.samples, tol)
+    report = find_critical_points(p, args.theta_lo, args.theta_hi, args.samples)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args)
         return 0
@@ -170,10 +150,10 @@ def cmd_critical(args, tol: Tolerances) -> int:
     return 0
 
 
-def cmd_verify(args, tol: Tolerances) -> int:
+def cmd_verify(args) -> int:
     # commas inside b(p,q) do not separate names
     names = re.split(r",(?![^(]*\))", args.knots) if args.knots else list(catalog.knot_names())
-    rows, exit_code = run_verification(names, tol)
+    rows, exit_code = run_verification(names, DEFAULT_TOLERANCES)
     width = max(len(r.name) for r in rows) + 2
     lines = [f"verification suite ({', '.join(names)})"]
     for r in rows:
@@ -198,55 +178,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"adtorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = Tolerances()
 
-    def common(sp, theta_root=False):
-        sp.add_argument("--knot", help="catalog knot name (5_2, trefoil) or b(p,q)")
-        sp.add_argument("--presentation", help="presentation file path")
-        sp.add_argument("--drop", help="generator name to drop from the block matrix; read by "
-                        "tai and torsion only (the torsion does not depend on it)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def command(name, func, text, source=True, formats=True):
+        """A subcommand with the flags for the knot's source (all but
+        verify), the output format (all but tai, torsion and verify) and the
+        output path."""
+        sp = sub.add_parser(name, help=text)
+        if source:
+            sp.add_argument("--knot", help="catalog knot name (5_2, trefoil) or b(p,q)")
+            sp.add_argument("--presentation", help="presentation file path")
+        if formats:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
-        sp.add_argument("--tol-relation", type=float, default=defaults.relation)
-        sp.add_argument("--tol-consistency", type=float, default=defaults.consistency)
-        sp.add_argument("--tol-cleanup", type=float, default=defaults.cleanup)
-        sp.add_argument("--tol-multiplicity", type=float, default=defaults.multiplicity)
-        if theta_root:
-            sp.add_argument("--theta", type=float, required=True)
-            sp.add_argument("--root", type=int, default=0, help="index into the sorted SU(2) roots")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("riley-poly", help="print the obstruction polynomial of a two-bridge word")
-    common(sp)
+    sp = command("riley-poly", cmd_riley_poly, "print the obstruction polynomial of a two-bridge word")
     sp.add_argument("--word", help="two-bridge word over generators x y")
-    sp.set_defaults(func=cmd_riley_poly)
 
-    sp = sub.add_parser("tai", help="print the twisted Alexander invariant (numerator/denominator)")
-    common(sp, theta_root=True)
-    sp.set_defaults(func=cmd_tai)
+    for name, func, text in (
+        ("tai", cmd_tai, "print the twisted Alexander invariant (numerator/denominator)"),
+        ("torsion", cmd_torsion, "torsion value and diagnostics at one SU(2) point"),
+    ):
+        sp = command(name, func, text, formats=False)
+        sp.add_argument("--theta", type=float, required=True)
+        sp.add_argument("--root", type=int, default=0, help="index into the sorted SU(2) roots")
 
-    sp = sub.add_parser("torsion", help="torsion value and diagnostics at one SU(2) point")
-    common(sp, theta_root=True)
-    sp.set_defaults(func=cmd_torsion)
-
-    sp = sub.add_parser("sweep", help="torsion along the SU(2) character variety")
-    common(sp)
+    sp = command("sweep", cmd_sweep, "torsion along the SU(2) character variety")
     sp.add_argument("--theta-lo", type=float, required=True)
     sp.add_argument("--theta-hi", type=float, required=True)
     sp.add_argument("--samples", type=int, default=25)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("critical", help="critical points of the torsion along branches")
-    common(sp)
+    sp = command("critical", cmd_critical, "critical points of the torsion along branches")
     sp.add_argument("--theta-lo", type=float)
     sp.add_argument("--theta-hi", type=float)
     sp.add_argument("--samples", type=int, default=33)
-    sp.set_defaults(func=cmd_critical)
 
-    sp = sub.add_parser("verify", help="run the cross-check suite")
-    common(sp)
+    sp = command("verify", cmd_verify, "run the cross-check suite", source=False, formats=False)
     sp.add_argument("--knots", help="comma-separated knot names, catalog or b(p,q) (default: the "
                     "catalog)")
-    sp.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -258,7 +228,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args, _tolerances_from(args))
+        return args.func(args)
     except (
         PresentationError,
         RepresentationError,

@@ -51,7 +51,7 @@ class ChebyshevForm:
     """An integer polynomial in sigma and u as the float coefficients
     ``coeffs[m, n]`` of T_m(y) T_n(x), y = sigma / 2, x = 1 + u / (1 - y).
 
-    Evaluations take sequences of sigma (|sigma| < 2) and u and run
+    Evaluations take sequences of real sigma (|sigma| < 2) and u and run
     elementwise over the points; every sum runs over a point's own
     contiguous row, so a point gets the same bits in any stack."""
 
@@ -79,9 +79,19 @@ class ChebyshevForm:
 
 
 def _coordinates(sigma, u) -> tuple[np.ndarray, np.ndarray]:
-    """y = sigma / 2 and x = 1 + u / (1 - y) at every point."""
-    y = np.asarray(sigma, dtype=float).reshape(-1) / 2.0
-    return y, 1.0 + np.asarray(u, dtype=float).reshape(-1) / (1.0 - y)
+    """y = sigma / 2 and x = 1 + u / (1 - y) at every point; a ValueError
+    naming the first point off the real box |sigma| <= 2, where the forms
+    are not accurate (at the roots of phi(5/2, .) the form of T is off by a
+    factor of 872 on b(31,7))."""
+    sigma, u = np.asarray(sigma).reshape(-1), np.asarray(u).reshape(-1)
+    s, v = np.broadcast_arrays(sigma, u)
+    off = np.flatnonzero((np.imag(s) != 0) | (np.imag(v) != 0) | (np.abs(np.real(s)) > 2.0))
+    if off.size:
+        i = off[0]
+        raise ValueError(f"the Chebyshev form evaluates only real points with |sigma| <= 2, "
+                         f"not sigma={s.tolist()[i]}, u={v.tolist()[i]}")
+    y = np.real(sigma).astype(float) / 2.0
+    return y, 1.0 + np.real(u).astype(float) / (1.0 - y)
 
 
 def _tables(y: np.ndarray, x: np.ndarray, n: int):
@@ -127,9 +137,9 @@ class TorsionFunction:
 
     def gradient(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """T, dT/dsigma and dT/du at every (sigma, u) of the sequences."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        h = 1.0 - np.asarray(sigma, dtype=float).reshape(-1) / 2.0
-        f, f_y, f_x = self.form.partials(sigma, u)
+        y, x = _coordinates(sigma, u)
+        u, h = np.real(u).astype(float).reshape(-1), 1.0 - y
+        f, f_y, f_x = self.form._partials(_tables(y, x, max(self.form.coeffs.shape)))
         # sigma = 2 y and u = h (x - 1), so d/du = d/dx / h and
         # d/dsigma = (d/dy + d/dx u / h^2) / 2
         return f, 0.5 * (f_y + f_x * u / (h * h)), f_x / h

@@ -39,7 +39,6 @@ from .reps import (
     phi_failure,
     riley_polynomial,
     su2_root_count_thresholds,
-    su2_root_counts,
     su2_solutions,
 )
 from .torsion import (
@@ -244,8 +243,8 @@ def auto_theta_range(phi: RileyPoly, thresholds: list[float] | None = None) -> t
         chunks = [[i for i in range(n // 2) if i < 2 or runs[i] != runs[i - 2]]]
     lo = None
     for chunk in chunks:
-        counts = su2_root_counts(phi, [thetas[i] for i in chunk])
-        lo = next((i for i, count in zip(chunk, counts) if count), None)
+        solutions = su2_solutions(phi, [thetas[i] for i in chunk])
+        lo = next((i for i, sols in zip(chunk, solutions) if sols.roots), None)
         if lo is not None:
             break
     if lo is None or thetas[n - 1 - lo] - thetas[lo] < 4 * AUTO_THETA_MARGIN:

@@ -27,12 +27,16 @@ from .laurent import IntLaurent, _Laurent, _signed_sum_str
 from .presentation import Presentation
 from .words import Word
 
-#: default bound on relator residuals (``Tolerances.relation``, ``--tol-relation``)
+#: default bound on relator residuals (``Tolerances.relation``)
 RELATION_TOL = 1e-9
 REALITY_TOL = 1e-9
 INTERVAL_SLACK = 1e-9
 #: default near-double-root distance in u (``Tolerances.multiplicity``)
 MULTIPLICITY_THRESHOLD = 1e-5
+
+#: a point is irreducible when some commutator of two images has a trace
+#: farther than this from 2 (``Rep.irreducible``)
+COMMUTATOR_TRACE_TOL = 1e-8
 
 #: trailing Chebyshev coefficients in x at most this fraction of the largest
 #: are dropped before the colleague matrix: c_n is O((1 - sigma/2)^n), so
@@ -398,13 +402,6 @@ su2_solutions.cache_info = _solution_at.cache_info
 su2_solutions.cache_clear = _solution_at.cache_clear
 
 
-def su2_root_counts(phi: RileyPoly, thetas: Sequence[float]) -> list[int]:
-    """``len(su2_solutions(phi, theta).roots)`` for every theta, without
-    building the solution objects."""
-    sigmas = _sigmas([float(t) for t in thetas])
-    return _su2_roots(phi.chebyshev_form(), sigmas, 0.0)[1].sum(axis=1).tolist()
-
-
 def _sigmas(thetas: list[float]) -> list[float]:
     """sigma = 2 cos(theta) of every theta, as Su2Solutions holds it;
     ValueError unless every theta lies strictly between 0 and 2 pi."""
@@ -432,8 +429,8 @@ def _colleagues(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _su2_roots(form: np.ndarray, sigmas: list[float], borderline_tol: float):
-    """The one root finder behind su2_solutions and su2_root_counts, on
-    phi's Chebyshev form c[m, n] (see :meth:`RileyPoly.chebyshev_form`).
+    """The root finder behind su2_solutions, on phi's Chebyshev form
+    c[m, n] (see :meth:`RileyPoly.chebyshev_form`).
 
     At each sigma (a row) phi is sum_n c_n T_n(x), c_n = sum_m c[m, n]
     T_m(sigma / 2), in x = 1 + u / h, h = 1 - sigma / 2, which maps the
@@ -802,14 +799,15 @@ class Rep:
             "(s, u) may be off the representation variety"
         )
 
-    def _irreducibility_heuristic(self, threshold: float = 1e-8) -> bool:
+    def _irreducibility_heuristic(self) -> bool:
         # a pair of invertible 2x2 matrices shares an eigenvector iff the
         # trace of their commutator is 2
         pairs = [(i, j) for i in range(len(self.images)) for j in range(i + 1, len(self.images))]
         commutators = [
             self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j] for i, j in pairs
         ]
-        far = [np.abs(np.trace(c, axis1=-2, axis2=-1) - 2.0) > threshold for c in commutators]
+        far = [np.abs(np.trace(c, axis1=-2, axis2=-1) - 2.0) > COMMUTATOR_TRACE_TOL
+               for c in commutators]
         return _unstack(np.any(far, axis=0))
 
     def prefixes(self, w: Word) -> np.ndarray:

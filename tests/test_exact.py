@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,27 @@ def test_gradient_is_the_derivative_of_the_exact_polynomial():
         scale = max(1.0, abs(float(exact)), abs(float(exact_ds)), abs(float(exact_du)))
         for got, want in ((v, exact), (ds, exact_ds), (du, exact_du)):
             assert abs(got - float(want)) <= 1e-12 * scale
+
+
+def test_evaluation_refuses_points_off_the_real_box():
+    # off the box |sigma| <= 2 the Chebyshev forms are ill-conditioned: at
+    # the roots of phi(5/2, .) the form of T is off by 7.5e-5 relative on
+    # b(21,5) and by a factor of 872 on b(31,7).  A complex u was cast to its
+    # real part (20.97 for T = 20.35 - 1.09i on 5_2 at (5/2, 0.3 + 0.2i))
+    function = torsion_function(catalog.knot("5_2").bridge_word)
+    assert _polynomial(function.coeffs, Fraction(5, 2), Fraction(3, 10) + 0.2j) == pytest.approx(20.35 - 1.09j)
+    for sigma, u, point in (
+        (2.5, np.array([0.3 + 0.2j]), "sigma=2.5, u=(0.3+0.2j)"),
+        ([1.0, 0.5], [-0.5, 0.3 + 0.2j], "sigma=0.5, u=(0.3+0.2j)"),
+        ([0.5j], [-0.5], "sigma=0.5j, u=-0.5"),
+        ([1.0, -2.5], [-0.5, -3.0], "sigma=-2.5, u=-3.0"),
+    ):
+        for evaluate in (function, function.gradient, function.form, function.form.partials):
+            with pytest.raises(ValueError, match=re.escape(point)):
+                evaluate(sigma, u)
+    # real points in a complex dtype and the box's edge sigma = -2 are evaluated
+    assert function(np.array([1.0 + 0j]), np.array([-0.5 + 0j])).tolist() == function([1.0], [-0.5]).tolist()
+    assert np.isfinite(function([-2.0], [-4.0])).all()
 
 
 @pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (15, 7)])

@@ -28,7 +28,6 @@ from adtorsion.reps import (
     riley_assignment,
     riley_polynomial,
     su2_root_count_thresholds,
-    su2_root_counts,
     su2_solutions,
 )
 from adtorsion.words import Word, parse_word
@@ -320,7 +319,7 @@ def test_non_symmetric_word_is_not_real_at_any_theta(word):
         with pytest.raises(ValueError, match="not real"):
             su2_solutions(phi, theta)
         with pytest.raises(ValueError, match="not real"):
-            su2_root_counts(phi, [theta])
+            su2_solutions(phi, [theta])
 
 
 def test_residual_and_scale_are_the_term_by_term_sums():
@@ -555,7 +554,7 @@ def test_thresholds_match_the_count_changes_of_the_whole_grid():
     thetas = _sigma_thetas(grid)
     for p, q in _critical_family():
         phi = riley_polynomial(schubert_knot(p, q).bridge_word)
-        counts = su2_root_counts(phi, thetas)
+        counts = [len(sols) for sols in su2_solutions(phi, thetas)]
         changes = [(a, b) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
         thresholds = su2_root_count_thresholds(phi)
         assert changes, (p, q)
@@ -615,7 +614,7 @@ def test_breakpoints_hold_the_crossings(p, q, sigma):
     # u = -1/4 at sigma = 3/4); its square-free part changes sign there
     phi = riley_polynomial(schubert_knot(p, q).bridge_word)
     assert sigma in su2_root_count_thresholds(phi)
-    counts = su2_root_counts(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3]))
+    counts = [len(sols) for sols in su2_solutions(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3]))]
     assert counts[0] == counts[1]
 
 
@@ -667,36 +666,21 @@ def test_certified_roots_match_a_sturm_count():
                 assert _sign(free, r) == 0 or below * above < 0, (p, q, r)
 
 
-def test_batched_root_counts_match_su2_solutions():
-    # every sigma value that the two grid levels of
-    # su2_root_count_thresholds can count (its whole 2000-point grid; a call
-    # counts only a subset of it) and every probe of auto_theta_range (600
-    # thetas), on the 24 knots b(p, q) with odd p <= 15 that the critical
-    # benchmark searches
-    lo, hi = -2.0, 1.995
-    sigmas = [lo + (hi - lo) * i / 1999 for i in range(2000)]
-    thetas = [math.acos(max(-1.0, min(1.0, s / 2.0))) for s in sigmas]
-    thetas += [0.02 + (2 * math.pi - 0.04) * i / 599 for i in range(600)]
-    for p, q in _critical_family():
-        phi = riley_polynomial(schubert_knot(p, q).bridge_word)
-        expected = [len(su2_solutions(phi, theta).roots) for theta in thetas]
-        assert su2_root_counts(phi, thetas) == expected, (p, q)
-
-
 def test_batched_root_counts_argument_checks():
+    # the sequence path of su2_solutions, whose lengths auto_theta_range counts
     phi = riley_polynomial(_two_gen_word("x^-1 y^-1 x y x^-1 y^-1"))
     with pytest.raises(ValueError):
-        su2_root_counts(phi, [1.0, 0.0])
+        su2_solutions(phi, [1.0, 0.0])
     with pytest.raises(ValueError):
-        su2_root_counts(phi, [7.0])
+        su2_solutions(phi, [7.0])
     with pytest.raises(ValueError):
-        su2_root_counts(RileyPoly([]), [1.0])
+        su2_solutions(RileyPoly([]), [1.0])
     # a unit that is not a power of s leaves no common real phase
     skewed = RileyPoly([IntLaurent(0, (1,)), IntLaurent(0, (1, 1))])
     with pytest.raises(ValueError, match="not real"):
         su2_solutions(skewed, 1.0)
     with pytest.raises(ValueError, match="not real"):
-        su2_root_counts(skewed, [0.5, 1.0])
+        su2_solutions(skewed, [0.5, 1.0])
 
 
 def test_build_rep_residuals_on_variety():
@@ -865,15 +849,13 @@ def test_rep_from_raw_matrices():
 @pytest.mark.parametrize("p, q", [(5, 3), (15, 7), (21, 5), (31, 7), (41, 11)])
 def test_stacked_roots_are_the_single_theta_roots(p, q):
     # one root finder: a stack of thetas (one eigvals call per degree) gives
-    # every theta the very roots it gets alone, and the counts are their
-    # lengths; b(21,5) and larger are ill-conditioned, so any difference in
+    # every theta the very roots it gets alone; b(21,5) and larger are ill-conditioned, so any difference in
     # rounding would show
     phi = riley_polynomial(schubert_knot(p, q).bridge_word)
     rng = random.Random(p * 100 + q)
     thetas = [rng.uniform(0.05, 2 * math.pi - 0.05) for _ in range(40)] + [math.pi]
     single = [su2_solutions(phi, theta) for theta in thetas]
     assert su2_solutions(phi, thetas) == single
-    assert su2_root_counts(phi, thetas) == [len(s.roots) for s in single]
 
 
 def assert_stack_has_single_point_bits(p, s, u, sqrt_s):
