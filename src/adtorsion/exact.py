@@ -80,15 +80,15 @@ class ChebyshevForm:
 
 def _coordinates(sigma, u) -> tuple[np.ndarray, np.ndarray]:
     """y = sigma / 2 and x = 1 + u / (1 - y) at every point; a ValueError
-    naming the first point off the real box |sigma| <= 2, where the forms
+    naming the first point off the real box -2 <= sigma < 2, where the forms
     are not accurate (at the roots of phi(5/2, .) the form of T is off by a
-    factor of 872 on b(31,7))."""
+    factor of 872 on b(31,7)) or, at sigma = 2, x divides by zero."""
     sigma, u = np.asarray(sigma).reshape(-1), np.asarray(u).reshape(-1)
     s, v = np.broadcast_arrays(sigma, u)
-    off = np.flatnonzero((np.imag(s) != 0) | (np.imag(v) != 0) | (np.abs(np.real(s)) > 2.0))
+    off = np.flatnonzero((np.imag(s) != 0) | (np.imag(v) != 0) | (np.real(s) < -2.0) | (np.real(s) >= 2.0))
     if off.size:
         i = off[0]
-        raise ValueError(f"the Chebyshev form evaluates only real points with |sigma| <= 2, "
+        raise ValueError(f"the Chebyshev form evaluates only real points with -2 <= sigma < 2, "
                          f"not sigma={s.tolist()[i]}, u={v.tolist()[i]}")
     y = np.real(sigma).astype(float) / 2.0
     return y, 1.0 + np.real(u).astype(float) / (1.0 - y)

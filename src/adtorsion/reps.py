@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import accumulate, chain, compress, zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -686,20 +686,20 @@ def _sign(poly: list[int], x: float | Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-_EYE2 = np.eye(2, dtype=complex)
-_EYE2.flags.writeable = False
+def _product(m, n):
+    """The 2x2 product of two row-major (a, b, c, d) tuples of Python complex numbers."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of each 2x2 matrix of a stack (..., 2, 2), as adjugate over
-    determinant.  The determinants are formed in Python complex arithmetic,
-    which rounds like numpy's scalars; numpy's array product fuses a
-    multiply and an add."""
-    det = np.array([a * d - b * c for a, b, c, d in m.reshape(-1, 4).tolist()]).reshape(m.shape[:-2])
-    if (np.abs(det) < 1e-300).any():
+def _inverse(m):
+    """Adjugate over determinant of one (a, b, c, d) tuple."""
+    a, b, c, d = m
+    det = a * d - b * c
+    if math.hypot(det.real, det.imag) < 1e-300:
         raise RepresentationError("singular image matrix")
-    adjugate = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
-    return adjugate.reshape(m.shape) / det[..., None, None]
+    return d / det, -b / det, -c / det, a / det
 
 
 def _points(*values):
@@ -707,11 +707,6 @@ def _points(*values):
     if not any(np.ndim(v) for v in values):
         return [complex(v) for v in values]
     return np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
-
-
-def _unstack(a):
-    """A Python scalar for one point, the array of per-point values for a stack."""
-    return a.item() if a.ndim == 0 else a
 
 
 def _raise_first(failures) -> None:
@@ -738,7 +733,8 @@ class Rep:
     the meridian trace) are length-N arrays.  Values are immutable by
     convention.  ``prefixes`` and ``adjoint_prefixes`` memoize, per word,
     the images of all its prefixes; the relator check forms each relator's
-    chain, and every Fox term of that relator reads it.
+    chain, and every Fox term of that relator reads it.  Each point's 2x2
+    products and inverses are taken on their own in Python complex arithmetic.
     """
 
     __slots__ = (
@@ -751,6 +747,7 @@ class Rep:
         "relator_residuals",
         "irreducible",
         "trace_meridian",
+        "_letters",
         "_prefixes",
         "_adjoints",
     )
@@ -770,7 +767,11 @@ class Rep:
             raise RepresentationError("one image matrix per generator required")
         self.presentation = presentation
         self.images = tuple(np.asarray(m, dtype=complex) for m in images)
-        self.inverses = tuple(_mat_inverse(np.stack(self.images)))
+        # per generator, its image and its inverse at each point as (a, b, c, d)
+        self._letters = [(points, [_inverse(m) for m in points])
+                         for points in (m.reshape(-1, 4).tolist() for m in self.images)]
+        self.inverses = tuple(np.array(inv, dtype=complex).reshape(m.shape)
+                              for m, (_, inv) in zip(self.images, self._letters))
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s
@@ -778,19 +779,31 @@ class Rep:
         self._adjoints: dict[Word, np.ndarray] = {}
 
         self.relator_residuals = tuple(
-            _unstack(np.abs(self.of_word(r) - _EYE2).max(axis=(-2, -1)))
+            self._per_point([max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0))
+                             for a, b, c, d in self.of_word(r).reshape(-1, 4).tolist()])
             for r in presentation.relators
         )
         if check:
             _raise_first([self._relator_failure(tol)])
 
-        self.trace_meridian = _unstack(np.trace(self.images[presentation.meridian], axis1=-2, axis2=-1))
-        self.irreducible = self._irreducibility_heuristic()
+        self.trace_meridian = self._per_point([m[0] + m[3] for m in self._letters[presentation.meridian][0]])
+        # each point holds (image, inverse) per generator; two invertible 2x2
+        # matrices share an eigenvector iff their commutator x y x^-1 y^-1 has trace 2
+        self.irreducible = self._per_point([
+            any(abs(c[0] + c[3] - 2.0) > COMMUTATOR_TRACE_TOL
+                for i, (x, xi) in enumerate(point) for y, yi in point[i + 1:]
+                for c in [_product(_product(_product(x, y), xi), yi)])
+            for point in zip(*(zip(*letter) for letter in self._letters))
+        ])
 
     @property
     def stacked(self) -> bool:
         """Whether this is a stack of points rather than one point."""
         return self.images[0].ndim == 3
+
+    def _per_point(self, values: list):
+        """The value of one point, or a stack's per-point values as an array."""
+        return np.array(values).reshape(self.images[0].shape[:-2]) if self.images[0].ndim > 2 else values[0]
 
     def _relator_failure(self, tol: float):
         worst = functools.reduce(np.maximum, self.relator_residuals, 0.0)
@@ -799,29 +812,20 @@ class Rep:
             "(s, u) may be off the representation variety"
         )
 
-    def _irreducibility_heuristic(self) -> bool:
-        # a pair of invertible 2x2 matrices shares an eigenvector iff the
-        # trace of their commutator is 2
-        pairs = [(i, j) for i in range(len(self.images)) for j in range(i + 1, len(self.images))]
-        commutators = [
-            self.images[i] @ self.images[j] @ self.inverses[i] @ self.inverses[j] for i, j in pairs
-        ]
-        far = [np.abs(np.trace(c, axis1=-2, axis2=-1) - 2.0) > COMMUTATOR_TRACE_TOL
-               for c in commutators]
-        return _unstack(np.any(far, axis=0))
-
     def prefixes(self, w: Word) -> np.ndarray:
         """rho of every prefix of w, the empty prefix first: one read-only
         (len(w) + 1, *batch, 2, 2) stack, formed once per word by
-        right-multiplying the identity letter by letter."""
-        chain = self._prefixes.get(w)
-        if chain is None:
-            chain = np.empty((len(w.letters) + 1,) + self.images[0].shape, dtype=complex)
-            chain[0] = _EYE2
-            for k, (g, e) in enumerate(w.letters):
-                np.matmul(chain[k], self.images[g] if e == 1 else self.inverses[g], out=chain[k + 1])
-            self._prefixes[w] = chain = _read_only(chain)
-        return chain
+        right-multiplying the identity letter by letter, one point at a time."""
+        stack = self._prefixes.get(w)
+        if stack is None:
+            letters = [self._letters[g][e != 1] for g, e in w.letters]
+            n, length = len(self._letters[0][0]), len(letters) + 1
+            runs = [accumulate([letter[k] for letter in letters], _product, initial=(1, 0, 0, 1))
+                    for k in range(n)]
+            values = chain.from_iterable(chain.from_iterable(runs))
+            stack = np.fromiter(values, complex, 4 * n * length).reshape(n, length, 4).swapaxes(0, 1)
+            self._prefixes[w] = stack = _read_only(stack.reshape((length,) + self.images[0].shape))
+        return stack
 
     def of_word(self, w: Word) -> np.ndarray:
         return self.prefixes(w)[-1]
@@ -836,15 +840,11 @@ class Rep:
         return ad
 
     def conjugated(self, g: np.ndarray) -> "Rep":
-        ginv = _mat_inverse(np.asarray(g, dtype=complex))
-        return Rep(
-            self.presentation,
-            [g @ m @ ginv for m in self.images],
-            s=self.s,
-            u=self.u,
-            sqrt_s=self.sqrt_s,
-            check=False,
-        )
+        g = np.asarray(g, dtype=complex).reshape(4).tolist()
+        ginv = _inverse(g)
+        images = [np.array([_product(_product(g, x), ginv) for x in points]).reshape(m.shape)
+                  for m, (points, _) in zip(self.images, self._letters)]
+        return Rep(self.presentation, images, s=self.s, u=self.u, sqrt_s=self.sqrt_s, check=False)
 
 
 def _su2_images(s, u, sqrt_s):
@@ -929,8 +929,7 @@ def build_rep(
     phi = riley_polynomial(p.bridge_word)
     if check and not phi.is_zero:
         failures.append(phi_failure(phi, s, u, tol))
-    with np.errstate(divide="ignore", invalid="ignore"):  # images of a point failing a check
-        rep = Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False)
+    rep = Rep(p, images, s=s, u=u, sqrt_s=sqrt_s, tol=tol, check=False)
     if check:
         failures.append(rep._relator_failure(tol))
     _raise_first(failures)

@@ -95,22 +95,22 @@ def test_tai_payload(capsys):
 FIVE_TWO_PAYLOADS = {
     ("2.5", 0): {
         "torsion": {
-            "value": [10.33380580623479, 8.512971214325026e-15],
-            "formula_value": [10.333805806234789, 8.512971214325021e-15],
-            "limit_value": [10.33380580623479, 8.512971214325026e-15],
+            "value": [10.333805806234782, 1.5768424217975367e-15],
+            "formula_value": [10.333805806234782, 1.5768424217975363e-15],
+            "limit_value": [10.333805806234782, 1.5768424217975367e-15],
             "diagnostics": {
-                "scale": 7.216374340364526,
-                "delta1_at_1": 1.0303378456694457e-13,
-                "delta1_prime_at_1": 3.127088612021642e-13,
-                "reduced_at_1": 37.225336704403254,
-                "division_remainders": [1.0303378456694457e-13, 3.198127320643962e-13],
+                "scale": 7.216374340364528,
+                "delta1_at_1": 1.0214669751210394e-13,
+                "delta1_prime_at_1": 3.0421141035221007e-13,
+                "reduced_at_1": 37.22533670440322,
+                "division_remainders": [1.0214669751210394e-13, 3.015469661203683e-13],
                 "simple_zero": True,
                 "trace_x1_sq": [-1.6022872310938674, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.0001033419234635973,
-                "naive_limit": [10.334192346359337, -2.842216840539213e-06],
+                "tai_at_1": 0.00010334189880788684,
+                "naive_limit": [10.334189880788212, 3.1189998486315897e-06],
                 "consistency_ok": True,
                 "route": "limit",
             },
@@ -119,13 +119,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.241859338839159, -4.881382177600177e-16],
-                    [-2.56075827450244, 6.95495875815462e-16],
-                    [2.1944304431592876, 2.0363381622034808e-15],
-                    [7.216374340364526, 2.056937012098571e-15],
-                    [2.1944304431592863, -2.3435947128427884e-16],
-                    [-2.5607582745024424, -1.6336143857129058e-15],
-                    [-3.2418593388391606, -1.40873440117981e-15],
+                    [-3.2418593388391606, -5.094328838291629e-16],
+                    [-2.5607582745024433, -1.9536956556361428e-16],
+                    [2.194430443159288, -2.4995067343955708e-17],
+                    [7.216374340364528, -1.1724041891368672e-16],
+                    [2.194430443159289, 8.116125267781638e-17],
+                    [-2.5607582745024433, 8.510955372547691e-17],
+                    [-3.2418593388391597, -4.4277240338166985e-16],
                 ],
             },
             "denominator": {
@@ -141,22 +141,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("2.5", 1): {
         "torsion": {
-            "value": [11.824289089628994, -9.178682515087798e-15],
-            "formula_value": [11.824289089628994, -9.178682515087798e-15],
-            "limit_value": [11.824289089628994, -9.178682515087798e-15],
+            "value": [11.824289089628987, -5.349933356327906e-15],
+            "formula_value": [11.824289089628985, -5.349933356327906e-15],
+            "limit_value": [11.824289089628987, -5.349933356327906e-15],
             "diagnostics": {
-                "scale": 9.24775252530223,
-                "delta1_at_1": 1.53806504463199e-15,
-                "delta1_prime_at_1": 1.5050778614994528e-14,
-                "reduced_at_1": 42.59448560433305,
-                "division_remainders": [1.53806504463199e-15, 1.2628252451301035e-14],
+                "scale": 9.247752525302225,
+                "delta1_at_1": 4.72771973112781e-16,
+                "delta1_prime_at_1": 1.0064019558467326e-14,
+                "reduced_at_1": 42.59448560433303,
+                "division_remainders": [4.72771973112781e-16, 1.1248468279738593e-14],
                 "simple_zero": True,
                 "trace_x1_sq": [-1.6022872310938674, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00011824413120962254,
-                "naive_limit": [11.82441312096174, 3.4854889302027367e-06],
+                "tai_at_1": 0.00011824406957033939,
+                "naive_limit": [11.82440695703393, -4.503928629579481e-07],
                 "consistency_ok": True,
                 "route": "limit",
             },
@@ -165,13 +165,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.0956260454457096, -6.621345149251118e-16],
-                    [-4.401866992705415, -1.858845561740185e-15],
-                    [2.8736167755000097, -2.5299084300250842e-15],
-                    [9.24775252530223, -3.167514008544817e-16],
-                    [2.873616775500009, 1.6351986875709285e-15],
-                    [-4.401866992705416, 2.083578574197259e-15],
-                    [-3.09562604544571, 3.931623725037121e-16],
+                    [-3.0956260454457065, -7.43085437226782e-16],
+                    [-4.401866992705412, -7.825485900896799e-16],
+                    [2.8736167755000084, 1.9873996502043473e-16],
+                    [9.247752525302225, 2.062227742675477e-17],
+                    [2.8736167755000084, -1.4769409576319896e-16],
+                    [-4.401866992705415, 8.688875444995195e-16],
+                    [-3.095626045445708, 7.472452632657648e-16],
                 ],
             },
             "denominator": {
@@ -187,22 +187,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 0): {
         "torsion": {
-            "value": [10.884706924611583, -1.4963037641948012e-16],
-            "formula_value": [10.884706924611582, -1.4963037641948012e-16],
-            "limit_value": [10.884706924611583, -1.4963037641948012e-16],
+            "value": [10.884706924611576, 2.821014312997645e-15],
+            "formula_value": [10.884706924611574, 2.8210143129976443e-15],
+            "limit_value": [10.884706924611576, 2.821014312997645e-15],
             "diagnostics": {
                 "scale": 9.329748792524256,
-                "delta1_at_1": 4.085620730620576e-14,
-                "delta1_prime_at_1": 1.1990458197691363e-13,
-                "reduced_at_1": 43.53882769844633,
-                "division_remainders": [4.085620730620576e-14, 1.1457553449662943e-13],
+                "delta1_at_1": 3.8191672047105385e-14,
+                "delta1_prime_at_1": 1.2090869373563628e-13,
+                "reduced_at_1": 43.538827698446305,
+                "division_remainders": [3.8191672047105385e-14, 1.2268336479294578e-13],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00010884714195415012,
-                "naive_limit": [10.884714195415011, 8.615933795330755e-12],
+                "tai_at_1": 0.00010884720856686546,
+                "naive_limit": [10.884720856686545, 1.3262152981315104e-10],
                 "consistency_ok": True,
                 "route": "limit",
             },
@@ -211,13 +211,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-3.109916264174746, -5.634720751578655e-32],
-                    [-4.664874396262118, 3.332284014779836e-16],
-                    [3.1099162641747586, 1.264142860557257e-16],
-                    [9.329748792524256, -4.976524987346488e-16],
-                    [3.109916264174757, -2.7605681109770303e-16],
-                    [-4.66487439626212, 2.1791875041345492e-16],
-                    [-3.109916264174746, 9.614787188518735e-17],
+                    [-3.109916264174746, 4.599495387732791e-16],
+                    [-4.664874396262121, 7.595532071829767e-16],
+                    [3.109916264174757, 3.460031968304733e-16],
+                    [9.329748792524256, -2.1874085658910737e-16],
+                    [3.109916264174757, -6.746220182304663e-16],
+                    [-4.66487439626212, -6.312080499672801e-16],
+                    [-3.1099162641747444, -4.093501799987534e-17],
                 ],
             },
             "denominator": {
@@ -233,22 +233,22 @@ FIVE_TWO_PAYLOADS = {
     },
     ("3.141592653589793", 1): {
         "torsion": {
-            "value": [22.728857226022278, -1.1474428315862713e-14],
-            "formula_value": [22.728857226022274, -1.1474428315862715e-14],
-            "limit_value": [22.728857226022278, -1.1474428315862713e-14],
+            "value": [22.728857226022306, -8.258576741000624e-15],
+            "formula_value": [22.728857226022313, -8.258576741000626e-15],
+            "limit_value": [22.728857226022306, -8.258576741000624e-15],
             "diagnostics": {
-                "scale": 19.481877622304804,
-                "delta1_at_1": 1.4210854715202004e-14,
-                "delta1_prime_at_1": 3.067630348152857e-14,
-                "reduced_at_1": 90.91542890408911,
-                "division_remainders": [1.4210854715202004e-14, 3.513533623053945e-14],
+                "scale": 19.481877622304797,
+                "delta1_at_1": 2.7533531010703882e-14,
+                "delta1_prime_at_1": 9.513451261247642e-14,
+                "reduced_at_1": 90.91542890408923,
+                "division_remainders": [2.7533531010703882e-14, 9.337694527998124e-14],
                 "simple_zero": True,
                 "trace_x1_sq": [-2.0, 0.0],
                 "denominator_ok": True,
                 "irreducible": True,
                 "lambda_regular_proxy": True,
-                "tai_at_1": 0.00022729124442123856,
-                "naive_limit": [22.729124442123855, -4.490118880701289e-10],
+                "tai_at_1": 0.00022729157748481533,
+                "naive_limit": [22.72915774848153, -3.4181469164601723e-10],
                 "consistency_ok": True,
                 "route": "limit",
             },
@@ -257,13 +257,13 @@ FIVE_TWO_PAYLOADS = {
             "numerator": {
                 "offset": 0,
                 "coeffs": [
-                    [-6.493959207434935, -5.075305255429286e-16],
-                    [-9.740938811152406, -2.834716967356166e-15],
-                    [6.493959207434929, -1.9780102258451394e-15],
-                    [19.481877622304804, 7.314822101206009e-16],
-                    [6.49395920743493, 1.7304748155927675e-15],
-                    [-9.740938811152406, 1.5152164860170812e-15],
-                    [-6.493959207434932, 1.3430842070137853e-15],
+                    [-6.493959207434936, -5.075305255429287e-16],
+                    [-9.740938811152404, -1.329655323997314e-15],
+                    [6.493959207434929, -2.6758382656851423e-15],
+                    [19.481877622304797, -4.125397873375322e-16],
+                    [6.493959207434929, 2.8744968130509e-15],
+                    [-9.740938811152407, 2.213044525857084e-15],
+                    [-6.493959207434937, -1.619774363450671e-16],
                 ],
             },
             "denominator": {

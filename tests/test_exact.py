@@ -120,9 +120,11 @@ def test_evaluation_refuses_points_off_the_real_box():
         ([1.0, 0.5], [-0.5, 0.3 + 0.2j], "sigma=0.5, u=(0.3+0.2j)"),
         ([0.5j], [-0.5], "sigma=0.5j, u=-0.5"),
         ([1.0, -2.5], [-0.5, -3.0], "sigma=-2.5, u=-3.0"),
+        # at sigma = 2 the coordinate x = 1 + u / (1 - sigma / 2) divides by zero
+        ([2.0], [0.0], "sigma=2.0, u=0.0"),
     ):
         for evaluate in (function, function.gradient, function.form, function.form.partials):
-            with pytest.raises(ValueError, match=re.escape(point)):
+            with pytest.raises(ValueError, match=re.escape(f"-2 <= sigma < 2, not {point}")):
                 evaluate(sigma, u)
     # real points in a complex dtype and the box's edge sigma = -2 are evaluated
     assert function(np.array([1.0 + 0j]), np.array([-0.5 + 0j])).tolist() == function([1.0], [-0.5]).tolist()

@@ -911,6 +911,52 @@ def test_a_stack_mixing_su2_and_sl2c_points_gives_each_its_frame():
     assert np.array_equal(x[~su2], riley.images[0][~su2]) and np.array_equal(y[~su2], riley.images[1][~su2])
 
 
+def test_prefixes_and_inverses_are_exact_on_integer_matrices():
+    # at s = +-1 Riley's pair and its inverses are integer matrices of
+    # determinant +-1, and every prefix of b(41,11)'s 82-letter relator stays
+    # below 2^53 at these points: each float product is exact, so every
+    # prefix and every inverse equals the product in Python integers, at one
+    # point and in a stack
+    p = schubert_knot(41, 11)
+    r = p.relators[0]
+    assert len(r.letters) == 82
+    points = [(1, -1), (1, 1), (-1, -1)]
+    expected = []
+    for s, u in points:
+        x = np.array([[s, 1], [0, 1]], dtype=object)
+        y = np.array([[s, 0], [-s * u, 1]], dtype=object)
+        images = [(m, np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) * s) for m in (x, y)]
+        chain = [np.eye(2, dtype=int).astype(object)]
+        for g, e in r.letters:
+            chain.append(chain[-1] @ images[g][e != 1])
+        assert max(abs(v) for m in chain for v in m.ravel()) < 2**53
+        expected.append(([inv for _, inv in images], chain))
+    single = Rep(p, riley_assignment(1.0, -1.0), check=False)
+    stack = Rep(p, riley_assignment(*(np.array(v, dtype=float) for v in zip(*points))), check=False)
+    inverses, chain = expected[0]
+    assert [m.tolist() for m in single.inverses] == [m.tolist() for m in inverses]
+    assert single.prefixes(r).tolist() == [m.tolist() for m in chain]
+    for k, (inverses, chain) in enumerate(expected):
+        assert [m[k].tolist() for m in stack.inverses] == [m.tolist() for m in inverses]
+        assert stack.prefixes(r)[:, k].tolist() == [m.tolist() for m in chain]
+    with pytest.raises(RepresentationError, match="^singular image matrix$"):
+        Rep(p, [np.zeros((3, 2, 2)), stack.images[1]], check=False)
+
+
+def test_irreducible_is_false_at_a_reducible_point_alone_and_in_a_stack():
+    # phi(s, 0) is Delta(s) up to a unit, so u = 0 at a root s of the
+    # Alexander polynomial lies on phi = 0; there the images share an
+    # eigenvector, and their commutator has trace 2.  b(9,1) at
+    # s = e^{i pi/3}: Delta(s) = 0, and one more root of phi is irreducible
+    p = schubert_knot(9, 1)
+    s = cmath.exp(1j * math.pi / 3)
+    (u, _) = su2_solutions(riley_polynomial(p.bridge_word), math.pi / 3).roots
+    assert [build_rep(p, s, v).irreducible for v in (u, 0.0)] == [True, False]
+    stack = build_rep(p, np.array([s, s]), np.array([u, 0.0]))
+    assert stack.irreducible.tolist() == [True, False]
+    assert build_rep(catalog.knot("trefoil"), s, 0.0).irreducible is False
+
+
 def test_stack_raises_the_first_failing_points_error():
     # a stack fails like its first failing point fails on its own, naming
     # the first check that point fails
