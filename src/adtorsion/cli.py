@@ -19,7 +19,6 @@ from .locus import _two_bridge_phi, find_critical_points, rep_at, sweep_rows
 from .presentation import Presentation, PresentationError, load_presentation_file
 from .reps import Rep, RepresentationError, riley_polynomial, su2_solutions
 from .torsion import (
-    DEFAULT_TOLERANCES,
     RegularityError,
     compute_torsion,
     dihedral_class_count,
@@ -71,7 +70,7 @@ def _rep_from_args(args, p: Presentation) -> Rep:
         raise RepresentationError(
             f"root index {args.root} out of range: {len(sols.roots)} solutions at theta={args.theta}"
         )
-    return rep_at(p, args.theta, sols.roots[args.root], DEFAULT_TOLERANCES)
+    return rep_at(p, args.theta, sols.roots[args.root])
 
 
 def cmd_riley_poly(args) -> int:
@@ -153,7 +152,7 @@ def cmd_critical(args) -> int:
 def cmd_verify(args) -> int:
     # commas inside b(p,q) do not separate names
     names = re.split(r",(?![^(]*\))", args.knots) if args.knots else list(catalog.knot_names())
-    rows, exit_code = run_verification(names, DEFAULT_TOLERANCES)
+    rows, exit_code = run_verification(names)
     width = max(len(r.name) for r in rows) + 2
     lines = [f"verification suite ({', '.join(names)})"]
     for r in rows:

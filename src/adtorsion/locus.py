@@ -31,6 +31,7 @@ import numpy as np
 
 from .presentation import Presentation, PresentationError
 from .reps import (
+    RELATION_TOL,
     Rep,
     RepresentationError,
     RileyPoly,
@@ -41,12 +42,7 @@ from .reps import (
     su2_root_count_thresholds,
     su2_solutions,
 )
-from .torsion import (
-    DEFAULT_TOLERANCES,
-    RegularityError,
-    Tolerances,
-    compute_torsion,
-)
+from .torsion import CONSISTENCY_TOL, RegularityError, compute_torsion
 
 
 # what one branch evaluation can raise; a critical search drops the sample or
@@ -117,13 +113,13 @@ class CriticalReport:
         }
 
 
-def rep_at(p: Presentation, theta: float, u: float, tol: Tolerances) -> Rep:
+def rep_at(p: Presentation, theta: float, u: float) -> Rep:
     """The representation at s = e^{i theta} with the continuous
     square-root branch e^{i theta / 2} (build_rep picks the unitary frame at
     an SU(2) point); for arrays of theta and u, one Rep of that stack of
     points."""
     theta = np.asarray(theta, dtype=float)
-    return build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta), tol=tol.relation)
+    return build_rep(p, np.exp(1j * theta), u, sqrt_s=np.exp(0.5j * theta))
 
 
 def _two_bridge_phi(p: Presentation, task: str) -> RileyPoly:
@@ -156,13 +152,7 @@ def _torsion_function(p: Presentation):
     return torsion_function(p.bridge_word)
 
 
-def sweep_rows(
-    p: Presentation,
-    theta_lo: float,
-    theta_hi: float,
-    samples: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[dict]:
+def sweep_rows(p: Presentation, theta_lo: float, theta_hi: float, samples: int) -> list[dict]:
     """One row per SU(2) root at each theta of the grid: sigma, u, the
     torsion T, whether the invariant has a simple zero at t = 1, and
     Tr rho(mu) = 2 cos(theta / 2).
@@ -174,22 +164,22 @@ def sweep_rows(
     Every point must pass build_rep's phi check, and the middle row is
     checked against the numeric torsion (``rep_at`` and
     ``compute_torsion``), last: a relative difference above
-    ``tol.consistency`` is a RegularityError.  T does not depend on the
+    CONSISTENCY_TOL is a RegularityError.  T does not depend on the
     dropped generator, so a sweep drops none."""
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "sweep")
-    solutions = su2_solutions(phi, grid, multiplicity_threshold=tol.multiplicity)
+    solutions = su2_solutions(phi, grid)
     points = [(sols, u) for sols in solutions for u in sols.roots]
     if not points:
         return []
     thetas = [sols.theta for sols, _ in points]
     us = [u for _, u in points]
     angles = np.array(thetas)
-    _raise_first([phi_failure(phi, np.exp(1j * angles), np.array(us, dtype=complex), tol.relation)])
+    _raise_first([phi_failure(phi, np.exp(1j * angles), np.array(us, dtype=complex), RELATION_TOL)])
     values = _torsion_function(p)([sols.sigma for sols, _ in points], us).tolist()
     traces = (2.0 * np.exp(0.5j * angles).real).tolist()
     middle = len(points) // 2
-    _cross_check(p, thetas[middle], us[middle], values[middle], tol)
+    _cross_check(p, thetas[middle], us[middle], values[middle])
     return [
         {
             "theta": sols.theta,
@@ -204,15 +194,15 @@ def sweep_rows(
     ]
 
 
-def _cross_check(p: Presentation, theta: float, u: float, value: float, tol: Tolerances) -> None:
+def _cross_check(p: Presentation, theta: float, u: float, value: float) -> None:
     """The exact torsion ``value`` at one SU(2) point against the numeric
     torsion there (``rep_at`` and ``compute_torsion``): a RegularityError
-    naming both when they differ by more than tol.consistency, relative.
+    naming both when they differ by more than CONSISTENCY_TOL, relative.
     A sweep and a critical search run it last: each then ends on the numeric
     route's small complex matmul, as when every point took that route (see
     torsion_polynomial on the state that matmul leaves the CPU in)."""
-    numeric = compute_torsion(rep_at(p, theta, u, tol), tol).value
-    if not abs(value - numeric) <= tol.consistency * abs(numeric):
+    numeric = compute_torsion(rep_at(p, theta, u)).value
+    if not abs(value - numeric) <= CONSISTENCY_TOL * abs(numeric):
         raise RegularityError(
             f"exact torsion {value!r} and numeric torsion {numeric!r} differ at "
             f"theta={theta!r}, u={u!r}"
@@ -263,8 +253,8 @@ class _BranchTorsion:
     torsion function, built on the first slope, once per (theta, branch).
     """
 
-    def __init__(self, p: Presentation, phi: RileyPoly, tol: Tolerances, solutions=()):
-        self.p, self.phi, self.tol = p, phi, tol
+    def __init__(self, p: Presentation, phi: RileyPoly, solutions=()):
+        self.p, self.phi = p, phi
         #: the sorted SU(2) roots of every theta solved so far
         self.roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
         #: (dT/dtheta, T) or the branch error of every (theta, branch) so far
@@ -278,8 +268,7 @@ class _BranchTorsion:
     def solve(self, thetas) -> None:
         """Find the SU(2) roots of every theta not solved before, in one call."""
         if new := sorted(set(thetas) - self.roots.keys()):
-            self.roots.update((s.theta, s.roots) for s in su2_solutions(
-                self.phi, new, multiplicity_threshold=self.tol.multiplicity))
+            self.roots.update((s.theta, s.roots) for s in su2_solutions(self.phi, new))
 
     def root(self, theta: float, branch: _Branch) -> float:
         """The branch's root at a solved theta; a RepresentationError when
@@ -344,11 +333,7 @@ def _half_window_intervals(grid: list[float], thresholds: list[float]) -> list[l
 
 
 def find_critical_points(
-    p: Presentation,
-    theta_lo: float | None,
-    theta_hi: float | None,
-    samples: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    p: Presentation, theta_lo: float | None, theta_hi: float | None, samples: int
 ) -> CriticalReport:
     """Locate zeros of d(torsion)/d(theta) per root branch.
 
@@ -383,11 +368,10 @@ def find_critical_points(
     theta_lo, theta_hi = (math.nan if t is None else t for t in (theta_lo, theta_hi))
     grid = theta_grid(theta_lo, theta_hi, samples)
     intervals = _half_window_intervals(grid, thresholds)
-    solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}),
-                              multiplicity_threshold=tol.multiplicity)
+    solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}))
     notes = [f"near-multiple roots at theta={sols.theta:.6f}" for sols in solutions
              if sols.any_near_multiple]
-    torsion = _BranchTorsion(p, phi, tol, solutions)
+    torsion = _BranchTorsion(p, phi, solutions)
 
     # the interval's one root count: the count at most of its samples (a
     # sample with another count fails the count check)
@@ -473,7 +457,7 @@ def find_critical_points(
     if checked:
         pt = checked[len(checked) // 2]
         try:
-            _cross_check(p, pt.theta, pt.u, pt.torsion.real, tol)
+            _cross_check(p, pt.theta, pt.u, pt.torsion.real)
         except RepresentationError as exc:
             notes.append(f"no numeric cross-check at theta={pt.theta!r}, u={pt.u!r}: {exc}")
     return CriticalReport(points, notes, thresholds, (theta_lo, theta_hi))

@@ -38,6 +38,9 @@ from .laurent import (
 from .presentation import Presentation, PresentationError
 from .reps import MULTIPLICITY_THRESHOLD, RELATION_TOL, Rep
 
+#: default formula-vs-limit relative agreement (``Tolerances.consistency``)
+CONSISTENCY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -45,7 +48,7 @@ class Tolerances:
     the cleanup below 1 (from 1 up it zeroes all of Delta_1)."""
 
     relation: float = RELATION_TOL                # relator residuals, boundary-trace floor
-    consistency: float = 1e-6                     # formula-vs-limit relative agreement
+    consistency: float = CONSISTENCY_TOL          # formula-vs-limit relative agreement
     cleanup: float = DEFAULT_CLEANUP              # Laurent coefficient cleanup
     multiplicity: float = MULTIPLICITY_THRESHOLD  # near-double-root flag distance in u
 

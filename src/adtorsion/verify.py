@@ -23,6 +23,7 @@ from .laurent import LaurentMatrix, LaurentPoly, unit_aligned_distance
 from .locus import auto_theta_range, rep_at, theta_grid
 from .presentation import Presentation, validate
 from .reps import (
+    RELATION_TOL,
     RepresentationError,
     adjoint_of_matrix,
     build_rep,
@@ -31,8 +32,8 @@ from .reps import (
     su2_solutions,
 )
 from .torsion import (
+    CONSISTENCY_TOL,
     RegularityError,
-    Tolerances,
     compute_torsion,
     torsion_polynomial,
     torsion_via_formula,
@@ -118,76 +119,71 @@ def _value(route, tp) -> tuple[complex, str]:
         return complex("nan"), f" ({route.__name__}: {exc})"
 
 
-#: a point of a stack with both torsion routes; ``where`` names the knot,
-#: theta and u, and the reason of a route that raised and gave NaN
-_Point = namedtuple("_Point", "where theta sigma u formula limit")
+class _Point(namedtuple("_Point", "at theta sigma u formula limit why")):
+    """A point of a stack with both torsion routes: ``at`` names the knot
+    and theta, ``why`` the reason of a route that raised and gave NaN, and
+    ``where`` all three with u."""
+
+    @property
+    def where(self) -> str:
+        return f"{self.at}, u={self.u:.4f}{self.why}"
 
 
-def _su2_stack(name: str, p: Presentation, thetas: list[float], tol: Tolerances) -> list[_Point]:
+def _su2_stack(name: str, p: Presentation, thetas: list[float]) -> list[_Point]:
     """The SU(2) roots at ``thetas`` as one stack through rep_at and
     torsion_polynomial, with both routes evaluated at every point: the one
-    place verify reads the routes of a stack."""
+    place verify finds SU(2) points and reads their routes."""
     solutions = su2_solutions(riley_polynomial(p.bridge_word), thetas)
     points = [(sols.theta, sols.sigma, u) for sols in solutions for u in sols.roots]
-    tps = torsion_polynomial(rep_at(p, [t for t, _, _ in points], [u for _, _, u in points], tol), tol=tol)
+    tps = torsion_polynomial(rep_at(p, [t for t, _, _ in points], [u for _, _, u in points]))
     out = []
     for (theta, sigma, u), tp in zip(points, tps):
         (formula, why), (limit, why_not) = _value(torsion_via_formula, tp), _value(torsion_via_limit, tp)
-        where = f"{name} at theta={theta:.4f}, u={u:.4f}{why}{why_not}"
-        out.append(_Point(where, theta, sigma, u, formula, limit))
+        out.append(_Point(f"{name} at theta={theta:.4f}", theta, sigma, u, formula, limit, why + why_not))
     return out
 
 
-def _torus_row(knot, tol: Tolerances) -> CheckRow:
+def _torus_row(knot) -> CheckRow:
     """b(p, 1) = T(2, p), odd p <= 41, at theta = pi, 2 and 1.3, one stack
-    each: every SU(2) torsion is one of p^2 / (4 sin^2(pi k / p)),
-    k = 1 .. (p - 1)/2 (Dubois's torus-knot formula in this normalization),
-    and the roots at pi take each constant once.  ``knot`` builds a knot
-    by name."""
+    per knot: every SU(2) torsion of the limit route is one of
+    p^2 / (4 sin^2(pi k / p)), k = 1 .. (p - 1)/2 (Dubois's torus-knot
+    formula in this normalization), and the roots at pi take each constant
+    once.  ``knot`` builds a knot by name."""
     errors, each_once = [], True
     for p in range(3, 42, 2):
-        pq = knot(f"b({p},1)")
+        name = f"b({p},1)"
         constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
-        for theta in (math.pi, 2.0, 1.3):
-            roots = su2_solutions(riley_polynomial(pq.bridge_word), theta).roots
-            results = compute_torsion(rep_at(pq, np.full(len(roots), theta), roots, tol), tol)
-            nearest = [min(constants, key=lambda c: abs(r.value - c)) for r in results]
-            where = f"b({p},1) at theta={theta:.4f}"
-            errors += [(abs(r.value - c) / c, where) for r, c in zip(results, nearest)]
-            each_once &= theta != math.pi or sorted(nearest) == constants
+        points = _su2_stack(name, knot(name), [math.pi, 2.0, 1.3])
+        nearest = [min(constants, key=lambda c: abs(pt.limit - c)) for pt in points]
+        errors += [(abs(pt.limit - c) / c, pt.at + pt.why) for pt, c in zip(points, nearest)]
+        each_once &= sorted(c for pt, c in zip(points, nearest) if pt.theta == math.pi) == constants
     return _row(f"torus knots b(p,1), p <= 41 ({len(errors)} points)", errors, TORUS_TOL, each_once)
 
 
-def _mirror_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
+def _mirror_row(names: list[str], knot) -> CheckRow:
     """T(theta) = T(2 pi - theta) on every branch, the symmetry the critical
     search folds its window by.  At theta = 1.3, 2 and 2.5 the SU(2) roots
     at theta and at 2 pi - theta are solved and evaluated on their own, one
-    stack per side through rep_at and compute_torsion, and compared by rank;
-    on the named knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
+    stack per side, and their limit routes compared by rank; on the named
+    knots and every b(p, q) with odd p <= MIRROR_P_MAX."""
     names = list(dict.fromkeys([*names, *_family(MIRROR_P_MAX)]))
-    thetas = (1.3, 2.0, 2.5)
+    thetas = [1.3, 2.0, 2.5]
+    mirrored = [2.0 * math.pi - theta for theta in thetas]
     errors, counts_match = [], True
     for name in names:
         p = knot(name)
-        phi = riley_polynomial(p.bridge_word)
-        sides = []
-        for side in (thetas, [2.0 * math.pi - theta for theta in thetas]):
-            solutions = su2_solutions(phi, list(side))
-            points = [(sols.theta, u) for sols in solutions for u in sols.roots]
-            values = [r.value for r in compute_torsion(
-                rep_at(p, [t for t, _ in points], [u for _, u in points], tol), tol
-            )] if points else []
-            sides.append(([len(sols) for sols in solutions], points, values))
-        (counts, points, values), (mirror_counts, _, mirror_values) = sides
-        counts_match &= counts == mirror_counts
-        errors += [(abs(a - b) / (abs(a) or 1.0), f"{name} at theta={theta:.4f}")
-                   for (theta, _), a, b in zip(points, values, mirror_values)]
+        points, mirror = _su2_stack(name, p, thetas), _su2_stack(name, p, mirrored)
+        # as many roots at each theta as at its mirror
+        ranks = [thetas.index(pt.theta) for pt in points]
+        counts_match &= ranks == [mirrored.index(pt.theta) for pt in mirror]
+        errors += [(abs(a.limit - b.limit) / (abs(a.limit) or 1.0), a.at + a.why + b.why)
+                   for a, b in zip(points, mirror)]
     return _row(f"mirror T(theta) = T(2pi - theta), {len(names)} knots ({len(errors)} points)",
                 errors, MIRROR_TOL, counts_match)
 
 
-def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_Point]], knot,
-                tol: Tolerances) -> list[CheckRow]:
+def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_Point]],
+                knot) -> list[CheckRow]:
     """The exact torsion function against the numeric torsion.
 
     - At every point of each named knot's stack, T from the exact function
@@ -197,9 +193,9 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
       integer grid {0, 1, 2}^2.
     - At theta = pi the SU(2) roots are the d binary dihedral points, so the
       exact trace of T at sigma = -2 (Newton's identities) must be the sum
-      of the numeric torsions there, on the named knots and every b(p, q)
-      with odd p <= TRACE_P_MAX; on b(p, 1) it is p^2 (p^2 - 1) / 24, the
-      sum of the torus constants.
+      of their limit routes, one stack per knot, on the named knots and
+      every b(p, q) with odd p <= TRACE_P_MAX; on b(p, 1) it is
+      p^2 (p^2 - 1) / 24, the sum of the torus constants.
     - The trace over whole SL(2,C) fibres (:func:`_fibre_row`)."""
     from .exact import torsion_function  # on first use, like the critical search
 
@@ -226,14 +222,15 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
     for name in names:
         p = knot(name)
         trace = torsion_function(p.bridge_word).trace(-2)
-        roots = su2_solutions(riley_polynomial(p.bridge_word), math.pi).roots
-        values = [r.value for r in compute_torsion(rep_at(p, [math.pi] * len(roots), roots, tol), tol)]
-        errors.append((abs(sum(values) - trace) / sum(map(abs, values)), name))
+        points = _su2_stack(name, p, [math.pi])
+        values = [pt.limit for pt in points]
+        errors.append((abs(sum(values) - trace) / sum(map(abs, values)),
+                       name + "".join(dict.fromkeys(pt.why for pt in points))))
         # the trace each b(p, 1) must have exactly
         n, q = family.get(name, (0, 0))
         torus_ok &= q != 1 or trace == n * n * (n * n - 1) // 24
     rows.append(_row(f"dihedral trace of exact T, {len(names)} knots", errors, 1e-10, torus_ok))
-    rows.append(_fibre_row(list(presentations), knot, tol))
+    rows.append(_fibre_row(list(presentations), knot))
     return rows
 
 
@@ -262,7 +259,7 @@ def _newton(coeffs: list[int], u: complex) -> complex:
     return u
 
 
-def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
+def _fibre_row(names: list[str], knot) -> CheckRow:
     """T in Z[sigma][u] / (phi) off the SU(2) locus: at each sigma of
     FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
     phi(sigma, u), one stack per fibre (the real roots in the SU(2) window
@@ -287,17 +284,17 @@ def _fibre_row(names: list[str], knot, tol: Tolerances) -> CheckRow:
             integers = [int(c * scale) for c in phi]
             roots = [_newton(integers, complex(u)) for u in np.roots([float(c) for c in phi[::-1]])]
             s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
-            rep = build_rep(p, np.full(len(roots), s), roots, tol=tol.relation, check=False)
+            rep = build_rep(p, np.full(len(roots), s), roots, check=False)
             residual = max(residual, float(np.max(rep.relator_residuals)))
-            values = [r.value for r in compute_torsion(rep, tol)]
+            values = [r.value for r in compute_torsion(rep)]
             count += len(values)
             errors.append((abs(sum(values) - function.trace(sigma)) / sum(map(abs, values)),
                            f"{name} at sigma={sigma}"))
     return _row(f"SL(2,C) fibre trace of exact T, {len(names)} knots ({count} points)", errors, FIBRE_TOL,
-                residual <= tol.relation, detail=f"worst on {{where}}, relator residual {residual:.1e}")
+                residual <= RELATION_TOL, detail=f"worst on {{where}}, relator residual {residual:.1e}")
 
 
-def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[CheckRow], int]:
+def run_verification(knot_names: list[str]) -> tuple[list[CheckRow], int]:
     rng = random.Random(20260808)
     rows: list[CheckRow] = []
 
@@ -342,22 +339,22 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     stacks, consistency, wada, conj, twist = {}, [], [], [], []
     for name, p in presentations.items():
         lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-        points = stacks[name] = _su2_stack(name, p, theta_grid(lo + 0.05, min(hi, math.pi), 8), tol)
+        points = stacks[name] = _su2_stack(name, p, theta_grid(lo + 0.05, min(hi, math.pi), 8))
         consistency += [(abs(pt.formula - pt.limit) / max(1.0, abs(pt.limit)), pt.where) for pt in points]
         mid = points[len(points) // 2]
-        rep = rep_at(p, mid.theta, mid.u, tol)
+        rep = rep_at(p, mid.theta, mid.u)
         tai0, tai1 = (twisted_alexander_invariant(rep, drop=j) for j in (0, 1))
         wada.append((unit_aligned_distance(tai0.numerator * tai1.denominator,
                                            tai1.numerator * tai0.denominator), mid.where))
         for _ in range(3):
-            tc, _ = _value(torsion_via_limit, torsion_polynomial(rep.conjugated(_random_su2(rng)), tol=tol))
+            tc, _ = _value(torsion_via_limit, torsion_polynomial(rep.conjugated(_random_su2(rng))))
             conj.append((abs(tc - mid.limit) / max(1.0, abs(mid.limit)), mid.where))
         # both builds take the unitary frame, where -sqrt_s gives exactly -x
         # and -y: Ad, and so the torsion, keep every bit, and the row reads 0
-        flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s, tol=tol.relation)
-        tflip, _ = _value(torsion_via_limit, torsion_polynomial(flipped, tol=tol))
+        flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s)
+        tflip, _ = _value(torsion_via_limit, torsion_polynomial(flipped))
         twist.append((abs(tflip - mid.limit), mid.where))
-    rows.append(_row("torsion: limit vs derivative formula", consistency, tol.consistency, detail=""))
+    rows.append(_row("torsion: limit vs derivative formula", consistency, CONSISTENCY_TOL, detail=""))
     rows.append(_row("Wada column invariance", wada, 1e-8, detail=""))
     rows.append(_row("conjugation invariance", conj, 1e-8, detail=""))
     rows.append(_row("sign twist (-sqrt s) invariance", twist, 1e-12, detail=""))
@@ -365,17 +362,17 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     # 5_2 closed form up to one global sign
     if "5_2" in presentations:
         errors, signs = [], set()
-        for pt in _su2_stack("5_2", presentations["5_2"], theta_grid(0.76, math.pi, 40), tol):
+        for pt in _su2_stack("5_2", presentations["5_2"], theta_grid(0.76, math.pi, 40)):
             value, target = pt.formula.real, closed_form_5_2(pt.sigma, pt.u)
             signs.add(1 if value * target > 0 else -1)
             errors.append((abs(abs(value) - abs(target)) / max(1.0, abs(target)), pt.where))
         sign = "+1" if signs == {1} else "-1" if signs == {-1} else "inconsistent"
-        rows.append(_row(f"5_2 closed form ({len(errors)} samples)", errors, tol.consistency,
+        rows.append(_row(f"5_2 closed form ({len(errors)} samples)", errors, CONSISTENCY_TOL,
                          len(signs) == 1, detail=f"global sign {sign}"))
 
-    rows.append(_torus_row(knot, tol))
-    rows.append(_mirror_row(knot_names, knot, tol))
-    rows += _exact_rows(presentations, stacks, knot, tol)
+    rows.append(_torus_row(knot))
+    rows.append(_mirror_row(knot_names, knot))
+    rows += _exact_rows(presentations, stacks, knot)
 
     # negative control: a point off the variety must be rejected
     p = presentations[knot_names[0]]
@@ -383,8 +380,7 @@ def run_verification(knot_names: list[str], tol: Tolerances) -> tuple[list[Check
     sols = su2_solutions(phi, math.pi)
     caught = False
     try:
-        build_rep(p, cmath.exp(1j * math.pi), sols.roots[0] + 1e-3,
-                  sqrt_s=cmath.exp(0.5j * math.pi), tol=tol.relation)
+        build_rep(p, cmath.exp(1j * math.pi), sols.roots[0] + 1e-3, sqrt_s=cmath.exp(0.5j * math.pi))
     except RepresentationError:
         caught = True
     rows.append(CheckRow("off-variety rejection (u + 1e-3)", 0.0 if caught else 1.0, 0.0, caught))

@@ -219,11 +219,11 @@ def test_acceptance_6_critical_points():
                 _limit(_su2_rep(p, math.pi, u)).real,
                 u,
             )
-            deriv = _BranchTorsion(p, phi, TOL).derivatives([(math.pi, (len(sols.roots), rank))])[0][0]
+            deriv = _BranchTorsion(p, phi).derivatives([(math.pi, (len(sols.roots), rank))])[0][0]
             scale = max(1.0, abs(value))
             assert abs(deriv) <= 1e-4 * scale, f"{name} u={u}"
             details.append(f"{name}:|dT/dtheta|={abs(deriv):.1e}")
-        report = find_critical_points(p, window[0], window[1], 17, TOL)
+        report = find_critical_points(p, window[0], window[1], 17)
         assert report.dihedral_count == expected_count
         for pt in report.points:
             assert pt.is_dihedral and abs(pt.theta - math.pi) < 1e-6

@@ -301,8 +301,8 @@ def test_torsion_and_tai_payloads_keep_every_bit(capsys, theta, root):
     if root == B41_11_STACK:
         p = schubert_knot(41, 11)
         roots = su2_solutions(riley_polynomial(p.bridge_word), float(theta)).roots
-        rep = locus.rep_at(p, np.full(len(roots), float(theta)), roots, Tolerances())
-        payloads = [result.to_json() for result in compute_torsion(rep, Tolerances())]
+        rep = locus.rep_at(p, np.full(len(roots), float(theta)), roots)
+        payloads = [result.to_json() for result in compute_torsion(rep)]
         assert len(payloads) == 20
         assert json.dumps(payloads) == json.dumps(json.loads(B41_11_PAYLOADS.read_text()))
         for payload, reference in zip(payloads, B41_11_REFERENCE):
@@ -531,20 +531,32 @@ def test_verify_fails_a_row_where_a_route_raises(capsys, monkeypatch):
         assert "(torsion_via_limit: not a simple zero" in line
 
 
+def test_su2_rows_name_the_route_that_raised(monkeypatch):
+    # the torus and mirror rows read the limit route of their stacks: where
+    # it raises, a row fails and names it, with no formula value in its place
+    def torsion_via_limit(tp):
+        raise RegularityError("not a simple zero")
+
+    monkeypatch.setattr(verify, "torsion_via_limit", torsion_via_limit)
+    for row in (verify._torus_row(catalog.knot), verify._mirror_row(["5_2"], catalog.knot)):
+        assert not row.passed and math.isnan(row.max_error)
+        assert "(torsion_via_limit: not a simple zero)" in row.detail, row
+
+
 def test_fibre_row_fails_on_a_wrong_trace(monkeypatch):
     # the fibre row compares the numeric sum over each whole fibre with the
     # exact trace; a trace off by 1e-6 fails it
-    row = verify._fibre_row(["5_2"], catalog.knot, Tolerances())
+    row = verify._fibre_row(["5_2"], catalog.knot)
     assert row.passed and 0.0 < row.max_error <= verify.FIBRE_TOL
     trace = exact.TorsionFunction.trace
     monkeypatch.setattr(exact.TorsionFunction, "trace", lambda self, sigma: trace(self, sigma) + 1e-6)
-    assert not verify._fibre_row(["5_2"], catalog.knot, Tolerances()).passed
+    assert not verify._fibre_row(["5_2"], catalog.knot).passed
 
 
 def test_fibre_row_polishes_its_roots():
     # numpy's companion-matrix roots of phi(5/2, .) on b(17,1) give a fibre
     # sum off by 2.3e-8; exact Newton steps bring it within FIBRE_TOL
-    row = verify._fibre_row(["b(17,1)"], catalog.knot, Tolerances())
+    row = verify._fibre_row(["b(17,1)"], catalog.knot)
     assert row.passed and "worst on b(17,1) at sigma=5/2" in row.detail
 
 
@@ -642,7 +654,7 @@ def test_critical_search_drops_failed_bisection(monkeypatch, error):
 
     monkeypatch.setattr(locus, "_refine_derivative_zeros", fail)
     p, lo, hi = _five_two_auto_window()
-    report = find_critical_points(p, lo, hi, 33, Tolerances())
+    report = find_critical_points(p, lo, hi, 33)
     dropped = [n for n in report.notes if n.startswith("dropped sign change in theta [")]
     # the half window of 5_2 has one sign change away from pi, now a note;
     # the dihedral points at pi need no refinement
@@ -687,7 +699,7 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
 
     monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
     monkeypatch.setattr(locus, "su2_solutions", far_root_at_first_trial)
-    report = find_critical_points(p, lo, hi, 33, Tolerances())
+    report = find_critical_points(p, lo, hi, 33)
     dropped = [n for n in report.notes if n.startswith("dropped sign change")]
     assert [n.partition(": ")[2] for n in dropped] == [
         f"root count 1 at theta={first_trial[0]:.6f} is not the branch's "
@@ -709,7 +721,7 @@ def test_critical_search_finds_every_dihedral_point(p, q):
     # dihedral points are now taken at pi itself
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, lo, hi, 33)
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if n.startswith("dropped")]
     for pt in report.points:
@@ -736,7 +748,7 @@ def test_critical_search_brackets_stay_inside_one_threshold_interval(monkeypatch
     knot = schubert_knot(p, q)
     phi = riley_polynomial(knot.bridge_word)
     lo, hi = auto_theta_range(phi)
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, lo, hi, 33)
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if n.startswith(("dropped", "discarded"))]
     assert searched
@@ -768,7 +780,7 @@ def test_critical_search_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(locus, "compute_torsion", counted)
     p = catalog.knot("5_2")
-    report = find_critical_points(p, None, None, 33, Tolerances())
+    report = find_critical_points(p, None, None, 33)
     assert report.dihedral_count == 3
     assert len(report.points) == 3 + 2  # one sign change, reported with its mirror
     assert len(points) == 1
@@ -789,7 +801,7 @@ def test_critical_search_notes_a_branch_whose_samples_all_failed(monkeypatch):
         return root(self, theta, branch)
 
     monkeypatch.setattr(locus._BranchTorsion, "root", fail_low_branch)
-    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17, Tolerances())
+    report = find_critical_points(catalog.knot("5_2"), 2.7, 3.58, 17)
     failed = [n for n in report.notes if "derivative samples failed" in n]
     assert failed == [
         "17 of 17 derivative samples failed on root 0 of 3 over [2.7000, 3.1400], "
@@ -835,7 +847,7 @@ def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
     monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
     monkeypatch.setattr(locus, "compute_torsion", numeric_spy)
     knot = schubert_knot(p, q)
-    report = find_critical_points(knot, None, None, 33, Tolerances())
+    report = find_critical_points(knot, None, None, 33)
     assert started
     sampled = {(theta, r[0]) for (theta, _), r in taken[0].items() if not isinstance(r, Exception)}
     for a, fa, b, fb in started:
@@ -863,10 +875,10 @@ def test_lockstep_refinement_matches_each_bracket_alone(monkeypatch, p, q, sign_
     knot = schubert_knot(p, q)
     phi = riley_polynomial(knot.bridge_word)
     lo, hi = auto_theta_range(phi)
-    find_critical_points(knot, lo, hi, 33, Tolerances())
+    find_critical_points(knot, lo, hi, 33)
     [(torsion, brackets)] = searched
     assert len(brackets) == sign_changes
-    alone = locus._BranchTorsion(knot, phi, Tolerances())
+    alone = locus._BranchTorsion(knot, phi)
     for (theta_a, _, theta_b, _, branch), zero in zip(brackets, refine(torsion, brackets)):
 
         def slope(theta):
@@ -882,17 +894,17 @@ def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
     # point off pi: when that point's representation raises, the error
     # becomes a note and every point keeps the bits the search gives it
     p = catalog.knot("5_2")
-    report = find_critical_points(p, None, None, 33, Tolerances())
+    report = find_critical_points(p, None, None, 33)
     checked = [pt for pt in report.points if not pt.is_dihedral][1]
     rep_at = locus.rep_at
 
-    def off_variety(p, theta, u, tol):
+    def off_variety(p, theta, u):
         if theta == checked.theta:
             raise RepresentationError(f"relator residual too large at theta={theta!r}")
-        return rep_at(p, theta, u, tol)
+        return rep_at(p, theta, u)
 
     monkeypatch.setattr(locus, "rep_at", off_variety)
-    alone = find_critical_points(p, None, None, 33, Tolerances())
+    alone = find_critical_points(p, None, None, 33)
     assert alone.points == report.points
     assert alone.notes == report.notes + [
         f"no numeric cross-check at theta={checked.theta!r}, u={checked.u!r}: "
@@ -902,19 +914,19 @@ def test_a_point_off_the_variety_fails_alone_in_its_stack(monkeypatch):
 
 @pytest.mark.parametrize("window", [(None, None), (2.7, 3.58)])
 def test_critical_cross_check_names_both_values(monkeypatch, window):
-    # a numeric torsion that differs from T by more than tol.consistency at
+    # a numeric torsion that differs from T by more than CONSISTENCY_TOL at
     # the cross-check point, the middle point off pi or, with none, the
     # middle dihedral point, fails the search with both values and the point
-    p, tol = catalog.knot("5_2"), Tolerances()
-    report = find_critical_points(p, *window, 33, tol)
+    p = catalog.knot("5_2")
+    report = find_critical_points(p, *window, 33)
     checked = [pt for pt in report.points if not pt.is_dihedral] or report.points
     pt = checked[len(checked) // 2]
-    numeric = compute_torsion(locus.rep_at(p, pt.theta, pt.u, tol), tol).value
+    numeric = compute_torsion(locus.rep_at(p, pt.theta, pt.u)).value
     assert abs(numeric - pt.torsion) <= 1e-12 * abs(numeric)
-    monkeypatch.setattr(locus, "compute_torsion", lambda rep, tol: dataclasses.replace(
-        compute_torsion(rep, tol), value=numeric * (1.0 + 2e-6)))
+    monkeypatch.setattr(locus, "compute_torsion", lambda rep: dataclasses.replace(
+        compute_torsion(rep), value=numeric * (1.0 + 2e-6)))
     with pytest.raises(RegularityError) as caught:
-        find_critical_points(p, *window, 33, tol)
+        find_critical_points(p, *window, 33)
     assert str(caught.value) == (
         f"exact torsion {pt.torsion.real!r} and numeric torsion {numeric * (1.0 + 2e-6)!r} differ at "
         f"theta={pt.theta!r}, u={pt.u!r}"
@@ -928,7 +940,7 @@ def test_critical_reports_each_dihedral_point_once(p, q):
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
     assert 0.0 < abs(theta_grid(lo, hi, 33)[16] - math.pi) < 1e-15
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, lo, hi, 33)
     assert report.dihedral_count <= (p - 1) // 2
     assert all(pt.theta == math.pi for pt in report.points if pt.is_dihedral)
 
@@ -941,7 +953,7 @@ def test_critical_reports_the_dihedral_points_the_limit_route_dropped(p, q):
     # torsion is now T, so all (p - 1)/2 are reported and their sum is the
     # exact trace of T at sigma = -2
     knot = schubert_knot(p, q)
-    report = find_critical_points(knot, None, None, 33, Tolerances())
+    report = find_critical_points(knot, None, None, 33)
     assert report.dihedral_count == (p - 1) // 2
     assert not [n for n in report.notes if "not a simple zero" in n]
     trace = float(torsion_function(knot.bridge_word).trace(-2))
@@ -957,7 +969,7 @@ def test_critical_family_reports_mirror_pairs_and_every_dihedral_point():
     for p, q in _critical_family():
         knot = schubert_knot(p, q)
         lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
-        report = find_critical_points(knot, lo, hi, 33, Tolerances())
+        report = find_critical_points(knot, lo, hi, 33)
         assert report.dihedral_count == (p - 1) // 2, (p, q)
         off_pi = [pt for pt in report.points if not pt.is_dihedral]
         assert len(off_pi) % 2 == 0, (p, q)
@@ -977,7 +989,7 @@ def test_flat_branch_notes_name_the_torus_knot_constants(p):
     knot = schubert_knot(p, 1)
     phi = riley_polynomial(knot.bridge_word)
     lo, hi = auto_theta_range(phi)
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, lo, hi, 33)
     assert all(pt.is_dihedral for pt in report.points)
     flat = [n for n in report.notes if n.startswith("branch torsion is constant")]
     assert flat and len(flat) == len(report.notes)
@@ -1086,7 +1098,7 @@ def test_simple_zero_remainder_on_the_edge_branch():
     p = schubert_knot(11, 7)
     sols = locus.su2_solutions(riley_polynomial(p.bridge_word), math.pi)
     u = min(sols.roots, key=lambda r: abs(r - (sols.sigma - 2.0)))
-    tp = torsion_polynomial(locus.rep_at(p, math.pi, u, Tolerances()))
+    tp = torsion_polynomial(locus.rep_at(p, math.pi, u))
     assert max(tp.remainders) <= 1e-10 * as_poly(tp.delta).max_abs
 
 
@@ -1146,8 +1158,8 @@ def test_presentation_objects_computed_once_per_word():
     # torsion stack, all dropping the meridian x; the sweep and each search
     # read the exact torsion function once
     sweep_rows(p, 2.6, 3.7, 9)
-    find_critical_points(p, 2.7, 3.58, 9, Tolerances())
-    find_critical_points(p, 2.7, 3.58, 9, Tolerances())
+    find_critical_points(p, 2.7, 3.58, 9)
+    find_critical_points(p, 2.7, 3.58, 9)
     riley = riley_polynomial.cache_info()
     assert riley.misses == 1  # the bridge word
     assert riley.hits > 0
@@ -1190,10 +1202,10 @@ def test_library_imports_without_the_cli():
     done = _python(
         "-c",
         "import sys; from adtorsion import catalog, compute_torsion, riley_polynomial, su2_solutions; "
-        "from adtorsion.locus import auto_theta_range, rep_at; from adtorsion.torsion import Tolerances; "
+        "from adtorsion.locus import auto_theta_range, rep_at; "
         "knot = catalog.two_bridge_pq(41, 11); phi = riley_polynomial(knot.bridge_word); "
         "lo, hi = auto_theta_range(phi); u = su2_solutions(phi, 2.0).roots[0]; "
-        "result = compute_torsion(rep_at(knot, 2.0, u, Tolerances())); "
+        "result = compute_torsion(rep_at(knot, 2.0, u)); "
         "print(lo < 2.0 < hi, result.limit_value is not None, 'adtorsion.exact' in sys.modules)",
     )
     assert done.returncode == 0, done.stderr
@@ -1219,23 +1231,21 @@ def test_sweep_stack_matches_single_points(knot, drop):
     # the bit, and the numeric torsion there (dropping the meridian, or
     # ``drop``) within 1e-9
     p = catalog.knot(knot) if isinstance(knot, str) else schubert_knot(*knot)
-    tol = Tolerances()
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    rows = sweep_rows(p, lo, hi, 13, tol)
+    rows = sweep_rows(p, lo, hi, 13)
     assert len(rows) >= 13
     json.dumps({"rows": rows})
     function = torsion_function(p.bridge_word)
     for row in rows:
         assert all(type(row[k]) is float for k in row if k != "tai_simple_zero")
         assert type(row["tai_simple_zero"]) is bool
-        roots = su2_solutions(riley_polynomial(p.bridge_word), row["theta"], tol.relation,
-                              multiplicity_threshold=tol.multiplicity).roots
+        roots = su2_solutions(riley_polynomial(p.bridge_word), row["theta"]).roots
         assert min(abs(r - row["u"]) for r in roots) <= 1e-12
         (alone,) = function([row["sigma"]], [row["u"]]).tolist()
         assert _same_bits(row["torsion_re"], alone)
         assert _same_bits(row["torsion_im"], 0.0)
-        rep = locus.rep_at(p, row["theta"], row["u"], tol)
-        single = compute_torsion(rep, tol, drop=drop)
+        rep = locus.rep_at(p, row["theta"], row["u"])
+        single = compute_torsion(rep, drop=drop)
         assert abs(row["torsion_re"] - single.value) <= 1e-9 * abs(single.value)
         assert row["tai_simple_zero"] is single.diagnostics["simple_zero"] is True
         assert _same_bits(row["trace_mu"], float(rep.trace_meridian.real))
@@ -1305,12 +1315,12 @@ def test_diagnostics_are_derived_on_each_read(monkeypatch):
     calls = _count_calls(
         monkeypatch, [(torsion, "regularity_diagnostics"), (torsion, "naive_limit")]
     )
-    p, tol = catalog.knot("5_2"), Tolerances()
+    p = catalog.knot("5_2")
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    assert find_critical_points(p, lo, hi, 33, tol).dihedral_count == 3
+    assert find_critical_points(p, lo, hi, 33).dihedral_count == 3
     u = su2_solutions(riley_polynomial(p.bridge_word), 2.9).roots[1]
-    result = compute_torsion(locus.rep_at(p, 2.9, u, tol), tol)
-    assert result == compute_torsion(locus.rep_at(p, 2.9, u, tol), tol)
+    result = compute_torsion(locus.rep_at(p, 2.9, u))
+    assert result == compute_torsion(locus.rep_at(p, 2.9, u))
     assert calls == {"regularity_diagnostics": 0, "naive_limit": 0}
     first = result.diagnostics
     assert calls == {"regularity_diagnostics": 1, "naive_limit": 1}
@@ -1357,8 +1367,7 @@ def test_sweep_output_keeps_every_byte(capsys, tmp_path, fixture, knot, samples,
             target = -closed_form_5_2(row["sigma"], row["u"])
             assert abs(row["torsion_re"] - target) <= 1e-12 * abs(target)
     else:
-        tol = Tolerances()
-        results = compute_torsion(locus.rep_at(p, [r["theta"] for r in rows], [r["u"] for r in rows], tol), tol)
+        results = compute_torsion(locus.rep_at(p, [r["theta"] for r in rows], [r["u"] for r in rows]))
         for row, result in zip(rows, results):
             assert abs(row["torsion_re"] - result.value) <= 1e-9 * abs(result.value)
 
@@ -1381,7 +1390,7 @@ def test_sweep_cross_check_names_its_point(monkeypatch, capsys):
 def test_sweep_rejects_a_root_off_the_variety(monkeypatch):
     # every row passes build_rep's phi check: a root nudged off phi = 0
     # fails the sweep with the error its point raises alone
-    p, tol = catalog.knot("5_2"), Tolerances()
+    p = catalog.knot("5_2")
     solve = su2_solutions
 
     def nudged(phi, thetas, **kwargs):
@@ -1393,9 +1402,9 @@ def test_sweep_rejects_a_root_off_the_variety(monkeypatch):
     theta = theta_grid(2.6, 3.7, 5)[1]
     u = solve(riley_polynomial(p.bridge_word), theta).roots[0] + 1e-3
     with pytest.raises(RepresentationError, match="does not vanish") as alone:
-        locus.rep_at(p, theta, u, tol)
+        locus.rep_at(p, theta, u)
     with pytest.raises(RepresentationError, match="does not vanish") as swept:
-        sweep_rows(p, 2.6, 3.7, 5, tol)
+        sweep_rows(p, 2.6, 3.7, 5)
     assert str(swept.value) == str(alone.value)
 
 

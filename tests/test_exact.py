@@ -9,12 +9,10 @@ from adtorsion import catalog
 from adtorsion.exact import _torsion_coefficients, torsion_function
 from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
 from adtorsion.reps import riley_polynomial, su2_solutions
-from adtorsion.torsion import Tolerances, compute_torsion
+from adtorsion.torsion import compute_torsion
 from adtorsion.verify import closed_form_5_2
 
 from test_torsion import schubert_knot
-
-TOL = Tolerances()
 
 
 def _family(p_max):
@@ -54,8 +52,8 @@ def test_torsion_function_matches_compute_torsion(p, q):
         roots = su2_solutions(phi, theta).roots
         if not roots:
             continue
-        rep = rep_at(knot, np.full(len(roots), theta), roots, TOL)
-        values = [r.value for r in compute_torsion(rep, TOL)]
+        rep = rep_at(knot, np.full(len(roots), theta), roots)
+        values = [r.value for r in compute_torsion(rep)]
         exact = function([2.0 * math.cos(theta)] * len(roots), roots)
         for value, t in zip(values, exact.tolist()):
             assert abs(t - value) <= 1e-9 * abs(value), (theta, value, t)
@@ -82,8 +80,8 @@ def test_dihedral_trace_of_the_torus_knots(p):
     trace = torsion_function(knot.bridge_word).trace(-2)
     assert trace == Fraction(p * p * (p * p - 1), 24)
     roots = su2_solutions(riley_polynomial(knot.bridge_word), math.pi).roots
-    rep = rep_at(knot, np.full(len(roots), math.pi), roots, TOL)
-    values = [r.value.real for r in compute_torsion(rep, TOL)]
+    rep = rep_at(knot, np.full(len(roots), math.pi), roots)
+    values = [r.value.real for r in compute_torsion(rep)]
     assert abs(sum(values) - trace) <= 1e-11 * sum(map(abs, values))
 
 
@@ -147,7 +145,7 @@ def test_slope_is_the_central_difference_of_compute_torsion(p, q):
         rank = len(rows[0].roots) // 2
         minus, at, plus = (sols.roots[rank] for sols in rows)
         values = [r.value.real for r in compute_torsion(
-            rep_at(knot, [theta - h, theta + h], [minus, plus], TOL), TOL)]
+            rep_at(knot, [theta - h, theta + h], [minus, plus]))]
         difference = (values[1] - values[0]) / (2.0 * h)
         slope, value = (a[0] for a in function.slope([theta], [at]))
         assert abs(slope - difference) <= 1e-6 * max(1.0, abs(value)), (theta, slope, difference)
@@ -162,7 +160,7 @@ def test_critical_search_finds_the_fold_minimum(p, q, u):
     # large"; the exact slope puts it at theta = 2.0676443630616
     knot = schubert_knot(p, q)
     lo, hi = auto_theta_range(riley_polynomial(knot.bridge_word))
-    report = find_critical_points(knot, lo, hi, 33, Tolerances())
+    report = find_critical_points(knot, lo, hi, 33)
     assert not [n for n in report.notes if "too large" in n]
     found = [pt for pt in report.points if abs(pt.theta - 2.06764) < 1e-4]
     assert len(found) == 1

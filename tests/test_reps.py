@@ -277,14 +277,13 @@ def test_family_limit_route_in_the_unitary_frame():
     # every point at theta = 2 and 1.3; the largest division remainder is
     # 3.54e-9 of max |Delta_1| and |Im T| at most 3.4e-12 of |T| (Riley's
     # pair over sqrt(s): 99/19/4 failures, 4.9e-7 and 2.4e-8)
-    tol = Tolerances()
     failed = {math.pi: 0, 2.0: 0, 1.3: 0}
     for knot, phi, _ in family_roots_at_pi():
         for theta, solutions in zip(failed, su2_solutions(phi, list(failed))):
             if not solutions.roots:
                 continue
-            rep = rep_at(knot, np.full(len(solutions), theta), solutions.roots, tol)
-            for tp, result in zip(torsion_polynomial(rep, tol=tol), compute_torsion(rep, tol)):
+            rep = rep_at(knot, np.full(len(solutions), theta), solutions.roots)
+            for tp, result in zip(torsion_polynomial(rep), compute_torsion(rep)):
                 failed[theta] += result.limit_value is None
                 assert max(tp.remainders) <= 3.6e-9 * tp.scale
                 assert abs(result.value.imag) <= 5e-12 * abs(result.value)

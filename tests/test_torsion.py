@@ -326,7 +326,7 @@ def test_limit_route_reads_remainders_on_the_scale_of_its_value():
     p = schubert_knot(33, 1)
     sols = su2_solutions(riley_polynomial(p.bridge_word), math.pi)
     u = sols.roots[0]
-    value = torsion_via_limit(torsion_polynomial(rep_at(p, math.pi, u, TOL)))
+    value = torsion_via_limit(torsion_polynomial(rep_at(p, math.pi, u)))
     exact = torsion_function(p.bridge_word)([sols.sigma], [u])[0]
     assert abs(value - exact) <= 1e-9 * abs(exact)
 
@@ -485,7 +485,7 @@ def test_diagnostics_name_the_route_of_the_value():
         assert result.to_json()["diagnostics"]["route"] == "formula"
     p = catalog.knot("5_2")
     u = su2_solutions(riley_polynomial(p.bridge_word), 2.5).roots[0]
-    result = compute_torsion(rep_at(p, 2.5, u, TOL), TOL)
+    result = compute_torsion(rep_at(p, 2.5, u))
     assert result.value == result.limit_value
     assert result.diagnostics["route"] == "limit"
 
@@ -693,8 +693,8 @@ def test_torus_knot_torsion_is_one_of_its_constants():
         constants = sorted(p * p / (4 * math.sin(math.pi * k / p) ** 2) for k in range(1, (p + 1) // 2))
         for theta in (math.pi, 2.0, 1.3):
             roots = su2_solutions(phi, theta).roots
-            rep = rep_at(knot, np.full(len(roots), theta), roots, TOL)
-            values = [result.value for result in compute_torsion(rep, TOL)]
+            rep = rep_at(knot, np.full(len(roots), theta), roots)
+            values = [result.value for result in compute_torsion(rep)]
             nearest = [min(constants, key=lambda c: abs(v - c)) for v in values]
             for v, c in zip(values, nearest):
                 assert abs(v - c) <= 1e-11 * c, (p, theta, v, c)
@@ -865,7 +865,7 @@ def test_torsion_polynomials_compare_field_by_field():
     # delta is an array: equal polynomials compare equal instead of raising
     p = catalog.knot("5_2")
     u = su2_solutions(riley_polynomial(p.bridge_word), 2.9).roots[1]
-    tp1, tp2 = (torsion_polynomial(rep_at(p, 2.9, u, TOL)) for _ in range(2))
+    tp1, tp2 = (torsion_polynomial(rep_at(p, 2.9, u)) for _ in range(2))
     assert tp1 is not tp2 and tp1 == tp2 and not tp1 != tp2
     changed = tp1._replace(delta=tp1.delta * (1.0 + 1e-15))
     assert changed != tp1 and not changed == tp1
