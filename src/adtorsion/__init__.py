@@ -34,6 +34,7 @@ from .reps import (
     RepresentationError,
     RileyPoly,
     Su2Solutions,
+    Su2Stack,
     adjoint_of_matrix,
     build_rep,
     riley_assignment,

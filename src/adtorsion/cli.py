@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import re
-import string
 import sys
 
 from . import __version__, catalog
@@ -28,21 +27,18 @@ from .verify import run_verification
 from .words import WordError, parse_word
 
 
-#: one sweep row of CSV; the header lists the template's fields in order.
-#: ".12g" writes nan for a NaN of either sign, and inf and -0 as they are
-_CSV_ROW = (
-    "{theta:.12g},{sigma:.12g},{u:.12g},{torsion_re:.12g},{torsion_im:.12g},"
-    "{tai_simple_zero},{trace_mu:.12g}"
-)
-_CSV_HEADER = ",".join(field for _, field, _, _ in string.Formatter().parse(_CSV_ROW))
+#: the sweep's CSV columns, and one row of them: "%.12g" writes nan for a
+#: NaN of either sign, and inf and -0 as they are
+_CSV_HEADER = "theta,sigma,u,torsion_re,torsion_im,tai_simple_zero,trace_mu"
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s,%.12g\n"
 
 
 def format_sweep_csv(rows: list[dict]) -> str:
-    lines = [f"# adtorsion {__version__}", _CSV_HEADER]
-    for r in rows:
-        tai = "true" if r["tai_simple_zero"] else "false"
-        lines.append(_CSV_ROW.format_map({**r, "tai_simple_zero": tai}))
-    return "\n".join(lines) + "\n"
+    return f"# adtorsion {__version__}\n{_CSV_HEADER}\n" + "".join([
+        _CSV_ROW % (r["theta"], r["sigma"], r["u"], r["torsion_re"], r["torsion_im"],
+                    "true" if r["tai_simple_zero"] else "false", r["trace_mu"])
+        for r in rows
+    ])
 
 
 def _resolve_presentation(args) -> Presentation:

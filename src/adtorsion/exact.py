@@ -13,14 +13,15 @@ unnormalized matrices X = [[s, 1], [0, 1]], Y = [[s, 0], [-s u, 1]] serve,
 with Ad m = (entries quadratic in m) / det m.  At t = 1 + eps, eps^3 = 0,
 the eps^2 coefficient of det M is Delta_1''(1) / 2; the eps^0 and eps^1
 coefficients vanish modulo phi, the double zero at t = 1, which the build
-checks.  Everything runs modulo two primes below 2^24, so that a product
+checks.  Everything runs modulo primes below 2^24, so that a product
 of two residues fits int64, at the integer nodes s0 = 2 .. d + 2: M is
 evaluated letter by letter at the u-nodes 0 .. 2 n_y + 2 (n_y the number of
 y letters of w, which bounds the u-degree of M by 2 n_y + 2), reduced
 modulo phi(s0, u) and evaluated at the 3 d - 2 u-nodes its determinant
 needs; det M is then reduced modulo phi, divided by sigma0 - 2 and
-interpolated in sigma, and the sigma^d coefficient must vanish.  The two
-primes are joined by CRT into the symmetric range.
+interpolated in sigma, and the sigma^d coefficient must vanish.  The
+primes are joined by CRT into the symmetric range until one more changes
+no coefficient (b(71,1)'s 49 bits need three).
 
 Evaluation does not use the monomial coefficients, which cancel
 catastrophically on long words.  T is rewritten exactly in
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .reps import (PRIMES, RILEY_CACHE_SIZE, RepresentationError, _chebyshev, _chebyshev_form,
-                   _crt, _inverse_vandermonde, riley_polynomial)
+                   _inverse_vandermonde, _settled, riley_polynomial)
 from .torsion import RegularityError
 from .words import Word
 
@@ -198,12 +199,21 @@ def torsion_function(w: Word) -> TorsionFunction:
                            ChebyshevForm(_chebyshev_form(coeffs)), ChebyshevForm(phi.chebyshev_form()))
 
 
-def _torsion_coefficients(w: Word, phi_sigma: list[list[int]], primes: tuple[int, ...] = PRIMES[:2]):
+def _torsion_coefficients(w: Word, phi_sigma: list[list[int]], primes: tuple[int, ...] = PRIMES):
     """coeffs[j][i] of sigma^i u^j of T modulo phi, from the residues modulo
-    each prime joined by CRT into the symmetric range of their product."""
-    residues = _torsion_residues(w, phi_sigma, primes)
-    flat, width = _crt(residues.reshape(len(primes), -1).tolist(), primes), residues.shape[-1]
-    return tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
+    the primes of ``primes`` in order, joined by CRT into the symmetric
+    range of their product until one more prime changes no coefficient
+    (``reps._settled``); ArithmeticError when the primes run out.  The
+    first two primes are one batch, which settles every coefficient of up
+    to 23 bits (all b(p, q) up to p = 31), and later ones come one at a
+    time."""
+    d, residues = len(phi_sigma) - 1, []
+    for batch in [primes[:2], *((prime,) for prime in primes[2:])]:
+        for values in _torsion_residues(w, phi_sigma, batch).reshape(len(batch), -1).tolist():
+            if residues and (flat := _settled(residues, values, primes)) is not None:
+                return tuple(tuple(flat[k:k + d]) for k in range(0, len(flat), d))
+            residues.append(values)
+    raise ArithmeticError("the torsion function needs more primes than it was given")
 
 
 # Ad of a prefix with entries (a, b, c, d), row-major and times its

@@ -35,6 +35,7 @@ from .reps import (
     Rep,
     RepresentationError,
     RileyPoly,
+    Su2Stack,
     _raise_first,
     build_rep,
     phi_failure,
@@ -168,29 +169,31 @@ def sweep_rows(p: Presentation, theta_lo: float, theta_hi: float, samples: int) 
     dropped generator, so a sweep drops none."""
     grid = theta_grid(theta_lo, theta_hi, samples)
     phi = _two_bridge_phi(p, "sweep")
-    solutions = su2_solutions(phi, grid)
-    points = [(sols, u) for sols in solutions for u in sols.roots]
-    if not points:
+    stack = su2_solutions(phi, grid)
+    # every point's theta, sigma and u, row by row of the root table
+    counts = stack.counts
+    us = stack.table[np.arange(stack.table.shape[1]) < counts[:, None]]
+    if not us.size:
         return []
-    thetas = [sols.theta for sols, _ in points]
-    us = [u for _, u in points]
-    angles = np.array(thetas)
-    _raise_first([phi_failure(phi, np.exp(1j * angles), np.array(us, dtype=complex), RELATION_TOL)])
-    values = _torsion_function(p)([sols.sigma for sols, _ in points], us).tolist()
+    angles, sigmas = np.repeat(stack.thetas, counts), np.repeat(stack.sigmas, counts)
+    _raise_first([phi_failure(phi, np.exp(1j * angles), us.astype(complex), RELATION_TOL)])
+    values = _torsion_function(p)(sigmas, us).tolist()
     traces = (2.0 * np.exp(0.5j * angles).real).tolist()
-    middle = len(points) // 2
+    # the last numpy calls: the rows are built in Python after the check
+    thetas, sigmas, us = angles.tolist(), sigmas.tolist(), us.tolist()
+    middle = len(us) // 2
     _cross_check(p, thetas[middle], us[middle], values[middle])
     return [
         {
-            "theta": sols.theta,
-            "sigma": sols.sigma,
+            "theta": theta,
+            "sigma": sigma,
             "u": u,
             "torsion_re": value,
             "torsion_im": 0.0,
             "tai_simple_zero": value != 0.0,
             "trace_mu": trace,
         }
-        for (sols, u), value, trace in zip(points, values, traces)
+        for theta, sigma, u, value, trace in zip(thetas, sigmas, us, values, traces)
     ]
 
 
@@ -233,8 +236,8 @@ def auto_theta_range(phi: RileyPoly, thresholds: list[float] | None = None) -> t
         chunks = [[i for i in range(n // 2) if i < 2 or runs[i] != runs[i - 2]]]
     lo = None
     for chunk in chunks:
-        solutions = su2_solutions(phi, [thetas[i] for i in chunk])
-        lo = next((i for i, sols in zip(chunk, solutions) if sols.roots), None)
+        counts = su2_solutions(phi, [thetas[i] for i in chunk]).counts.tolist()
+        lo = next((i for i, count in zip(chunk, counts) if count), None)
         if lo is not None:
             break
     if lo is None or thetas[n - 1 - lo] - thetas[lo] < 4 * AUTO_THETA_MARGIN:
@@ -253,10 +256,11 @@ class _BranchTorsion:
     torsion function, built on the first slope, once per (theta, branch).
     """
 
-    def __init__(self, p: Presentation, phi: RileyPoly, solutions=()):
+    def __init__(self, p: Presentation, phi: RileyPoly, solutions: Su2Stack | None = None):
         self.p, self.phi = p, phi
         #: the sorted SU(2) roots of every theta solved so far
-        self.roots: dict[float, tuple[float, ...]] = {sols.theta: sols.roots for sols in solutions}
+        self.roots: dict[float, tuple[float, ...]] = (
+            {} if solutions is None else dict(zip(solutions.thetas, solutions.roots)))
         #: (dT/dtheta, T) or the branch error of every (theta, branch) so far
         self.slopes: dict[_Sample, object] = {}
 
@@ -268,7 +272,8 @@ class _BranchTorsion:
     def solve(self, thetas) -> None:
         """Find the SU(2) roots of every theta not solved before, in one call."""
         if new := sorted(set(thetas) - self.roots.keys()):
-            self.roots.update((s.theta, s.roots) for s in su2_solutions(self.phi, new))
+            stack = su2_solutions(self.phi, new)
+            self.roots.update(zip(stack.thetas, stack.roots))
 
     def root(self, theta: float, branch: _Branch) -> float:
         """The branch's root at a solved theta; a RepresentationError when

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, zip_longest
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -347,15 +347,60 @@ class Su2Solutions:
         return len(self.roots)
 
 
+class Su2Stack(Sequence):
+    """The SU(2) roots of a stack of thetas as arrays, and a sequence of one
+    :class:`Su2Solutions` per theta.
+
+    ``table`` holds the kept roots of every theta as one (n, d) float
+    array, ascending in each row and NaN after them, and ``counts`` the
+    number of roots per theta; ``thetas`` and ``sigmas`` are the lists of
+    floats the items hold, and ``roots`` the table's rows as tuples.  The
+    items are built when one is first read, from the lists of one
+    conversion of the table.  A theta's row has the bits of its roots
+    alone: the rows are sorted by a stable sort, which keeps -0.0 and 0.0
+    in the order a sort of the roots alone leaves them."""
+
+    def __init__(self, thetas: list[float], sigmas: list[float], roots: np.ndarray, real: np.ndarray,
+                 edge: np.ndarray, multiplicity_threshold: float):
+        self.thetas, self.sigmas = thetas, sigmas
+        self.table = np.where(real, roots.real, np.nan)
+        self.table.sort(axis=1, kind="stable")
+        self.counts = np.count_nonzero(real, axis=1)
+        self._edge = roots.real, edge
+        self._multiplicity_threshold = multiplicity_threshold
+
+    def __len__(self) -> int:
+        return len(self.thetas)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    @functools.cached_property
+    def roots(self) -> list[tuple[float, ...]]:
+        """The kept roots of every theta, ascending."""
+        return [tuple(row[:n]) for row, n in zip(self.table.tolist(), self.counts.tolist())]
+
+    @functools.cached_property
+    def _items(self) -> list[Su2Solutions]:
+        values, edge = self._edge
+        borderline = {i: tuple(sorted(values[i, edge[i]].tolist()))
+                      for i in np.flatnonzero(edge.any(axis=1)).tolist()}
+        return [_solution(theta, sigma, kept, borderline.get(i, ()), self._multiplicity_threshold)
+                for i, (theta, sigma, kept) in enumerate(zip(self.thetas, self.sigmas, self.roots))]
+
+
 def su2_solutions(
     phi: RileyPoly,
     theta: float | Sequence[float],
     tol: float = REALITY_TOL,
     *,
     multiplicity_threshold: float = MULTIPLICITY_THRESHOLD,
-) -> Su2Solutions | list[Su2Solutions]:
+) -> Su2Solutions | Su2Stack:
     """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]; for a
-    sequence of thetas, one :class:`Su2Solutions` per theta.
+    sequence of thetas, one :class:`Su2Stack` of them all.
 
     The roots are the eigenvalues of the colleague matrix of phi's
     Chebyshev coefficients in x at sigma = 2 cos(theta) (see
@@ -367,35 +412,39 @@ def su2_solutions(
     The parameter stays because callers outside the package pass it
     positionally; the package's own callers leave it out.
 
-    One theta is solved as a stack of one and memoized per process (at most
-    RILEY_CACHE_SIZE entries), keyed on phi (whose hash is computed once),
-    the float theta and ``multiplicity_threshold``: every root index of one
-    theta shares one solve and the same frozen result, also across equal
-    polynomials.  A sequence of thetas neither reads nor fills the memo.
+    One theta is solved as a stack of one, sorted and flagged in Python,
+    and memoized per process (at most RILEY_CACHE_SIZE entries), keyed on
+    phi (whose hash is computed once), the float theta and
+    ``multiplicity_threshold``: every root index of one theta shares one
+    solve and the same frozen result, also across equal polynomials.  A
+    sequence of thetas neither reads nor fills the memo.
     ``su2_solutions.cache_info()`` and ``su2_solutions.cache_clear()`` reach
     it; an error is never stored.
     """
     if np.ndim(theta) > 0:
-        return _solutions(phi, [float(t) for t in theta], multiplicity_threshold)
+        thetas = [float(t) for t in theta]
+        sigmas = _sigmas(thetas)
+        return Su2Stack(thetas, sigmas, *_su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold),
+                        multiplicity_threshold)
     return _solution_at(phi, float(theta), multiplicity_threshold)
 
 
-def _solutions(phi: RileyPoly, thetas: list[float], multiplicity_threshold: float) -> list[Su2Solutions]:
-    sigmas = _sigmas(thetas)
-    roots, real, edge = _su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold)
-    out = []
-    for t, sigma, values, r, e in zip(thetas, sigmas, roots.real.tolist(), real.tolist(), edge.tolist()):
-        kept = tuple(sorted(compress(values, r)))
-        close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
-        flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
-        edge = tuple(sorted(compress(values, e)))
-        out.append(Su2Solutions(t, sigma, kept, flags, edge))
-    return out
+def _solution(theta: float, sigma: float, kept: tuple[float, ...], borderline: tuple[float, ...],
+              multiplicity_threshold: float) -> Su2Solutions:
+    """The Su2Solutions of one theta from its ascending roots, each flagged
+    when a neighbour lies closer than the multiplicity threshold."""
+    close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
+    flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
+    return Su2Solutions(theta, sigma, kept, flags, borderline)
 
 
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
 def _solution_at(phi: RileyPoly, theta: float, multiplicity_threshold: float) -> Su2Solutions:
-    return _solutions(phi, [theta], multiplicity_threshold)[0]
+    sigmas = _sigmas([theta])
+    roots, real, edge = _su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold)
+    [values], [r], [e] = roots.real.tolist(), real.tolist(), edge.tolist()
+    return _solution(theta, sigmas[0], tuple(sorted(compress(values, r))), tuple(sorted(compress(values, e))),
+                     multiplicity_threshold)
 
 
 su2_solutions.cache_info = _solution_at.cache_info
@@ -517,10 +566,8 @@ def _discriminant(table: list[list[int]]) -> list[int]:
         if any(coeffs[-2:]):
             n, residues = 2 * n, []
             continue
-        if residues:
-            known = _crt(residues, PRIMES)
-            if all((c - r) % prime == 0 for c, r in zip(known, coeffs)):
-                return _trim(known)
+        if residues and (known := _settled(residues, coeffs, PRIMES)) is not None:
+            return _trim(known)
         residues.append(coeffs)
     raise ArithmeticError("the discriminant needs more primes than PRIMES holds")
 
@@ -568,6 +615,16 @@ def _crt(residues: list[list[int]], primes: Sequence[int]) -> list[int]:
         modulus *= prime
     half = modulus // 2
     return [c - modulus if c > half else c for c in out]
+
+
+def _settled(residues: list[list[int]], values: list[int], primes: Sequence[int]) -> list[int] | None:
+    """The CRT join of ``residues`` modulo the first primes of ``primes``
+    when ``values``, the residues modulo the next one, change none of it;
+    else None.  The stop rule of every CRT here: join the primes until one
+    more changes nothing."""
+    known = _crt(residues, primes)
+    prime = primes[len(residues)]
+    return known if all((c - r) % prime == 0 for c, r in zip(known, values)) else None
 
 
 @functools.lru_cache(maxsize=None)

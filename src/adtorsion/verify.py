@@ -268,9 +268,12 @@ def _fibre_row(names: list[str], knot) -> CheckRow:
     FIBRE_P_MAX.  The roots of numpy's companion matrix are polished by
     :func:`_newton` on phi(sigma, u) times a common denominator, and checked
     by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
-    the reducible root u = 0).  The SU(2) root finder's Chebyshev form is
-    no start here: off [-2, 2] its top coefficient shrinks, and at sigma =
-    5/2 from p = 25 on it is trimmed, which drops a root."""
+    the reducible root u = 0).  A fibre whose build or torsion raises a
+    RepresentationError (a singular image matrix) fails the row, which names
+    the knot, sigma and the error, and the other fibres still run.  The
+    SU(2) root finder's Chebyshev form is no start here: off [-2, 2] its top
+    coefficient shrinks, and at sigma = 5/2 from p = 25 on it is trimmed,
+    which drops a root."""
     from .exact import torsion_function
 
     names = list(dict.fromkeys([*names, *_family(FIBRE_P_MAX)]))
@@ -284,9 +287,13 @@ def _fibre_row(names: list[str], knot) -> CheckRow:
             integers = [int(c * scale) for c in phi]
             roots = [_newton(integers, complex(u)) for u in np.roots([float(c) for c in phi[::-1]])]
             s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
-            rep = build_rep(p, np.full(len(roots), s), roots, check=False)
+            try:
+                rep = build_rep(p, np.full(len(roots), s), roots, check=False)
+                values = [r.value for r in compute_torsion(rep)]
+            except RepresentationError as exc:
+                errors.append((math.nan, f"{name} at sigma={sigma} ({exc})"))
+                continue
             residual = max(residual, float(np.max(rep.relator_residuals)))
-            values = [r.value for r in compute_torsion(rep)]
             count += len(values)
             errors.append((abs(sum(values) - function.trace(sigma)) / sum(map(abs, values)),
                            f"{name} at sigma={sigma}"))

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from adtorsion import __version__, cli, exact, laurent, locus, torsion, verify
+from adtorsion import __version__, cli, exact, laurent, locus, reps, torsion, verify
 from adtorsion.cli import format_sweep_csv, main
 from adtorsion.locus import auto_theta_range, find_critical_points, sweep_rows, theta_grid
 from adtorsion import catalog
@@ -428,18 +428,28 @@ def test_sweep_torsion_column_real(capsys):
 
 
 def test_sweep_csv_cells():
-    # NaN of either sign, infinities and -0.0 print as ".12g" writes them
+    # NaN of either sign, infinities, -0.0 and the smallest magnitudes print
+    # as format(x, ".12g") writes them, in every column
     rows = [
         {"theta": math.nan, "sigma": math.inf, "u": -0.0, "torsion_re": -math.inf,
          "torsion_im": -math.nan, "tai_simple_zero": True, "trace_mu": 1 / 3},
         {"theta": 2.5, "sigma": -1.0, "u": 1e-20, "torsion_re": 12.0, "torsion_im": 0.0,
          "tai_simple_zero": False, "trace_mu": -0.0},
+        {"theta": -math.nan, "sigma": -0.0, "u": 1e-300, "torsion_re": math.inf,
+         "torsion_im": -1e-300, "tai_simple_zero": True, "trace_mu": math.nan},
+        {"theta": 1e-300, "sigma": -math.inf, "u": -math.nan, "torsion_re": -0.0,
+         "torsion_im": math.inf, "tai_simple_zero": False, "trace_mu": -math.inf},
     ]
     assert format_sweep_csv(rows) == (
         f"# adtorsion {__version__}\n"
         "theta,sigma,u,torsion_re,torsion_im,tai_simple_zero,trace_mu\n"
         "nan,inf,-0,-inf,nan,true,0.333333333333\n"
         "2.5,-1,1e-20,12,0,false,-0\n"
+        "nan,-0,1e-300,inf,-1e-300,true,nan\n"
+        "1e-300,-inf,nan,-0,inf,false,-inf\n"
+    )
+    assert format_sweep_csv([]) == (
+        f"# adtorsion {__version__}\ntheta,sigma,u,torsion_re,torsion_im,tai_simple_zero,trace_mu\n"
     )
 
 
@@ -558,6 +568,30 @@ def test_fibre_row_polishes_its_roots():
     # sum off by 2.3e-8; exact Newton steps bring it within FIBRE_TOL
     row = verify._fibre_row(["b(17,1)"], catalog.knot)
     assert row.passed and "worst on b(17,1) at sigma=5/2" in row.detail
+
+
+def test_fibre_row_fails_where_a_fibre_raises(capsys, monkeypatch):
+    # a fibre whose torsion raises (b(61,1) at sigma = 5/2 meets a singular
+    # image matrix) fails the fibre row, which names the knot, sigma and the
+    # error; every other fibre and row still runs, and verify exits with its
+    # failure code instead of an input error
+    compute = verify.compute_torsion
+
+    def singular_at_five_halves(rep):
+        if abs(rep.s[0] + 1 / rep.s[0] - 2.5) < 1e-12:
+            raise RepresentationError("singular image matrix")
+        return compute(rep)
+
+    monkeypatch.setattr(verify, "compute_torsion", singular_at_five_halves)
+    code, out, err = run_cli(capsys, "verify", "--knots", "5_2")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-1] == "RESULT: FAIL"
+    (failed,) = [line for line in lines if "  FAIL  " in line]
+    assert "SL(2,C) fibre trace of exact T, 15 knots" in failed and "max_err= nan" in failed
+    assert "worst on 5_2 at sigma=5/2 (singular image matrix)" in failed
+    # the header, the rows, all passed but the fibre row, and the result
+    assert sum("  PASS" in line for line in lines[1:-1]) == len(lines) - 3 == 14
 
 
 def test_version_flag(capsys):
@@ -689,13 +723,14 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
             return stop.value
 
     def far_root_at_first_trial(phi, theta, *args, **kwargs):
-        if not isinstance(theta, float):  # a batch of thetas: each one as if alone
-            return [far_root_at_first_trial(phi, t, *args, **kwargs) for t in theta]
-        sols = solutions(phi, theta, *args, **kwargs)
-        # the slope reads the branch's root at the trial theta itself
-        if first_trial and theta == first_trial[0]:
-            return dataclasses.replace(sols, roots=(10.0,), near_multiple=(False,))
-        return sols
+        stack = solutions(phi, theta, *args, **kwargs)
+        # the slope reads the branch's root at the trial theta itself, from
+        # its row of the stack's table
+        if first_trial and first_trial[0] in stack.thetas:
+            i = stack.thetas.index(first_trial[0])
+            stack.table[i] = np.nan
+            stack.table[i, 0], stack.counts[i] = 10.0, 1
+        return stack
 
     monkeypatch.setattr(locus, "_bracketed_zero", solve_spy)
     monkeypatch.setattr(locus, "su2_solutions", far_root_at_first_trial)
@@ -1291,9 +1326,11 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     monkeypatch.setattr(laurent, "divide_out_simple_roots", counted_divide)
     monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
     monkeypatch.setattr(LaurentPoly, "_raw", classmethod(counted_raw))
-    # the rows come from the exact torsion function, looked up once; the one
+    # the rows come from the exact torsion function, looked up once, and from
+    # one root stack read as arrays, with no Su2Solutions per theta; the one
     # representation is the cross-check's single point
-    lookups = _count_calls(monkeypatch, [(exact, "torsion_function")])
+    lookups = _count_calls(monkeypatch, [(exact, "torsion_function"), (locus, "su2_solutions"),
+                                         (reps, "_solution")])
     built = []
     monkeypatch.setattr(locus, "compute_torsion", lambda rep, *args: built.append(rep)
                         or compute_torsion(rep, *args))
@@ -1301,7 +1338,7 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     assert len(rows) > 31
     assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1, "LaurentPoly": 0}
     assert diagnostics == {"regularity_diagnostics": 0, "naive_limit": 0}
-    assert lookups == {"torsion_function": 1}
+    assert lookups == {"torsion_function": 1, "su2_solutions": 1, "_solution": 0}
     assert [rep.stacked for rep in built] == [False]
     # the counters see the constructions they count
     LaurentPoly(0, [1.0]).shift(1)
@@ -1395,7 +1432,7 @@ def test_sweep_rejects_a_root_off_the_variety(monkeypatch):
 
     def nudged(phi, thetas, **kwargs):
         out = solve(phi, thetas, **kwargs)
-        out[1] = dataclasses.replace(out[1], roots=(out[1].roots[0] + 1e-3, *out[1].roots[1:]))
+        out.table[1, 0] += 1e-3  # the first root at the second theta
         return out
 
     monkeypatch.setattr(locus, "su2_solutions", nudged)

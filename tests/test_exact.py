@@ -8,7 +8,7 @@ import pytest
 from adtorsion import catalog
 from adtorsion.exact import _torsion_coefficients, torsion_function
 from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
-from adtorsion.reps import riley_polynomial, su2_solutions
+from adtorsion.reps import PRIMES, riley_polynomial, su2_solutions
 from adtorsion.torsion import compute_torsion
 from adtorsion.verify import closed_form_5_2
 
@@ -69,6 +69,27 @@ def test_two_primes_carry_the_coefficients(q):
     coeffs = torsion_function(word).coeffs
     assert _torsion_coefficients(word, phi_sigma, (16777213, 16777199, 16777183)) == coeffs
     assert max(abs(c).bit_length() for row in coeffs for c in row) <= 40
+
+
+def test_the_primes_join_until_one_more_changes_nothing():
+    # b(71,1)'s coefficients need 49 bits, past the symmetric range of two
+    # primes below 2^24 (47 bits), where T(pi, u) read 2.46e27 against the
+    # numeric 644106.  A third prime carries them and a fourth confirms:
+    # the exact trace at sigma = -2 is the torus knots' p^2 (p^2 - 1) / 24,
+    # and T at every root there one of the constants p^2 / (4 sin^2(pi k / p))
+    knot = schubert_knot(71, 1)
+    function = torsion_function(knot.bridge_word)
+    assert max(abs(c).bit_length() for row in function.coeffs for c in row) == 49
+    assert function.trace(-2) == Fraction(71 * 71 * (71 * 71 - 1), 24)
+    constants = sorted(71 * 71 / (4 * math.sin(math.pi * k / 71) ** 2) for k in range(1, 36))
+    roots = su2_solutions(riley_polynomial(knot.bridge_word), math.pi).roots
+    values = sorted(function([-2.0] * len(roots), roots).tolist())
+    assert len(values) == 35
+    for value, constant in zip(values, constants):
+        assert abs(value - constant) <= 1e-9 * constant
+    # three primes join no stable result: the primes run out
+    with pytest.raises(ArithmeticError, match="more primes"):
+        _torsion_coefficients(knot.bridge_word, function.phi_coeffs, PRIMES[:3])
 
 
 @pytest.mark.parametrize("p", range(3, 22, 2))
