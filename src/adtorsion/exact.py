@@ -13,21 +13,20 @@ unnormalized matrices X = [[s, 1], [0, 1]], Y = [[s, 0], [-s u, 1]] serve,
 with Ad m = (entries quadratic in m) / det m.  At t = 1 + eps, eps^3 = 0,
 the eps^2 coefficient of det M is Delta_1''(1) / 2; the eps^0 and eps^1
 coefficients vanish modulo phi, the double zero at t = 1, which the build
-checks.  Everything runs modulo primes below 2^24, so that a product
-of two residues fits int64, at the integer nodes s0 = 2 .. d + 2: M is
-evaluated letter by letter at the u-nodes 0 .. 2 n_y + 2 (n_y the number of
-y letters of w, which bounds the u-degree of M by 2 n_y + 2), reduced
-modulo phi(s0, u) and evaluated at the 3 d - 2 u-nodes its determinant
-needs; det M is then reduced modulo phi, divided by sigma0 - 2 and
-interpolated in sigma, and the sigma^d coefficient must vanish.  The
-primes are joined by CRT into the symmetric range until one more changes
-no coefficient (b(71,1)'s 49 bits need three).
+checks.  Everything runs modulo the primes of ``modular.PRIMES``, at the
+integer nodes s0 = 2 .. d + 2: M is evaluated letter by letter at the
+u-nodes 0 .. 2 n_y + 2 (n_y the number of y letters of w, which bounds the
+u-degree of M by 2 n_y + 2), reduced modulo phi(s0, u) and evaluated at
+the 3 d - 2 u-nodes its determinant needs; det M is then reduced modulo
+phi, divided by sigma0 - 2 and interpolated in sigma, and the sigma^d
+coefficient must vanish.  CRT joins the primes until one more changes no
+coefficient (``modular.settle``; b(71,1)'s 49 bits need three).
 
 Evaluation does not use the monomial coefficients, which cancel
 catastrophically on long words.  T is rewritten exactly in
 y = sigma / 2 and x = 1 + u / (1 - sigma / 2), which maps the SU(2) window
 u in [sigma - 2, 0] onto [-1, 1], and expanded in Chebyshev polynomials
-T_m(y) T_n(x) by ``reps._chebyshev_form``, which gives phi the same form
+T_m(y) T_n(x) by ``modular.chebyshev_form``, which gives phi the same form
 (``RileyPoly.chebyshev_form``, shared with the SU(2) root finder).  On the
 box sigma in [-2, 2], x in [-1, 1] both forms are well conditioned.
 """
@@ -41,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reps import (PRIMES, RILEY_CACHE_SIZE, RepresentationError, _chebyshev, _chebyshev_form,
-                   _inverse_vandermonde, _settled, riley_polynomial)
+from .modular import PRIMES, chebyshev, chebyshev_form, inverse_vandermonde, rows_at, settle
+from .reps import RILEY_CACHE_SIZE, RepresentationError, riley_polynomial
 from .torsion import RegularityError
 from .words import Word
 
@@ -61,8 +60,8 @@ class ChebyshevForm:
     def __call__(self, sigma, u) -> np.ndarray:
         """The value at every point, with the bits ``partials`` gives it."""
         y, x = _coordinates(sigma, u)
-        inner = np.add.reduce(self.coeffs * _chebyshev(x, self.coeffs.shape[1])[:, None, :], axis=-1)
-        return np.add.reduce(_chebyshev(y, self.coeffs.shape[0]) * inner, axis=-1)
+        inner = np.add.reduce(self.coeffs * chebyshev(x, self.coeffs.shape[1])[:, None, :], axis=-1)
+        return np.add.reduce(chebyshev(y, self.coeffs.shape[0]) * inner, axis=-1)
 
     def partials(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The value and the partial derivatives in y and in x at every point."""
@@ -100,7 +99,7 @@ def _tables(y: np.ndarray, x: np.ndarray, n: int):
     of each recurrence over y and x stacked: the recurrences are
     elementwise, so every entry has the bits of a run on its own."""
     k, z = len(y), np.concatenate([y, x])
-    t, dt = _chebyshev(z, n), _chebyshev_derivatives(z, n)
+    t, dt = chebyshev(z, n), _chebyshev_derivatives(z, n)
     return (t[:k], dt[:k]), (t[k:], dt[k:])
 
 
@@ -168,17 +167,12 @@ class TorsionFunction:
         for a rational sigma: the trace of T in Q[u] / (phi(sigma, u)), from
         the power sums of the roots by Newton's identities.  At sigma = -2
         the roots are the binary dihedral points."""
-        sigma = Fraction(sigma)
-
-        def at(row):
-            return sum(c * sigma**i for i, c in enumerate(row))
-
-        a = [at(row) for row in self.phi_coeffs]  # phi(sigma, u) = sum a[k] u^k, a[d] = 1
+        a = rows_at(self.phi_coeffs, sigma)  # phi(sigma, u) = sum a[k] u^k, a[d] = 1
         d = len(a) - 1
         sums = [Fraction(d)]  # the power sums of the roots
         for k in range(1, d):
             sums.append(-(k * a[d - k] + sum(a[d - i] * sums[k - i] for i in range(1, k))))
-        return sum(at(row) * s for row, s in zip(self.coeffs, sums))
+        return sum(v * s for v, s in zip(rows_at(self.coeffs, sigma), sums))
 
 
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
@@ -194,26 +188,26 @@ def torsion_function(w: Word) -> TorsionFunction:
     if phi_sigma is None or phi.u_degree < 1:
         raise RepresentationError("the torsion function needs a Riley polynomial in sigma of "
                                   "positive u-degree")
+    if phi_sigma[-1] != [1]:  # reduction modulo phi divides by its leading u-coefficient
+        raise RepresentationError("the torsion function needs a Riley polynomial monic in u, not one "
+                                  f"with leading u-coefficient {phi.coefficient(phi.u_degree).to_str()}")
     coeffs = _torsion_coefficients(w, phi_sigma)
     return TorsionFunction(w, coeffs, tuple(map(tuple, phi_sigma)),
-                           ChebyshevForm(_chebyshev_form(coeffs)), ChebyshevForm(phi.chebyshev_form()))
+                           ChebyshevForm(chebyshev_form(coeffs)), ChebyshevForm(phi.chebyshev_form()))
 
 
 def _torsion_coefficients(w: Word, phi_sigma: list[list[int]], primes: tuple[int, ...] = PRIMES):
     """coeffs[j][i] of sigma^i u^j of T modulo phi, from the residues modulo
-    the primes of ``primes`` in order, joined by CRT into the symmetric
-    range of their product until one more prime changes no coefficient
-    (``reps._settled``); ArithmeticError when the primes run out.  The
-    first two primes are one batch, which settles every coefficient of up
-    to 23 bits (all b(p, q) up to p = 31), and later ones come one at a
-    time."""
-    d, residues = len(phi_sigma) - 1, []
-    for batch in [primes[:2], *((prime,) for prime in primes[2:])]:
-        for values in _torsion_residues(w, phi_sigma, batch).reshape(len(batch), -1).tolist():
-            if residues and (flat := _settled(residues, values, primes)) is not None:
-                return tuple(tuple(flat[k:k + d]) for k in range(0, len(flat), d))
-            residues.append(values)
-    raise ArithmeticError("the torsion function needs more primes than it was given")
+    the primes of ``primes`` in order, joined by ``modular.settle``;
+    ArithmeticError when the primes run out.  The first two primes are one
+    batch, which settles every coefficient of up to 23 bits (all b(p, q) up
+    to p = 31), and later ones come one at a time."""
+    residues = (values for batch in [primes[:2], *((prime,) for prime in primes[2:])]
+                for values in _torsion_residues(w, phi_sigma, batch).reshape(len(batch), -1).tolist())
+    if (flat := settle(residues, primes)) is None:
+        raise ArithmeticError("the torsion function needs more primes than it was given")
+    d = len(phi_sigma) - 1
+    return tuple(tuple(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
 # Ad of a prefix with entries (a, b, c, d), row-major and times its
@@ -335,7 +329,7 @@ def _torsion_residues(w: Word, phi_sigma: list[list[int]], primes: tuple[int, ..
         raise RegularityError("det M has no double zero at t = 1 modulo phi")
     scale = np.array([[pow(v - 2, -1, p) for v in row] for p, row in zip(primes, sigma.tolist())])
     torsion = reduced[:, :, 2] * scale[..., None] % prime[..., None]  # (prime, node, j)
-    coeffs = np.stack([_inverse_vandermonde(tuple(row), p) for p, row in zip(primes, sigma.tolist())]) \
+    coeffs = np.stack([inverse_vandermonde(tuple(row), p) for p, row in zip(primes, sigma.tolist())]) \
         @ torsion % prime[..., None]  # (prime, i, j), i <= d
     if coeffs[:, d].any():
         raise RegularityError("the torsion function has sigma-degree d")
@@ -363,7 +357,7 @@ def _batch(primes: tuple[int, ...], d: int, n: int):
 def _interpolation(primes: tuple[int, ...], n: int) -> np.ndarray:
     """Per prime, the map from values at u = 0 .. n - 1 to the coefficients
     of u^0 .. u^(n-1), as a right factor: (prime, 1, n, n)."""
-    return np.stack([_inverse_vandermonde(tuple(range(n)), p).T for p in primes])[:, None]
+    return np.stack([inverse_vandermonde(tuple(range(n)), p).T for p in primes])[:, None]
 
 
 @functools.lru_cache(maxsize=None)

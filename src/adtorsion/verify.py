@@ -21,26 +21,13 @@ from . import catalog
 from .foxcalc import fundamental_identity_holds
 from .laurent import LaurentMatrix, LaurentPoly, unit_aligned_distance
 from .locus import auto_theta_range, rep_at, theta_grid
+from .modular import newton, rows_at
 from .presentation import Presentation, validate
-from .reps import (
-    RELATION_TOL,
-    RepresentationError,
-    adjoint_of_matrix,
-    build_rep,
-    riley_assignment,
-    riley_polynomial,
-    su2_solutions,
-)
-from .torsion import (
-    CONSISTENCY_TOL,
-    RegularityError,
-    compute_torsion,
-    torsion_polynomial,
-    torsion_via_formula,
-    torsion_via_limit,
-    twisted_alexander_invariant,
-    untwisted_alexander,
-)
+from .reps import (RELATION_TOL, RepresentationError, adjoint_of_matrix, build_rep, riley_assignment,
+                   riley_polynomial, su2_solutions)
+from .torsion import (CONSISTENCY_TOL, RegularityError, compute_torsion, torsion_polynomial,
+                      torsion_via_formula, torsion_via_limit, twisted_alexander_invariant,
+                      untwisted_alexander)
 from .words import Word
 
 
@@ -210,8 +197,7 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
     if "5_2" in presentations:
         coeffs = torsion_function(presentations["5_2"].bridge_word).coeffs
         worst = max(
-            abs(sum(c * sigma**i * u**j for j, row in enumerate(coeffs) for i, c in enumerate(row))
-                + closed_form_5_2(sigma, u))
+            abs(sum(c * u**j for j, c in enumerate(rows_at(coeffs, sigma))) + closed_form_5_2(sigma, u))
             for sigma in range(3) for u in range(3)
         )
         rows.append(CheckRow("5_2 exact T = -closed form", float(worst), 0.0, worst == 0))
@@ -234,31 +220,6 @@ def _exact_rows(presentations: dict[str, Presentation], stacks: dict[str, list[_
     return rows
 
 
-def _newton(coeffs: list[int], u: complex) -> complex:
-    """u after five Newton steps on the integer polynomial sum coeffs[j] u^j,
-    the polynomial and its derivative evaluated exactly at each float
-    iterate: with u = U / D, D a power of two, Horner's rule runs on the
-    Gaussian integers H = D^k h and G = D^k h' of its partial sums, and the
-    step H / G is rounded once.  Five steps: over the fibre row's sigma on
-    the catalog and every b(p, q) with p <= 41, ten steps move the roots of
-    one fibre of 540, while three leave b(41,3) and b(41,5) at sigma = 5/2
-    short of their roots."""
-    for _ in range(5):
-        (a, m), (b, n) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
-        d = max(m, n)
-        ur, ui = a * (d // m), b * (d // n)
-        hr, hi, gr, gi, dk = coeffs[-1], 0, 0, 0, d
-        for c in reversed(coeffs[:-1]):
-            gr, gi = gr * ur - gi * ui + hr * d, gr * ui + gi * ur + hi * d
-            hr, hi = hr * ur - hi * ui + c * dk, hr * ui + hi * ur
-            dk *= d
-        norm = gr * gr + gi * gi
-        if norm == 0:
-            break
-        u -= complex((hr * gr + hi * gi) / norm, (hi * gr - hr * gi) / norm)
-    return u
-
-
 def _fibre_row(names: list[str], knot) -> CheckRow:
     """T in Z[sigma][u] / (phi) off the SU(2) locus: at each sigma of
     FIBRE_SIGMAS the numeric torsion summed over all d complex roots u of
@@ -266,7 +227,7 @@ def _fibre_row(names: list[str], knot) -> CheckRow:
     take the unitary frame, the others Riley's), is the exact trace
     Tr T(sigma), on the named knots and every b(p, q) with odd p <=
     FIBRE_P_MAX.  The roots of numpy's companion matrix are polished by
-    :func:`_newton` on phi(sigma, u) times a common denominator, and checked
+    ``modular.newton`` on phi(sigma, u) times a common denominator, and checked
     by their relator residuals (at sigma = 1 the trefoil and b(9,1) have
     the reducible root u = 0).  A fibre whose build or torsion raises a
     RepresentationError (a singular image matrix) fails the row, which names
@@ -282,10 +243,10 @@ def _fibre_row(names: list[str], knot) -> CheckRow:
         p = knot(name)
         function = torsion_function(p.bridge_word)
         for sigma in FIBRE_SIGMAS:
-            phi = [sum(c * sigma**i for i, c in enumerate(row)) for row in function.phi_coeffs]
+            phi = rows_at(function.phi_coeffs, sigma)
             scale = math.lcm(*(c.denominator for c in phi))
             integers = [int(c * scale) for c in phi]
-            roots = [_newton(integers, complex(u)) for u in np.roots([float(c) for c in phi[::-1]])]
+            roots = [newton(integers, complex(u)) for u in np.roots([float(c) for c in phi[::-1]])]
             s = (float(sigma) + cmath.sqrt(float(sigma) ** 2 - 4.0)) / 2.0
             try:
                 rep = build_rep(p, np.full(len(roots), s), roots, check=False)

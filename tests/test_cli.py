@@ -509,6 +509,26 @@ def test_presentation_file_source(tmp_path, capsys):
     assert "(-sigma + 1)" in out
 
 
+def test_a_phi_not_monic_in_u_fails_by_name_and_its_torsion_stays_numeric(tmp_path, capsys):
+    # phi = (sigma + 2) u + (3 - sigma^2) is not monic in u: the sweep exits 1
+    # and the critical search notes every sample with the refusal of the
+    # exact torsion function, not a false regularity error, while the
+    # numeric torsion at theta = 2.5 is regular (limit = formula = 4.7726)
+    path = tmp_path / "knot.txt"
+    path.write_text("twobridge w: y^-1 x^-1 x^-1 y^-1 y^-1\n", encoding="utf-8")
+    refusal = "monic in u, not one with leading u-coefficient s + 2*s^2 + s^3"
+    code, _, err = run_cli(capsys, "sweep", "--presentation", str(path), "--theta-lo", "1", "--theta-hi", "3")
+    assert code == 1 and refusal in err
+    code, out, _ = run_cli(capsys, "critical", "--presentation", str(path), "--format", "json")
+    notes = json.loads(out)["notes"]
+    assert code == 0 and len(notes) == 1 and refusal in notes[0]
+    code, out, _ = run_cli(capsys, "torsion", "--presentation", str(path), "--theta", "2.5")
+    data = json.loads(out)
+    assert code == 0 and data["diagnostics"]["route"] == "limit"
+    assert abs(data["limit_value"][0] - 4.772553) < 1e-6
+    assert abs(data["formula_value"][0] - data["limit_value"][0]) < 1e-12
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

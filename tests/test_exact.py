@@ -8,9 +8,11 @@ import pytest
 from adtorsion import catalog
 from adtorsion.exact import _torsion_coefficients, torsion_function
 from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
-from adtorsion.reps import PRIMES, riley_polynomial, su2_solutions
+from adtorsion.modular import PRIMES
+from adtorsion.reps import RepresentationError, riley_polynomial, su2_solutions
 from adtorsion.torsion import compute_torsion
 from adtorsion.verify import closed_form_5_2
+from adtorsion.words import parse_word
 
 from test_torsion import schubert_knot
 
@@ -90,6 +92,16 @@ def test_the_primes_join_until_one_more_changes_nothing():
     # three primes join no stable result: the primes run out
     with pytest.raises(ArithmeticError, match="more primes"):
         _torsion_coefficients(knot.bridge_word, function.phi_coeffs, PRIMES[:3])
+
+
+def test_a_phi_not_monic_in_u_is_refused():
+    # phi = (sigma + 2) u + (3 - sigma^2): T's build reduces modulo phi as
+    # modulo a monic polynomial, which read as a false "no double zero at
+    # t = 1"; the refusal names phi's leading u-coefficient instead
+    word = parse_word("y^-1 x^-1 x^-1 y^-1 y^-1", ["x", "y"])
+    assert riley_polynomial(word).sigma_form() == [[3, 0, -1], [2, 1]]
+    with pytest.raises(RepresentationError, match=r"monic in u, .* leading u-coefficient s \+ 2\*s\^2 \+ s\^3"):
+        torsion_function(word)
 
 
 @pytest.mark.parametrize("p", range(3, 22, 2))

@@ -19,10 +19,6 @@ from adtorsion.reps import (
     RepresentationError,
     RileyPoly,
     _UPoly,
-    _discriminant,
-    _real_roots,
-    _sign,
-    _square_free,
     adjoint_of_matrix,
     build_rep,
     riley_assignment,
@@ -508,29 +504,6 @@ def test_su2_root_count_thresholds():
     assert 1.5 in thresholds
 
 
-def test_chebyshev_form_is_the_dense_product_of_its_maps():
-    # _chebyshev_form skips the zero entries of its two maps; the dense
-    # product left @ a @ right in Python integers gives the same floats, for
-    # phi's sigma form and for the exact torsion function's coefficients
-    from adtorsion.exact import torsion_function
-
-    for p, q in ((3, 1), (7, 3), (21, 5), (41, 11)):
-        word = schubert_knot(p, q).bridge_word
-        for table in (riley_polynomial(word).sigma_form(), torsion_function(word).coeffs):
-            columns = []
-            for j, row in enumerate(table):
-                a = [c << i for i, c in enumerate(row)]
-                for _ in range(j):  # times (1 - y)
-                    a = [x - y for x, y in zip(a + [0], [0] + a)]
-                columns.append(a)
-            ny, nx = max(map(len, columns)) - 1, len(table) - 1
-            a = np.array([[col[k] if k < len(col) else 0 for col in columns] for k in range(ny + 1)],
-                         dtype=object)
-            left, right = reps._chebyshev_maps(ny, nx)
-            dense = [[v / (1 << (ny + nx)) for v in row] for row in (left @ a @ right).tolist()]
-            assert reps._chebyshev_form(table).tolist() == dense, (p, q)
-
-
 def _sigma_thetas(sigmas):
     return [max(1e-9, math.acos(max(-1.0, min(1.0, s / 2.0)))) for s in sigmas]
 
@@ -582,30 +555,6 @@ def test_thresholds_of_the_critical_family_keep_a_root_solve_budget(monkeypatch)
     assert sum(solved) == 0
 
 
-def test_discriminant_oracles():
-    # disc_u phi of b(p, 1) is the constant p^((p - 3) / 2) for odd p <= 41;
-    # those of 5_2 and b(15,7) are integer polynomials in sigma, ascending
-    for p in range(3, 42, 2):
-        phi = riley_polynomial(schubert_knot(p, 1).bridge_word)
-        assert _discriminant(phi.sigma_form()) == [p ** ((p - 3) // 2)], p
-    five_two = riley_polynomial(catalog.knot("5_2").bridge_word)
-    assert _discriminant(five_two.sigma_form()) == [-31, 6, 7, -6, 1]
-    # phi times c(sigma) = sigma + 3, no longer monic in u: t_k gains c^k,
-    # so det [t_(i+j)] gains c^(d(d - 1)), d = 3
-    def times(a, b):
-        return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
-                for k in range(len(a) + len(b) - 1)]
-
-    expected = [-31, 6, 7, -6, 1]
-    for _ in range(6):
-        expected = times(expected, [3, 1])
-    assert _discriminant([times(row, [3, 1]) for row in five_two.sigma_form()]) == expected
-    assert _discriminant(riley_polynomial(schubert_knot(15, 7).bridge_word).sigma_form()) == [
-        122753, -3155676, -18858, 2371280, -1947187, -1268366, 1539100, 419222, -592160, 20384,
-        80285, -21056, 1568,
-    ]
-
-
 @pytest.mark.parametrize("p, q, sigma", [(27, 5, 0.25), (27, 11, 0.25), (33, 5, 0.75), (33, 13, 0.75)])
 def test_breakpoints_hold_the_crossings(p, q, sigma):
     # two root branches cross at a double root of disc_u phi inside the
@@ -615,54 +564,6 @@ def test_breakpoints_hold_the_crossings(p, q, sigma):
     assert sigma in su2_root_count_thresholds(phi)
     counts = [len(sols) for sols in su2_solutions(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3]))]
     assert counts[0] == counts[1]
-
-
-def _at(poly, x):
-    return sum(c * x**i for i, c in enumerate(poly))
-
-
-def _sturm_count(poly):
-    """The number of distinct real roots in (-2, 2) of an integer polynomial
-    (ascending) with no root at -2 or 2, from its Sturm sequence in Fractions."""
-
-    def remainder(a, b):
-        a = list(a)
-        while len(a) >= len(b):
-            f, shift = a[-1] / b[-1], len(a) - len(b)
-            a = [c - f * b[i - shift] if i >= shift else c for i, c in enumerate(a)][:-1]
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    seq = [[Fraction(c) for c in poly], [Fraction(i * c) for i, c in enumerate(poly)][1:]]
-    while len(seq[-1]) > 1:
-        seq.append([-c for c in remainder(seq[-2], seq[-1])])
-
-    def changes(x):
-        signs = [v for v in (_at(a, x) for a in seq if a) if v]
-        return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
-
-    assert _at(poly, -2) and _at(poly, 2)
-    return changes(-2) - changes(2)
-
-
-def test_certified_roots_match_a_sturm_count():
-    # on the 24 knots each square-free polynomial has as many certified
-    # roots in (-2, 2) as its Sturm sequence counts, and each root is an
-    # exact zero or has opposite signs at its neighbouring floats
-    for p, q in _critical_family():
-        table = riley_polynomial(schubert_knot(p, q).bridge_word).sigma_form()
-        edge = []  # phi(sigma, sigma - 2)
-        for row in reversed(table):
-            shifted = [a - 2 * b for a, b in zip([0] + edge, edge + [0])]
-            edge = [a + b for a, b in zip(shifted + [0] * len(row), row + [0] * len(shifted))]
-        for poly in (_discriminant(table), table[0], edge):
-            free = _square_free(poly)
-            roots = _real_roots(free)
-            assert len(roots) == _sturm_count(free), (p, q, poly)
-            for r in roots:
-                below, above = _sign(free, math.nextafter(r, -3.0)), _sign(free, math.nextafter(r, 3.0))
-                assert _sign(free, r) == 0 or below * above < 0, (p, q, r)
 
 
 def test_batched_root_counts_argument_checks():
