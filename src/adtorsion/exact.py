@@ -58,18 +58,15 @@ class ChebyshevForm:
     coeffs: np.ndarray
 
     def __call__(self, sigma, u) -> np.ndarray:
-        """The value at every point, with the bits ``partials`` gives it."""
+        """The value at every point, with the bits ``_partials`` gives it."""
         y, x = _coordinates(sigma, u)
         inner = np.add.reduce(self.coeffs * chebyshev(x, self.coeffs.shape[1])[:, None, :], axis=-1)
         return np.add.reduce(chebyshev(y, self.coeffs.shape[0]) * inner, axis=-1)
 
-    def partials(self, sigma, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The value and the partial derivatives in y and in x at every point."""
-        return self._partials(_tables(*_coordinates(sigma, u), max(self.coeffs.shape)))
-
     def _partials(self, tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``partials`` from the ``_tables`` of the points, at least as wide
-        as the form: each form reads its own slice."""
+        """The value and the partial derivatives in y and in x at every point,
+        from the ``_tables`` of the points, at least as wide as the form:
+        each form reads its own slice."""
         ((t_y, dt_y), (t_x, dt_x)), (ny, nx) = tables, self.coeffs.shape
         ty, dty, tx, dtx = t_y[:, :ny], dt_y[:, :ny], t_x[:, :nx], dt_x[:, :nx]
         inner = np.add.reduce(self.coeffs * tx[:, None, :], axis=-1)  # (point, m)

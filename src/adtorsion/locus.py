@@ -374,8 +374,8 @@ def find_critical_points(
     grid = theta_grid(theta_lo, theta_hi, samples)
     intervals = _half_window_intervals(grid, thresholds)
     solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}))
-    notes = [f"near-multiple roots at theta={sols.theta:.6f}" for sols in solutions
-             if sols.any_near_multiple]
+    notes = [f"near-multiple roots at theta={theta:.6f}"
+             for theta, near in zip(solutions.thetas, solutions.near_multiple) if near]
     torsion = _BranchTorsion(p, phi, solutions)
 
     # the interval's one root count: the count at most of its samples (a

@@ -115,12 +115,12 @@ def chebyshev(z: np.ndarray, n: int) -> np.ndarray:
 def breakpoint_polynomials(table: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
     """disc_u, the value at u = 0 and the value at u = sigma - 2 (the end of
     the SU(2) window) of sum table[j][i] sigma^i u^j, each an integer
-    polynomial in sigma, ascending."""
+    polynomial in sigma, ascending, without zero top coefficients."""
     edge: list[int] = []
     for row in reversed(table):  # Horner's rule in u at u = sigma - 2
         shifted = [a - 2 * b for a, b in zip([0, *edge], [*edge, 0])]
         edge = [a + b for a, b in zip_longest(shifted, row, fillvalue=0)]
-    return _discriminant(table), table[0], edge
+    return _discriminant(table), table[0], _trim(edge)
 
 
 def _discriminant(table: list[list[int]]) -> list[int]:

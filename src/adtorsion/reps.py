@@ -295,18 +295,19 @@ class Su2Solutions:
         return len(self.roots)
 
 
-class Su2Stack(Sequence):
-    """The SU(2) roots of a stack of thetas as arrays, and a sequence of one
-    :class:`Su2Solutions` per theta.
+class Su2Stack:
+    """The SU(2) roots of a stack of thetas as one table.
 
+    ``thetas`` and ``sigmas`` are lists of floats, one per theta.
     ``table`` holds the kept roots of every theta as one (n, d) float
-    array, ascending in each row and NaN after them, and ``counts`` the
-    number of roots per theta; ``thetas`` and ``sigmas`` are the lists of
-    floats the items hold, and ``roots`` the table's rows as tuples.  The
-    items are built when one is first read, from the lists of one
-    conversion of the table.  A theta's row has the bits of its roots
-    alone: the rows are sorted by a stable sort, which keeps -0.0 and 0.0
-    in the order a sort of the roots alone leaves them."""
+    array, ascending in each row and NaN after them, ``counts`` the number
+    of roots per theta, and ``roots`` the table's rows as tuples.
+    ``near_multiple`` is True where two kept roots of a theta lie closer
+    than the multiplicity threshold or a near-real root sits at the
+    window's edge: :attr:`Su2Solutions.any_near_multiple` of that theta.
+    A theta's row has the bits of its roots alone: the rows are sorted by
+    a stable sort, which keeps -0.0 and 0.0 in the order a sort of the
+    roots alone leaves them."""
 
     def __init__(self, thetas: list[float], sigmas: list[float], roots: np.ndarray, real: np.ndarray,
                  edge: np.ndarray, multiplicity_threshold: float):
@@ -314,30 +315,14 @@ class Su2Stack(Sequence):
         self.table = np.where(real, roots.real, np.nan)
         self.table.sort(axis=1, kind="stable")
         self.counts = np.count_nonzero(real, axis=1)
-        self._edge = roots.real, edge
-        self._multiplicity_threshold = multiplicity_threshold
-
-    def __len__(self) -> int:
-        return len(self.thetas)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __iter__(self):
-        return iter(self._items)
+        # the subtraction _solution makes between neighbours; NaN compares False
+        close = np.diff(self.table, axis=1) < multiplicity_threshold
+        self.near_multiple = (close.any(axis=1) | edge.any(axis=1)).tolist()
 
     @functools.cached_property
     def roots(self) -> list[tuple[float, ...]]:
         """The kept roots of every theta, ascending."""
         return [tuple(row[:n]) for row, n in zip(self.table.tolist(), self.counts.tolist())]
-
-    @functools.cached_property
-    def _items(self) -> list[Su2Solutions]:
-        values, edge = self._edge
-        borderline = {i: tuple(sorted(values[i, edge[i]].tolist()))
-                      for i in np.flatnonzero(edge.any(axis=1)).tolist()}
-        return [_solution(theta, sigma, kept, borderline.get(i, ()), self._multiplicity_threshold)
-                for i, (theta, sigma, kept) in enumerate(zip(self.thetas, self.sigmas, self.roots))]
 
 
 def su2_solutions(
@@ -347,18 +332,20 @@ def su2_solutions(
     *,
     multiplicity_threshold: float = MULTIPLICITY_THRESHOLD,
 ) -> Su2Solutions | Su2Stack:
-    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]; for a
-    sequence of thetas, one :class:`Su2Stack` of them all.
+    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0] as one
+    :class:`Su2Solutions`; for a sequence of thetas, one :class:`Su2Stack`,
+    the root table of them all with a near-multiple flag per theta.
 
     The roots are the eigenvalues of the colleague matrix of phi's
     Chebyshev coefficients in x at sigma = 2 cos(theta) (see
     :func:`_su2_roots`).  Roots with |Im u| above REALITY_TOL are
     discarded, the window gets a small slack at both endpoints, and
-    near-multiple roots are flagged.  A theta gets the same roots in any
-    stack.  ``tol`` is not read: whether phi(e^{i theta}, u) is real up to a
-    unit is decided exactly, once per polynomial, from its coefficients.
-    The parameter stays because callers outside the package pass it
-    positionally; the package's own callers leave it out.
+    near-multiple roots are flagged.  A theta gets the same roots and
+    flag in any stack and alone.  ``tol`` is not read: whether
+    phi(e^{i theta}, u) is real up to a unit is decided exactly, once per
+    polynomial, from its coefficients.  The parameter stays because
+    callers outside the package pass it positionally; the package's own
+    callers leave it out.
 
     One theta is solved as a stack of one, sorted and flagged in Python,
     and memoized per process (at most RILEY_CACHE_SIZE entries), keyed on
@@ -379,8 +366,8 @@ def su2_solutions(
 
 def _solution(theta: float, sigma: float, kept: tuple[float, ...], borderline: tuple[float, ...],
               multiplicity_threshold: float) -> Su2Solutions:
-    """The Su2Solutions of one theta from its ascending roots, each flagged
-    when a neighbour lies closer than the multiplicity threshold."""
+    """The Su2Solutions of one scalar theta from its ascending roots, each
+    flagged when a neighbour lies closer than the multiplicity threshold."""
     close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
     flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
     return Su2Solutions(theta, sigma, kept, flags, borderline)

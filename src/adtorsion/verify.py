@@ -120,8 +120,9 @@ def _su2_stack(name: str, p: Presentation, thetas: list[float]) -> list[_Point]:
     """The SU(2) roots at ``thetas`` as one stack through rep_at and
     torsion_polynomial, with both routes evaluated at every point: the one
     place verify finds SU(2) points and reads their routes."""
-    solutions = su2_solutions(riley_polynomial(p.bridge_word), thetas)
-    points = [(sols.theta, sols.sigma, u) for sols in solutions for u in sols.roots]
+    stack = su2_solutions(riley_polynomial(p.bridge_word), thetas)
+    points = [(theta, sigma, u) for theta, sigma, roots in zip(stack.thetas, stack.sigmas, stack.roots)
+              for u in roots]
     tps = torsion_polynomial(rep_at(p, [t for t, _, _ in points], [u for _, _, u in points]))
     out = []
     for (theta, sigma, u), tp in zip(points, tps):

@@ -765,6 +765,32 @@ def test_critical_search_completes_across_a_branch_jump(monkeypatch):
         assert all(math.isfinite(x) for x in (pt.theta, pt.u, pt.torsion.real, pt.torsion.imag))
 
 
+def test_critical_search_notes_read_the_stack_flags(monkeypatch):
+    # the search reads its roots and near-multiple flags from the root
+    # table, building no Su2Solutions for any theta.  No family knot's
+    # samples come near a double root, so the stack of the first interval
+    # samples gets one entry of near_multiple set: the search notes that
+    # theta ahead of every other note and reports what it reports unflagged
+    p = catalog.knot("5_2")
+    lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
+    lookups = _count_calls(monkeypatch, [(reps, "_solution")])
+    plain = find_critical_points(p, lo, hi, 33)
+    assert plain.dihedral_count == 3 and lookups == {"_solution": 0}
+    solutions, flagged = locus.su2_solutions, []
+
+    def one_flagged(phi, thetas, **kwargs):
+        stack = solutions(phi, thetas, **kwargs)
+        if not flagged:
+            stack.near_multiple[3] = True
+            flagged.append(stack.thetas[3])
+        return stack
+
+    monkeypatch.setattr(locus, "su2_solutions", one_flagged)
+    report = find_critical_points(p, lo, hi, 33)
+    assert report.notes == [f"near-multiple roots at theta={flagged[0]:.6f}"] + plain.notes
+    assert report.points == plain.points
+
+
 @pytest.mark.parametrize("p, q", [(9, 5), (11, 7), (13, 9), (15, 7), (15, 11), (15, 13)])
 def test_critical_search_finds_every_dihedral_point(p, q):
     # b(11,7) lost its theta = pi point to "not a simple zero", and b(13,9)
@@ -1113,7 +1139,7 @@ def test_auto_theta_range_is_the_window_of_the_whole_probe_grid():
         i = next(k for k, theta in enumerate(thetas) if theta + margin == lo)
         assert hi == thetas[n - 1 - i] - margin, knot
         # the grid's first i + 1 and last i + 1 thetas
-        counts = [len(sols) for sols in su2_solutions(phi, thetas[:i + 1] + thetas[n - 1 - i:])]
+        counts = su2_solutions(phi, thetas[:i + 1] + thetas[n - 1 - i:]).counts.tolist()
         assert counts[i] > 0 and counts[i + 1] > 0, knot
         assert not any(counts[:i] + counts[i + 2:]), knot
 
@@ -1200,8 +1226,7 @@ def test_sweep_over_the_auto_window_of_long_words_returns_rows(p, q):
     phi = riley_polynomial(knot.bridge_word)
     lo, hi = auto_theta_range(phi)
     rows = sweep_rows(knot, lo, hi, 41)
-    solutions = su2_solutions(phi, theta_grid(lo, hi, 41))
-    assert len(rows) == sum(len(s.roots) for s in solutions) > 0
+    assert len(rows) == su2_solutions(phi, theta_grid(lo, hi, 41)).counts.sum() > 0
 
 
 def test_presentation_objects_computed_once_per_word():
@@ -1467,7 +1492,7 @@ def test_sweep_rejects_a_root_off_the_variety(monkeypatch):
 
 def test_sweep_without_roots_builds_no_torsion_function(monkeypatch):
     p = catalog.knot("5_2")
-    assert not any(su2_solutions(riley_polynomial(p.bridge_word), theta_grid(0.1, 0.5, 9)))
+    assert not su2_solutions(riley_polynomial(p.bridge_word), theta_grid(0.1, 0.5, 9)).counts.any()
     lookups = _count_calls(monkeypatch, [(exact, "torsion_function")])
     assert sweep_rows(p, 0.1, 0.5, 9) == []
     assert lookups == {"torsion_function": 0}

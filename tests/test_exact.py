@@ -154,7 +154,7 @@ def test_evaluation_refuses_points_off_the_real_box():
         # at sigma = 2 the coordinate x = 1 + u / (1 - sigma / 2) divides by zero
         ([2.0], [0.0], "sigma=2.0, u=0.0"),
     ):
-        for evaluate in (function, function.gradient, function.form, function.form.partials):
+        for evaluate in (function, function.gradient, function.form):
             with pytest.raises(ValueError, match=re.escape(f"-2 <= sigma < 2, not {point}")):
                 evaluate(sigma, u)
     # real points in a complex dtype and the box's edge sigma = -2 are evaluated
@@ -172,11 +172,11 @@ def test_slope_is_the_central_difference_of_compute_torsion(p, q):
     h = 1e-5
     checked = 0
     for theta in (1.9, 2.2, 2.6, 2.9):
-        rows = su2_solutions(phi, [theta - h, theta, theta + h])
-        if len({len(sols.roots) for sols in rows}) != 1 or not rows[0].roots:
+        rows = su2_solutions(phi, [theta - h, theta, theta + h]).roots
+        if len({len(roots) for roots in rows}) != 1 or not rows[0]:
             continue
-        rank = len(rows[0].roots) // 2
-        minus, at, plus = (sols.roots[rank] for sols in rows)
+        rank = len(rows[0]) // 2
+        minus, at, plus = (roots[rank] for roots in rows)
         values = [r.value.real for r in compute_torsion(
             rep_at(knot, [theta - h, theta + h], [minus, plus]))]
         difference = (values[1] - values[0]) / (2.0 * h)

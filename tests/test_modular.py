@@ -58,8 +58,6 @@ def _sturm_count(poly):
                 a.pop()
         return a
 
-    while not poly[-1]:  # the top coefficients a polynomial in sigma leaves at 0
-        poly = poly[:-1]
     seq = [[Fraction(c) for c in poly], [Fraction(i * c) for i, c in enumerate(poly)][1:]]
     while len(seq[-1]) > 1:
         seq.append([-c for c in remainder(seq[-2], seq[-1])])
@@ -105,6 +103,18 @@ def test_window_end_polynomials_are_phi_there(p, q):
         coeffs = rows_at(table, sigma)
         assert _at(at_zero, sigma) == coeffs[0]
         assert _at(edge, sigma) == sum(c * (sigma - 2) ** j for j, c in enumerate(coeffs)), (p, q, sigma)
+
+
+def test_breakpoint_polynomials_come_trimmed():
+    # a zero top coefficient would be read as the leading one: where Horner's
+    # rule at u = sigma - 2 cancels the top (5_2's phi(sigma, sigma - 2) is
+    # -1), the polynomial comes without it, as the discriminant does
+    tables = [_table(p, q) for p, q in CRITICAL_FAMILY]
+    tables += [riley_polynomial(catalog.knot(name).bridge_word).sigma_form() for name in ("trefoil", "5_2")]
+    for table in tables:
+        for poly in breakpoint_polynomials(table):
+            assert not poly or poly[-1], (table, poly)
+    assert breakpoint_polynomials(tables[-1])[2] == [-1]
 
 
 def test_certified_roots_match_a_sturm_count():

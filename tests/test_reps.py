@@ -233,11 +233,12 @@ def test_family_roots_at_pi_bracket_a_sign_change_of_the_exact_polynomial():
         assert all(v.imag == 0.0 and v.real == int(v.real) for v in ints), pq
         at_sigma = [([int(v.real) for v in ints], roots)]
         lo, hi = auto_theta_range(phi)
-        for sols in su2_solutions(phi, [lo + (hi - lo) * k / 8 for k in (1, 2, 3)]):
-            sigma = Fraction(sols.sigma)
+        stack = su2_solutions(phi, [lo + (hi - lo) * k / 8 for k in (1, 2, 3)])
+        for sigma, us in zip(stack.sigmas, stack.roots):
+            sigma = Fraction(sigma)
             coeffs = [sum(c * sigma**i for i, c in enumerate(row)) for row in phi.sigma_form()]
-            at_sigma.append((coeffs, sols.roots))
-            off_pi += len(sols.roots)
+            at_sigma.append((coeffs, us))
+            off_pi += len(us)
         for coeffs, us in at_sigma:
             for u in us:
                 delta = 1e-12 * max(1.0, abs(u))
@@ -275,10 +276,10 @@ def test_family_limit_route_in_the_unitary_frame():
     # pair over sqrt(s): 99/19/4 failures, 4.9e-7 and 2.4e-8)
     failed = {math.pi: 0, 2.0: 0, 1.3: 0}
     for knot, phi, _ in family_roots_at_pi():
-        for theta, solutions in zip(failed, su2_solutions(phi, list(failed))):
-            if not solutions.roots:
+        for theta, roots in zip(failed, su2_solutions(phi, list(failed)).roots):
+            if not roots:
                 continue
-            rep = rep_at(knot, np.full(len(solutions), theta), solutions.roots)
+            rep = rep_at(knot, np.full(len(roots), theta), roots)
             for tp, result in zip(torsion_polynomial(rep), compute_torsion(rep)):
                 failed[theta] += result.limit_value is None
                 assert max(tp.remainders) <= 3.6e-9 * tp.scale
@@ -293,12 +294,13 @@ def test_default_build_is_real_on_long_words(p, q):
     # sqrt(s) reads 4.8e-10 on b(41,11) and 2.6e-10 on b(37,1)), and the
     # relator residual is below Riley's
     knot = schubert_knot(p, q)
-    for solutions in su2_solutions(riley_polynomial(knot.bridge_word), [math.pi, 2.0, 1.3]):
-        theta = np.full(len(solutions), solutions.theta)
-        rep = build_rep(knot, np.exp(1j * theta), solutions.roots, np.exp(0.5j * theta))
+    stack = su2_solutions(riley_polynomial(knot.bridge_word), [math.pi, 2.0, 1.3])
+    for at, roots in zip(stack.thetas, stack.roots):
+        theta = np.full(len(roots), at)
+        rep = build_rep(knot, np.exp(1j * theta), roots, np.exp(0.5j * theta))
         for result in compute_torsion(rep, Tolerances()):
-            assert abs(result.value.imag) <= 1e-12 * abs(result.value), (solutions.theta, result.value)
-        riley = riley_rep(knot, np.exp(1j * theta), np.array(solutions.roots), np.exp(0.5j * theta))
+            assert abs(result.value.imag) <= 1e-12 * abs(result.value), (at, result.value)
+        riley = riley_rep(knot, np.exp(1j * theta), np.array(roots), np.exp(0.5j * theta))
         assert riley.relator_residuals[0].max() > rep.relator_residuals[0].max()
 
 
@@ -323,8 +325,8 @@ def test_residual_and_scale_are_the_term_by_term_sums():
     # largest |c_k(s)|, give them
     for knot in (catalog.knot("5_2"), schubert_knot(41, 11)):
         phi = riley_polynomial(knot.bridge_word)
-        points = [(sols.theta, u) for sols in su2_solutions(phi, [1.1, 2.3, math.pi, 4.0, 5.2])
-                  for u in sols.roots]
+        stack = su2_solutions(phi, [1.1, 2.3, math.pi, 4.0, 5.2])
+        points = [(theta, u) for theta, roots in zip(stack.thetas, stack.roots) for u in roots]
         s = np.exp(1j * np.array([t for t, _ in points]))
         u = np.array([u for _, u in points], dtype=complex)
         value = 0j
@@ -364,10 +366,10 @@ def test_riley_poly_from_coefficients_alone_finds_the_roots():
     clone = RileyPoly(phi.coeffs)
     assert clone == phi and clone is not phi
     theta = 17 * math.pi / 26
-    [sols] = reps.su2_solutions(phi, [theta])
-    [clone_sols] = reps.su2_solutions(clone, [theta])
-    assert len(sols.roots) == 8
-    assert clone_sols == sols
+    stack, clone_stack = (reps.su2_solutions(poly, [theta]) for poly in (phi, clone))
+    assert stack.counts.tolist() == [8]
+    assert stack.table.tobytes() == clone_stack.table.tobytes()
+    assert clone_stack.near_multiple == stack.near_multiple
 
 
 def test_sigma_form_five_two():
@@ -425,9 +427,9 @@ def test_su2_solutions_argument_checks():
 
 def test_one_theta_is_memoized_with_the_bits_of_any_stack():
     # a hit is the very object the first call built as a stack of one, equal
-    # to the last bit (repr writes every float exactly) to theta's row in a
-    # stack of one and in a stack of 48; an equal polynomial rebuilt from the
-    # coefficients shares the entry, and a stacked call leaves the memo as it is
+    # to the last bit to theta's row and near-multiple flag in a stack of one
+    # and in a stack of 48; an equal polynomial rebuilt from the coefficients
+    # shares the entry, and a stacked call leaves the memo as it is
     phi = riley_polynomial(schubert_knot(41, 11).bridge_word)
     thetas = [1.9 + 0.01 * k for k in range(48)]
     theta = thetas[17]
@@ -438,8 +440,11 @@ def test_one_theta_is_memoized_with_the_bits_of_any_stack():
     info = su2_solutions.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     assert len(first.roots) > 1
-    assert repr(first) == repr(su2_solutions(phi, [theta])[0])
-    assert repr(first) == repr(su2_solutions(phi, thetas)[17])
+    row = np.array(first.roots).tobytes()
+    for stack, i in ((su2_solutions(phi, [theta]), 0), (su2_solutions(phi, thetas), 17)):
+        assert (stack.thetas[i], stack.sigmas[i]) == (first.theta, first.sigma)
+        assert stack.table[i, :stack.counts[i]].tobytes() == row and stack.roots[i] == first.roots
+        assert stack.near_multiple[i] is first.any_near_multiple
     assert su2_solutions.cache_info() == info
 
 
@@ -526,7 +531,7 @@ def test_thresholds_match_the_count_changes_of_the_whole_grid():
     thetas = _sigma_thetas(grid)
     for p, q in _critical_family():
         phi = riley_polynomial(schubert_knot(p, q).bridge_word)
-        counts = [len(sols) for sols in su2_solutions(phi, thetas)]
+        counts = su2_solutions(phi, thetas).counts.tolist()
         changes = [(a, b) for a, b, ca, cb in zip(grid, grid[1:], counts, counts[1:]) if ca != cb]
         thresholds = su2_root_count_thresholds(phi)
         assert changes, (p, q)
@@ -562,7 +567,7 @@ def test_breakpoints_hold_the_crossings(p, q, sigma):
     # u = -1/4 at sigma = 3/4); its square-free part changes sign there
     phi = riley_polynomial(schubert_knot(p, q).bridge_word)
     assert sigma in su2_root_count_thresholds(phi)
-    counts = [len(sols) for sols in su2_solutions(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3]))]
+    counts = su2_solutions(phi, _sigma_thetas([sigma - 1e-3, sigma + 1e-3])).counts
     assert counts[0] == counts[1]
 
 
@@ -747,30 +752,43 @@ def test_rep_from_raw_matrices():
 
 
 # a theta per knot where roots crowd: on b(39,25) three within 0.07 of each
-# other (sigma = -1.48), where the colleague matrix loses accuracy
-_CLUSTERS = {(39, 25): [2.402364735126055]}
+# other (sigma = -1.48), where the colleague matrix loses accuracy; on
+# b(7,3) = 5_2 its count threshold, where a double root is flagged
+# near-multiple, and a theta just below it, flagged under a threshold of 0.1
+# only
+_CLUSTERS = {
+    (39, 25): [2.402364735126055],
+    (7, 3): [math.acos(SIGMA_STAR / 2.0), math.acos((SIGMA_STAR - 1e-3) / 2.0)],
+}
 
 
-@pytest.mark.parametrize("p, q", [(5, 3), (15, 7), (21, 5), (31, 7), (41, 11), (39, 25)])
+@pytest.mark.parametrize("p, q", [(5, 3), (7, 3), (15, 7), (21, 5), (31, 7), (41, 11), (39, 25)])
 def test_stacked_roots_are_the_single_theta_roots(p, q):
     # one root finder: a stack of thetas (one eigvals call per degree) gives
-    # every theta the very roots it gets alone, as an item and as its row of
-    # the stack's table, sorted in numpy where one theta is sorted in
-    # Python; b(21,5) and larger are ill-conditioned, so any difference in
-    # rounding would show
+    # every theta the very roots and near-multiple flag it gets alone, as its
+    # row and count of the stack's table and its entry of near_multiple,
+    # sorted and flagged in numpy where one theta is sorted and flagged in
+    # Python, under the default multiplicity threshold and under 0.1;
+    # b(21,5) and larger are ill-conditioned, so any difference in rounding
+    # would show
     phi = riley_polynomial(schubert_knot(p, q).bridge_word)
     rng = random.Random(p * 100 + q)
     thetas = [rng.uniform(0.05, 2 * math.pi - 0.05) for _ in range(40)] + [math.pi] + _CLUSTERS.get((p, q), [])
-    single = [su2_solutions(phi, theta) for theta in thetas]
-    stack = su2_solutions(phi, thetas)
-    assert isinstance(stack, reps.Su2Stack) and len(stack) == len(thetas)
-    assert list(stack) == single
-    assert stack.table.shape == (len(thetas), phi.u_degree)
-    assert stack.counts.tolist() == [len(sols.roots) for sols in single]
-    for row, sols in zip(stack.table, single):
-        n = len(sols.roots)
-        assert row[:n].tobytes() == np.array(sols.roots, dtype=float).tobytes()
-        assert np.isnan(row[n:]).all()
+    for threshold in (reps.MULTIPLICITY_THRESHOLD, 0.1):
+        single = [su2_solutions(phi, theta, multiplicity_threshold=threshold) for theta in thetas]
+        stack = su2_solutions(phi, thetas, multiplicity_threshold=threshold)
+        assert isinstance(stack, reps.Su2Stack)
+        assert (stack.thetas, stack.sigmas) == ([s.theta for s in single], [s.sigma for s in single])
+        assert stack.table.shape == (len(thetas), phi.u_degree)
+        assert stack.counts.tolist() == [len(sols.roots) for sols in single]
+        assert stack.roots == [sols.roots for sols in single]
+        assert stack.near_multiple == [sols.any_near_multiple for sols in single]
+        for row, sols in zip(stack.table, single):
+            n = len(sols.roots)
+            assert row[:n].tobytes() == np.array(sols.roots, dtype=float).tobytes()
+            assert np.isnan(row[n:]).all()
+        if (p, q) == (7, 3):
+            assert stack.near_multiple[-2:] == [True, threshold == 0.1]
 
 
 def assert_stack_has_single_point_bits(p, s, u, sqrt_s):
@@ -943,8 +961,8 @@ def test_su2_frame_images_are_unit_quaternions_with_riley_traces():
     stacks = []
     for name in ("5_2", "trefoil"):
         p = catalog.knot(name)
-        sols = su2_solutions(riley_polynomial(p.bridge_word), [0.9, 1.3, 2.0, 2.7, math.pi, 4.1, 5.5])
-        points = [(s.theta, u) for s in sols for u in s.roots]
+        stack = su2_solutions(riley_polynomial(p.bridge_word), [0.9, 1.3, 2.0, 2.7, math.pi, 4.1, 5.5])
+        points = [(theta, u) for theta, roots in zip(stack.thetas, stack.roots) for u in roots]
         stacks.append((p, np.array([t for t, _ in points]), [u for _, u in points]))
     stacks += [(knot, np.full(len(roots), math.pi), roots) for knot, _, roots in family_roots_at_pi()]
     for knot, thetas, roots in stacks:

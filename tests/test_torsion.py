@@ -801,11 +801,8 @@ def test_stacked_readings_match_the_per_polynomial_loops(pq):
     p = schubert_knot(*pq)
     phi = riley_polynomial(p.bridge_word)
     lo, hi = auto_theta_range(phi)
-    points = [
-        (sols.theta, u)
-        for sols in su2_solutions(phi, [lo + (hi - lo) * k / 4 for k in range(5)])
-        for u in sols.roots
-    ]
+    stack = su2_solutions(phi, [lo + (hi - lo) * k / 4 for k in range(5)])
+    points = [(theta, u) for theta, roots in zip(stack.thetas, stack.roots) for u in roots]
     thetas = np.array([theta for theta, _ in points])
     rep = build_rep(p, np.exp(1j * thetas), [u for _, u in points], np.exp(0.5j * thetas), check=False)
     _assert_determinant_readings_are_exact(alexander_block_matrix(rep))
