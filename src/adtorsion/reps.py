@@ -19,7 +19,7 @@ import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -273,26 +273,16 @@ def riley_polynomial(w: Word) -> RileyPoly:
 
 @dataclass(frozen=True)
 class Su2Solutions:
-    """Real u-roots inside [2cos(theta)-2, 0], ascending, with per-root
-    near-multiple flags (a neighbor closer than the multiplicity threshold).
+    """The SU(2) roots of one theta: row 0 of a one-theta :class:`Su2Stack`.
 
-    ``borderline`` holds real parts of root pairs that fell just outside the
-    reality filter but within the multiplicity threshold: the signature of a
-    genuine double root sitting at the edge of the real locus.
+    ``roots`` are the real u-roots inside [2cos(theta)-2, 0], ascending,
+    and ``any_near_multiple`` is the stack's near-multiple flag of theta.
     """
 
     theta: float
     sigma: float
     roots: tuple[float, ...]
-    near_multiple: tuple[bool, ...]
-    borderline: tuple[float, ...] = ()
-
-    @property
-    def any_near_multiple(self) -> bool:
-        return any(self.near_multiple) or bool(self.borderline)
-
-    def __len__(self) -> int:
-        return len(self.roots)
+    any_near_multiple: bool
 
 
 class Su2Stack:
@@ -304,19 +294,18 @@ class Su2Stack:
     of roots per theta, and ``roots`` the table's rows as tuples.
     ``near_multiple`` is True where two kept roots of a theta lie closer
     than the multiplicity threshold or a near-real root sits at the
-    window's edge: :attr:`Su2Solutions.any_near_multiple` of that theta.
-    A theta's row has the bits of its roots alone: the rows are sorted by
-    a stable sort, which keeps -0.0 and 0.0 in the order a sort of the
-    roots alone leaves them."""
+    window's edge.  Each row is sorted and flagged on its own, so a theta
+    gets the same row and flag in any stack."""
 
     def __init__(self, thetas: list[float], sigmas: list[float], roots: np.ndarray, real: np.ndarray,
                  edge: np.ndarray, multiplicity_threshold: float):
         self.thetas, self.sigmas = thetas, sigmas
         self.table = np.where(real, roots.real, np.nan)
+        # a stable sort leaves -0.0 and 0.0, which compare equal, in eigvals' order on every CPU
         self.table.sort(axis=1, kind="stable")
-        self.counts = np.count_nonzero(real, axis=1)
-        # the subtraction _solution makes between neighbours; NaN compares False
-        close = np.diff(self.table, axis=1) < multiplicity_threshold
+        self.counts = real.sum(axis=1)
+        # np.diff's subtraction without its call overhead; NaN compares False
+        close = self.table[:, 1:] - self.table[:, :-1] < multiplicity_threshold
         self.near_multiple = (close.any(axis=1) | edge.any(axis=1)).tolist()
 
     @functools.cached_property
@@ -332,9 +321,10 @@ def su2_solutions(
     *,
     multiplicity_threshold: float = MULTIPLICITY_THRESHOLD,
 ) -> Su2Solutions | Su2Stack:
-    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0] as one
-    :class:`Su2Solutions`; for a sequence of thetas, one :class:`Su2Stack`,
-    the root table of them all with a near-multiple flag per theta.
+    """All real roots of phi(e^{i theta}, u) in [2cos(theta)-2, 0]: for a
+    sequence of thetas one :class:`Su2Stack`, the root table of them all
+    with a near-multiple flag per theta, and for one theta row 0 of the
+    stack of that theta alone, as one :class:`Su2Solutions`.
 
     The roots are the eigenvalues of the colleague matrix of phi's
     Chebyshev coefficients in x at sigma = 2 cos(theta) (see
@@ -347,9 +337,8 @@ def su2_solutions(
     callers outside the package pass it positionally; the package's own
     callers leave it out.
 
-    One theta is solved as a stack of one, sorted and flagged in Python,
-    and memoized per process (at most RILEY_CACHE_SIZE entries), keyed on
-    phi (whose hash is computed once), the float theta and
+    One theta is memoized per process (at most RILEY_CACHE_SIZE entries),
+    keyed on phi (whose hash is computed once), the float theta and
     ``multiplicity_threshold``: every root index of one theta shares one
     solve and the same frozen result, also across equal polynomials.  A
     sequence of thetas neither reads nor fills the memo.
@@ -357,29 +346,21 @@ def su2_solutions(
     it; an error is never stored.
     """
     if np.ndim(theta) > 0:
-        thetas = [float(t) for t in theta]
-        sigmas = _sigmas(thetas)
-        return Su2Stack(thetas, sigmas, *_su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold),
-                        multiplicity_threshold)
+        return _stack(phi, [float(t) for t in theta], multiplicity_threshold)
     return _solution_at(phi, float(theta), multiplicity_threshold)
 
 
-def _solution(theta: float, sigma: float, kept: tuple[float, ...], borderline: tuple[float, ...],
-              multiplicity_threshold: float) -> Su2Solutions:
-    """The Su2Solutions of one scalar theta from its ascending roots, each
-    flagged when a neighbour lies closer than the multiplicity threshold."""
-    close = [b - a < multiplicity_threshold for a, b in zip(kept, kept[1:])]
-    flags = tuple(x or y for x, y in zip([False] + close, close + [False])) if kept else ()
-    return Su2Solutions(theta, sigma, kept, flags, borderline)
+def _stack(phi: RileyPoly, thetas: list[float], multiplicity_threshold: float) -> Su2Stack:
+    """The Su2Stack of ``thetas``: the one root solve, which one theta takes as a stack of one."""
+    sigmas = _sigmas(thetas)
+    return Su2Stack(thetas, sigmas, *_su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold),
+                    multiplicity_threshold)
 
 
 @functools.lru_cache(maxsize=RILEY_CACHE_SIZE)
 def _solution_at(phi: RileyPoly, theta: float, multiplicity_threshold: float) -> Su2Solutions:
-    sigmas = _sigmas([theta])
-    roots, real, edge = _su2_roots(phi.chebyshev_form(), sigmas, multiplicity_threshold)
-    [values], [r], [e] = roots.real.tolist(), real.tolist(), edge.tolist()
-    return _solution(theta, sigmas[0], tuple(sorted(compress(values, r))), tuple(sorted(compress(values, e))),
-                     multiplicity_threshold)
+    stack = _stack(phi, [theta], multiplicity_threshold)
+    return Su2Solutions(theta, stack.sigmas[0], stack.roots[0], stack.near_multiple[0])
 
 
 su2_solutions.cache_info = _solution_at.cache_info
@@ -524,7 +505,6 @@ class Rep:
     __slots__ = (
         "presentation",
         "images",
-        "inverses",
         "s",
         "u",
         "sqrt_s",
@@ -554,8 +534,6 @@ class Rep:
         # per generator, its image and its inverse at each point as (a, b, c, d)
         self._letters = [(points, [_inverse(m) for m in points])
                          for points in (m.reshape(-1, 4).tolist() for m in self.images)]
-        self.inverses = tuple(np.array(inv, dtype=complex).reshape(m.shape)
-                              for m, (_, inv) in zip(self.images, self._letters))
         self.s = s
         self.u = u
         self.sqrt_s = sqrt_s

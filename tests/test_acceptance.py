@@ -70,7 +70,7 @@ def _five_two_samples(minimum=60):
     samples = []
     for sigma in sorted(sigmas):
         theta = math.acos(max(-1.0, min(1.0, sigma / 2.0)))
-        sols = su2_solutions(phi, theta, TOL.relation)
+        sols = su2_solutions(phi, theta)
         for u in sols.roots:
             samples.append((theta, sols.sigma, u, _su2_rep(p, theta, u)))
     assert len(samples) >= minimum
@@ -125,7 +125,7 @@ def test_acceptance_3_limit_equals_derivative():
     trefoil = catalog.knot("trefoil")
     phi_t = riley_polynomial(trefoil.bridge_word)
     for theta in (1.3, 1.9, 2.6, math.pi, 3.9, 4.8):
-        for u in su2_solutions(phi_t, theta, TOL.relation).roots:
+        for u in su2_solutions(phi_t, theta).roots:
             samples.append((theta, 2 * math.cos(theta), u, _su2_rep(trefoil, theta, u)))
     worst_consistency = 0.0
     for theta, sigma, u, rep in samples:
@@ -187,14 +187,14 @@ def test_acceptance_5_root_count_regimes():
     assert abs(sigma_star - SIGMA_STAR) < 1e-6
 
     def count(sigma):
-        return len(su2_solutions(phi, math.acos(sigma / 2.0), TOL.relation).roots)
+        return len(su2_solutions(phi, math.acos(sigma / 2.0)).roots)
 
     assert count(SIGMA_STAR - 0.01) == 3
     assert count(SIGMA_STAR - 0.3) == 3
     assert count(SIGMA_STAR + 0.01) == 1
     assert count(SIGMA_STAR + 0.5) == 1
     # at the threshold itself the double root trips the near-multiple signal
-    assert su2_solutions(phi, math.acos(SIGMA_STAR / 2.0), TOL.relation).any_near_multiple
+    assert su2_solutions(phi, math.acos(SIGMA_STAR / 2.0)).any_near_multiple
     _report(
         5,
         f"sigma* = {sigma_star:.6f} (radical {SIGMA_STAR:.6f}); counts 3|1 "
@@ -212,7 +212,7 @@ def test_acceptance_6_critical_points():
         phi = riley_polynomial(p.bridge_word)
         assert dihedral_class_count(p) == expected_count
         # finite-difference derivative at theta = pi on every branch
-        sols = su2_solutions(phi, math.pi, TOL.relation)
+        sols = su2_solutions(phi, math.pi)
         assert len(sols.roots) == expected_count
         for rank, u in enumerate(sols.roots):
             value, _ = (
@@ -243,7 +243,7 @@ def test_acceptance_7_property_suites():
         p = catalog.knot(name)
         phi = riley_polynomial(p.bridge_word)
         theta = 2.8
-        u = su2_solutions(phi, theta, TOL.relation).roots[0]
+        u = su2_solutions(phi, theta).roots[0]
         rep = _su2_rep(p, theta, u)
         tai = [twisted_alexander_invariant(rep, drop=j) for j in range(2)]
         wada_worst = max(
@@ -260,7 +260,7 @@ def test_acceptance_7_property_suites():
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
     theta = 3.0
-    for u in su2_solutions(phi, theta, TOL.relation).roots:
+    for u in su2_solutions(phi, theta).roots:
         rep = _su2_rep(p, theta, u)
         base = _limit(rep)
         for _ in range(3):
@@ -276,7 +276,7 @@ def test_acceptance_7_property_suites():
     assert conj_worst <= 1e-8
 
     # +-sqrt(s) branch invariance, exact
-    u = su2_solutions(phi, theta, TOL.relation).roots[1]
+    u = su2_solutions(phi, theta).roots[1]
     rep = _su2_rep(p, theta, u)
     flipped = build_rep(p, rep.s, rep.u, sqrt_s=-rep.sqrt_s, tol=TOL.relation)
     assert _limit(flipped) == _limit(rep)

@@ -773,9 +773,13 @@ def test_critical_search_notes_read_the_stack_flags(monkeypatch):
     # theta ahead of every other note and reports what it reports unflagged
     p = catalog.knot("5_2")
     lo, hi = auto_theta_range(riley_polynomial(p.bridge_word))
-    lookups = _count_calls(monkeypatch, [(reps, "_solution")])
+    lookups = _count_calls(monkeypatch, [(reps, "Su2Solutions")])
     plain = find_critical_points(p, lo, hi, 33)
-    assert plain.dihedral_count == 3 and lookups == {"_solution": 0}
+    assert plain.dihedral_count == 3 and lookups == {"Su2Solutions": 0}
+    # the counter sees the one-theta solve it counts
+    reps.su2_solutions.cache_clear()
+    reps.su2_solutions(riley_polynomial(p.bridge_word), lo)
+    assert lookups == {"Su2Solutions": 1}
     solutions, flagged = locus.su2_solutions, []
 
     def one_flagged(phi, thetas, **kwargs):
@@ -1375,7 +1379,7 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     # one root stack read as arrays, with no Su2Solutions per theta; the one
     # representation is the cross-check's single point
     lookups = _count_calls(monkeypatch, [(exact, "torsion_function"), (locus, "su2_solutions"),
-                                         (reps, "_solution")])
+                                         (reps, "Su2Solutions")])
     built = []
     monkeypatch.setattr(locus, "compute_torsion", lambda rep, *args: built.append(rep)
                         or compute_torsion(rep, *args))
@@ -1383,7 +1387,7 @@ def test_sweep_builds_one_representation_and_one_determinant(monkeypatch):
     assert len(rows) > 31
     assert calls == {"build_rep": 1, "determinant": 1, "divide_out_simple_roots": 1, "LaurentPoly": 0}
     assert diagnostics == {"regularity_diagnostics": 0, "naive_limit": 0}
-    assert lookups == {"torsion_function": 1, "su2_solutions": 1, "_solution": 0}
+    assert lookups == {"torsion_function": 1, "su2_solutions": 1, "Su2Solutions": 0}
     assert [rep.stacked for rep in built] == [False]
     # the counters see the constructions they count
     LaurentPoly(0, [1.0]).shift(1)

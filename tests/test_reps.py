@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adtorsion import catalog, reps
+from adtorsion import catalog, locus, reps
 from adtorsion.laurent import IntLaurent
-from adtorsion.locus import auto_theta_range, rep_at
+from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
 from adtorsion.presentation import Presentation, PresentationError
 from adtorsion.reps import (
     INTERVAL_SLACK,
@@ -448,6 +448,25 @@ def test_one_theta_is_memoized_with_the_bits_of_any_stack():
     assert su2_solutions.cache_info() == info
 
 
+def test_an_empty_theta_sequence_is_an_empty_stack(monkeypatch):
+    # a critical search whose folded samples all sit within PI_SLACK of pi
+    # solves an empty stack and still reports 5_2's 3 dihedral points
+    p = catalog.knot("5_2")
+    phi = riley_polynomial(p.bridge_word)
+    stack = su2_solutions(phi, [])
+    assert isinstance(stack, reps.Su2Stack) and stack.table.shape == (0, phi.u_degree)
+    assert stack.counts.tolist() == stack.thetas == stack.sigmas == stack.roots == stack.near_multiple == []
+    sizes, solutions = [], locus.su2_solutions
+
+    def sized(phi, thetas, **kwargs):
+        sizes.append(len(thetas))
+        return solutions(phi, thetas, **kwargs)
+
+    monkeypatch.setattr(locus, "su2_solutions", sized)
+    report = find_critical_points(p, math.pi - 1e-13, math.pi + 1e-13, 2)
+    assert 0 in sizes and report.dihedral_count == 3 and not report.notes
+
+
 def test_memo_keys_on_the_multiplicity_threshold():
     # two roots 0.071 apart, just below the 5_2 count threshold: flagged
     # under a threshold of 0.1, not under the default
@@ -457,7 +476,7 @@ def test_memo_keys_on_the_multiplicity_threshold():
     tight = su2_solutions(phi, theta)
     wide = su2_solutions(phi, theta, multiplicity_threshold=0.1)
     assert tight.roots == wide.roots
-    assert not any(tight.near_multiple) and any(wide.near_multiple)
+    assert not tight.any_near_multiple and wide.any_near_multiple
     assert su2_solutions.cache_info().currsize == 2
     assert su2_solutions(phi, theta) is tight
 
@@ -689,6 +708,11 @@ def test_adjoint_branch_independence_exact():
         assert np.array_equal(plus.adjoint_prefixes(w), minus.adjoint_prefixes(w))
 
 
+def _inverses(rep):
+    """The inverse of every generator's image, read through the prefix chain."""
+    return tuple(rep.of_word(Word.gen(j, -1)) for j in range(len(rep.images)))
+
+
 def test_adjoint_multiplicativity_random_subwords():
     rng = random.Random(19)
     p = catalog.knot("5_2")
@@ -696,7 +720,7 @@ def test_adjoint_multiplicativity_random_subwords():
     theta = 2.8
     u = su2_solutions(phi, theta).roots[2]
     rep = build_rep(p, cmath.exp(1j * theta), u, cmath.exp(0.5j * theta))
-    generators = [adjoint_of_matrix(m) for m in rep.images + rep.inverses]
+    generators = [adjoint_of_matrix(m) for m in rep.images + _inverses(rep)]
     for _ in range(50):
         w1 = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(8))])
         w2 = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(8))])
@@ -767,8 +791,7 @@ def test_stacked_roots_are_the_single_theta_roots(p, q):
     # one root finder: a stack of thetas (one eigvals call per degree) gives
     # every theta the very roots and near-multiple flag it gets alone, as its
     # row and count of the stack's table and its entry of near_multiple,
-    # sorted and flagged in numpy where one theta is sorted and flagged in
-    # Python, under the default multiplicity threshold and under 0.1;
+    # under the default multiplicity threshold and under 0.1;
     # b(21,5) and larger are ill-conditioned, so any difference in rounding
     # would show
     phi = riley_polynomial(schubert_knot(p, q).bridge_word)
@@ -800,7 +823,7 @@ def assert_stack_has_single_point_bits(p, s, u, sqrt_s):
     for i, point in enumerate(zip(s, u, sqrt_s)):
         single = build_rep(p, *point)
         assert not single.stacked
-        for a, b in zip(stack.images + stack.inverses, single.images + single.inverses):
+        for a, b in zip(stack.images + _inverses(stack), single.images + _inverses(single)):
             assert np.array_equal(a[i], b)
         r = p.relators[0]
         assert np.array_equal(stack.prefixes(r)[:, i], single.prefixes(r))
@@ -867,10 +890,10 @@ def test_prefixes_and_inverses_are_exact_on_integer_matrices():
     single = Rep(p, riley_assignment(1.0, -1.0), check=False)
     stack = Rep(p, riley_assignment(*(np.array(v, dtype=float) for v in zip(*points))), check=False)
     inverses, chain = expected[0]
-    assert [m.tolist() for m in single.inverses] == [m.tolist() for m in inverses]
+    assert [m.tolist() for m in _inverses(single)] == [m.tolist() for m in inverses]
     assert single.prefixes(r).tolist() == [m.tolist() for m in chain]
     for k, (inverses, chain) in enumerate(expected):
-        assert [m[k].tolist() for m in stack.inverses] == [m.tolist() for m in inverses]
+        assert [m[k].tolist() for m in _inverses(stack)] == [m.tolist() for m in inverses]
         assert stack.prefixes(r)[:, k].tolist() == [m.tolist() for m in chain]
     with pytest.raises(RepresentationError, match="^singular image matrix$"):
         Rep(p, [np.zeros((3, 2, 2)), stack.images[1]], check=False)
@@ -1009,7 +1032,7 @@ def test_build_rep_clamps_su2_roots_within_the_slack_and_takes_riley_off_su2():
     # and below the window: clamped to u = sigma - 2, where y = x^-1
     s2, sq2 = cmath.exp(2j), cmath.exp(1j)
     rep = build_rep(p, s2, 2 * s2.real - 2 - INTERVAL_SLACK / 2, sq2, check=False)
-    assert np.abs(rep.images[1] - rep.inverses[0]).max() <= 1e-15
+    assert np.abs(rep.images[1] - _inverses(rep)[0]).max() <= 1e-15
     # off SU(2) (past the slack, |s| != 1, a complex u) the images are
     # Riley's pair over sqrt(s), and the phi and relator checks decide:
     # none of these points is on the variety
