@@ -93,22 +93,24 @@ def _coordinates(sigma, u) -> tuple[np.ndarray, np.ndarray]:
 
 def _tables(y: np.ndarray, x: np.ndarray, n: int):
     """(T, T') of the points at y and at x, columns 0 .. n - 1, from one run
-    of each recurrence over y and x stacked: the recurrences are
-    elementwise, so every entry has the bits of a run on its own."""
+    of the recurrences over y and x stacked: T_m by its three-term
+    recurrence and T_m' = m U_(m-1), with U by its own, in one loop.  The
+    recurrences are elementwise, so every entry has the bits of a run on its
+    own.  The tables are C-contiguous, (point, m): the forms' sums then run
+    over each point's own contiguous row."""
     k, z = len(y), np.concatenate([y, x])
-    t, dt = chebyshev(z, n), _chebyshev_derivatives(z, n)
-    return (t[:k], dt[:k]), (t[k:], dt[k:])
-
-
-def _chebyshev_derivatives(z: np.ndarray, n: int) -> np.ndarray:
-    """T_0'(z) .. T_{n-1}'(z), (points, n): T_m' = m U_{m-1}, with U by its
-    three-term recurrence."""
-    dt = [np.zeros_like(z), np.ones_like(z)]
-    u_prev, u_cur = np.ones_like(z), 2.0 * z  # U_0, U_1
+    twice = 2.0 * z
+    tables, u = np.empty((2, n, len(z))), np.empty((n, len(z)))  # (m, point) of T_m, T_m' and U_m
+    t, dt = tables
+    t[0], dt[0], u[0] = 1.0, 0.0, 1.0
+    if n > 1:
+        t[1], dt[1], u[1] = z, 1.0, twice
     for m in range(2, n):
-        dt.append(m * u_cur)
-        u_prev, u_cur = u_cur, 2.0 * z * u_cur - u_prev
-    return np.stack(dt[:n], axis=-1)
+        t[m] = twice * t[m - 1] - t[m - 2]
+        dt[m] = m * u[m - 1]
+        u[m] = twice * u[m - 1] - u[m - 2]
+    t, dt = np.ascontiguousarray(tables.transpose(0, 2, 1))
+    return (t[:k], dt[:k]), (t[k:], dt[k:])
 
 
 @dataclass(frozen=True)

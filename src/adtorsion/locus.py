@@ -361,10 +361,12 @@ def find_critical_points(
     sign changes in lockstep (``_refine_derivative_zeros``), one root stack
     per Brent round.  Each point is annotated with the binary-dihedral test
     |Tr rho(mu)| = |2 cos(theta/2)| <= 1e-6 and reports the T and
-    |dT/dtheta| of the slope taken there; the points at pi take one slope
-    stack.  Last, the middle point off pi (else a dihedral one) is checked
-    against the numeric torsion (``_cross_check``); a representation error
-    there is a note.
+    |dT/dtheta| of the slope taken there.  Pi joins the samples: its roots
+    are solved in the samples' root stack and its points take their slopes
+    in the samples' slope stack (a point gets the same bits in any stack),
+    and it is left out of the near-multiple notes.  Last, the middle point
+    off pi (else a dihedral one) is checked against the numeric torsion
+    (``_cross_check``); a representation error there is a note.
     """
     phi = _two_bridge_phi(p, "critical")
     thresholds = su2_root_count_thresholds(phi)
@@ -373,17 +375,25 @@ def find_critical_points(
     theta_lo, theta_hi = (math.nan if t is None else t for t in (theta_lo, theta_hi))
     grid = theta_grid(theta_lo, theta_hi, samples)
     intervals = _half_window_intervals(grid, thresholds)
-    solutions = su2_solutions(phi, sorted({t for thetas in intervals for t in thetas}))
+    sampled = sorted({t for thetas in intervals for t in thetas})
+    # pi, the dihedral points' theta, lies above every sample (they keep
+    # PI_SLACK from it) and joins their stack
+    at_pi = theta_lo <= math.pi <= theta_hi
+    solutions = su2_solutions(phi, sampled + ([math.pi] if at_pi else []))
     notes = [f"near-multiple roots at theta={theta:.6f}"
-             for theta, near in zip(solutions.thetas, solutions.near_multiple) if near]
+             for theta, near in zip(sampled, solutions.near_multiple) if near]
     torsion = _BranchTorsion(p, phi, solutions)
+    count_at_pi = len(torsion.roots[math.pi]) if at_pi else 0
+    dihedral = [(math.pi, (count_at_pi, rank)) for rank in range(count_at_pi)]
 
     # the interval's one root count: the count at most of its samples (a
-    # sample with another count fails the count check)
+    # sample with another count fails the count check); the dihedral points
+    # take their slopes in the samples' stack
     counted = [(thetas, statistics.mode(len(torsion.roots[t]) for t in thetas))
                for thetas in intervals if len(thetas) >= 2]
     differences = iter(torsion.derivatives(
         [(t, (count, rank)) for thetas, count in counted for rank in range(count) for t in thetas]
+        + dihedral
     ))
     # per interval and rank in order: a note, or the index of a sign change to
     # refine; emitted once every sign change is refined and every point evaluated
@@ -419,13 +429,7 @@ def find_critical_points(
 
     refined = _refine_derivative_zeros(torsion, brackets)
     targets = [zero for zero in refined if not isinstance(zero, Exception)]
-    at_pi = theta_lo <= math.pi <= theta_hi
-    # the count at pi sets the dihedral points
-    torsion.solve([math.pi] if at_pi else [])
-    count_at_pi = len(torsion.roots[math.pi]) if at_pi else 0
-    found = iter(_critical_points(
-        torsion, targets + [(math.pi, (count_at_pi, rank)) for rank in range(count_at_pi)]
-    ))
+    found = iter(_critical_points(torsion, targets + dihedral))
     points: list[CriticalPoint] = []
 
     def report(pt: CriticalPoint, what: str) -> None:

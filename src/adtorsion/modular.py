@@ -128,9 +128,10 @@ def _discriminant(table: list[list[int]]) -> list[int]:
     det [t_(i+j)], i, j < d: t_k = a_d^k s_k, with d the u-degree, a_d the
     leading coefficient and s_k the power sums of the roots u (times
     a_d^((d - 1)(d - 2)) where a_d != 1; phi is monic on two-bridge knots).
-    It is formed modulo one prime at a time at sigma = 0 .. n - 1 and
-    interpolated; CRT joins the primes until one more changes no
-    coefficient (:func:`settle`).  n starts at 3 d + 2 and doubles until
+    It is formed modulo the primes at sigma = 0 .. n - 1 and interpolated,
+    the first two primes in one pass of :func:`_hankel_determinants` and
+    later ones one at a time; CRT joins the primes until one more changes
+    no coefficient (:func:`settle`).  n starts at 3 d + 2 and doubles until
     the top two coefficients vanish modulo every prime (the degree is at
     most 3 d - 1 on b(p, q) up to p = 41)."""
     d = len(table) - 1
@@ -138,12 +139,12 @@ def _discriminant(table: list[list[int]]) -> list[int]:
         return [1]
 
     def residues(n):  # prime by prime; they end where the top two do not vanish
-        for prime in PRIMES:
-            values = _hankel_determinants(table, n, prime)
-            coeffs = (inverse_vandermonde(tuple(range(n)), prime) @ values % prime).tolist()
-            if any(coeffs[-2:]):
-                return
-            yield coeffs
+        for batch in [PRIMES[:2], *((prime,) for prime in PRIMES[2:])]:
+            for prime, values in zip(batch, _hankel_determinants(table, n, batch)):
+                coeffs = (inverse_vandermonde(tuple(range(n)), prime) @ values % prime).tolist()
+                if any(coeffs[-2:]):
+                    return
+                yield coeffs
         raise ArithmeticError("the discriminant needs more primes than PRIMES holds")
 
     n = 3 * d + 2
@@ -152,37 +153,43 @@ def _discriminant(table: list[list[int]]) -> list[int]:
     return _trim(known)
 
 
-def _hankel_determinants(table: list[list[int]], n: int, prime: int) -> np.ndarray:
-    """det [t_(i+j)] of :func:`_discriminant` modulo ``prime`` at sigma = 0 .. n - 1.
-    Newton's identities give t_0 = d and t_k = -(sum_(i <= min(k - 1, d))
-    w_i t_(k-i) + k w_k), the last term for k <= d, w_i = a_(d-i) a_d^(i-1).
-    The elimination scales rows by the pivot instead of dividing by it: one
-    modular inverse per node is left, at the end."""
-    d, width, nodes = len(table) - 1, max(map(len, table)), np.arange(n)
-    a = np.zeros((d + 1, n), dtype=np.int64)  # (j, node) of a_j(sigma), by Horner's rule
+def _hankel_determinants(table: list[list[int]], n: int, primes: Sequence[int]) -> np.ndarray:
+    """det [t_(i+j)] of :func:`_discriminant` modulo each of ``primes`` at
+    sigma = 0 .. n - 1: (prime, node), from one pass over the flat batch of
+    (prime, node) points.  The steps are elementwise and exact, so a prime
+    gets the same row in any batch.  Newton's identities give t_0 = d and
+    t_k = -(sum_(i <= min(k - 1, d)) w_i t_(k-i) + k w_k), the last term
+    for k <= d, w_i = a_(d-i) a_d^(i-1).  The elimination scales rows by the
+    pivot instead of dividing by it: one modular inverse per point is left,
+    at the end."""
+    d, width = len(table) - 1, max(map(len, table))
+    prime = np.repeat(np.array(primes, dtype=np.int64), n)  # the prime of every point
+    nodes, points = np.tile(np.arange(n), len(primes)), np.arange(len(prime))
+    a = np.zeros((d + 1, len(prime)), dtype=np.int64)  # (j, point) of a_j(sigma), by Horner's rule
     for i in range(width - 1, -1, -1):
-        column = [row[i] % prime if i < len(row) else 0 for row in table]
-        a = (a * nodes + np.array(column)[:, None]) % prime
-    w, lead = np.empty((d, n), dtype=np.int64), 1
+        column = [row[i] if i < len(row) else 0 for row in table]
+        a = (a * nodes + np.array([[c % p for p in primes] for c in column]).repeat(n, axis=1)) % prime
+    w, lead = np.empty((d, len(prime)), dtype=np.int64), 1
     for i in range(d):
         w[i] = a[d - 1 - i] * lead % prime
         lead = lead * a[d] % prime
-    t = np.full((2 * d - 1, n), d, dtype=np.int64)
+    t = np.full((2 * d - 1, len(prime)), d, dtype=np.int64)
     for k in range(1, 2 * d - 1):
         m = min(k - 1, d)
         t[k] = -(np.add.reduce(w[:m] * t[k - 1::-1][:m], axis=0) + (k * w[k - 1] if k <= d else 0)) % prime
-    h = t[np.add.outer(np.arange(d), np.arange(d))].transpose(2, 0, 1)  # (node, i, j)
-    det, scale, prefix = np.ones((3, n), dtype=np.int64)
+    h = t[np.add.outer(np.arange(d), np.arange(d))].transpose(2, 0, 1)  # (point, i, j)
+    det, scale, prefix = np.ones((3, len(prime)), dtype=np.int64)
     for j in range(d):
         r = j + np.argmax(h[:, j:, j] != 0, axis=1)  # the first nonzero pivot, j if none
-        h[nodes, j], h[nodes, r] = h[nodes, r], h[nodes, j]
+        h[points, j], h[points, r] = h[points, r], h[points, j]
         pivot = h[:, j, j]
         det = det * np.where(r == j, pivot, prime - pivot) % prime
         scale = scale * prefix % prime  # row j was scaled by every pivot above it
         prefix = prefix * pivot % prime
         h[:, j + 1:, j + 1:] = (pivot[:, None, None] * h[:, j + 1:, j + 1:]
-                                - h[:, j + 1:, j, None] * h[:, None, j, j + 1:]) % prime
-    return det * [pow(s, -1, prime) if s else 0 for s in scale.tolist()] % prime
+                                - h[:, j + 1:, j, None] * h[:, None, j, j + 1:]) % prime[:, None, None]
+    inverses = [pow(s, -1, p) if s else 0 for s, p in zip(scale.tolist(), prime.tolist())]
+    return (det * inverses % prime).reshape(len(primes), n)
 
 
 def square_free(poly: list[int]) -> list[int]:
@@ -231,35 +238,63 @@ def real_roots(poly: list[int]) -> list[float]:
     """The real roots in (-2, 2) of a square-free integer polynomial, each
     the float nearest it, ascending.  The estimates are the eigenvalues
     within 1e-6 of the real axis of the colleague matrix of its Chebyshev
-    series in sigma / 2.  Exact signs at -2, 2, each estimate +- 1e-12 and
-    +- 1e-9 and the midpoints between estimates bracket the roots; each
-    bracket is bisected on exact signs down to a float where the value is 0,
-    or to two adjacent floats, of which the sign at their midpoint picks the
-    nearer."""
+    series in sigma / 2.  Exact signs at -2, 2 and the midpoints between
+    estimates bracket the roots, one estimate per bracket; a root at one of
+    those points is kept as it is.  In a bracket whose ends differ in sign
+    the search starts at the estimate and steps outward, toward the end of
+    the other sign, on exact signs, by steps doubling from 2^-52 (about the
+    estimates' error on the family) until the sign flips.  That last step is
+    bisected on exact signs down to a float where the value is 0, or to two
+    adjacent floats, of which the sign at their midpoint picks the nearer.
+    So each root with a bracket of its own gets the float nearest it, by any
+    search."""
     series = chebyshev_form([poly])[:, 0]
-    estimates = sorted({2.0 * z.real for z in np.polynomial.chebyshev.chebroots(series).tolist()
+    estimates = sorted({min(max(2.0 * z.real, -2.0), 2.0)
+                        for z in np.polynomial.chebyshev.chebroots(series).tolist()
                         if abs(z.imag) <= 1e-6 and abs(z.real) <= 1.0 + 1e-6})
-    points = {-2.0, 2.0, *(x + dx for x in estimates for dx in (-1e-9, -1e-12, 1e-12, 1e-9)),
-              *(0.5 * (x + y) for x, y in zip(estimates, estimates[1:]))}
-    points = sorted(x for x in points if -2.0 <= x <= 2.0)
+    ends = [-2.0, *(0.5 * (x + y) for x, y in zip(estimates, estimates[1:])), 2.0]
 
     def sign(x: float | Fraction) -> int:  # exact, at a float or a Fraction
         value = _homogeneous(poly, *x.as_integer_ratio())
         return (value > 0) - (value < 0)
 
-    signs = [sign(x) for x in points]
-    roots = [x for x, s in zip(points, signs) if not s and -2.0 < x < 2.0]
-    for a, b, sa, sb in zip(points, points[1:], signs, signs[1:]):
-        while sa * sb < 0:
-            m = 0.5 * (a + b)
-            if m == a or m == b:  # adjacent floats
-                roots.append(b if sign((Fraction(a) + Fraction(b)) / 2) == sa else a)
+    signs = [sign(x) for x in ends]
+    roots = [x for x, s in zip(ends[1:-1], signs[1:-1]) if not s]
+    for x, a, b, sa, sb in zip(estimates, ends, ends[1:], signs, signs[1:]):
+        if sa * sb >= 0:
+            continue
+        s = sign(x)
+        if not s:
+            roots.append(x)
+            continue
+        end, se = (b, sb) if s == sa else (a, sa)  # the root lies between x and end
+        step, near = 2.0**-52, x
+        while True:
+            far = x + math.copysign(step, end - x)
+            if (far - end) * (end - x) >= 0:  # at or past the end
+                far, sf = end, se
+            else:
+                sf = sign(far)
+            if sf != s:
                 break
-            s = sign(m)
-            if not s:
-                roots.append(m)
-            a, b, sb = (m, b, sb) if s == sa else (a, m, s)
+            near, step = far, 2.0 * step
+        roots.append(_bisect(sign, min(near, far), max(near, far), s if near < far else sf) if sf else far)
     return sorted(roots)
+
+
+def _bisect(sign, a: float, b: float, sa: int) -> float:
+    """The root between a < b, where the exact sign is sa at a and the other
+    sign at b: a float where the value is 0, or of the two adjacent floats
+    the bisection ends on, the nearer by the sign at their midpoint (the
+    lower on a tie)."""
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:  # adjacent floats
+            return b if sign((Fraction(a) + Fraction(b)) / 2) == sa else a
+        s = sign(m)
+        if not s:
+            return m
+        a, b = (m, b) if s == sa else (a, m)
 
 
 def _homogeneous(poly: Sequence[int], num: int, den: int) -> int:

@@ -904,15 +904,18 @@ def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
     # bit-equal slopes of its two sampled ends, no (theta, u) is evaluated
     # twice, so there is no stack of slopes at the bracket ends and each
     # point off pi reports the slope its refinement took last; the points at
-    # pi take one more slope stack, and the one numeric torsion, the
-    # cross-check, runs after every slope
-    taken, started, evaluated, numeric = [], [], [], []
+    # pi take their slopes in the samples' stack, so the reported points
+    # evaluate no new one, and the one numeric torsion, the cross-check,
+    # runs after every slope
+    taken, stacks, started, evaluated, numeric = [], [], [], [], []
     derivatives, solve = locus._BranchTorsion.derivatives, locus._bracketed_zero
     slope, compute_torsion = exact.TorsionFunction.slope, locus.compute_torsion
 
     def derivatives_spy(self, samples):
+        before = len(evaluated)
         results = derivatives(self, samples)
         taken.append(dict(zip(samples, results)))
+        stacks.append(len(evaluated) - before)
         return results
 
     def slope_spy(self, theta, u):
@@ -939,9 +942,11 @@ def test_brent_starts_from_the_sampled_slopes(monkeypatch, p, q):
         assert (a, fa) in sampled and (b, fb) in sampled
     points = [point for stack in evaluated for point in stack]
     assert len(points) == len(set(points))
-    assert evaluated[-1] == [(math.pi, pt.u) for pt in report.points if pt.is_dihedral]
+    dihedral = [(math.pi, pt.u) for pt in report.points if pt.is_dihedral]
+    assert dihedral and evaluated[0][-len(dihedral):] == dihedral
     assert all((pt.theta, pt.u) in points for pt in report.points if pt.theta <= math.pi)
-    assert len(taken) == len(evaluated) and numeric == [len(evaluated)]
+    # one slope stack per call but the last, the reported points', which takes none
+    assert stacks == [1] * (len(taken) - 1) + [0] and numeric == [len(evaluated)]
 
 
 @pytest.mark.parametrize("p, q, sign_changes", [(11, 5, 3), (15, 7, 2)])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from adtorsion import catalog
-from adtorsion.exact import _torsion_coefficients, torsion_function
+from adtorsion.exact import _tables, _torsion_coefficients, torsion_function
 from adtorsion.locus import auto_theta_range, find_critical_points, rep_at
-from adtorsion.modular import PRIMES
+from adtorsion.modular import PRIMES, chebyshev
 from adtorsion.reps import RepresentationError, riley_polynomial, su2_solutions
 from adtorsion.torsion import compute_torsion
 from adtorsion.verify import closed_form_5_2
@@ -137,6 +137,31 @@ def test_gradient_is_the_derivative_of_the_exact_polynomial():
         scale = max(1.0, abs(float(exact)), abs(float(exact_ds)), abs(float(exact_du)))
         for got, want in ((v, exact), (ds, exact_ds), (du, exact_du)):
             assert abs(got - float(want)) <= 1e-12 * scale
+
+
+def test_tables_have_the_bits_of_the_reference_recurrences():
+    # _tables runs the T and U recurrences in one loop into preallocated
+    # arrays; its tables have the bits of each recurrence run on its own
+    # (T_m by modular.chebyshev, T_m' = m U_(m-1) by U's recurrence), a
+    # point alone gets the bits it gets in the stack, and the tables come
+    # C-contiguous, so that the forms' sums run over each point's own
+    # contiguous row (a transposed view sums in another order)
+    rng = np.random.default_rng(40)
+    y, x = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, 5)
+    z = np.concatenate([y, x])
+    for n in (1, 2, 3, 9, 25):
+        derivative = [np.zeros_like(z), np.ones_like(z)]
+        u_prev, u_cur = np.ones_like(z), 2.0 * z
+        for m in range(2, n):
+            derivative.append(m * u_cur)
+            u_prev, u_cur = u_cur, 2.0 * z * u_cur - u_prev
+        t, dt = chebyshev(z, n), np.stack(derivative[:n], axis=-1)
+        (t_y, dt_y), (t_x, dt_x) = tables = _tables(y, x, n)
+        assert all(a.flags.c_contiguous for pair in tables for a in pair)
+        assert np.concatenate([t_y, t_x]).tolist() == t.tolist(), n
+        assert np.concatenate([dt_y, dt_x]).tolist() == dt.tolist(), n
+        (t_0, dt_0), _ = _tables(y[:1], x[:0], n)
+        assert (t_0.tolist(), dt_0.tolist()) == (t[:1].tolist(), dt[:1].tolist())
 
 
 def test_evaluation_refuses_points_off_the_real_box():

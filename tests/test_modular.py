@@ -131,6 +131,43 @@ def test_certified_roots_match_a_sturm_count():
                 assert _at(free, r) == 0 or below * above < 0, (p, q, r)
 
 
+@pytest.mark.parametrize("p, q", CRITICAL_FAMILY + [(27, 5), (39, 7), (81, 11)])
+def test_each_breakpoint_is_the_float_nearest_its_root(p, q):
+    # an oracle that does not depend on the search: every real root x is
+    # an exact zero, or the exact signs at the two midpoints between x and
+    # its neighbouring floats differ, so a root lies in the reals that round
+    # to x.  b(27,5) keeps the crossing 1/4, and b(39,7), whose discriminant
+    # is not square-free, keeps 1.25
+    found = set()
+    for poly in breakpoint_polynomials(_table(p, q)):
+        free = square_free(poly)
+        roots = real_roots(free)
+        assert roots == sorted(set(roots)) and all(-2.0 < x < 2.0 for x in roots), (p, q, roots)
+        for x in roots:
+            below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2 for end in (-3.0, 3.0))
+            signs = [(v > 0) - (v < 0) for v in (_at(free, below), _at(free, above))]
+            assert _at(free, x) == 0 or signs[0] != signs[1], (p, q, x)
+        found.update(roots)
+    kept = {(27, 5): 0.25, (39, 7): 1.25}
+    assert (p, q) not in kept or kept[p, q] in found
+
+
+def test_hankel_determinants_give_a_prime_the_same_row_in_any_batch():
+    # the discriminant's first two primes share one pass over the flat batch
+    # of (prime, node) points; each prime's row is the row of a pass of its
+    # own, in either order, on words with u-degree d from 2 to 40
+    first, second = modular.PRIMES[:2]
+    for d in range(2, 41):
+        p = 2 * d + 1
+        table = _table(p, next(q for q in range(3, p, 2) if math.gcd(p, q) == 1))
+        n = 3 * d + 2
+        alone = [modular._hankel_determinants(table, n, (prime,)) for prime in (first, second)]
+        assert all(row.shape == (1, n) for row in alone)
+        pair = modular._hankel_determinants(table, n, (first, second))
+        assert pair.tolist() == [alone[0][0].tolist(), alone[1][0].tolist()], d
+        assert modular._hankel_determinants(table, n, (second, first)).tolist() == pair.tolist()[::-1], d
+
+
 def test_square_free_part_keeps_every_distinct_root():
     # the square-free part divides the polynomial in Z[sigma] and has as
     # many distinct real roots in (-2, 2), on the 24 knots and on b(27,5),

@@ -450,21 +450,22 @@ def test_one_theta_is_memoized_with_the_bits_of_any_stack():
 
 def test_an_empty_theta_sequence_is_an_empty_stack(monkeypatch):
     # a critical search whose folded samples all sit within PI_SLACK of pi
-    # solves an empty stack and still reports 5_2's 3 dihedral points
+    # has no sample: its one root stack holds pi alone, and it still reports
+    # 5_2's 3 dihedral points
     p = catalog.knot("5_2")
     phi = riley_polynomial(p.bridge_word)
     stack = su2_solutions(phi, [])
     assert isinstance(stack, reps.Su2Stack) and stack.table.shape == (0, phi.u_degree)
     assert stack.counts.tolist() == stack.thetas == stack.sigmas == stack.roots == stack.near_multiple == []
-    sizes, solutions = [], locus.su2_solutions
+    stacks, solutions = [], locus.su2_solutions
 
-    def sized(phi, thetas, **kwargs):
-        sizes.append(len(thetas))
+    def recorded(phi, thetas, **kwargs):
+        stacks.append(list(thetas))
         return solutions(phi, thetas, **kwargs)
 
-    monkeypatch.setattr(locus, "su2_solutions", sized)
+    monkeypatch.setattr(locus, "su2_solutions", recorded)
     report = find_critical_points(p, math.pi - 1e-13, math.pi + 1e-13, 2)
-    assert 0 in sizes and report.dihedral_count == 3 and not report.notes
+    assert stacks == [[math.pi]] and report.dihedral_count == 3 and not report.notes
 
 
 def test_memo_keys_on_the_multiplicity_threshold():
